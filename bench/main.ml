@@ -51,15 +51,21 @@ let benchmarks =
            ignore
              (Relalg.Sql_exec.query (Lazy.force db)
                 "SELECT * FROM D WHERE inmsg = 'readex'")));
+    (* parse, plan and execute with an index on D.inmsg; the first run
+       builds the cached index *)
     Test.make ~name:"select-D-indexed"
       (Staged.stage
-         (let store = Relalg.Physical.make_store (Lazy.force db) in
-          let indexes = [ "D", "inmsg" ] in
-          ignore (Relalg.Physical.run ~indexes store "SELECT * FROM D WHERE inmsg = 'readex'");
-          fun () ->
-            ignore
-              (Relalg.Physical.run ~indexes store
-                 "SELECT * FROM D WHERE inmsg = 'readex'")));
+         (let open Relalg in
+          let run () =
+            let db = Lazy.force db in
+            Planner.execute db
+              (Planner.plan ~indexes:[ "D", "inmsg" ] db
+                 (Plan.of_query
+                    (Sql_parser.parse_query
+                       "SELECT * FROM D WHERE inmsg = 'readex'")))
+          in
+          ignore (run ());
+          fun () -> ignore (run ())));
     (* E9: one bounded model-checking run *)
     Test.make ~name:"mcheck-2node-loadstore"
       (Staged.stage (fun () ->
@@ -88,9 +94,10 @@ let benchmarks =
 (* --- exploration-core A/B pairs --------------------------------------
    The same bounded search through explicitly pinned engines.  The
    packed/boxed pair isolates the representation change (bit-packed
-   vectors + open addressing vs Marshal strings + Hashtbl) on one
-   domain; the steal/level pair compares the two parallel frontiers at
-   the requested degree.  Both surface in the JSON snapshot "pairs". *)
+   vectors + open addressing vs Marshal strings + Hashtbl): both run on
+   one domain, where the stealing engine is a single FIFO queue in the
+   boxed engine's BFS order.  The pairs surface in the JSON snapshot
+   "pairs". *)
 let mcheck_engine_cfg =
   {
     Mcheck.Semantics.nodes = 2; addrs = 1; ops = [ "load"; "store" ];
@@ -107,12 +114,11 @@ let mcheck_engine_test ~name engine =
 let engine_baseline_benchmarks =
   [
     mcheck_engine_test ~name:"mcheck-2node-boxed" `Seq;
-    mcheck_engine_test ~name:"mcheck-2node-packed" `Seq_packed;
+    mcheck_engine_test ~name:"mcheck-2node-packed" `Steal;
   ]
 
 let engine_degree_benchmarks =
   [
-    mcheck_engine_test ~name:"mcheck-2node-level" `Level;
     mcheck_engine_test ~name:"mcheck-2node-steal" `Steal;
     (* the flight-recorder overhead control: the same steal-engine search
        with event recording compiled in but switched off, so the
@@ -131,7 +137,6 @@ let engine_degree_benchmarks =
 let engine_pair_specs ~domains =
   [
     "mcheck-pack-vs-boxed", "mcheck-2node-boxed", "mcheck-2node-packed", 1;
-    "mcheck-steal-vs-level", "mcheck-2node-level", "mcheck-2node-steal", domains;
     (* reference = recording off, candidate = recording on: speedup is
        off/on, so the <= 1.05x overhead budget reads as speedup >= 0.952 *)
     ( "mcheck-recorder-on-vs-off", "mcheck-2node-steal-recoff",
@@ -346,9 +351,9 @@ let run_pairs ~domains () =
          benchmarks)
   end
 
-(* The steal/level comparison needs both engines at the requested
-   degree; at one domain both degenerate to sequential search, so the
-   pair would measure nothing. *)
+(* The recorder on/off pair prices the flight recorder on the parallel
+   steal engine, so it runs at the requested degree; at one domain the
+   search would not steal at all. *)
 let run_engine_pairs ~domains () =
   if domains <= 1 then []
   else begin
@@ -401,7 +406,8 @@ let write_json ~domains measurements =
       paired_names
   in
   (* engine A/B pairs ride the same array: "seq_ns" holds the reference
-     side (boxed / level), "par_ns" the candidate (packed / steal) *)
+     side (boxed / recorder off), "par_ns" the candidate (packed /
+     recorder on) *)
   let pairs =
     pairs
     @ List.filter_map

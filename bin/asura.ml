@@ -548,8 +548,7 @@ let mcheck_cmd =
     let engine_conv =
       Arg.enum
         [
-          "auto", `Auto; "seq", `Seq; "seq-packed", `Seq_packed;
-          "level", `Level; "steal", `Steal;
+          "auto", `Auto; "seq", `Seq; "steal", `Steal;
         ]
     in
     Arg.(
@@ -558,9 +557,8 @@ let mcheck_cmd =
           ~doc:
             "Exploration core: $(b,auto) (default: sequential boxed at one \
              domain, work-stealing packed otherwise), $(b,seq) (boxed \
-             reference), $(b,seq-packed) (bit-packed, single-threaded), \
-             $(b,level) (level-synchronized parallel BFS) or $(b,steal) \
-             (work-stealing packed frontier).")
+             reference) or $(b,steal) (work-stealing packed frontier; \
+             at one domain a single-threaded packed BFS).")
   in
   let compact_bits =
     Arg.(
@@ -1107,7 +1105,7 @@ let report_cmd =
           ~doc:
             "Run manifests (asura-run/1), bench snapshots (asura-bench/*), \
              table profiles (asura-stats/1) or EXPLAIN ANALYZE output \
-             (asura-explain/1).")
+             (asura-explain/2; /1 files are still read).")
   in
   let json =
     Arg.(
@@ -1274,9 +1272,9 @@ let explain_cmd =
       & info [ "analyze" ]
           ~doc:
             "Actually execute the query against the controller-table \
-             database and print per-operator rows in/out, \
-             materialized-vs-streamed output, storage bytes, dictionary \
-             hit rates and wall-clock timings (EXPLAIN ANALYZE).")
+             database through the cost-based planner and print \
+             per-operator estimated vs. actual rows, cost and wall-clock \
+             timings (EXPLAIN ANALYZE).")
   in
   let index =
     Arg.(
@@ -1284,8 +1282,9 @@ let explain_cmd =
       & opt_all (pair ~sep:'.' string string) []
       & info [ "index" ] ~docv:"TABLE.COLUMN"
           ~doc:
-            "With $(b,--analyze): declare a hash index, enabling the \
-             index-lookup access path.  Repeatable.")
+            "With $(b,--analyze): declare a hash index, letting the \
+             planner turn an equality on that column into an index \
+             lookup.  Repeatable.")
   in
   let json =
     Arg.(
@@ -1297,28 +1296,14 @@ let explain_cmd =
   in
   let run () query analyze indexes json_flag =
     if analyze then begin
-      let db = Protocol.database () in
-      (* --index forces the reference physical engine (the planner has
-         no index access paths); otherwise the cost-based planner runs
-         the vectorized engine and reports estimated vs. actual rows *)
-      if Relalg.Planner.active () && indexes = [] then begin
-        let r = Relalg.Planner.analyze db query in
-        if json_flag then
-          print_endline (Obs.Json.to_string (Relalg.Planner.to_json r))
-        else
-          Printf.printf "planner (est vs actual):\n%s"
-            (Relalg.Planner.render_report r)
-      end
-      else begin
-        let store = Relalg.Physical.make_store db in
-        let r = Relalg.Analyze.run ~indexes store query in
-        if json_flag then
-          print_endline (Obs.Json.to_string (Relalg.Analyze.to_json r))
-        else
-          Printf.printf "physical plan:\n%s\nexecution:\n%s"
-            (Relalg.Physical.explain r.Relalg.Analyze.physical)
-            (Relalg.Analyze.render r)
-      end
+      (* explains the planner itself, so it runs even under
+         ASURA_PLANNER=off *)
+      let r = Relalg.Planner.analyze ~indexes (Protocol.database ()) query in
+      if json_flag then
+        print_endline (Obs.Json.to_string (Relalg.Planner.to_json r))
+      else
+        Printf.printf "planner (est vs actual):\n%s"
+          (Relalg.Planner.render_report r)
     end
     else begin
       if json_flag then begin

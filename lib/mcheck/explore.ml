@@ -37,28 +37,12 @@ let classify detail =
 
 let obs_reg = lazy (Obs.Metrics.registry "mcheck")
 
-(* The visited set of the parallel engine, sharded by key hash so each
-   shard's hashtable stays small and cheap to grow as the state count
-   climbs into the hundreds of thousands.  Only the merging (spawning)
-   domain ever writes; expansion workers never touch it. *)
-module Sharded = struct
-  let shards = 64
-
-  let create () = Array.init shards (fun _ -> Hashtbl.create 256)
-  let slot key = Hashtbl.hash key land (shards - 1)
-  let mem t key = Hashtbl.mem t.(slot key) key
-  let add t key = Hashtbl.add t.(slot key) key ()
-
-  let keys t =
-    Array.fold_left
-      (fun acc h -> Hashtbl.fold (fun k () acc -> k :: acc) h acc)
-      [] t
-end
-
-(* Mutable search bookkeeping shared by the sequential and parallel
-   engines; [finish] renders it into a {!result}. *)
+(* Mutable search bookkeeping shared by the sequential and stealing
+   engines; [finish] renders it into a {!result}.  [t0] is a monotonic
+   wall-clock reading: process CPU time would sum every domain's work
+   and over-count parallel runs. *)
 type search = {
-  t0 : float;
+  t0 : int64;
   mutable s_explored : int;
   mutable s_transitions : int;
   mutable s_max_depth : int;
@@ -70,7 +54,7 @@ type search = {
 
 let new_search () =
   {
-    t0 = Sys.time ();
+    t0 = Obs.Clock.now_ns ();
     s_explored = 0;
     s_transitions = 0;
     s_max_depth = 0;
@@ -83,7 +67,7 @@ let new_search () =
         (Lazy.force obs_reg) "expansion_depth";
   }
 
-(* Per-state bookkeeping at expansion time, identical in both engines:
+(* Per-state bookkeeping at expansion time in the sequential engine:
    the frontier length is sampled before the state is counted. *)
 let expand_state sr ~frontier ~depth =
   if frontier > sr.s_max_frontier then sr.s_max_frontier <- frontier;
@@ -98,17 +82,17 @@ let expand_state sr ~frontier ~depth =
   if depth > sr.s_max_depth then sr.s_max_depth <- depth
 
 (* The --progress heartbeat.  Only ever called from the spawning domain
-   (the sequential loop and the parallel merge loop, after the level's
-   workers have joined), so snapshotting coverage shards is safe and
-   worker determinism is untouched.  [Runlog.tick] rate-limits to the
-   configured interval; when --progress is off this is one match. *)
+   (the sequential loop, or stealing participant 0, which runs there),
+   so snapshotting coverage shards is safe.  [Runlog.tick] rate-limits
+   to the configured interval; when --progress is off this is one
+   match. *)
 let heartbeat_vals ~t0 ~max_states ~explored ~frontier ~max_depth =
   Obs.Runlog.tick (fun () ->
       (* The first tick can fire with elapsed ~ 0 (or exactly 0 at clock
          granularity): dividing by it yields an absurd or non-finite
          rate, and the ETA then prints as inf/nan.  Below a millisecond
          of elapsed time there is no meaningful rate yet. *)
-      let elapsed = Sys.time () -. t0 in
+      let elapsed = Obs.Clock.to_s (Obs.Clock.since t0) in
       let rate =
         if elapsed < 1e-3 then 0. else float_of_int explored /. elapsed
       in
@@ -138,7 +122,7 @@ let violation_code = function
   | `Deadlock -> 3
 
 let finish sr ~states ~engine ~probabilistic violation complete =
-  let elapsed = Sys.time () -. sr.t0 in
+  let elapsed = Obs.Clock.to_s (Obs.Clock.since sr.t0) in
   (* the stop reason closes the flight recording, so a drain's tail
      explains *why* the engine stopped right after *what* it was doing *)
   (match violation with
@@ -287,116 +271,6 @@ let run_seq ?(engine = "seq") ~max_states ~keep_states ~state_key ~tables
   | Found v ->
       finish sr ~states:(states ()) ~engine ~probabilistic:false (Some v) true
 
-(* -------------------------- parallel engine --------------------------- *)
-
-(* Level-synchronized BFS.  The expensive per-state work — the coherence
-   check, computing all successor states by executing the controller
-   tables, and hashing each successor into its (symmetry-reduced) key —
-   runs chunk-parallel over the depth-d frontier.  The merge loop then
-   walks the expansion results in frontier order and replays exactly the
-   bookkeeping the sequential engine performs, including the frontier
-   length the FIFO queue would have had ([remaining states of this level]
-   + [successors enqueued so far]), so every counter in the result is
-   bit-identical to the sequential run. *)
-let run_par ~max_states ~keep_states ~state_key ~tables config =
-  let sr = new_search () in
-  let initial = Mstate.initial ~nodes:config.Semantics.nodes ~addrs:config.addrs in
-  let visited = Sharded.create () in
-  let parent : (string, string * string) Hashtbl.t = Hashtbl.create 4096 in
-  let initial_key = state_key initial in
-  Sharded.add visited initial_key;
-  let trace_to key =
-    let rec go key acc =
-      match Hashtbl.find_opt parent key with
-      | None -> acc
-      | Some (pkey, label) -> go pkey (label :: acc)
-    in
-    go key []
-  in
-  let states () =
-    if keep_states then Some (List.sort compare (Sharded.keys visited))
-    else None
-  in
-  try
-    let frontier = ref [| initial, initial_key |] in
-    let depth = ref 0 in
-    while Array.length !frontier > 0 do
-      let level = !frontier in
-      let expansions =
-        Par.Pool.map_array ~min_chunk:4
-          (fun (st, _key) ->
-            let violations = Semantics.state_violations config st in
-            let succs =
-              List.map
-                (fun (label, outcome) ->
-                  match outcome with
-                  | Semantics.Next st' -> label, outcome, state_key st'
-                  | Semantics.Broken _ -> label, outcome, "")
-                (Semantics.successors tables config st)
-            in
-            violations, succs, Mstate.quiescent st)
-          level
-      in
-      let next = ref [] and next_count = ref 0 in
-      Array.iteri
-        (fun i (violations, succs, quiescent) ->
-          let _, key = level.(i) in
-          if sr.s_explored >= max_states then raise Exit;
-          let frontier_len = Array.length level - i + !next_count in
-          expand_state sr ~frontier:frontier_len ~depth:!depth;
-          heartbeat sr ~max_states ~frontier:frontier_len;
-          (match violations with
-          | [] -> ()
-          | detail :: _ ->
-              raise (Found { kind = `Coherence; detail; trace = trace_to key }));
-          if succs = [] && not quiescent then
-            raise
-              (Found
-                 {
-                   kind = `Deadlock;
-                   detail = "no transition enabled but work is pending";
-                   trace = trace_to key;
-                 });
-          List.iter
-            (fun (label, outcome, key') ->
-              sr.s_transitions <- sr.s_transitions + 1;
-              match outcome with
-              | Semantics.Broken detail ->
-                  raise
-                    (Found
-                       {
-                         kind = classify detail;
-                         detail;
-                         trace = trace_to key @ [ label ];
-                       })
-              | Semantics.Next st' ->
-                  if Sharded.mem visited key' then begin
-                    sr.s_dedup_hits <- sr.s_dedup_hits + 1;
-                    Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup
-                      ~a:(!depth + 1) ~b:1 ()
-                  end
-                  else begin
-                    Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup
-                      ~a:(!depth + 1) ~b:0 ();
-                    Sharded.add visited key';
-                    Hashtbl.add parent key' (key, label);
-                    next := (st', key') :: !next;
-                    incr next_count
-                  end)
-            succs)
-        expansions;
-      frontier := Array.of_list (List.rev !next);
-      incr depth
-    done;
-    finish sr ~states:(states ()) ~engine:"level" ~probabilistic:false None true
-  with
-  | Exit ->
-      finish sr ~states:(states ()) ~engine:"level" ~probabilistic:false None
-        false
-  | Found v ->
-      finish sr ~states:(states ()) ~engine:"level" ~probabilistic:false
-        (Some v) true
-
 (* ------------------------ work-stealing engine ------------------------ *)
 
 (* Glue between the controller tables and the bit-packer: seed every
@@ -432,7 +306,7 @@ let layout_of_tables tables (config : Semantics.config) =
     ()
 
 (* One-slot caches for the two per-search build steps the packed
-   engines pay before touching a single state: bucketing the rule index
+   engine pays before touching a single state: bucketing the rule index
    (~11ms over the 1156-row delivery tables) and harvesting the packed
    layout's dictionaries.  Callers that loop over [run] with the same
    tables value — the benchmarks, the differential suites, repeated CLI
@@ -487,13 +361,13 @@ type sacc = {
    the *absence* of violations.  With [compact_bits] the replay is
    skipped (the point of compaction is that the full search does not
    fit) and the violation is reported without a trace. *)
-let run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
+let run_steal ?workers ~max_states ~keep_states ~state_key ~symmetry
     ~compact_bits ~tables config =
   let sr = new_search () in
   let layout = cached_layout tables config in
-  (* the packed engines dispatch rules through the bucketed index —
+  (* the packed engine dispatches rules through the bucketed index —
      same first-match row, a fraction of the guard scans; the boxed
-     reference engines keep the naive scan *)
+     reference engine keeps the naive scan *)
   let tables = indexed_tables tables in
   let key_of =
     if symmetry then Pack.canonical layout else Pack.pack ?perm:None layout
@@ -562,7 +436,7 @@ let run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
              (participant 0 runs there), per the Runlog contract *)
           if acc.sa_self = 0 then
             heartbeat_vals ~t0:sr.t0 ~max_states
-              ~explored:(max_states - Atomic.get budget)
+              ~explored:(min max_states (max_states - Atomic.get budget))
               ~frontier:(Atomic.get inflight) ~max_depth:acc.sa_max_depth;
           match Semantics.state_violations config st with
           | detail :: _ ->
@@ -625,7 +499,10 @@ let run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
   | Some _ when compact_bits = None ->
       (* exact mode: replay through the boxed reference engine for the
          bit-identical verdict and counterexample trace *)
-      let r = run_seq ~engine ~max_states ~keep_states ~state_key ~tables config in
+      let r =
+        run_seq ~engine:"steal" ~max_states ~keep_states ~state_key ~tables
+          config
+      in
       if r.violation <> None then r
       else
         (* the bounded replay visited a different subset and missed it:
@@ -663,8 +540,8 @@ let run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
         else None
       in
       let complete = not (Atomic.get truncated) in
-      finish sr ~states ~engine ~probabilistic:(compact_bits <> None) violation
-        complete
+      finish sr ~states ~engine:"steal" ~probabilistic:(compact_bits <> None)
+        violation complete
 
 let run ?(max_states = 200_000) ?(symmetry = false) ?tables
     ?(keep_states = false) ?(engine = `Auto) ?compact_bits config =
@@ -680,18 +557,13 @@ let run ?(max_states = 200_000) ?(symmetry = false) ?tables
     if symmetry then Mstate.canonical_key ~nodes:config.Semantics.nodes
     else Mstate.key
   in
-  let steal ?workers engine =
-    run_steal ?workers ~engine ~max_states ~keep_states ~state_key ~symmetry
+  let steal ?workers () =
+    run_steal ?workers ~max_states ~keep_states ~state_key ~symmetry
       ~compact_bits ~tables config
   in
   match engine with
   | `Seq -> run_seq ~max_states ~keep_states ~state_key ~tables config
-  | `Seq_packed -> steal ~workers:1 "seq-packed"
-  | `Level ->
-      if Par.Pool.sequential () then
-        run_seq ~max_states ~keep_states ~state_key ~tables config
-      else run_par ~max_states ~keep_states ~state_key ~tables config
-  | `Steal -> steal "steal"
+  | `Steal -> steal ()
   | `Auto ->
       (* Oversubscribing stealing workers past the hardware buys nothing
          and costs real time: every extra domain must be scheduled into
@@ -702,10 +574,10 @@ let run ?(max_states = 200_000) ?(symmetry = false) ?tables
       let workers =
         max 1 (min (Par.Pool.domains ()) (Domain.recommended_domain_count ()))
       in
-      if compact_bits <> None then steal ~workers "steal"
+      if compact_bits <> None then steal ~workers ()
       else if Par.Pool.sequential () then
         run_seq ~max_states ~keep_states ~state_key ~tables config
-      else steal ~workers "steal"
+      else steal ~workers ()
 
 let pp_result fmt r =
   Format.fprintf fmt

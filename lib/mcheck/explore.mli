@@ -15,7 +15,7 @@ type result = {
   explored : int;  (** distinct states visited *)
   transitions : int;
   max_depth : int;
-  elapsed : float;  (** seconds *)
+  elapsed : float;  (** wall-clock seconds (monotonic clock) *)
   violation : violation option;  (** first violation found, if any *)
   complete : bool;  (** false if [max_states] stopped the search *)
   dedup_hits : int;  (** successors already in the visited set *)
@@ -26,8 +26,7 @@ type result = {
   states : string list option;
       (** sorted visited-set keys, when requested with [keep_states] *)
   engine : string;
-      (** which exploration core ran: ["seq"], ["seq-packed"], ["level"]
-          or ["steal"] *)
+      (** which exploration core ran: ["seq"] or ["steal"] *)
   probabilistic : bool;
       (** dedup used hash compaction ([compact_bits]): a fingerprint
           collision may have hidden states, so a clean result is
@@ -50,7 +49,7 @@ val run :
   ?symmetry:bool ->
   ?tables:Semantics.tables ->
   ?keep_states:bool ->
-  ?engine:[ `Auto | `Seq | `Seq_packed | `Level | `Steal ] ->
+  ?engine:[ `Auto | `Seq | `Steal ] ->
   ?compact_bits:int ->
   Semantics.config ->
   result
@@ -63,19 +62,15 @@ val run :
     of each orbit rather than the literal interleaving.  [keep_states]
     (default false) returns the sorted visited-set keys in
     {!field-states}, used by the differential test suite to compare
-    reachable-state sets; the packed engines report the same strings by
-    unpacking their visited vectors through the boxed key function.
+    reachable-state sets; the packed engine reports the same strings by
+    unpacking its visited vectors through the boxed key function.
 
     [engine] selects the exploration core:
     - [`Seq]: the boxed reference — FIFO BFS, Marshal-string visited
       set, exact parent-pointer counterexample traces.
-    - [`Seq_packed]: the same single-threaded BFS order over the
-      bit-packed representation ({!Pack}) — the isolation benchmark for
-      packing.
-    - [`Level]: the level-synchronized parallel BFS whose merge replays
-      sequential bookkeeping, bit-identical to [`Seq] in every field.
     - [`Steal]: the work-stealing packed frontier
-      ({!Par.Pool.steal_loop}).  For complete exact searches the
+      ({!Par.Pool.steal_loop}); at one domain a single FIFO queue, i.e.
+      the [`Seq] BFS order over the bit-packed representation ({!Pack}).  For complete exact searches the
       reachable set, [explored], [transitions], [dedup_hits], verdicts
       and coverage bitmaps are identical to [`Seq]; [per_depth],
       [max_depth] and [max_frontier] are schedule-dependent.  A bounded
@@ -86,7 +81,7 @@ val run :
     - [`Auto] (default): [`Seq] when {!Par.Pool.sequential}, otherwise
       [`Steal].
 
-    [compact_bits] (packed engines only) switches the visited set to
+    [compact_bits] ([`Steal] and [`Auto] only) switches the visited set to
     N-bit hash compaction: memory bounded by the fingerprint table, but
     the result is flagged {!field-probabilistic}, [keep_states] is
     unavailable, and violations are reported without traces. *)

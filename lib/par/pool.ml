@@ -76,8 +76,8 @@ let worker_loop () =
    "spawn" counter of the "par" registry: spawning a domain costs
    hundreds of microseconds, so any hot path that re-spawns per region
    (instead of reusing the resident pool) shows up immediately — the
-   regression test over a multi-level parallel search pins this at
-   [domains - 1] no matter how many regions ran. *)
+   regression test over repeated chunked regions and stealing searches
+   pins this at [domains - 1] no matter how many regions ran. *)
 let spawn_counter = lazy (Obs.Metrics.counter (Lazy.force obs_reg) "spawn")
 
 let ensure_workers n =
@@ -497,13 +497,3 @@ let steal_loop (type job acc) ?workers ~(init : int -> acc)
     run_chunks (Array.init w participant);
     accs
   end
-
-let map_reduce ?min_chunk ~map ~merge ~init a =
-  let parts =
-    map_chunks ?min_chunk
-      (fun chunk ->
-        Array.fold_left (fun acc x -> merge acc (map x)) init chunk)
-      a
-  in
-  if Array.length parts = 1 then parts.(0)
-  else Array.fold_left merge init parts

@@ -4,7 +4,7 @@
     pruning, pairwise composition, breadth-first reachability — and those
     kernels split into independent chunks whose results only need to be
     concatenated back in chunk order.  This module provides exactly that:
-    chunked parallel map / map-reduce over arrays and lists with a
+    chunked parallel map, concat-map and filter over arrays and lists with a
     {e deterministic merge order}, so the parallel result is structurally
     identical to the sequential one, element for element.
 
@@ -73,9 +73,6 @@ val map_chunks : ?min_chunk:int -> ('a array -> 'b) -> 'a array -> 'b array
     results in chunk order.  With one chunk this is [[| f input |]] run in
     the calling domain. *)
 
-val map_array : ?min_chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] with index-aligned (deterministic) output. *)
-
 val map_list : ?min_chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map], preserving order. *)
 
@@ -115,15 +112,3 @@ val steal_loop :
     order.  Participants are ordinary pool jobs, so the resident worker
     domains are reused ("spawn" counter in the ["par"] registry counts
     every [Domain.spawn]). *)
-
-val map_reduce :
-  ?min_chunk:int ->
-  map:('a -> 'b) ->
-  merge:('b -> 'b -> 'b) ->
-  init:'b ->
-  'a array ->
-  'b
-(** Each chunk folds [merge acc (map x)] left-to-right from [init]; chunk
-    results are then merged left-to-right in chunk order.  Equal to the
-    sequential fold whenever [merge] is associative with [init] as a left
-    identity. *)

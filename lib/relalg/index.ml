@@ -35,6 +35,23 @@ let lookup t v = List.map (Table.get t.source) (lookup_idx t v)
 let lookup_gather t v = Table.gather t.source (lookup_idx t v)
 let distinct_keys t = Hashtbl.length t.buckets
 
+(* One entry per (table name, column), remembering the Table.id of the
+   snapshot it indexes: a CREATE TABLE … AS that re-registers the name
+   produces a fresh id, so the stale entry is rebuilt on next use
+   instead of serving rows of the dead snapshot. *)
+let cache : (string * string, int * t) Hashtbl.t = Hashtbl.create 16
+let cache_lock = Mutex.create ()
+
+let cached tbl column =
+  Mutex.protect cache_lock @@ fun () ->
+  let key = (Table.name tbl, column) in
+  match Hashtbl.find_opt cache key with
+  | Some (id, i) when id = Table.id tbl -> i
+  | _ ->
+      let i = build tbl column in
+      Hashtbl.replace cache key (Table.id tbl, i);
+      i
+
 let consistent t tbl =
   let n = Table.cardinality t.source in
   Table.cardinality tbl = n

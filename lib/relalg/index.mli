@@ -1,11 +1,9 @@
 (** Hash indexes over a single column.
 
-    The workhorse access path behind the physical planner
-    ({!Physical}): an equality predicate on an indexed column becomes a
-    hash lookup instead of a scan.  Indexes are explicit immutable values
-    built from a table snapshot — rebuilding after table updates is the
-    caller's concern ({!Physical}'s store does it by watching
-    {!Table.id}).
+    The access path behind the planner's {!Planner.op.Index_scan}: an
+    equality predicate on an indexed column becomes a hash lookup
+    instead of a scan.  Indexes are immutable values built from a table
+    snapshot; {!cached} rebuilds them when a table is replaced.
 
     Since the columnar refactor the buckets hold row numbers keyed by
     dictionary code: probing first resolves the value through the
@@ -32,7 +30,13 @@ val lookup_idx : t -> Value.t -> int list
 
 val lookup_gather : t -> Value.t -> Table.t
 (** The matching rows as a table sharing the source's dictionaries —
-    what {!Physical.execute_access} materializes for an index lookup. *)
+    what an index lookup materializes. *)
+
+val cached : Table.t -> string -> t
+(** The index of [column] over this snapshot, built on first use and
+    shared process-wide (mutex-guarded), one entry per (table name,
+    column).  An entry built from another snapshot of the same name (a
+    different {!Table.id}) is rebuilt. *)
 
 val distinct_keys : t -> int
 

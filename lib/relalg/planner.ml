@@ -1,7 +1,8 @@
 (* Cost-based planning: annotate a logical {!Plan.t} with cardinality
    estimates from per-column dictionary sizes and table row counts, pick
    physical operators (hash-join build side, top-k instead of
-   sort-then-limit), and execute through the vectorized {!Batch} layer.
+   sort-then-limit, index lookups on declared indexes), and execute
+   through the vectorized {!Batch} layer.
    The row-at-a-time {!Ops} path stays behind as the reference engine:
    [ASURA_PLANNER=off] disables planning globally, and lineage tracking
    disables it implicitly because batches carry no provenance. *)
@@ -34,6 +35,7 @@ type keys = (string * [ `Asc | `Desc ]) list
 
 type op =
   | Scan of string
+  | Index_scan of { table : string; column : string; value : Value.t }
   | Filter of Expr.t
   | Project of string list
   | Distinct
@@ -66,22 +68,29 @@ type t = {
    interned, capped by the current cardinality. *)
 type stats = { rows : float; cols : string list; ndv : (string * float) list }
 
+(* [Stdlib.min]/[max] specialised to floats: same results, without the
+   polymorphic compare on every column of every scan. *)
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
+
 let ndv_of st c =
   match List.assoc_opt c st.ndv with
-  | Some n -> max 1. n
-  | None -> max 1. (min st.rows 16.)
+  | Some n -> fmax 1. n
+  | None -> fmax 1. (fmin st.rows 16.)
 
 (* Cap every ndv by a new (smaller) row estimate. *)
 let restrict st rows =
-  let rows = max 0. rows in
-  { st with rows; ndv = List.map (fun (c, n) -> (c, min n (max 1. rows))) st.ndv }
+  let rows = fmax 0. rows in
+  let cap = fmax 1. rows in
+  { st with rows; ndv = List.map (fun (c, n) -> (c, fmin n cap)) st.ndv }
 
 let table_stats t =
   let rows = float_of_int (Table.cardinality t) in
   let cols = Schema.columns (Table.schema t) in
+  let cap = fmax 1. rows in
   let ndv =
     List.mapi
-      (fun j c -> (c, min (max 1. rows) (float_of_int (Dict.size (Table.dict t j)))))
+      (fun j c -> (c, fmin cap (float_of_int (Dict.size (Table.dict t j)))))
       cols
   in
   { rows; cols; ndv }
@@ -150,6 +159,19 @@ let rec conjuncts = function
   | Expr.And (a, b) -> conjuncts a @ conjuncts b
   | e -> [ e ]
 
+(* The first [col = literal] conjunct on an indexed column, and the
+   remaining conjuncts in their original order. *)
+let split_indexable indexed pred =
+  let rec go seen = function
+    | [] -> None
+    | (Expr.Eq (Expr.Col c, Expr.Const v) | Expr.Eq (Expr.Const v, Expr.Col c))
+      :: rest
+      when List.mem c indexed ->
+        Some (c, v, List.rev_append seen rest)
+    | e :: rest -> go (e :: seen) rest
+  in
+  go [] (conjuncts pred)
+
 (* Push a selection's conjuncts below a join into whichever side covers
    their free columns.  A join emits pairs in left-major order, so
    filtering a side before joining yields exactly the surviving pairs in
@@ -207,15 +229,44 @@ let rec push_into_joins db (p : Plan.t) : Plan.t =
 let node op est cost children =
   { op; est; cost; actual = -1; ns = 0L; batches = 0; children }
 
-let rec annotate db (p : Plan.t) : t * stats =
+let filter_node e (c, st) =
+  let rows = st.rows *. selectivity st (Plan.simplify_predicate e) in
+  (node (Filter e) rows (c.cost +. st.rows) [ c ], restrict st rows)
+
+(* [indexes] lists the (table, column) pairs that carry a hash index: a
+   selection directly over a scan of such a table with a [col = literal]
+   conjunct on an indexed column reads only the matching rows through
+   {!Index.cached}, estimated at rows / ndv(col); the other conjuncts
+   stay in a filter above it.  With no indexes declared nothing here
+   changes, so neither plans, estimates nor fingerprints move. *)
+let rec annotate ~indexes db (p : Plan.t) : t * stats =
+  let annotate = annotate ~indexes in
   match p with
   | Plan.Scan name ->
       let st = scan_stats db name in
       (node (Scan name) st.rows st.rows [], st)
-  | Plan.Select (e, inner) ->
-      let c, st = annotate db inner in
-      let rows = st.rows *. selectivity st (Plan.simplify_predicate e) in
-      (node (Filter e) rows (c.cost +. st.rows) [ c ], restrict st rows)
+  | Plan.Select (e, (Plan.Scan name as scan)) -> (
+      let indexed =
+        List.filter_map
+          (fun (t, c) -> if String.equal t name then Some c else None)
+          indexes
+      in
+      match split_indexable indexed e with
+      | None -> filter_node e (annotate db scan)
+      | Some (column, value, residual) -> (
+          let st = scan_stats db name in
+          let rows = st.rows /. ndv_of st column in
+          let st = restrict st rows in
+          let st =
+            { st with ndv = (column, 1.) :: List.remove_assoc column st.ndv }
+          in
+          let leaf =
+            node (Index_scan { table = name; column; value }) rows rows []
+          in
+          match residual with
+          | [] -> (leaf, st)
+          | es -> filter_node (Expr.conj es) (leaf, st)))
+  | Plan.Select (e, inner) -> filter_node e (annotate db inner)
   | Plan.Project (cols, inner) ->
       let c, st = annotate db inner in
       let st =
@@ -318,8 +369,8 @@ let rec annotate db (p : Plan.t) : t * stats =
       ( node (Nothing cols) 0. 0. [],
         { rows = 0.; cols; ndv = List.map (fun c -> (c, 1.)) cols } )
 
-let plan db (p : Plan.t) : t =
-  fst (annotate db (push_into_joins db (Plan.optimize p)))
+let plan ?(indexes = []) db (p : Plan.t) : t =
+  fst (annotate ~indexes db (push_into_joins db (Plan.optimize p)))
 
 (* ---------------------------- fingerprint ----------------------------- *)
 
@@ -412,6 +463,11 @@ let rec canon lookup n =
   match n.op with
   | Scan name ->
       ([ "scan:" ^ name ], Option.value ~default:[] (lookup name))
+  | Index_scan { table; column; value } ->
+      let cols = Option.value ~default:[] (lookup table) in
+      ( [ Printf.sprintf "index:%s:%s=%s" table (col_ref cols column)
+            (Value.to_sql value) ],
+        cols )
   | Filter e ->
       let parts, cols = child () in
       (("filter:" ^ conj_string cols e) :: parts, cols)
@@ -526,6 +582,12 @@ and execute db (n : t) : Table.t =
   in
   match (n.op, n.children) with
   | Scan name, [] -> record (Database.find db name)
+  | Index_scan { table; column; value }, [] ->
+      (* returned as gathered, never drained through a batch stream *)
+      record
+        (Index.lookup_gather
+           (Index.cached (Database.find db table) column)
+           value)
   | (Filter _ | Project _ | Limit _), _ ->
       (* a streaming chain asked to produce a table: drain it *)
       Batch.to_table ~name:"<batch>" (source_of db n)
@@ -563,6 +625,8 @@ and execute db (n : t) : Table.t =
 
 let op_string = function
   | Scan name -> "seq scan " ^ name
+  | Index_scan { table; column; value } ->
+      Printf.sprintf "index lookup %s.%s = %s" table column (Value.to_sql value)
   | Filter e -> Format.asprintf "filter %a" Expr.pp e
   | Project cols -> Printf.sprintf "project [%s]" (String.concat ", " cols)
   | Distinct -> "distinct"
@@ -671,13 +735,13 @@ type report = {
   fingerprint : string;
 }
 
-let analyze db src =
+let analyze ?indexes db src =
   Obs.Trace.with_span ~cat:"relalg"
     ~args:[ ("query", Obs.Json.Str src) ]
     "sql.planner_analyze"
   @@ fun () ->
   let t0 = Obs.Clock.now_ns () in
-  let root = plan db (Plan.of_query (Sql_parser.parse_query src)) in
+  let root = plan ?indexes db (Plan.of_query (Sql_parser.parse_query src)) in
   let table = Table.with_name "<query>" (execute db root) in
   let total_ns = Obs.Clock.since t0 in
   observe ~query:src ~lookup:(db_lookup db) root total_ns
@@ -710,9 +774,8 @@ let rec node_to_json n =
       ("children", Obs.Json.List (List.map node_to_json n.children));
     ]
 
-(* asura-explain/2 = asura-explain/1 plus the top-level "fingerprint"
-   and per-node "misest"/"actual_ms"/"batches" members; every /1 member
-   is retained unchanged (compat note in DESIGN.md §12). *)
+(* asura-explain/2: the rendered plan, its fingerprint, and the
+   est-vs-actual operator tree (compat note in DESIGN.md §13). *)
 let to_json r =
   Obs.Json.Obj
     [

@@ -6,7 +6,8 @@
     informed — then picks physical operators: hash-join build side by
     estimated input size, [LIMIT]-over-[ORDER BY] as a bounded top-k,
     selections pushed below joins into whichever side covers their
-    columns.  Execution streams batches of dictionary codes through
+    columns, equality selections on declared hash indexes as index
+    lookups.  Execution streams batches of dictionary codes through
     {!Batch} and records actual per-operator cardinalities, so
     [EXPLAIN --analyze] can show estimated vs. actual rows for every
     operator.
@@ -35,6 +36,8 @@ type keys = (string * [ `Asc | `Desc ]) list
 
 type op =
   | Scan of string
+  | Index_scan of { table : string; column : string; value : Value.t }
+      (** hash-index lookup of [column = value] ({!Index.cached}) *)
   | Filter of Expr.t
   | Project of string list
   | Distinct
@@ -60,9 +63,13 @@ type t = {
   children : t list;
 }
 
-val plan : Database.t -> Plan.t -> t
+val plan : ?indexes:(string * string) list -> Database.t -> Plan.t -> t
 (** Optimize ({!Plan.optimize} + join pushdown), then annotate with
-    estimates and physical choices.
+    estimates and physical choices.  [indexes] (default none) declares
+    hash indexes as [(table, column)] pairs: a selection over a scan of
+    such a table with a [column = literal] conjunct becomes an
+    {!op.Index_scan} (estimated at rows / ndv) under a filter of the
+    remaining conjuncts.
     @raise Database.Unknown_table for unresolvable scans. *)
 
 val fingerprint : Database.t -> t -> string
@@ -99,16 +106,17 @@ type report = {
   fingerprint : string;
 }
 
-val analyze : Database.t -> string -> report
-(** Plan, execute, and time a query string: [EXPLAIN --analyze] with
-    estimated vs. actual rows per operator.  Also records the execution
-    to the plan observatory under the query text. *)
+val analyze : ?indexes:(string * string) list -> Database.t -> string -> report
+(** Plan (with [indexes], as in {!plan}), execute, and time a query
+    string: [EXPLAIN --analyze] with estimated vs. actual rows per
+    operator.  Also records the execution to the plan observatory under
+    the query text. *)
 
 val render_report : report -> string
 val to_json : report -> Obs.Json.t
-(** [asura-explain/2]-schema document: every [asura-explain/1] member
-    unchanged, plus the top-level ["fingerprint"] and per-node
-    ["misest"]/["actual_ms"]/["batches"]. *)
+(** [asura-explain/2]-schema document: result cardinality, total time,
+    fingerprint, the rendered plan, and the operator tree with per-node
+    estimated/actual rows, ["misest"], ["actual_ms"] and ["batches"]. *)
 
 (** {2 Programmatic operators}
 

@@ -44,7 +44,7 @@ val is_empty : t -> bool
 val id : t -> int
 (** A unique identity for this table value's storage version.  Any
     operation that produces a new table — including {!add} — yields a
-    fresh id, so caches (e.g. the index cache in {!Physical}) can detect
+    fresh id, so caches (e.g. {!Index.cached}) can detect
     that a table registered under the same name has been replaced. *)
 
 val add : t -> Row.t -> t
@@ -100,7 +100,7 @@ val row_assoc : t -> Row.t -> (string * Value.t) list
 
 (** {1 Columnar access}
 
-    The physical layer ({!Ops}, {!Index}, {!Physical}) operates on these.
+    The physical layer ({!Ops}, {!Index}, {!Batch}) operates on these.
     The returned arrays are the live backing buffers: only indices
     [0 .. cardinality - 1] are meaningful, and callers must never mutate
     them. *)

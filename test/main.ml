@@ -10,7 +10,7 @@ let () =
       "constraint-solver", Test_solver.suite;
       "sql-front-end", Test_sql.suite;
       "plans-and-csv", Test_plan.suite;
-      "indexes-and-physical-plans", Test_physical.suite;
+      "indexes-and-physical-plans", Test_index.suite;
       "graphs", Test_graph.suite;
       "relalg-properties", Test_relalg_props.suite;
       "planner-differential", Test_planner.suite;

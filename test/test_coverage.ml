@@ -330,10 +330,9 @@ let test_stats_and_explain_schemas () =
   check "stats schema" true
     (schema_of (Relalg.Profile.to_json (Relalg.Profile.profile d))
     = Some "asura-stats/1");
-  let store = Relalg.Physical.make_store (Protocol.database ()) in
-  let r = Relalg.Analyze.run ~indexes:[] store "SELECT inmsg FROM M" in
+  let r = Relalg.Planner.analyze (Protocol.database ()) "SELECT inmsg FROM M" in
   check "explain schema" true
-    (schema_of (Relalg.Analyze.to_json r) = Some "asura-explain/1")
+    (schema_of (Relalg.Planner.to_json r) = Some "asura-explain/2")
 
 (* ----------------------------- runreport ------------------------------ *)
 

@@ -201,6 +201,26 @@ let test_bounded_search_reports_incomplete () =
   check "bounded" false r.Explore.complete;
   check_int "respected the bound" 50 r.Explore.explored
 
+(* [elapsed] is wall time: with two stealing domains, process CPU time
+   would sum both domains' work and exceed the wall clock around the
+   call. *)
+let test_elapsed_is_wall_time () =
+  let search () =
+    Explore.run ~symmetry:true ~engine:`Steal ~tables:(Lazy.force tables)
+      (config ~nodes:3 [ "load"; "store" ])
+  in
+  Par.Pool.with_domains 2 (fun () ->
+      (* warm the table load and the packed-layout cache, which run on
+         one domain *)
+      ignore (search ());
+      let r, ns = Obs.Clock.timed search in
+      check "complete" true r.Explore.complete;
+      check
+        (Printf.sprintf "elapsed %.3fs <= wall %.3fs" r.Explore.elapsed
+           (Obs.Clock.to_s ns))
+        true
+        (r.Explore.elapsed <= Obs.Clock.to_s ns))
+
 let suite =
   [
     Alcotest.test_case "state basics" `Quick test_state_basics;
@@ -219,4 +239,5 @@ let suite =
     Alcotest.test_case "symmetry reduction" `Slow test_symmetry_reduction;
     Alcotest.test_case "symmetry preserves bug finding" `Slow test_symmetry_still_finds_bugs;
     Alcotest.test_case "bounded search reports incomplete" `Quick test_bounded_search_reports_incomplete;
+    Alcotest.test_case "elapsed is wall time" `Quick test_elapsed_is_wall_time;
   ]

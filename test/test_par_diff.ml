@@ -193,32 +193,6 @@ let mcheck_case_gen =
         max_states,
         symmetry ))
 
-let observe_mcheck (r : Mcheck.Explore.result) =
-  (* everything except wall-clock time *)
-  ( r.explored, r.transitions, r.max_depth, r.violation, r.complete,
-    r.dedup_hits, r.per_depth, r.max_frontier, r.states )
-
-(* The level-synchronized engine replays sequential bookkeeping exactly,
-   so EVERY field — including the schedule-sensitive per_depth /
-   max_depth / max_frontier — must match at any domain count, even on
-   truncated searches.  Pinned to [`Level]: the default engine is now the
-   work-stealing core, whose contract is the weaker order-free one
-   checked below. *)
-let prop_mcheck_diff =
-  QCheck.Test.make ~count:500
-    ~name:
-      "model-checker verdict and reachable-state set identical across 1/2/4 \
-       domains"
-    (QCheck.make mcheck_case_gen ~print:(fun (cfg, max_states, symmetry) ->
-         Printf.sprintf "ops=[%s] capacity=%d max_states=%d symmetry=%b"
-           (String.concat ";" cfg.Mcheck.Semantics.ops)
-           cfg.Mcheck.Semantics.capacity max_states symmetry))
-    (fun (cfg, max_states, symmetry) ->
-      agree (fun () ->
-          observe_mcheck
-            (Mcheck.Explore.run ~max_states ~symmetry ~engine:`Level
-               ~tables:(Lazy.force mcheck_tables) ~keep_states:true cfg)))
-
 (* ---------------- packed / work-stealing differential ----------------- *)
 
 (* The stealing engine's schedule is nondeterministic, so only its
@@ -250,8 +224,8 @@ let print_steal_case (cfg, symmetry) =
 let prop_mcheck_steal_diff =
   QCheck.Test.make ~count:40
     ~name:
-      "packed engines (seq-packed, steal at 1/2/4 domains) match the boxed \
-       reference on complete searches"
+      "packed steal engine at 1/2/4 domains matches the boxed reference on \
+       complete searches"
     (QCheck.make steal_case_gen ~print:print_steal_case)
     (fun (cfg, symmetry) ->
       let go engine =
@@ -262,7 +236,6 @@ let prop_mcheck_steal_diff =
       let reference = Par.Pool.with_domains 1 (fun () -> go `Seq) in
       let _, _, _, _, complete, _ = reference in
       complete
-      && Par.Pool.with_domains 1 (fun () -> go `Seq_packed) = reference
       && List.for_all
            (fun d -> Par.Pool.with_domains d (fun () -> go `Steal) = reference)
            domains_swept)
@@ -401,10 +374,11 @@ let test_figure4_witness_packs () =
        (Mcheck.Pack.canonical layout wedged)
        (Mcheck.Pack.canonical layout wedged))
 
-(* The deadlock-V-vc4 seq/par regression root cause: the old level engine
-   paid a Domain.spawn per BFS level.  Workers are resident now — once
-   the pool is warm, repeated multi-level searches on ANY engine must not
-   spawn a single additional domain. *)
+(* The deadlock-V-vc4 seq/par regression root cause: parallel regions
+   used to pay a Domain.spawn each.  Workers are resident now — once the
+   pool is warm, repeated chunked regions (the deadlock analysis maps
+   490 jobs through map_list) and stealing searches must not spawn a
+   single additional domain. *)
 let test_pool_spawns_no_new_domains () =
   let cfg =
     { Mcheck.Semantics.nodes = 2; addrs = 1; ops = [ "load"; "store" ];
@@ -416,15 +390,13 @@ let test_pool_spawns_no_new_domains () =
       ignore (Par.Pool.map_list ~min_chunk:1 Fun.id (List.init 512 Fun.id));
       let before = Obs.Metrics.aggregate "spawn" in
       for _ = 1 to 3 do
-        List.iter
-          (fun engine ->
-            ignore
-              (Mcheck.Explore.run ~max_states:2_000 ~engine
-                 ~tables:(Lazy.force mcheck_tables) cfg))
-          [ `Level; `Steal ]
+        ignore (Checker.Deadlock.analyze Checker.Vcassign.with_vc4);
+        ignore
+          (Mcheck.Explore.run ~max_states:2_000 ~engine:`Steal
+             ~tables:(Lazy.force mcheck_tables) cfg)
       done;
       Alcotest.(check int)
-        "no extra Domain.spawn across repeated multi-level searches" 0
+        "no extra Domain.spawn across repeated parallel regions" 0
         (Obs.Metrics.aggregate "spawn" - before))
 
 let suite =
@@ -434,15 +406,14 @@ let suite =
     Test_seed.to_alcotest prop_select_diff;
     Test_seed.to_alcotest prop_join_diff;
     Test_seed.to_alcotest prop_deadlock_diff;
-    Test_seed.to_alcotest prop_mcheck_diff;
     Test_seed.to_alcotest prop_mcheck_steal_diff;
     Test_seed.to_alcotest prop_mcheck_steal_bounded;
     Alcotest.test_case "steal coverage bitmaps merge to sequential" `Quick
       test_steal_coverage_matches_seq;
     Alcotest.test_case "steal replays seeded bug identically" `Slow
       test_steal_seeded_bug_matches_seq;
-    Alcotest.test_case "figure 4 witness packs" `Quick
-      test_figure4_witness_packs;
     Alcotest.test_case "resident pool spawns no new domains" `Quick
       test_pool_spawns_no_new_domains;
+    Alcotest.test_case "figure 4 witness packs" `Quick
+      test_figure4_witness_packs;
   ]

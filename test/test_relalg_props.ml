@@ -49,8 +49,8 @@ let prop_select_union =
         (Ops.union (Ops.select p a) (Ops.select p b)))
 
 (* The hash index is an access path, not a semantics change: the same
-   query through the physical planner returns the same rows with and
-   without an index on the filtered column. *)
+   query through the planner returns the same rows with and without an
+   index on the filtered column. *)
 let prop_indexed_scan =
   QCheck.Test.make ~count:500
     ~name:"indexed scan returns the same rows as a sequential scan"
@@ -60,11 +60,12 @@ let prop_indexed_scan =
     (fun (t, v) ->
       let db = Database.add Database.empty t in
       let sql = Printf.sprintf "SELECT * FROM t WHERE k = '%s'" v in
-      let seq = Physical.run (Physical.make_store db) sql in
-      let indexed =
-        Physical.run ~indexes:[ "t", "k" ] (Physical.make_store db) sql
+      let run ?indexes () =
+        Planner.execute db
+          (Planner.plan ?indexes db
+             (Plan.of_query (Sql_parser.parse_query sql)))
       in
-      Table.equal_as_sets seq indexed)
+      Table.equal_as_sets (run ()) (run ~indexes:[ "t", "k" ] ()))
 
 (* a ⋈ b = b ⋈ a on row multisets, modulo column order. *)
 let prop_join_commutes =
