@@ -609,47 +609,88 @@ let read_file f =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Load every .json under a --runs directory as labeled documents for
-   the manifest-backed sys. tables; unreadable or unparseable files are
-   skipped with a warning, like [asura report]. *)
-let load_run_docs dir =
-  let entries =
-    match Sys.readdir dir with
-    | entries ->
-        Array.sort compare entries;
-        Array.to_list entries
-    | exception Sys_error msg ->
-        Printf.eprintf "cannot read runs directory: %s\n" msg;
-        exit 2
-  in
-  List.filter_map
-    (fun f ->
-      if not (Filename.check_suffix f ".json") then None
-      else
-        match Obs.Json.parse (read_file (Filename.concat dir f)) with
-        | Ok j -> Some (f, j)
-        | Error msg ->
-            Printf.eprintf "warning: skipping %s: %s\n" f msg;
-            None
-        | exception Sys_error msg ->
-            Printf.eprintf "warning: skipping %s: %s\n" f msg;
-            None)
-    entries
-
 let warn_skipped =
   List.iter (fun (label, reason) ->
       Printf.eprintf "warning: skipping %s: %s\n" label reason)
 
+(* Parse JSON files as documents labeled by their base name; a file that
+   cannot be read or parsed comes back as a (label, reason) skip. *)
+let read_docs files =
+  List.partition_map
+    (fun f ->
+      let label = Filename.basename f in
+      match Obs.Json.parse (read_file f) with
+      | Ok j -> Either.Left (label, j)
+      | Error msg | (exception Sys_error msg) -> Either.Right (label, msg))
+    files
+
+(* Load every .json under a --runs directory as labeled documents for
+   the manifest-backed sys. tables; bad files are skipped with a
+   warning, like [asura report]. *)
+let load_run_docs dir =
+  match Sys.readdir dir with
+  | entries ->
+      Array.sort compare entries;
+      let docs, skipped =
+        read_docs
+          (List.filter_map
+             (fun f ->
+               if Filename.check_suffix f ".json" then Some (Filename.concat dir f)
+               else None)
+             (Array.to_list entries))
+      in
+      warn_skipped skipped;
+      docs
+  | exception Sys_error msg ->
+      Printf.eprintf "cannot read runs directory: %s\n" msg;
+      exit 2
+
 let runs_arg =
+  let attached = fst (Systables.attach_docs [] Relalg.Database.empty) in
+  let names = List.filter (Relalg.Database.mem attached) Systables.table_names in
   Arg.(
     value
     & opt (some dir) None
     & info [ "runs" ] ~docv:"DIR"
         ~doc:
-          "Attach the manifest-backed system tables ($(b,sys.runs), \
-           $(b,sys.run_metrics), $(b,sys.bench), $(b,sys.coverage), \
-           $(b,sys.plans), $(b,sys.plan_ops)) built from the run manifests \
-           and bench snapshots under $(docv).")
+          (Printf.sprintf
+             "Attach the manifest-backed system tables (%s) built from the \
+              run manifests and bench snapshots under $(docv)."
+             (String.concat ", " (List.map (Printf.sprintf "$(b,%s)") names))))
+
+(* Counts (--last, --max-uncovered, --max-states) are external input
+   like any other: a negative one is refused with a one-line message and
+   exit 2 instead of being read as an empty or inverted window. *)
+let count_conv flag =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | Some _ ->
+        Printf.eprintf "asura: %s must not be negative (got %s)\n" flag s;
+        exit 2
+    | None -> Error (`Msg (Printf.sprintf "invalid count %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* Print canned sys. queries by key, each under its title with the SQL
+   it ran: the one printer behind top, events top and plan top.  A query
+   over the manifest-backed tables is skipped when no --runs were
+   attached. *)
+let print_canned db keys =
+  List.iter
+    (fun key ->
+      match List.find_opt (fun c -> c.Systables.key = key) Systables.canned with
+      | None -> ()
+      | Some c ->
+          Printf.printf "## %s [%s]\n" c.title c.key;
+          if (not c.live) && not (Relalg.Database.mem db "sys.runs") then
+            print_string "(skipped: needs --runs DIR)\n\n"
+          else begin
+            Printf.printf "-- %s\n" c.sql;
+            print_string (Relalg.Table.to_string (Relalg.Sql_exec.query db c.sql));
+            print_newline ()
+          end)
+    keys
 
 (* Execute one statement with every engine error rendered as a clean
    diagnostic (exit 2) instead of an uncaught exception.  Writes are
@@ -717,6 +758,18 @@ let sql_cmd =
 
 (* -------------------------------- top --------------------------------- *)
 
+(* The small 2-node load/store search that top and events top run to
+   give the live tables something to say. *)
+let exercise_cfg =
+  {
+    Mcheck.Semantics.nodes = 2;
+    addrs = 1;
+    ops = [ "load"; "store" ];
+    capacity = 3;
+    io_addrs = [];
+    lossy = false;
+  }
+
 let top_cmd =
   let only =
     Arg.(
@@ -727,7 +780,8 @@ let top_cmd =
   in
   let max_states =
     Arg.(
-      value & opt int 5_000
+      value
+      & opt (count_conv "--max-states") 5_000
       & info [ "max-states" ] ~docv:"N"
           ~doc:
             "State budget of the small model-checking run used to \
@@ -743,50 +797,24 @@ let top_cmd =
     let db = Protocol.database () in
     ignore (Checker.Invariant.run_all db);
     ignore (Checker.Deadlock.analyze Checker.Vcassign.debugged);
-    ignore
-      (Mcheck.Explore.run ~max_states
-         {
-           Mcheck.Semantics.nodes = 2;
-           addrs = 1;
-           ops = [ "load"; "store" ];
-           capacity = 3;
-           io_addrs = [];
-           lossy = false;
-         });
+    ignore (Mcheck.Explore.run ~max_states exercise_cfg);
     let db = Systables.attach_live db in
-    let db, have_docs =
+    let db =
       match runs with
-      | None -> (db, false)
+      | None -> db
       | Some dir ->
           let db, skipped = Systables.attach_docs (load_run_docs dir) db in
           warn_skipped skipped;
-          (db, true)
+          db
     in
-    let wanted =
-      match only with
-      | None -> Systables.canned
-      | Some key -> (
-          match
-            List.find_opt (fun c -> c.Systables.key = key) Systables.canned
-          with
-          | Some c -> [ c ]
-          | None ->
-              Printf.eprintf "top: unknown query %s (one of: %s)\n" key
-                (String.concat ", "
-                   (List.map (fun c -> c.Systables.key) Systables.canned));
-              exit 2)
-    in
-    List.iter
-      (fun (c : Systables.canned) ->
-        Printf.printf "## %s [%s]\n" c.title c.key;
-        if (not c.Systables.live) && not have_docs then
-          print_string "(skipped: needs --runs DIR)\n\n"
-        else begin
-          Printf.printf "-- %s\n" c.sql;
-          print_string (Relalg.Table.to_string (Relalg.Sql_exec.query db c.sql));
-          print_newline ()
-        end)
-      wanted
+    let keys = List.map (fun c -> c.Systables.key) Systables.canned in
+    match only with
+    | None -> print_canned db keys
+    | Some key when List.mem key keys -> print_canned db [ key ]
+    | Some key ->
+        Printf.eprintf "top: unknown query %s (one of: %s)\n" key
+          (String.concat ", " keys);
+        exit 2
   in
   Cmd.v
     (Cmd.info "top"
@@ -799,15 +827,18 @@ let top_cmd =
 
 (* ------------------------------- events ------------------------------- *)
 
+(* The recordings embedded in the manifests under [dir], concatenated,
+   with the total lost to ring wrap-around. *)
 let manifest_event_docs dir =
-  let agg, skipped = Obs.Runreport.collect (load_run_docs dir) in
-  warn_skipped skipped;
-  (Obs.Runreport.events agg, Obs.Runreport.events_dropped agg)
+  let docs = load_run_docs dir in
+  ( List.concat_map (fun (_, doc) -> Obs.Flightrec.of_json doc) docs,
+    List.fold_left (fun n (_, doc) -> n + Obs.Flightrec.doc_dropped doc) 0 docs )
 
 let events_tail_cmd =
   let n =
     Arg.(
-      value & opt int 40
+      value
+      & opt (count_conv "--last") 40
       & info [ "n"; "last" ] ~docv:"K"
           ~doc:"How many trailing events to show.")
   in
@@ -848,7 +879,8 @@ let events_canned_keys = [ "hottest-rules"; "steals-by-domain"; "dedup-by-depth"
 let events_top_cmd =
   let max_states =
     Arg.(
-      value & opt int 5_000
+      value
+      & opt (count_conv "--max-states") 5_000
       & info [ "max-states" ] ~docv:"N"
           ~doc:
             "State budget of the model-checking run used to exercise the \
@@ -871,32 +903,10 @@ let events_top_cmd =
           let engine =
             if Par.Pool.domains () > 1 then `Steal else `Auto
           in
-          ignore
-            (Mcheck.Explore.run ~max_states ~engine
-               {
-                 Mcheck.Semantics.nodes = 2;
-                 addrs = 1;
-                 ops = [ "load"; "store" ];
-                 capacity = 3;
-                 io_addrs = [];
-                 lossy = false;
-               });
+          ignore (Mcheck.Explore.run ~max_states ~engine exercise_cfg);
           Systables.attach_live (Protocol.database ())
     in
-    List.iter
-      (fun key ->
-        match
-          List.find_opt (fun c -> c.Systables.key = key) Systables.canned
-        with
-        | None -> ()
-        | Some c ->
-            Printf.printf "## %s [%s]\n" c.Systables.title c.Systables.key;
-            Printf.printf "-- %s\n" c.Systables.sql;
-            print_string
-              (Relalg.Table.to_string
-                 (Relalg.Sql_exec.query db c.Systables.sql));
-            print_newline ())
-      events_canned_keys
+    print_canned db events_canned_keys
   in
   Cmd.v
     (Cmd.info "top"
@@ -1083,19 +1093,6 @@ let review_cmd =
 
 (* ------------------------------ report ------------------------------- *)
 
-(* Decode an uncovered row back to a readable transition by regenerating
-   the controller table; refuse when the regenerated table's shape does
-   not match what the manifest recorded (different protocol version). *)
-let decode_row ~table ~rows ~row =
-  match Protocol.find table with
-  | None -> None
-  | Some c ->
-      let spec = c.Protocol.spec in
-      let t = Protocol.Ctrl_spec.table spec in
-      if Relalg.Table.cardinality t = rows && row >= 0 && row < rows then
-        Some (Protocol.Ctrl_spec.describe_row spec row)
-      else None
-
 let report_cmd =
   let files =
     Arg.(
@@ -1104,14 +1101,17 @@ let report_cmd =
       & info [] ~docv:"FILE"
           ~doc:
             "Run manifests (asura-run/1), bench snapshots (asura-bench/*), \
-             table profiles (asura-stats/1) or EXPLAIN ANALYZE output \
-             (asura-explain/2; /1 files are still read).")
+             plan snapshots (asura-plans/1), table profiles (asura-stats/1) \
+             or EXPLAIN ANALYZE output (asura-explain/2; /1 files are still \
+             read).")
   in
   let json =
     Arg.(
       value & flag
       & info [ "json" ]
-          ~doc:"Emit the aggregate as a JSON object (schema asura-report/1).")
+          ~doc:
+            "Emit every section's query result as JSON (schema \
+             asura-report/2).")
   in
   let html =
     Arg.(value & flag & info [ "html" ] ~doc:"Render HTML instead of Markdown.")
@@ -1136,18 +1136,12 @@ let report_cmd =
   in
   let max_uncovered =
     Arg.(
-      value & opt int 10
+      value
+      & opt (count_conv "--max-uncovered") 10
       & info [ "max-uncovered" ] ~docv:"N"
-          ~doc:"Cap the decoded uncovered-transition listing per table.")
-  in
-  let trend =
-    Arg.(
-      value & flag
-      & info [ "trend" ]
           ~doc:
-            "Append a trend section charting coverage percent and \
-             states/s across the run manifests, computed by querying the \
-             $(b,sys.runs) system table (Markdown output only).")
+            "Cap the decoded uncovered-transition listing per table (and \
+             the plan and hottest-rule listings).")
   in
   let max_misest =
     Arg.(
@@ -1159,102 +1153,81 @@ let report_cmd =
              more than $(docv)x (worst per-operator estimated-vs-actual \
              row ratio, from the plan logs the manifests embed).")
   in
-  let run () files json_flag html max_uncovered trend min_coverage min_table
+  let run () files json_flag html max_uncovered min_coverage min_table
       max_misest =
     (* A file that fails to read, parse or classify is skipped with a
        warning instead of aborting the report; only when every input is
        bad is there nothing to aggregate and exit 2 applies. *)
-    let docs, unreadable =
-      List.fold_left
-        (fun (docs, bad) f ->
-          match Obs.Json.parse (read_file f) with
-          | Ok j -> ((Filename.basename f, j) :: docs, bad)
-          | Error msg -> (docs, (Filename.basename f, msg) :: bad)
-          | exception Sys_error msg -> (docs, (Filename.basename f, msg) :: bad))
-        ([], []) files
-    in
-    let agg, misclassified = Obs.Runreport.collect (List.rev docs) in
-    let skipped = List.rev unreadable @ misclassified in
-    List.iter
-      (fun (label, reason) ->
-        Printf.eprintf "warning: skipping %s: %s\n" label reason)
-      skipped;
-    if Obs.Runreport.is_empty agg then begin
+    let docs, unreadable = read_docs files in
+    let db, misclassified = Systables.attach_docs docs Relalg.Database.empty in
+    let skipped = unreadable @ misclassified in
+    warn_skipped skipped;
+    if List.length misclassified = List.length docs then begin
       prerr_endline "report: no usable input documents";
       exit 2
     end;
-    let decode = decode_row in
+    let results = Systables.run_report db in
     if json_flag then
-      print_endline
-        (Obs.Json.to_string (Obs.Runreport.to_json ~decode ~skipped agg))
+      print_endline (Obs.Json.to_string (Systables.report_json ~skipped results))
     else if html then
-      print_string (Obs.Runreport.render_html ~decode ~max_uncovered ~skipped agg)
-    else begin
-      print_string
-        (Obs.Runreport.render_markdown ~decode ~max_uncovered ~skipped agg);
-      if trend then print_string ("\n" ^ Systables.trend (List.rev docs))
-    end;
-        let failed = ref false in
-        (match min_coverage with
-        | None -> ()
-        | Some threshold ->
-            let overall = Obs.Runreport.overall_percent agg in
-            if overall < threshold then begin
-              Printf.eprintf
-                "coverage gate: overall %.1f%% is below the required %.1f%%\n"
-                overall threshold;
-              failed := true
-            end);
-        let per_table = Obs.Runreport.coverage agg in
-        List.iter
-          (fun (name, threshold) ->
-            match
-              List.find_opt
-                (fun (tc : Obs.Coverage.table_coverage) -> tc.name = name)
-                per_table
-            with
-            | None ->
-                Printf.eprintf
-                  "coverage gate: table %s appears in no manifest\n" name;
-                failed := true
-            | Some tc ->
-                let pct =
-                  Obs.Coverage.percent ~covered:tc.covered ~rows:tc.rows
-                in
-                if pct < threshold then begin
-                  Printf.eprintf
-                    "coverage gate: table %s at %.1f%% is below the \
-                     required %.1f%%\n"
-                    name pct threshold;
-                  failed := true
-                end)
-          min_table;
-        (match max_misest with
-        | None -> ()
-        | Some threshold ->
-            List.iter
-              (fun (e : Obs.Planlog.entry) ->
-                let m = Obs.Planlog.misest e in
-                if m > threshold then begin
-                  Printf.eprintf
-                    "plan gate: [%s] %s misestimates by %.1fx (fingerprint \
-                     %s), above the allowed %.1fx\n"
-                    e.Obs.Planlog.e_site e.Obs.Planlog.e_query m
-                    e.Obs.Planlog.e_fingerprint threshold;
-                  failed := true
-                end)
-              (Obs.Runreport.plans agg));
-        if !failed then exit 1
+      print_string (Systables.report_html ~max_uncovered ~skipped results)
+    else print_string (Systables.report_markdown ~max_uncovered ~skipped results);
+    let failed = ref false in
+    let gate fmt =
+      Printf.ksprintf (fun msg -> prerr_endline msg; failed := true) fmt
+    in
+    let per_table = Systables.coverage_by_table results in
+    (match min_coverage with
+    | None -> ()
+    | Some threshold ->
+        let covered, rows =
+          List.fold_left
+            (fun (c, r) (_, rows, n) -> (c + n, r + rows))
+            (0, 0) per_table
+        in
+        let overall = Obs.Coverage.percent ~covered ~rows in
+        if overall < threshold then
+          gate "coverage gate: overall %.1f%% is below the required %.1f%%"
+            overall threshold);
+    List.iter
+      (fun (name, threshold) ->
+        match List.find_opt (fun (n, _, _) -> n = name) per_table with
+        | None -> gate "coverage gate: table %s appears in no manifest" name
+        | Some (_, rows, covered) ->
+            let pct = Obs.Coverage.percent ~covered ~rows in
+            if pct < threshold then
+              gate "coverage gate: table %s at %.1f%% is below the required %.1f%%"
+                name pct threshold)
+      min_table;
+    Option.iter
+      (fun threshold ->
+        (* plans rows: fingerprint, site, query, ..., misest *)
+        Relalg.Table.iter
+          (fun r ->
+            match r.(6) with
+            | Relalg.Value.Float m when m > threshold ->
+                gate
+                  "plan gate: [%s] %s misestimates by %.1fx (fingerprint %s), \
+                   above the allowed %.1fx"
+                  (Relalg.Value.to_string r.(1)) (Relalg.Value.to_string r.(2))
+                  m (Relalg.Value.to_string r.(0)) threshold
+            | _ -> ())
+          (Systables.section results "plans"))
+      max_misest;
+    if !failed then exit 1
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Aggregate run manifests and bench snapshots into a coverage \
-          report: per-controller transition coverage, uncovered rows \
-          decoded back to readable transitions, the invariant hit \
-          matrix, and seq-vs-par bench regressions.")
+         "Aggregate run manifests and bench snapshots into a report whose \
+          every section is one SQL query over the manifest-backed sys. \
+          tables, printed above its result so it can be rerun with \
+          $(b,asura sql --runs): per-controller transition coverage, \
+          uncovered rows decoded back to readable transitions, the \
+          invariant hit matrix, bench pairs and baseline diff, plans, \
+          flight-recorder rollups and the coverage trend.")
     Term.(
-      const run $ setup_term $ files $ json $ html $ max_uncovered $ trend
+      const run $ setup_term $ files $ json $ html $ max_uncovered
       $ min_coverage $ min_table $ max_misest)
 
 (* ------------------------------ explain ------------------------------ *)
@@ -1354,19 +1327,7 @@ let plan_top_cmd =
           warn_skipped skipped;
           db
     in
-    List.iter
-      (fun key ->
-        match
-          List.find_opt (fun c -> c.Systables.key = key) Systables.canned
-        with
-        | None -> ()
-        | Some c ->
-            Printf.printf "## %s [%s]\n" c.Systables.title c.Systables.key;
-            Printf.printf "-- %s\n" c.Systables.sql;
-            print_string
-              (Relalg.Table.to_string (Relalg.Sql_exec.query db c.Systables.sql));
-            print_newline ())
-      plan_canned_keys
+    print_canned db plan_canned_keys
   in
   Cmd.v
     (Cmd.info "top"
@@ -1390,11 +1351,11 @@ let plan_snapshot_cmd =
     let json =
       match runs with
       | Some dir ->
-          (* aggregate the plan logs the manifests under DIR embed — the
-             same Runreport.plans aggregation the report renders *)
-          let agg, skipped = Obs.Runreport.collect (load_run_docs dir) in
-          warn_skipped skipped;
-          Obs.Planlog.entries_to_json (Obs.Runreport.plans agg)
+          (* aggregate the plan logs the manifests under DIR embed *)
+          let docs = load_run_docs dir in
+          Obs.Planlog.entries_to_json
+            (Obs.Planlog.aggregate
+               (List.map (fun (_, doc) -> Obs.Planlog.of_json doc) docs))
       | None ->
           ignore (exercise_plan_workload ());
           Obs.Planlog.to_json ()

@@ -103,32 +103,44 @@ let or_into ~dst src =
       (Char.chr (Char.code (Bytes.get dst i) lor Char.code (Bytes.get src i)))
   done
 
-let snapshot () =
-  locked @@ fun () ->
+(* OR bitmaps together per (name, rows): the one merge behind both the
+   live snapshot (one entry per domain shard) and manifest aggregation
+   (one entry per run).  Entries that disagree on the row count stay
+   separate tables rather than being silently mis-merged. *)
+let merge entries =
   let merged : (string * int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun id t ->
-      let key = (t.t_name, t.t_rows) in
+  List.iter
+    (fun (name, rows, bitmap) ->
       let acc =
-        match Hashtbl.find_opt merged key with
+        match Hashtbl.find_opt merged (name, rows) with
         | Some b -> b
         | None ->
-            let b = Bytes.make (bytes_for t.t_rows) '\000' in
-            Hashtbl.add merged key b;
+            let b = Bytes.make (bytes_for rows) '\000' in
+            Hashtbl.add merged (name, rows) b;
             b
       in
-      List.iter
-        (fun shard ->
-          match Hashtbl.find_opt shard id with
-          | Some b -> or_into ~dst:acc b
-          | None -> ())
-        !shards)
-    tables;
+      or_into ~dst:acc bitmap)
+    entries;
   Hashtbl.fold
     (fun (name, rows) bitmap acc ->
       { name; rows; covered = popcount bitmap; bitmap } :: acc)
     merged []
   |> List.sort (fun a b -> compare (a.name, a.rows) (b.name, b.rows))
+
+(* A registered table with no shard yet still appears, fully uncovered. *)
+let snapshot () =
+  locked @@ fun () ->
+  Hashtbl.fold
+    (fun id t acc ->
+      ((t.t_name, t.t_rows, Bytes.empty) :: acc)
+      @ List.filter_map
+          (fun shard ->
+            Option.map
+              (fun b -> (t.t_name, t.t_rows, b))
+              (Hashtbl.find_opt shard id))
+          !shards)
+    tables []
+  |> merge
 
 let is_covered tc row =
   row >= 0 && row < tc.rows
@@ -186,6 +198,38 @@ let to_json () =
       ("percent", Json.Float (percent ~covered ~rows));
       ("tables", Json.List (List.map table_to_json snap));
     ]
+
+(* The reader for what [table_to_json] writes, strict about shape: an
+   entry whose row count is negative or whose bitmap is not exactly
+   ceil(rows/8) bytes is refused, so a corrupt manifest is reported
+   instead of sizing an allocation (or a row listing) from it. *)
+let of_manifest doc =
+  let entry e =
+    let str k = Option.bind (Json.member k e) Json.to_str in
+    match
+      (str "table", Option.bind (Json.member "rows" e) Json.to_number, str "bitmap")
+    with
+    | Some name, Some rows, Some hex
+      when Float.is_integer rows && rows >= 0.
+           && float_of_int (String.length hex) = 2. *. Float.ceil (rows /. 8.)
+      -> (
+        match of_hex hex with
+        | bitmap -> Ok (name, int_of_float rows, bitmap)
+        | exception Invalid_argument msg -> Error (name ^ ": " ^ msg))
+    | name, _, _ ->
+        Error
+          (Printf.sprintf "malformed coverage entry for table %s"
+             (Option.value ~default:"?" name))
+  in
+  match Option.bind (Json.member "coverage" doc) (Json.member "tables") with
+  | None -> Ok []
+  | Some (Json.List entries) ->
+      List.fold_left
+        (fun acc e ->
+          Result.bind acc (fun l -> Result.map (fun x -> x :: l) (entry e)))
+        (Ok []) entries
+      |> Result.map List.rev
+  | Some _ -> Error "coverage tables is not a list"
 
 (* ------------------------------ lifecycle ----------------------------- *)
 

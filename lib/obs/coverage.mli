@@ -44,10 +44,14 @@ type table_coverage = {
       (** LSB-first: row [r] is bit [r land 7] of byte [r lsr 3] *)
 }
 
+val merge : (string * int * Bytes.t) list -> table_coverage list
+(** OR together the [(name, rows, bitmap)] entries that share (name,
+    rows); tables whose row count differs stay separate entries.  Sorted
+    by (name, rows) for deterministic output. *)
+
 val snapshot : unit -> table_coverage list
-(** Merge all shards; entries for tables sharing (name, rows) — e.g. a
-    regenerated copy of the same controller — are ORed together.  Sorted
-    by name for deterministic output. *)
+(** {!merge} over all shards — so a regenerated copy of the same
+    controller is ORed with the original. *)
 
 val is_covered : table_coverage -> int -> bool
 val uncovered : table_coverage -> int list
@@ -67,6 +71,13 @@ val table_to_json : table_coverage -> Json.t
 val to_json : unit -> Json.t
 (** [{covered; rows; percent; tables = [{table; rows; covered; percent;
     bitmap(hex)}]}] — the coverage summary embedded in run manifests. *)
+
+val of_manifest : Json.t -> ((string * int * Bytes.t) list, string) result
+(** The [(table, rows, bitmap)] entries of a run manifest's
+    ["coverage"] member, ready for {!merge}; [Ok []] when it has none.
+    [Error] names the first entry whose [rows] is negative or not an
+    integer, or whose bitmap is not exactly [ceil(rows/8)] bytes of
+    hex. *)
 
 (** {2 Lifecycle}
 

@@ -147,10 +147,11 @@ let metrics () =
 (* ---------------------------- sys.coverage ---------------------------- *)
 
 (* One row per controller-table row, so uncovered-transition queries are
-   plain WHERE NOT covered.  The description comes from the protocol
-   layer's row decoder and is NULL when the bitmap's recorded shape no
-   longer matches the regenerated controller (different protocol
-   version) — the same refusal the report renderer applies. *)
+   plain WHERE NOT covered.  table_rows keeps tables whose row count
+   differs between manifests apart under GROUP BY.  The description
+   comes from the protocol layer's row decoder and is NULL when the
+   bitmap's recorded shape no longer matches the regenerated controller
+   (different protocol version). *)
 let describe ~table ~rows ~row =
   match Protocol.find table with
   | None -> Value.Null
@@ -162,7 +163,7 @@ let describe ~table ~rows ~row =
       else Value.Null
 
 let coverage_schema =
-  Schema.of_list [ "table_name"; "row"; "covered"; "description" ]
+  Schema.of_list [ "table_name"; "row"; "covered"; "description"; "table_rows" ]
 
 let coverage_of entries =
   let rows =
@@ -174,6 +175,7 @@ let coverage_of entries =
               Value.Int row;
               Value.Bool (Obs.Coverage.is_covered tc row);
               describe ~table:tc.name ~rows:tc.rows ~row;
+              Value.Int tc.rows;
             |]))
       entries
   in
@@ -212,6 +214,7 @@ let runs_schema =
       "states_per_sec";
       "engine";
       "probabilistic";
+      "events_dropped";
     ]
 
 let run_row (label, doc) =
@@ -253,6 +256,7 @@ let run_row (label, doc) =
     (match path doc [ "mcheck"; "probabilistic" ] with
     | Some (Json.Bool b) -> Value.Bool b
     | Some _ | None -> Value.Null);
+    Value.Int (Obs.Flightrec.doc_dropped doc);
   |]
 
 let runs docs = Table.of_rows ~name:"sys.runs" runs_schema (List.map run_row docs)
@@ -320,47 +324,43 @@ let bench_schema =
 
 (* Both speedup families normalize the same way: baseline is the slow
    reference (sequential / list-of-rows), measured is the contender
-   (parallel / columnar), and speedup < 1.0 flags a regression. *)
+   (parallel / columnar), and speedup < 1.0 flags a regression.  Plain
+   measurements carry only measured_ns.  Per family: the snapshot member
+   it lives under, its kind, and its baseline / measured / speedup
+   fields. *)
+let bench_families =
+  [
+    ("pairs", "par", Some "seq_ns", "par_ns", Some "speedup");
+    ( "representation", "representation", Some "listrep_ns", "columnar_ns",
+      Some "speedup" );
+    ("benchmarks", "measurement", None, "ns_per_run", None);
+  ]
+
 let bench_rows (label, doc) =
-  let date = jstr doc "date" in
-  let entry kind name baseline measured speedup =
-    [|
-      Value.Str label;
-      date;
-      Value.Str kind;
-      Value.Str name;
-      Value.Float baseline;
-      Value.Float measured;
-      Value.Float speedup;
-      Value.Bool (speedup < 1.0);
-    |]
-  in
-  let members k =
-    match Json.member k doc with Some (Json.List l) -> l | _ -> []
-  in
-  List.filter_map
-    (fun e ->
-      match
-        ( Option.bind (Json.member "name" e) Json.to_str,
-          Option.bind (Json.member "seq_ns" e) Json.to_number,
-          Option.bind (Json.member "par_ns" e) Json.to_number,
-          Option.bind (Json.member "speedup" e) Json.to_number )
-      with
-      | Some n, Some seq, Some par, Some sp -> Some (entry "par" n seq par sp)
-      | _ -> None)
-    (members "pairs")
-  @ List.filter_map
-      (fun e ->
-        match
-          ( Option.bind (Json.member "name" e) Json.to_str,
-            Option.bind (Json.member "listrep_ns" e) Json.to_number,
-            Option.bind (Json.member "columnar_ns" e) Json.to_number,
-            Option.bind (Json.member "speedup" e) Json.to_number )
-        with
-        | Some n, Some lst, Some col, Some sp ->
-            Some (entry "representation" n lst col sp)
-        | _ -> None)
-      (members "representation")
+  List.concat_map
+    (fun (member, kind, baseline, measured, speedup) ->
+      let entries =
+        match Json.member member doc with Some (Json.List l) -> l | _ -> []
+      in
+      List.filter_map
+        (fun e ->
+          let num k = Option.bind (Json.member k e) Json.to_number in
+          let field = function
+            | None -> Some Value.Null
+            | Some k -> Option.map (fun f -> Value.Float f) (num k)
+          in
+          let name = Option.bind (Json.member "name" e) Json.to_str in
+          match (name, field baseline, num measured, field speedup) with
+          | Some name, Some b, Some m, Some sp ->
+              Some
+                [|
+                  Value.Str label; jstr doc "date"; Value.Str kind; Value.Str name;
+                  b; Value.Float m; sp;
+                  Value.Bool (match sp with Value.Float f -> f < 1.0 | _ -> false);
+                |]
+          | _ -> None)
+        entries)
+    bench_families
 
 let bench docs =
   Table.of_rows ~name:"sys.bench" bench_schema (List.concat_map bench_rows docs)
@@ -470,9 +470,7 @@ let events () = events_of (live_events ())
 
 let put db t = Database.replace_system db t
 
-(* Live snapshot: what the current process has recorded so far.  The
-   coverage table matches the report renderer because both read the same
-   shard-merged snapshot. *)
+(* Live snapshot: what the current process has recorded so far. *)
 let attach_live db =
   let db = put db (spans ()) in
   let db = put db (span_stats ()) in
@@ -483,25 +481,55 @@ let attach_live db =
   let db = put db (plan_ops_of plan_entries) in
   put db (events ())
 
-(* Manifest-backed snapshot: sys.coverage is built from the SAME
-   Runreport aggregation (bitmaps ORed per (table, rows)) that asura
-   report renders, so the uncovered counts of the acceptance query agree
-   with the report by construction. *)
+(* What a labeled document contributes, by its "schema" field.  A run
+   manifest whose coverage entries are malformed is refused like an
+   unknown schema. *)
+let classify doc =
+  match Option.bind (Json.member "schema" doc) Json.to_str with
+  | Some "asura-run/1" ->
+      Result.map (fun cov -> `Run cov) (Obs.Coverage.of_manifest doc)
+  | Some s when String.starts_with ~prefix:"asura-bench/" s -> Ok `Bench
+  | Some "asura-plans/1" -> Ok `Plans
+  | Some ("asura-stats/1" | "asura-explain/1" | "asura-explain/2") -> Ok `Other
+  | Some s -> Error (Printf.sprintf "unsupported schema %S" s)
+  | None -> Error "document has no \"schema\" field"
+
+(* Manifest-backed snapshot.  A malformed document is skipped rather
+   than failing the batch, so one corrupt manifest in runs/ cannot hide
+   the healthy ones. *)
 let attach_docs docs db =
-  let agg, skipped = Obs.Runreport.collect docs in
-  let db = put db (runs agg.Obs.Runreport.runs) in
-  let db = put db (run_metrics agg.Obs.Runreport.runs) in
-  let db = put db (bench agg.Obs.Runreport.benches) in
-  let db = put db (coverage_of (Obs.Runreport.coverage agg)) in
-  (* the SAME aggregation asura report renders and exports under its
-     "plans" member, so the CI parity check (sys.plans vs report --json)
-     holds by construction *)
-  let plan_entries = Obs.Runreport.plans agg in
+  let kept, skipped =
+    List.partition_map
+      (fun (label, doc) ->
+        match classify doc with
+        | Ok kind -> Either.Left (kind, (label, doc))
+        | Error reason -> Either.Right (label, reason))
+      docs
+  in
+  let run_docs = List.filter_map (function `Run _, d -> Some d | _ -> None) kept in
+  let db = put db (runs run_docs) in
+  let db = put db (run_metrics run_docs) in
+  let db =
+    put db (bench (List.filter_map (function `Bench, d -> Some d | _ -> None) kept))
+  in
+  let db =
+    put db
+      (coverage_of
+         (Obs.Coverage.merge
+            (List.concat_map (function `Run cov, _ -> cov | _ -> []) kept)))
+  in
+  let plan_entries =
+    Obs.Planlog.aggregate
+      (List.filter_map
+         (function
+           | (`Run _ | `Plans), (_, doc) -> Some (Obs.Planlog.of_json doc)
+           | _ -> None)
+         kept)
+  in
   let db = put db (plans_of plan_entries) in
   let db = put db (plan_ops_of plan_entries) in
-  (* likewise: the same event concatenation asura report aggregates
-     under its "events" member *)
-  let db = put db (events_of (Obs.Runreport.events agg)) in
+  let events = List.concat_map (fun (_, doc) -> Obs.Flightrec.of_json doc) run_docs in
+  let db = put db (events_of events) in
   (db, skipped)
 
 (* ---------------------------- canned queries -------------------------- *)
@@ -626,52 +654,6 @@ let run_plan_workload db =
            d states);
       ignore (Planner.group_count ~by:[ "inmsg"; "dirst" ] d)
 
-(* ------------------------------- trend -------------------------------- *)
-
-(* Coverage / throughput across manifests, computed by querying sys.runs
-   through the planner rather than walking manifest JSON: the system
-   tables are the single source for cross-run analytics. *)
-let trend_sql =
-  "SELECT file, date, coverage_pct, states_per_sec FROM sys.runs ORDER BY \
-   date, file"
-
-let bar width pct =
-  let filled =
-    max 0 (min width (int_of_float (Float.round (pct *. float_of_int width /. 100.))))
-  in
-  String.concat "" (List.init width (fun i -> if i < filled then "█" else "·"))
-
-let trend docs =
-  let db, _ = attach_docs docs Database.empty in
-  let t = Sql_exec.query db trend_sql in
-  let buf = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "## Trend (coverage / throughput per manifest)\n\n";
-  if Table.is_empty t then
-    pr "_No run manifests to chart._\n"
-  else begin
-    pr "| manifest | date | coverage | | states/s |\n";
-    pr "|---|---|---:|---|---:|\n";
-    Table.iter
-      (fun row ->
-        let cell i = row.(i) in
-        let str v = match v with Value.Str s -> s | _ -> "-" in
-        let pct =
-          match cell 2 with Value.Float f -> Some f | _ -> None
-        in
-        let rate =
-          match cell 3 with Value.Float f -> Some f | _ -> None
-        in
-        pr "| %s | %s | %s | `%s` | %s |\n"
-          (str (cell 0))
-          (str (cell 1))
-          (match pct with Some f -> Printf.sprintf "%.1f%%" f | None -> "-")
-          (match pct with Some f -> bar 20 f | None -> String.make 20 ' ')
-          (match rate with Some f -> Printf.sprintf "%.0f" f | None -> "-"))
-      t
-  end;
-  Buffer.contents buf
-
 (* ------------------------------ export ------------------------------- *)
 
 (* Generic table → JSON rows, used by tests (round-tripping sys.runs)
@@ -695,4 +677,342 @@ let table_to_json t =
           (List.map
              (fun row -> Json.List (List.map cell (Array.to_list row)))
              (Table.rows t)) );
+    ]
+
+(* ------------------------------- report ------------------------------- *)
+
+(* Every section of `asura report` is one of these queries over the
+   manifest-backed tables.  The renderers below only format, pivot and
+   total their results, so any section can be rerun verbatim with
+   `asura sql --runs`. *)
+let report_sections =
+  List.map
+    (fun (key, title, sql) -> { key; title; sql; live = false })
+    [
+      ( "runs",
+        "Runs",
+        "SELECT file, cmd, date, git_rev, elapsed_s, events_dropped FROM \
+         sys.runs" );
+      ( "coverage",
+        "Transition coverage",
+        "SELECT table_name, table_rows, covered, COUNT(*) FROM sys.coverage \
+         GROUP BY table_name, table_rows, covered ORDER BY table_name, \
+         table_rows, covered" );
+      ( "uncovered",
+        "Uncovered transitions",
+        "SELECT table_name, table_rows, row, description FROM sys.coverage \
+         WHERE NOT covered ORDER BY table_name, table_rows, row" );
+      ( "invariants",
+        "Invariant hit matrix (checked, then violated if any)",
+        "SELECT file, key, value FROM sys.run_metrics WHERE registry = \
+         'checker' AND kind = 'counter'" );
+      ( "bench-pairs",
+        "Benchmarks (seq vs par)",
+        "SELECT file, name, baseline_ns, measured_ns, speedup FROM sys.bench \
+         WHERE kind = 'par'" );
+      ( "bench-diff",
+        "Baseline diff (first vs last bench snapshot)",
+        "SELECT file, name, measured_ns FROM sys.bench WHERE kind = \
+         'measurement'" );
+      ( "plans",
+        "Plan observatory",
+        "SELECT fingerprint, site, query, execs, total_ms, rows_out, misest \
+         FROM sys.plans ORDER BY misest DESC, site, query, fingerprint" );
+      ( "events",
+        "Flight recorder",
+        "SELECT tag, COUNT(*) FROM sys.events GROUP BY tag ORDER BY tag" );
+      ( "rules",
+        "Hottest rules",
+        "SELECT table_name, b, COUNT(*) FROM sys.events WHERE tag = 'fire' \
+         GROUP BY table_name, b ORDER BY count DESC, table_name, b" );
+      ( "steals",
+        "Steals by domain",
+        "SELECT a, COUNT(*) FROM sys.events WHERE tag = 'steal' GROUP BY a \
+         ORDER BY a" );
+      ( "trend",
+        "Trend (coverage / throughput per manifest)",
+        "SELECT file, date, coverage_pct, states_per_sec FROM sys.runs ORDER \
+         BY date, file" );
+    ]
+
+let run_report db = List.map (fun c -> (c, Sql_exec.query db c.sql)) report_sections
+let section results key = snd (List.find (fun (c, _) -> c.key = key) results)
+let text = Value.to_string
+
+let int_of = function
+  | Value.Int i -> i
+  | Value.Float f -> int_of_float f
+  | _ -> 0
+
+let float_of = function
+  | Value.Int i -> float_of_int i
+  | Value.Float f -> f
+  | _ -> 0.
+
+(* Consecutive rows sharing [key], in order: each section's ORDER BY (or
+   sys.* input order) makes the groups a renderer needs contiguous. *)
+let group_adjacent key rows =
+  List.fold_left
+    (fun acc r ->
+      match acc with
+      | (k, rs) :: rest when k = key r -> (k, r :: rs) :: rest
+      | _ -> (key r, [ r ]) :: acc)
+    [] rows
+  |> List.rev_map (fun (k, rs) -> (k, List.rev rs))
+
+let coverage_by_table results =
+  List.map
+    (fun ((name, rows), rs) ->
+      let covered r = if r.(2) = Value.Bool true then int_of r.(3) else 0 in
+      (name, rows, List.fold_left (fun n r -> n + covered r) 0 rs))
+    (group_adjacent
+       (fun r -> (text r.(0), int_of r.(1)))
+       (Table.rows (section results "coverage")))
+
+(* A rendered section: plain-text cells, so the Markdown and HTML
+   printers share it. *)
+type view = {
+  heading : string;
+  sql : string;
+  notes : string list;
+  header : string list;
+  body : string list list;
+}
+
+let bar width pct =
+  let filled =
+    max 0 (min width (int_of_float (Float.round (pct *. float_of_int width /. 100.))))
+  in
+  String.concat "" (List.init width (fun i -> if i < filled then "█" else "·"))
+
+let views ~max_uncovered ~skipped results =
+  let rows key = Table.rows (section results key) in
+  let view ?(notes = []) (heading, sql) header body =
+    if body = [] && notes = [] then None
+    else Some { heading; sql; notes; header; body }
+  in
+  let sec key =
+    let c = List.find (fun c -> c.key = key) report_sections in
+    (c.title, c.sql)
+  in
+  let capped body more =
+    let hidden = List.length body - max_uncovered in
+    if hidden <= 0 then body
+    else List.filteri (fun i _ -> i < max_uncovered) body @ [ more hidden ]
+  in
+  let fmt = Printf.sprintf in
+  let ms v = fmt "%.3f" (float_of v /. 1e6) in
+  let pct covered rows = fmt "%.1f%%" (Obs.Coverage.percent ~covered ~rows) in
+  let sum col key = List.fold_left (fun n r -> n + int_of r.(col)) 0 (rows key) in
+  let files = List.map (fun r -> text r.(0)) (rows "runs") in
+  let coverage = coverage_by_table results in
+  let covered, total =
+    List.fold_left (fun (c, t) (_, rows, n) -> (c + n, t + rows)) (0, 0) coverage
+  in
+  (* inv.<id>.checked / inv.<id>.violated counters pivoted to id × run *)
+  let matrix = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+      match String.split_on_char '.' (text r.(1)) with
+      | [ "inv"; id; ("checked" | "violated" as what) ] ->
+          let key = (id, text r.(0)) in
+          let c, v = Option.value ~default:(0, 0) (Hashtbl.find_opt matrix key) in
+          Hashtbl.replace matrix key
+            (if what = "checked" then (int_of r.(2), v) else (c, int_of r.(2)))
+      | _ -> ())
+    (rows "invariants");
+  let matrix_cell id file =
+    match Hashtbl.find_opt matrix (id, file) with
+    | Some (c, v) when v > 0 -> fmt "%d ✗%d" c v
+    | Some (c, _) -> string_of_int c
+    | None -> "0"
+  in
+  let invariant_ids =
+    List.sort_uniq compare (Hashtbl.fold (fun (id, _) _ acc -> id :: acc) matrix [])
+  in
+  (* first vs last snapshot, per benchmark present in both: the ratio
+     the CI baseline gate applies, flagged beyond its 3x *)
+  let snapshots = group_adjacent (fun r -> text r.(0)) (rows "bench-diff") in
+  let diff =
+    match snapshots with
+    | (_, first) :: (_ :: _ as rest) ->
+        let _, last = List.hd (List.rev rest) in
+        let latest = List.map (fun r -> (text r.(1), r.(2))) last in
+        List.filter_map
+          (fun r ->
+            match List.assoc_opt (text r.(1)) latest with
+            | Some n when float_of r.(2) > 0. ->
+                let ratio = float_of n /. float_of r.(2) in
+                let flag = if ratio > 3.0 then " ⚠ slowdown" else "" in
+                Some [ text r.(1); ms r.(2); ms n; fmt "%.2fx%s" ratio flag ]
+            | _ -> None)
+          first
+    | _ -> []
+  in
+  let plans = rows "plans" and events = sum 1 "events" in
+  List.filter_map Fun.id
+    [
+      view ("Skipped inputs", "") [ "file"; "reason" ]
+        (List.map (fun (file, reason) -> [ file; reason ]) skipped);
+      view (sec "runs")
+        [ "manifest"; "cmd"; "date"; "git"; "elapsed" ]
+        (List.map
+           (fun r ->
+             [ text r.(0); text r.(1); text r.(2); text r.(3);
+               fmt "%.2fs" (float_of r.(4)) ])
+           (rows "runs"));
+      view (sec "coverage")
+        ~notes:
+          (if coverage = [] && files <> [] then
+             [ "No coverage recorded (runs without --manifest coverage)." ]
+           else [])
+        [ "controller table"; "rows"; "covered"; "coverage" ]
+        (if coverage = [] then []
+         else
+           List.map
+             (fun (name, rows, n) ->
+               [ name; string_of_int rows; string_of_int n; pct n rows ])
+             coverage
+           @ [ [ "total"; string_of_int total; string_of_int covered;
+                 pct covered total ] ]);
+      view (sec "uncovered")
+        [ "controller table"; "row"; "transition" ]
+        (List.concat_map
+           (fun ((name, _), rs) ->
+             capped
+               (List.map (fun r -> [ name; text r.(2); text r.(3) ]) rs)
+               (fun hidden -> [ name; "…"; fmt "and %d more" hidden ]))
+           (group_adjacent
+              (fun r -> (text r.(0), int_of r.(1)))
+              (rows "uncovered")));
+      view (sec "invariants")
+        ("invariant" :: List.map Filename.basename files)
+        (List.map (fun id -> id :: List.map (matrix_cell id) files) invariant_ids);
+      view (sec "bench-pairs")
+        [ "snapshot"; "benchmark"; "seq ms"; "par ms"; "speedup" ]
+        (List.map
+           (fun r ->
+             let sp = float_of r.(4) in
+             let flag = if sp < 1.0 then " ⚠ regression" else "" in
+             [ text r.(0); text r.(1); ms r.(2); ms r.(3); fmt "%.2fx%s" sp flag ])
+           (rows "bench-pairs"));
+      view (sec "bench-diff")
+        ~notes:
+          (List.map
+             (fun (file, rs) -> fmt "%s: %d measurements." file (List.length rs))
+             snapshots)
+        [ "benchmark"; "baseline ms"; "latest ms"; "ratio" ]
+        diff;
+      view (sec "plans")
+        ~notes:
+          (if plans = [] then []
+           else
+             [ fmt "%d distinct plans across %d executions." (List.length plans)
+                 (sum 3 "plans") ])
+        [ "fingerprint"; "site"; "query"; "execs"; "total ms"; "rows"; "misest" ]
+        (capped
+           (List.map
+              (fun r ->
+                [ text r.(0); text r.(1); text r.(2); text r.(3);
+                  fmt "%.3f" (float_of r.(4)); text r.(5);
+                  fmt "%.2fx" (float_of r.(6)) ])
+              plans)
+           (fun hidden -> [ fmt "… %d more" hidden; ""; ""; ""; ""; ""; "" ]));
+      view (sec "events")
+        ~notes:
+          (if events = 0 then []
+           else
+             [ fmt "%d events drained (%d overwritten by ring wrap-around)."
+                 events (sum 5 "runs") ])
+        [ "event"; "count" ]
+        (List.map (fun r -> [ text r.(0); text r.(1) ]) (rows "events"));
+      view (sec "rules")
+        [ "controller table"; "row"; "firings" ]
+        (capped
+           (List.map
+              (fun r -> [ text r.(0); text r.(1); text r.(2) ])
+              (rows "rules"))
+           (fun hidden -> [ fmt "… %d more" hidden; ""; "" ]));
+      view (sec "steals") [ "domain"; "steals" ]
+        (List.map (fun r -> [ text r.(0); text r.(1) ]) (rows "steals"));
+      view (sec "trend")
+        [ "manifest"; "date"; "coverage"; ""; "states/s" ]
+        (List.map
+           (fun r ->
+             let rate =
+               match r.(3) with Value.Float s -> fmt "%.0f" s | _ -> "-"
+             in
+             match r.(2) with
+             | Value.Float f ->
+                 [ text r.(0); text r.(1); fmt "%.1f%%" f; bar 20 f; rate ]
+             | _ -> [ text r.(0); text r.(1); "-"; ""; rate ])
+           (rows "trend"));
+    ]
+
+let report_markdown ?(max_uncovered = 10) ~skipped results =
+  let buf = Buffer.create 4096 in
+  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let esc c = String.concat "\\|" (String.split_on_char '|' c) in
+  let row cells = pr "| %s |\n" (String.concat " | " (List.map esc cells)) in
+  pr "# asura run report\n";
+  List.iter
+    (fun v ->
+      pr "\n## %s\n\n" v.heading;
+      if v.sql <> "" then pr "-- %s\n\n" v.sql;
+      List.iter (fun n -> pr "%s\n\n" n) v.notes;
+      if v.body <> [] then begin
+        row v.header;
+        row (List.map (fun _ -> "---") v.header);
+        List.iter row v.body
+      end)
+    (views ~max_uncovered ~skipped results);
+  Buffer.contents buf
+
+let report_html ?(max_uncovered = 10) ~skipped results =
+  let buf = Buffer.create 4096 in
+  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let esc s =
+    String.to_seq s
+    |> Seq.map (function
+         | '<' -> "&lt;" | '>' -> "&gt;" | '&' -> "&amp;" | c -> String.make 1 c)
+    |> List.of_seq |> String.concat ""
+  in
+  let tr tag cells =
+    pr "<tr>%s</tr>\n"
+      (String.concat ""
+         (List.map (fun c -> Printf.sprintf "<%s>%s</%s>" tag (esc c) tag) cells))
+  in
+  pr
+    "<!doctype html>\n<html><head><meta charset=\"utf-8\"><title>asura run \
+     report</title>\n<style>body{font-family:sans-serif;margin:2em}\
+     table{border-collapse:collapse}td,th{border:1px solid #999;padding:4px \
+     8px}</style></head><body>\n<h1>asura run report</h1>\n";
+  List.iter
+    (fun v ->
+      pr "<h2>%s</h2>\n" (esc v.heading);
+      if v.sql <> "" then pr "<pre>-- %s</pre>\n" (esc v.sql);
+      List.iter (fun n -> pr "<p>%s</p>\n" (esc n)) v.notes;
+      if v.body <> [] then begin
+        pr "<table>\n";
+        tr "th" v.header;
+        List.iter (tr "td") v.body;
+        pr "</table>\n"
+      end)
+    (views ~max_uncovered ~skipped results);
+  pr "</body></html>\n";
+  Buffer.contents buf
+
+let report_json ~skipped results =
+  let skip (file, reason) =
+    Json.Obj [ ("file", Json.Str file); ("reason", Json.Str reason) ]
+  in
+  Json.Obj
+    [
+      ("schema", Json.Str "asura-report/2");
+      ("skipped", Json.List (List.map skip skipped));
+      ( "sections",
+        Json.Obj
+          (List.map
+             (fun (c, t) -> (c.key, table_to_json (Table.with_name c.key t)))
+             results) );
     ]

@@ -8,9 +8,8 @@
     - {b live} ({!attach_live}): snapshot this process's trace buffer,
       metric registries and coverage shards;
     - {b manifest-backed} ({!attach_docs}): flatten the JSON documents
-      under a [--runs] directory — the same inputs [asura report]
-      aggregates, through the same {!Obs.Runreport.collect}, so SQL
-      answers and report answers agree by construction.
+      under a [--runs] directory or given to [asura report], whose every
+      section is a query over these tables ({!report_sections}).
 
     Tables are attached with {!Relalg.Database.replace_system}; user SQL
     cannot create or mutate them ([sys.] is reserved at the catalog). *)
@@ -44,15 +43,16 @@ val metrics : unit -> Relalg.Table.t
     ["gauge"] or ["histogram"], quantiles are 0 for non-histograms. *)
 
 val coverage : unit -> Relalg.Table.t
-(** [sys.coverage](table_name, row, covered, description): one row per
-    controller-table row of the live coverage shards.  [description]
-    decodes the row through the protocol layer and is [NULL] when the
-    bitmap's recorded shape no longer matches the regenerated
-    controller. *)
+(** [sys.coverage](table_name, row, covered, description, table_rows):
+    one row per controller-table row of the live coverage shards.
+    [description] decodes the row through the protocol layer and is
+    [NULL] when the bitmap's recorded shape no longer matches the
+    regenerated controller; [table_rows] is the row count the bitmap was
+    recorded against. *)
 
 val coverage_of : Obs.Coverage.table_coverage list -> Relalg.Table.t
 (** Same table from explicit entries (e.g. manifest bitmaps merged by
-    {!Obs.Runreport.coverage}). *)
+    {!Obs.Coverage.merge}). *)
 
 (** {1 Manifest-backed tables}
 
@@ -60,9 +60,11 @@ val coverage_of : Obs.Coverage.table_coverage list -> Relalg.Table.t
 
 val runs : (string * Obs.Json.t) list -> Relalg.Table.t
 (** [sys.runs](file, cmd, argv, date, git_rev, elapsed_s, covered,
-    rows, coverage_pct, states_per_sec): one row per [asura-run/1]
-    manifest, with the coverage summary and the [mcheck] throughput
-    gauge flattened in so cross-run trend queries are single-table. *)
+    rows, coverage_pct, states_per_sec, engine, probabilistic,
+    events_dropped): one row per [asura-run/1] manifest, with the
+    coverage summary, the [mcheck] throughput gauge and the number of
+    flight-recorder events lost to ring wrap-around flattened in so
+    cross-run trend queries are single-table. *)
 
 val run_metrics : (string * Obs.Json.t) list -> Relalg.Table.t
 (** [sys.run_metrics](file, registry, key, kind, value): every
@@ -71,9 +73,11 @@ val run_metrics : (string * Obs.Json.t) list -> Relalg.Table.t
 
 val bench : (string * Obs.Json.t) list -> Relalg.Table.t
 (** [sys.bench](file, date, kind, name, baseline_ns, measured_ns,
-    speedup, regression): seq-vs-par pairs ([kind = "par"]) and
-    representation comparisons ([kind = "representation"]) of every
-    [asura-bench/*] snapshot; [regression] is [speedup < 1.0]. *)
+    speedup, regression): seq-vs-par pairs ([kind = "par"]),
+    representation comparisons ([kind = "representation"]) and plain
+    per-benchmark timings ([kind = "measurement"], only [measured_ns]
+    set) of every [asura-bench/*] snapshot; [regression] is [speedup <
+    1.0]. *)
 
 (** {1 Plan observatory tables} *)
 
@@ -114,12 +118,16 @@ val attach_docs :
   (string * Obs.Json.t) list ->
   Relalg.Database.t ->
   Relalg.Database.t * (string * string) list
-(** Attach [sys.runs], [sys.run_metrics], [sys.bench], [sys.coverage],
-    [sys.plans], [sys.plan_ops] and [sys.events] built from labeled
-    documents.  The plan and event tables come from {!Obs.Runreport} —
-    the same aggregations [asura report] renders — so SQL answers and
-    report answers agree by construction.  Returns the [(label,
-    reason)] list of documents {!Obs.Runreport.collect} skipped. *)
+(** Classify labeled documents by their ["schema"] field ([asura-run/1],
+    [asura-bench/*], [asura-plans/1], [asura-stats/1],
+    [asura-explain/{1,2}]) and attach [sys.runs], [sys.run_metrics],
+    [sys.bench], [sys.coverage] (bitmaps ORed by {!Obs.Coverage.merge}),
+    [sys.plans], [sys.plan_ops] ({!Obs.Planlog.aggregate} over run
+    manifests and plan snapshots) and [sys.events] (run manifests'
+    recordings, concatenated).  A document with a missing or unknown
+    schema, or a run manifest with a malformed coverage entry
+    ({!Obs.Coverage.of_manifest}), is skipped and returned as a
+    [(label, reason)] warning, in input order. *)
 
 (** {1 Canned queries} *)
 
@@ -152,18 +160,51 @@ val run_plan_workload : Relalg.Database.t -> unit
     (e.g. [ASURA_PLAN_BUILD=right]) changes exactly the join
     fingerprints. *)
 
-(** {1 Trend} *)
-
-val trend_sql : string
-(** The query [trend] runs over [sys.runs]. *)
-
-val trend : (string * Obs.Json.t) list -> string
-(** Markdown table charting coverage percent and states/s across run
-    manifests, computed by executing {!trend_sql} over an attached
-    [sys.runs] — not by walking manifest JSON. *)
-
 (** {1 Export} *)
 
 val table_to_json : Relalg.Table.t -> Obs.Json.t
 (** Generic relational → JSON dump ([{table; columns; rows}]), used by
     tests and CI artifacts to round-trip [sys.] snapshots. *)
+
+(** {1 Report}
+
+    [asura report] is {!report_sections} run over {!attach_docs}'s
+    tables; the renderers read nothing but those results. *)
+
+val report_sections : canned list
+(** The report's sections in print order, each one SQL query over the
+    manifest-backed tables (keys ["runs"], ["coverage"], ["uncovered"],
+    ["invariants"], ["bench-pairs"], ["bench-diff"], ["plans"],
+    ["events"], ["rules"], ["steals"], ["trend"]). *)
+
+val run_report : Relalg.Database.t -> (canned * Relalg.Table.t) list
+(** Execute every section through {!Relalg.Sql_exec}. *)
+
+val section : (canned * Relalg.Table.t) list -> string -> Relalg.Table.t
+(** A section's result by key.  @raise Not_found for an unknown key. *)
+
+val coverage_by_table : (canned * Relalg.Table.t) list -> (string * int * int) list
+(** The ["coverage"] section pivoted to [(table, rows, covered)] per
+    (table, row count), sorted — what the coverage gates read. *)
+
+val report_markdown :
+  ?max_uncovered:int ->
+  skipped:(string * string) list ->
+  (canned * Relalg.Table.t) list ->
+  string
+(** Every non-empty section under its title with the [-- SQL] it ran.
+    [max_uncovered] (default 10) caps the rows listed per table of
+    uncovered transitions, and the plan and hottest-rule listings; the
+    remainder is counted.  [skipped] inputs are listed first. *)
+
+val report_html :
+  ?max_uncovered:int ->
+  skipped:(string * string) list ->
+  (canned * Relalg.Table.t) list ->
+  string
+(** The same sections as {!report_markdown}, as HTML tables. *)
+
+val report_json :
+  skipped:(string * string) list -> (canned * Relalg.Table.t) list -> Obs.Json.t
+(** Schema [asura-report/2]: [skipped] plus ["sections"], one
+    {!table_to_json} per section keyed by section key. *)

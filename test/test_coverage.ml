@@ -1,7 +1,8 @@
 (* Transition coverage, run manifests, and the report aggregator:
    bitmap record/snapshot semantics, the pinned golden coverage of the
    Figure 4 replay, seq-vs-par bitmap identity, manifest schema edge
-   cases, metric-registry hardening, and a Runreport round trip. *)
+   cases, metric-registry hardening, and the report's SQL sections
+   round trip. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -334,14 +335,22 @@ let test_stats_and_explain_schemas () =
   check "explain schema" true
     (schema_of (Relalg.Planner.to_json r) = Some "asura-explain/2")
 
-(* ----------------------------- runreport ------------------------------ *)
+(* ------------------------------- report ------------------------------- *)
 
-let synthetic_manifest () =
-  (* two tables, one fully covered, one half covered *)
+let coverage_entry table rows bitmap =
+  Obs.Json.Obj
+    [
+      "table", Obs.Json.Str table;
+      "rows", Obs.Json.Int rows;
+      "covered", Obs.Json.Int 0;
+      "bitmap", Obs.Json.Str bitmap;
+    ]
+
+let manifest ?(cmd = "mcheck") entries =
   Obs.Json.Obj
     [
       "schema", Obs.Json.Str "asura-run/1";
-      "cmd", Obs.Json.Str "mcheck";
+      "cmd", Obs.Json.Str cmd;
       "date", Obs.Json.Str "2026-08-06T00:00:00Z";
       "elapsed_s", Obs.Json.Float 1.0;
       ( "metrics",
@@ -358,80 +367,75 @@ let synthetic_manifest () =
                       ] );
                 ] );
           ] );
-      ( "coverage",
-        Obs.Json.Obj
-          [
-            "covered", Obs.Json.Int 10;
-            "rows", Obs.Json.Int 12;
-            "percent", Obs.Json.Float (100. *. 10. /. 12.);
-            ( "tables",
-              Obs.Json.List
-                [
-                  Obs.Json.Obj
-                    [
-                      "table", Obs.Json.Str "A";
-                      "rows", Obs.Json.Int 8;
-                      "covered", Obs.Json.Int 8;
-                      "percent", Obs.Json.Float 100.;
-                      "bitmap", Obs.Json.Str "ff";
-                    ];
-                  Obs.Json.Obj
-                    [
-                      "table", Obs.Json.Str "B";
-                      "rows", Obs.Json.Int 4;
-                      "covered", Obs.Json.Int 2;
-                      "percent", Obs.Json.Float 50.;
-                      "bitmap", Obs.Json.Str "05";
-                    ];
-                ] );
-          ] );
+      "coverage", Obs.Json.Obj [ "tables", Obs.Json.List entries ];
     ]
 
-let test_runreport_round_trip () =
-  match Obs.Runreport.collect [ "run-a.json", synthetic_manifest () ] with
+(* Two real controllers, so sys.coverage decodes their rows: M (8 rows)
+   fully covered, IO (4 rows) with rows 0 and 2 fired. *)
+let synthetic_manifest () =
+  manifest [ coverage_entry "M" 8 "ff"; coverage_entry "IO" 4 "05" ]
+
+let report docs =
+  let db, skipped = Systables.attach_docs docs Relalg.Database.empty in
+  (Systables.run_report db, skipped)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let test_report_round_trip () =
+  match report [ "run-a.json", synthetic_manifest () ] with
   | _, (label, reason) :: _ ->
       Alcotest.fail (Printf.sprintf "%s skipped: %s" label reason)
-  | agg, [] ->
-      let cov = Obs.Runreport.coverage agg in
+  | results, [] ->
+      let cov = Systables.coverage_by_table results in
       check_int "two tables" 2 (List.length cov);
-      let b =
-        List.find (fun (tc : Obs.Coverage.table_coverage) -> tc.name = "B") cov
+      check "IO covered" true (List.mem ("IO", 4, 2) cov);
+      let covered, rows =
+        List.fold_left (fun (c, r) (_, rows, n) -> (c + n, r + rows)) (0, 0) cov
       in
-      check_int "B covered" 2 b.covered;
       Alcotest.(check (float 1e-9))
         "overall percent" (100. *. 10. /. 12.)
-        (Obs.Runreport.overall_percent agg);
-      let md =
-        Obs.Runreport.render_markdown
-          ~decode:(fun ~table ~rows:_ ~row ->
-            if table = "B" then Some (Printf.sprintf "decoded-%d" row) else None)
-          agg
-      in
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-        go 0
-      in
+        (Obs.Coverage.percent ~covered ~rows);
+      let md = Systables.report_markdown ~skipped:[] results in
       check "coverage table rendered" true (contains md "## Transition coverage");
-      check "uncovered row decoded" true (contains md "decoded-1");
-      check "invariant matrix rendered" true (contains md "d-owner");
-      let j = Obs.Runreport.to_json agg in
-      check "report schema" true (schema_of j = Some "asura-report/1");
+      check "section prints its SQL" true (contains md "-- SELECT table_name");
+      (* IO row 1: mioread while the device is busy is nacked *)
+      check "uncovered row decoded" true
+        (contains md "| IO | 1 | inmsg=mioread" && contains md "devst=busy");
+      check "invariant matrix rendered" true (contains md "| d-owner | 3 ✗1 |");
+      let j = Systables.report_json ~skipped:[] results in
+      check "report schema" true (schema_of j = Some "asura-report/2");
       (match Obs.Json.parse (Obs.Json.to_string j) with
       | Ok _ -> ()
       | Error msg -> Alcotest.fail ("report JSON does not re-parse: " ^ msg));
-      let html = Obs.Runreport.render_html agg in
-      check "html has a table" true (contains html "<table>")
+      let html = Systables.report_html ~skipped:[] results in
+      check "html has a table" true (contains html "<table>");
+      (* a manifest recorded against a differently shaped M stays apart *)
+      let results, _ =
+        report
+          [
+            "run-a.json", synthetic_manifest ();
+            "run-b.json", manifest [ coverage_entry "M" 9 "0100" ];
+          ]
+      in
+      let cov = Systables.coverage_by_table results in
+      check "row counts kept apart" true
+        (List.mem ("M", 8, 8) cov && List.mem ("M", 9, 1) cov)
 
-let test_runreport_rejects_unknown_schema () =
+let sys_rows db name = Relalg.Table.cardinality (Relalg.Database.find db name)
+
+let test_report_rejects_unknown_schema () =
   (* A malformed document is skipped with a warning, not classified and
      not fatal: healthy documents in the same batch still aggregate. *)
-  let agg, skipped =
-    Obs.Runreport.collect
+  let db, skipped =
+    Systables.attach_docs
       [
         "bad.json", Obs.Json.Obj [ "schema", Obs.Json.Str "nonsense/9" ];
         "run-a.json", synthetic_manifest ();
       ]
+      Relalg.Database.empty
   in
   check_int "one document skipped" 1 (List.length skipped);
   (match skipped with
@@ -439,13 +443,71 @@ let test_runreport_rejects_unknown_schema () =
       check "warning names the file" true (label = "bad.json");
       check "warning has a reason" true (String.length reason > 0)
   | _ -> Alcotest.fail "expected exactly one skip warning");
-  check "healthy manifest survives" false (Obs.Runreport.is_empty agg);
-  check_int "healthy run collected" 1 (List.length agg.Obs.Runreport.runs);
+  check_int "healthy run collected" 1 (sys_rows db "sys.runs");
   let all_bad, skipped2 =
-    Obs.Runreport.collect [ "only-bad.json", Obs.Json.Obj [] ]
+    Systables.attach_docs [ "only-bad.json", Obs.Json.Obj [] ] Relalg.Database.empty
   in
-  check "all-bad aggregate is empty" true (Obs.Runreport.is_empty all_bad);
+  check "all-bad input is empty" true
+    (List.for_all Relalg.Table.is_empty (Relalg.Database.tables all_bad));
+  (* --runs help lists these from Systables.table_names *)
+  check "every attached table is named" true
+    (List.for_all
+       (fun name -> List.mem name Systables.table_names)
+       (Relalg.Database.table_names all_bad));
   check_int "all-bad everything skipped" 1 (List.length skipped2)
+
+let test_malformed_coverage_skipped () =
+  (* negative or oversized row counts must not reach an allocation or a
+     per-row listing: the document is skipped, its neighbour survives *)
+  List.iter
+    (fun (rows, bitmap) ->
+      let db, skipped =
+        Systables.attach_docs
+          [
+            "bad.json", manifest [ coverage_entry "D" rows bitmap ];
+            "run-a.json", synthetic_manifest ();
+          ]
+          Relalg.Database.empty
+      in
+      check_int
+        (Printf.sprintf "rows=%d bitmap=%S skipped" rows bitmap)
+        1 (List.length skipped);
+      check "skip names the bad file" true (fst (List.hd skipped) = "bad.json");
+      check_int "healthy run kept" 1 (sys_rows db "sys.runs");
+      check_int "healthy coverage kept" 12 (sys_rows db "sys.coverage"))
+    [ (-100, "00"); (1_000_000_000_000, "00"); (9, "ff"); (8, "zz") ]
+
+let bench_snapshot ns =
+  Obs.Json.Obj
+    [
+      "schema", Obs.Json.Str "asura-bench/3";
+      ( "benchmarks",
+        Obs.Json.List
+          (List.map
+             (fun (name, ns) ->
+               Obs.Json.Obj
+                 [ "name", Obs.Json.Str name; "ns_per_run", Obs.Json.Float ns ])
+             ns) );
+    ]
+
+let test_report_bench_diff () =
+  let results, skipped =
+    report
+      [
+        "base.json", bench_snapshot [ "gen", 1e6; "scan", 2e6; "gone", 1e6 ];
+        "mid.json", bench_snapshot [ "gen", 9e9 ];
+        "now.json", bench_snapshot [ "gen", 1.5e6; "scan", 8e6 ];
+      ]
+  in
+  check_int "nothing skipped" 0 (List.length skipped);
+  check_int "one sys.bench row per measurement" 6
+    (Relalg.Table.cardinality (Systables.section results "bench-diff"));
+  let md = Systables.report_markdown ~skipped results in
+  (* first vs last snapshot, benchmarks present in both *)
+  check "within bound" true (contains md "| gen | 1.000 | 1.500 | 1.50x |");
+  check "slowdown flagged" true (contains md "| scan | 2.000 | 8.000 | 4.00x ⚠ slowdown |");
+  check "missing from latest omitted" false (contains md "| gone |");
+  check "measurement count" true (contains md "base.json: 3 measurements.")
 
 let suite =
   [
@@ -477,7 +539,10 @@ let suite =
     Alcotest.test_case "stats and explain schema stamps" `Quick
       test_stats_and_explain_schemas;
     Alcotest.test_case "runreport aggregation round trip" `Quick
-      test_runreport_round_trip;
+      test_report_round_trip;
     Alcotest.test_case "runreport rejects unknown schemas" `Quick
-      test_runreport_rejects_unknown_schema;
+      test_report_rejects_unknown_schema;
+    Alcotest.test_case "report skips malformed coverage entries" `Quick
+      test_malformed_coverage_skipped;
+    Alcotest.test_case "report bench baseline diff" `Quick test_report_bench_diff;
   ]

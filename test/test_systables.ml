@@ -1,5 +1,5 @@
-(* The sys.* system tables: live snapshots, manifest ingestion, the
-   SQL-vs-report coverage parity the feature promises, and scheduling
+(* The sys.* system tables: live snapshots, manifest ingestion, SQL
+   coverage counts against the bitmaps they come from, and scheduling
    determinism of the snapshots. *)
 
 open Relalg
@@ -68,8 +68,8 @@ let test_coverage_golden () =
           Alcotest.failf "row did not decode: %s"
             (Format.asprintf "%a" Value.pp v))
     t;
-  (* parity with the report: uncovered counts computed by SQL equal the
-     bitmap arithmetic asura report renders *)
+  (* uncovered counts computed by SQL equal the snapshot's bitmap
+     arithmetic *)
   let db = Database.add_system Database.empty t in
   let counted =
     Table.fold
