@@ -27,36 +27,51 @@ let violation_rows rows =
 
 (* A controller table must be a function of its inputs: no two rows may
    agree on every input column yet disagree on an output.  Runs entirely
-   in code space: within one table, cells are equal iff their dictionary
-   codes are, so both the input-key grouping and the full-row comparison
-   are integer work; a key is only decoded to report a violation. *)
+   in code space over each controller's table as found in [db]: within
+   one table, cells are equal iff their dictionary codes are, so both the
+   input-key grouping and the full-row comparison are integer work; a
+   key is only decoded to report a violation. *)
 let determinism_check db =
-  ignore db;
   let bad = ref [] in
   List.iter
     (fun (c : Protocol.controller) ->
-      let tbl = Protocol.Ctrl_spec.table c.Protocol.spec in
       let name = Protocol.Ctrl_spec.name c.Protocol.spec in
+      let tbl = Database.find db name in
       let ins = Protocol.Ctrl_spec.input_columns c.Protocol.spec in
-      let projected = Ops.project ins tbl in
       let schema = Table.schema tbl in
-      let n = Table.cardinality tbl in
       let all = Array.init (Table.arity tbl) (Table.codes tbl) in
       let key_cols =
         Array.of_list
           (List.map (fun col -> all.(Schema.index schema col)) ins)
       in
-      let seen = Hashtbl.create 64 in
+      let same cols a b = Array.for_all (fun cs -> cs.(a) = cs.(b)) cols in
+      let n = Table.cardinality tbl in
+      (* open addressing over row indices: each slot holds the first
+         row of one input key, probed by a hash of the key's codes *)
+      let rec pow2 c = if c >= 2 * n then c else pow2 (2 * c) in
+      let mask = pow2 16 - 1 in
+      let firsts = Array.make (mask + 1) (-1) in
+      let hash i =
+        let h =
+          Array.fold_left (fun h cs -> (h * 1000003) + cs.(i)) 0 key_cols
+        in
+        (h lxor (h lsr 17)) land mask
+      in
       for i = 0 to n - 1 do
-        let key = Array.map (fun cs -> cs.(i)) key_cols in
-        match Hashtbl.find_opt seen key with
-        | None -> Hashtbl.add seen key i
-        | Some i0 ->
-            if not (Array.for_all (fun cs -> cs.(i0) = cs.(i)) all) then
-              bad :=
-                Printf.sprintf "%s: duplicate inputs %s" name
-                  (Format.asprintf "%a" Row.pp (Table.get projected i))
-                :: !bad
+        let rec slot s =
+          let i0 = firsts.(s) in
+          if i0 < 0 || same key_cols i0 i then s
+          else slot ((s + 1) land mask)
+        in
+        let s = slot (hash i) in
+        let i0 = firsts.(s) in
+        if i0 < 0 then firsts.(s) <- i
+        else if not (same all i0 i) then
+          bad :=
+            Printf.sprintf "%s: duplicate inputs %s" name
+              (Format.asprintf "%a" Row.pp
+                 (Table.get (Ops.project ins tbl) i))
+            :: !bad
       done)
     Protocol.controllers;
   violation_rows (List.rev !bad)
@@ -118,11 +133,13 @@ let request_coverage_check db =
   let issued = distinct_values pif "reqmsg" in
   let served =
     distinct_values
-      (Planner.select (Expr.eq "bdirlookup" "miss") d)
+      (Planner.select ~keep:[ "inmsg" ] (Expr.eq "bdirlookup" "miss") d)
       "inmsg"
   in
   let retried =
-    distinct_values (Planner.select (Expr.eq "locmsg" "retry") d) "inmsg"
+    distinct_values
+      (Planner.select ~keep:[ "inmsg" ] (Expr.eq "locmsg" "retry") d)
+      "inmsg"
   in
   let bad =
     List.concat_map
@@ -157,22 +174,37 @@ let busy_family name =
   | "Busy" :: txn :: _ -> Some txn
   | _ -> None
 
-(* Busy-directory updates stay within one transaction family. *)
+(* Busy-directory updates stay within one transaction family.  Code
+   space: whether an op is [update] and which family a state belongs to
+   are decided once per dictionary entry, so the row scan is three array
+   reads and two table lookups. *)
 let busy_family_check db =
   let d = Database.find db "D" in
-  let schema = Table.schema d in
-  let get row c = row.(Schema.index schema c) in
+  (* a column's codes, and [f] applied to each of its dictionary entries *)
+  let column c f =
+    let j = Schema.index (Table.schema d) c in
+    let dict = Table.dict d j in
+    ( Table.codes d j,
+      Array.init (Dict.size dict) (fun code -> f (Dict.value dict code)) )
+  in
+  let family = function
+    | Value.Str s -> Option.map (fun f -> (f, s)) (busy_family s)
+    | _ -> None
+  in
+  let ops, update =
+    column "bdirop" (function Value.Str "update" -> true | _ -> false)
+  in
+  let froms, from_family = column "bdirst" family in
+  let tos, to_family = column "nxtbdirst" family in
   let bad = ref [] in
-  Table.iter
-    (fun row ->
-      match get row "bdirop", get row "bdirst", get row "nxtbdirst" with
-      | Value.Str "update", Value.Str from_, Value.Str to_ -> (
-          match busy_family from_, busy_family to_ with
-          | Some f1, Some f2 when f1 <> f2 ->
-              bad := Printf.sprintf "update %s -> %s crosses families" from_ to_ :: !bad
-          | _ -> ())
-      | _ -> ())
-    d;
+  for i = 0 to Table.cardinality d - 1 do
+    if update.(ops.(i)) then
+      match (from_family.(froms.(i)), to_family.(tos.(i))) with
+      | Some (f1, from_), Some (f2, to_) when f1 <> f2 ->
+          bad :=
+            Printf.sprintf "update %s -> %s crosses families" from_ to_ :: !bad
+      | _ -> ()
+  done;
   violation_rows (List.rev !bad)
 
 (* Every busy family that is allocated is eventually deallocated and vice
@@ -182,7 +214,9 @@ let busy_lifecycle_check db =
   let families op col =
     List.sort_uniq compare
       (List.filter_map busy_family
-         (distinct_values (Planner.select (Expr.eq "bdirop" op) d) col))
+         (distinct_values
+            (Planner.select ~keep:[ col ] (Expr.eq "bdirop" op) d)
+            col))
   in
   let allocated = families "alloc" "nxtbdirst" in
   let deallocated = families "dealloc" "bdirst" in
@@ -206,14 +240,14 @@ let busy_progress_check db =
   let d = Database.find db "D" in
   let entered =
     List.sort_uniq String.compare
-      (distinct_values (Planner.select (Expr.neq "bdirop" "dealloc") d) "nxtbdirst")
+      (distinct_values
+         (Planner.select ~keep:[ "nxtbdirst" ]
+            (Expr.neq "bdirop" "dealloc")
+            d)
+         "nxtbdirst")
   in
   let consumed_by state msgs =
-    not
-      (Table.is_empty
-         (Planner.select
-            Expr.(eq "bdirst" state &&& isin "inmsg" msgs)
-            d))
+    Planner.exists Expr.(eq "bdirst" state &&& isin "inmsg" msgs) d
   in
   let snoop_responses = [ "idone"; "sdata"; "sack"; "snack"; "swbdata" ] in
   let needs state =

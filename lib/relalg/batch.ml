@@ -1,15 +1,18 @@
 (* Vectorized physical operators.  A [source] is a pull-based stream of
-   fixed-size batches of dictionary codes: every operator owns one set of
-   output buffers, allocated once, so downstream compiled predicates bind
-   to stable arrays and the inner loops are tight int loops with no
-   per-row [Value] boxing.  Blocking operators (join build sides, group,
-   distinct, sort) drain their input and index rows by *combined integer
-   keys* — a dense array when the key domain (product of dictionary
-   sizes) is small, open addressing with per-column code comparison
-   otherwise — instead of the polymorphic [int array]-keyed hash tables
-   of the row-at-a-time reference path in {!Ops}. *)
-
-let batch_rows = 1024
+   batches of dictionary codes: every operator owns one set of output
+   buffers, allocated once, so downstream compiled predicates bind to
+   stable arrays and the inner loops are tight int loops with no per-row
+   [Value] boxing.  Materialization is late: a filter gathers only the
+   columns its consumer keeps, a filter over a materialized table gathers
+   exact-size columns of the surviving rows, drains size their output by
+   the rows actually produced, and an emptiness probe stops at the first
+   surviving row.  All of that runs on one selection-vector loop and one
+   gather loop.  Blocking operators (join build sides, group, distinct,
+   sort) drain their input and index rows by *combined integer keys* — a
+   dense array when the key domain (product of dictionary sizes) is
+   small, open addressing with per-column code comparison otherwise —
+   instead of the polymorphic [int array]-keyed hash tables of the
+   row-at-a-time reference path in {!Ops}. *)
 
 type source = {
   schema : Schema.t;
@@ -18,9 +21,9 @@ type source = {
       (* stable per-operator buffers; row [i] of the current batch is
          [cols.(j).(i)] for every column [j] *)
   width : int;
-      (* max rows a single batch may carry: [batch_rows] for operators
-         that re-batch, the full cardinality for borrowed table scans —
-         consumers size their gather buffers to this *)
+      (* max rows a single batch may carry (a borrowed scan's
+         cardinality, passed on by every streaming operator) — consumers
+         size their gather buffers to this *)
   pull : unit -> int;  (* rows in the next batch; -1 when exhausted *)
 }
 
@@ -43,7 +46,7 @@ let word_bytes = Sys.word_size / 8
 (* A table scan consumes entire stored columns with no selection vector,
    so there is nothing to re-batch: hand out the table's own code
    buffers (immutable by {!Table.codes}' contract) as one full-width
-   batch instead of blitting [batch_rows]-sized windows.  Downstream
+   batch instead of blitting fixed-size windows.  Downstream
    operators bind buffers once before the first pull either way. *)
 let of_table t =
   let arity = Table.arity t in
@@ -66,43 +69,121 @@ let of_table t =
     pull;
   }
 
+(* ------------------------ selection and gather ----------------------- *)
+
+(* The selection-vector loop: the indices of the rows in [0, n) that pass
+   [check], in order, written to the front of [sel]; it stops once [upto]
+   rows have survived.  Returns how many were written. *)
+let select_rows ?(upto = max_int) check sel n =
+  let m = ref 0 and i = ref 0 in
+  while !i < n && !m < upto do
+    if check !i then begin
+      Array.unsafe_set sel !m !i;
+      incr m
+    end;
+    incr i
+  done;
+  !m
+
+(* The gather loop: [dst.(k) <- src.(sel.(k))] for the first [m]
+   selected rows. *)
+let gather src sel m dst =
+  for k = 0 to m - 1 do
+    Array.unsafe_set dst k (Array.unsafe_get src (Array.unsafe_get sel k))
+  done
+
+(* Output schema and input column indices of the columns a consumer
+   keeps ([None]: all of them, in order). *)
+let kept_columns schema = function
+  | None -> (schema, Array.init (Schema.arity schema) Fun.id)
+  | Some cols ->
+      ( Schema.project schema cols,
+        Array.of_list (List.map (Schema.index schema) cols) )
+
 (* --------------------------- streaming ops --------------------------- *)
 
-let select ?funcs pred src =
-  let arity = Array.length src.cols in
-  let check =
-    Expr.compile_columns ?funcs src.schema
-      ~dict:(fun j -> src.dicts.(j))
-      ~codes:(fun j -> src.cols.(j))
-      pred
-  in
-  let out = Array.init arity (fun _ -> Array.make src.width 0) in
+let compile ?funcs pred src =
+  Expr.compile_columns ?funcs src.schema
+    ~dict:(fun j -> src.dicts.(j))
+    ~codes:(fun j -> src.cols.(j))
+    pred
+
+let select ?funcs ?keep pred src =
+  let check = compile ?funcs pred src in
+  let schema, js = kept_columns src.schema keep in
+  let out = Array.map (fun _ -> Array.make src.width 0) js in
   let sel = Array.make src.width 0 in
   let pull () =
     let n = src.pull () in
     if n < 0 then -1
     else begin
-      (* selection vector first, then a per-column gather: the classic
-         vectorized filter shape *)
-      let m = ref 0 in
-      for i = 0 to n - 1 do
-        if check i then begin
-          sel.(!m) <- i;
-          incr m
-        end
-      done;
-      let m = !m in
-      for j = 0 to arity - 1 do
-        let s = src.cols.(j) and d = out.(j) in
-        for k = 0 to m - 1 do
-          Array.unsafe_set d k (Array.unsafe_get s (Array.unsafe_get sel k))
-        done
-      done;
-      Obs.Metrics.add (Lazy.force bytes_copied) (word_bytes * arity * m);
+      (* selection vector first, then a gather of the kept columns only:
+         the predicate may read columns nobody downstream wants *)
+      let m = select_rows check sel n in
+      Array.iteri (fun k j -> gather src.cols.(j) sel m out.(k)) js;
+      Obs.Metrics.add (Lazy.force bytes_copied)
+        (word_bytes * Array.length js * m);
       m
     end
   in
-  { src with cols = out; pull }
+  {
+    schema;
+    dicts = Array.map (fun j -> src.dicts.(j)) js;
+    cols = out;
+    width = src.width;
+    pull;
+  }
+
+(* The whole-table selection vector is scratch: one per domain, grown to
+   the largest input seen, so a filter does not allocate a table-long
+   array (a major-heap allocation past 256 words) on every call.  It
+   stays at one word per row of the largest table filtered on that
+   domain (about 9 KB for D) and is never shrunk.  The slot is emptied
+   while the vector is in use, so a predicate that re-enters gets a
+   fresh one. *)
+let scratch_sel = Domain.DLS.new_key (fun () -> [||])
+
+let with_sel n f =
+  let sel = Domain.DLS.get scratch_sel in
+  let sel = if Array.length sel >= n then sel else Array.make n 0 in
+  Domain.DLS.set scratch_sel [||];
+  let r = f sel in
+  Domain.DLS.set scratch_sel sel;
+  r
+
+(* A filter whose input is already a table and whose output is drained:
+   no stream, so the selection vector covers the whole table and the
+   kept columns are gathered at exactly the size that is kept. *)
+let select_table ?funcs ?keep ?(limit = max_int) ~name pred t =
+  let n = Table.cardinality t in
+  let check =
+    Expr.compile_columns ?funcs (Table.schema t) ~dict:(Table.dict t)
+      ~codes:(Table.codes t) pred
+  in
+  with_sel n @@ fun sel ->
+  let m = select_rows check sel n in
+  let rows = min m limit in
+  let schema, js = kept_columns (Table.schema t) keep in
+  let cols =
+    Array.map
+      (fun j ->
+        let d = Array.make rows 0 in
+        gather (Table.codes t j) sel rows d;
+        (Table.dict t j, d))
+      js
+  in
+  Obs.Metrics.add (Lazy.force bytes_copied)
+    (word_bytes * Array.length js * rows);
+  (Table.of_columns ~name schema ~nrows:rows cols, m)
+
+let exists ?funcs pred src =
+  let check = compile ?funcs pred src in
+  let sel = [| 0 |] in
+  let rec loop () =
+    let n = src.pull () in
+    n >= 0 && (select_rows ~upto:1 check sel n > 0 || loop ())
+  in
+  loop ()
 
 let project cols src =
   (* zero-copy: the projected source aliases the parent's buffers *)
@@ -149,17 +230,19 @@ let limit n src =
 
 (* ------------------------------ draining ----------------------------- *)
 
-(* Accumulate a whole stream into growable per-column code arrays. *)
+(* Accumulate a whole stream into per-column code arrays sized by the
+   rows actually produced: the first batch allocates exactly its rows
+   (nothing for an empty one), later batches grow geometrically. *)
 let drain src =
   let arity = Array.length src.cols in
-  let cap = ref (max batch_rows src.width) in
-  let data = ref (Array.init arity (fun _ -> Array.make !cap 0)) in
+  let cap = ref 0 in
+  let data = ref (Array.make arity [||]) in
   let n = ref 0 in
   let rec loop () =
     let b = src.pull () in
     if b >= 0 then begin
       if !n + b > !cap then begin
-        let cap' = max (2 * !cap) (!n + b) in
+        let cap' = if !cap = 0 then b else max (2 * !cap) (!n + b) in
         data :=
           Array.map
             (fun d ->
@@ -515,11 +598,8 @@ let gather_block ~name schema dicts data idx m =
   let arity = Array.length data in
   let cols =
     Array.init arity (fun j ->
-        let src = data.(j) in
-        let d = Array.make (max 1 m) 0 in
-        for k = 0 to m - 1 do
-          d.(k) <- src.(idx.(k))
-        done;
+        let d = Array.make m 0 in
+        gather data.(j) idx m d;
         (dicts.(j), d))
   in
   Table.of_columns ~name schema ~nrows:m cols
@@ -764,11 +844,8 @@ let join_tables ?build_left ~on ta tb =
       let src = Table.codes t j in
       if id then (Table.dict t j, src)
       else begin
-        let data = Array.make (max 1 m) 0 in
-        for k = 0 to m - 1 do
-          Array.unsafe_set data k
-            (Array.unsafe_get src (Array.unsafe_get idxs k))
-        done;
+        let data = Array.make m 0 in
+        gather src idxs m data;
         (Table.dict t j, data)
       end
     in

@@ -1,15 +1,27 @@
-(** Vectorized physical operators over fixed-size batches of dictionary
-    codes.
+(** Vectorized physical operators over batches of dictionary codes.
 
     The row-at-a-time engine in {!Ops} interprets one {!Value} row per
     operator call; this module is the batch-of-codes alternative the
     cost-based planner ({!Planner}) compiles to.  A {!source} streams
-    batches of up to {!batch_rows} rows as plain [int] code vectors over
-    per-operator column buffers, so selection and projection inner loops
-    are tight integer loops with no per-row boxing, and the blocking
-    operators (join/group/distinct/sort/top-k) key their hash and
-    direct-address indexes on combined dictionary codes instead of
-    polymorphic row hashing.
+    batches as plain [int] code vectors over per-operator column
+    buffers, so selection and projection inner loops are tight integer
+    loops with no per-row boxing, and the blocking operators
+    (join/group/distinct/sort/top-k) key their hash and direct-address
+    indexes on combined dictionary codes instead of polymorphic row
+    hashing.
+
+    {b Buffer contract.}  Materialization is late, and every filter runs
+    on one selection-vector loop and one gather loop:
+    - a streaming {!select} allocates one output buffer per column its
+      consumer keeps ([?keep]), not per input column, each the input's
+      width, before the first pull;
+    - {!select_table}, a filter whose input is a table and whose output
+      is a table, gathers the kept columns into arrays of exactly the
+      result's size (no stream, so no width-sized buffers);
+    - {!to_table} and the blocking operators that drain size their
+      arrays by the rows actually produced; an empty stream allocates
+      only empty columns;
+    - {!exists} stops at the first surviving row and gathers nothing.
 
     Every operator preserves the reference engine's ordering semantics:
     select/project/limit keep input order, distinct and group are
@@ -21,12 +33,6 @@
     {!Lineage.tracking} / {!Table.lineage} and fall back to {!Ops}
     (and {!join_tables} double-checks, delegating to {!Ops.equi_join}
     when either input carries lineage). *)
-
-val batch_rows : int
-(** Rows per re-batching operator's batch (1024).  Borrowed table scans
-    ({!of_table}) emit one batch of the full cardinality instead;
-    operators size their buffers to the stream's declared width, so
-    either shape flows through every consumer. *)
 
 type source
 (** A pull-based stream of batches.  Each pull refills (or, for borrowed
@@ -41,13 +47,42 @@ val of_table : Table.t -> source
     no per-batch copy, safe because {!Table.codes} buffers are immutable
     by contract.  Bytes handed out this way are counted by the
     [batch.bytes_borrowed] counter of the ["relalg"] metrics registry
-    (vs [batch.bytes_copied] for filter gathers and drains), so
+    (vs [batch.bytes_copied] for filter gathers, kept columns times
+    gathered rows, and drains), so
     [sys.metrics] shows the scan-copy win. *)
 
-val select : ?funcs:Expr.funcs -> Expr.t -> source -> source
+val select :
+  ?funcs:Expr.funcs -> ?keep:string list -> Expr.t -> source -> source
 (** Filter with a predicate compiled once against the input buffers
-    ({!Expr.compile_columns}); surviving rows are gathered contiguously,
-    preserving order. *)
+    ({!Expr.compile_columns}).  The predicate may read any input column,
+    but only the [keep] columns (default: all, in order) are gathered and
+    make up the output, in [keep]'s order; surviving rows keep their
+    input order.  Each output buffer holds the input's width, so a
+    consumer that keeps one column of a 31-column scan pays for one
+    buffer, not 31.
+    @raise Schema.Unknown_column if [keep] names a missing column. *)
+
+val select_table :
+  ?funcs:Expr.funcs ->
+  ?keep:string list ->
+  ?limit:int ->
+  name:string ->
+  Expr.t ->
+  Table.t ->
+  Table.t * int
+(** The same filter over a table whose result is wanted as a table (a
+    filter at the root of a plan, or a programmatic selection).  There
+    is no stream to feed, so the selection vector covers the whole input
+    and the [keep] columns are gathered into arrays of exactly the
+    result's size, sharing the input's dictionaries; a zero-row result
+    allocates only empty columns.  [limit] keeps the first [n]
+    survivors.  Returns the table and the number of rows that passed the
+    predicate (before [limit]). *)
+
+val exists : ?funcs:Expr.funcs -> Expr.t -> source -> bool
+(** Whether any row passes the predicate.  Pulls only until the first
+    surviving row, and the selection loop stops there too; nothing is
+    gathered. *)
 
 val project : string list -> source -> source
 (** Zero-copy column selection: aliases the parent's buffers. *)
@@ -70,7 +105,9 @@ val count : source -> int
 (** Drain, counting rows. *)
 
 val to_table : name:string -> source -> Table.t
-(** Drain into a table sharing the source's dictionaries. *)
+(** Drain into a table sharing the source's dictionaries.  The code
+    arrays are sized by the rows the stream produced: the first batch
+    allocates exactly its rows, later ones grow geometrically. *)
 
 val group_table : by:string list -> source -> Table.t
 (** [GROUP BY … COUNT]: one row per distinct key in first-occurrence

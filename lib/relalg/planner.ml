@@ -547,30 +547,28 @@ let timed n (src : Batch.source) =
       if b >= 0 then n.batches <- n.batches + 1)
     src
 
-let rec source_of db (n : t) : Batch.source =
+let observed n src =
+  n.actual <- 0;
+  timed n (Batch.tap (fun b -> n.actual <- n.actual + b) src)
+
+let streaming n =
+  match n.op with Filter _ | Project _ | Limit _ -> true | _ -> false
+
+(* [keep], when given, names the only columns the consumer reads: a
+   filter gathers just those, so [Project (cols, Filter …)] is one
+   select that never copies the columns the projection drops. *)
+let rec source_of ?keep db (n : t) : Batch.source =
   match (n.op, n.children) with
   | Scan name, [] ->
       let t = Database.find db name in
       n.actual <- Table.cardinality t;
       timed n (Batch.of_table t)
   | Filter e, [ c ] ->
-      n.actual <- 0;
-      timed n
-        (Batch.tap
-           (fun b -> n.actual <- n.actual + b)
-           (Batch.select ~funcs:(Database.functions db) e (source_of db c)))
+      observed n
+        (Batch.select ~funcs:(Database.functions db) ?keep e (source_of db c))
   | Project cols, [ c ] ->
-      n.actual <- 0;
-      timed n
-        (Batch.tap
-           (fun b -> n.actual <- n.actual + b)
-           (Batch.project cols (source_of db c)))
-  | Limit k, [ c ] ->
-      n.actual <- 0;
-      timed n
-        (Batch.tap
-           (fun b -> n.actual <- n.actual + b)
-           (Batch.limit k (source_of db c)))
+      observed n (Batch.project cols (source_of ~keep:cols db c))
+  | Limit k, [ c ] -> observed n (Batch.limit k (source_of ?keep db c))
   | _ -> Batch.of_table (execute db n)
 
 and execute db (n : t) : Table.t =
@@ -588,27 +586,20 @@ and execute db (n : t) : Table.t =
         (Index.lookup_gather
            (Index.cached (Database.find db table) column)
            value)
-  | (Filter _ | Project _ | Limit _), _ ->
-      (* a streaming chain asked to produce a table: drain it *)
-      Batch.to_table ~name:"<batch>" (source_of db n)
+  | (Filter _ | Project _ | Limit _), _ -> record (drain db n)
   | Distinct, [ c ] ->
       record (Batch.distinct_table ~name:"<distinct>" (source_of db c))
   | Sort keys, [ c ] ->
       record (Batch.sort_table ~name:"<sort>" keys (source_of db c))
   | Topk (k, keys), [ c ] ->
       record (Batch.topk_table ~name:"<topk>" k keys (source_of db c))
-  | Group cols, [ ({ op = Scan name; _ } as c) ] ->
-      (* projection pushdown into the scan: grouping only reads the key
-         columns, so don't stream the table's full arity *)
-      let t = Database.find db name in
-      c.actual <- Table.cardinality t;
-      record (Batch.group_table ~by:cols (Batch.of_table (Ops.project cols t)))
-  | Group cols, [ c ] -> record (Batch.group_table ~by:cols (source_of db c))
+  | Group cols, [ c ] ->
+      record (Batch.group_table ~by:cols (source_of ~keep:cols db c))
   | Count, [ c ] ->
       record
         (Table.of_rows ~name:"<count>"
            (Schema.of_list [ "count" ])
-           [ [| Value.Int (Batch.count (source_of db c)) |] ])
+           [ [| Value.Int (Batch.count (source_of ~keep:[] db c)) |] ])
   | Hash_join { on; build_left }, [ a; b ] ->
       record (Batch.join_tables ~build_left ~on (execute db a) (execute db b))
   (* set operators delegate to the reference implementations for their
@@ -620,6 +611,43 @@ and execute db (n : t) : Table.t =
   | Nothing cols, [] ->
       record (Table.create ~name:"<empty>" (Schema.of_list cols))
   | _ -> invalid_arg "Planner.execute: malformed plan"
+
+(* A streaming chain asked to produce a table.  A filter over a
+   materialized input, under at most a projection and a limit, runs as
+   one {!Batch.select_table}: the selection vector covers the whole
+   input and only the kept columns and rows are gathered, at exactly
+   their size.  Each node of that chain is filled in as the single
+   borrowed batch would have filled it.  Any other chain streams into
+   an output-sized drain. *)
+and drain db n =
+  let t0 = Obs.Clock.now_ns () in
+  let limit, p =
+    match (n.op, n.children) with
+    | Limit k, [ c ] when k > 0 -> (Some k, c)
+    | _ -> (None, n)
+  in
+  let keep, f =
+    match (p.op, p.children) with
+    | Project cols, [ c ] -> (Some cols, c)
+    | _ -> (None, p)
+  in
+  match (f.op, f.children) with
+  | Filter e, [ c ] when not (streaming c) ->
+      let input = execute db c in
+      (match c.op with Scan _ -> c.batches <- 1 | _ -> ());
+      let out, survivors =
+        Batch.select_table ~funcs:(Database.functions db) ?keep ?limit
+          ~name:"<batch>" e input
+      in
+      let ns = Obs.Clock.since t0 in
+      List.iter
+        (fun (node, rows) ->
+          node.actual <- rows;
+          node.ns <- ns;
+          node.batches <- 1)
+        [ (f, survivors); (p, survivors); (n, Table.cardinality out) ];
+      out
+  | _ -> Batch.to_table ~name:"<batch>" (source_of db n)
 
 (* --------------------------- rendering -------------------------------- *)
 
@@ -856,24 +884,46 @@ let equi_join ~on ta tb =
 
 let lineage_free t = Table.lineage t = None
 
-let select ?funcs e t =
+let filter_root t e =
+  let st = table_stats t in
+  let rows = st.rows *. selectivity st (Plan.simplify_predicate e) in
+  let c = scan_node t st in
+  node (Filter e) rows (c.cost +. st.rows) [ c ]
+
+let select ?funcs ?keep e t =
   if active () && lineage_free t then begin
     let t0 = Obs.Clock.now_ns () in
-    let out =
-      Batch.to_table ~name:(Table.name t)
-        (Batch.select ?funcs e (Batch.of_table t))
-    in
+    let out, _ = Batch.select_table ?funcs ?keep ~name:(Table.name t) e t in
     let total = Obs.Clock.since t0 in
-    if Obs.Config.on () then begin
-      let st = table_stats t in
-      let rows = st.rows *. selectivity st (Plan.simplify_predicate e) in
-      let c = scan_node t st in
-      let root = node (Filter e) rows (c.cost +. st.rows) [ c ] in
-      observe_tables root total out [ t ]
-    end;
+    if Obs.Config.on () then observe_tables (filter_root t e) total out [ t ];
     out
   end
-  else Ops.select ?funcs e t
+  else
+    let out = Ops.select ?funcs e t in
+    match keep with None -> out | Some cols -> Ops.project cols out
+
+(* The probe is [LIMIT 1] over the filter, and reports itself as such
+   (labelled by its filter, so probes stay apart in sys.plans): the
+   filter's actual count stops at the first survivor. *)
+let exists ?funcs e t =
+  if active () && lineage_free t then begin
+    let t0 = Obs.Clock.now_ns () in
+    let found = Batch.exists ?funcs e (Batch.of_table t) in
+    let total = Obs.Clock.since t0 in
+    if Obs.Config.on () then begin
+      let f = filter_root t e in
+      let rows = Bool.to_int found in
+      f.actual <- rows;
+      let est = fmin f.est 1. in
+      let root = node (Limit 1) est (f.cost +. est) [ f ] in
+      root.actual <- rows;
+      root.ns <- total;
+      observe ~query:(op_string f.op) ~lookup:(tables_lookup [ t ]) root total
+        rows
+    end;
+    found
+  end
+  else not (Table.is_empty (Ops.select ?funcs e t))
 
 let group_count ~by t =
   if active () && lineage_free t then begin

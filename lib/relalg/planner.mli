@@ -82,7 +82,11 @@ val fingerprint : Database.t -> t -> string
 
 val execute : Database.t -> t -> Table.t
 (** Run the annotated plan through {!Batch}, filling [actual], [ns] and
-    [batches] fields. *)
+    [batches] fields.  Every node's [ns] is inclusive of its children,
+    and the root's covers the whole execution, a streaming root's drain
+    included.  A filter over a materialized input, under at most a
+    projection and a limit, runs as one {!Batch.select_table}; each node
+    of that fused chain keeps its own [actual] and gets [batches = 1]. *)
 
 val run_plan : Database.t -> Plan.t -> Table.t
 val run_query : ?label:string -> Database.t -> Sql_ast.query -> Table.t
@@ -125,7 +129,17 @@ val to_json : report -> Obs.Json.t
     the inputs are lineage-free, reference {!Ops}/{!Table} otherwise. *)
 
 val equi_join : on:(string * string) list -> Table.t -> Table.t -> Table.t
-val select : ?funcs:Expr.funcs -> Expr.t -> Table.t -> Table.t
+val select :
+  ?funcs:Expr.funcs -> ?keep:string list -> Expr.t -> Table.t -> Table.t
+(** The rows passing the predicate, with only the [keep] columns
+    (default: all) — [Project (keep, Filter …)] in one pass that gathers
+    exactly the kept columns and rows ({!Batch.select_table}). *)
+
+val exists : ?funcs:Expr.funcs -> Expr.t -> Table.t -> bool
+(** [not (Table.is_empty (select e t))], stopping at the first row that
+    passes ({!Batch.exists}).  Falls back to {!Ops.select} like
+    {!select}. *)
+
 val group_count : by:string list -> Table.t -> Table.t
 (** The materialized [by @ ["count"]] table (name ["<group>"]), like the
     SQL layer's GROUP BY result. *)

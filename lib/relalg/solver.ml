@@ -213,11 +213,103 @@ let generate_reference ?funcs s =
       pruning = List.rev !pruning;
     } )
 
+(* One extension step's constraint, compiled for candidate indices.
+   Candidate [k] extends parent [k / d] with the [k mod d]-th value of the
+   new column [fresh], so a part of the constraint that does not read
+   [fresh] has one value per parent.  Such a part is compiled by
+   [parent] and evaluated once per parent (the candidates of a parent
+   are consecutive, so a one-entry cache keyed by the parent serves the
+   rest); only the parts that read [fresh] are compiled by [candidate]
+   and run per candidate.  A conjunction checks its parent-only
+   conjuncts once, a disjunction keeps per parent only the disjuncts
+   whose parent-only conjuncts hold, and a chain of ternaries whose
+   guards are parent-only picks its branch once.  Constraints are pure,
+   so evaluating a part once instead of [d] times changes no result. *)
+let compile_extension ~fresh ~d ~parent ~candidate e =
+  let reads_fresh e = List.mem fresh (Expr.free_columns e) in
+  let per_parent f =
+    let last = ref (-1) and v = ref None in
+    fun k ->
+      let p = k / d in
+      match !v with
+      | Some x when p = !last -> x
+      | _ ->
+          let x = f k in
+          last := p;
+          v := Some x;
+          x
+  in
+  let rec flatten split acc e =
+    match split e with
+    | Some (a, b) -> flatten split (flatten split acc b) a
+    | None -> e :: acc
+  in
+  let conjuncts =
+    flatten (function Expr.And (a, b) -> Some (a, b) | _ -> None) []
+  in
+  let disjuncts =
+    flatten (function Expr.Or (a, b) -> Some (a, b) | _ -> None) []
+  in
+  (* the parent-only conjuncts of [e], compiled per parent, and the rest *)
+  let split e =
+    let ps, cs = List.partition (fun c -> not (reads_fresh c)) (conjuncts e) in
+    (parent (Expr.conj ps), cs)
+  in
+  let rec go (e : Expr.t) =
+    match e with
+    | _ when not (reads_fresh e) -> per_parent (parent e)
+    | Expr.And _ ->
+        let p, cs = split e in
+        let p = per_parent p and cs = List.map go cs in
+        fun k -> p k && List.for_all (fun c -> c k) cs
+    | Expr.Or _ ->
+        let ds =
+          List.map
+            (fun e ->
+              let p, cs = split e in
+              (p, List.map go cs))
+            (disjuncts e)
+        in
+        let live =
+          per_parent (fun k ->
+              List.filter_map
+                (fun (p, cs) -> if p k then Some cs else None)
+                ds)
+        in
+        fun k -> List.exists (List.for_all (fun c -> c k)) (live k)
+    | Expr.Ternary (g, _, _) when not (reads_fresh g) ->
+        let rec arms acc = function
+          | Expr.Ternary (g, a, b) when not (reads_fresh g) ->
+              arms ((parent g, go a) :: acc) b
+          | last -> (List.rev acc, go last)
+        in
+        let arms, otherwise = arms [] e in
+        let pick =
+          per_parent (fun k ->
+              match List.find_opt (fun (g, _) -> g k) arms with
+              | Some (_, a) -> a
+              | None -> otherwise)
+        in
+        fun k -> (pick k) k
+    | Expr.Ternary (g, a, b) ->
+        let g = go g and a = go a and b = go b in
+        fun k -> if g k then a k else b k
+    | Expr.Not a ->
+        let a = go a in
+        fun k -> not (a k)
+    | atom -> candidate atom
+  in
+  go e
+
 (* Vectorized row extension: the same candidate enumeration as the
    reference [step] — parent-major, domain order, newly-applicable
    constraints applied in the same order — but over columnar code
    buffers with once-per-chunk compiled predicates and selection-vector
-   compaction instead of a boxed [Value] array per candidate.
+   compaction instead of a boxed [Value] array per candidate.  The
+   parts of a constraint that do not read the new column run once per
+   parent row ({!compile_extension}), and candidates are never
+   materialized beyond the columns those other parts read: survivors are
+   gathered straight from the parent columns.
 
    All telemetry is counter-exact with the reference path: candidates
    per step is [rows * |domain|] either way, and applying constraint [i]
@@ -278,12 +370,30 @@ let generate_vectorized ?funcs s =
     let run_chunk parents =
       let np = Array.length parents in
       let ncand = np * d in
-      let cand_cols =
-        Array.init (arity + 1) (fun j ->
-            if j < arity then
-              let src = snd cols.(j) in
-              Array.init ncand (fun k -> src.(parents.(k / d)))
-            else Array.init ncand (fun k -> dom_codes.(k mod d)))
+      (* a column is expanded into candidate order only when a part of a
+         check that reads the new column reads it too *)
+      let expanded = Array.make (arity + 1) None in
+      let cand_col j =
+        match expanded.(j) with
+        | Some cs -> cs
+        | None ->
+            let cs =
+              if j < arity then
+                let src = snd cols.(j) in
+                Array.init ncand (fun k -> src.(parents.(k / d)))
+              else Array.init ncand (fun k -> dom_codes.(k mod d))
+            in
+            expanded.(j) <- Some cs;
+            cs
+      in
+      let compile codes e =
+        Expr.compile_columns ?funcs schema'
+          ~dict:(fun j -> dicts.(j))
+          ~codes e
+      in
+      let parent e =
+        let f = compile (fun j -> snd cols.(j)) e in
+        fun k -> f parents.(k / d)
       in
       let sel = ref (Array.init ncand Fun.id) in
       let m = ref ncand in
@@ -291,10 +401,8 @@ let generate_vectorized ?funcs s =
       List.iter
         (fun e ->
           let check =
-            Expr.compile_columns ?funcs schema'
-              ~dict:(fun j -> dicts.(j))
-              ~codes:(fun j -> cand_cols.(j))
-              e
+            compile_extension ~fresh:col.cname ~d ~parent
+              ~candidate:(compile cand_col) e
           in
           evals := !evals + !m;
           let cur = !sel in
@@ -313,8 +421,10 @@ let generate_vectorized ?funcs s =
       let m = !m and sel = !sel in
       let out =
         Array.init (arity + 1) (fun j ->
-            let src = cand_cols.(j) in
-            Array.init m (fun i -> src.(sel.(i))))
+            if j < arity then
+              let src = snd cols.(j) in
+              Array.init m (fun i -> src.(parents.(sel.(i) / d)))
+            else Array.init m (fun i -> dom_codes.(sel.(i) mod d)))
       in
       out, m, ncand, !evals
     in

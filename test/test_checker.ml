@@ -265,6 +265,76 @@ let test_seeded_leaky_dealloc () =
   let r = run_with_dir_spec spec' "d-dealloc-only-on-completion" in
   check "completion invariant catches silent dealloc" false r.Invariant.passed
 
+(* Like [run_with_dir_spec], but edits D's rows directly, so the table in
+   the database differs from the one generated from the spec. *)
+let run_with_d_rows edit invariant_id =
+  let db = Lazy.force db in
+  let d = Relalg.Database.find db "D" in
+  let set row col v =
+    let row = Array.copy row in
+    row.(Relalg.Schema.index (Relalg.Table.schema d) col) <- Relalg.Value.str v;
+    row
+  in
+  let d' =
+    Relalg.Table.of_rows ~name:"D" (Relalg.Table.schema d)
+      (edit (Relalg.Table.cell d) set (Relalg.Table.rows d))
+  in
+  Invariant.run
+    (Relalg.Database.replace db d')
+    (Option.get (Invariant.find invariant_id))
+
+let witnesses (r : Invariant.result) =
+  List.map
+    (fun row -> Relalg.Value.to_string row.(0))
+    (Relalg.Table.rows r.Invariant.violations)
+
+let test_seeded_duplicate_inputs () =
+  (* a copy of row 0 answering with a different locmsg: D is no longer a
+     function of its inputs, and the check must see the edited table *)
+  let r =
+    run_with_d_rows
+      (fun cell set rows ->
+        let row0 = List.hd rows in
+        let retry = cell row0 "locmsg" = Relalg.Value.str "retry" in
+        let other = if retry then "data" else "retry" in
+        rows @ [ set row0 "locmsg" other ])
+      "x-deterministic"
+  in
+  check "determinism catches the duplicate input row" false r.Invariant.passed;
+  Alcotest.(check (list string)) "witness"
+    [ "D: duplicate inputs (read, local, home, reqq, -, -, -, -, Busy-read-sd, -, -, hit)" ]
+    (witnesses r)
+
+let test_seeded_family_crossing_update () =
+  (* the first busy update row moves its entry into another family *)
+  let crossed = ref false in
+  let r =
+    run_with_d_rows
+      (fun cell set rows ->
+        List.map
+          (fun row ->
+            if (not !crossed) && cell row "bdirop" = Relalg.Value.str "update"
+            then begin
+              crossed := true;
+              let family =
+                String.split_on_char '-'
+                  (Relalg.Value.to_string (cell row "bdirst"))
+              in
+              let to_ =
+                if List.nth_opt family 1 = Some "read" then "Busy-readex-s"
+                else "Busy-read-s"
+              in
+              set row "nxtbdirst" to_
+            end
+            else row)
+          rows)
+      "d-busy-family-preserved"
+  in
+  check "family check catches the crossing update" false r.Invariant.passed;
+  Alcotest.(check (list string)) "witness"
+    [ "update Busy-read-s -> Busy-readex-s crosses families" ]
+    (witnesses r)
+
 let test_seeded_naive_retry_reissue () =
   (* the node-controller bug: reissue on retry from response processing
      creates a VC3 -> VC0 dependency closing the request/response loop *)
@@ -324,6 +394,10 @@ let suite =
     Alcotest.test_case "seeded: wrong pv op" `Quick test_seeded_wrong_pv;
     Alcotest.test_case "seeded: dropped response rows" `Quick test_seeded_dropped_response_row;
     Alcotest.test_case "seeded: leaky dealloc" `Quick test_seeded_leaky_dealloc;
+    Alcotest.test_case "seeded: duplicate input row" `Quick
+      test_seeded_duplicate_inputs;
+    Alcotest.test_case "seeded: family-crossing update" `Quick
+      test_seeded_family_crossing_update;
     Alcotest.test_case "seeded: naive retry reissue" `Slow test_seeded_naive_retry_reissue;
     Alcotest.test_case "summary format" `Quick test_invariant_summary_format;
   ]

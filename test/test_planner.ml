@@ -86,6 +86,16 @@ let test_sql_differential () =
       "SELECT k FROM a UNION SELECT k FROM b";
       "SELECT k FROM a EXCEPT SELECT k FROM b";
       "SELECT k FROM a INTERSECT SELECT k FROM b";
+      (* fused filter chains: projections dropping the predicate's
+         columns, SELECT * roots, limits and DISTINCT over the chain *)
+      "SELECT k FROM a WHERE x = 'v'";
+      "SELECT x, k FROM a WHERE k = 'p' AND NOT x = 'u'";
+      "SELECT * FROM a WHERE x = 'nope'";
+      "SELECT x FROM a WHERE k = 'p' LIMIT 1";
+      "SELECT * FROM a WHERE NOT k = 'r' LIMIT 3";
+      "SELECT DISTINCT k FROM a WHERE NOT x = 'w'";
+      "SELECT DISTINCT x FROM a WHERE k = 'nope'";
+      "SELECT k, COUNT(*) FROM a WHERE NOT x = 'u' GROUP BY k";
     ]
 
 (* The planner is live inside Sql_exec.run_query by default: the public
@@ -162,6 +172,113 @@ let test_explain_unexecuted () =
   List.iter
     (fun needle -> check_bool ("explain shows " ^ needle) true (contains ~needle s))
     [ "est="; "cost="; "actual=-"; "filter"; "sort" ]
+
+(* A streaming root (here project over filter over scan) is timed as a
+   whole, drain included, like a blocking root; every node of the fused
+   chain keeps its actual rows and gets an inclusive time and one batch. *)
+let test_analyze_streaming_root () =
+  let db = Protocol.database () in
+  let sql =
+    "SELECT dirst, dirpv FROM D WHERE dirst = 'MESI' AND NOT dirpv = 'one'"
+  in
+  let r = Planner.analyze db sql in
+  let root = r.Planner.root in
+  let rec chain (n : Planner.t) =
+    n :: (match n.Planner.children with [ c ] -> chain c | _ -> [])
+  in
+  let ops = List.map (fun (n : Planner.t) -> n.Planner.op) (chain root) in
+  check_bool "project over filter over scan" true
+    (match ops with
+    | [ Planner.Project _; Planner.Filter _; Planner.Scan "D" ] -> true
+    | _ -> false);
+  let rows = Table.cardinality r.Planner.table in
+  List.iter2
+    (fun (n : Planner.t) (name, want) ->
+      check_int ("actual rows of " ^ name) want n.Planner.actual;
+      check_bool ("one batch at least at " ^ name) true (n.Planner.batches >= 1);
+      check_bool ("time within the root's at " ^ name) true
+        (n.Planner.ns <= root.Planner.ns))
+    (chain root)
+    [ ("project", rows); ("filter", rows);
+      ("scan", Table.cardinality (Database.find db "D")) ];
+  check_bool "root time is positive and within the total" true
+    (root.Planner.ns > 0L && root.Planner.ns <= r.Planner.total_ns);
+  (* the root covers the execution it reports: at least half of the
+     wall time around [execute], in one of three runs (a scheduler
+     preemption outside the root's window can only shrink it) *)
+  let covers () =
+    let root =
+      Planner.plan db (Plan.of_query (Sql_parser.parse_query sql))
+    in
+    let t0 = Obs.Clock.now_ns () in
+    ignore (Planner.execute db root);
+    let elapsed = Obs.Clock.since t0 in
+    Int64.mul 2L root.Planner.ns >= elapsed
+  in
+  check_bool "root time covers the drain" true
+    (covers () || covers () || covers ())
+
+(* ---------------------- late materialization -------------------------- *)
+
+let planned db sql = Planner.run_query db (Sql_parser.parse_query sql)
+
+(* Zero surviving rows: the result keeps the kept columns as its schema,
+   shares the input's dictionaries, and still accepts appends. *)
+let test_zero_row_results () =
+  let db = Lazy.force fixture_db in
+  let a = Database.find db "a" in
+  let none = Expr.eq "k" "nope" in
+  let shares t cols =
+    List.for_all2
+      (fun j c ->
+        Table.dict t j == Table.dict a (Schema.index (Table.schema a) c))
+      (List.init (List.length cols) Fun.id)
+      cols
+  in
+  let check_empty what t cols =
+    check_int (what ^ ": no rows") 0 (Table.cardinality t);
+    Alcotest.(check (list string))
+      (what ^ ": schema") cols
+      (Schema.columns (Table.schema t));
+    check_bool (what ^ ": dictionaries shared") true (shares t cols);
+    check_int (what ^ ": appendable") 1
+      (Table.cardinality (Table.add t (Array.of_list (List.map Value.str cols))))
+  in
+  check_empty "select ~keep" (Planner.select ~keep:[ "x" ] none a) [ "x" ];
+  check_empty "select" (Planner.select none a) [ "k"; "x" ];
+  check_empty "SQL projection root"
+    (planned db "SELECT x, k FROM a WHERE k = 'nope'")
+    [ "x"; "k" ];
+  check_empty "SQL SELECT * root"
+    (planned db "SELECT * FROM a WHERE k = 'nope'")
+    [ "k"; "x" ]
+
+(* The root filter copies only the kept columns of the surviving rows. *)
+let test_bytes_copied_kept_only () =
+  let db = Lazy.force fixture_db in
+  let a = Database.find db "a" in
+  let copied () =
+    Obs.Metrics.count
+      (Obs.Metrics.counter (Obs.Metrics.registry "relalg") "batch.bytes_copied")
+  in
+  let word = Sys.word_size / 8 in
+  Obs.Config.with_enabled (fun () ->
+      let delta f =
+        let before = copied () in
+        let t = f () in
+        (t, copied () - before)
+      in
+      let expect what ~cols f =
+        let t, d = delta f in
+        check_int what (cols * word * Table.cardinality t) d
+      in
+      if Planner.active () then
+        expect "programmatic: 1 column x surviving rows" ~cols:1 (fun () ->
+            Planner.select ~keep:[ "k" ] (Expr.eq "x" "v") a);
+      expect "SQL root: 1 column x kept rows" ~cols:1 (fun () ->
+          planned db "SELECT x FROM a WHERE NOT k = 'p' LIMIT 2");
+      expect "SELECT *: 2 columns x surviving rows" ~cols:2 (fun () ->
+          planned db "SELECT * FROM a WHERE k = 'p'"))
 
 (* ----------------------- lineage fallback ----------------------------- *)
 
@@ -308,6 +425,68 @@ let prop_programmatic_differential =
            (Planner.equi_join ~on:[ ("k", "k") ] a b)
            (Ops.equi_join ~on:[ ("k", "k") ] a b))
 
+(* Filter chains the executor fuses — projections that drop the
+   predicate's columns, limits, DISTINCT, COUNT and GROUP over a filter,
+   filters over a materialized input — against the reference engine,
+   plus the programmatic [select ~keep]. *)
+let prop_fused_chain_differential =
+  QCheck.Test.make ~count:300
+    ~name:"fused filter chains equal the reference engine in row order"
+    (QCheck.make
+       QCheck.Gen.(
+         quad
+           (table_gen ~name:"a" ~cols:[ "k"; "x" ])
+           pred_gen pred_gen (int_bound 6))
+       ~print:(fun (a, p, q, n) ->
+         Printf.sprintf "a(%d rows), %s, %s, %d" (Table.cardinality a)
+           (Expr.to_sql p) (Expr.to_sql q) n))
+    (fun (a, p, q, n) ->
+      let db = Database.add Database.empty a in
+      let f = Plan.Select (p, Plan.Scan "a") in
+      let plans =
+        [
+          f;
+          Plan.Project ([ "k" ], f);
+          Plan.Project ([ "x"; "k" ], f);
+          Plan.Limit (n, f);
+          Plan.Limit (n, Plan.Project ([ "x" ], f));
+          Plan.Distinct (Plan.Project ([ "k" ], f));
+          Plan.Count f;
+          Plan.Group_count ([ "x" ], f);
+          Plan.Project ([ "k" ], Plan.Select (q, f));
+          Plan.Project ([ "x" ], Plan.Select (p, Plan.Distinct (Plan.Scan "a")));
+        ]
+      in
+      List.for_all
+        (fun plan ->
+          same_table (Plan.execute db plan) (Planner.run_plan db plan))
+        plans
+      && List.for_all
+           (fun keep ->
+             same_table (Planner.select ~keep p a)
+               (Ops.project keep (Ops.select p a)))
+           [ [ "k" ]; [ "x" ]; [ "x"; "k" ] ])
+
+let with_planner_off f = Test_env.with_env "ASURA_PLANNER" "off" f
+
+(* The emptiness probe against the reference, on NULL-bearing tables
+   and ternary predicates, with a lineage-tracked input, under lineage
+   tracking and with the planner off. *)
+let prop_exists_differential =
+  QCheck.Test.make ~count:300
+    ~name:"Planner.exists equals a non-empty reference selection"
+    (QCheck.make
+       QCheck.Gen.(pair (table_gen ~name:"a" ~cols:[ "k"; "x" ]) pred_gen)
+       ~print:(fun (a, p) ->
+         Printf.sprintf "a(%d rows), %s" (Table.cardinality a) (Expr.to_sql p)))
+    (fun (a, p) ->
+      let want = not (Table.is_empty (Ops.select p a)) in
+      let traced = Lineage.with_tracking (fun () -> Ops.select Expr.True a) in
+      Planner.exists p a = want
+      && Planner.exists p traced = want
+      && Lineage.with_tracking (fun () -> Planner.exists p a) = want
+      && with_planner_off (fun () -> Planner.exists p a) = want)
+
 let suite =
   [
     Alcotest.test_case "SQL differential: planner vs reference" `Quick
@@ -328,4 +507,12 @@ let suite =
       `Quick test_join_identity_shape;
     QCheck_alcotest.to_alcotest prop_plan_differential;
     QCheck_alcotest.to_alcotest prop_programmatic_differential;
+    Alcotest.test_case "explain --analyze times a streaming root whole" `Quick
+      test_analyze_streaming_root;
+    Alcotest.test_case "zero-row results keep schema and dictionaries" `Quick
+      test_zero_row_results;
+    Alcotest.test_case "bytes copied: kept columns x surviving rows" `Quick
+      test_bytes_copied_kept_only;
+    Test_seed.to_alcotest prop_fused_chain_differential;
+    Test_seed.to_alcotest prop_exists_differential;
   ]

@@ -162,10 +162,7 @@ let test_forced_build_side_records_differently () =
     let db = Lazy.force fixture_db in
     let a = Database.find db "a" and b = Database.find db "b" in
     let fps_under side =
-      Unix.putenv "ASURA_PLAN_BUILD" side;
-      Fun.protect
-        ~finally:(fun () -> Unix.putenv "ASURA_PLAN_BUILD" "")
-        (fun () ->
+      Test_env.with_env "ASURA_PLAN_BUILD" side (fun () ->
           Obs.Planlog.reset ();
           Obs.Config.with_enabled (fun () ->
               ignore (Planner.equi_join ~on:[ ("k", "k") ] a b));
@@ -364,10 +361,7 @@ let test_borrowed_scan () =
 (* -------------------------- workload & gating ------------------------- *)
 
 let test_planner_off_records_nothing () =
-  Unix.putenv "ASURA_PLANNER" "off";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "ASURA_PLANNER" "")
-    (fun () ->
+  Test_env.with_env "ASURA_PLANNER" "off" (fun () ->
       let db = Lazy.force fixture_db in
       let snap =
         entries_of (fun () ->
@@ -404,7 +398,7 @@ let test_workload_deterministic () =
    `asura plan snapshot` then `asura plan diff` to see what moved. *)
 let test_workload_golden () =
   if Planner.active () then begin
-    Unix.putenv "ASURA_PLAN_BUILD" "";
+    Test_env.with_env "ASURA_PLAN_BUILD" "" @@ fun () ->
     let db = Protocol.database () in
     let snap = entries_of (fun () -> Systables.run_plan_workload db) in
     let fps =

@@ -137,6 +137,75 @@ let prop_strategies_agree =
       let b, _ = Solver.generate_monolithic spec in
       Table.equal_as_sets a b)
 
+(* Constraints of every shape the vectorized extension step hoists:
+   conjunctions and disjunctions mixing parts that read the new column
+   with parts that do not, ternary chains, negations, column-to-column
+   equality and NULL cells.  The vectorized generator must match the
+   boxed reference path (the solver with the planner off) row for row and
+   counter for counter. *)
+let rich_spec_gen =
+  let open QCheck.Gen in
+  let values = [ "p"; "q"; "r" ] in
+  let domain = Value.Null :: List.map v values in
+  let* n_cols = int_range 2 5 in
+  let col i = Printf.sprintf "c%d" i in
+  let atom upto =
+    let* i = int_bound upto in
+    let c = col i in
+    oneof
+      [
+        map (Expr.eq c) (oneofl values);
+        map (Expr.neq c) (oneofl values);
+        return (Expr.eq_null c);
+        map (fun vs -> Expr.isin c vs) (oneofl [ [ "p" ]; [ "p"; "r" ] ]);
+        (let* j = int_bound upto in
+         return (Expr.Eq (Expr.Col c, Expr.Col (col j))));
+      ]
+  in
+  let rec expr upto depth =
+    if depth = 0 then atom upto
+    else
+      let sub = expr upto (depth - 1) in
+      frequency
+        [
+          (2, atom upto);
+          (2, map2 (fun a b -> Expr.And (a, b)) sub sub);
+          (2, map2 (fun a b -> Expr.Or (a, b)) sub sub);
+          (1, map (fun a -> Expr.Not a) sub);
+          (2, map3 Expr.ternary sub sub sub);
+        ]
+  in
+  let* constraints =
+    flatten_l
+      (List.init n_cols (fun i ->
+           let* e = expr i 3 in
+           return (col i, e)))
+  in
+  return
+    (Solver.make ~name:"rich"
+       ~columns:
+         (List.init n_cols (fun i ->
+              {
+                Solver.cname = col i;
+                role = (if i < n_cols - 1 then Solver.Input else Solver.Output);
+                domain;
+              }))
+       ~constraints)
+
+let prop_vectorized_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"vectorized extension = reference on rich constraints"
+    (QCheck.make rich_spec_gen)
+    (fun spec ->
+      let a, sa = Solver.generate spec in
+      let b, sb =
+        Test_env.with_env "ASURA_PLANNER" "off" (fun () -> Solver.generate spec)
+      in
+      Table.rows a = Table.rows b
+      && sa.Solver.candidates = sb.Solver.candidates
+      && sa.Solver.evaluations = sb.Solver.evaluations
+      && sa.Solver.per_column = sb.Solver.per_column)
+
 let suite =
   [
     Alcotest.test_case "incremental generation" `Quick test_generate;
@@ -146,4 +215,5 @@ let suite =
     Alcotest.test_case "unconstrained columns" `Quick test_unconstrained_column;
     Alcotest.test_case "spec validation" `Quick test_validation;
     Test_seed.to_alcotest prop_strategies_agree;
+    Test_seed.to_alcotest prop_vectorized_matches_reference;
   ]
