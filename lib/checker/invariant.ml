@@ -247,7 +247,9 @@ let busy_progress_check db =
          "nxtbdirst")
   in
   let consumed_by state msgs =
-    Planner.exists Expr.(eq "bdirst" state &&& isin "inmsg" msgs) d
+    Planner.exists ~indexes:[ "bdirst" ]
+      Expr.(eq "bdirst" state &&& isin "inmsg" msgs)
+      d
   in
   let snoop_responses = [ "idone"; "sdata"; "sack"; "snack"; "swbdata" ] in
   let needs state =

@@ -233,6 +233,14 @@ let filter_node e (c, st) =
   let rows = st.rows *. selectivity st (Plan.simplify_predicate e) in
   (node (Filter e) rows (c.cost +. st.rows) [ c ], restrict st rows)
 
+(* A hash-index lookup of [column = value] over a table with stats [st],
+   estimated at rows / ndv(column). *)
+let index_leaf st ~table ~column value =
+  let rows = st.rows /. ndv_of st column in
+  let st = restrict st rows in
+  let st = { st with ndv = (column, 1.) :: List.remove_assoc column st.ndv } in
+  (node (Index_scan { table; column; value }) rows rows [], st)
+
 (* [indexes] lists the (table, column) pairs that carry a hash index: a
    selection directly over a scan of such a table with a [col = literal]
    conjunct on an indexed column reads only the matching rows through
@@ -254,18 +262,10 @@ let rec annotate ~indexes db (p : Plan.t) : t * stats =
       match split_indexable indexed e with
       | None -> filter_node e (annotate db scan)
       | Some (column, value, residual) -> (
-          let st = scan_stats db name in
-          let rows = st.rows /. ndv_of st column in
-          let st = restrict st rows in
-          let st =
-            { st with ndv = (column, 1.) :: List.remove_assoc column st.ndv }
-          in
-          let leaf =
-            node (Index_scan { table = name; column; value }) rows rows []
-          in
+          let leaf = index_leaf (scan_stats db name) ~table:name ~column value in
           match residual with
-          | [] -> (leaf, st)
-          | es -> filter_node (Expr.conj es) (leaf, st)))
+          | [] -> leaf
+          | es -> filter_node (Expr.conj es) leaf))
   | Plan.Select (e, inner) -> filter_node e (annotate db inner)
   | Plan.Project (cols, inner) ->
       let c, st = annotate db inner in
@@ -727,32 +727,63 @@ let label_of root =
            (List.map (fun (l, r) -> Printf.sprintf "%s=%s" l r) on))
   | op -> op_string op
 
+let observe_with ~query ~fingerprint root total_ns rows_out =
+  Obs.Planlog.record ~fingerprint ~query ~est_cost:root.cost
+    ~total_ns:(Int64.to_float total_ns)
+    ~rows_out (planlog_ops root)
+
 let observe ?query ~lookup root total_ns rows_out =
   if Obs.Config.on () then
     let query = match query with Some q -> q | None -> label_of root in
-    Obs.Planlog.record
-      ~fingerprint:(fingerprint_with lookup root)
-      ~query ~est_cost:root.cost
-      ~total_ns:(Int64.to_float total_ns)
-      ~rows_out (planlog_ops root)
+    observe_with ~query ~fingerprint:(fingerprint_with lookup root) root
+      total_ns rows_out
 
-let run_annotated ?query db root =
+let run_plan db p =
+  let root = plan db p in
   let t0 = Obs.Clock.now_ns () in
   let t = execute db root in
-  observe ?query ~lookup:(db_lookup db) root (Obs.Clock.since t0)
+  observe ~lookup:(db_lookup db) root (Obs.Clock.since t0)
     (Table.cardinality t);
   t
 
-let run_plan db p = run_annotated db (plan db p)
+(* A query planned once and executed many times.  Execution writes
+   [actual]/[ns]/[batches] into the tree, so every run executes a fresh
+   copy of [template] and concurrent runs never share counters.  The
+   fingerprint depends only on the tree and the scanned schemas, so it
+   is computed at the first observed run and reused. *)
+type prepared = {
+  query : Sql_ast.query;
+  template : t;
+  mutable fp : string option;
+}
 
-let run_query ?label db (q : Sql_ast.query) =
-  let query =
-    match label with
-    | Some l -> l
-    | None -> Format.asprintf "%a" Sql_ast.pp_query q
-  in
-  Table.with_name "<query>"
-    (run_annotated ~query db (plan db (Plan.of_query q)))
+let prepare db q = { query = q; template = plan db (Plan.of_query q); fp = None }
+
+let rec fresh n =
+  { n with actual = -1; ns = 0L; batches = 0; children = List.map fresh n.children }
+
+let run_prepared ?label db p =
+  let root = fresh p.template in
+  let t0 = Obs.Clock.now_ns () in
+  let t = execute db root in
+  (if Obs.Config.on () then
+     let fingerprint =
+       match p.fp with
+       | Some f -> f
+       | None ->
+           let f = fingerprint db root in
+           p.fp <- Some f;
+           f
+     in
+     let query =
+       match label with
+       | Some l -> l
+       | None -> Format.asprintf "%a" Sql_ast.pp_query p.query
+     in
+     observe_with ~query ~fingerprint root (Obs.Clock.since t0)
+       (Table.cardinality t));
+  Table.with_name "<query>" t
+
 
 (* -------------------------- EXPLAIN ANALYZE --------------------------- *)
 
@@ -903,23 +934,51 @@ let select ?funcs ?keep e t =
     match keep with None -> out | Some cols -> Ops.project cols out
 
 (* The probe is [LIMIT 1] over the filter, and reports itself as such
-   (labelled by its filter, so probes stay apart in sys.plans): the
-   filter's actual count stops at the first survivor. *)
-let exists ?funcs e t =
+   (labelled by its whole predicate, so probes stay apart in sys.plans):
+   the filter's actual count stops at the first survivor.  A [col =
+   literal] conjunct on one of the [indexes] columns reads only the
+   matching rows through {!Index.cached}, and the remaining conjuncts
+   filter those; the probe then reports the index lookup it ran. *)
+let exists ?funcs ?(indexes = []) e t =
   if active () && lineage_free t then begin
     let t0 = Obs.Clock.now_ns () in
-    let found = Batch.exists ?funcs e (Batch.of_table t) in
+    let found, lookup =
+      match split_indexable indexes e with
+      | None -> (Batch.exists ?funcs e (Batch.of_table t), None)
+      | Some (column, value, residual) ->
+          (* gather the matching rows of just the columns the rest of
+             the predicate reads *)
+          let pred = Expr.conj residual in
+          let idx = Index.lookup_idx (Index.cached t column) value in
+          let rows = Table.gather (Ops.project (Expr.free_columns pred) t) idx in
+          ( Batch.exists ?funcs pred (Batch.of_table rows),
+            Some (column, value, residual, Table.cardinality rows) )
+    in
     let total = Obs.Clock.since t0 in
     if Obs.Config.on () then begin
-      let f = filter_root t e in
       let rows = Bool.to_int found in
-      f.actual <- rows;
+      let stopped f =
+        f.actual <- rows;
+        f
+      in
+      let f =
+        match lookup with
+        | None -> stopped (filter_root t e)
+        | Some (column, value, residual, matched) -> (
+            let ((leaf, _) as scan) =
+              index_leaf (table_stats t) ~table:(Table.name t) ~column value
+            in
+            leaf.actual <- matched;
+            match residual with
+            | [] -> leaf
+            | es -> stopped (fst (filter_node (Expr.conj es) scan)))
+      in
       let est = fmin f.est 1. in
       let root = node (Limit 1) est (f.cost +. est) [ f ] in
       root.actual <- rows;
       root.ns <- total;
-      observe ~query:(op_string f.op) ~lookup:(tables_lookup [ t ]) root total
-        rows
+      observe ~query:(op_string (Filter e)) ~lookup:(tables_lookup [ t ]) root
+        total rows
     end;
     found
   end

@@ -89,11 +89,23 @@ val execute : Database.t -> t -> Table.t
     of that fused chain keeps its own [actual] and gets [batches = 1]. *)
 
 val run_plan : Database.t -> Plan.t -> Table.t
-val run_query : ?label:string -> Database.t -> Sql_ast.query -> Table.t
-(** Plan, execute, and report the execution to the plan observatory
-    ({!Obs.Planlog}) under [label] (default: the query pretty-printed);
-    the result is named ["<query>"] like the reference {!Sql_exec}
-    path. *)
+
+type prepared
+(** A query's annotated plan, made once and executed many times.  It
+    belongs to the table snapshots it was planned against: its
+    estimates, and the physical choices made from them, hold while
+    every table it scans keeps its {!Table.id}. *)
+
+val prepare : Database.t -> Sql_ast.query -> prepared
+(** {!plan} of the query ({!Plan.of_query}). *)
+
+val run_prepared : ?label:string -> Database.t -> prepared -> Table.t
+(** Execute a fresh copy of the prepared tree (so runs, concurrent ones
+    included, never share [actual]/[ns]/[batches]) and report it to the
+    plan observatory ({!Obs.Planlog}) under [label] (default: the query
+    pretty-printed).  The fingerprint is computed at the first observed
+    run and reused.  The result is named ["<query>"] like the reference
+    {!Sql_exec} path. *)
 
 val render : t -> string
 (** Indented tree with [est]/[actual]/[cost] per operator ([actual=-]
@@ -135,10 +147,14 @@ val select :
     (default: all) — [Project (keep, Filter …)] in one pass that gathers
     exactly the kept columns and rows ({!Batch.select_table}). *)
 
-val exists : ?funcs:Expr.funcs -> Expr.t -> Table.t -> bool
+val exists :
+  ?funcs:Expr.funcs -> ?indexes:string list -> Expr.t -> Table.t -> bool
 (** [not (Table.is_empty (select e t))], stopping at the first row that
-    passes ({!Batch.exists}).  Falls back to {!Ops.select} like
-    {!select}. *)
+    passes ({!Batch.exists}).  [indexes] (default none) names columns of
+    [t] to probe through {!Index.cached}, as in {!plan}: a [column =
+    literal] conjunct on one of them reads only the matching rows, and
+    the other conjuncts are evaluated on those.  Falls back to
+    {!Ops.select} like {!select}. *)
 
 val group_count : by:string list -> Table.t -> Table.t
 (** The materialized [by @ ["count"]] table (name ["<group>"]), like the

@@ -72,11 +72,13 @@ let rec referenced_tables (q : Sql_ast.query) =
    vectorized engine when it is active and no referenced table carries
    lineage (provenance must flow through the reference operators).
    Unknown tables are reported with the reference path's error message
-   either way.  Planner executions land in the plan observatory under
+   either way, and so are unknown functions, whichever engine compiles
+   the predicate.  [prepare] supplies the plan, given the referenced
+   tables.  Planner executions land in the plan observatory under
    [label] (the SQL text when coming through {!query}); the "sql" site
    applies only when no more specific call-site label (invariant id,
    solver phase) is already active. *)
-let run_query ?label db (q : Sql_ast.query) =
+let dispatch ?label db (q : Sql_ast.query) ~prepare =
   let tables =
     List.map
       (fun name ->
@@ -85,15 +87,20 @@ let run_query ?label db (q : Sql_ast.query) =
         | None -> error "unknown table %s" name)
       (referenced_tables q)
   in
-  if
-    Planner.active ()
-    && List.for_all (fun t -> Table.lineage t = None) tables
-  then
-    let run () = Planner.run_query ?label db q in
-    match Obs.Planlog.site () with
-    | None -> Obs.Planlog.with_site "sql" run
-    | Some _ -> run ()
-  else run_query_reference db q
+  try
+    if
+      Planner.active ()
+      && List.for_all (fun t -> Table.lineage t = None) tables
+    then
+      let run () = Planner.run_prepared ?label db (prepare tables) in
+      match Obs.Planlog.site () with
+      | None -> Obs.Planlog.with_site "sql" run
+      | Some _ -> run ()
+    else run_query_reference db q
+  with Expr.Unknown_function f -> error "unknown function %s" f
+
+let run_query ?label db q =
+  dispatch ?label db q ~prepare:(fun _ -> Planner.prepare db q)
 
 (* sys.* tables are engine-materialized snapshots: readable like any
    table, but not a valid target for DDL/DML. *)
@@ -122,12 +129,59 @@ let run_statement db (s : Sql_ast.statement) =
       if not (Database.mem db name) then error "unknown table %s" name;
       Database.remove db name, None
 
+(* Prepared queries, keyed by SQL text.  The AST never depends on the
+   database; the plan is tagged with the Table.id of every table it
+   reads, and re-made when any differs.  A table edit always yields a
+   fresh id, so a plan's estimates, and the physical choices made from
+   them, belong to the snapshots it runs on.  (The SQL subset has no
+   joins, so a forced build side cannot change an SQL plan.)  An entry
+   is stored only after its query ran, so a failing text leaves nothing
+   behind, and the table is cleared when full, so any number of distinct
+   texts stays bounded. *)
+type entry = {
+  ast : Sql_ast.query;
+  plan : (int list * Planner.prepared) option;
+}
+
+let capacity = 256
+let cache : (string, entry) Hashtbl.t = Hashtbl.create 64
+let cache_lock = Mutex.create ()
+
+let remember src entry =
+  Mutex.protect cache_lock @@ fun () ->
+  if Hashtbl.length cache >= capacity && not (Hashtbl.mem cache src) then
+    Hashtbl.reset cache;
+  Hashtbl.replace cache src entry
+
 let query db src =
   Obs.Trace.with_span ~cat:"relalg"
     ~args:[ "query", Obs.Json.Str src ]
     "sql.query"
   @@ fun () ->
-  let result = run_query ~label:src db (Sql_parser.parse_query src) in
+  let cached =
+    Mutex.protect cache_lock @@ fun () -> Hashtbl.find_opt cache src
+  in
+  let entry =
+    match cached with
+    | Some e -> e
+    | None -> { ast = Sql_parser.parse_query src; plan = None }
+  in
+  let plan = ref entry.plan in
+  let prepare tables =
+    let tag = List.map Table.id tables in
+    match entry.plan with
+    | Some (t, p) when t = tag ->
+        Obs.Metrics.incr (obs_counter "plan_cache.hits");
+        p
+    | _ ->
+        Obs.Metrics.incr (obs_counter "plan_cache.misses");
+        let p = Planner.prepare db entry.ast in
+        plan := Some (tag, p);
+        p
+  in
+  let result = dispatch ~label:src db entry.ast ~prepare in
+  if cached = None || !plan != entry.plan then
+    remember src { entry with plan = !plan };
   Obs.Metrics.incr (obs_counter "queries");
   Obs.Metrics.add (obs_counter "rows_returned") (Table.cardinality result);
   result

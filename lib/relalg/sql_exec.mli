@@ -12,7 +12,8 @@ val run_query : ?label:string -> Database.t -> Sql_ast.query -> Table.t
     produced by [CREATE TABLE … AS].  Dispatches to the cost-based
     {!Planner} (vectorized execution) when it is active and no
     referenced table carries lineage; otherwise runs the row-at-a-time
-    reference interpreter ({!run_query_reference}).  Planner executions
+    reference interpreter ({!run_query_reference}).  An unknown table or
+    function raises {!Exec_error} on either engine.  Planner executions
     are recorded in the plan observatory under [label] (default: the
     pretty-printed query), at site ["sql"] unless a more specific
     {!Obs.Planlog.with_site} label is active. *)
@@ -26,7 +27,19 @@ val run_statement : Database.t -> Sql_ast.statement -> Database.t * Table.t opti
     updated database, plain queries also return the result table. *)
 
 val query : Database.t -> string -> Table.t
-(** Parse then {!run_query}. *)
+(** Parse then {!run_query}, preparing each text once.  A process-wide,
+    mutex-guarded cache keyed by the SQL text keeps the parsed AST, which
+    never depends on the database, and the last {!Planner.prepared} plan,
+    tagged with the {!Table.id} of every table the query reads.  While
+    the tags match, a call skips the lexer, the parser, {!Plan.of_query}
+    and {!Planner.plan}, and executes a fresh copy of the plan; any
+    table edit yields a fresh id and so a new plan, and only the parse
+    is saved.  The saving therefore needs the same text run again on
+    unchanged table snapshots, as when one process reruns the invariant
+    suite on one database.  Dispatch is {!run_query}'s: with the planner
+    off or lineage tracked, only the parse is reused.  A text is cached
+    only once it has run without error, and the cache is cleared when
+    it reaches 256 texts.  Unknown functions raise {!Exec_error}. *)
 
 val exec : Database.t -> string -> Database.t * Table.t option
 (** Parse then {!run_statement}. *)

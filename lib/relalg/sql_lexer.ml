@@ -64,7 +64,11 @@ let tokenize src =
           while !j < n && is_digit src.[!j] do incr j done;
           emit (FLOAT (float_of_string (String.sub src i (!j - i))))
         end
-        else emit (INT (int_of_string (String.sub src i (!j - i))));
+        else begin
+          match int_of_string_opt (String.sub src i (!j - i)) with
+          | Some k -> emit (INT k)
+          | None -> error i "integer literal out of range"
+        end;
         go !j
       end
       else

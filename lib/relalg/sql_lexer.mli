@@ -30,6 +30,7 @@ exception Lex_error of { pos : int; message : string }
 
 val tokenize : string -> token list
 (** Whole-input tokenization, ending with [EOF].
-    @raise Lex_error on an illegal character or unterminated string. *)
+    @raise Lex_error on an illegal character, an unterminated string or
+    an integer literal beyond the native int range. *)
 
 val pp_token : Format.formatter -> token -> unit

@@ -252,7 +252,19 @@ let test_seeded_dropped_response_row () =
   in
   let r = run_with_dir_spec spec' "d-busy-progress" in
   check "progress invariant catches unconsumable busy state" false
-    r.Invariant.passed
+    r.Invariant.passed;
+  (* the probes go through the bdirst index; the witnesses must not
+     depend on that, nor on the engine *)
+  let witnesses r =
+    List.map
+      (fun row -> Relalg.Value.to_string row.(0))
+      (Relalg.Table.rows r.Invariant.violations)
+  in
+  let want = [ "Busy-readex-sd can hang: no snoop response row" ] in
+  Alcotest.(check (list string)) "witnesses" want (witnesses r);
+  Test_env.with_env "ASURA_PLANNER" "off" (fun () ->
+      Alcotest.(check (list string)) "witnesses, planner off" want
+        (witnesses (run_with_dir_spec spec' "d-busy-progress")))
 
 let test_seeded_leaky_dealloc () =
   (* dealloc without completing to the requester *)

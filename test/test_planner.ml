@@ -61,7 +61,7 @@ let diff_sql sql =
   let db = Lazy.force fixture_db in
   let q = Sql_parser.parse_query sql in
   let reference = Sql_exec.run_query_reference db q in
-  let planned = Planner.run_query db q in
+  let planned = Planner.run_prepared db (Planner.prepare db q) in
   if not (same_table reference planned) then
     Alcotest.failf "planner diverges from reference on %s\nreference:\n%s\nplanner:\n%s"
       sql (render_rows reference) (render_rows planned)
@@ -139,7 +139,7 @@ let test_sys_spans_topk () =
       let sql = "SELECT name, parent FROM sys.spans ORDER BY name DESC LIMIT 3" in
       let q = Sql_parser.parse_query sql in
       let reference = Sql_exec.run_query_reference db q in
-      let planned = Planner.run_query db q in
+      let planned = Planner.run_prepared db (Planner.prepare db q) in
       check_int "top-k returns exactly k rows" 3 (Table.cardinality planned);
       check_bool "sys.spans top-k matches reference" true
         (same_table reference planned);
@@ -220,7 +220,8 @@ let test_analyze_streaming_root () =
 
 (* ---------------------- late materialization -------------------------- *)
 
-let planned db sql = Planner.run_query db (Sql_parser.parse_query sql)
+let planned db sql =
+  Planner.run_prepared db (Planner.prepare db (Sql_parser.parse_query sql))
 
 (* Zero surviving rows: the result keeps the kept columns as its schema,
    shares the input's dictionaries, and still accepts appends. *)
@@ -487,6 +488,194 @@ let prop_exists_differential =
       && Lineage.with_tracking (fun () -> Planner.exists p a) = want
       && with_planner_off (fun () -> Planner.exists p a) = want)
 
+(* ------------------------ prepared queries ---------------------------- *)
+
+(* Sql_exec.query prepares each text once per table version.  Random
+   edits of D — rows dropped, rows duplicated (both through
+   Database.replace) and INSERT — interleave with repeated runs of every
+   SQL invariant; each cached answer must equal the reference
+   interpreter's on the same database. *)
+type edit = Drop of int | Dup of int | Insert of int | Run
+
+let edit_to_string = function
+  | Drop k -> Printf.sprintf "drop %d" k
+  | Dup k -> Printf.sprintf "dup %d" k
+  | Insert k -> Printf.sprintf "insert %d" k
+  | Run -> "run"
+
+let sql_invariants =
+  List.filter_map
+    (fun (inv : Checker.Invariant.t) ->
+      match inv.check with Sql q -> Some q | Native _ -> None)
+    Checker.Invariant.all
+
+(* Rows that two seeded protocol bugs add to D: a wrong presence-vector
+   op on an exclusive grant, and a dealloc that never completes to the
+   requester.  Each violates one SQL invariant, so inserting one changes
+   the answers the cache must keep up with. *)
+let seeded_rows =
+  lazy
+    (let d = Database.find (Protocol.database ()) "D" in
+     let open Protocol in
+     let map = Ctrl_spec.map_scenario Dir_controller.spec in
+     List.concat_map
+       (fun spec ->
+         List.filter
+           (fun r -> not (Table.mem d r))
+           (Table.rows (fst (Ctrl_spec.generate spec))))
+       [
+         map "ack-exclusive" (fun s ->
+             {
+               s with
+               emit =
+                 List.map
+                   (fun (c, o) ->
+                     if c = "nxtdirpv" then (c, Ctrl_spec.Out "inc") else (c, o))
+                   s.emit;
+             });
+         map "wb-mack-compl" (fun s ->
+             { s with emit = List.filter (fun (c, _) -> c <> "locmsg") s.emit });
+       ])
+
+(* [Drop k]/[Dup k] drop or double every row [i] with [i mod 97 = k mod
+   97]; [Insert k] adds seeded row [k] *)
+let apply_edit db = function
+  | Run -> db
+  | Insert k ->
+      let rows = Lazy.force seeded_rows in
+      let row = List.nth rows (k mod List.length rows) in
+      fst
+        (Sql_exec.exec db
+           (Printf.sprintf "INSERT INTO D VALUES (%s)"
+              (String.concat ", " (Array.to_list (Array.map Value.to_sql row)))))
+  | (Drop k | Dup k) as e ->
+      let d = Database.find db "D" in
+      let idx =
+        List.concat_map
+          (fun i ->
+            if i mod 97 <> k mod 97 then [ i ]
+            else match e with Dup _ -> [ i; i ] | _ -> [])
+          (List.init (Table.cardinality d) Fun.id)
+      in
+      Database.replace db (Table.gather d idx)
+
+let prop_prepared_differential =
+  QCheck.Test.make ~count:12
+    ~name:"prepared queries equal the reference across table edits"
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 1 6)
+           (frequency
+              [
+                (3, return Run);
+                (1, map (fun k -> Drop k) nat);
+                (1, map (fun k -> Dup k) nat);
+                (1, map (fun k -> Insert k) nat);
+              ]))
+       ~print:(fun es -> String.concat "; " (List.map edit_to_string es)))
+    (fun edits ->
+      let check_all db =
+        List.for_all
+          (fun src ->
+            same_table (Sql_exec.query db src)
+              (Sql_exec.run_query_reference db (Sql_parser.parse_query src)))
+          sql_invariants
+      in
+      let db = Protocol.database () in
+      check_all db
+      && snd
+           (List.fold_left
+              (fun (db, ok) e ->
+                let db = apply_edit db e in
+                (db, ok && check_all db))
+              (db, true) edits))
+
+let plan_cache_misses () =
+  Obs.Metrics.count
+    (Obs.Metrics.counter (Obs.Metrics.registry "relalg") "plan_cache.misses")
+
+let planlog_queries () =
+  List.map (fun (e : Obs.Planlog.entry) -> e.e_query) (Obs.Planlog.snapshot ())
+
+(* The tag that sends a prepared text back to the planner, and the
+   dispatch that bypasses it. *)
+let test_prepared_dispatch () =
+  let db = Lazy.force fixture_db in
+  let src = "SELECT x FROM a WHERE k = 'p'" in
+  let reference = Sql_exec.run_query_reference db (Sql_parser.parse_query src) in
+  Test_env.with_env "ASURA_PLANNER" "on" @@ fun () ->
+  Obs.Config.with_enabled @@ fun () ->
+  Obs.Planlog.reset ();
+  ignore (Sql_exec.query db src);
+  let misses = plan_cache_misses () in
+  check_bool "same text, same tables: cached" true
+    (same_table reference (Sql_exec.query db src));
+  check_int "no re-plan" misses (plan_cache_misses ());
+  let db' = Database.replace db (Table.gather (Database.find db "a") [ 0; 1 ]) in
+  check_int "edited table: new rows" 1
+    (Table.cardinality (Sql_exec.query db' src));
+  check_int "edited table re-plans" (misses + 1) (plan_cache_misses ());
+  Obs.Planlog.reset ();
+  Test_env.with_env "ASURA_PLANNER" "off" (fun () ->
+      check_bool "planner off: reference rows" true
+        (same_table reference (Sql_exec.query db src)));
+  let r = Lineage.with_tracking (fun () -> Sql_exec.query db src) in
+  check_bool "lineage: reference rows" true (same_table reference r);
+  check_bool "lineage: provenance kept" true (Table.lineage r <> None);
+  Alcotest.(check (list string)) "neither ran a plan" [] (planlog_queries ());
+  ignore (Sql_exec.query db src);
+  Alcotest.(check (list string)) "planner back on" [ src ] (planlog_queries ())
+
+(* ------------------------- indexed probes ----------------------------- *)
+
+(* [col = literal] conjuncts probed through a hash index: literals
+   outside the dictionary ("zz") and NULL, the conjunct alone or with a
+   residual on either side, and the planner off. *)
+let prop_indexed_exists =
+  QCheck.Test.make ~count:300
+    ~name:"Planner.exists ~indexes equals the scan and Ops.select"
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (table_gen ~name:"a" ~cols:[ "k"; "x" ])
+           (pair (oneofl [ "k"; "x" ])
+              (oneofl
+                 [ Value.Str "p"; Value.Str "q"; Value.Str "u"; Value.Str "zz";
+                   Value.Null ]))
+           pred_gen)
+       ~print:(fun (a, (c, v), p) ->
+         Printf.sprintf "a(%d rows), %s = %s, %s" (Table.cardinality a) c
+           (Value.to_sql v) (Expr.to_sql p)))
+    (fun (a, (c, v), p) ->
+      let key = Expr.Eq (Expr.Col c, Expr.Const v) in
+      List.for_all
+        (fun e ->
+          let want = not (Table.is_empty (Ops.select e a)) in
+          Planner.exists e a = want
+          && List.for_all
+               (fun indexes -> Planner.exists ~indexes e a = want)
+               [ [ "k" ]; [ "x" ]; [ "k"; "x" ] ]
+          && with_planner_off (fun () -> Planner.exists ~indexes:[ c ] e a)
+             = want)
+        [ key; Expr.(key &&& p); Expr.(p &&& key) ])
+
+(* With telemetry on, an indexed probe reports the lookup it ran. *)
+let test_indexed_exists_observed () =
+  let a = Database.find (Lazy.force fixture_db) "a" in
+  Test_env.with_env "ASURA_PLANNER" "on" @@ fun () ->
+  Obs.Config.with_enabled @@ fun () ->
+  Obs.Planlog.reset ();
+  check_bool "found" true
+    (Planner.exists ~indexes:[ "k" ] Expr.(eq "k" "p" &&& eq "x" "v") a);
+  match Obs.Planlog.snapshot () with
+  | [ e ] ->
+      Alcotest.(check (list string))
+        "limit over the residual filter over the lookup"
+        [ "limit 1"; "filter x = 'v'"; "index lookup a.k = 'p'" ]
+        (Array.to_list (Array.map (fun o -> o.Obs.Planlog.o_op) e.e_ops));
+      check_int "lookup rows" 3 e.e_ops.(2).o_actual_rows
+  | es -> Alcotest.failf "expected one plan, got %d" (List.length es)
+
 let suite =
   [
     Alcotest.test_case "SQL differential: planner vs reference" `Quick
@@ -515,4 +704,10 @@ let suite =
       test_bytes_copied_kept_only;
     Test_seed.to_alcotest prop_fused_chain_differential;
     Test_seed.to_alcotest prop_exists_differential;
+    Test_seed.to_alcotest prop_prepared_differential;
+    Alcotest.test_case "prepared queries: re-plan tags and dispatch" `Quick
+      test_prepared_dispatch;
+    Test_seed.to_alcotest prop_indexed_exists;
+    Alcotest.test_case "indexed probe reports its index lookup" `Quick
+      test_indexed_exists_observed;
   ]

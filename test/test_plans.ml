@@ -392,6 +392,33 @@ let test_workload_deterministic () =
       snap
   end
 
+(* Two runs of the invariant suite: the second run's prepared plans
+   report under the fingerprints of the first, so every sys.plans row
+   stays the same with its execution and row counts doubled. *)
+let test_suite_plans_doubled () =
+  let db = Protocol.database () in
+  let run () = ignore (Checker.Invariant.run_all db) in
+  let rows () = Table.rows (Systables.plans_of (Obs.Planlog.snapshot ())) in
+  Obs.Planlog.reset ();
+  let first, second =
+    Obs.Config.with_enabled (fun () ->
+        run ();
+        let first = rows () in
+        run ();
+        (first, rows ()))
+  in
+  Obs.Planlog.reset ();
+  if Planner.active () then check_bool "suite ran plans" true (first <> []);
+  (* columns 4 and 6 are execs and rows_out; 5, total_ms, is a timing *)
+  let untimed r = Array.mapi (fun i v -> if i = 5 then Value.Null else v) r in
+  let doubled r =
+    Array.map
+      (function Value.Int n -> Value.Int (2 * n) | v -> v)
+      (untimed r)
+  in
+  check_bool "same rows, execs and rows_out doubled" true
+    (List.map doubled first = List.map untimed second)
+
 (* Golden fingerprints of the committed bench/PLANS.json baseline: if
    one of these moves, the planner's physical choices changed and the
    baseline (plus this list) must be regenerated deliberately —
@@ -469,6 +496,8 @@ let suite =
     Alcotest.test_case "borrowed whole-column scan" `Quick test_borrowed_scan;
     Alcotest.test_case "ASURA_PLANNER=off records nothing" `Quick
       test_planner_off_records_nothing;
+    Alcotest.test_case "invariant suite twice: same plans, execs doubled"
+      `Quick test_suite_plans_doubled;
     Alcotest.test_case "plan workload is deterministic" `Quick
       test_workload_deterministic;
     Alcotest.test_case "plan workload golden fingerprints" `Quick

@@ -41,7 +41,13 @@ let test_lexer () =
     (List.mem (Sql_lexer.STRING "o'brien") (Sql_lexer.tokenize "'o''brien'"));
   check "lex error" true
     (try ignore (Sql_lexer.tokenize "a @ b"); false
-     with Sql_lexer.Lex_error _ -> true)
+     with Sql_lexer.Lex_error _ -> true);
+  (* a literal beyond the native int range, not an escaping [Failure] *)
+  check "int overflow at the literal's offset" true
+    (match Sql_lexer.tokenize "SELECT * FROM D LIMIT 99999999999999999999999" with
+     | _ -> false
+     | exception Sql_lexer.Lex_error { pos; message } ->
+         pos = 22 && message = "integer literal out of range")
 
 let test_select_where () =
   check_int "filter by literal" 3
@@ -108,6 +114,48 @@ let test_errors () =
   check "trailing garbage" true
     (try ignore (Sql_parser.parse_query "SELECT a FROM t t t"); false
      with Sql_parser.Parse_error _ -> true)
+
+let plan_cache_misses () =
+  Obs.Metrics.count
+    (Obs.Metrics.counter (Obs.Metrics.registry "relalg") "plan_cache.misses")
+
+(* An unknown function is an [Exec_error] on both engines, and a failed
+   call leaves nothing in the prepared-query cache that changes the next
+   call with the same text: with the planner on, both calls plan. *)
+let test_unknown_function () =
+  let src = "SELECT * FROM D WHERE nofn(inmsg)" in
+  let error () =
+    match q src with
+    | _ -> "no error"
+    | exception Sql_exec.Exec_error msg -> msg
+  in
+  Obs.Config.with_enabled @@ fun () ->
+  List.iter
+    (fun planner ->
+      Test_env.with_env "ASURA_PLANNER" planner @@ fun () ->
+      let misses = plan_cache_misses () in
+      let first = error () in
+      Alcotest.(check string) ("planner " ^ planner) "unknown function nofn" first;
+      Alcotest.(check string) ("second call, planner " ^ planner) first (error ());
+      if planner = "on" then
+        check_int "no plan cached" (misses + 2) (plan_cache_misses ()))
+    [ "on"; "off" ]
+
+(* Distinct texts still answer once the prepared-query cache is full,
+   and filling it clears it: the last text is prepared, the first is
+   planned again. *)
+let test_prepared_capacity () =
+  let text n = Printf.sprintf "SELECT * FROM D LIMIT %d" n in
+  Test_env.with_env "ASURA_PLANNER" "on" @@ fun () ->
+  Obs.Config.with_enabled @@ fun () ->
+  for n = 1 to 300 do
+    check_int "limit honoured" (min n 4) (Table.cardinality (q (text n)))
+  done;
+  let misses = plan_cache_misses () in
+  ignore (q (text 300));
+  check_int "last text still prepared" misses (plan_cache_misses ());
+  ignore (q (text 1));
+  check_int "first text cleared" (misses + 1) (plan_cache_misses ())
 
 let test_parse_predicate () =
   let p = Sql_parser.parse_predicate "a = 'x' AND NOT b IN ('y','z')" in
@@ -215,6 +263,8 @@ let suite =
     Alcotest.test_case "create/insert/drop" `Quick test_create_insert_drop;
     Alcotest.test_case "emptiness checks" `Quick test_is_empty;
     Alcotest.test_case "errors" `Quick test_errors;
+    Alcotest.test_case "unknown function" `Quick test_unknown_function;
+    Alcotest.test_case "prepared-query capacity" `Quick test_prepared_capacity;
     Alcotest.test_case "order by / limit" `Quick test_order_limit;
     Alcotest.test_case "ordered comparisons" `Quick test_comparisons;
     Alcotest.test_case "bare boolean predicates" `Quick test_bare_bool;
