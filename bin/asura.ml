@@ -230,21 +230,33 @@ let assignment_conv =
   Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt v.Checker.Vcassign.name)
 
 (* Like [assignment_conv] but also accepts a CSV file (columns m,s,d,v),
-   so externally-edited channel assignments can be analyzed directly. *)
+   so externally-edited channel assignments can be analyzed directly.
+   A file that cannot be read, or does not hold an assignment, is bad
+   input rather than a usage error: {!vc_arg} reports it on one line and
+   exits 2. *)
 let assignment_or_csv_conv =
+  let load path =
+    try
+      if Sys.is_directory path then
+        Error (path ^ ": is a directory, not a CSV file")
+      else
+        Ok
+          (Checker.Vcassign.of_table
+             (Relalg.Csv.load
+                ~name:(Filename.remove_extension (Filename.basename path))
+                ~filename:path))
+    with
+    | Relalg.Csv.Csv_error { line; message } ->
+        Error (Printf.sprintf "%s: line %d: %s" path line message)
+    | Checker.Vcassign.Invalid e ->
+        Error (path ^ ": " ^ Checker.Vcassign.error_to_string e)
+    | Sys_error message -> Error message (* names the file itself *)
+  in
   let parse = function
-    | "initial" -> Ok Checker.Vcassign.initial
-    | "vc4" -> Ok Checker.Vcassign.with_vc4
-    | "debugged" -> Ok Checker.Vcassign.debugged
-    | path when Sys.file_exists path -> (
-        try
-          Ok
-            (Checker.Vcassign.of_table
-               (Relalg.Csv.load
-                  ~name:(Filename.remove_extension (Filename.basename path))
-                  ~filename:path))
-        with Relalg.Csv.Csv_error { line; message } ->
-          Error (`Msg (Printf.sprintf "%s: line %d: %s" path line message)))
+    | "initial" -> Ok (Ok Checker.Vcassign.initial)
+    | "vc4" -> Ok (Ok Checker.Vcassign.with_vc4)
+    | "debugged" -> Ok (Ok Checker.Vcassign.debugged)
+    | path when Sys.file_exists path -> Ok (load path)
     | s ->
         Error
           (`Msg
@@ -252,7 +264,25 @@ let assignment_or_csv_conv =
             ^ " (initial|vc4|debugged, or a CSV file with columns m,s,d,v)"))
   in
   Arg.conv
-    (parse, fun fmt v -> Format.pp_print_string fmt v.Checker.Vcassign.name)
+    ( parse,
+      fun fmt -> function
+        | Ok v -> Format.pp_print_string fmt v.Checker.Vcassign.name
+        | Error m -> Format.pp_print_string fmt m )
+
+(* The [--vc] option (default: the paper's Figure-4 assignment). *)
+let vc_arg ~doc =
+  let resolve = function
+    | Ok v -> v
+    | Error message ->
+        prerr_endline ("vc: " ^ message);
+        exit 2
+  in
+  Term.(
+    const resolve
+    $ Arg.(
+        value
+        & opt assignment_or_csv_conv (Ok Checker.Vcassign.with_vc4)
+        & info [ "vc" ] ~docv:"ASSIGNMENT" ~doc))
 
 let deadlock_cmd =
   let assignment =
@@ -355,14 +385,11 @@ let why_cmd =
           ~doc:"Invariant id (with $(b,why invariant); see $(b,invariants -a)).")
   in
   let assignment =
-    Arg.(
-      value
-      & opt assignment_or_csv_conv Checker.Vcassign.with_vc4
-      & info [ "vc" ] ~docv:"ASSIGNMENT"
-          ~doc:
-            "Virtual-channel assignment to explain: $(b,initial), $(b,vc4), \
-             $(b,debugged), or a CSV file with columns m,s,d,v (as written \
-             by $(b,export)).")
+    vc_arg
+      ~doc:
+        "Virtual-channel assignment to explain: $(b,initial), $(b,vc4), \
+         $(b,debugged), or a CSV file with columns m,s,d,v (as written by \
+         $(b,export))."
   in
   let dot =
     Arg.(
@@ -416,11 +443,11 @@ let why_cmd =
   Cmd.v
     (Cmd.info "why"
        ~doc:
-         "Explain a verdict from row-level provenance: render each VCG \
-          cycle as the controller transitions behind it (the paper's \
-          Figure 4 narrative, reconstructed automatically), or decode an \
-          invariant violation back to the base-table rows it was derived \
-          from.")
+         "Explain a verdict from the controller rows behind it: render \
+          each VCG cycle as the controller transitions behind it (the \
+          paper's Figure 4 narrative, reconstructed automatically), or \
+          show each invariant counterexample with its witnesses, the \
+          table rows it was selected from.")
     Term.(const run $ setup_term $ what $ inv_id $ assignment $ dot $ events)
 
 (* ------------------------------- map --------------------------------- *)
@@ -843,14 +870,11 @@ let events_tail_cmd =
           ~doc:"How many trailing events to show.")
   in
   let assignment =
-    Arg.(
-      value
-      & opt assignment_or_csv_conv Checker.Vcassign.with_vc4
-      & info [ "vc" ] ~docv:"ASSIGNMENT"
-          ~doc:
-            "Virtual-channel assignment for the live Figure-4 replay: \
-             $(b,initial), $(b,vc4) (default: the paper's deadlock), \
-             $(b,debugged), or a CSV file.")
+    vc_arg
+      ~doc:
+        "Virtual-channel assignment for the live Figure-4 replay: \
+         $(b,initial), $(b,vc4) (default: the paper's deadlock), \
+         $(b,debugged), or a CSV file."
   in
   let run () n runs assignment =
     let docs =
@@ -933,11 +957,7 @@ let events_dump_cmd =
           ~doc:"Write the document to this file instead of standard output.")
   in
   let assignment =
-    Arg.(
-      value
-      & opt assignment_or_csv_conv Checker.Vcassign.with_vc4
-      & info [ "vc" ] ~docv:"ASSIGNMENT"
-          ~doc:"Assignment for the live Figure-4 replay (as in tail).")
+    vc_arg ~doc:"Assignment for the live Figure-4 replay (as in tail)."
   in
   let run () _json output runs assignment =
     let doc =
@@ -1287,7 +1307,7 @@ let explain_cmd =
       Printf.printf "plan:\n%s\noptimized:\n%s"
         (Relalg.Plan.explain plan)
         (Relalg.Plan.explain (Relalg.Plan.optimize plan));
-      if Relalg.Planner.active () then
+      if Relalg.Planner.enabled () then
         Printf.printf "cost-based (est rows, cumulative cost):\n%s"
           (Relalg.Planner.explain (Protocol.database ()) query)
     end

@@ -35,10 +35,11 @@ type entry = {
   dep : dep;
   provenance : provenance;
   origin : (string * int) list;
-      (** Row-level lineage: the controller-table rows this dependency was
-          read off, as (controller name, 0-based row index) pairs.  A
-          [Direct] entry has exactly one; a [Composed] entry the union of
-          both parents', order preserved. *)
+      (** The controller-table rows this dependency was read off, as
+          (controller name, 0-based row index) pairs: what [why deadlock]
+          prints behind each cycle edge.  A [Direct] entry has exactly
+          one; a [Composed] entry the union of both parents', order
+          preserved. *)
 }
 
 val individual : v:Vcassign.t -> Protocol.controller -> entry list

@@ -77,17 +77,41 @@ let to_table t =
        (fun a -> Row.strings [ a.msg; a.src; a.dst; a.vc ])
        t.rows)
 
+type error =
+  | Wrong_columns of string list
+  | No_rows
+  | Non_string_cell of { row : int; column : string; value : Value.t }
+
+exception Invalid of error
+
+let error_to_string = function
+  | Wrong_columns cols ->
+      Printf.sprintf "columns are %s, expected m,s,d,v" (String.concat "," cols)
+  | No_rows -> "no assignment rows"
+  | Non_string_cell { row; column; value } ->
+      Printf.sprintf "row %d, column %s: expected a name, found %s" row column
+        (Value.to_sql value)
+
 let of_table tbl =
-  let rows =
-    Table.fold
-      (fun acc row ->
-        match Array.to_list row with
-        | [ Value.Str msg; Value.Str src; Value.Str dst; Value.Str vc ] ->
-            { msg; src; dst; vc } :: acc
-        | _ -> acc)
-      [] tbl
+  let columns = Schema.columns (Table.schema tbl) in
+  if columns <> Schema.columns schema then raise (Invalid (Wrong_columns columns));
+  if Table.is_empty tbl then raise (Invalid No_rows);
+  let assignment i =
+    let row = Table.get tbl i in
+    let cell j =
+      match row.(j) with
+      | Value.Str s -> s
+      | value ->
+          raise
+            (Invalid
+               (Non_string_cell { row = i; column = List.nth columns j; value }))
+    in
+    let msg = cell 0 in
+    let src = cell 1 in
+    let dst = cell 2 in
+    { msg; src; dst; vc = cell 3 }
   in
-  { name = Table.name tbl; rows = List.rev rows }
+  { name = Table.name tbl; rows = List.init (Table.cardinality tbl) assignment }
 
 let reassign t ~msg ~src ~dst ~vc =
   let t = remove t ~msg ~src ~dst in

@@ -40,8 +40,22 @@ val channels : t -> string list
 val to_table : t -> Relalg.Table.t
 (** As a database table named after the assignment, columns (m, s, d, v). *)
 
+(** Why a table is not a channel assignment. *)
+type error =
+  | Wrong_columns of string list  (** the columns found, not (m, s, d, v) *)
+  | No_rows
+  | Non_string_cell of { row : int; column : string; value : Relalg.Value.t }
+      (** a NULL, number or boolean where a name belongs ([row] 0-based) *)
+
+exception Invalid of error
+
+val error_to_string : error -> string
+(** One line, without the table's name. *)
+
 val of_table : Relalg.Table.t -> t
-(** Inverse of {!to_table}; ignores rows with NULL cells. *)
+(** Inverse of {!to_table}.
+    @raise Invalid unless the columns are exactly (m, s, d, v), there is
+    at least one row, and every cell is a name. *)
 
 val reassign : t -> msg:string -> src:string -> dst:string -> vc:string -> t
 (** Functional update of one triple's channel (adding it if absent). *)

@@ -19,11 +19,13 @@ let non_null_cells schema row =
            c
            (Value.to_string row.(Schema.index schema c)))
 
+let render_row buf ~indent name tbl i =
+  pr buf "%s%s[row %d]: %s\n" indent name i
+    (String.concat " " (non_null_cells (Table.schema tbl) (Table.get tbl i)))
+
 let render_controller_row buf ~indent (name, i) =
   match controller_table name with
-  | Some tbl when i < Table.cardinality tbl ->
-      pr buf "%s%s[row %d]: %s\n" indent name i
-        (String.concat " " (non_null_cells (Table.schema tbl) (Table.get tbl i)))
+  | Some tbl when i < Table.cardinality tbl -> render_row buf ~indent name tbl i
   | _ -> pr buf "%s%s[row %d]\n" indent name i
 
 (* --------------------------- deadlock --------------------------------- *)
@@ -161,24 +163,54 @@ let deadlock_dot (r : Deadlock.report) =
 
 let max_violations = 5
 
-let render_contrib buf (c : Lineage.contrib) =
-  match Lineage.source c.Lineage.source with
-  | None -> pr buf "      %s[row %d]\n" (Lineage.source_name c.Lineage.source) c.Lineage.row
-  | Some s ->
-      let row = s.Lineage.get c.Lineage.row in
-      let rendered =
-        List.concat
-          (List.mapi
-             (fun j col ->
-               if row.(j) = Value.Null then []
-               else [ Printf.sprintf "%s=%s" col (Value.to_string row.(j)) ])
-             s.Lineage.columns)
+(* Every SQL invariant selects from one table, so a violating row is
+   explained by the rows it was selected from, and those can be found
+   again from the query alone, after it ran on either engine. *)
+let witnesses db (q : Sql_ast.query) =
+  match q with
+  | Sql_ast.Select
+      { columns = (Sql_ast.Star | Sql_ast.Columns _) as columns; from; where; _ }
+    ->
+      let t = Database.find db from in
+      let schema = Table.schema t in
+      let holds =
+        match where with
+        | None -> fun _ -> true
+        | Some p -> Expr.compile ~funcs:(Database.functions db) schema p
       in
-      pr buf "      %s[row %d]: %s\n" s.Lineage.name c.Lineage.row
-        (String.concat " " rendered)
+      let proj =
+        match columns with
+        | Sql_ast.Columns cs -> Array.of_list (List.map (Schema.index schema) cs)
+        | _ -> Array.init (Schema.arity schema) Fun.id
+      in
+      let selected =
+        List.filter_map
+          (fun k ->
+            let base = Table.get t k in
+            if holds base then Some (k, base) else None)
+          (List.init (Table.cardinality t) Fun.id)
+      in
+      let find row =
+        List.filter_map
+          (fun (k, base) ->
+            if Array.for_all2 (fun j v -> Value.equal base.(j) v) proj row
+            then Some k
+            else None)
+          selected
+      in
+      Some (t, find)
+  | _ -> None
+
+let render_witnesses buf t ks =
+  let shown = List.filteri (fun n _ -> n < max_violations) ks in
+  pr buf "    derived from %s:\n"
+    (String.concat " + "
+       (List.map (Printf.sprintf "%s[%d]" (Table.name t)) shown));
+  List.iter (render_row buf ~indent:"      " (Table.name t) t) shown;
+  let more = List.length ks - List.length shown in
+  if more > 0 then pr buf "      (and %d more)\n" more
 
 let invariant db (inv : Invariant.t) =
-  Lineage.with_tracking @@ fun () ->
   let r = Invariant.run db inv in
   let buf = Buffer.create 2048 in
   pr buf "why invariant %s?\n  \"%s\" (over %s)\n" inv.Invariant.id
@@ -196,21 +228,19 @@ let invariant db (inv : Invariant.t) =
          Printf.sprintf " (showing %d)" max_violations
        else "");
     let schema = Table.schema v in
-    let lin = Table.lineage v in
+    let explain =
+      match inv.Invariant.check with
+      | Invariant.Sql q -> witnesses db (Sql_parser.parse_query q)
+      | Invariant.Native _ -> None
+    in
     for i = 0 to min (Table.cardinality v) max_violations - 1 do
-      pr buf "  row %d: %s\n" i
-        (String.concat " " (non_null_cells schema (Table.get v i)));
-      match lin with
+      let row = Table.get v i in
+      pr buf "  row %d: %s\n" i (String.concat " " (non_null_cells schema row));
+      match explain with
       | None ->
           pr buf "    (no lineage: rows were built directly, not derived \
                   from base tables)\n"
-      | Some lin ->
-          if Array.length lin.(i) = 0 then
-            pr buf "    (no base contributors recorded)\n"
-          else begin
-            pr buf "    derived from %s:\n" (Lineage.to_string lin.(i));
-            Array.iter (render_contrib buf) lin.(i)
-          end
+      | Some (t, find) -> render_witnesses buf t (find row)
     done
   end;
   (r.Invariant.passed, Buffer.contents buf)

@@ -5,16 +5,17 @@
     expects them to reconstruct the offending protocol scenario by hand
     (the Figure 4 narrative: a writeback and a read-exclusive
     interleaved over VC2/VC4).  This module automates that
-    reconstruction using the row-level provenance now carried by the
-    engine:
+    reconstruction:
 
     - each dependency entry knows the controller rows it was read off
       ({!Dependency.entry}[.origin]), so every cycle edge can be
       rendered as concrete controller transitions — which message is
       consumed, in which state, and which messages are emitted;
-    - SQL invariant violations propagate {!Relalg.Lineage} through the
-      relational operators, so every violating row can be decoded back
-      into the base-table rows it was derived from. *)
+    - an SQL invariant selects from one table
+      ([SELECT \[DISTINCT\] cols FROM t WHERE p]), so every violating
+      row is explained by its {e witnesses}: the rows of [t] that
+      satisfy [p] and equal the row on [cols], recovered from the query
+      itself. *)
 
 val deadlock : Deadlock.report -> string
 (** A Figure-4-style narrative for each VCG cycle: the channels in
@@ -29,9 +30,21 @@ val deadlock_dot : Deadlock.report -> string
     cycle, each edge labeled with one witnessing dependency and its
     controller-row origin. *)
 
+val witnesses :
+  Relalg.Database.t -> Relalg.Sql_ast.query ->
+  (Relalg.Table.t * (Relalg.Row.t -> int list)) option
+(** Witness recovery for [SELECT \[DISTINCT\] cols FROM t WHERE p]
+    (any [ORDER BY]/[LIMIT]; [*] or a column list): [Some (t, find)],
+    where [find row] lists, in ascending order, the indices of the rows
+    of [t] that satisfy [p] and equal [row] on [cols].  Every row of
+    the query's result has at least one witness.  [None] for any other
+    query shape ([COUNT], [GROUP BY], set operators). *)
+
 val invariant : Relalg.Database.t -> Invariant.t -> bool * string
-(** Re-run one invariant under {!Relalg.Lineage.with_tracking} and
-    explain the outcome: [(passed, narrative)].  For a violated SQL
-    invariant every counterexample row is printed together with the
-    base-table rows its lineage decodes to; native checks that build
-    rows from scratch are reported without lineage. *)
+(** Run one invariant ({!Invariant.run}, on whichever engine
+    [ASURA_PLANNER] selects) and explain the outcome:
+    [(passed, narrative)].  For a violated SQL invariant of the
+    single-table [SELECT] shape, each shown counterexample row is
+    printed with its witnesses (at most five, then a count of the
+    rest); native checks, which build rows from scratch, and any other
+    query shape get a single line saying there are no base rows. *)

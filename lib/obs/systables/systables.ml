@@ -2,8 +2,8 @@
    the toolchain itself.  Spans, metrics, coverage bitmaps, run
    manifests and bench snapshots become ordinary columnar Table.t
    values under the reserved sys. namespace, so the same SQL front end
-   that audits ASURA audits the checker — including the planner,
-   EXPLAIN ANALYZE and lineage, which all work on telemetry for free.
+   that audits ASURA audits the checker — including the planner and
+   EXPLAIN ANALYZE, which both work on telemetry for free.
 
    This is its own library (not part of obs) because the ingest side
    needs relalg and protocol, and relalg itself depends on obs — folding

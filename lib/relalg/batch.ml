@@ -668,196 +668,191 @@ let topk_table ~name k keys src =
    probe side's left collects pairs probe-major and a stable counting
    sort by [ia] restores the reference order. *)
 let join_tables ?build_left ~on ta tb =
-  if
-    Table.lineage ta <> None || Table.lineage tb <> None || Lineage.tracking ()
-  then Ops.equi_join ~on ta tb
-  else begin
-    let sa = Table.schema ta and sb = Table.schema tb in
-    let a_keys = List.map (fun (a, _) -> Schema.index sa a) on in
-    let b_keys = List.map (fun (_, b) -> Schema.index sb b) on in
-    let b_key_cols = List.map snd on in
-    let kept_b =
-      List.filter (fun c -> not (List.mem c b_key_cols)) (Schema.columns sb)
-    in
-    List.iter
-      (fun c -> if Schema.mem sa c then raise (Ops.Schema_clash c))
-      kept_b;
-    let na = Table.cardinality ta and nb = Table.cardinality tb in
-    let build_left =
-      match build_left with Some b -> b | None -> na < nb
-    in
-    (* [bt] owns the index; [pt] streams through it. *)
-    let bt, pt, b_keyix, p_keyix =
-      if build_left then (ta, tb, a_keys, b_keys) else (tb, ta, b_keys, a_keys)
-    in
-    let nbuild = Table.cardinality bt and nprobe = Table.cardinality pt in
-    let nkeys = List.length on in
-    let bcols = Array.of_list (List.map (Table.codes bt) b_keyix) in
-    let bdicts = Array.of_list (List.map (Table.dict bt) b_keyix) in
-    let pcols = Array.of_list (List.map (Table.codes pt) p_keyix) in
-    let trans =
-      Array.of_list
-        (List.map2
-           (fun jp jb ->
-             let dp = Table.dict pt jp and db = Table.dict bt jb in
-             if dp == db then None else Some (Dict.translate ~from:dp ~into:db))
-           p_keyix b_keyix)
-    in
-    (* translated probe key, written into [k]; false = no possible match *)
-    let key_into k ip =
-      let ok = ref true in
-      for j = 0 to nkeys - 1 do
-        let c = pcols.(j).(ip) in
-        let c' = match trans.(j) with None -> c | Some map -> map.(c) in
-        if c' < 0 then ok := false else k.(j) <- c'
-      done;
-      !ok
-    in
-    let next = Array.make (max 1 nbuild) (-1) in
-    let dense = dense_domain bdicts in
-    let scratch = Array.make (max 1 nkeys) 0 in
-    (* [find]: head of the chain for the translated key in [scratch] *)
-    let find =
-      if dense >= 0 then begin
-        let heads = Array.make dense (-1) in
-        let weights = Array.map (fun d -> max 1 (Dict.size d)) bdicts in
-        let key cols i =
-          let k = ref 0 in
-          for j = 0 to nkeys - 1 do
-            k := (!k * Array.unsafe_get weights j) + cols j i
-          done;
-          !k
-        in
-        (* insert high-to-low so every chain lists build rows ascending *)
-        for ib = nbuild - 1 downto 0 do
-          let k = key (fun j i -> bcols.(j).(i)) ib in
-          next.(ib) <- heads.(k);
-          heads.(k) <- ib
-        done;
-        fun () -> heads.(key (fun j _ -> scratch.(j)) 0)
-      end
-      else begin
-        let cap = pow2_at_least (4 * max 1 nbuild) in
-        let mask = cap - 1 in
-        let keys = Array.make cap (-1) in
-        (* first build row of the slot's chain; keys compare per column *)
-        let heads = Array.make cap (-1) in
-        let hash cols i =
-          let h = ref 0 in
-          for j = 0 to nkeys - 1 do
-            h := (!h * 1000003) + cols j i
-          done;
-          mix !h land mask
-        in
-        let same cols i ib =
-          let ok = ref true in
-          for j = 0 to nkeys - 1 do
-            if cols j i <> bcols.(j).(ib) then ok := false
-          done;
-          !ok
-        in
-        let slot cols i =
-          let rec probe s =
-            if keys.(s) < 0 || same cols i keys.(s) then s
-            else probe ((s + 1) land mask)
-          in
-          probe (hash cols i)
-        in
-        for ib = nbuild - 1 downto 0 do
-          let s = slot (fun j i -> bcols.(j).(i)) ib in
-          if keys.(s) < 0 then keys.(s) <- ib;
-          next.(ib) <- heads.(s);
-          heads.(s) <- ib
-        done;
-        fun () ->
-          let s = slot (fun j _ -> scratch.(j)) 0 in
-          if keys.(s) < 0 then -1 else heads.(s)
-      end
-    in
-    (* probe in order, pushing matches into growable pair buffers *)
-    let cap = ref 64 in
-    let ip_arr = ref (Array.make !cap 0) and ib_arr = ref (Array.make !cap 0) in
-    let m = ref 0 in
-    let push ip ib =
-      if !m = !cap then begin
-        cap := 2 * !cap;
-        let grow a =
-          let a' = Array.make !cap 0 in
-          Array.blit a 0 a' 0 !m;
-          a'
-        in
-        ip_arr := grow !ip_arr;
-        ib_arr := grow !ib_arr
-      end;
-      !ip_arr.(!m) <- ip;
-      !ib_arr.(!m) <- ib;
-      incr m
-    in
-    for ip = 0 to nprobe - 1 do
-      if key_into scratch ip then begin
-        let b = ref (find ()) in
-        while !b >= 0 do
-          push ip !b;
-          b := next.(!b)
-        done
-      end
+  let sa = Table.schema ta and sb = Table.schema tb in
+  let a_keys = List.map (fun (a, _) -> Schema.index sa a) on in
+  let b_keys = List.map (fun (_, b) -> Schema.index sb b) on in
+  let b_key_cols = List.map snd on in
+  let kept_b =
+    List.filter (fun c -> not (List.mem c b_key_cols)) (Schema.columns sb)
+  in
+  List.iter
+    (fun c -> if Schema.mem sa c then raise (Ops.Schema_clash c))
+    kept_b;
+  let na = Table.cardinality ta and nb = Table.cardinality tb in
+  let build_left =
+    match build_left with Some b -> b | None -> na < nb
+  in
+  (* [bt] owns the index; [pt] streams through it. *)
+  let bt, pt, b_keyix, p_keyix =
+    if build_left then (ta, tb, a_keys, b_keys) else (tb, ta, b_keys, a_keys)
+  in
+  let nbuild = Table.cardinality bt and nprobe = Table.cardinality pt in
+  let nkeys = List.length on in
+  let bcols = Array.of_list (List.map (Table.codes bt) b_keyix) in
+  let bdicts = Array.of_list (List.map (Table.dict bt) b_keyix) in
+  let pcols = Array.of_list (List.map (Table.codes pt) p_keyix) in
+  let trans =
+    Array.of_list
+      (List.map2
+         (fun jp jb ->
+           let dp = Table.dict pt jp and db = Table.dict bt jb in
+           if dp == db then None else Some (Dict.translate ~from:dp ~into:db))
+         p_keyix b_keyix)
+  in
+  (* translated probe key, written into [k]; false = no possible match *)
+  let key_into k ip =
+    let ok = ref true in
+    for j = 0 to nkeys - 1 do
+      let c = pcols.(j).(ip) in
+      let c' = match trans.(j) with None -> c | Some map -> map.(c) in
+      if c' < 0 then ok := false else k.(j) <- c'
     done;
-    let m = !m in
-    let ias, ibs =
-      if not build_left then (!ip_arr, !ib_arr)
-      else begin
-        (* pairs are (probe=ib)-major; stable counting sort by the build
-           row [ia] restores ta-major order with tb matches ascending *)
-        let counts = Array.make (na + 1) 0 in
-        let bsrc = !ib_arr in
-        for k = 0 to m - 1 do
-          counts.(bsrc.(k) + 1) <- counts.(bsrc.(k) + 1) + 1
+    !ok
+  in
+  let next = Array.make (max 1 nbuild) (-1) in
+  let dense = dense_domain bdicts in
+  let scratch = Array.make (max 1 nkeys) 0 in
+  (* [find]: head of the chain for the translated key in [scratch] *)
+  let find =
+    if dense >= 0 then begin
+      let heads = Array.make dense (-1) in
+      let weights = Array.map (fun d -> max 1 (Dict.size d)) bdicts in
+      let key cols i =
+        let k = ref 0 in
+        for j = 0 to nkeys - 1 do
+          k := (!k * Array.unsafe_get weights j) + cols j i
         done;
-        for i = 1 to na do
-          counts.(i) <- counts.(i) + counts.(i - 1)
-        done;
-        let ias = Array.make (max 1 m) 0 and ibs = Array.make (max 1 m) 0 in
-        let psrc = !ip_arr in
-        for k = 0 to m - 1 do
-          let ia = bsrc.(k) in
-          let at = counts.(ia) in
-          counts.(ia) <- at + 1;
-          ias.(at) <- ia;
-          ibs.(at) <- psrc.(k)
-        done;
-        (ias, ibs)
-      end
-    in
-    (* a semijoin-shaped result (every ta row matched exactly once, in
-       order) needs no gather at all: the output's ta columns are ta's own
-       immutable code arrays, shared zero-copy like {!Ops.project} *)
-    let identity idxs n =
-      m = n
-      &&
-      let ok = ref true in
-      for k = 0 to m - 1 do
-        if Array.unsafe_get idxs k <> k then ok := false
+        !k
+      in
+      (* insert high-to-low so every chain lists build rows ascending *)
+      for ib = nbuild - 1 downto 0 do
+        let k = key (fun j i -> bcols.(j).(i)) ib in
+        next.(ib) <- heads.(k);
+        heads.(k) <- ib
       done;
-      !ok
-    in
-    let col_from t idxs id j =
-      let src = Table.codes t j in
-      if id then (Table.dict t j, src)
-      else begin
-        let data = Array.make m 0 in
-        gather src idxs m data;
-        (Table.dict t j, data)
-      end
-    in
-    let ia_id = identity ias na in
-    let ib_id = identity ibs (Table.cardinality tb) in
-    Table.of_columns
-      ~name:(Table.name ta ^ "|x|" ^ Table.name tb)
-      (Schema.append sa kept_b) ~nrows:m
-      (Array.append
-         (Array.init (Schema.arity sa) (col_from ta ias ia_id))
-         (Array.of_list
-            (List.map
-               (fun jb -> col_from tb ibs ib_id jb)
-               (List.map (Schema.index sb) kept_b))))
-  end
+      fun () -> heads.(key (fun j _ -> scratch.(j)) 0)
+    end
+    else begin
+      let cap = pow2_at_least (4 * max 1 nbuild) in
+      let mask = cap - 1 in
+      let keys = Array.make cap (-1) in
+      (* first build row of the slot's chain; keys compare per column *)
+      let heads = Array.make cap (-1) in
+      let hash cols i =
+        let h = ref 0 in
+        for j = 0 to nkeys - 1 do
+          h := (!h * 1000003) + cols j i
+        done;
+        mix !h land mask
+      in
+      let same cols i ib =
+        let ok = ref true in
+        for j = 0 to nkeys - 1 do
+          if cols j i <> bcols.(j).(ib) then ok := false
+        done;
+        !ok
+      in
+      let slot cols i =
+        let rec probe s =
+          if keys.(s) < 0 || same cols i keys.(s) then s
+          else probe ((s + 1) land mask)
+        in
+        probe (hash cols i)
+      in
+      for ib = nbuild - 1 downto 0 do
+        let s = slot (fun j i -> bcols.(j).(i)) ib in
+        if keys.(s) < 0 then keys.(s) <- ib;
+        next.(ib) <- heads.(s);
+        heads.(s) <- ib
+      done;
+      fun () ->
+        let s = slot (fun j _ -> scratch.(j)) 0 in
+        if keys.(s) < 0 then -1 else heads.(s)
+    end
+  in
+  (* probe in order, pushing matches into growable pair buffers *)
+  let cap = ref 64 in
+  let ip_arr = ref (Array.make !cap 0) and ib_arr = ref (Array.make !cap 0) in
+  let m = ref 0 in
+  let push ip ib =
+    if !m = !cap then begin
+      cap := 2 * !cap;
+      let grow a =
+        let a' = Array.make !cap 0 in
+        Array.blit a 0 a' 0 !m;
+        a'
+      in
+      ip_arr := grow !ip_arr;
+      ib_arr := grow !ib_arr
+    end;
+    !ip_arr.(!m) <- ip;
+    !ib_arr.(!m) <- ib;
+    incr m
+  in
+  for ip = 0 to nprobe - 1 do
+    if key_into scratch ip then begin
+      let b = ref (find ()) in
+      while !b >= 0 do
+        push ip !b;
+        b := next.(!b)
+      done
+    end
+  done;
+  let m = !m in
+  let ias, ibs =
+    if not build_left then (!ip_arr, !ib_arr)
+    else begin
+      (* pairs are (probe=ib)-major; stable counting sort by the build
+         row [ia] restores ta-major order with tb matches ascending *)
+      let counts = Array.make (na + 1) 0 in
+      let bsrc = !ib_arr in
+      for k = 0 to m - 1 do
+        counts.(bsrc.(k) + 1) <- counts.(bsrc.(k) + 1) + 1
+      done;
+      for i = 1 to na do
+        counts.(i) <- counts.(i) + counts.(i - 1)
+      done;
+      let ias = Array.make (max 1 m) 0 and ibs = Array.make (max 1 m) 0 in
+      let psrc = !ip_arr in
+      for k = 0 to m - 1 do
+        let ia = bsrc.(k) in
+        let at = counts.(ia) in
+        counts.(ia) <- at + 1;
+        ias.(at) <- ia;
+        ibs.(at) <- psrc.(k)
+      done;
+      (ias, ibs)
+    end
+  in
+  (* a semijoin-shaped result (every ta row matched exactly once, in
+     order) needs no gather at all: the output's ta columns are ta's own
+     immutable code arrays, shared zero-copy like {!Ops.project} *)
+  let identity idxs n =
+    m = n
+    &&
+    let ok = ref true in
+    for k = 0 to m - 1 do
+      if Array.unsafe_get idxs k <> k then ok := false
+    done;
+    !ok
+  in
+  let col_from t idxs id j =
+    let src = Table.codes t j in
+    if id then (Table.dict t j, src)
+    else begin
+      let data = Array.make m 0 in
+      gather src idxs m data;
+      (Table.dict t j, data)
+    end
+  in
+  let ia_id = identity ias na in
+  let ib_id = identity ibs (Table.cardinality tb) in
+  Table.of_columns
+    ~name:(Table.name ta ^ "|x|" ^ Table.name tb)
+    (Schema.append sa kept_b) ~nrows:m
+    (Array.append
+       (Array.init (Schema.arity sa) (col_from ta ias ia_id))
+       (Array.of_list
+          (List.map
+             (fun jb -> col_from tb ibs ib_id jb)
+             (List.map (Schema.index sb) kept_b))))

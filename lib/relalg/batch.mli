@@ -27,12 +27,7 @@
     select/project/limit keep input order, distinct and group are
     first-occurrence, sort is stable under {!Value.order}, and
     {!join_tables} emits pairs in the same (left-major, right ascending)
-    order as {!Ops.equi_join} — differentially tested in the suite.
-
-    Lineage is not propagated here: callers gate on
-    {!Lineage.tracking} / {!Table.lineage} and fall back to {!Ops}
-    (and {!join_tables} double-checks, delegating to {!Ops.equi_join}
-    when either input carries lineage). *)
+    order as {!Ops.equi_join} — differentially tested in the suite. *)
 
 type source
 (** A pull-based stream of batches.  Each pull refills (or, for borrowed

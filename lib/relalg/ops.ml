@@ -38,19 +38,6 @@ let check_disjoint sa sb =
     (fun c -> if Schema.mem sa c then raise (Schema_clash c))
     (Schema.columns sb)
 
-(* Lineage of a row combined from row [ia] of [ta] and row [ib] of [tb]
-   (joins, products): the union of both parents' contributors.  Only
-   evaluated when either input carries lineage or tracking is on. *)
-let pair_lineage ta tb =
-  if
-    Table.lineage ta <> None || Table.lineage tb <> None
-    || Lineage.tracking ()
-  then begin
-    let la = Table.lineage_rows ta and lb = Table.lineage_rows tb in
-    Some (fun ia ib -> Lineage.merge la.(ia) lb.(ib))
-  end
-  else None
-
 let cross ta tb =
   let sa = Table.schema ta and sb = Table.schema tb in
   check_disjoint sa sb;
@@ -75,13 +62,7 @@ let cross ta tb =
     done;
     (Table.dict tb j, out)
   in
-  let lineage =
-    Option.map
-      (fun combine ->
-        Array.init n (fun k -> combine (k / nb) (k mod nb)))
-      (pair_lineage ta tb)
-  in
-  Table.of_columns ?lineage
+  Table.of_columns
     ~name:(Table.name ta ^ "*" ^ Table.name tb)
     schema ~nrows:n
     (Array.append
@@ -238,12 +219,7 @@ let equi_join ~on ta tb =
     done;
     (Table.dict t j, data)
   in
-  let lineage =
-    Option.map
-      (fun combine -> Array.init m (fun k -> combine ias.(k) ibs.(k)))
-      (pair_lineage ta tb)
-  in
-  Table.of_columns ?lineage
+  Table.of_columns
     ~name:(Table.name ta ^ "|x|" ^ Table.name tb)
     (Schema.append sa kept_b) ~nrows:m
     (Array.append
@@ -259,12 +235,7 @@ let add_column ~name f t =
     Array.init (Table.arity t) (fun j ->
         (Table.dict t j, Array.sub (Table.codes t j) 0 n))
   in
-  let lineage =
-    if Table.lineage t <> None || Lineage.tracking () then
-      Some (Array.sub (Table.lineage_rows t) 0 n)
-    else None
-  in
-  Table.of_columns ?lineage ~name:(Table.name t) schema ~nrows:n
+  Table.of_columns ~name:(Table.name t) schema ~nrows:n
     (Array.append shared [| (d, extra) |])
 
 let group_count ~by t =
@@ -284,28 +255,6 @@ let group_count ~by t =
   done;
   List.rev_map
     (fun (i, key) -> (Table.get projected i, Hashtbl.find counts key))
-    !order
-
-let group_count_lineage ~by t =
-  let projected = project by t in
-  let lin = Table.lineage_rows projected in
-  let n = Table.cardinality projected in
-  let arity = Table.arity projected in
-  let cols = Array.init arity (Table.codes projected) in
-  let groups : (int array, int * Lineage.row) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  for i = 0 to n - 1 do
-    let key = Array.map (fun cs -> cs.(i)) cols in
-    match Hashtbl.find_opt groups key with
-    | Some (c, l) -> Hashtbl.replace groups key (c + 1, Lineage.merge l lin.(i))
-    | None ->
-        Hashtbl.add groups key (1, lin.(i));
-        order := (i, key) :: !order
-  done;
-  List.rev_map
-    (fun (i, key) ->
-      let c, l = Hashtbl.find groups key in
-      (Table.get projected i, c, l))
     !order
 
 (* Sort keys are decoded once into value arrays; the stable sort then

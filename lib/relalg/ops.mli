@@ -53,13 +53,6 @@ val group_count : by:string list -> Table.t -> (Row.t * int) list
 (** Multiplicity of each distinct projection onto [by] (used for table
     statistics reported in the benches). *)
 
-val group_count_lineage :
-  by:string list -> Table.t -> (Row.t * int * Lineage.row) list
-(** {!group_count} plus, per group, the merged base contributors of
-    every member row ({!Lineage.tracking}-style provenance for
-    aggregates).  Synthesizes identity lineage when the input is a
-    base table. *)
-
 val order_by : (string * [ `Asc | `Desc ]) list -> Table.t -> Table.t
 (** Stable sort of the rows by the named columns under {!Value.order}
     (so [Int]/[Float] cells order numerically); ties keep input order.

@@ -3,16 +3,13 @@
    physical operators (hash-join build side, top-k instead of
    sort-then-limit, index lookups on declared indexes), and execute
    through the vectorized {!Batch} layer.
-   The row-at-a-time {!Ops} path stays behind as the reference engine:
-   [ASURA_PLANNER=off] disables planning globally, and lineage tracking
-   disables it implicitly because batches carry no provenance. *)
+   The row-at-a-time {!Ops} path stays behind as the reference engine,
+   which [ASURA_PLANNER=off] selects everywhere. *)
 
 let enabled () =
   match Sys.getenv_opt "ASURA_PLANNER" with
   | Some ("off" | "0" | "false" | "OFF") -> false
   | _ -> true
-
-let active () = enabled () && not (Lineage.tracking ())
 
 (* ASURA_PLAN_BUILD=left|right overrides the hash-join build-side choice
    everywhere (annotation and the programmatic [equi_join]).  This is
@@ -850,8 +847,7 @@ let to_json r =
 
 (* Direct entry points for consumers that build operator chains in code
    (solver, checkers, bench) rather than through SQL: vectorized when
-   the planner is on and inputs are lineage-free, reference otherwise.
-   [Batch.join_tables] double-checks lineage itself.
+   the planner is on, reference otherwise.
 
    Each vectorized path reports to the plan observatory through a small
    synthetic annotated tree — scan children under the one real operator
@@ -913,8 +909,6 @@ let equi_join ~on ta tb =
   end
   else Ops.equi_join ~on ta tb
 
-let lineage_free t = Table.lineage t = None
-
 let filter_root t e =
   let st = table_stats t in
   let rows = st.rows *. selectivity st (Plan.simplify_predicate e) in
@@ -922,7 +916,7 @@ let filter_root t e =
   node (Filter e) rows (c.cost +. st.rows) [ c ]
 
 let select ?funcs ?keep e t =
-  if active () && lineage_free t then begin
+  if enabled () then begin
     let t0 = Obs.Clock.now_ns () in
     let out, _ = Batch.select_table ?funcs ?keep ~name:(Table.name t) e t in
     let total = Obs.Clock.since t0 in
@@ -940,7 +934,7 @@ let select ?funcs ?keep e t =
    matching rows through {!Index.cached}, and the remaining conjuncts
    filter those; the probe then reports the index lookup it ran. *)
 let exists ?funcs ?(indexes = []) e t =
-  if active () && lineage_free t then begin
+  if enabled () then begin
     let t0 = Obs.Clock.now_ns () in
     let found, lookup =
       match split_indexable indexes e with
@@ -985,7 +979,7 @@ let exists ?funcs ?(indexes = []) e t =
   else not (Table.is_empty (Ops.select ?funcs e t))
 
 let group_count ~by t =
-  if active () && lineage_free t then begin
+  if enabled () then begin
     let t0 = Obs.Clock.now_ns () in
     (* project before scanning so the stream only reads the grouping
        columns, not the table's full arity *)
@@ -1008,7 +1002,7 @@ let group_count ~by t =
          (Ops.group_count ~by t))
 
 let distinct t =
-  if active () && lineage_free t then begin
+  if enabled () then begin
     let t0 = Obs.Clock.now_ns () in
     let out = Batch.distinct_table ~name:(Table.name t) (Batch.of_table t) in
     let total = Obs.Clock.since t0 in

@@ -13,16 +13,12 @@
     operator.
 
     The row-at-a-time {!Ops} path remains the reference engine:
-    differential tests compare the two, [ASURA_PLANNER=off] turns
-    planning off globally, and lineage tracking falls back implicitly
-    (batches carry no provenance, so [why] narratives always come from
-    the reference path). *)
+    differential tests compare the two, and [ASURA_PLANNER=off] is the
+    one switch that selects it, for every caller. *)
 
 val enabled : unit -> bool
-(** [ASURA_PLANNER] is not set to [off]/[0]/[false] (read dynamically). *)
-
-val active : unit -> bool
-(** {!enabled} and lineage tracking is off. *)
+(** [ASURA_PLANNER] is not set to [off]/[0]/[false] (read dynamically).
+    The only choice between the planner and the reference {!Ops} path. *)
 
 val forced_build_side : unit -> bool option
 (** [ASURA_PLAN_BUILD=left|right] overrides every hash-join build-side
@@ -137,8 +133,8 @@ val to_json : report -> Obs.Json.t
 (** {2 Programmatic operators}
 
     Entry points for consumers that build operator chains in code
-    (solver, checkers, bench): vectorized when the planner is active and
-    the inputs are lineage-free, reference {!Ops}/{!Table} otherwise. *)
+    (solver, checkers, bench): vectorized when the planner is {!enabled},
+    reference {!Ops}/{!Table} otherwise. *)
 
 val equi_join : on:(string * string) list -> Table.t -> Table.t -> Table.t
 val select :

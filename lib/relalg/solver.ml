@@ -68,44 +68,6 @@ let search_space s =
    extends with one output column at a time. *)
 let ordered_columns s = inputs s @ outputs s
 
-(* Provenance of a generated table: every cell is literally one element
-   of its column table (the domain), so under lineage tracking each row
-   points at the domain entries that were composed into it.  The column
-   tables are materialized as 1-column base tables named
-   "<table>.<column>" and registered as lineage sources.  Reconstructed
-   after generation so the row-extension hot path stays untouched when
-   tracking is off. *)
-let attach_domain_lineage s table =
-  if not (Lineage.tracking ()) then table
-  else begin
-    let sources =
-      List.map
-        (fun c ->
-          let ct =
-            Table.of_rows
-              ~name:(s.sname ^ "." ^ c.cname)
-              (Schema.of_list [ c.cname ])
-              (List.map (fun v -> [| v |]) c.domain)
-          in
-          Lineage.register ~id:(Table.id ct) ~name:(Table.name ct)
-            ~columns:[ c.cname ] ~get:(Table.get ct);
-          let index = Hashtbl.create 16 in
-          List.iteri (fun i v -> Hashtbl.replace index v i) c.domain;
-          (Table.id ct, index))
-        (ordered_columns s)
-    in
-    let srcs = Array.of_list sources in
-    let lin =
-      Array.init (Table.cardinality table) (fun i ->
-          Array.mapi
-            (fun j cell ->
-              let cid, index = srcs.(j) in
-              { Lineage.source = cid; row = Hashtbl.find index cell })
-            (Table.get table i))
-    in
-    Table.with_lineage table lin
-  end
-
 let generate_reference ?funcs s =
   Obs.Trace.with_span ~cat:"solver"
     ~args:[ "table", Obs.Json.Str s.sname ]
@@ -203,7 +165,7 @@ let generate_reference ?funcs s =
   Obs.Metrics.add (obs_counter "rows_generated") (List.length rows);
   Obs.Flightrec.record ~tag:Obs.Flightrec.tag_solver_gen
     ~a:(List.length rows) ~b:(List.length order) ();
-  let table = attach_domain_lineage s (Table.of_rows ~name:s.sname schema rows) in
+  let table = Table.of_rows ~name:s.sname schema rows in
   Obs.Metrics.add (obs_counter "storage_bytes") (Table.storage_bytes table);
   ( table,
     {
@@ -514,11 +476,8 @@ let generate_vectorized ?funcs s =
       pruning = List.rev !pruning;
     } )
 
-(* Lineage needs per-row provenance, which only the boxed reference path
-   synthesizes (via {!attach_domain_lineage} over [Table.get]) — the
-   {!Planner.active} gate covers that case too. *)
 let generate ?funcs s =
-  if Planner.active () && List.compare_length_with (ordered_columns s) 0 > 0
+  if Planner.enabled () && List.compare_length_with (ordered_columns s) 0 > 0
   then generate_vectorized ?funcs s
   else generate_reference ?funcs s
 
@@ -580,7 +539,7 @@ let generate_monolithic ?funcs s =
     (!candidates - List.length rows);
   Obs.Flightrec.record ~tag:Obs.Flightrec.tag_solver_gen
     ~a:(List.length rows) ~b:n ();
-  ( attach_domain_lineage s (Table.of_rows ~name:s.sname schema rows),
+  ( Table.of_rows ~name:s.sname schema rows,
     {
       candidates = !candidates;
       evaluations = !evaluations;

@@ -69,15 +69,14 @@ let rec referenced_tables (q : Sql_ast.query) =
       referenced_tables a @ referenced_tables b
 
 (* Dispatch: the cost-based planner runs the query through the
-   vectorized engine when it is active and no referenced table carries
-   lineage (provenance must flow through the reference operators).
-   Unknown tables are reported with the reference path's error message
-   either way, and so are unknown functions, whichever engine compiles
-   the predicate.  [prepare] supplies the plan, given the referenced
-   tables.  Planner executions land in the plan observatory under
-   [label] (the SQL text when coming through {!query}); the "sql" site
-   applies only when no more specific call-site label (invariant id,
-   solver phase) is already active. *)
+   vectorized engine unless ASURA_PLANNER=off selects the reference
+   interpreter.  Unknown tables are reported with the reference path's
+   error message either way, and so are unknown functions, whichever
+   engine compiles the predicate.  [prepare] supplies the plan, given
+   the referenced tables.  Planner executions land in the plan
+   observatory under [label] (the SQL text when coming through
+   {!query}); the "sql" site applies only when no more specific
+   call-site label (invariant id, solver phase) is already active. *)
 let dispatch ?label db (q : Sql_ast.query) ~prepare =
   let tables =
     List.map
@@ -88,10 +87,7 @@ let dispatch ?label db (q : Sql_ast.query) ~prepare =
       (referenced_tables q)
   in
   try
-    if
-      Planner.active ()
-      && List.for_all (fun t -> Table.lineage t = None) tables
-    then
+    if Planner.enabled () then
       let run () = Planner.run_prepared ?label db (prepare tables) in
       match Obs.Planlog.site () with
       | None -> Obs.Planlog.with_site "sql" run

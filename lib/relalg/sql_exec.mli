@@ -10,9 +10,9 @@ exception Exec_error of string
 val run_query : ?label:string -> Database.t -> Sql_ast.query -> Table.t
 (** Evaluate a query AST.  The result table is named ["<query>"] unless
     produced by [CREATE TABLE … AS].  Dispatches to the cost-based
-    {!Planner} (vectorized execution) when it is active and no
-    referenced table carries lineage; otherwise runs the row-at-a-time
-    reference interpreter ({!run_query_reference}).  An unknown table or
+    {!Planner} (vectorized execution) unless {!Planner.enabled} is
+    false ([ASURA_PLANNER=off]), which selects the row-at-a-time
+    reference interpreter ({!run_query_reference}) instead.  An unknown table or
     function raises {!Exec_error} on either engine.  Planner executions
     are recorded in the plan observatory under [label] (default: the
     pretty-printed query), at site ["sql"] unless a more specific
@@ -37,7 +37,7 @@ val query : Database.t -> string -> Table.t
     is saved.  The saving therefore needs the same text run again on
     unchanged table snapshots, as when one process reruns the invariant
     suite on one database.  Dispatch is {!run_query}'s: with the planner
-    off or lineage tracked, only the parse is reused.  A text is cached
+    off, only the parse is reused.  A text is cached
     only once it has run without error, and the cache is cleared when
     it reaches 256 texts.  Unknown functions raise {!Exec_error}. *)
 

@@ -16,9 +16,6 @@ type t = {
   cols : col array;
   nrows : int;
   id : int;
-  lin : Lineage.row array option;
-      (** per-row base contributors, populated only under
-          {!Lineage.tracking}; [None] keeps the hot path lineage-free *)
 }
 
 exception Arity_mismatch of { table : string; expected : int; got : int }
@@ -35,7 +32,7 @@ let fresh_col cap = { dict = Dict.create (); buf = { data = Array.make (max 8 ca
 let create ~name schema =
   let arity = Schema.arity schema in
   { name; schema; cols = Array.init arity (fun _ -> fresh_col 8); nrows = 0;
-    id = fresh_id (); lin = None }
+    id = fresh_id () }
 
 let of_rows ~name schema rows =
   let expected = Schema.arity schema in
@@ -52,7 +49,7 @@ let of_rows ~name schema rows =
       incr i)
     rows;
   Array.iter (fun c -> c.buf.len <- n) cols;
-  { name; schema; cols; nrows = n; id = fresh_id (); lin = None }
+  { name; schema; cols; nrows = n; id = fresh_id () }
 
 let name t = t.name
 let with_name name t = { t with name; id = fresh_id () }
@@ -68,31 +65,6 @@ let get t i =
 let rows t =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (get t i :: acc) in
   loop (t.nrows - 1) []
-
-(* ------------------------------ lineage ------------------------------- *)
-
-let lineage t = t.lin
-
-(* Does the result of an operation over [t] need lineage?  Either the
-   input already carries some (keep propagating even if tracking was
-   turned off mid-pipeline) or tracking is on and [t] is a base whose
-   identity lineage we synthesize. *)
-let want_lin t = t.lin <> None || Lineage.tracking ()
-
-let lineage_rows t =
-  match t.lin with
-  | Some a -> a
-  | None ->
-      Lineage.register ~id:t.id ~name:t.name
-        ~columns:(Schema.columns t.schema) ~get:(get t);
-      Array.init t.nrows (Lineage.base t.id)
-
-let with_lineage t lin =
-  if Array.length lin <> t.nrows then
-    invalid_arg
-      (Printf.sprintf "Table.with_lineage: %d lineage rows for %d table rows"
-         (Array.length lin) t.nrows);
-  { t with lin = Some lin }
 
 (* Append one cell to a column.  In place when [nrows] is the buffer's
    high-water mark (no other view owns the tail), branch-copy otherwise. *)
@@ -119,9 +91,7 @@ let push_col nrows col v =
 let add t row =
   check_arity t row;
   let cols = Array.mapi (fun j col -> push_col t.nrows col row.(j)) t.cols in
-  (* a hand-appended row is a fresh base fact: it has no contributors *)
-  let lin = Option.map (fun a -> Array.append a [| [||] |]) t.lin in
-  { t with cols; lin; nrows = t.nrows + 1; id = fresh_id () }
+  { t with cols; nrows = t.nrows + 1; id = fresh_id () }
 
 let add_all t extra = List.fold_left add t extra
 
@@ -213,13 +183,7 @@ let gather_idx ~name t idx m =
           { dict = c.dict; buf = { data; len = m } })
         t.cols
   in
-  let lin =
-    if not (want_lin t) then None
-    else
-      let src = lineage_rows t in
-      Some (if identity then src else Array.init m (fun k -> src.(idx.(k))))
-  in
-  { name; schema = t.schema; cols; nrows = m; id = fresh_id (); lin }
+  { name; schema = t.schema; cols; nrows = m; id = fresh_id () }
 
 let gather ?name t idxs =
   let idx = Array.of_list idxs in
@@ -329,10 +293,8 @@ let row_membership ~of_:b a =
 
 let select_columns ?name schema t js =
   let cols = Array.of_list (List.map (fun j -> t.cols.(j)) js) in
-  (* a projection keeps every row, so the lineage array is shared *)
-  let lin = if want_lin t then Some (lineage_rows t) else None in
   { name = Option.value name ~default:t.name; schema; cols; nrows = t.nrows;
-    id = fresh_id (); lin }
+    id = fresh_id () }
 
 let concat a b =
   let n = a.nrows + b.nrows in
@@ -362,24 +324,13 @@ let concat a b =
         { dict = ca.dict; buf = { data; len = n } })
       a.cols
   in
-  let lin =
-    if want_lin a || want_lin b then
-      Some (Array.append (lineage_rows a) (lineage_rows b))
-    else None
-  in
-  { name = a.name; schema = a.schema; cols; nrows = n; id = fresh_id (); lin }
+  { name = a.name; schema = a.schema; cols; nrows = n; id = fresh_id () }
 
-let of_columns ?lineage:lin ~name schema ~nrows pairs =
-  (match lin with
-  | Some l when Array.length l <> nrows ->
-      invalid_arg
-        (Printf.sprintf "Table.of_columns: %d lineage rows for %d table rows"
-           (Array.length l) nrows)
-  | _ -> ());
+let of_columns ~name schema ~nrows pairs =
   let cols =
     Array.map (fun (dict, data) -> { dict; buf = { data; len = nrows } }) pairs
   in
-  { name; schema; cols; nrows; id = fresh_id (); lin }
+  { name; schema; cols; nrows; id = fresh_id () }
 
 let dict t j = t.cols.(j).dict
 let codes t j = t.cols.(j).buf.data

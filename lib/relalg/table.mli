@@ -137,35 +137,11 @@ val concat : t -> t -> t
     union-compatible — callers ({!Ops.union}) check. *)
 
 val of_columns :
-  ?lineage:Lineage.row array ->
   name:string -> Schema.t -> nrows:int -> (Dict.t * int array) array -> t
 (** Assemble a table directly from per-column (dictionary, codes) pairs —
     the fast path for operators that compute code arrays wholesale
     ({!Ops.cross}, {!Ops.equi_join}).  Every code array must have at least
-    [nrows] entries valid against its dictionary.  [lineage], when given,
-    must have exactly [nrows] entries. *)
-
-(** {1 Row-level provenance}
-
-    When {!Lineage.tracking} is on, every derived table carries one
-    {!Lineage.row} per row: the base contributors the row came from.
-    The first operator that consumes a lineage-free table treats it as
-    a {e base}: it registers the table with {!Lineage.register} (keyed
-    by {!id}) and synthesizes the identity lineage.  With tracking off
-    nothing is allocated and every check is a single [None] match. *)
-
-val lineage : t -> Lineage.row array option
-(** Per-row contributors (indices [0 .. cardinality - 1]), or [None]
-    for a base (or tracking-off) table. *)
-
-val with_lineage : t -> Lineage.row array -> t
-(** Attach explicit lineage (length must be {!cardinality}).
-    @raise Invalid_argument on a length mismatch. *)
-
-val lineage_rows : t -> Lineage.row array
-(** The table's lineage, synthesizing (and registering) the identity
-    lineage if the table is a base.  Meant for operators and
-    diagnostics that run under {!Lineage.tracking}. *)
+    [nrows] entries valid against its dictionary. *)
 
 (** {1 Storage accounting} *)
 

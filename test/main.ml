@@ -14,7 +14,7 @@ let () =
       "graphs", Test_graph.suite;
       "relalg-properties", Test_relalg_props.suite;
       "planner-differential", Test_planner.suite;
-      "lineage-and-why", Test_lineage.suite;
+      "lineage-and-why", Test_why.suite;
       "seq-vs-par-differential", Test_par_diff.suite;
       "state-packing", Test_pack.suite;
       "protocol-model", Test_protocol.suite;

@@ -43,6 +43,25 @@ let test_vcassign_table_roundtrip () =
          Vcassign.lookup back ~msg:a.msg ~src:a.src ~dst:a.dst = Some a.vc)
        Vcassign.with_vc4.rows)
 
+(* A table that is not an assignment is an error, never a smaller
+   assignment: a dropped row would silently remove a channel. *)
+let test_vcassign_rejects_bad_tables () =
+  let rejects what csv expected =
+    match Vcassign.of_table (Relalg.Csv.of_string ~name:"v" csv) with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Vcassign.Invalid e ->
+        check what true (e = expected);
+        check (what ^ ": one line") false
+          (String.contains (Vcassign.error_to_string e) '\n')
+  in
+  rejects "wrong header" "a,b,c,d\nread,local,home,VC0\n"
+    (Vcassign.Wrong_columns [ "a"; "b"; "c"; "d" ]);
+  rejects "header only" "m,s,d,v\n" Vcassign.No_rows;
+  rejects "empty cell" "m,s,d,v\nread,local,home,VC0\nwb,local,home,\n"
+    (Vcassign.Non_string_cell { row = 1; column = "v"; value = Relalg.Value.Null });
+  rejects "number cell" "m,s,d,v\nread,local,home,4\n"
+    (Vcassign.Non_string_cell { row = 0; column = "v"; value = Relalg.Value.Int 4 })
+
 let test_vcassign_edit () =
   let v = Vcassign.reassign Vcassign.initial ~msg:"mread" ~src:"home" ~dst:"home" ~vc:"VC9" in
   check "reassign" true
@@ -390,6 +409,8 @@ let suite =
     Alcotest.test_case "assignment shape" `Quick test_vcassign_shape;
     Alcotest.test_case "assignment table roundtrip" `Quick test_vcassign_table_roundtrip;
     Alcotest.test_case "assignment editing" `Quick test_vcassign_edit;
+    Alcotest.test_case "assignment tables are validated" `Quick
+      test_vcassign_rejects_bad_tables;
     Alcotest.test_case "individual dependency tables" `Quick test_individual_dependencies;
     Alcotest.test_case "PIF originates, never depends" `Quick test_pif_has_no_dependencies;
     Alcotest.test_case "placement relocation (R2 -> R2')" `Quick test_relocate;

@@ -104,8 +104,6 @@ let test_sql_entry_point_uses_planner () =
   (* under ASURA_PLANNER=off both sides take the reference path and the
      equality is trivially exercised; with the default the planner is
      live and must still be bit-identical *)
-  if Planner.enabled () then
-    check_bool "planner active without lineage" true (Planner.active ());
   let db = Lazy.force fixture_db in
   let q = Sql_parser.parse_query "SELECT k, COUNT(*) FROM a GROUP BY k" in
   check_bool "entry point matches oracle" true
@@ -273,27 +271,13 @@ let test_bytes_copied_kept_only () =
         let t, d = delta f in
         check_int what (cols * word * Table.cardinality t) d
       in
-      if Planner.active () then
+      if Planner.enabled () then
         expect "programmatic: 1 column x surviving rows" ~cols:1 (fun () ->
             Planner.select ~keep:[ "k" ] (Expr.eq "x" "v") a);
       expect "SQL root: 1 column x kept rows" ~cols:1 (fun () ->
           planned db "SELECT x FROM a WHERE NOT k = 'p' LIMIT 2");
       expect "SELECT *: 2 columns x surviving rows" ~cols:2 (fun () ->
           planned db "SELECT * FROM a WHERE k = 'p'"))
-
-(* ----------------------- lineage fallback ----------------------------- *)
-
-let test_lineage_forces_reference () =
-  let db = Lazy.force fixture_db in
-  Lineage.with_tracking (fun () ->
-      check_bool "planner inactive under tracking" false (Planner.active ());
-      let r = Sql_exec.query db "SELECT * FROM a WHERE k = 'p'" in
-      check_bool "result carries lineage" true (Table.lineage r <> None));
-  (* and a lineage-carrying input diverts even the programmatic path *)
-  let traced = Lineage.with_tracking (fun () -> Ops.select Expr.True (Database.find db "a")) in
-  check_bool "input has lineage" true (Table.lineage traced <> None);
-  let g = Planner.group_count ~by:[ "k" ] traced in
-  check_int "fallback group still answers" 4 (Table.cardinality g)
 
 (* ----------------- join: zero-copy semijoin shape --------------------- *)
 
@@ -471,8 +455,7 @@ let prop_fused_chain_differential =
 let with_planner_off f = Test_env.with_env "ASURA_PLANNER" "off" f
 
 (* The emptiness probe against the reference, on NULL-bearing tables
-   and ternary predicates, with a lineage-tracked input, under lineage
-   tracking and with the planner off. *)
+   and ternary predicates, with the planner on and off. *)
 let prop_exists_differential =
   QCheck.Test.make ~count:300
     ~name:"Planner.exists equals a non-empty reference selection"
@@ -482,10 +465,7 @@ let prop_exists_differential =
          Printf.sprintf "a(%d rows), %s" (Table.cardinality a) (Expr.to_sql p)))
     (fun (a, p) ->
       let want = not (Table.is_empty (Ops.select p a)) in
-      let traced = Lineage.with_tracking (fun () -> Ops.select Expr.True a) in
       Planner.exists p a = want
-      && Planner.exists p traced = want
-      && Lineage.with_tracking (fun () -> Planner.exists p a) = want
       && with_planner_off (fun () -> Planner.exists p a) = want)
 
 (* ------------------------ prepared queries ---------------------------- *)
@@ -619,10 +599,7 @@ let test_prepared_dispatch () =
   Test_env.with_env "ASURA_PLANNER" "off" (fun () ->
       check_bool "planner off: reference rows" true
         (same_table reference (Sql_exec.query db src)));
-  let r = Lineage.with_tracking (fun () -> Sql_exec.query db src) in
-  check_bool "lineage: reference rows" true (same_table reference r);
-  check_bool "lineage: provenance kept" true (Table.lineage r <> None);
-  Alcotest.(check (list string)) "neither ran a plan" [] (planlog_queries ());
+  Alcotest.(check (list string)) "planner off ran no plan" [] (planlog_queries ());
   ignore (Sql_exec.query db src);
   Alcotest.(check (list string)) "planner back on" [ src ] (planlog_queries ())
 
@@ -690,8 +667,6 @@ let suite =
       test_analyze_est_vs_actual;
     Alcotest.test_case "explain renders cost estimates unexecuted" `Quick
       test_explain_unexecuted;
-    Alcotest.test_case "lineage tracking falls back to the reference engine"
-      `Quick test_lineage_forces_reference;
     Alcotest.test_case "semijoin-shaped hash join matches Ops row for row"
       `Quick test_join_identity_shape;
     QCheck_alcotest.to_alcotest prop_plan_differential;

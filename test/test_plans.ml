@@ -5,7 +5,7 @@
    deterministic plan workload behind the CI gate.
 
    Fingerprint-dependent tests follow the test_planner idiom: they gate
-   on [Planner.active ()] so the suite stays green under
+   on [Planner.enabled ()] so the suite stays green under
    ASURA_PLANNER=off (where the reference path records nothing). *)
 
 open Relalg
@@ -53,7 +53,7 @@ let test_fingerprint_hash () =
 (* ----------------------- structural invariances ----------------------- *)
 
 let test_conjunct_order_invariant () =
-  if Planner.active () then begin
+  if Planner.enabled () then begin
     let db = Lazy.force fixture_db in
     check_str "AND reorder"
       (fp db "SELECT k FROM a WHERE k = 'p' AND x = 'u'")
@@ -67,7 +67,7 @@ let test_conjunct_order_invariant () =
   end
 
 let test_conjunct_order_property () =
-  if Planner.active () then begin
+  if Planner.enabled () then begin
     let db = Lazy.force fixture_db in
     let conjuncts =
       [ "k = 'p'"; "x = 'u'"; "NOT x = 'w'"; "k IN ('p', 'q')" ]
@@ -103,7 +103,7 @@ let test_conjunct_order_property () =
   end
 
 let test_rename_invariant () =
-  if Planner.active () then begin
+  if Planner.enabled () then begin
     (* same table name, same structure, renamed columns: positional
        canonicalization makes the fingerprints agree *)
     let db1 =
@@ -126,7 +126,7 @@ let node op children =
     children }
 
 let test_placement_sensitive () =
-  if Planner.active () then begin
+  if Planner.enabled () then begin
     let db = Lazy.force fixture_db in
     let pred = Expr.Eq (Expr.Col "x", Expr.Const (Value.Str "u")) in
     let scan = node (Planner.Scan "a") [] in
@@ -144,7 +144,7 @@ let test_placement_sensitive () =
   end
 
 let test_build_side_sensitive () =
-  if Planner.active () then begin
+  if Planner.enabled () then begin
     let db = Lazy.force fixture_db in
     let join build_left =
       node (Planner.Hash_join { on = [ ("k", "k") ]; build_left })
@@ -158,7 +158,7 @@ let test_build_side_sensitive () =
 (* The acceptance drill end to end: ASURA_PLAN_BUILD forces the join
    build side, and the recorded fingerprints must move. *)
 let test_forced_build_side_records_differently () =
-  if Planner.active () then begin
+  if Planner.enabled () then begin
     let db = Lazy.force fixture_db in
     let a = Database.find db "a" and b = Database.find db "b" in
     let fps_under side =
@@ -374,7 +374,7 @@ let test_planner_off_records_nothing () =
         (List.length snap))
 
 let test_workload_deterministic () =
-  if Planner.active () then begin
+  if Planner.enabled () then begin
     let db = Protocol.database () in
     let snap =
       entries_of (fun () ->
@@ -408,7 +408,7 @@ let test_suite_plans_doubled () =
         (first, rows ()))
   in
   Obs.Planlog.reset ();
-  if Planner.active () then check_bool "suite ran plans" true (first <> []);
+  if Planner.enabled () then check_bool "suite ran plans" true (first <> []);
   (* columns 4 and 6 are execs and rows_out; 5, total_ms, is a timing *)
   let untimed r = Array.mapi (fun i v -> if i = 5 then Value.Null else v) r in
   let doubled r =
@@ -424,7 +424,7 @@ let test_suite_plans_doubled () =
    baseline (plus this list) must be regenerated deliberately —
    `asura plan snapshot` then `asura plan diff` to see what moved. *)
 let test_workload_golden () =
-  if Planner.active () then begin
+  if Planner.enabled () then begin
     Test_env.with_env "ASURA_PLAN_BUILD" "" @@ fun () ->
     let db = Protocol.database () in
     let snap = entries_of (fun () -> Systables.run_plan_workload db) in
@@ -455,7 +455,7 @@ let test_workload_golden () =
   end
 
 let test_explain_v2 () =
-  if Planner.active () then begin
+  if Planner.enabled () then begin
     let db = Lazy.force fixture_db in
     let r = Planner.analyze db "SELECT k FROM a WHERE x = 'u'" in
     Obs.Planlog.reset ();
