@@ -719,28 +719,32 @@ let print_canned db keys =
           end)
     keys
 
-(* Execute one statement with every engine error rendered as a clean
-   diagnostic (exit 2) instead of an uncaught exception.  Writes are
-   executed but the resulting catalog is ephemeral — the CLI's value is
-   that CREATE/INSERT/DROP statements are validated, including the
-   reserved-sys. rejection. *)
+(* Run [f] with every SQL engine error rendered as one [sql:] line on
+   stderr and exit 2, instead of an uncaught exception.  Shared by
+   [sql] and [explain]. *)
+let with_sql_errors f =
+  let fail msg =
+    prerr_endline ("sql: " ^ msg);
+    exit 2
+  in
+  match f () with
+  | v -> v
+  | exception
+      (Relalg.Sql_parser.Parse_error msg | Relalg.Sql_exec.Exec_error msg) ->
+      fail msg
+  | exception Relalg.Sql_lexer.Lex_error { pos; message } ->
+      fail (Printf.sprintf "at offset %d: %s" pos message)
+  | exception Relalg.Database.Unknown_table t -> fail ("unknown table " ^ t)
+  | exception Relalg.Schema.Unknown_column c -> fail ("unknown column " ^ c)
+  | exception Relalg.Expr.Unknown_function f -> fail ("unknown function " ^ f)
+
+(* Execute one statement.  Writes are executed but the resulting catalog
+   is ephemeral — the CLI's value is that CREATE/INSERT/DROP statements
+   are validated, including the reserved-sys. rejection. *)
 let run_statement db q =
-  match Relalg.Sql_exec.exec db q with
+  match with_sql_errors (fun () -> Relalg.Sql_exec.exec db q) with
   | _, Some t -> print_string (Relalg.Table.to_string t)
   | _, None -> ()
-  | exception Relalg.Sql_parser.Parse_error msg
-  | exception Relalg.Sql_exec.Exec_error msg ->
-      Printf.eprintf "sql: %s\n" msg;
-      exit 2
-  | exception Relalg.Sql_lexer.Lex_error { pos; message } ->
-      Printf.eprintf "sql: at offset %d: %s\n" pos message;
-      exit 2
-  | exception Relalg.Database.Unknown_table t ->
-      Printf.eprintf "sql: unknown table %s\n" t;
-      exit 2
-  | exception Relalg.Schema.Unknown_column c ->
-      Printf.eprintf "sql: unknown column %s\n" c;
-      exit 2
 
 (* -------------------------------- sql -------------------------------- *)
 
@@ -1288,29 +1292,35 @@ let explain_cmd =
              JSON object instead of text.")
   in
   let run () query analyze indexes json_flag =
+    if json_flag && not analyze then begin
+      prerr_endline "explain: --json requires --analyze";
+      exit 2
+    end;
+    let db = Protocol.database () in
+    (* every section is rendered before anything is printed, so an error
+       leaves only its [sql:] line *)
+    with_sql_errors @@ fun () ->
+    List.iter
+      (fun (t, c) ->
+        let schema = Relalg.Table.schema (Relalg.Database.find db t) in
+        ignore (Relalg.Schema.index schema c))
+      indexes;
     if analyze then begin
-      (* explains the planner itself, so it runs even under
-         ASURA_PLANNER=off *)
-      let r = Relalg.Planner.analyze ~indexes (Protocol.database ()) query in
+      let r = Relalg.Planner.analyze ~indexes db query in
       if json_flag then
         print_endline (Obs.Json.to_string (Relalg.Planner.to_json r))
       else
         Printf.printf "planner (est vs actual):\n%s"
           (Relalg.Planner.render_report r)
     end
-    else begin
-      if json_flag then begin
-        prerr_endline "explain: --json requires --analyze";
-        exit 2
-      end;
+    else
       let plan = Relalg.Plan.of_query (Relalg.Sql_parser.parse_query query) in
-      Printf.printf "plan:\n%s\noptimized:\n%s"
+      let cost_based = Relalg.Planner.explain db query in
+      Printf.printf
+        "plan:\n%s\noptimized:\n%scost-based (est rows, cumulative cost):\n%s"
         (Relalg.Plan.explain plan)
-        (Relalg.Plan.explain (Relalg.Plan.optimize plan));
-      if Relalg.Planner.enabled () then
-        Printf.printf "cost-based (est rows, cumulative cost):\n%s"
-          (Relalg.Planner.explain (Protocol.database ()) query)
-    end
+        (Relalg.Plan.explain (Relalg.Plan.optimize plan))
+        cost_based
   in
   Cmd.v
     (Cmd.info "explain"

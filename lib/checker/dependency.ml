@@ -114,7 +114,7 @@ let compose_core ~ignore_messages ~placement (n1, t1) (n2, t2) =
       origin = merge_origin ro so;
     }
   in
-  if Relalg.Planner.enabled () && List.compare_length_with t2 8 > 0 then begin
+  if List.compare_length_with t2 8 > 0 then begin
     (* hash-join shape: bucket the inner side by its match key once
        instead of scanning it per outer entry.  Buckets keep [t2] order,
        and [t1] drives iteration, so the output order is exactly the
@@ -160,15 +160,15 @@ let record_matches placement matched =
 
 (* One plan-observatory record per composition.  Compose is a
    programmatic join that bypasses the SQL planner, but its physical
-   choice — hash-bucketed vs nested loop, decided by ASURA_PLANNER and
-   the inner cardinality — is a plan decision the fingerprint must
-   witness, so plan diffs catch a silent path flip here too.  Recorded
+   choice — hash-bucketed vs nested loop, decided by the inner
+   cardinality — is a plan decision the fingerprint must witness, so
+   plan diffs catch a silent path flip here too.  Recorded
    from the spawning domain only (this wrapper, not [compose_core],
    which runs on pool workers). *)
 let record_plan ~ignore_messages ~placement (n1, t1) (n2, t2) matched total_ns =
   if Obs.Config.on () then begin
     let len1 = List.length t1 and len2 = List.length t2 in
-    let hash_path = Relalg.Planner.enabled () && len2 > 8 in
+    let hash_path = len2 > 8 in
     let place = Protocol.Topology.placement_to_string placement in
     let fingerprint =
       Obs.Planlog.fingerprint

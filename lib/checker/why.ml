@@ -165,7 +165,7 @@ let max_violations = 5
 
 (* Every SQL invariant selects from one table, so a violating row is
    explained by the rows it was selected from, and those can be found
-   again from the query alone, after it ran on either engine. *)
+   again from the query alone, after it ran. *)
 let witnesses db (q : Sql_ast.query) =
   match q with
   | Sql_ast.Select

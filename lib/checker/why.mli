@@ -41,8 +41,7 @@ val witnesses :
     query shape ([COUNT], [GROUP BY], set operators). *)
 
 val invariant : Relalg.Database.t -> Invariant.t -> bool * string
-(** Run one invariant ({!Invariant.run}, on whichever engine
-    [ASURA_PLANNER] selects) and explain the outcome:
+(** Run one invariant ({!Invariant.run}) and explain the outcome:
     [(passed, narrative)].  For a violated SQL invariant of the
     single-table [SELECT] shape, each shown counterexample row is
     printed with its witnesses (at most five, then a count of the

@@ -225,21 +225,12 @@ let run_chunks (thunks : (unit -> unit) array) =
    generate-D-incremental and deadlock-V-vc4 seq-vs-par regressions were
    exactly this shape).  The work-stealing frontier ([steal_loop]) is
    not affected: its job count is unknown up front. *)
-let default_inline_below = 128
-
-let inline_below =
-  ref
-    (match Sys.getenv_opt "ASURA_PAR_INLINE" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 0 -> n
-        | _ -> default_inline_below)
-    | None -> default_inline_below)
-
-let set_inline_below n = inline_below := max 0 n
+let inline_threshold = ref 128
+let inline_below () = !inline_threshold
+let set_inline_below n = inline_threshold := max 0 n
 
 let degree ?(min_chunk = 1) n =
-  if sequential () || n <= min_chunk || n < !inline_below then 1
+  if sequential () || n <= min_chunk || n < !inline_threshold then 1
   else min (domains ()) (max 1 (n / max 1 min_chunk))
 
 (* Contiguous (offset, length) ranges with sizes differing by at most 1. *)

@@ -61,11 +61,13 @@ val degree : ?min_chunk:int -> int -> int
     the queue/barrier traffic and extra GC coordination of a fan-out
     cost more than the parallelism recovers. *)
 
+val inline_below : unit -> int
+(** The small-work threshold (item count) below which chunked entry
+    points run inline regardless of {!domains}.  Default [128]. *)
+
 val set_inline_below : int -> unit
-(** Set the small-work threshold (item count) below which chunked entry
-    points run inline regardless of {!domains}.  Default [128],
-    overridable with the [ASURA_PAR_INLINE] environment variable; [0]
-    disables the fallback.  {!steal_loop} is unaffected. *)
+(** Set {!inline_below}; [0] disables the fallback, as tests do to make
+    small regions fan out.  {!steal_loop} is unaffected. *)
 
 val map_chunks : ?min_chunk:int -> ('a array -> 'b) -> 'a array -> 'b array
 (** Split the input into [degree] contiguous chunks, apply [f] to each

@@ -3,20 +3,15 @@
    physical operators (hash-join build side, top-k instead of
    sort-then-limit, index lookups on declared indexes), and execute
    through the vectorized {!Batch} layer.
-   The row-at-a-time {!Ops} path stays behind as the reference engine,
-   which [ASURA_PLANNER=off] selects everywhere. *)
-
-let enabled () =
-  match Sys.getenv_opt "ASURA_PLANNER" with
-  | Some ("off" | "0" | "false" | "OFF") -> false
-  | _ -> true
+   The row-at-a-time {!Ops} path stays behind as the reference engine
+   that differential tests call by name. *)
 
 (* ASURA_PLAN_BUILD=left|right overrides the hash-join build-side choice
    everywhere (annotation and the programmatic [equi_join]).  This is
    the deterministic "planted plan regression" knob: the structural
    fingerprint covers the build side, so flipping it is exactly what
    `asura plan diff --strict` and the CI plan gate must catch.  Read
-   dynamically, like ASURA_PLANNER. *)
+   dynamically. *)
 let forced_build_side () =
   match Sys.getenv_opt "ASURA_PLAN_BUILD" with
   | Some ("left" | "LEFT" | "l") -> Some true
@@ -879,35 +874,32 @@ let scan_node t st =
   n
 
 let equi_join ~on ta tb =
-  if enabled () then begin
-    let na = Table.cardinality ta and nb = Table.cardinality tb in
-    (* same <= tie-break annotation uses, overridable for plan-gate
-       regression drills *)
-    let build_left = choose_build_side ~auto:(na <= nb) in
-    let t0 = Obs.Clock.now_ns () in
-    let out = Batch.join_tables ~build_left ~on ta tb in
-    let total = Obs.Clock.since t0 in
-    if Obs.Config.on () then begin
-      let sta = table_stats ta and stb = table_stats tb in
-      let key_sel =
-        List.fold_left
-          (fun acc (l, r) -> acc /. max (ndv_of sta l) (ndv_of stb r))
-          1. on
-      in
-      let rows = sta.rows *. stb.rows *. key_sel in
-      let ca = scan_node ta sta and cb = scan_node tb stb in
-      let root =
-        node
-          (Hash_join { on; build_left })
-          rows
-          (ca.cost +. cb.cost +. sta.rows +. stb.rows +. rows)
-          [ ca; cb ]
-      in
-      observe_tables root total out [ ta; tb ]
-    end;
-    out
-  end
-  else Ops.equi_join ~on ta tb
+  let na = Table.cardinality ta and nb = Table.cardinality tb in
+  (* same <= tie-break annotation uses, overridable for plan-gate
+     regression drills *)
+  let build_left = choose_build_side ~auto:(na <= nb) in
+  let t0 = Obs.Clock.now_ns () in
+  let out = Batch.join_tables ~build_left ~on ta tb in
+  let total = Obs.Clock.since t0 in
+  if Obs.Config.on () then begin
+    let sta = table_stats ta and stb = table_stats tb in
+    let key_sel =
+      List.fold_left
+        (fun acc (l, r) -> acc /. max (ndv_of sta l) (ndv_of stb r))
+        1. on
+    in
+    let rows = sta.rows *. stb.rows *. key_sel in
+    let ca = scan_node ta sta and cb = scan_node tb stb in
+    let root =
+      node
+        (Hash_join { on; build_left })
+        rows
+        (ca.cost +. cb.cost +. sta.rows +. stb.rows +. rows)
+        [ ca; cb ]
+    in
+    observe_tables root total out [ ta; tb ]
+  end;
+  out
 
 let filter_root t e =
   let st = table_stats t in
@@ -916,16 +908,11 @@ let filter_root t e =
   node (Filter e) rows (c.cost +. st.rows) [ c ]
 
 let select ?funcs ?keep e t =
-  if enabled () then begin
-    let t0 = Obs.Clock.now_ns () in
-    let out, _ = Batch.select_table ?funcs ?keep ~name:(Table.name t) e t in
-    let total = Obs.Clock.since t0 in
-    if Obs.Config.on () then observe_tables (filter_root t e) total out [ t ];
-    out
-  end
-  else
-    let out = Ops.select ?funcs e t in
-    match keep with None -> out | Some cols -> Ops.project cols out
+  let t0 = Obs.Clock.now_ns () in
+  let out, _ = Batch.select_table ?funcs ?keep ~name:(Table.name t) e t in
+  let total = Obs.Clock.since t0 in
+  if Obs.Config.on () then observe_tables (filter_root t e) total out [ t ];
+  out
 
 (* The probe is [LIMIT 1] over the filter, and reports itself as such
    (labelled by its whole predicate, so probes stay apart in sys.plans):
@@ -934,85 +921,71 @@ let select ?funcs ?keep e t =
    matching rows through {!Index.cached}, and the remaining conjuncts
    filter those; the probe then reports the index lookup it ran. *)
 let exists ?funcs ?(indexes = []) e t =
-  if enabled () then begin
-    let t0 = Obs.Clock.now_ns () in
-    let found, lookup =
-      match split_indexable indexes e with
-      | None -> (Batch.exists ?funcs e (Batch.of_table t), None)
-      | Some (column, value, residual) ->
-          (* gather the matching rows of just the columns the rest of
-             the predicate reads *)
-          let pred = Expr.conj residual in
-          let idx = Index.lookup_idx (Index.cached t column) value in
-          let rows = Table.gather (Ops.project (Expr.free_columns pred) t) idx in
-          ( Batch.exists ?funcs pred (Batch.of_table rows),
-            Some (column, value, residual, Table.cardinality rows) )
+  let t0 = Obs.Clock.now_ns () in
+  let found, lookup =
+    match split_indexable indexes e with
+    | None -> (Batch.exists ?funcs e (Batch.of_table t), None)
+    | Some (column, value, residual) ->
+        (* gather the matching rows of just the columns the rest of
+           the predicate reads *)
+        let pred = Expr.conj residual in
+        let idx = Index.lookup_idx (Index.cached t column) value in
+        let rows = Table.gather (Ops.project (Expr.free_columns pred) t) idx in
+        ( Batch.exists ?funcs pred (Batch.of_table rows),
+          Some (column, value, residual, Table.cardinality rows) )
+  in
+  let total = Obs.Clock.since t0 in
+  if Obs.Config.on () then begin
+    let rows = Bool.to_int found in
+    let stopped f =
+      f.actual <- rows;
+      f
     in
-    let total = Obs.Clock.since t0 in
-    if Obs.Config.on () then begin
-      let rows = Bool.to_int found in
-      let stopped f =
-        f.actual <- rows;
-        f
-      in
-      let f =
-        match lookup with
-        | None -> stopped (filter_root t e)
-        | Some (column, value, residual, matched) -> (
-            let ((leaf, _) as scan) =
-              index_leaf (table_stats t) ~table:(Table.name t) ~column value
-            in
-            leaf.actual <- matched;
-            match residual with
-            | [] -> leaf
-            | es -> stopped (fst (filter_node (Expr.conj es) scan)))
-      in
-      let est = fmin f.est 1. in
-      let root = node (Limit 1) est (f.cost +. est) [ f ] in
-      root.actual <- rows;
-      root.ns <- total;
-      observe ~query:(op_string (Filter e)) ~lookup:(tables_lookup [ t ]) root
-        total rows
-    end;
-    found
-  end
-  else not (Table.is_empty (Ops.select ?funcs e t))
+    let f =
+      match lookup with
+      | None -> stopped (filter_root t e)
+      | Some (column, value, residual, matched) -> (
+          let ((leaf, _) as scan) =
+            index_leaf (table_stats t) ~table:(Table.name t) ~column value
+          in
+          leaf.actual <- matched;
+          match residual with
+          | [] -> leaf
+          | es -> stopped (fst (filter_node (Expr.conj es) scan)))
+    in
+    let est = fmin f.est 1. in
+    let root = node (Limit 1) est (f.cost +. est) [ f ] in
+    root.actual <- rows;
+    root.ns <- total;
+    observe ~query:(op_string (Filter e)) ~lookup:(tables_lookup [ t ]) root
+      total rows
+  end;
+  found
 
 let group_count ~by t =
-  if enabled () then begin
-    let t0 = Obs.Clock.now_ns () in
-    (* project before scanning so the stream only reads the grouping
-       columns, not the table's full arity *)
-    let out = Batch.group_table ~by (Batch.of_table (Ops.project by t)) in
-    let total = Obs.Clock.since t0 in
-    if Obs.Config.on () then begin
-      let st = table_stats t in
-      let rows = distinct_est st by in
-      let c = scan_node t st in
-      let root = node (Group by) rows (c.cost +. st.rows) [ c ] in
-      observe_tables root total out [ t ]
-    end;
-    out
-  end
-  else
-    Table.of_rows ~name:"<group>"
-      (Schema.of_list (by @ [ "count" ]))
-      (List.map
-         (fun (key, n) -> Array.append key [| Value.Int n |])
-         (Ops.group_count ~by t))
+  let t0 = Obs.Clock.now_ns () in
+  (* project before scanning so the stream only reads the grouping
+     columns, not the table's full arity *)
+  let out = Batch.group_table ~by (Batch.of_table (Ops.project by t)) in
+  let total = Obs.Clock.since t0 in
+  if Obs.Config.on () then begin
+    let st = table_stats t in
+    let rows = distinct_est st by in
+    let c = scan_node t st in
+    let root = node (Group by) rows (c.cost +. st.rows) [ c ] in
+    observe_tables root total out [ t ]
+  end;
+  out
 
 let distinct t =
-  if enabled () then begin
-    let t0 = Obs.Clock.now_ns () in
-    let out = Batch.distinct_table ~name:(Table.name t) (Batch.of_table t) in
-    let total = Obs.Clock.since t0 in
-    if Obs.Config.on () then begin
-      let st = table_stats t in
-      let rows = distinct_est st st.cols in
-      let c = scan_node t st in
-      let root = node Distinct rows (c.cost +. st.rows) [ c ] in
-      observe_tables root total out [ t ]
-    end;
-    out
-  end
-  else Table.distinct t
+  let t0 = Obs.Clock.now_ns () in
+  let out = Batch.distinct_table ~name:(Table.name t) (Batch.of_table t) in
+  let total = Obs.Clock.since t0 in
+  if Obs.Config.on () then begin
+    let st = table_stats t in
+    let rows = distinct_est st st.cols in
+    let c = scan_node t st in
+    let root = node Distinct rows (c.cost +. st.rows) [ c ] in
+    observe_tables root total out [ t ]
+  end;
+  out

@@ -12,13 +12,9 @@
     [EXPLAIN --analyze] can show estimated vs. actual rows for every
     operator.
 
-    The row-at-a-time {!Ops} path remains the reference engine:
-    differential tests compare the two, and [ASURA_PLANNER=off] is the
-    one switch that selects it, for every caller. *)
-
-val enabled : unit -> bool
-(** [ASURA_PLANNER] is not set to [off]/[0]/[false] (read dynamically).
-    The only choice between the planner and the reference {!Ops} path. *)
+    The row-at-a-time {!Ops} path remains the reference engine: no
+    production caller reaches it, and differential tests compare the
+    two. *)
 
 val forced_build_side : unit -> bool option
 (** [ASURA_PLAN_BUILD=left|right] overrides every hash-join build-side
@@ -149,8 +145,7 @@ val exists :
     passes ({!Batch.exists}).  [indexes] (default none) names columns of
     [t] to probe through {!Index.cached}, as in {!plan}: a [column =
     literal] conjunct on one of them reads only the matching rows, and
-    the other conjuncts are evaluated on those.  Falls back to
-    {!Ops.select} like {!select}. *)
+    the other conjuncts are evaluated on those. *)
 
 val group_count : by:string list -> Table.t -> Table.t
 (** The materialized [by @ ["count"]] table (name ["<group>"]), like the

@@ -281,7 +281,7 @@ let compile_extension ~fresh ~d ~parent ~candidate e =
    order (and hence every downstream golden, including coverage row
    indices) is identical too.  The new column's dictionary is interned
    on the spawning domain before the parallel region; workers only read. *)
-let generate_vectorized ?funcs s =
+let generate ?funcs s =
   Obs.Trace.with_span ~cat:"solver"
     ~args:[ "table", Obs.Json.Str s.sname ]
     "solver.generate"
@@ -476,11 +476,6 @@ let generate_vectorized ?funcs s =
       pruning = List.rev !pruning;
     } )
 
-let generate ?funcs s =
-  if Planner.enabled () && List.compare_length_with (ordered_columns s) 0 > 0
-  then generate_vectorized ?funcs s
-  else generate_reference ?funcs s
-
 let generate_monolithic ?funcs s =
   Obs.Trace.with_span ~cat:"solver"
     ~args:[ "table", Obs.Json.Str s.sname ]
@@ -522,8 +517,10 @@ let generate_monolithic ?funcs s =
     enum 0;
     List.rev !kept, !candidates, !evaluations
   in
+  (* no columns: the product of no domains is the one empty row *)
   let parts =
-    if n = 0 then [||] else Par.Pool.map_chunks ~min_chunk:1 enum_chunk domains.(0)
+    if n = 0 then [| enum_chunk [||] |]
+    else Par.Pool.map_chunks ~min_chunk:1 enum_chunk domains.(0)
   in
   let rows =
     List.concat (Array.to_list (Array.map (fun (r, _, _) -> r) parts))

@@ -78,7 +78,12 @@ val search_space : spec -> int
 val generate : ?funcs:Expr.funcs -> spec -> Table.t * stats
 (** Incremental (column-at-a-time) generation: inputs first, in declaration
     order, then outputs.  A constraint is applied at the first point all its
-    columns are bound. *)
+    columns are bound.  Runs over columnar code buffers. *)
+
+val generate_reference : ?funcs:Expr.funcs -> spec -> Table.t * stats
+(** The same incremental generation over boxed rows, one [Value] array per
+    candidate, unconditionally — the oracle {!generate} is differentially
+    tested against: same rows in the same order, same {!stats}. *)
 
 val generate_monolithic : ?funcs:Expr.funcs -> spec -> Table.t * stats
 (** Full cross product, then filter by the conjunction of all constraints.

@@ -69,13 +69,11 @@ let rec referenced_tables (q : Sql_ast.query) =
       referenced_tables a @ referenced_tables b
 
 (* Dispatch: the cost-based planner runs the query through the
-   vectorized engine unless ASURA_PLANNER=off selects the reference
-   interpreter.  Unknown tables are reported with the reference path's
-   error message either way, and so are unknown functions, whichever
-   engine compiles the predicate.  [prepare] supplies the plan, given
-   the referenced tables.  Planner executions land in the plan
-   observatory under [label] (the SQL text when coming through
-   {!query}); the "sql" site applies only when no more specific
+   vectorized engine.  Unknown tables and unknown functions are
+   reported with the reference interpreter's error messages.  [prepare]
+   supplies the plan, given the referenced tables.  Planner executions
+   land in the plan observatory under [label] (the SQL text when coming
+   through {!query}); the "sql" site applies only when no more specific
    call-site label (invariant id, solver phase) is already active. *)
 let dispatch ?label db (q : Sql_ast.query) ~prepare =
   let tables =
@@ -87,12 +85,10 @@ let dispatch ?label db (q : Sql_ast.query) ~prepare =
       (referenced_tables q)
   in
   try
-    if Planner.enabled () then
-      let run () = Planner.run_prepared ?label db (prepare tables) in
-      match Obs.Planlog.site () with
-      | None -> Obs.Planlog.with_site "sql" run
-      | Some _ -> run ()
-    else run_query_reference db q
+    let run () = Planner.run_prepared ?label db (prepare tables) in
+    match Obs.Planlog.site () with
+    | None -> Obs.Planlog.with_site "sql" run
+    | Some _ -> run ()
   with Expr.Unknown_function f -> error "unknown function %s" f
 
 let run_query ?label db q =

@@ -9,11 +9,9 @@ exception Exec_error of string
 
 val run_query : ?label:string -> Database.t -> Sql_ast.query -> Table.t
 (** Evaluate a query AST.  The result table is named ["<query>"] unless
-    produced by [CREATE TABLE … AS].  Dispatches to the cost-based
-    {!Planner} (vectorized execution) unless {!Planner.enabled} is
-    false ([ASURA_PLANNER=off]), which selects the row-at-a-time
-    reference interpreter ({!run_query_reference}) instead.  An unknown table or
-    function raises {!Exec_error} on either engine.  Planner executions
+    produced by [CREATE TABLE … AS].  Runs the cost-based {!Planner}
+    (vectorized execution).  An unknown table or function raises
+    {!Exec_error}, as in {!run_query_reference}.  Planner executions
     are recorded in the plan observatory under [label] (default: the
     pretty-printed query), at site ["sql"] unless a more specific
     {!Obs.Planlog.with_site} label is active. *)
@@ -36,8 +34,7 @@ val query : Database.t -> string -> Table.t
     table edit yields a fresh id and so a new plan, and only the parse
     is saved.  The saving therefore needs the same text run again on
     unchanged table snapshots, as when one process reruns the invariant
-    suite on one database.  Dispatch is {!run_query}'s: with the planner
-    off, only the parse is reused.  A text is cached
+    suite on one database.  Dispatch is {!run_query}'s.  A text is cached
     only once it has run without error, and the cache is cleared when
     it reaches 256 texts.  Unknown functions raise {!Exec_error}. *)
 

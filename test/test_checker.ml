@@ -128,6 +128,65 @@ let test_composition_modes () =
   Alcotest.(check string) "R3 closes on VC4" "VC4" r3.Dependency.output.vc;
   Alcotest.(check string) "R3 input stays wb on VC4" "VC4" r3.Dependency.input.vc
 
+(* Composition buckets its inner side by match key once that side has
+   more than eight entries, and scans it per outer entry below that.
+   Against a nested loop written out here, on inner sides past the
+   threshold whose roles, channels and messages collide, it must return
+   the same entries in the same order with the same origins. *)
+let prop_compose_matches_nested_loop =
+  let open QCheck.Gen in
+  let role = oneofl [ "local"; "home"; "remote" ] in
+  let assign =
+    let* msg = oneofl [ "a"; "b" ] and* src = role and* dst = role
+    and* vc = oneofl [ "VC0"; "VC1" ] in
+    return { Dependency.msg; src; dst; vc }
+  in
+  let origin = pair (oneofl [ "T"; "U" ]) (int_bound 3) in
+  let entry name =
+    let* input = assign and* output = assign
+    and* origin = list_size (int_range 1 2) origin in
+    let dep = { Dependency.input; output } in
+    return { Dependency.dep; provenance = Direct name; origin }
+  in
+  let gen =
+    quad
+      (list_size (int_bound 12) (entry "T"))
+      (list_size (int_range 9 24) (entry "U"))
+      (oneofl Protocol.Topology.all_placements)
+      bool
+  in
+  QCheck.Test.make ~count:300 ~name:"hash-bucket compose = nested loop"
+    (QCheck.make gen ~print:(fun (t1, t2, p, im) ->
+         Printf.sprintf "|t1|=%d |t2|=%d %s ignore_messages=%b"
+           (List.length t1) (List.length t2)
+           (Protocol.Topology.placement_to_string p) im))
+    (fun (t1, t2, placement, ignore_messages) ->
+      let reloc (e : Dependency.entry) =
+        (Dependency.relocate placement e.dep, e.origin)
+      in
+      let exact = not ignore_messages in
+      let provenance =
+        Dependency.Composed { first = "T"; second = "U"; placement; exact }
+      in
+      let nested =
+        List.concat_map
+          (fun ((r : Dependency.dep), ro) ->
+            List.filter_map
+              (fun ((s : Dependency.dep), so) ->
+                let o = r.output and i = s.input in
+                if o.src = i.src && o.dst = i.dst && o.vc = i.vc
+                   && (ignore_messages || o.msg = i.msg)
+                then
+                  let so = List.filter (fun x -> not (List.mem x ro)) so in
+                  let dep = { Dependency.input = r.input; output = s.output } in
+                  Some { Dependency.dep; provenance; origin = ro @ so }
+                else None)
+              (List.map reloc t2))
+          (List.map reloc t1)
+      in
+      Dependency.compose ~ignore_messages ~placement ("T", t1) ("U", t2)
+      = nested)
+
 let test_dependency_table_form () =
   let entries =
     Dependency.protocol_dependency ~v:Vcassign.with_vc4
@@ -273,17 +332,14 @@ let test_seeded_dropped_response_row () =
   check "progress invariant catches unconsumable busy state" false
     r.Invariant.passed;
   (* the probes go through the bdirst index; the witnesses must not
-     depend on that, nor on the engine *)
+     depend on that *)
   let witnesses r =
     List.map
       (fun row -> Relalg.Value.to_string row.(0))
       (Relalg.Table.rows r.Invariant.violations)
   in
   let want = [ "Busy-readex-sd can hang: no snoop response row" ] in
-  Alcotest.(check (list string)) "witnesses" want (witnesses r);
-  Test_env.with_env "ASURA_PLANNER" "off" (fun () ->
-      Alcotest.(check (list string)) "witnesses, planner off" want
-        (witnesses (run_with_dir_spec spec' "d-busy-progress")))
+  Alcotest.(check (list string)) "witnesses" want (witnesses r)
 
 let test_seeded_leaky_dealloc () =
   (* dealloc without completing to the requester *)
@@ -415,6 +471,7 @@ let suite =
     Alcotest.test_case "PIF originates, never depends" `Quick test_pif_has_no_dependencies;
     Alcotest.test_case "placement relocation (R2 -> R2')" `Quick test_relocate;
     Alcotest.test_case "composition modes (R1 . R2' = R3)" `Quick test_composition_modes;
+    Test_seed.to_alcotest prop_compose_matches_nested_loop;
     Alcotest.test_case "dependency table form" `Quick test_dependency_table_form;
     Alcotest.test_case "initial assignment: several cycles" `Slow test_initial_assignment_cycles;
     Alcotest.test_case "VC4 assignment: the Figure 4 cycle" `Slow test_vc4_assignment_finds_figure4;

@@ -2,8 +2,8 @@
 
    The suites run in one process, in order, and the library reads these
    variables on every call, so a test that sets one must hand back
-   exactly the value it found: a CI leg run under [ASURA_PLANNER=off]
-   has to stay off for every later suite.  OCaml has no [unsetenv]; a
+   exactly the value it found: a run under [ASURA_PLAN_BUILD=left] has
+   to keep that value for every later suite.  OCaml has no [unsetenv]; a
    variable that was unset is restored as the empty string, which every
    [ASURA_*] reader treats as unset. *)
 

@@ -9,30 +9,59 @@ open Relalg
 
 let domains_swept = [ 1; 2; 4 ]
 
-(* Run [f] at every domain count and check all observations agree. *)
+(* Run [f] at every domain count and check all observations agree.  The
+   small-work inline fallback is off meanwhile, so a region fans out as
+   soon as it has more items than its [min_chunk]. *)
 let agree f =
+  let inline = Par.Pool.inline_below () in
+  Par.Pool.set_inline_below 0;
+  Fun.protect ~finally:(fun () -> Par.Pool.set_inline_below inline)
+  @@ fun () ->
   match List.map (fun d -> Par.Pool.with_domains d f) domains_swept with
   | [] -> true
   | r :: rest -> List.for_all (( = ) r) rest
+
+let regions () =
+  Obs.Metrics.count (Obs.Metrics.counter (Obs.Metrics.registry "par") "regions")
+
+(* A differential that must also have run in parallel: the property
+   runs with telemetry on, and some case must have fanned a region out. *)
+let fans_out test =
+  let name, speed, run = Test_seed.to_alcotest test in
+  ( name,
+    speed,
+    fun arg ->
+      Obs.Config.with_enabled @@ fun () ->
+      let before = regions () in
+      run arg;
+      Alcotest.(check bool) "some case fanned out" true (regions () > before)
+  )
 
 (* ------------------------- solver differential ------------------------ *)
 
 let value_pool = [ "a"; "b"; "c"; "d" ]
 
+(* Three to five columns over dense subsets of eight values, so the
+   partial rows of an extension step often reach the 128 that two
+   [min_chunk:64] chunks need. *)
 let spec_gen =
+  let value_pool = value_pool @ [ "e"; "f"; "g"; "h" ] in
   QCheck.Gen.(
-    let nonempty_sub pool =
-      let* mask = list_repeat (List.length pool) bool in
+    let nonempty_sub ?(keep = 1) pool =
+      let* mask =
+        list_repeat (List.length pool)
+          (frequency [ (keep, return true); (1, return false) ])
+      in
       let chosen = List.filteri (fun i _ -> List.nth mask i) pool in
       return (if chosen = [] then [ List.hd pool ] else chosen)
     in
-    let* ncols = int_range 2 4 in
+    let* ncols = int_range 3 5 in
     let names = List.init ncols (Printf.sprintf "c%d") in
     let* cols =
       flatten_l
         (List.mapi
            (fun i name ->
-             let* dom = nonempty_sub value_pool in
+             let* dom = nonempty_sub ~keep:3 value_pool in
              return
                {
                  Solver.cname = name;
@@ -401,8 +430,8 @@ let test_pool_spawns_no_new_domains () =
 
 let suite =
   [
-    Test_seed.to_alcotest prop_generate_diff;
-    Test_seed.to_alcotest prop_monolithic_diff;
+    fans_out prop_generate_diff;
+    fans_out prop_monolithic_diff;
     Test_seed.to_alcotest prop_select_diff;
     Test_seed.to_alcotest prop_join_diff;
     Test_seed.to_alcotest prop_deadlock_diff;

@@ -98,12 +98,9 @@ let test_sql_differential () =
       "SELECT k, COUNT(*) FROM a WHERE NOT x = 'u' GROUP BY k";
     ]
 
-(* The planner is live inside Sql_exec.run_query by default: the public
+(* The planner is the engine inside Sql_exec.run_query: the public
    entry point and the reference oracle must agree on a real workload. *)
 let test_sql_entry_point_uses_planner () =
-  (* under ASURA_PLANNER=off both sides take the reference path and the
-     equality is trivially exercised; with the default the planner is
-     live and must still be bit-identical *)
   let db = Lazy.force fixture_db in
   let q = Sql_parser.parse_query "SELECT k, COUNT(*) FROM a GROUP BY k" in
   check_bool "entry point matches oracle" true
@@ -271,9 +268,8 @@ let test_bytes_copied_kept_only () =
         let t, d = delta f in
         check_int what (cols * word * Table.cardinality t) d
       in
-      if Planner.enabled () then
-        expect "programmatic: 1 column x surviving rows" ~cols:1 (fun () ->
-            Planner.select ~keep:[ "k" ] (Expr.eq "x" "v") a);
+      expect "programmatic: 1 column x surviving rows" ~cols:1 (fun () ->
+          Planner.select ~keep:[ "k" ] (Expr.eq "x" "v") a);
       expect "SQL root: 1 column x kept rows" ~cols:1 (fun () ->
           planned db "SELECT x FROM a WHERE NOT k = 'p' LIMIT 2");
       expect "SELECT *: 2 columns x surviving rows" ~cols:2 (fun () ->
@@ -452,10 +448,8 @@ let prop_fused_chain_differential =
                (Ops.project keep (Ops.select p a)))
            [ [ "k" ]; [ "x" ]; [ "x"; "k" ] ])
 
-let with_planner_off f = Test_env.with_env "ASURA_PLANNER" "off" f
-
 (* The emptiness probe against the reference, on NULL-bearing tables
-   and ternary predicates, with the planner on and off. *)
+   and ternary predicates. *)
 let prop_exists_differential =
   QCheck.Test.make ~count:300
     ~name:"Planner.exists equals a non-empty reference selection"
@@ -465,8 +459,7 @@ let prop_exists_differential =
          Printf.sprintf "a(%d rows), %s" (Table.cardinality a) (Expr.to_sql p)))
     (fun (a, p) ->
       let want = not (Table.is_empty (Ops.select p a)) in
-      Planner.exists p a = want
-      && with_planner_off (fun () -> Planner.exists p a) = want)
+      Planner.exists p a = want)
 
 (* ------------------------ prepared queries ---------------------------- *)
 
@@ -577,13 +570,11 @@ let plan_cache_misses () =
 let planlog_queries () =
   List.map (fun (e : Obs.Planlog.entry) -> e.e_query) (Obs.Planlog.snapshot ())
 
-(* The tag that sends a prepared text back to the planner, and the
-   dispatch that bypasses it. *)
+(* The tag that sends a prepared text back to the planner. *)
 let test_prepared_dispatch () =
   let db = Lazy.force fixture_db in
   let src = "SELECT x FROM a WHERE k = 'p'" in
   let reference = Sql_exec.run_query_reference db (Sql_parser.parse_query src) in
-  Test_env.with_env "ASURA_PLANNER" "on" @@ fun () ->
   Obs.Config.with_enabled @@ fun () ->
   Obs.Planlog.reset ();
   ignore (Sql_exec.query db src);
@@ -596,18 +587,15 @@ let test_prepared_dispatch () =
     (Table.cardinality (Sql_exec.query db' src));
   check_int "edited table re-plans" (misses + 1) (plan_cache_misses ());
   Obs.Planlog.reset ();
-  Test_env.with_env "ASURA_PLANNER" "off" (fun () ->
-      check_bool "planner off: reference rows" true
-        (same_table reference (Sql_exec.query db src)));
-  Alcotest.(check (list string)) "planner off ran no plan" [] (planlog_queries ());
   ignore (Sql_exec.query db src);
-  Alcotest.(check (list string)) "planner back on" [ src ] (planlog_queries ())
+  Alcotest.(check (list string))
+    "the plan log names the text" [ src ] (planlog_queries ())
 
 (* ------------------------- indexed probes ----------------------------- *)
 
 (* [col = literal] conjuncts probed through a hash index: literals
    outside the dictionary ("zz") and NULL, the conjunct alone or with a
-   residual on either side, and the planner off. *)
+   residual on either side. *)
 let prop_indexed_exists =
   QCheck.Test.make ~count:300
     ~name:"Planner.exists ~indexes equals the scan and Ops.select"
@@ -631,15 +619,12 @@ let prop_indexed_exists =
           Planner.exists e a = want
           && List.for_all
                (fun indexes -> Planner.exists ~indexes e a = want)
-               [ [ "k" ]; [ "x" ]; [ "k"; "x" ] ]
-          && with_planner_off (fun () -> Planner.exists ~indexes:[ c ] e a)
-             = want)
+               [ [ "k" ]; [ "x" ]; [ "k"; "x" ] ])
         [ key; Expr.(key &&& p); Expr.(p &&& key) ])
 
 (* With telemetry on, an indexed probe reports the lookup it ran. *)
 let test_indexed_exists_observed () =
   let a = Database.find (Lazy.force fixture_db) "a" in
-  Test_env.with_env "ASURA_PLANNER" "on" @@ fun () ->
   Obs.Config.with_enabled @@ fun () ->
   Obs.Planlog.reset ();
   check_bool "found" true

@@ -2,11 +2,7 @@
    conjunct-order invariance, build-side and pushdown-placement
    sensitivity), the Planlog collector (recording, aggregation, JSON
    round-trip, diff semantics), the borrowed whole-column scan, and the
-   deterministic plan workload behind the CI gate.
-
-   Fingerprint-dependent tests follow the test_planner idiom: they gate
-   on [Planner.enabled ()] so the suite stays green under
-   ASURA_PLANNER=off (where the reference path records nothing). *)
+   deterministic plan workload behind the CI gate. *)
 
 open Relalg
 
@@ -53,129 +49,117 @@ let test_fingerprint_hash () =
 (* ----------------------- structural invariances ----------------------- *)
 
 let test_conjunct_order_invariant () =
-  if Planner.enabled () then begin
-    let db = Lazy.force fixture_db in
-    check_str "AND reorder"
-      (fp db "SELECT k FROM a WHERE k = 'p' AND x = 'u'")
-      (fp db "SELECT k FROM a WHERE x = 'u' AND k = 'p'");
-    check_str "operand flip (Eq commutes)"
-      (fp db "SELECT k FROM a WHERE k = 'p'")
-      (fp db "SELECT k FROM a WHERE 'p' = k");
-    check_bool "different constant is a different plan" false
-      (fp db "SELECT k FROM a WHERE k = 'p'"
-      = fp db "SELECT k FROM a WHERE k = 'q'")
-  end
+  let db = Lazy.force fixture_db in
+  check_str "AND reorder"
+    (fp db "SELECT k FROM a WHERE k = 'p' AND x = 'u'")
+    (fp db "SELECT k FROM a WHERE x = 'u' AND k = 'p'");
+  check_str "operand flip (Eq commutes)"
+    (fp db "SELECT k FROM a WHERE k = 'p'")
+    (fp db "SELECT k FROM a WHERE 'p' = k");
+  check_bool "different constant is a different plan" false
+    (fp db "SELECT k FROM a WHERE k = 'p'"
+    = fp db "SELECT k FROM a WHERE k = 'q'")
 
 let test_conjunct_order_property () =
-  if Planner.enabled () then begin
-    let db = Lazy.force fixture_db in
-    let conjuncts =
-      [ "k = 'p'"; "x = 'u'"; "NOT x = 'w'"; "k IN ('p', 'q')" ]
-    in
-    let sql cs = "SELECT k FROM a WHERE " ^ String.concat " AND " cs in
-    let reference = fp db (sql conjuncts) in
-    let prop perm =
-      (* map the permutation indices onto the conjunct pool *)
-      let cs = List.map (List.nth conjuncts) perm in
-      fp db (sql cs) = reference
-    in
-    QCheck.Test.check_exn
-      (QCheck.Test.make ~count:50 ~name:"fingerprint conjunct-permutation"
-         (QCheck.make (QCheck.Gen.shuffle_l [ 0; 1; 2; 3 ]))
-         prop);
-    (* the pool is small enough to also check every order outright *)
-    let rec permutations = function
-      | [] -> [ [] ]
-      | l ->
-          List.concat_map
-            (fun x ->
-              List.map
-                (fun rest -> x :: rest)
-                (permutations (List.filter (fun y -> y <> x) l)))
-            l
-    in
-    List.iter
-      (fun perm ->
-        check_bool
-          ("permutation " ^ String.concat "," (List.map string_of_int perm))
-          true (prop perm))
-      (permutations [ 0; 1; 2; 3 ])
-  end
+  let db = Lazy.force fixture_db in
+  let conjuncts =
+    [ "k = 'p'"; "x = 'u'"; "NOT x = 'w'"; "k IN ('p', 'q')" ]
+  in
+  let sql cs = "SELECT k FROM a WHERE " ^ String.concat " AND " cs in
+  let reference = fp db (sql conjuncts) in
+  let prop perm =
+    (* map the permutation indices onto the conjunct pool *)
+    let cs = List.map (List.nth conjuncts) perm in
+    fp db (sql cs) = reference
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:50 ~name:"fingerprint conjunct-permutation"
+       (QCheck.make (QCheck.Gen.shuffle_l [ 0; 1; 2; 3 ]))
+       prop);
+  (* the pool is small enough to also check every order outright *)
+  let rec permutations = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun x ->
+            List.map
+              (fun rest -> x :: rest)
+              (permutations (List.filter (fun y -> y <> x) l)))
+          l
+  in
+  List.iter
+    (fun perm ->
+      check_bool
+        ("permutation " ^ String.concat "," (List.map string_of_int perm))
+        true (prop perm))
+    (permutations [ 0; 1; 2; 3 ])
 
 let test_rename_invariant () =
-  if Planner.enabled () then begin
-    (* same table name, same structure, renamed columns: positional
-       canonicalization makes the fingerprints agree *)
-    let db1 =
-      Database.add Database.empty
-        (mk_table "t" [ "k"; "x" ]
-           [ Row.strings [ "p"; "u" ]; Row.strings [ "q"; "v" ] ])
-    in
-    let db2 =
-      Database.add Database.empty
-        (mk_table "t" [ "kk"; "xx" ]
-           [ Row.strings [ "p"; "u" ]; Row.strings [ "q"; "v" ] ])
-    in
-    check_str "renamed columns"
-      (fp db1 "SELECT k FROM t WHERE x = 'u' ORDER BY k LIMIT 1")
-      (fp db2 "SELECT kk FROM t WHERE xx = 'u' ORDER BY kk LIMIT 1")
-  end
+  (* same table name, same structure, renamed columns: positional
+     canonicalization makes the fingerprints agree *)
+  let db1 =
+    Database.add Database.empty
+      (mk_table "t" [ "k"; "x" ]
+         [ Row.strings [ "p"; "u" ]; Row.strings [ "q"; "v" ] ])
+  in
+  let db2 =
+    Database.add Database.empty
+      (mk_table "t" [ "kk"; "xx" ]
+         [ Row.strings [ "p"; "u" ]; Row.strings [ "q"; "v" ] ])
+  in
+  check_str "renamed columns"
+    (fp db1 "SELECT k FROM t WHERE x = 'u' ORDER BY k LIMIT 1")
+    (fp db2 "SELECT kk FROM t WHERE xx = 'u' ORDER BY kk LIMIT 1")
 
 let node op children =
   { Planner.op; est = 0.; cost = 0.; actual = -1; ns = 0L; batches = 0;
     children }
 
 let test_placement_sensitive () =
-  if Planner.enabled () then begin
-    let db = Lazy.force fixture_db in
-    let pred = Expr.Eq (Expr.Col "x", Expr.Const (Value.Str "u")) in
-    let scan = node (Planner.Scan "a") [] in
-    let below =
-      node (Planner.Project [ "x" ]) [ node (Planner.Filter pred) [ scan ] ]
-    in
-    let above =
-      node (Planner.Filter pred) [ node (Planner.Project [ "x" ]) [ scan ] ]
-    in
-    check_bool "filter placement changes the fingerprint" false
-      (Planner.fingerprint db below = Planner.fingerprint db above);
-    check_bool "topk vs sort differ" false
-      (fp db "SELECT k FROM a ORDER BY k LIMIT 2"
-      = fp db "SELECT k FROM a ORDER BY k")
-  end
+  let db = Lazy.force fixture_db in
+  let pred = Expr.Eq (Expr.Col "x", Expr.Const (Value.Str "u")) in
+  let scan = node (Planner.Scan "a") [] in
+  let below =
+    node (Planner.Project [ "x" ]) [ node (Planner.Filter pred) [ scan ] ]
+  in
+  let above =
+    node (Planner.Filter pred) [ node (Planner.Project [ "x" ]) [ scan ] ]
+  in
+  check_bool "filter placement changes the fingerprint" false
+    (Planner.fingerprint db below = Planner.fingerprint db above);
+  check_bool "topk vs sort differ" false
+    (fp db "SELECT k FROM a ORDER BY k LIMIT 2"
+    = fp db "SELECT k FROM a ORDER BY k")
 
 let test_build_side_sensitive () =
-  if Planner.enabled () then begin
-    let db = Lazy.force fixture_db in
-    let join build_left =
-      node (Planner.Hash_join { on = [ ("k", "k") ]; build_left })
-        [ node (Planner.Scan "a") []; node (Planner.Scan "b") [] ]
-    in
-    check_bool "build side changes the fingerprint" false
-      (Planner.fingerprint db (join true)
-      = Planner.fingerprint db (join false))
-  end
+  let db = Lazy.force fixture_db in
+  let join build_left =
+    node (Planner.Hash_join { on = [ ("k", "k") ]; build_left })
+      [ node (Planner.Scan "a") []; node (Planner.Scan "b") [] ]
+  in
+  check_bool "build side changes the fingerprint" false
+    (Planner.fingerprint db (join true)
+    = Planner.fingerprint db (join false))
 
 (* The acceptance drill end to end: ASURA_PLAN_BUILD forces the join
    build side, and the recorded fingerprints must move. *)
 let test_forced_build_side_records_differently () =
-  if Planner.enabled () then begin
-    let db = Lazy.force fixture_db in
-    let a = Database.find db "a" and b = Database.find db "b" in
-    let fps_under side =
-      Test_env.with_env "ASURA_PLAN_BUILD" side (fun () ->
-          Obs.Planlog.reset ();
-          Obs.Config.with_enabled (fun () ->
-              ignore (Planner.equi_join ~on:[ ("k", "k") ] a b));
-          List.map
-            (fun (e : Obs.Planlog.entry) -> e.Obs.Planlog.e_fingerprint)
-            (Obs.Planlog.snapshot ()))
-    in
-    let left = fps_under "left" and right = fps_under "right" in
-    Obs.Planlog.reset ();
-    check_int "one plan each" 1 (List.length left);
-    check_int "one plan each (right)" 1 (List.length right);
-    check_bool "forced flip moves the fingerprint" false (left = right)
-  end
+  let db = Lazy.force fixture_db in
+  let a = Database.find db "a" and b = Database.find db "b" in
+  let fps_under side =
+    Test_env.with_env "ASURA_PLAN_BUILD" side (fun () ->
+        Obs.Planlog.reset ();
+        Obs.Config.with_enabled (fun () ->
+            ignore (Planner.equi_join ~on:[ ("k", "k") ] a b));
+        List.map
+          (fun (e : Obs.Planlog.entry) -> e.Obs.Planlog.e_fingerprint)
+          (Obs.Planlog.snapshot ()))
+  in
+  let left = fps_under "left" and right = fps_under "right" in
+  Obs.Planlog.reset ();
+  check_int "one plan each" 1 (List.length left);
+  check_int "one plan each (right)" 1 (List.length right);
+  check_bool "forced flip moves the fingerprint" false (left = right)
 
 (* ------------------------------ collector ----------------------------- *)
 
@@ -360,37 +344,22 @@ let test_borrowed_scan () =
 
 (* -------------------------- workload & gating ------------------------- *)
 
-let test_planner_off_records_nothing () =
-  Test_env.with_env "ASURA_PLANNER" "off" (fun () ->
-      let db = Lazy.force fixture_db in
-      let snap =
-        entries_of (fun () ->
-            ignore (Sql_exec.query db "SELECT k FROM a WHERE x = 'u'");
-            ignore
-              (Planner.equi_join ~on:[ ("k", "k") ] (Database.find db "a")
-                 (Database.find db "b")))
-      in
-      check_int "reference path leaves the plan log empty" 0
-        (List.length snap))
-
 let test_workload_deterministic () =
-  if Planner.enabled () then begin
-    let db = Protocol.database () in
-    let snap =
-      entries_of (fun () ->
-          Systables.run_plan_workload db;
-          Systables.run_plan_workload db)
-    in
-    check_bool "workload recorded plans" true (snap <> []);
-    List.iter
-      (fun (e : Obs.Planlog.entry) ->
-        check_str "all under the workload site" Systables.plan_workload_site
-          e.Obs.Planlog.e_site;
-        (* two runs, identical fingerprints: every entry merged to 2 *)
-        check_int ("stable fingerprint for " ^ e.Obs.Planlog.e_query) 2
-          e.Obs.Planlog.e_execs)
-      snap
-  end
+  let db = Protocol.database () in
+  let snap =
+    entries_of (fun () ->
+        Systables.run_plan_workload db;
+        Systables.run_plan_workload db)
+  in
+  check_bool "workload recorded plans" true (snap <> []);
+  List.iter
+    (fun (e : Obs.Planlog.entry) ->
+      check_str "all under the workload site" Systables.plan_workload_site
+        e.Obs.Planlog.e_site;
+      (* two runs, identical fingerprints: every entry merged to 2 *)
+      check_int ("stable fingerprint for " ^ e.Obs.Planlog.e_query) 2
+        e.Obs.Planlog.e_execs)
+    snap
 
 (* Two runs of the invariant suite: the second run's prepared plans
    report under the fingerprints of the first, so every sys.plans row
@@ -408,7 +377,7 @@ let test_suite_plans_doubled () =
         (first, rows ()))
   in
   Obs.Planlog.reset ();
-  if Planner.enabled () then check_bool "suite ran plans" true (first <> []);
+  check_bool "suite ran plans" true (first <> []);
   (* columns 4 and 6 are execs and rows_out; 5, total_ms, is a timing *)
   let untimed r = Array.mapi (fun i v -> if i = 5 then Value.Null else v) r in
   let doubled r =
@@ -424,52 +393,48 @@ let test_suite_plans_doubled () =
    baseline (plus this list) must be regenerated deliberately —
    `asura plan snapshot` then `asura plan diff` to see what moved. *)
 let test_workload_golden () =
-  if Planner.enabled () then begin
-    Test_env.with_env "ASURA_PLAN_BUILD" "" @@ fun () ->
-    let db = Protocol.database () in
-    let snap = entries_of (fun () -> Systables.run_plan_workload db) in
-    let fps =
-      List.map
-        (fun (e : Obs.Planlog.entry) ->
-          (e.Obs.Planlog.e_query, e.Obs.Planlog.e_fingerprint))
-        snap
-    in
-    List.iter
-      (fun (query, golden) ->
-        match List.assoc_opt query fps with
-        | None -> Alcotest.failf "workload lost query %s" query
-        | Some got -> check_str query golden got)
-      [
-        ("SELECT * FROM D WHERE inmsg = 'readex'", "bc9812e327582277");
-        ("SELECT DISTINCT locmsg FROM D ORDER BY locmsg", "7a94ec1acb571ae7");
-        ( "SELECT dirst, dirpv FROM D WHERE dirst = 'MESI' AND NOT dirpv = \
-           'one'",
-          "f7d77e8427c1ca3a" );
-        ( "SELECT inmsg, COUNT(*) FROM D GROUP BY inmsg ORDER BY count DESC \
-           LIMIT 5",
-          "ca4bcb66a94977cd" );
-        ("distinct", "9283480963e69406");
-        ("group count by [inmsg, dirst]", "4224a62f3b622ea8");
-        ("join [dirst=dirst, dirpv=dirpv]", "4f285991ed456563");
-      ]
-  end
+  Test_env.with_env "ASURA_PLAN_BUILD" "" @@ fun () ->
+  let db = Protocol.database () in
+  let snap = entries_of (fun () -> Systables.run_plan_workload db) in
+  let fps =
+    List.map
+      (fun (e : Obs.Planlog.entry) ->
+        (e.Obs.Planlog.e_query, e.Obs.Planlog.e_fingerprint))
+      snap
+  in
+  List.iter
+    (fun (query, golden) ->
+      match List.assoc_opt query fps with
+      | None -> Alcotest.failf "workload lost query %s" query
+      | Some got -> check_str query golden got)
+    [
+      ("SELECT * FROM D WHERE inmsg = 'readex'", "bc9812e327582277");
+      ("SELECT DISTINCT locmsg FROM D ORDER BY locmsg", "7a94ec1acb571ae7");
+      ( "SELECT dirst, dirpv FROM D WHERE dirst = 'MESI' AND NOT dirpv = \
+         'one'",
+        "f7d77e8427c1ca3a" );
+      ( "SELECT inmsg, COUNT(*) FROM D GROUP BY inmsg ORDER BY count DESC \
+         LIMIT 5",
+        "ca4bcb66a94977cd" );
+      ("distinct", "9283480963e69406");
+      ("group count by [inmsg, dirst]", "4224a62f3b622ea8");
+      ("join [dirst=dirst, dirpv=dirpv]", "4f285991ed456563");
+    ]
 
 let test_explain_v2 () =
-  if Planner.enabled () then begin
-    let db = Lazy.force fixture_db in
-    let r = Planner.analyze db "SELECT k FROM a WHERE x = 'u'" in
-    Obs.Planlog.reset ();
-    check_int "fingerprint present" 16 (String.length r.Planner.fingerprint);
-    match Planner.to_json r with
-    | Obs.Json.Obj members ->
-        check_bool "schema bumped" true
-          (List.assoc_opt "schema" members
-          = Some (Obs.Json.Str "asura-explain/2"));
-        check_bool "fingerprint member" true
-          (List.assoc_opt "fingerprint" members
-          = Some (Obs.Json.Str r.Planner.fingerprint))
-    | _ -> Alcotest.fail "explain --analyze --json is not an object"
-  end
+  let db = Lazy.force fixture_db in
+  let r = Planner.analyze db "SELECT k FROM a WHERE x = 'u'" in
+  Obs.Planlog.reset ();
+  check_int "fingerprint present" 16 (String.length r.Planner.fingerprint);
+  match Planner.to_json r with
+  | Obs.Json.Obj members ->
+      check_bool "schema bumped" true
+        (List.assoc_opt "schema" members
+        = Some (Obs.Json.Str "asura-explain/2"));
+      check_bool "fingerprint member" true
+        (List.assoc_opt "fingerprint" members
+        = Some (Obs.Json.Str r.Planner.fingerprint))
+  | _ -> Alcotest.fail "explain --analyze --json is not an object"
 
 let suite =
   [
@@ -494,8 +459,6 @@ let suite =
     Alcotest.test_case "sys.plans / sys.plan_ops shape" `Quick
       test_systables_shape;
     Alcotest.test_case "borrowed whole-column scan" `Quick test_borrowed_scan;
-    Alcotest.test_case "ASURA_PLANNER=off records nothing" `Quick
-      test_planner_off_records_nothing;
     Alcotest.test_case "invariant suite twice: same plans, execs doubled"
       `Quick test_suite_plans_doubled;
     Alcotest.test_case "plan workload is deterministic" `Quick

@@ -119,9 +119,9 @@ let plan_cache_misses () =
   Obs.Metrics.count
     (Obs.Metrics.counter (Obs.Metrics.registry "relalg") "plan_cache.misses")
 
-(* An unknown function is an [Exec_error] on both engines, and a failed
-   call leaves nothing in the prepared-query cache that changes the next
-   call with the same text: with the planner on, both calls plan. *)
+(* An unknown function is an [Exec_error], and a failed call leaves
+   nothing in the prepared-query cache that changes the next call with
+   the same text: both calls plan. *)
 let test_unknown_function () =
   let src = "SELECT * FROM D WHERE nofn(inmsg)" in
   let error () =
@@ -130,23 +130,17 @@ let test_unknown_function () =
     | exception Sql_exec.Exec_error msg -> msg
   in
   Obs.Config.with_enabled @@ fun () ->
-  List.iter
-    (fun planner ->
-      Test_env.with_env "ASURA_PLANNER" planner @@ fun () ->
-      let misses = plan_cache_misses () in
-      let first = error () in
-      Alcotest.(check string) ("planner " ^ planner) "unknown function nofn" first;
-      Alcotest.(check string) ("second call, planner " ^ planner) first (error ());
-      if planner = "on" then
-        check_int "no plan cached" (misses + 2) (plan_cache_misses ()))
-    [ "on"; "off" ]
+  let misses = plan_cache_misses () in
+  let first = error () in
+  Alcotest.(check string) "first call" "unknown function nofn" first;
+  Alcotest.(check string) "second call" first (error ());
+  check_int "no plan cached" (misses + 2) (plan_cache_misses ())
 
 (* Distinct texts still answer once the prepared-query cache is full,
    and filling it clears it: the last text is prepared, the first is
    planned again. *)
 let test_prepared_capacity () =
   let text n = Printf.sprintf "SELECT * FROM D LIMIT %d" n in
-  Test_env.with_env "ASURA_PLANNER" "on" @@ fun () ->
   Obs.Config.with_enabled @@ fun () ->
   for n = 1 to 300 do
     check_int "limit honoured" (min n 4) (Table.cardinality (q (text n)))
