@@ -143,115 +143,6 @@ let engine_pair_specs ~domains =
       "mcheck-2node-steal", domains );
   ]
 
-(* --- columnar vs list-of-rows representation ------------------------
-   The storage engine keeps tables columnar and dictionary-encoded;
-   [Listrep] is the list-of-rows representation it replaced.  Each
-   E3/E4/E6-style workload runs the same operator pipeline through
-   both, and the JSON snapshot pairs them with their speedup. *)
-
-let rep_d = lazy (Protocol.Dir_controller.table ())
-let rep_dl = lazy (Listrep.of_table (Lazy.force rep_d))
-
-let rep_workloads =
-  let open Relalg in
-  let e3_pred = Expr.(eq "inmsg" "readex" &&& eq "bdirlookup" "hit") in
-  let e4_a = Expr.eq "inmsg" "readex"
-  and e4_b = Expr.eq "inmsg" "wb"
-  and e4_c = Expr.eq "dirst" "SI" in
-  (* a violation scan, like the E6 invariants: select the rows breaking
-     the MESI/dirpv invariant (an empty result on a correct D — the
-     work is the full-table scan, not the materialization) *)
-  let e6_pred = Expr.(eq "dirst" "MESI" &&& neq "dirpv" "one") in
-  [
-    (* E3-style: local-message fan-out of one request class *)
-    ( "select-distinct",
-      (fun () ->
-        Table.cardinality
-          (Table.distinct
-             (Ops.project [ "locmsg" ] (Ops.select e3_pred (Lazy.force rep_d))))),
-      fun () ->
-        Listrep.cardinality
-          (Listrep.distinct
-             (Listrep.project [ "locmsg" ]
-                (Listrep.select e3_pred (Lazy.force rep_dl)))) );
-    (* E4-style: assembling a dependency table from per-class unions *)
-    ( "union-except",
-      (fun () ->
-        let d = Lazy.force rep_d in
-        Table.cardinality
-          (Ops.except
-             (Ops.union (Ops.select e4_a d) (Ops.select e4_b d))
-             (Ops.select e4_c d))),
-      fun () ->
-        let d = Lazy.force rep_dl in
-        Listrep.cardinality
-          (Listrep.except
-             (Listrep.union (Listrep.select e4_a d) (Listrep.select e4_b d))
-             (Listrep.select e4_c d)) );
-    (* E6-style: one ternary invariant scanned over all of D *)
-    ( "invariant-scan",
-      (fun () -> Table.cardinality (Ops.select e6_pred (Lazy.force rep_d))),
-      fun () ->
-        Listrep.cardinality (Listrep.select e6_pred (Lazy.force rep_dl)) );
-    (* E6-style: join D back to its state summary, plus a group count *)
-    ( "join-group",
-      (fun () ->
-        let d = Lazy.force rep_d in
-        let states = Table.distinct (Ops.project [ "dirst"; "dirpv" ] d) in
-        Table.cardinality
-          (Ops.equi_join ~on:[ "dirst", "dirst"; "dirpv", "dirpv" ] d states)
-        + List.length (Ops.group_count ~by:[ "inmsg"; "dirst" ] d)),
-      fun () ->
-        let d = Lazy.force rep_dl in
-        let states = Listrep.distinct (Listrep.project [ "dirst"; "dirpv" ] d) in
-        Listrep.cardinality
-          (Listrep.equi_join ~on:[ "dirst", "dirst"; "dirpv", "dirpv" ] d states)
-        + List.length (Listrep.group_count ~by:[ "inmsg"; "dirst" ] d) );
-    (* the same join+group workload through the cost-based planner's
-       vectorized batch engine vs. the row-at-a-time list-of-rows
-       reference — the pair the planner PR is gated on (join-group above
-       shows the pre-planner columnar operators stuck near 1.0x on it) *)
-    ( "join-group-planner",
-      (fun () ->
-        let d = Lazy.force rep_d in
-        let states = Planner.distinct (Ops.project [ "dirst"; "dirpv" ] d) in
-        Table.cardinality
-          (Planner.equi_join ~on:[ "dirst", "dirst"; "dirpv", "dirpv" ] d
-             states)
-        + Table.cardinality (Planner.group_count ~by:[ "inmsg"; "dirst" ] d)),
-      fun () ->
-        let d = Lazy.force rep_dl in
-        let states = Listrep.distinct (Listrep.project [ "dirst"; "dirpv" ] d) in
-        Listrep.cardinality
-          (Listrep.equi_join ~on:[ "dirst", "dirst"; "dirpv", "dirpv" ] d states)
-        + List.length (Listrep.group_count ~by:[ "inmsg"; "dirst" ] d) );
-  ]
-
-(* Both sides of every pair must compute the same answer, or the
-   timings compare different work. *)
-let rep_sanity =
-  lazy
-    (List.iter
-       (fun (name, columnar, listrep) ->
-         let c = columnar () and l = listrep () in
-         if c <> l then
-           failwith
-             (Printf.sprintf
-                "representation bench %s disagrees: columnar=%d listrep=%d"
-                name c l))
-       rep_workloads)
-
-let rep_benchmarks =
-  List.concat_map
-    (fun (name, columnar, listrep) ->
-      [
-        Test.make ~name:("rep-" ^ name ^ "-columnar")
-          (Staged.stage (fun () -> ignore (columnar ())));
-        Test.make ~name:("rep-" ^ name ^ "-listrep")
-          (Staged.stage (fun () -> ignore (listrep ())));
-      ])
-    rep_workloads
-
 (* The benchmarks whose hot path is parallelized; each runs twice in
    machine-readable mode, pinned to one domain and at the requested
    degree, so the JSON snapshot records the seq/par pair. *)
@@ -324,15 +215,10 @@ let run_one ~domains test =
   !measurements
 
 let run_benchmarks ~domains () =
-  Lazy.force rep_sanity;
   Printf.printf "\n=== Bechamel timings (per regeneration) ===\n%!";
-  (* The representation pairs run first, on a quiet heap: the macro
-     benchmarks (solver, mcheck) leave behind a large major heap whose
-     collection overhead inflates these allocation-heavy sub-millisecond
-     measurements several-fold if they run after. *)
   List.concat_map
     (fun test -> run_one ~domains test)
-    (List.filter keep (rep_benchmarks @ benchmarks @ engine_baseline_benchmarks))
+    (List.filter keep (benchmarks @ engine_baseline_benchmarks))
 
 (* Seq/par A-B runs: re-measure each parallelized benchmark at the
    requested degree under a "-par" name; the baseline suite above
@@ -377,8 +263,8 @@ let git_rev () =
    trajectory without re-parsing the text output.  v2 added the domain
    count, the git revision, and seq/par pairs with their speedups;
    baseline entries are measured pinned to one domain, "-par" entries
-   at the requested degree.  v3 adds "representation": columnar vs
-   list-of-rows timings of the same workload, with speedups. *)
+   at the requested degree.  v3 adds "regressions"; older v3 files
+   also carry a "representation" member, which readers ignore. *)
 let write_json ~domains measurements =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   let date =
@@ -428,25 +314,6 @@ let write_json ~domains measurements =
                    ])
           | _ -> None)
         (engine_pair_specs ~domains)
-  in
-  let representation =
-    List.filter_map
-      (fun (name, _, _) ->
-        match
-          ( List.assoc_opt ("rep-" ^ name ^ "-columnar") measurements,
-            List.assoc_opt ("rep-" ^ name ^ "-listrep") measurements )
-        with
-        | Some col_ns, Some list_ns ->
-            Some
-              (Obs.Json.Obj
-                 [
-                   "name", Obs.Json.Str name;
-                   "columnar_ns", Obs.Json.Float col_ns;
-                   "listrep_ns", Obs.Json.Float list_ns;
-                   "speedup", Obs.Json.Float (list_ns /. col_ns);
-                 ])
-        | _ -> None)
-      rep_workloads
   in
   (* Seq/par pairs where the parallel run is a slowdown (speedup < 1.0):
      surfaced both as a dedicated JSON array and as one-line warnings, so
@@ -499,7 +366,6 @@ let write_json ~domains measurements =
                measurements) );
         "pairs", Obs.Json.List pairs;
         "regressions", Obs.Json.List regressions;
-        "representation", Obs.Json.List representation;
       ]
   in
   let file = Printf.sprintf "BENCH_%s.json" date in

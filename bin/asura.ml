@@ -97,13 +97,33 @@ let setup_term =
   let domains =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some string) None
       & info [ "domains" ] ~docv:"N" ~env:(Cmd.Env.info "ASURA_DOMAINS")
           ~doc:
             "Number of OCaml domains to spread table generation, \
              dependency composition and model-checker frontier expansion \
              across.  1 (the default) runs the original sequential code \
-             paths; results are identical at every setting.")
+             paths; results are identical at every setting.  A value \
+             that is not an integer of at least 1 exits 2.")
+  in
+  (* The degree is external input like the counts: anything but an
+     integer >= 1 is refused with one line naming where it came from
+     (no command-line argument used means the environment) and exit 2,
+     instead of being clamped to 1 or answered with a usage screen. *)
+  let domains =
+    Term.(
+      const (fun (v, used) ->
+          Option.map
+            (fun s ->
+              match int_of_string_opt s with
+              | Some n when n >= 1 -> n
+              | _ ->
+                  Printf.eprintf "asura: %s must be an integer >= 1 (got %S)\n"
+                    (if used = [] then "ASURA_DOMAINS" else "--domains")
+                    s;
+                  Stdlib.exit 2)
+            v)
+      $ with_used_args domains)
   in
   let log_file =
     Arg.(
@@ -1124,10 +1144,10 @@ let report_cmd =
       & pos_all file []
       & info [] ~docv:"FILE"
           ~doc:
-            "Run manifests (asura-run/1), bench snapshots (asura-bench/*), \
-             plan snapshots (asura-plans/1), table profiles (asura-stats/1) \
-             or EXPLAIN ANALYZE output (asura-explain/2; /1 files are still \
-             read).")
+            "Run manifests (asura-run/1), bench snapshots (asura-bench/*) \
+             or plan snapshots (asura-plans/1).  Any other document, such \
+             as a table profile (asura-stats/1) or EXPLAIN ANALYZE output \
+             (asura-explain/*), is skipped with a warning.")
   in
   let json =
     Arg.(

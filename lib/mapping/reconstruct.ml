@@ -17,7 +17,9 @@ let join_side db side =
   let on = List.map (fun c -> c, c) Extend.input_columns in
   match tables with
   | [] -> invalid_arg "Reconstruct.join_side"
-  | first :: rest -> List.fold_left (fun acc t -> Ops.equi_join ~on acc t) first rest
+  | first :: rest ->
+      Obs.Planlog.with_site "mapping.reconstruct" @@ fun () ->
+      List.fold_left (fun acc t -> Planner.equi_join ~on acc t) first rest
 
 let reconstruct db =
   let request = join_side db `Request and response = join_side db `Response in

@@ -19,7 +19,9 @@ type outcome = {
 
 val reconstruct : Relalg.Database.t -> Relalg.Table.t
 (** Rebuild ED from the nine implementation tables in a database produced
-    by {!Partition.run}. *)
+    by {!Partition.run}.  The joins run on {!Relalg.Planner.equi_join}
+    and report to the plan observatory under site
+    ["mapping.reconstruct"]. *)
 
 val check : ?db:Relalg.Database.t -> unit -> outcome
 (** Run the full round trip (partition, reconstruct, compare). *)

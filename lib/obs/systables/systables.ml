@@ -322,17 +322,15 @@ let bench_schema =
       "regression";
     ]
 
-(* Both speedup families normalize the same way: baseline is the slow
-   reference (sequential / list-of-rows), measured is the contender
-   (parallel / columnar), and speedup < 1.0 flags a regression.  Plain
-   measurements carry only measured_ns.  Per family: the snapshot member
-   it lives under, its kind, and its baseline / measured / speedup
-   fields. *)
+(* Pairs normalize as baseline = the reference (sequential), measured =
+   the contender (parallel), and speedup < 1.0 flags a regression.
+   Plain measurements carry only measured_ns.  Per family: the snapshot
+   member it lives under, its kind, and its baseline / measured /
+   speedup fields.  Members no family names (an older snapshot's
+   "representation") are ignored. *)
 let bench_families =
   [
     ("pairs", "par", Some "seq_ns", "par_ns", Some "speedup");
-    ( "representation", "representation", Some "listrep_ns", "columnar_ns",
-      Some "speedup" );
     ("benchmarks", "measurement", None, "ns_per_run", None);
   ]
 
@@ -490,7 +488,6 @@ let classify doc =
       Result.map (fun cov -> `Run cov) (Obs.Coverage.of_manifest doc)
   | Some s when String.starts_with ~prefix:"asura-bench/" s -> Ok `Bench
   | Some "asura-plans/1" -> Ok `Plans
-  | Some ("asura-stats/1" | "asura-explain/1" | "asura-explain/2") -> Ok `Other
   | Some s -> Error (Printf.sprintf "unsupported schema %S" s)
   | None -> Error "document has no \"schema\" field"
 
@@ -623,11 +620,11 @@ let canned =
    fingerprint tests and the CI plan gate.  A fixed set of SQL and
    programmatic shapes over the generated protocol tables, chosen to
    cover every physical decision the fingerprint witnesses: predicate
-   placement, top-k recognition, distinct, group and — through the bench
-   rep-join-group shape — the hash-join build-side choice that
-   ASURA_PLAN_BUILD flips for the planted-regression drill.  Running it
-   twice yields identical fingerprints, so a clean diff is the expected
-   baseline state. *)
+   placement, top-k recognition, distinct, group and — through a
+   programmatic join of D to its state summary — the hash-join
+   build-side choice that ASURA_PLAN_BUILD flips for the
+   planted-regression drill.  Running it twice yields identical
+   fingerprints, so a clean diff is the expected baseline state. *)
 let plan_workload_site = "workload:plans"
 
 let plan_workload_sql =

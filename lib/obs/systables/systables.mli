@@ -73,11 +73,10 @@ val run_metrics : (string * Obs.Json.t) list -> Relalg.Table.t
 
 val bench : (string * Obs.Json.t) list -> Relalg.Table.t
 (** [sys.bench](file, date, kind, name, baseline_ns, measured_ns,
-    speedup, regression): seq-vs-par pairs ([kind = "par"]),
-    representation comparisons ([kind = "representation"]) and plain
+    speedup, regression): seq-vs-par pairs ([kind = "par"]) and plain
     per-benchmark timings ([kind = "measurement"], only [measured_ns]
     set) of every [asura-bench/*] snapshot; [regression] is [speedup <
-    1.0]. *)
+    1.0].  Other snapshot members are ignored. *)
 
 (** {1 Plan observatory tables} *)
 
@@ -119,14 +118,15 @@ val attach_docs :
   Relalg.Database.t ->
   Relalg.Database.t * (string * string) list
 (** Classify labeled documents by their ["schema"] field ([asura-run/1],
-    [asura-bench/*], [asura-plans/1], [asura-stats/1],
-    [asura-explain/{1,2}]) and attach [sys.runs], [sys.run_metrics],
-    [sys.bench], [sys.coverage] (bitmaps ORed by {!Obs.Coverage.merge}),
-    [sys.plans], [sys.plan_ops] ({!Obs.Planlog.aggregate} over run
-    manifests and plan snapshots) and [sys.events] (run manifests'
-    recordings, concatenated).  A document with a missing or unknown
-    schema, or a run manifest with a malformed coverage entry
-    ({!Obs.Coverage.of_manifest}), is skipped and returned as a
+    [asura-bench/*], [asura-plans/1]) and attach [sys.runs],
+    [sys.run_metrics], [sys.bench], [sys.coverage] (bitmaps ORed by
+    {!Obs.Coverage.merge}), [sys.plans], [sys.plan_ops]
+    ({!Obs.Planlog.aggregate} over run manifests and plan snapshots)
+    and [sys.events] (run manifests' recordings, concatenated).  A
+    document with a missing or unknown schema — one that no table
+    reads, such as a table profile ([asura-stats/1]) or EXPLAIN output
+    ([asura-explain/*]) — or a run manifest with a malformed coverage
+    entry ({!Obs.Coverage.of_manifest}), is skipped and returned as a
     [(label, reason)] warning, in input order. *)
 
 (** {1 Canned queries} *)
@@ -152,9 +152,9 @@ val plan_workload_sql : string list
 (** The SQL half of the deterministic plan workload. *)
 
 val run_plan_workload : Relalg.Database.t -> unit
-(** Execute the deterministic plan workload (SQL shapes plus the bench
-    rep-join-group programmatic shapes) against [db], recording every
-    plan under {!plan_workload_site}.  The basis of [asura plan
+(** Execute the deterministic plan workload (SQL shapes plus a
+    programmatic distinct, join and group over D) against [db],
+    recording every plan under {!plan_workload_site}.  The basis of [asura plan
     snapshot], the golden fingerprint tests and the CI plan gate: two
     runs produce identical fingerprints; flipping a join build side
     (e.g. [ASURA_PLAN_BUILD=right]) changes exactly the join

@@ -135,6 +135,6 @@ val join_tables :
     exactly, whichever side is built: when the left (smaller) side is the
     build side, matches are restored to left-major order by a stable
     counting sort.  [?build_left] overrides the cardinality heuristic
-    (used by tests).
+    ({!Planner.equi_join} passes its choice; tests force both sides).
 
     @raise Ops.Schema_clash on non-key column name collisions. *)

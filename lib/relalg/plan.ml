@@ -10,7 +10,6 @@ type t =
   | Intersect of t * t
   | Count of t
   | Group_count of string list * t
-  | Join of (string * string) list * t * t
   | Empty of string list
 
 let of_query q =
@@ -138,11 +137,6 @@ let rec rewrite p =
       | inner, _ -> Limit (n, inner))
   | Count inner -> Count (rewrite inner)
   | Group_count (cols, inner) -> Group_count (cols, rewrite inner)
-  | Join (on, a, b) ->
-      (* an empty side empties the join; schema-aware predicate pushdown
-         into join sides happens in the cost-based planner, which can
-         resolve scan schemas against the database *)
-      Join (on, rewrite a, rewrite b)
   | Union (a, b) -> (
       match rewrite a, rewrite b with
       (* set operators produce distinct results; Empty is the unit *)
@@ -167,13 +161,6 @@ and schema_hint = function
       match schema_hint a with Some c -> Some c | None -> schema_hint b)
   | Count _ -> Some [ "count" ]
   | Group_count (cols, _) -> Some (cols @ [ "count" ])
-  | Join (on, a, b) -> (
-      (* all left columns, then the right columns that are not join keys *)
-      match schema_hint a, schema_hint b with
-      | Some ca, Some cb ->
-          let keys = List.map snd on in
-          Some (ca @ List.filter (fun c -> not (List.mem c keys)) cb)
-      | _ -> None)
 
 let rec optimize p =
   let p' = rewrite p in
@@ -205,7 +192,6 @@ let rec execute db p =
   | Union (a, b) -> Ops.union (execute db a) (execute db b)
   | Except (a, b) -> Ops.except (execute db a) (execute db b)
   | Intersect (a, b) -> Ops.intersect (execute db a) (execute db b)
-  | Join (on, a, b) -> Ops.equi_join ~on (execute db a) (execute db b)
   | Empty cols -> Table.create ~name:"<empty>" (Schema.of_list cols)
 
 let explain p =
@@ -241,12 +227,6 @@ let explain p =
     | Union (a, b) -> pr "union"; go (indent + 2) a; go (indent + 2) b
     | Except (a, b) -> pr "except"; go (indent + 2) a; go (indent + 2) b
     | Intersect (a, b) -> pr "intersect"; go (indent + 2) a; go (indent + 2) b
-    | Join (on, a, b) ->
-        pr "join [%s]"
-          (String.concat ", "
-             (List.map (fun (l, r) -> Printf.sprintf "%s=%s" l r) on));
-        go (indent + 2) a;
-        go (indent + 2) b
     | Empty cols -> pr "empty [%s]" (String.concat ", " cols)
   in
   go 0 p;

@@ -11,6 +11,8 @@
     semantics-preserving ({!optimize} then {!execute} equals direct
     execution — property-tested in the test suite). *)
 
+(** A plan says exactly what the SQL subset ({!Sql_ast}) can say, so
+    it has no join: code that joins tables calls {!Planner.equi_join}. *)
 type t =
   | Scan of string  (** a named table *)
   | Select of Expr.t * t
@@ -24,9 +26,6 @@ type t =
   | Intersect of t * t
   | Count of t  (** row count of the subplan *)
   | Group_count of string list * t  (** one row per key with a count *)
-  | Join of (string * string) list * t * t
-      (** equi-join on [(left col, right col)] pairs; output schema is all
-          left columns then the non-key right columns, as {!Ops.equi_join} *)
   | Empty of string list  (** a provably-empty relation with this schema *)
 
 val of_query : Sql_ast.query -> t

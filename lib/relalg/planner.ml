@@ -1,25 +1,22 @@
 (* Cost-based planning: annotate a logical {!Plan.t} with cardinality
    estimates from per-column dictionary sizes and table row counts, pick
-   physical operators (hash-join build side, top-k instead of
-   sort-then-limit, index lookups on declared indexes), and execute
-   through the vectorized {!Batch} layer.
+   physical operators (top-k instead of sort-then-limit, index lookups
+   on declared indexes), and execute through the vectorized {!Batch}
+   layer.  Joins are not SQL: code that joins tables calls the
+   programmatic {!equi_join}, which picks the hash-join build side.
    The row-at-a-time {!Ops} path stays behind as the reference engine
    that differential tests call by name. *)
 
-(* ASURA_PLAN_BUILD=left|right overrides the hash-join build-side choice
-   everywhere (annotation and the programmatic [equi_join]).  This is
-   the deterministic "planted plan regression" knob: the structural
-   fingerprint covers the build side, so flipping it is exactly what
-   `asura plan diff --strict` and the CI plan gate must catch.  Read
-   dynamically. *)
+(* ASURA_PLAN_BUILD=left|right overrides {!equi_join}'s build-side
+   choice.  This is the deterministic "planted plan regression" knob:
+   the structural fingerprint covers the build side, so flipping it is
+   exactly what `asura plan diff --strict` and the CI plan gate must
+   catch.  Read dynamically. *)
 let forced_build_side () =
   match Sys.getenv_opt "ASURA_PLAN_BUILD" with
   | Some ("left" | "LEFT" | "l") -> Some true
   | Some ("right" | "RIGHT" | "r") -> Some false
   | _ -> None
-
-let choose_build_side ~auto =
-  match forced_build_side () with Some b -> b | None -> auto
 
 (* ------------------------- annotated plans ---------------------------- *)
 
@@ -124,29 +121,6 @@ let nlogn n = n *. (log (max 2. n) /. log 2.)
 
 (* ------------------------ planner rewrites ---------------------------- *)
 
-(* Output columns of a plan, resolving bare scans against the database
-   (unlike {!Plan.schema_hint}, which is database-free). *)
-let rec plan_cols db (p : Plan.t) =
-  match p with
-  | Plan.Scan name -> (
-      match Database.find_opt db name with
-      | Some t -> Some (Schema.columns (Table.schema t))
-      | None -> None)
-  | Plan.Project (cols, _) | Plan.Empty cols -> Some cols
-  | Plan.Select (_, p) | Plan.Distinct p | Plan.Sort (_, p) | Plan.Limit (_, p)
-    ->
-      plan_cols db p
-  | Plan.Union (a, b) | Plan.Except (a, b) | Plan.Intersect (a, b) -> (
-      match plan_cols db a with Some c -> Some c | None -> plan_cols db b)
-  | Plan.Count _ -> Some [ "count" ]
-  | Plan.Group_count (cols, _) -> Some (cols @ [ "count" ])
-  | Plan.Join (on, a, b) -> (
-      match (plan_cols db a, plan_cols db b) with
-      | Some ca, Some cb ->
-          let keys = List.map snd on in
-          Some (ca @ List.filter (fun c -> not (List.mem c keys)) cb)
-      | _ -> None)
-
 let rec conjuncts = function
   | Expr.And (a, b) -> conjuncts a @ conjuncts b
   | e -> [ e ]
@@ -163,58 +137,6 @@ let split_indexable indexed pred =
     | e :: rest -> go (e :: seen) rest
   in
   go [] (conjuncts pred)
-
-(* Push a selection's conjuncts below a join into whichever side covers
-   their free columns.  A join emits pairs in left-major order, so
-   filtering a side before joining yields exactly the surviving pairs in
-   the same relative order as filtering after — the rewrite is
-   order-preserving, not just multiset-preserving.  {!Plan.rewrite}
-   leaves this case alone because it cannot resolve scan schemas. *)
-let rec push_into_joins db (p : Plan.t) : Plan.t =
-  match p with
-  | Plan.Scan _ | Plan.Empty _ -> p
-  | Plan.Select (e, inner) -> (
-      match push_into_joins db inner with
-      | Plan.Join (on, a, b) as j -> (
-          match (plan_cols db a, plan_cols db b) with
-          | Some ca, Some cb ->
-              let keys = List.map snd on in
-              let kept_b = List.filter (fun c -> not (List.mem c keys)) cb in
-              let la, lb, above =
-                List.fold_left
-                  (fun (la, lb, above) c ->
-                    let free = Expr.free_columns c in
-                    if List.for_all (fun x -> List.mem x ca) free then
-                      (c :: la, lb, above)
-                    else if List.for_all (fun x -> List.mem x kept_b) free then
-                      (la, c :: lb, above)
-                    else (la, lb, c :: above))
-                  ([], [], []) (conjuncts e)
-              in
-              let wrap side = function
-                | [] -> side
-                | es -> push_into_joins db (Plan.Select (Expr.conj (List.rev es), side))
-              in
-              let j = Plan.Join (on, wrap a la, wrap b lb) in
-              (match above with
-              | [] -> j
-              | es -> Plan.Select (Expr.conj (List.rev es), j))
-          | _ -> Plan.Select (e, j))
-      | inner -> Plan.Select (e, inner))
-  | Plan.Project (cols, inner) -> Plan.Project (cols, push_into_joins db inner)
-  | Plan.Distinct inner -> Plan.Distinct (push_into_joins db inner)
-  | Plan.Sort (keys, inner) -> Plan.Sort (keys, push_into_joins db inner)
-  | Plan.Limit (n, inner) -> Plan.Limit (n, push_into_joins db inner)
-  | Plan.Count inner -> Plan.Count (push_into_joins db inner)
-  | Plan.Group_count (cols, inner) ->
-      Plan.Group_count (cols, push_into_joins db inner)
-  | Plan.Union (a, b) -> Plan.Union (push_into_joins db a, push_into_joins db b)
-  | Plan.Except (a, b) ->
-      Plan.Except (push_into_joins db a, push_into_joins db b)
-  | Plan.Intersect (a, b) ->
-      Plan.Intersect (push_into_joins db a, push_into_joins db b)
-  | Plan.Join (on, a, b) ->
-      Plan.Join (on, push_into_joins db a, push_into_joins db b)
 
 (* ---------------------------- annotation ------------------------------ *)
 
@@ -307,32 +229,6 @@ let rec annotate ~indexes db (p : Plan.t) : t * stats =
       in
       ( node (Group cols) rows (c.cost +. st.rows) [ c ],
         { rows; cols = cols @ [ "count" ]; ndv } )
-  | Plan.Join (on, a, b) ->
-      let ca, sta = annotate db a and cb, stb = annotate db b in
-      let key_sel =
-        List.fold_left
-          (fun acc (l, r) -> acc /. max (ndv_of sta l) (ndv_of stb r))
-          1. on
-      in
-      let rows = sta.rows *. stb.rows *. key_sel in
-      (* build the hash index on the estimated-smaller side, unless
-         ASURA_PLAN_BUILD forces a side *)
-      let build_left = choose_build_side ~auto:(sta.rows <= stb.rows) in
-      let keys = List.map snd on in
-      let kept_b = List.filter (fun c -> not (List.mem c keys)) stb.cols in
-      let ndv =
-        List.map (fun (c, n) -> (c, min n (max 1. rows))) sta.ndv
-        @ List.filter_map
-            (fun (c, n) ->
-              if List.mem c kept_b then Some (c, min n (max 1. rows)) else None)
-            stb.ndv
-      in
-      ( node
-          (Hash_join { on; build_left })
-          rows
-          (ca.cost +. cb.cost +. sta.rows +. stb.rows +. rows)
-          [ ca; cb ],
-        { rows; cols = sta.cols @ kept_b; ndv } )
   | Plan.Union (a, b) ->
       let ca, sta = annotate db a and cb, stb = annotate db b in
       let merged =
@@ -362,7 +258,7 @@ let rec annotate ~indexes db (p : Plan.t) : t * stats =
         { rows = 0.; cols; ndv = List.map (fun c -> (c, 1.)) cols } )
 
 let plan ?(indexes = []) db (p : Plan.t) : t =
-  fst (annotate ~indexes db (push_into_joins db (Plan.optimize p)))
+  fst (annotate ~indexes db (Plan.optimize p))
 
 (* ---------------------------- fingerprint ----------------------------- *)
 
@@ -422,8 +318,8 @@ let rec canon_expr cols (e : Expr.t) =
         (canon_expr cols b)
 
 (* Flattened conjunct list, canonicalized then sorted: AND is
-   commutative and associative, and [push_into_joins] already reorders
-   conjuncts freely. *)
+   commutative and associative, and {!Plan.optimize} merges adjacent
+   selections in whatever order it meets them. *)
 and conj_string cols e =
   match conjuncts e with
   | [ single ] -> canon_expr cols single
@@ -592,8 +488,6 @@ and execute db (n : t) : Table.t =
         (Table.of_rows ~name:"<count>"
            (Schema.of_list [ "count" ])
            [ [| Value.Int (Batch.count (source_of ~keep:[] db c)) |] ])
-  | Hash_join { on; build_left }, [ a; b ] ->
-      record (Batch.join_tables ~build_left ~on (execute db a) (execute db b))
   (* set operators delegate to the reference implementations for their
      exact dictionary-sharing and first-occurrence semantics; both
      inputs are already vectorized upstream *)
@@ -730,14 +624,6 @@ let observe ?query ~lookup root total_ns rows_out =
     observe_with ~query ~fingerprint:(fingerprint_with lookup root) root
       total_ns rows_out
 
-let run_plan db p =
-  let root = plan db p in
-  let t0 = Obs.Clock.now_ns () in
-  let t = execute db root in
-  observe ~lookup:(db_lookup db) root (Obs.Clock.since t0)
-    (Table.cardinality t);
-  t
-
 (* A query planned once and executed many times.  Execution writes
    [actual]/[ns]/[batches] into the tree, so every run executes a fresh
    copy of [template] and concurrent runs never share counters.  The
@@ -841,8 +727,8 @@ let to_json r =
 (* ----------------------- programmatic operators ----------------------- *)
 
 (* Direct entry points for consumers that build operator chains in code
-   (solver, checkers, bench) rather than through SQL: vectorized when
-   the planner is on, reference otherwise.
+   (solver, checkers, mapping, bench) rather than through SQL, all on
+   the vectorized {!Batch} layer.
 
    Each vectorized path reports to the plan observatory through a small
    synthetic annotated tree — scan children under the one real operator
@@ -875,20 +761,26 @@ let scan_node t st =
 
 let equi_join ~on ta tb =
   let na = Table.cardinality ta and nb = Table.cardinality tb in
-  (* same <= tie-break annotation uses, overridable for plan-gate
-     regression drills *)
-  let build_left = choose_build_side ~auto:(na <= nb) in
+  (* build on the smaller side (ties: left), unless a plan-gate
+     regression drill forces a side *)
+  let build_left =
+    match forced_build_side () with Some b -> b | None -> na <= nb
+  in
   let t0 = Obs.Clock.now_ns () in
   let out = Batch.join_tables ~build_left ~on ta tb in
   let total = Obs.Clock.since t0 in
   if Obs.Config.on () then begin
     let sta = table_stats ta and stb = table_stats tb in
-    let key_sel =
-      List.fold_left
-        (fun acc (l, r) -> acc /. max (ndv_of sta l) (ndv_of stb r))
-        1. on
+    (* each key value of the side with more distinct keys matches about
+       one of the other's; [distinct_est] caps a side's key count at its
+       rows, so a key of many columns does not drive the estimate to
+       zero the way a product of per-column selectivities would *)
+    let keys =
+      fmax
+        (distinct_est sta (List.map fst on))
+        (distinct_est stb (List.map snd on))
     in
-    let rows = sta.rows *. stb.rows *. key_sel in
+    let rows = sta.rows *. stb.rows /. fmax 1. keys in
     let ca = scan_node ta sta and cb = scan_node tb stb in
     let root =
       node

@@ -3,11 +3,11 @@
     The planner annotates an optimized logical {!Plan.t} with cardinality
     estimates — per-column dictionary sizes are exact distinct counts in
     the columnar engine, so selectivity estimation is unusually well
-    informed — then picks physical operators: hash-join build side by
-    estimated input size, [LIMIT]-over-[ORDER BY] as a bounded top-k,
-    selections pushed below joins into whichever side covers their
-    columns, equality selections on declared hash indexes as index
-    lookups.  Execution streams batches of dictionary codes through
+    informed — then picks physical operators: [LIMIT]-over-[ORDER BY]
+    as a bounded top-k, equality selections on declared hash indexes as
+    index lookups.  Joins are not in the SQL subset: code that joins
+    tables calls {!equi_join}, which builds its hash table on the
+    smaller side.  Execution streams batches of dictionary codes through
     {!Batch} and records actual per-operator cardinalities, so
     [EXPLAIN --analyze] can show estimated vs. actual rows for every
     operator.
@@ -17,7 +17,7 @@
     two. *)
 
 val forced_build_side : unit -> bool option
-(** [ASURA_PLAN_BUILD=left|right] overrides every hash-join build-side
+(** [ASURA_PLAN_BUILD=left|right] overrides {!equi_join}'s build-side
     choice (read dynamically); [Some true] means build-left.  The
     deterministic "planted plan regression" knob the plan gate drills
     with: the structural fingerprint covers the build side, so forcing
@@ -37,6 +37,7 @@ type op =
   | Topk of int * keys  (** first [k] of the stable sort, bounded buffer *)
   | Limit of int
   | Hash_join of { on : (string * string) list; build_left : bool }
+      (** recorded by {!equi_join}; {!plan} never produces it *)
   | Union
   | Except
   | Intersect
@@ -56,10 +57,10 @@ type t = {
 }
 
 val plan : ?indexes:(string * string) list -> Database.t -> Plan.t -> t
-(** Optimize ({!Plan.optimize} + join pushdown), then annotate with
-    estimates and physical choices.  [indexes] (default none) declares
-    hash indexes as [(table, column)] pairs: a selection over a scan of
-    such a table with a [column = literal] conjunct becomes an
+(** Optimize ({!Plan.optimize}), then annotate with estimates and
+    physical choices.  [indexes] (default none) declares hash indexes
+    as [(table, column)] pairs: a selection over a scan of such a
+    table with a [column = literal] conjunct becomes an
     {!op.Index_scan} (estimated at rows / ndv) under a filter of the
     remaining conjuncts.
     @raise Database.Unknown_table for unresolvable scans. *)
@@ -79,8 +80,6 @@ val execute : Database.t -> t -> Table.t
     included.  A filter over a materialized input, under at most a
     projection and a limit, runs as one {!Batch.select_table}; each node
     of that fused chain keeps its own [actual] and gets [batches = 1]. *)
-
-val run_plan : Database.t -> Plan.t -> Table.t
 
 type prepared
 (** A query's annotated plan, made once and executed many times.  It
@@ -129,10 +128,18 @@ val to_json : report -> Obs.Json.t
 (** {2 Programmatic operators}
 
     Entry points for consumers that build operator chains in code
-    (solver, checkers, bench): vectorized when the planner is {!enabled},
-    reference {!Ops}/{!Table} otherwise. *)
+    (solver, checkers, mapping, bench), all on the vectorized {!Batch}
+    layer; {!Ops} and {!Table} hold the row-at-a-time oracles tests
+    compare them with. *)
 
 val equi_join : on:(string * string) list -> Table.t -> Table.t -> Table.t
+(** The join on [(left col, right col)] pairs, as {!Ops.equi_join}: all
+    left columns, then the right columns that are not keys, pairs in
+    left-major order.  The hash table is built on the smaller input
+    (ties: left) unless {!forced_build_side} says otherwise.  Recorded
+    as [join [l=r, …]], estimated at |A|·|B| over the larger side's
+    distinct key count. *)
+
 val select :
   ?funcs:Expr.funcs -> ?keep:string list -> Expr.t -> Table.t -> Table.t
 (** The rows passing the predicate, with only the [keep] columns

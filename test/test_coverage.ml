@@ -456,6 +456,29 @@ let test_report_rejects_unknown_schema () =
        (Relalg.Database.table_names all_bad));
   check_int "all-bad everything skipped" 1 (List.length skipped2)
 
+(* A table profile is a document no sys. table reads: the report lists
+   it under "Skipped inputs" and still reports the manifest beside it. *)
+let test_report_skips_unread_documents () =
+  let profile =
+    Relalg.Profile.to_json
+      (Relalg.Profile.profile (Protocol.Dir_controller.table ()))
+  in
+  let results, skipped =
+    report [ "run-a.json", synthetic_manifest (); "stats.json", profile ]
+  in
+  (match skipped with
+  | [ (label, reason) ] ->
+      check "the profile is skipped" true (label = "stats.json");
+      check "as an unsupported schema" true
+        (contains reason "unsupported schema")
+  | _ -> Alcotest.fail "expected exactly one skipped input");
+  let md = Systables.report_markdown ~skipped results in
+  check "listed under Skipped inputs" true
+    (contains md "## Skipped inputs" && contains md "| stats.json |");
+  check "the manifest is still reported" true
+    (contains md "| run-a.json |"
+    && List.length (Systables.coverage_by_table results) = 2)
+
 let test_malformed_coverage_skipped () =
   (* negative or oversized row counts must not reach an allocation or a
      per-row listing: the document is skipped, its neighbour survives *)
@@ -542,6 +565,8 @@ let suite =
       test_report_round_trip;
     Alcotest.test_case "runreport rejects unknown schemas" `Quick
       test_report_rejects_unknown_schema;
+    Alcotest.test_case "report skips documents no table reads" `Quick
+      test_report_skips_unread_documents;
     Alcotest.test_case "report skips malformed coverage entries" `Quick
       test_malformed_coverage_skipped;
     Alcotest.test_case "report bench baseline diff" `Quick test_report_bench_diff;

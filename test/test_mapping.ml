@@ -114,6 +114,29 @@ let test_reconstruction () =
   check "D contained in the rebuild" true outcome.Reconstruct.d_preserved;
   check_int "no missing rows" 0 (Table.cardinality outcome.Reconstruct.missing_rows)
 
+(* The paper's one join runs on the engine: each side's join chain is
+   recorded in the plan observatory, with estimates that hold. *)
+let test_reconstruction_on_engine () =
+  let db = Lazy.force impl_db in
+  Obs.Config.with_enabled @@ fun () ->
+  Obs.Planlog.reset ();
+  ignore (Reconstruct.check ~db ());
+  let joins =
+    List.filter
+      (fun (e : Obs.Planlog.entry) ->
+        e.e_site = "mapping.reconstruct"
+        && String.length e.e_query > 6
+        && String.sub e.e_query 0 6 = "join [")
+      (Obs.Planlog.snapshot ())
+  in
+  check_int "seven join plans (four request-side, three response-side)" 7
+    (List.length joins);
+  List.iter
+    (fun e ->
+      let m = Obs.Planlog.misest e in
+      check (Printf.sprintf "misest %.1f < 2" m) true (m < 2.))
+    joins
+
 let test_reconstruction_detects_damage () =
   (* drop rows from one implementation table: the round trip must fail *)
   let db = Lazy.force impl_db in
@@ -200,6 +223,7 @@ let suite =
     Alcotest.test_case "nine implementation tables" `Quick test_nine_tables;
     Alcotest.test_case "partitioning is real SQL" `Quick test_partition_is_sql;
     Alcotest.test_case "reconstruction round trip" `Quick test_reconstruction;
+    Alcotest.test_case "reconstruction joins run on the engine" `Quick test_reconstruction_on_engine;
     Alcotest.test_case "reconstruction detects damage" `Quick test_reconstruction_detects_damage;
     Alcotest.test_case "rule specificity" `Quick test_rules_respect_specificity;
     Alcotest.test_case "generated logic agrees with tables" `Quick test_generated_logic_agrees_everywhere;

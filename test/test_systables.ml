@@ -221,6 +221,8 @@ let prop_manifest_roundtrip =
 
 (* ------------------------------ sys.bench ----------------------------- *)
 
+(* An older snapshot: its "representation" member names no sys.bench
+   family, so its row is ignored. *)
 let bench_doc =
   Obs.Json.parse_exn
     {|{"schema":"asura-bench/3","date":"2026-08-08",
@@ -230,7 +232,8 @@ let bench_doc =
 
 let test_bench_regressions () =
   let t = Systables.bench [ ("b.json", bench_doc) ] in
-  check_int "three bench rows" 3 (Table.cardinality t);
+  check_int "two bench rows: the pairs, not the representation member" 2
+    (Table.cardinality t);
   let db = Database.add_system Database.empty t in
   let reg =
     Sql_exec.query db
