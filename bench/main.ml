@@ -385,19 +385,28 @@ let write_json ~domains measurements =
            "regressions", Obs.Json.Int (List.length regressions);
          ])
 
+(* The degree comes from --domains, else ASURA_DOMAINS, else 1.  The
+   source used must be an integer >= 1, as in the CLI, or the run stops
+   with one line naming it instead of falling back to one domain. *)
 let parse_domains () =
   let argv = Sys.argv in
-  let domains = ref (Par.Pool.domains ()) in
+  let parse source v =
+    match int_of_string_opt v with
+    | Some n when n >= 1 -> n
+    | Some _ | None ->
+        Printf.eprintf "bad %s value %S\n" source v;
+        exit 2
+  in
+  let flag = ref None in
   Array.iteri
     (fun i arg ->
       if arg = "--domains" && i + 1 < Array.length argv then
-        match int_of_string_opt argv.(i + 1) with
-        | Some n when n >= 1 -> domains := n
-        | Some _ | None ->
-            Printf.eprintf "bad --domains value %S\n" argv.(i + 1);
-            exit 2)
+        flag := Some argv.(i + 1))
     argv;
-  !domains
+  match (!flag, Sys.getenv_opt "ASURA_DOMAINS") with
+  | Some v, _ -> parse "--domains" v
+  | None, Some v -> parse "ASURA_DOMAINS" v
+  | None, None -> 1
 
 (* --manifest [DIR]: persist an asura-run/1 manifest of this bench
    invocation (same flag the CLI takes; DIR defaults to "runs"). *)

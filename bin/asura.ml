@@ -672,8 +672,8 @@ let read_docs files =
     files
 
 (* Load every .json under a --runs directory as labeled documents for
-   the manifest-backed sys. tables; bad files are skipped with a
-   warning, like [asura report]. *)
+   the sys. tables; bad files are skipped with a warning, like [asura
+   report]. *)
 let load_run_docs dir =
   match Sys.readdir dir with
   | entries ->
@@ -701,9 +701,20 @@ let runs_arg =
     & info [ "runs" ] ~docv:"DIR"
         ~doc:
           (Printf.sprintf
-             "Attach the manifest-backed system tables (%s) built from the \
-              run manifests and bench snapshots under $(docv)."
+             "Build the system tables (%s) from the run manifests and bench \
+              snapshots under $(docv) only, instead of from this process; \
+              $(b,sys.spans), the trace buffer, exists only without it."
              (String.concat ", " (List.map (Printf.sprintf "$(b,%s)") names))))
+
+(* The one rule for where a command's sys. tables come from: DIR's
+   documents with --runs, otherwise this process. *)
+let attach_sys db runs =
+  match runs with
+  | None -> Systables.attach_live db
+  | Some dir ->
+      let db, skipped = Systables.attach_docs (load_run_docs dir) db in
+      warn_skipped skipped;
+      db
 
 (* Counts (--last, --max-uncovered, --max-states) are external input
    like any other: a negative one is refused with a one-line message and
@@ -720,23 +731,16 @@ let count_conv flag =
   Arg.conv (parse, Format.pp_print_int)
 
 (* Print canned sys. queries by key, each under its title with the SQL
-   it ran: the one printer behind top, events top and plan top.  A query
-   over the manifest-backed tables is skipped when no --runs were
-   attached. *)
+   it ran: the one printer behind top, events top and plan top. *)
 let print_canned db keys =
   List.iter
     (fun key ->
       match List.find_opt (fun c -> c.Systables.key = key) Systables.canned with
       | None -> ()
       | Some c ->
-          Printf.printf "## %s [%s]\n" c.title c.key;
-          if (not c.live) && not (Relalg.Database.mem db "sys.runs") then
-            print_string "(skipped: needs --runs DIR)\n\n"
-          else begin
-            Printf.printf "-- %s\n" c.sql;
-            print_string (Relalg.Table.to_string (Relalg.Sql_exec.query db c.sql));
-            print_newline ()
-          end)
+          Printf.printf "## %s [%s]\n-- %s\n" c.title c.key c.sql;
+          print_string (Relalg.Table.to_string (Relalg.Sql_exec.query db c.sql));
+          print_newline ())
     keys
 
 (* Run [f] with every SQL engine error rendered as one [sql:] line on
@@ -780,20 +784,11 @@ let sql_cmd =
   in
   let run () query runs =
     let db = Protocol.database () in
-    (* A query that mentions sys. gets the telemetry snapshot attached;
-       everything else runs against the protocol catalog untouched. *)
+    (* A query that mentions sys. gets the telemetry attached; everything
+       else runs against the protocol catalog untouched. *)
     let db =
       if runs = None && not (Systables.mentions_sys query) then db
-      else
-        let db = Systables.attach_live db in
-        match runs with
-        | None -> db
-        | Some dir ->
-            (* manifest-backed tables replace the live sys.coverage so
-               the query sees the same merged bitmaps asura report does *)
-            let db, skipped = Systables.attach_docs (load_run_docs dir) db in
-            warn_skipped skipped;
-            db
+      else attach_sys db runs
     in
     run_statement db query
   in
@@ -839,25 +834,19 @@ let top_cmd =
              exercise the engine.")
   in
   let run () runs only max_states =
-    (* Exercise the pipeline with telemetry armed so the live sys.
-       tables have something to say: the invariant suite and deadlock
-       analysis populate spans/metrics, the small mcheck run fires
-       transition coverage. *)
-    Obs.Config.enable ();
-    Obs.Coverage.enable ();
     let db = Protocol.database () in
-    ignore (Checker.Invariant.run_all db);
-    ignore (Checker.Deadlock.analyze Checker.Vcassign.debugged);
-    ignore (Mcheck.Explore.run ~max_states exercise_cfg);
-    let db = Systables.attach_live db in
-    let db =
-      match runs with
-      | None -> db
-      | Some dir ->
-          let db, skipped = Systables.attach_docs (load_run_docs dir) db in
-          warn_skipped skipped;
-          db
-    in
+    (* Answering live, exercise the pipeline with telemetry armed so the
+       sys. tables have something to say: the invariant suite and
+       deadlock analysis populate spans/metrics, the small mcheck run
+       fires transition coverage. *)
+    if runs = None then begin
+      Obs.Config.enable ();
+      Obs.Coverage.enable ();
+      ignore (Checker.Invariant.run_all db);
+      ignore (Checker.Deadlock.analyze Checker.Vcassign.debugged);
+      ignore (Mcheck.Explore.run ~max_states exercise_cfg)
+    end;
+    let db = attach_sys db runs in
     let keys = List.map (fun c -> c.Systables.key) Systables.canned in
     match only with
     | None -> print_canned db keys
@@ -870,10 +859,11 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "Exercise the engine with telemetry on and answer the canned \
-          operational questions — slowest operators, hottest and \
-          least-covered controller tables, bench speedup regressions — \
-          each implemented as plain SQL over the sys. system tables.")
+         "Answer the canned operational questions — slowest operators, \
+          hottest and least-covered controller tables, bench speedup \
+          regressions — each implemented as plain SQL over the sys. \
+          system tables: of the manifests under $(b,--runs), or else of \
+          this process after exercising the engine with telemetry on.")
     Term.(const run $ setup_term $ runs_arg $ only $ max_states)
 
 (* ------------------------------- events ------------------------------- *)
@@ -935,26 +925,15 @@ let events_top_cmd =
              recorder.")
   in
   let run () runs max_states =
-    let db =
-      match runs with
-      | Some dir ->
-          let db, skipped =
-            Systables.attach_docs (load_run_docs dir) (Protocol.database ())
-          in
-          warn_skipped skipped;
-          db
-      | None ->
-          (* a small exploration fills the rings: fires and dedup from
-             any engine, steals when domains > 1 pick the stealing core
-             (explicit `Steal keeps the requested degree even when the
-             hardware offers fewer cores, unlike `Auto) *)
-          let engine =
-            if Par.Pool.domains () > 1 then `Steal else `Auto
-          in
-          ignore (Mcheck.Explore.run ~max_states ~engine exercise_cfg);
-          Systables.attach_live (Protocol.database ())
-    in
-    print_canned db events_canned_keys
+    (* answering live, a small exploration fills the rings: fires and
+       dedup from any engine, steals when domains > 1 pick the stealing
+       core (explicit `Steal keeps the requested degree even when the
+       hardware offers fewer cores, unlike `Auto) *)
+    if runs = None then begin
+      let engine = if Par.Pool.domains () > 1 then `Steal else `Auto in
+      ignore (Mcheck.Explore.run ~max_states ~engine exercise_cfg)
+    end;
+    print_canned (attach_sys (Protocol.database ()) runs) events_canned_keys
   in
   Cmd.v
     (Cmd.info "top"
@@ -1365,19 +1344,12 @@ let plan_canned_keys = [ "hottest-plans"; "worst-misest" ]
 
 let plan_top_cmd =
   let run () runs =
+    (* with --runs, answer from the plans the manifests carry instead of
+       re-running the workload *)
     let db =
-      match runs with
-      | None -> Systables.attach_live (exercise_plan_workload ())
-      | Some dir ->
-          (* manifest-backed: answer from the aggregated sys.plans the
-             manifests carry instead of re-running the workload *)
-          let db, skipped =
-            Systables.attach_docs (load_run_docs dir) (Protocol.database ())
-          in
-          warn_skipped skipped;
-          db
+      if runs = None then exercise_plan_workload () else Protocol.database ()
     in
-    print_canned db plan_canned_keys
+    print_canned (attach_sys db runs) plan_canned_keys
   in
   Cmd.v
     (Cmd.info "top"
@@ -1456,12 +1428,21 @@ let plan_diff_cmd =
              CI plan-regression gate.")
   in
   let run () old_file new_file strict =
+    (* only a document that carries plans is compared: a bench snapshot
+       or a schema-less file would otherwise diff as an empty plan set
+       and pass the strict gate vacuously *)
     let load f =
+      let fail msg =
+        Printf.eprintf "plan diff: %s: %s\n" f msg;
+        exit 2
+      in
       match Obs.Json.parse (read_file f) with
-      | Ok j -> Obs.Planlog.of_json j
-      | Error msg ->
-          Printf.eprintf "plan diff: %s: %s\n" f msg;
-          exit 2
+      | Error msg -> fail msg
+      | Ok j -> (
+          match Systables.classify j with
+          | Ok (`Run _ | `Plans) -> Obs.Planlog.of_json j
+          | Ok `Bench -> fail "a bench snapshot carries no plans"
+          | Error reason -> fail reason)
       | exception Sys_error msg ->
           Printf.eprintf "plan diff: %s\n" msg;
           exit 2

@@ -119,7 +119,17 @@ let parse_exn src =
           | Some 'u' ->
               advance ();
               if !pos + 4 > n then parse_error "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub src !pos 4) in
+              let digit i =
+                match src.[!pos + i] with
+                | '0' .. '9' as c -> Char.code c - Char.code '0'
+                | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                | _ -> parse_error "bad \\u escape at %d" !pos
+              in
+              let code =
+                (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4)
+                lor digit 3
+              in
               pos := !pos + 4;
               (* non-BMP characters are not produced by this library *)
               if code < 0x80 then Buffer.add_char buf (Char.chr code)

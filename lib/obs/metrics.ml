@@ -241,57 +241,6 @@ let summary () =
   List.iter (render_registry buf) (all_registries ());
   Buffer.contents buf
 
-(* Typed snapshot backing the sys.metrics system table: one stat per
-   instrument, in the same deterministic order as [to_json] (registries
-   sorted by name; counters, then gauges, then histograms, each sorted
-   by instrument name). *)
-type stat = {
-  s_registry : string;
-  s_name : string;
-  s_kind : [ `Counter | `Gauge | `Histogram ];
-  s_value : float;
-  s_n : int;
-  s_max : float;
-  s_p50 : float;
-  s_p95 : float;
-  s_p99 : float;
-}
-
-let snapshot () =
-  let regs =
-    List.sort (fun a b -> compare a.r_name b.r_name) (all_registries ())
-  in
-  List.concat_map
-    (fun r ->
-      let stat name kind value n mx p50 p95 p99 =
-        {
-          s_registry = r.r_name;
-          s_name = name;
-          s_kind = kind;
-          s_value = value;
-          s_n = n;
-          s_max = mx;
-          s_p50 = p50;
-          s_p95 = p95;
-          s_p99 = p99;
-        }
-      in
-      List.map
-        (fun c ->
-          stat c.c_name `Counter (float_of_int c.count) c.count
-            (float_of_int c.count) 0. 0. 0.)
-        (sorted_values r.counters (fun c -> c.c_name))
-      @ List.map
-          (fun g -> stat g.g_name `Gauge g.value g.samples (gauge_max g) 0. 0. 0.)
-          (sorted_values r.gauges (fun g -> g.g_name))
-      @ List.map
-          (fun h ->
-            stat h.h_name `Histogram (mean h) h.n
-              (if h.n = 0 then 0. else h.h_max)
-              (quantile h 0.5) (quantile h 0.95) (quantile h 0.99))
-          (sorted_values r.histograms (fun h -> h.h_name)))
-    regs
-
 (* The machine-readable snapshot embedded in run manifests.  Registries
    and instruments are rendered in sorted order so two identical runs
    produce byte-identical JSON. *)
@@ -335,6 +284,7 @@ let to_json () =
                        [
                          ("value", Json.Float g.value);
                          ("max", Json.Float (gauge_max g));
+                         ("n", Json.Int g.samples);
                        ] ))
                  gauges) )
           :: fields

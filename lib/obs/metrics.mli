@@ -74,25 +74,6 @@ val summary : unit -> string
 val to_json : unit -> Json.t
 (** Machine-readable snapshot of every non-empty registry (sorted, so
     identical runs render byte-identically); embedded under ["metrics"]
-    in [asura-run/1] manifests. *)
-
-(** One instrument's current state, as surfaced by the [sys.metrics]
-    system table.  [s_value] is the count of a counter, the current value
-    of a gauge, and the mean of a histogram; the quantile fields are zero
-    for non-histograms. *)
-type stat = {
-  s_registry : string;
-  s_name : string;
-  s_kind : [ `Counter | `Gauge | `Histogram ];
-  s_value : float;
-  s_n : int;  (** counter count / gauge sample count / histogram n *)
-  s_max : float;
-  s_p50 : float;
-  s_p95 : float;
-  s_p99 : float;
-}
-
-val snapshot : unit -> stat list
-(** Every instrument of every registry in the same deterministic order as
-    {!to_json}: registries sorted by name; within one, counters, then
-    gauges, then histograms, each sorted by instrument name. *)
+    in [asura-run/1] manifests.  Per registry: ["counters"] maps names to
+    counts, ["gauges"] to [{value; max; n}] ([n] = samples set) and
+    ["histograms"] to [{n; mean; p50; p95; p99; max}]. *)

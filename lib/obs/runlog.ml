@@ -2,7 +2,8 @@
 
    A manifest is one JSON document (schema asura-run/1) describing a
    whole toolchain invocation: argv, git revision, wall time, the
-   coverage summary and a metrics snapshot, plus free-form notes the
+   coverage summary, a metrics snapshot, the span roll-up, the plan log
+   and the flight-recorder drain, plus free-form notes the
    command contributes ("mcheck.states_explored", "sim.steps", ...).
    The CLI configures a manifest directory at startup and writes the
    file from an at_exit hook, so every exit path — including violation
@@ -106,6 +107,8 @@ let manifest () =
     @ [
         ("coverage", Coverage.to_json ());
         ("metrics", Metrics.to_json ());
+        (* the span roll-up: where the time went, per span name *)
+        ("spans", Trace.stats_to_json ());
         (* the plan observatory's snapshot, so reports and `asura plan
            diff` can aggregate planner decisions across runs; stays an
            additive asura-run/1 field *)

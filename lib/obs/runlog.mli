@@ -3,7 +3,9 @@
 
     A manifest records one toolchain invocation end to end: argv, git
     revision, start date, wall time, command-contributed notes, the
-    coverage summary and a metrics snapshot.  The CLI calls {!configure}
+    coverage summary, a metrics snapshot, the span roll-up
+    ({!Trace.stats_to_json}), the plan log and the flight-recorder
+    drain.  The CLI calls {!configure}
     at startup and {!write} from an [at_exit] hook so every exit path
     persists the run. *)
 
@@ -30,8 +32,8 @@ val note : string -> Json.t -> unit
     call it from the spawning domain. *)
 
 val manifest : unit -> Json.t
-(** The current manifest document (works even when not {!configured};
-    used by tests and the zero-state edge case). *)
+(** The current manifest document (works even when not {!configured}).
+    The live [sys.*] tables are built from it. *)
 
 val write : unit -> string option
 (** Write the manifest file, creating the directory if needed; [None]

@@ -19,7 +19,6 @@ let table_names =
     "sys.metrics";
     "sys.coverage";
     "sys.runs";
-    "sys.run_metrics";
     "sys.bench";
     "sys.plans";
     "sys.plan_ops";
@@ -27,8 +26,8 @@ let table_names =
   ]
 
 (* A query "mentions" the sys namespace when some identifier-shaped
-   token starts with "sys." — the trigger for the CLI to snapshot the
-   live registries before executing.  A false positive (the token in a
+   token starts with "sys." — the trigger for the CLI to attach this
+   process's telemetry before executing.  A false positive (the token in a
    string literal) only costs an unused snapshot. *)
 let mentions_sys src =
   let n = String.length src in
@@ -96,54 +95,6 @@ let spans_schema =
 
 let spans () = Table.of_rows ~name:"sys.spans" spans_schema (span_rows ())
 
-let span_stats_schema =
-  Schema.of_list [ "span"; "count"; "total_us"; "mean_us"; "min_us"; "max_us" ]
-
-(* Pre-aggregated because the SQL subset has no SUM: "slowest operators"
-   is then ORDER BY total_us DESC LIMIT n over this table. *)
-let span_stats () =
-  Table.of_rows ~name:"sys.span_stats" span_stats_schema
-    (List.map
-       (fun (s : Obs.Trace.span_stat) ->
-         [|
-           Value.Str s.span;
-           Value.Int s.count;
-           Value.Float s.total_us;
-           Value.Float
-             (if s.count = 0 then 0. else s.total_us /. float_of_int s.count);
-           Value.Float s.min_us;
-           Value.Float s.max_us;
-         |])
-       (Obs.Trace.span_stats ()))
-
-(* ----------------------------- sys.metrics ---------------------------- *)
-
-let metrics_schema =
-  Schema.of_list
-    [ "registry"; "key"; "kind"; "value"; "n"; "max"; "p50"; "p95"; "p99" ]
-
-let kind_string = function
-  | `Counter -> "counter"
-  | `Gauge -> "gauge"
-  | `Histogram -> "histogram"
-
-let metrics () =
-  Table.of_rows ~name:"sys.metrics" metrics_schema
-    (List.map
-       (fun (s : Obs.Metrics.stat) ->
-         [|
-           Value.Str s.s_registry;
-           Value.Str s.s_name;
-           Value.Str (kind_string s.s_kind);
-           Value.Float s.s_value;
-           Value.Int s.s_n;
-           Value.Float s.s_max;
-           Value.Float s.s_p50;
-           Value.Float s.s_p95;
-           Value.Float s.s_p99;
-         |])
-       (Obs.Metrics.snapshot ()))
-
 (* ---------------------------- sys.coverage ---------------------------- *)
 
 (* One row per controller-table row, so uncovered-transition queries are
@@ -180,8 +131,6 @@ let coverage_of entries =
       entries
   in
   Table.of_rows ~name:"sys.coverage" coverage_schema rows
-
-let coverage () = coverage_of (Obs.Coverage.snapshot ())
 
 (* ------------------------------ sys.runs ------------------------------ *)
 
@@ -261,51 +210,95 @@ let run_row (label, doc) =
 
 let runs docs = Table.of_rows ~name:"sys.runs" runs_schema (List.map run_row docs)
 
-(* --------------------------- sys.run_metrics -------------------------- *)
+(* --------------------------- sys.span_stats -------------------------- *)
 
-let run_metrics_schema =
-  Schema.of_list [ "file"; "registry"; "key"; "kind"; "value" ]
+let jint doc k =
+  match Json.member k doc with Some (Json.Int i) -> Value.Int i | _ -> Value.Null
 
-(* Flatten each manifest's metrics snapshot: one row per instrument.
-   Histograms surface their mean under "value"; the full quantile set of
-   the LIVE registries is in sys.metrics — manifests only persist the
-   summary fields. *)
-let run_metric_rows (label, doc) =
+let entries member doc =
+  match Json.member member doc with Some (Json.List l) -> l | _ -> []
+
+let span_stats_schema =
+  Schema.of_list
+    [ "file"; "span"; "count"; "total_us"; "mean_us"; "min_us"; "max_us" ]
+
+(* Each manifest's "spans" roll-up, one row per span name.  mean_us is
+   derived because the SQL subset has no SUM or division: "slowest
+   operators" is then ORDER BY total_us DESC LIMIT n over this table. *)
+let span_stat_rows (label, doc) =
+  List.filter_map
+    (fun e ->
+      match
+        ( Option.bind (Json.member "span" e) Json.to_str,
+          Json.member "count" e,
+          Option.bind (Json.member "total_us" e) Json.to_number )
+      with
+      | Some span, Some (Json.Int count), Some total ->
+          Some
+            [|
+              Value.Str label;
+              Value.Str span;
+              Value.Int count;
+              Value.Float total;
+              Value.Float (if count = 0 then 0. else total /. float_of_int count);
+              jnum e "min_us";
+              jnum e "max_us";
+            |]
+      | _ -> None)
+    (entries "spans" doc)
+
+(* ----------------------------- sys.metrics ---------------------------- *)
+
+let metrics_schema =
+  Schema.of_list
+    [ "file"; "registry"; "key"; "kind"; "value"; "n"; "max"; "p50"; "p95";
+      "p99" ]
+
+(* Each manifest's "metrics" member ({!Obs.Metrics.to_json}), one row per
+   instrument.  value is a counter's count, a gauge's last value and a
+   histogram's mean; the quantiles are 0 for counters and gauges.  A
+   field an older manifest lacks (a gauge's n) is NULL. *)
+let metric_rows (label, doc) =
+  let zero = Value.Float 0. in
   match Json.member "metrics" doc with
   | Some (Json.Obj registries) ->
       List.concat_map
         (fun (reg, groups) ->
-          let section kind value_of name =
+          let section kind name cells =
             match Json.member name groups with
-            | Some (Json.Obj entries) ->
+            | Some (Json.Obj instruments) ->
                 List.filter_map
                   (fun (key, v) ->
                     Option.map
-                      (fun value ->
-                        [|
-                          Value.Str label;
-                          Value.Str reg;
-                          Value.Str key;
-                          Value.Str kind;
-                          Value.Float value;
-                        |])
-                      (value_of v))
-                  entries
+                      (Array.append
+                         [| Value.Str label; Value.Str reg; Value.Str key;
+                            Value.Str kind |])
+                      (cells v))
+                  instruments
             | _ -> []
           in
-          section "counter" Json.to_number "counters"
-          @ section "gauge"
-              (fun v -> Option.bind (Json.member "value" v) Json.to_number)
-              "gauges"
-          @ section "histogram"
-              (fun v -> Option.bind (Json.member "mean" v) Json.to_number)
-              "histograms")
+          let num v k = Option.bind (Json.member k v) Json.to_number in
+          section "counter" "counters" (fun v ->
+              Option.map
+                (fun c ->
+                  [| Value.Float c;
+                     (match v with Json.Int i -> Value.Int i | _ -> Value.Null);
+                     Value.Float c; zero; zero; zero |])
+                (Json.to_number v))
+          @ section "gauge" "gauges" (fun v ->
+                Option.map
+                  (fun value ->
+                    [| Value.Float value; jint v "n"; jnum v "max"; zero; zero;
+                       zero |])
+                  (num v "value"))
+          @ section "histogram" "histograms" (fun v ->
+                Option.map
+                  (fun mean ->
+                    [| Value.Float mean; jint v "n"; jnum v "max"; jnum v "p50";
+                       jnum v "p95"; jnum v "p99" |])
+                  (num v "mean")))
         registries
   | _ -> []
-
-let run_metrics docs =
-  Table.of_rows ~name:"sys.run_metrics" run_metrics_schema
-    (List.concat_map run_metric_rows docs)
 
 (* ------------------------------ sys.bench ----------------------------- *)
 
@@ -337,9 +330,6 @@ let bench_families =
 let bench_rows (label, doc) =
   List.concat_map
     (fun (member, kind, baseline, measured, speedup) ->
-      let entries =
-        match Json.member member doc with Some (Json.List l) -> l | _ -> []
-      in
       List.filter_map
         (fun e ->
           let num k = Option.bind (Json.member k e) Json.to_number in
@@ -357,7 +347,7 @@ let bench_rows (label, doc) =
                   Value.Bool (match sp with Value.Float f -> f < 1.0 | _ -> false);
                 |]
           | _ -> None)
-        entries)
+        (entries member doc))
     bench_families
 
 let bench docs =
@@ -423,11 +413,7 @@ let plan_ops_of entries =
 (* The flight recorder's ring drain as a relation: one row per surviving
    event, in merge (timestamp) order, with fire events decoded back to
    readable transitions through the same protocol-layer row decoder
-   sys.coverage uses.  Both the live and the manifest-backed variants
-   are built from the SAME persisted shape ({!Obs.Flightrec.doc_event}):
-   the live path round-trips through Flightrec.to_json/of_json, so
-   `asura events` on a manifest and on a live run agree by
-   construction. *)
+   sys.coverage uses. *)
 let events_schema =
   Schema.of_list
     [ "seq"; "t_us"; "dom"; "tag"; "a"; "b"; "c"; "table_name"; "detail" ]
@@ -461,23 +447,9 @@ let events_of (evs : Obs.Flightrec.doc_event list) =
          |])
        evs)
 
-let live_events () = Obs.Flightrec.of_json (Obs.Flightrec.to_json ())
-let events () = events_of (live_events ())
-
 (* ------------------------------- attach ------------------------------- *)
 
 let put db t = Database.replace_system db t
-
-(* Live snapshot: what the current process has recorded so far. *)
-let attach_live db =
-  let db = put db (spans ()) in
-  let db = put db (span_stats ()) in
-  let db = put db (metrics ()) in
-  let db = put db (coverage ()) in
-  let plan_entries = Obs.Planlog.snapshot () in
-  let db = put db (plans_of plan_entries) in
-  let db = put db (plan_ops_of plan_entries) in
-  put db (events ())
 
 (* What a labeled document contributes, by its "schema" field.  A run
    manifest whose coverage entries are malformed is refused like an
@@ -491,9 +463,9 @@ let classify doc =
   | Some s -> Error (Printf.sprintf "unsupported schema %S" s)
   | None -> Error "document has no \"schema\" field"
 
-(* Manifest-backed snapshot.  A malformed document is skipped rather
-   than failing the batch, so one corrupt manifest in runs/ cannot hide
-   the healthy ones. *)
+(* The one ingest path.  A malformed document is skipped rather than
+   failing the batch, so one corrupt manifest in runs/ cannot hide the
+   healthy ones. *)
 let attach_docs docs db =
   let kept, skipped =
     List.partition_map
@@ -505,7 +477,11 @@ let attach_docs docs db =
   in
   let run_docs = List.filter_map (function `Run _, d -> Some d | _ -> None) kept in
   let db = put db (runs run_docs) in
-  let db = put db (run_metrics run_docs) in
+  let of_runs name schema rows =
+    Table.of_rows ~name schema (List.concat_map rows run_docs)
+  in
+  let db = put db (of_runs "sys.span_stats" span_stats_schema span_stat_rows) in
+  let db = put db (of_runs "sys.metrics" metrics_schema metric_rows) in
   let db =
     put db (bench (List.filter_map (function `Bench, d -> Some d | _ -> None) kept))
   in
@@ -529,14 +505,15 @@ let attach_docs docs db =
   let db = put db (events_of events) in
   (db, skipped)
 
+(* This process is one more run: its manifest, labeled "live", plus
+   sys.spans from the trace buffer — the one signal a manifest does not
+   carry, because --trace FILE is its sink. *)
+let attach_live db =
+  fst (attach_docs [ ("live", Obs.Runlog.manifest ()) ] (put db (spans ())))
+
 (* ---------------------------- canned queries -------------------------- *)
 
-type canned = {
-  key : string;
-  title : string;
-  sql : string;
-  live : bool;  (** needs the live registries (vs manifest-backed tables) *)
-}
+type canned = { key : string; title : string; sql : string }
 
 let canned =
   [
@@ -546,7 +523,6 @@ let canned =
       sql =
         "SELECT span, count, total_us, mean_us, max_us FROM sys.span_stats \
          ORDER BY total_us DESC LIMIT 10";
-      live = true;
     };
     {
       key = "hottest-tables";
@@ -554,7 +530,6 @@ let canned =
       sql =
         "SELECT table_name, COUNT(*) FROM sys.coverage WHERE covered GROUP \
          BY table_name ORDER BY count DESC";
-      live = true;
     };
     {
       key = "uncovered-by-controller";
@@ -562,7 +537,6 @@ let canned =
       sql =
         "SELECT table_name, COUNT(*) FROM sys.coverage WHERE NOT covered \
          GROUP BY table_name ORDER BY count DESC";
-      live = true;
     };
     {
       key = "hottest-plans";
@@ -570,7 +544,6 @@ let canned =
       sql =
         "SELECT fingerprint, site, query, execs, total_ms, rows_out FROM \
          sys.plans ORDER BY total_ms DESC LIMIT 10";
-      live = true;
     };
     {
       key = "worst-misest";
@@ -578,7 +551,6 @@ let canned =
       sql =
         "SELECT fingerprint, site, query, misest, est_cost, rows_out FROM \
          sys.plans ORDER BY misest DESC LIMIT 5";
-      live = true;
     };
     {
       key = "speedup-regressions";
@@ -586,7 +558,6 @@ let canned =
       sql =
         "SELECT kind, name, speedup, baseline_ns, measured_ns FROM sys.bench \
          WHERE regression ORDER BY speedup LIMIT 20";
-      live = false;
     };
     {
       key = "hottest-rules";
@@ -594,7 +565,6 @@ let canned =
       sql =
         "SELECT table_name, b, detail, COUNT(*) FROM sys.events WHERE tag = \
          'fire' GROUP BY table_name, b, detail ORDER BY count DESC LIMIT 10";
-      live = true;
     };
     {
       key = "steals-by-domain";
@@ -602,7 +572,6 @@ let canned =
       sql =
         "SELECT a, COUNT(*) FROM sys.events WHERE tag = 'steal' GROUP BY a \
          ORDER BY count DESC";
-      live = true;
     };
     {
       key = "dedup-by-depth";
@@ -610,7 +579,6 @@ let canned =
       sql =
         "SELECT a, b, COUNT(*) FROM sys.events WHERE tag = 'dedup' GROUP BY \
          a, b ORDER BY a, b";
-      live = true;
     };
   ]
 
@@ -684,7 +652,7 @@ let table_to_json t =
    `asura sql --runs`. *)
 let report_sections =
   List.map
-    (fun (key, title, sql) -> { key; title; sql; live = false })
+    (fun (key, title, sql) -> { key; title; sql })
     [
       ( "runs",
         "Runs",
@@ -701,7 +669,7 @@ let report_sections =
          WHERE NOT covered ORDER BY table_name, table_rows, row" );
       ( "invariants",
         "Invariant hit matrix (checked, then violated if any)",
-        "SELECT file, key, value FROM sys.run_metrics WHERE registry = \
+        "SELECT file, key, value FROM sys.metrics WHERE registry = \
          'checker' AND kind = 'counter'" );
       ( "bench-pairs",
         "Benchmarks (seq vs par)",

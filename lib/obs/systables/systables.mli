@@ -1,15 +1,15 @@
 (** Self-hosted telemetry: the engine's own observability surfaces
-    (spans, metrics, coverage, run manifests, bench snapshots)
-    materialized as relational tables under the reserved [sys.]
-    namespace, so the SQL front end queries the checker the same way it
-    queries a protocol.
+    (spans, metrics, coverage, plans, flight-recorder events, run
+    manifests, bench snapshots) materialized as relational tables under
+    the reserved [sys.] namespace, so the SQL front end queries the
+    checker the same way it queries a protocol.
 
-    Two ingestion modes:
-    - {b live} ({!attach_live}): snapshot this process's trace buffer,
-      metric registries and coverage shards;
-    - {b manifest-backed} ({!attach_docs}): flatten the JSON documents
-      under a [--runs] directory or given to [asura report], whose every
-      section is a query over these tables ({!report_sections}).
+    One ingest path: {!attach_docs} flattens labeled JSON documents —
+    the run manifests and bench snapshots under a [--runs] directory or
+    given to [asura report], whose every section is a query over these
+    tables ({!report_sections}).  {!attach_live} is the same call on
+    this process's own manifest ({!Obs.Runlog.manifest}, labeled
+    ["live"]), plus [sys.spans], which no manifest carries.
 
     Tables are attached with {!Relalg.Database.replace_system}; user SQL
     cannot create or mutate them ([sys.] is reserved at the catalog). *)
@@ -19,44 +19,39 @@ val table_names : string list
 
 val mentions_sys : string -> bool
 (** Does the SQL text reference a [sys.]-prefixed identifier?  Used by
-    the CLI to decide whether to snapshot telemetry before executing.
+    the CLI to decide whether to attach telemetry before executing.
     Conservative: a match inside a string literal also returns [true]. *)
 
-(** {1 Live tables} *)
+(** {1 Trace buffer} *)
 
 val spans : unit -> Relalg.Table.t
 (** [sys.spans](name, cat, parent, tid, depth, start_us, dur_us): one
-    row per completed span.  [parent] is reconstructed from the
-    completion-ordered buffer (child precedes parent; the parent of a
-    depth-[d] span is the enclosing depth-[d-1] span on the same
-    domain) and is [NULL] for roots. *)
+    row per completed span of this process's trace buffer.  [parent] is
+    reconstructed from the completion-ordered buffer (child precedes
+    parent; the parent of a depth-[d] span is the enclosing depth-[d-1]
+    span on the same domain) and is [NULL] for roots. *)
 
-val span_stats : unit -> Relalg.Table.t
-(** [sys.span_stats](span, count, total_us, mean_us, min_us, max_us):
-    spans rolled up by name — pre-aggregated so "slowest operators" is
-    an [ORDER BY total_us DESC LIMIT n] away in a SUM-less SQL
-    subset. *)
+(** {1 Document tables}
 
-val metrics : unit -> Relalg.Table.t
-(** [sys.metrics](registry, key, kind, value, n, max, p50, p95, p99):
-    every instrument of every registry; [kind] is ["counter"],
-    ["gauge"] or ["histogram"], quantiles are 0 for non-histograms. *)
-
-val coverage : unit -> Relalg.Table.t
-(** [sys.coverage](table_name, row, covered, description, table_rows):
-    one row per controller-table row of the live coverage shards.
-    [description] decodes the row through the protocol layer and is
-    [NULL] when the bitmap's recorded shape no longer matches the
-    regenerated controller; [table_rows] is the row count the bitmap was
-    recorded against. *)
+    Inputs are labeled documents: [(file name, parsed JSON)].  Besides
+    the tables below, {!attach_docs} builds:
+    - [sys.span_stats](file, span, count, total_us, mean_us, min_us,
+      max_us) from each run manifest's ["spans"] roll-up, so "slowest
+      operators" is an [ORDER BY total_us DESC LIMIT n] away in a
+      SUM-less SQL subset;
+    - [sys.metrics](file, registry, key, kind, value, n, max, p50, p95,
+      p99) from each run manifest's ["metrics"] member, one row per
+      instrument: [kind] is ["counter"], ["gauge"] or ["histogram"],
+      [value] a counter's count, a gauge's last value or a histogram's
+      mean, and the quantiles are 0 for non-histograms. *)
 
 val coverage_of : Obs.Coverage.table_coverage list -> Relalg.Table.t
-(** Same table from explicit entries (e.g. manifest bitmaps merged by
-    {!Obs.Coverage.merge}). *)
-
-(** {1 Manifest-backed tables}
-
-    Inputs are labeled documents: [(file name, parsed JSON)]. *)
+(** [sys.coverage](table_name, row, covered, description, table_rows):
+    one row per controller-table row of the given entries (manifest
+    bitmaps merged by {!Obs.Coverage.merge}).  [description] decodes the
+    row through the protocol layer and is [NULL] when the bitmap's
+    recorded shape no longer matches the regenerated controller;
+    [table_rows] is the row count the bitmap was recorded against. *)
 
 val runs : (string * Obs.Json.t) list -> Relalg.Table.t
 (** [sys.runs](file, cmd, argv, date, git_rev, elapsed_s, covered,
@@ -65,11 +60,6 @@ val runs : (string * Obs.Json.t) list -> Relalg.Table.t
     coverage summary, the [mcheck] throughput gauge and the number of
     flight-recorder events lost to ring wrap-around flattened in so
     cross-run trend queries are single-table. *)
-
-val run_metrics : (string * Obs.Json.t) list -> Relalg.Table.t
-(** [sys.run_metrics](file, registry, key, kind, value): every
-    persisted instrument of every manifest (histograms surface their
-    mean). *)
 
 val bench : (string * Obs.Json.t) list -> Relalg.Table.t
 (** [sys.bench](file, date, kind, name, baseline_ns, measured_ns,
@@ -101,33 +91,38 @@ val events_of : Obs.Flightrec.doc_event list -> Relalg.Table.t
     to readable transitions through the same protocol-layer decoder
     [sys.coverage] uses, and names the stop reason on [stop] rows. *)
 
-val events : unit -> Relalg.Table.t
-(** The live ring drain as [sys.events].  Built by round-tripping
-    {!Obs.Flightrec.to_json} through {!Obs.Flightrec.of_json}, so live
-    and manifest-backed variants agree by construction. *)
-
 (** {1 Attaching} *)
 
-val attach_live : Relalg.Database.t -> Relalg.Database.t
-(** Attach [sys.spans], [sys.span_stats], [sys.metrics], [sys.coverage],
-    [sys.plans], [sys.plan_ops] and [sys.events] snapshotted from the
-    live registries. *)
+val classify :
+  Obs.Json.t ->
+  ( [ `Run of (string * int * Bytes.t) list | `Bench | `Plans ],
+    string )
+  result
+(** What a document is, by its ["schema"] field: a run manifest
+    ([asura-run/1], with its coverage entries from
+    {!Obs.Coverage.of_manifest}), a bench snapshot ([asura-bench/*]) or
+    a plan snapshot ([asura-plans/1]).  [Error] gives the reason a
+    document is skipped: a missing or unknown schema — one that no table
+    reads, such as a table profile ([asura-stats/1]) or EXPLAIN output
+    ([asura-explain/*]) — or a malformed coverage entry. *)
 
 val attach_docs :
   (string * Obs.Json.t) list ->
   Relalg.Database.t ->
   Relalg.Database.t * (string * string) list
-(** Classify labeled documents by their ["schema"] field ([asura-run/1],
-    [asura-bench/*], [asura-plans/1]) and attach [sys.runs],
-    [sys.run_metrics], [sys.bench], [sys.coverage] (bitmaps ORed by
-    {!Obs.Coverage.merge}), [sys.plans], [sys.plan_ops]
-    ({!Obs.Planlog.aggregate} over run manifests and plan snapshots)
-    and [sys.events] (run manifests' recordings, concatenated).  A
-    document with a missing or unknown schema — one that no table
-    reads, such as a table profile ([asura-stats/1]) or EXPLAIN output
-    ([asura-explain/*]) — or a run manifest with a malformed coverage
-    entry ({!Obs.Coverage.of_manifest}), is skipped and returned as a
-    [(label, reason)] warning, in input order. *)
+(** Attach every table but [sys.spans] from labeled documents:
+    [sys.runs], [sys.span_stats], [sys.metrics], [sys.bench],
+    [sys.coverage] (bitmaps ORed by {!Obs.Coverage.merge}),
+    [sys.plans], [sys.plan_ops] ({!Obs.Planlog.aggregate} over run
+    manifests and plan snapshots) and [sys.events] (run manifests'
+    recordings, concatenated).  A document {!classify} refuses is
+    skipped and returned as a [(label, reason)] warning, in input
+    order. *)
+
+val attach_live : Relalg.Database.t -> Relalg.Database.t
+(** This process's telemetry: [sys.spans] from the trace buffer, then
+    {!attach_docs} over [("live", Obs.Runlog.manifest ())] — so the live
+    tables are by construction the tables of the run's own manifest. *)
 
 (** {1 Canned queries} *)
 
@@ -135,7 +130,6 @@ type canned = {
   key : string;  (** CLI name, e.g. ["slowest-operators"] *)
   title : string;
   sql : string;
-  live : bool;  (** reads live tables (vs manifest-backed ones) *)
 }
 
 val canned : canned list
@@ -173,7 +167,7 @@ val table_to_json : Relalg.Table.t -> Obs.Json.t
 
 val report_sections : canned list
 (** The report's sections in print order, each one SQL query over the
-    manifest-backed tables (keys ["runs"], ["coverage"], ["uncovered"],
+    document tables (keys ["runs"], ["coverage"], ["uncovered"],
     ["invariants"], ["bench-pairs"], ["bench-diff"], ["plans"],
     ["events"], ["rules"], ["steals"], ["trend"]). *)
 

@@ -171,3 +171,19 @@ let span_stats () =
       | Instant _ | Counter _ -> ())
     (events ());
   List.rev_map (Hashtbl.find tbl) !order
+
+(* The roll-up embedded under "spans" in run manifests, so a manifest
+   answers "where did the time go" without the --trace file. *)
+let stats_to_json () =
+  Json.List
+    (List.map
+       (fun s ->
+         Json.Obj
+           [
+             ("span", Json.Str s.span);
+             ("count", Json.Int s.count);
+             ("total_us", Json.Float s.total_us);
+             ("min_us", Json.Float s.min_us);
+             ("max_us", Json.Float s.max_us);
+           ])
+       (span_stats ()))

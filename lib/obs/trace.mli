@@ -65,3 +65,7 @@ type span_stat = {
 
 val span_stats : unit -> span_stat list
 (** Spans rolled up by name, in first-appearance order. *)
+
+val stats_to_json : unit -> Json.t
+(** {!span_stats} as a list of [{span; count; total_us; min_us;
+    max_us}] — embedded under ["spans"] in [asura-run/1] manifests. *)

@@ -198,7 +198,71 @@ let test_json_parser () =
   check "parses nested containers" true
     (match Obs.Json.parse "[{\"x\": [1, 2]}, -3.5e2]" with
     | Ok _ -> true
-    | Error _ -> false)
+    | Error _ -> false);
+  check "reads a \\u escape of four hex digits" true
+    (Obs.Json.parse {|"\u0041\u004a"|} = Ok (Obs.Json.Str "AJ"));
+  check "rejects a non-hex digit in a \\u escape" true
+    (Result.is_error (Obs.Json.parse {|"\ugd80"|}));
+  check "rejects an underscore in a \\u escape" true
+    (Result.is_error (Obs.Json.parse {|"\u1_23"|}))
+
+(* Whatever the text, [parse] answers Ok or Error: valid documents,
+   the same mutated (a character replaced or inserted, a \u escape with
+   four arbitrary characters inserted) or truncated, and short random
+   strings over the JSON alphabet. *)
+let json_chars = "{}[]\":,\\/ubfnrt0123456789abcdefABCDEFg_+-.eE \n"
+
+let gen_json_text =
+  let open QCheck2.Gen in
+  let char = map (String.get json_chars) (int_bound (String.length json_chars - 1)) in
+  let str = string_size ~gen:char (int_range 0 6) in
+  let leaf =
+    oneof
+      [
+        pure Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun i -> Obs.Json.Int i) small_signed_int;
+        map (fun f -> Obs.Json.Float f) float;
+        map (fun s -> Obs.Json.Str s) str;
+      ]
+  in
+  let tree =
+    sized_size (int_range 0 8)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 (1, map (fun l -> Obs.Json.List l) (list_size (int_range 0 3) (self (n / 2))));
+                 ( 2,
+                   map
+                     (fun kvs -> Obs.Json.Obj kvs)
+                     (list_size (int_range 0 3) (pair str (self (n / 2)))) );
+               ])
+  in
+  let valid = map Obs.Json.to_string tree in
+  let mutated =
+    let* s = valid in
+    let* i = int_bound (String.length s) in
+    let splice mid = String.sub s 0 i ^ mid ^ String.sub s i (String.length s - i) in
+    oneof
+      [
+        pure (String.sub s 0 i);
+        map (fun c -> splice (String.make 1 c)) char;
+        map (fun esc -> splice ("\\u" ^ esc)) (string_size ~gen:char (pure 4));
+        map
+          (fun c -> String.mapi (fun j x -> if j = i then c else x) s)
+          char;
+      ]
+  in
+  oneof [ valid; mutated; string_size ~gen:char (int_range 0 12) ]
+
+let prop_json_parse_total =
+  QCheck2.Test.make ~count:5000 ~name:"Json.parse returns Ok or Error, never raises"
+    ~print:(fun s -> Printf.sprintf "%S" s)
+    gen_json_text
+    (fun s -> match Obs.Json.parse s with Ok _ | Error _ -> true)
 
 (* ------------------------------ report ------------------------------- *)
 
@@ -227,5 +291,6 @@ let suite =
     "counter aggregation across registries", `Quick, test_counter_aggregation;
     "chrome trace json round trip", `Quick, test_chrome_roundtrip;
     "json parser", `Quick, test_json_parser;
+    QCheck_alcotest.to_alcotest prop_json_parse_total;
     "report rendering", `Quick, test_report_render;
   ]

@@ -294,6 +294,27 @@ let test_render_change () =
   check_bool "shows est vs actual" true
     (contains "est=" && contains "actual=")
 
+(* plan diff compares only documents Systables.classify calls a run
+   manifest or a plan snapshot: a bench snapshot or a schema-less file
+   would otherwise diff as an empty plan set and pass --strict without
+   comparing anything.  Anything else is refused with classify's reason
+   (a bench snapshot with plan diff's own). *)
+let test_plan_diff_inputs () =
+  let verdict text =
+    match Systables.classify (Obs.Json.parse_exn text) with
+    | Ok (`Run _ | `Plans) -> "compared"
+    | Ok `Bench -> "bench"
+    | Error reason -> reason
+  in
+  check_str "bench snapshot" "bench" (verdict {|{"schema":"asura-bench/3"}|});
+  check_str "bare array" "document has no \"schema\" field" (verdict "[]");
+  check_str "profile" "unsupported schema \"asura-stats/1\""
+    (verdict {|{"schema":"asura-stats/1"}|});
+  check_str "plan snapshot" "compared"
+    (verdict (Obs.Json.to_string (Obs.Planlog.entries_to_json [])));
+  check_str "run manifest" "compared"
+    (verdict (Obs.Json.to_string (Obs.Runlog.manifest ())))
+
 (* ------------------------- sys.plans material ------------------------- *)
 
 let test_systables_shape () =
@@ -319,14 +340,7 @@ let test_systables_shape () =
 (* ------------------------- borrowed table scan ------------------------ *)
 
 let metric_value key =
-  match
-    List.find_opt
-      (fun (s : Obs.Metrics.stat) ->
-        s.Obs.Metrics.s_registry = "relalg" && s.Obs.Metrics.s_name = key)
-      (Obs.Metrics.snapshot ())
-  with
-  | Some s -> s.Obs.Metrics.s_value
-  | None -> 0.
+  Obs.Metrics.count (Obs.Metrics.counter (Obs.Metrics.registry "relalg") key)
 
 let test_borrowed_scan () =
   let db = Lazy.force fixture_db in
@@ -454,6 +468,8 @@ let suite =
     Alcotest.test_case "misest ratio" `Quick test_misest;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "diff by (site, query)" `Quick test_diff;
+    Alcotest.test_case "plan diff compares only plan documents" `Quick
+      test_plan_diff_inputs;
     Alcotest.test_case "render change names fingerprints" `Quick
       test_render_change;
     Alcotest.test_case "sys.plans / sys.plan_ops shape" `Quick

@@ -38,7 +38,7 @@ let test_coverage_golden () =
   explore_with_coverage ~domains:1 ();
   let snap = Obs.Coverage.snapshot () in
   check "mcheck registered coverage" true (snap <> []);
-  let t = Systables.coverage () in
+  let t = Systables.coverage_of (Obs.Coverage.snapshot ()) in
   Obs.Coverage.clear ();
   (* one row per controller-table row, across every registered table *)
   let total =
@@ -93,9 +93,9 @@ let test_coverage_golden () =
 
 let test_domains_bit_identical () =
   explore_with_coverage ~domains:1 ();
-  let t1 = Systables.coverage () in
+  let t1 = Systables.coverage_of (Obs.Coverage.snapshot ()) in
   explore_with_coverage ~domains:4 ();
-  let t4 = Systables.coverage () in
+  let t4 = Systables.coverage_of (Obs.Coverage.snapshot ()) in
   Obs.Coverage.clear ();
   check_str "sys.coverage identical at 1 and 4 domains" (Table.to_string t1)
     (Table.to_string t4);
@@ -243,6 +243,188 @@ let test_bench_regressions () =
   check "the sub-1.0 pair" true
     (Table.cell reg (Table.get reg 0) "name" = Value.Str "dead")
 
+(* ---------------- live tables = the live manifest's tables ------------- *)
+
+(* The live sys.* tables are attach_docs over this process's manifest, so
+   writing that manifest out and reading it back must give the same
+   tables: every one but sys.spans (the trace buffer, which no manifest
+   carries), and sys.runs up to elapsed_s (wall time moves on).
+   Telemetry is disarmed before either side is built, so both see the
+   same registries. *)
+let test_live_is_manifest () =
+  Obs.Runlog.configure ~dir:"unused" ~cmd:"test" ~argv:[| "asura"; "test" |];
+  Obs.Coverage.clear ();
+  Obs.Trace.reset ();
+  Fun.protect ~finally:(fun () ->
+      Obs.Runlog.reset ();
+      Obs.Coverage.clear ();
+      Obs.Trace.reset ())
+  @@ fun () ->
+  Obs.Config.with_enabled (fun () ->
+      Obs.Coverage.with_enabled (fun () ->
+          ignore (Checker.Invariant.run_all (Protocol.database ()));
+          ignore
+            (Mcheck.Explore.run ~max_states:2_000
+               ~tables:(Mcheck.Semantics.load_tables ()) small_cfg)));
+  let live = Systables.attach_live Database.empty in
+  let doc =
+    Obs.Json.parse_exn (Obs.Json.to_string (Obs.Runlog.manifest ()))
+  in
+  let read, skipped = Systables.attach_docs [ ("live", doc) ] Database.empty in
+  check_int "the manifest is accepted" 0 (List.length skipped);
+  let names =
+    List.filter (fun n -> n <> "sys.spans" && Database.mem live n)
+      Systables.table_names
+  in
+  check_int "every table but sys.spans is attached live"
+    (List.length Systables.table_names - 1)
+    (List.length names);
+  let rows db name =
+    let t = Database.find db name in
+    if name <> "sys.runs" then Table.rows t
+    else
+      let i = Schema.index (Table.schema t) "elapsed_s" in
+      List.map (fun r -> Array.mapi (fun j v -> if j = i then Value.Null else v) r)
+        (Table.rows t)
+  in
+  List.iter
+    (fun name ->
+      check (name ^ " has the same schema") true
+        (Schema.columns (Table.schema (Database.find live name))
+        = Schema.columns (Table.schema (Database.find read name)));
+      check (name ^ " has the same rows") true
+        (compare (rows live name) (rows read name) = 0))
+    names;
+  (* the comparison is not vacuous: the workload filled every signal *)
+  List.iter
+    (fun name ->
+      check (name ^ " is not empty") true
+        (Table.cardinality (Database.find live name) > 0))
+    [ "sys.runs"; "sys.span_stats"; "sys.metrics"; "sys.coverage"; "sys.plans";
+      "sys.plan_ops" ]
+
+(* ------------------- the one ingest path never raises ------------------ *)
+
+(* Manifest-shaped documents: a random schema, then members whose keys
+   come from the run-manifest, bench and plan vocabulary, nested the way
+   those documents nest them, with leaves that include NaN, +-infinity,
+   negative counts and values of the wrong type. *)
+let children = function
+  | "" ->
+      [ "cmd"; "argv"; "date"; "git_rev"; "elapsed_s"; "coverage"; "metrics";
+        "spans"; "plans"; "events"; "mcheck"; "pairs"; "benchmarks"; "dropped" ]
+  | "coverage" -> [ "covered"; "rows"; "percent"; "tables" ]
+  | "tables" -> [ "table"; "rows"; "covered"; "percent"; "bitmap" ]
+  | "metrics" -> [ "checker"; "mcheck"; "relalg" ]
+  | "checker" | "mcheck" | "relalg" ->
+      [ "counters"; "gauges"; "histograms"; "engine"; "probabilistic" ]
+  | "counters" -> [ "inv.x.checked"; "inv.x.violated"; "inv.y.checked" ]
+  | "gauges" | "histograms" -> [ "states_per_sec"; "frontier" ]
+  | "states_per_sec" | "frontier" ->
+      [ "value"; "max"; "n"; "mean"; "p50"; "p95"; "p99" ]
+  | "spans" -> [ "span"; "count"; "total_us"; "min_us"; "max_us" ]
+  | "plans" ->
+      [ "schema"; "plans"; "fingerprint"; "site"; "query"; "est_cost"; "execs";
+        "total_ms"; "rows_out"; "ops" ]
+  | "ops" ->
+      [ "seq"; "op"; "est_rows"; "est_cost"; "actual_rows"; "actual_ms";
+        "batches" ]
+  | "events" ->
+      [ "schema"; "events"; "dropped"; "t_us"; "dom"; "tag"; "a"; "b"; "c";
+        "table" ]
+  | "pairs" -> [ "name"; "seq_ns"; "par_ns"; "speedup" ]
+  | "benchmarks" -> [ "name"; "ns_per_run" ]
+  | _ -> []
+
+let gen_leaf =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            Obs.Json.
+              [ Int 0; Int 1; Int 7; Int (-3); Int max_int; Int min_int;
+                Float nan; Float infinity; Float neg_infinity; Float (-1.5);
+                Float 0.; Float 1e300 ] );
+        ( 2,
+          oneofl
+            Obs.Json.
+              [ Str ""; Str "x"; Str "fire"; Str "stop"; Str "steal"; Str "D";
+                Str "ff"; Str "00ff" ] );
+        (1, oneofl Obs.Json.[ Null; Bool true; Bool false; List []; Obj [] ]);
+      ])
+
+(* Mostly the type the readers expect for the key, else any leaf. *)
+let gen_typed_leaf key =
+  let open QCheck2.Gen in
+  let typed =
+    match key with
+    | "span" | "table" | "name" | "tag" | "site" | "fingerprint" | "query"
+    | "op" | "cmd" | "date" | "engine" ->
+        oneofl Obs.Json.[ Str "D"; Str "fire"; Str "stop"; Str "steal"; Str "x" ]
+    | "bitmap" -> oneofl Obs.Json.[ Str ""; Str "ff"; Str "ff"; Str "00ff" ]
+    | "count" | "rows" | "covered" | "seq" | "dom" | "a" | "b" | "c" | "execs"
+    | "rows_out" | "n" | "actual_rows" | "batches" | "dropped"
+    | "inv.x.checked" | "inv.x.violated" | "inv.y.checked" ->
+        map (fun i -> Obs.Json.Int i) (oneofl [ 0; 1; 2; 7; -3; max_int; min_int ])
+    | _ ->
+        map (fun f -> Obs.Json.Float f)
+          (oneofl [ 0.; 2.5; -1.5; 1e300; nan; infinity; neg_infinity ])
+  in
+  frequency [ (3, typed); (1, gen_leaf) ]
+
+let rec gen_member key depth =
+  let open QCheck2.Gen in
+  let kids = children key in
+  if depth = 0 || kids = [] then gen_typed_leaf key
+  else
+    (* each known child present with probability 3/4 *)
+    let obj =
+      map
+        (fun fields -> Obs.Json.Obj (List.filter_map Fun.id fields))
+        (flatten_l
+           (List.map
+              (fun k ->
+                frequency
+                  [ (1, pure None);
+                    (3, map (fun v -> Some (k, v)) (gen_member k (depth - 1))) ])
+              kids))
+    in
+    frequency
+      [ (1, gen_typed_leaf key); (4, obj);
+        (2, map (fun l -> Obs.Json.List l) (list_size (int_range 1 3) obj)) ]
+
+let gen_doc =
+  let open QCheck2.Gen in
+  let* schema =
+    frequency
+      [ (6, pure (Obs.Json.Str "asura-run/1"));
+        (2, pure (Obs.Json.Str "asura-bench/3"));
+        (2, pure (Obs.Json.Str "asura-plans/1"));
+        (1, pure (Obs.Json.Str "asura-stats/1")); (1, gen_leaf) ]
+  in
+  let+ fields = gen_member "" 5 in
+  match fields with
+  | Obs.Json.Obj fields -> Obs.Json.Obj (("schema", schema) :: fields)
+  | other -> other
+
+let prop_ingest_never_raises =
+  QCheck2.Test.make ~count:2000
+    ~name:"attach_docs, the report and top never raise on any document"
+    ~print:(fun docs -> String.concat "\n" (List.map Obs.Json.to_string docs))
+    QCheck2.Gen.(list_size (int_range 1 3) gen_doc)
+    (fun docs ->
+      let docs = List.mapi (fun i d -> (Printf.sprintf "d%d.json" i, d)) docs in
+      let db, skipped = Systables.attach_docs docs Database.empty in
+      let results = Systables.run_report db in
+      ignore (Systables.report_markdown ~skipped results);
+      ignore (Systables.report_html ~skipped results);
+      ignore (Obs.Json.to_string (Systables.report_json ~skipped results));
+      List.iter
+        (fun (c : Systables.canned) -> ignore (Sql_exec.query db c.sql))
+        Systables.canned;
+      true)
+
 (* --------------------------- namespace guard -------------------------- *)
 
 let test_sys_prefix_reserved () =
@@ -268,5 +450,8 @@ let suite =
       test_span_parents;
     QCheck_alcotest.to_alcotest prop_manifest_roundtrip;
     Alcotest.test_case "sys.bench regressions" `Quick test_bench_regressions;
+    Alcotest.test_case "live tables are the live manifest's tables" `Quick
+      test_live_is_manifest;
+    QCheck_alcotest.to_alcotest prop_ingest_never_raises;
     Alcotest.test_case "sys. prefix reserved" `Quick test_sys_prefix_reserved;
   ]
