@@ -171,8 +171,9 @@ let list_tables () =
 let show_table name constraints_only =
   match Protocol.find name with
   | None ->
-      Printf.eprintf "unknown controller %s (try: D M C N RAC IO PIF LK)\n" name;
-      exit 1
+      Printf.eprintf
+        "generate: unknown controller %s (try: D M C N RAC IO PIF LK)\n" name;
+      exit 2
   | Some c ->
       if constraints_only then
         print_string (Protocol.Ctrl_spec.constraints_listing c.Protocol.spec)
@@ -561,14 +562,39 @@ let simulate_cmd =
           deadlock by default).")
     Term.(const run $ setup_term $ scenario $ assignment $ msc)
 
+(* Counts (--last, --max-uncovered, --max-states) are external input
+   like any other: a negative one is refused with a one-line message and
+   exit 2 instead of being read as an empty or inverted window.  Sizes
+   (--nodes, --addrs) must be positive: a system with no cache or no
+   line has one state and no violation, a silently wrong answer. *)
+let bounded_conv ~least ~must flag =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= least -> Ok n
+    | Some _ ->
+        Printf.eprintf "asura: %s must %s (got %s)\n" flag must s;
+        exit 2
+    | None -> Error (`Msg (Printf.sprintf "invalid count %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let count_conv = bounded_conv ~least:0 ~must:"not be negative"
+let pos_count_conv = bounded_conv ~least:1 ~must:"be at least 1"
+
 (* ------------------------------- mcheck ------------------------------ *)
 
 let mcheck_cmd =
   let nodes =
-    Arg.(value & opt int 2 & info [ "n"; "nodes" ] ~doc:"Number of caches.")
+    Arg.(
+      value
+      & opt (pos_count_conv "--nodes") 2
+      & info [ "n"; "nodes" ] ~doc:"Number of caches (at least 1).")
   in
   let addrs =
-    Arg.(value & opt int 1 & info [ "addrs" ] ~doc:"Number of cache lines.")
+    Arg.(
+      value
+      & opt (pos_count_conv "--addrs") 1
+      & info [ "addrs" ] ~doc:"Number of cache lines (at least 1).")
   in
   let max_states =
     Arg.(value & opt int 200_000 & info [ "max-states" ] ~doc:"Search bound.")
@@ -715,20 +741,6 @@ let attach_sys db runs =
       let db, skipped = Systables.attach_docs (load_run_docs dir) db in
       warn_skipped skipped;
       db
-
-(* Counts (--last, --max-uncovered, --max-states) are external input
-   like any other: a negative one is refused with a one-line message and
-   exit 2 instead of being read as an empty or inverted window. *)
-let count_conv flag =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | Some _ ->
-        Printf.eprintf "asura: %s must not be negative (got %s)\n" flag s;
-        exit 2
-    | None -> Error (`Msg (Printf.sprintf "invalid count %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 (* Print canned sys. queries by key, each under its title with the SQL
    it ran: the one printer behind top, events top and plan top. *)
@@ -1016,7 +1028,7 @@ let resolve_table name =
         | Some t -> t
         | None ->
             Printf.eprintf "unknown table %s\n" name;
-            exit 1)
+            exit 2)
 
 let export_cmd =
   let table =

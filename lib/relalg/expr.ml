@@ -66,6 +66,17 @@ let free_columns e =
   go e;
   List.rev !acc
 
+(* Pre-order, left to right: the order [compile] resolves them in. *)
+let functions e =
+  let rec go acc = function
+    | True | False | Eq _ | Neq _ | Cmp _ | In _ -> acc
+    | Fn (f, _) -> f :: acc
+    | And (a, b) | Or (a, b) -> go (go acc a) b
+    | Not a -> go acc a
+    | Ternary (c, a, b) -> go (go (go acc c) a) b
+  in
+  List.rev (go [] e)
+
 let eval ?(funcs = no_funcs) schema row e =
   let operand = function
     | Col c -> row.(Schema.index schema c)

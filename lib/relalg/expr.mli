@@ -69,6 +69,11 @@ val ternary : t -> t -> t -> t
 val free_columns : t -> string list
 (** Column names mentioned, without duplicates, in first-mention order. *)
 
+val functions : t -> string list
+(** Names of the [Fn] applications, with repeats, in the order {!compile}
+    and {!compile_columns} resolve them: the first unresolved one is the
+    [Unknown_function] they raise. *)
+
 val eval : ?funcs:funcs -> Schema.t -> Value.t array -> t -> bool
 (** Evaluate against a row.  @raise Schema.Unknown_column if the expression
     mentions a column absent from the schema, @raise Unknown_function if a

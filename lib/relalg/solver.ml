@@ -1,12 +1,6 @@
 type role = Input | Output
 type column = { cname : string; role : role; domain : Value.t list }
 
-type spec = {
-  sname : string;
-  cols : column list;
-  constraints : (string * Expr.t) list;
-}
-
 type column_stats = { column : string; considered : int; kept : int }
 
 type stats = {
@@ -25,6 +19,208 @@ let obs_counter name = Obs.Metrics.counter (Lazy.force obs_reg) name
 exception Invalid_spec of string
 
 let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid_spec s)) fmt
+
+(* The extension plan of a spec, built once by [make].  Step [i] adds
+   column [i] of the order to every surviving row, trying each value of
+   its domain, and applies the constraints whose columns are then all
+   bound.  Each constraint is split around the new column: a part that
+   does not read it has one value per parent row and is decided once
+   per parent, the rest is tested per candidate.
+
+   A step also records, for every row it keeps, the ids of the
+   disjuncts of each of its constraints that hold on the row (a
+   "family"; a constraint that is not a disjunction is a family of one).
+   A later parent-only test whose conjunct list is structurally one of
+   those disjuncts reads the row's ids instead of being evaluated: the
+   box of a scenario over columns 1..i is its box over 1..i-1 plus one
+   atom, and an output column's guards are the boxes of the last input
+   step, so each row decides its scenario once.  Constraints are pure,
+   so neither moves a row, a counter or an exception. *)
+
+(* A parent-only test.  [Carried (f, id)]: disjunct [id] of family [f]
+   holds on the parent row. *)
+type test = Carried of int * int | Eval of Expr.t
+
+(* The parent-only tests of a disjunction's disjuncts or a chain's
+   guards, indexed by what decides them: per carried family, the
+   indices whose test is each id; then the evaluated ones. *)
+type lookup = {
+  carried : (int * int list array) list;
+  evaluated : (int * test) list;
+}
+
+type node =
+  | Fresh of Expr.t
+      (** reads the new column: compiled whole, run per candidate *)
+  | Equal of Expr.operand
+      (** the new column equals a constant or a parent column *)
+  | Conj of test * node list
+  | Disj of node list array * lookup
+      (** each disjunct's parts that read the new column *)
+  | Chain of node array * node * lookup
+      (** first-match chain: the arm of the first guard that holds *)
+
+type check = {
+  node : node;
+  record : (int * int array) option;
+      (** the family recorded from this check's survivors, when a later
+          step reads it: its number and each disjunct's id *)
+}
+
+type extension = {
+  col : column;
+  checks : check list;  (** the constraints ready at this step *)
+  fns : string list;  (** the functions they call, in compile order *)
+  carry : int list;  (** the families rows carry past this step *)
+}
+
+let rec flatten split acc e =
+  match split e with
+  | Some (a, b) -> flatten split (flatten split acc b) a
+  | None -> e :: acc
+
+let conjuncts = flatten (function Expr.And (a, b) -> Some (a, b) | _ -> None) []
+let disjuncts = flatten (function Expr.Or (a, b) -> Some (a, b) | _ -> None) []
+
+let plan_extensions order constraints =
+  (* conjunct list -> the family and id that carry it *)
+  let facts = Hashtbl.create 64 in
+  let sizes = Hashtbl.create 16 and born = Hashtbl.create 16 in
+  let last_use = Hashtbl.create 16 in
+  let pending =
+    ref
+      (List.filter_map
+         (fun c ->
+           match List.assoc_opt c.cname constraints with
+           | None | Some Expr.True -> None
+           | Some e -> Some (Expr.free_columns e, e))
+         order)
+  in
+  let bound = Hashtbl.create 16 in
+  let plan_step i col =
+    Hashtbl.add bound col.cname ();
+    let ready, waiting =
+      List.partition
+        (fun (free, _) -> List.for_all (Hashtbl.mem bound) free)
+        !pending
+    in
+    pending := waiting;
+    let reads_fresh e = List.mem col.cname (Expr.free_columns e) in
+    let test ps =
+      match Hashtbl.find_opt facts ps with
+      | Some (f, id) ->
+          Hashtbl.replace last_use f i;
+          Carried (f, id)
+      | None -> Eval (Expr.conj ps)
+    in
+    let split e =
+      let ps, cs =
+        List.partition (fun c -> not (reads_fresh c)) (conjuncts e)
+      in
+      (test ps, cs)
+    in
+    let lookup tests =
+      let carried = Hashtbl.create 4 and evaluated = ref [] in
+      for j = Array.length tests - 1 downto 0 do
+        match tests.(j) with
+        | Carried (f, id) ->
+            let by_id =
+              match Hashtbl.find_opt carried f with
+              | Some a -> a
+              | None ->
+                  let a = Array.make (Hashtbl.find sizes f) [] in
+                  Hashtbl.add carried f a;
+                  a
+            in
+            by_id.(id) <- j :: by_id.(id)
+        | t -> evaluated := (j, t) :: !evaluated
+      done;
+      {
+        carried = Hashtbl.fold (fun f a acc -> (f, a) :: acc) carried [];
+        evaluated = !evaluated;
+      }
+    in
+    let fresh = Expr.Col col.cname in
+    let rec node (e : Expr.t) =
+      match e with
+      | _ when not (reads_fresh e) -> Conj (test (conjuncts e), [])
+      | Eq (a, o) when a = fresh && o <> fresh -> Equal o
+      | Eq (o, a) when a = fresh && o <> fresh -> Equal o
+      | And _ ->
+          let t, cs = split e in
+          Conj (t, List.map node cs)
+      | Or _ ->
+          let ds = Array.of_list (List.map split (disjuncts e)) in
+          Disj
+            ( Array.map (fun (_, cs) -> List.map node cs) ds,
+              lookup (Array.map fst ds) )
+      | Ternary (g, _, _) when not (reads_fresh g) ->
+          let rec arms acc = function
+            | Expr.Ternary (g, a, b) when not (reads_fresh g) ->
+                arms ((test (conjuncts g), node a) :: acc) b
+            | last -> (Array.of_list (List.rev acc), node last)
+          in
+          let arms, otherwise = arms [] e in
+          Chain (Array.map snd arms, otherwise, lookup (Array.map fst arms))
+      | e -> Fresh e
+    in
+    let checks = List.map (fun (_, e) -> (e, node e)) ready in
+    (* only now: a step's own constraints cannot read its families *)
+    let checks =
+      List.map
+        (fun (e, node) ->
+          if not (reads_fresh e) then { node; record = None }
+          else begin
+            let f = Hashtbl.length sizes in
+            let keys = Hashtbl.create 16 in
+            let id d =
+              let key = conjuncts d in
+              match Hashtbl.find_opt keys key with
+              | Some id -> id
+              | None ->
+                  let id = Hashtbl.length keys in
+                  Hashtbl.add keys key id;
+                  Hashtbl.replace facts key (f, id);
+                  id
+            in
+            let ids = Array.of_list (List.map id (disjuncts e)) in
+            Hashtbl.add sizes f (Hashtbl.length keys);
+            Hashtbl.add born f i;
+            { node; record = Some (f, ids) }
+          end)
+        checks
+    in
+    (col, checks, List.concat_map (fun (_, e) -> Expr.functions e) ready)
+  in
+  let steps = List.mapi plan_step order in
+  (* record a family only if a later step reads it, and carry it only
+     up to that step *)
+  List.mapi
+    (fun i (col, checks, fns) ->
+      let used = function
+        | Some (f, _) as r when Hashtbl.mem last_use f -> r
+        | _ -> None
+      in
+      let carry =
+        Hashtbl.fold
+          (fun f last acc ->
+            if Hashtbl.find born f <= i && i < last then f :: acc else acc)
+          last_use []
+      in
+      {
+        col;
+        checks = List.map (fun c -> { c with record = used c.record }) checks;
+        fns;
+        carry = List.sort compare carry;
+      })
+    steps
+
+type spec = {
+  sname : string;
+  cols : column list;
+  constraints : (string * Expr.t) list;
+  plan : extension list;
+}
 
 let make ~name ~columns ~constraints =
   let names = List.map (fun c -> c.cname) columns in
@@ -48,7 +244,16 @@ let make ~name ~columns ~constraints =
             invalid "constraint on %s in %s mentions unknown column %s" c name fc)
         (Expr.free_columns e))
     constraints;
-  { sname = name; cols = columns; constraints }
+  let order =
+    List.filter (fun c -> c.role = Input) columns
+    @ List.filter (fun c -> c.role = Output) columns
+  in
+  {
+    sname = name;
+    cols = columns;
+    constraints;
+    plan = plan_extensions order constraints;
+  }
 
 let name s = s.sname
 let columns s = s.cols
@@ -175,103 +380,29 @@ let generate_reference ?funcs s =
       pruning = List.rev !pruning;
     } )
 
-(* One extension step's constraint, compiled for candidate indices.
-   Candidate [k] extends parent [k / d] with the [k mod d]-th value of the
-   new column [fresh], so a part of the constraint that does not read
-   [fresh] has one value per parent.  Such a part is compiled by
-   [parent] and evaluated once per parent (the candidates of a parent
-   are consecutive, so a one-entry cache keyed by the parent serves the
-   rest); only the parts that read [fresh] are compiled by [candidate]
-   and run per candidate.  A conjunction checks its parent-only
-   conjuncts once, a disjunction keeps per parent only the disjuncts
-   whose parent-only conjuncts hold, and a chain of ternaries whose
-   guards are parent-only picks its branch once.  Constraints are pure,
-   so evaluating a part once instead of [d] times changes no result. *)
-let compile_extension ~fresh ~d ~parent ~candidate e =
-  let reads_fresh e = List.mem fresh (Expr.free_columns e) in
-  let per_parent f =
-    let last = ref (-1) and v = ref None in
-    fun k ->
-      let p = k / d in
-      match !v with
-      | Some x when p = !last -> x
-      | _ ->
-          let x = f k in
-          last := p;
-          v := Some x;
-          x
-  in
-  let rec flatten split acc e =
-    match split e with
-    | Some (a, b) -> flatten split (flatten split acc b) a
-    | None -> e :: acc
-  in
-  let conjuncts =
-    flatten (function Expr.And (a, b) -> Some (a, b) | _ -> None) []
-  in
-  let disjuncts =
-    flatten (function Expr.Or (a, b) -> Some (a, b) | _ -> None) []
-  in
-  (* the parent-only conjuncts of [e], compiled per parent, and the rest *)
-  let split e =
-    let ps, cs = List.partition (fun c -> not (reads_fresh c)) (conjuncts e) in
-    (parent (Expr.conj ps), cs)
-  in
-  let rec go (e : Expr.t) =
-    match e with
-    | _ when not (reads_fresh e) -> per_parent (parent e)
-    | Expr.And _ ->
-        let p, cs = split e in
-        let p = per_parent p and cs = List.map go cs in
-        fun k -> p k && List.for_all (fun c -> c k) cs
-    | Expr.Or _ ->
-        let ds =
-          List.map
-            (fun e ->
-              let p, cs = split e in
-              (p, List.map go cs))
-            (disjuncts e)
-        in
-        let live =
-          per_parent (fun k ->
-              List.filter_map
-                (fun (p, cs) -> if p k then Some cs else None)
-                ds)
-        in
-        fun k -> List.exists (List.for_all (fun c -> c k)) (live k)
-    | Expr.Ternary (g, _, _) when not (reads_fresh g) ->
-        let rec arms acc = function
-          | Expr.Ternary (g, a, b) when not (reads_fresh g) ->
-              arms ((parent g, go a) :: acc) b
-          | last -> (List.rev acc, go last)
-        in
-        let arms, otherwise = arms [] e in
-        let pick =
-          per_parent (fun k ->
-              match List.find_opt (fun (g, _) -> g k) arms with
-              | Some (_, a) -> a
-              | None -> otherwise)
-        in
-        fun k -> (pick k) k
-    | Expr.Ternary (g, a, b) ->
-        let g = go g and a = go a and b = go b in
-        fun k -> if g k then a k else b k
-    | Expr.Not a ->
-        let a = go a in
-        fun k -> not (a k)
-    | atom -> candidate atom
-  in
-  go e
+(* The disjunct ids each row carries for one family: row [r]'s ids,
+   ascending, are [ids.(off.(r))] to [ids.(off.(r + 1) - 1)]. *)
+type store = { off : int array; ids : int array }
 
-(* Vectorized row extension: the same candidate enumeration as the
-   reference [step] — parent-major, domain order, newly-applicable
-   constraints applied in the same order — but over columnar code
-   buffers with once-per-chunk compiled predicates and selection-vector
-   compaction instead of a boxed [Value] array per candidate.  The
-   parts of a constraint that do not read the new column run once per
-   parent row ({!compile_extension}), and candidates are never
-   materialized beyond the columns those other parts read: survivors are
-   gathered straight from the parent columns.
+let store_of_lists sets =
+  let off = Array.make (Array.length sets + 1) 0 in
+  Array.iteri (fun r ids -> off.(r + 1) <- off.(r) + List.length ids) sets;
+  { off; ids = Array.of_list (List.concat (Array.to_list sets)) }
+
+let ids_of s r =
+  List.init (s.off.(r + 1) - s.off.(r)) (fun x -> s.ids.(s.off.(r) + x))
+
+(* Vectorized row extension along the spec's plan: the same candidate
+   enumeration as the reference [step] — parent-major, domain order,
+   newly-applicable constraints applied in the same order — but over
+   columnar code buffers with a selection vector instead of a boxed
+   [Value] array per candidate.  Candidate [k] of a chunk extends parent
+   [k / d] with the [k mod d]-th value of the new column.  Parent-only
+   tests run once per parent, reading carried disjunct ids where the
+   plan found them; a constraint functional in the new column (a chain
+   whose arms are [c = const], [c = parent_col] or [c IS NULL]) emits
+   its domain positions per parent instead of testing all [d] values.
+   Survivors are gathered straight from the parent columns.
 
    All telemetry is counter-exact with the reference path: candidates
    per step is [rows * |domain|] either way, and applying constraint [i]
@@ -286,7 +417,6 @@ let generate ?funcs s =
     ~args:[ "table", Obs.Json.Str s.sname ]
     "solver.generate"
   @@ fun () ->
-  let order = ordered_columns s in
   let evaluations = ref 0 and candidates = ref 0 in
   let per_column = ref [] in
   let pruning = ref [] in
@@ -296,39 +426,38 @@ let generate ?funcs s =
   let t_gen = Obs.Clock.now_ns () in
   let plan_ops = ref [] in
   let plan_cost = ref 0. in
-  let pending =
-    ref
-      (List.map
-         (fun c ->
-           let e = constraint_of s c.cname in
-           Expr.free_columns e, e)
-         order
-       |> List.filter (fun (_, e) -> e <> Expr.True))
-  in
-  let bound = Hashtbl.create 16 in
-  (* state: one (dict, codes) pair per bound column, [nrows] valid rows *)
-  let step (schema, cols, nrows) col =
+  let resolve = Option.value funcs ~default:Expr.no_funcs in
+  (* state: one (dict, codes) pair per bound column, the carried
+     families, [nrows] valid rows *)
+  let step (schema, cols, carried, nrows) x =
+    let col = x.col in
     Obs.Trace.with_span ~cat:"solver"
       ~args:[ "column", Obs.Json.Str col.cname ]
       "solver.extend"
     @@ fun () ->
     let t_step = Obs.Clock.now_ns () in
     let candidates_before = !candidates in
-    Hashtbl.add bound col.cname ();
+    (* the reference compiles the ready constraints here, so an unknown
+       function raises even if no row would reach it *)
+    List.iter
+      (fun f -> if resolve f = None then raise (Expr.Unknown_function f))
+      x.fns;
     let schema' = Schema.append schema [ col.cname ] in
-    let ready, waiting =
-      List.partition
-        (fun (free, _) -> List.for_all (Hashtbl.mem bound) free)
-        !pending
-    in
-    pending := waiting;
-    let checks = List.map snd ready in
     let arity = Array.length cols in
     let dom = Array.of_list col.domain in
     let d = Array.length dom in
     let ndict = Dict.create () in
     let dom_codes = Array.map (Dict.intern ndict) dom in
     let dicts = Array.append (Array.map fst cols) [| ndict |] in
+    (* the domain positions holding each code of the new column *)
+    let by_code =
+      let ps = Array.make (Dict.size ndict) [] in
+      for i = d - 1 downto 0 do
+        ps.(dom_codes.(i)) <- i :: ps.(dom_codes.(i))
+      done;
+      Array.map Array.of_list ps
+    in
+    let nowhere = [||] in
     let run_chunk parents =
       let np = Array.length parents in
       let ncand = np * d in
@@ -353,60 +482,233 @@ let generate ?funcs s =
           ~dict:(fun j -> dicts.(j))
           ~codes e
       in
-      let parent e =
-        let f = compile (fun j -> snd cols.(j)) e in
-        fun k -> f parents.(k / d)
+      (* every function below is staged: [f p] does the parent-only work
+         for chunk parent [p], and its result runs per candidate *)
+      let test = function
+        | Carried (f, id) ->
+            let s = List.assoc f carried in
+            fun p -> List.mem id (ids_of s parents.(p))
+        | Eval e ->
+            let g = compile (fun j -> snd cols.(j)) e in
+            fun p -> g parents.(p)
       in
-      let sel = ref (Array.init ncand Fun.id) in
-      let m = ref ncand in
-      let evals = ref 0 in
+      (* the indices whose test holds on parent [p] *)
+      let holding lk =
+        let carried =
+          List.map (fun (f, by_id) -> (List.assoc f carried, by_id)) lk.carried
+        and evaluated = List.map (fun (j, t) -> (j, test t)) lk.evaluated in
+        fun p ->
+          List.fold_left
+            (fun acc (s, by_id) ->
+              List.fold_left
+                (fun acc id -> List.rev_append by_id.(id) acc)
+                acc (ids_of s parents.(p)))
+            (List.filter_map
+               (fun (j, t) -> if t p then Some j else None)
+               evaluated)
+            carried
+      in
+      (* the least index whose test holds on parent [p], or [n] *)
+      let first n lk =
+        let holding = holding lk in
+        fun p -> List.fold_left min n (holding p)
+      in
+      let never _ = false in
+      let all gs k = List.for_all (fun g -> g k) gs in
+      let rec pred = function
+        | Fresh e ->
+            let f = compile cand_col e in
+            fun _ -> f
+        | Equal o ->
+            let f = compile cand_col (Expr.Eq (Expr.Col col.cname, o)) in
+            fun _ -> f
+        | Conj (t, ns) ->
+            let t = test t and fs = List.map pred ns in
+            fun p -> if t p then all (List.map (fun f -> f p) fs) else never
+        | Disj (ds, lk) ->
+            let live = disj ds lk in
+            fun p ->
+              let gs = live p in
+              fun k -> List.exists (fun (_, g) -> all g k) gs
+        | Chain (arms, otherwise, lk) ->
+            let n = Array.length arms in
+            let pick = first n lk in
+            let arms = Array.map pred (Array.append arms [| otherwise |]) in
+            fun p -> arms.(pick p) p
+      (* the live disjuncts of parent [p]: index and candidate tests *)
+      and disj ds lk =
+        let holding = holding lk and ds = Array.map (List.map pred) ds in
+        fun p ->
+          List.map (fun j -> (j, List.map (fun f -> f p) ds.(j))) (holding p)
+      in
+      let translations = Array.make arity None in
+      let translation j =
+        match translations.(j) with
+        | Some map -> map
+        | None ->
+            let map = Dict.translate ~from:dicts.(j) ~into:ndict in
+            translations.(j) <- Some map;
+            map
+      in
+      (* the domain positions a functional node admits for parent [p] *)
+      let rec positions = function
+        | Equal (Expr.Const v) ->
+            let ps =
+              match Dict.code_opt ndict v with
+              | Some c -> by_code.(c)
+              | None -> nowhere
+            in
+            Some (fun _ -> ps)
+        | Equal (Expr.Col c) ->
+            let j = Schema.index schema' c in
+            let map = translation j in
+            let src = snd cols.(j) in
+            Some
+              (fun p ->
+                let c = map.(src.(parents.(p))) in
+                if c < 0 then nowhere else by_code.(c))
+        | Chain (arms, otherwise, lk) ->
+            let arms =
+              Array.map positions (Array.append arms [| otherwise |])
+            in
+            if Array.exists Option.is_none arms then None
+            else
+              let arms = Array.map Option.get arms in
+              let pick = first (Array.length arms - 1) lk in
+              Some (fun p -> arms.(pick p) p)
+        | Fresh _ | Conj _ | Disj _ -> None
+      in
+      (* each check: how it filters, and the ids it records per survivor *)
+      let compiled =
+        List.map
+          (fun c ->
+            let how =
+              match positions c.node with
+              | Some pos -> `Emit pos
+              | None -> `Test (pred c.node)
+            in
+            let held =
+              match (c.record, c.node) with
+              | None, _ -> None
+              | Some (f, ids), Disj (ds, lk) ->
+                  let live = disj ds lk in
+                  Some
+                    ( f,
+                      fun p ->
+                        let gs = live p in
+                        fun k ->
+                          List.sort_uniq compare
+                            (List.filter_map
+                               (fun (j, g) ->
+                                 if all g k then Some ids.(j) else None)
+                               gs) )
+              | Some (f, _), _ -> Some (f, fun _ _ -> [ 0 ])
+            in
+            (how, held))
+          x.checks
+      in
+      (* [stage p] once per parent of the selected candidates [at 0],
+         [at 1], ..., which are parent-major; its result applied to each *)
+      let per_candidate n at stage =
+        let last = ref (-1) and g = ref (fun _ -> assert false) in
+        Array.init n (fun i ->
+            let k = at i in
+            if k / d <> !last then begin
+              last := k / d;
+              g := stage !last
+            end;
+            !g k)
+      in
+      (* [None] is every candidate, in order *)
+      let sel = ref None and m = ref ncand and evals = ref 0 in
       List.iter
-        (fun e ->
-          let check =
-            compile_extension ~fresh:col.cname ~d ~parent
-              ~candidate:(compile cand_col) e
-          in
+        (fun (how, _) ->
           evals := !evals + !m;
           let cur = !sel in
-          let keep = Array.make (max 1 !m) 0 in
-          let k = ref 0 in
-          for i = 0 to !m - 1 do
-            let c = cur.(i) in
-            if check c then begin
-              keep.(!k) <- c;
-              incr k
-            end
-          done;
-          sel := keep;
-          m := !k)
-        checks;
+          let at i = match cur with None -> i | Some a -> a.(i) in
+          let keep = Array.make (max 1 !m) 0 and n = ref 0 in
+          let push k =
+            keep.(!n) <- k;
+            incr n
+          in
+          let filter f =
+            Array.iteri
+              (fun i ok -> if ok then push (at i))
+              (per_candidate !m at f)
+          in
+          (match (how, cur) with
+          | `Emit pos, None ->
+              for p = 0 to np - 1 do
+                Array.iter (fun j -> push ((p * d) + j)) (pos p)
+              done
+          | `Emit pos, Some _ ->
+              filter (fun p ->
+                  let ps = pos p in
+                  fun k -> Array.exists (Int.equal (k mod d)) ps)
+          | `Test f, _ -> filter f);
+          sel := Some keep;
+          m := !n)
+        compiled;
       let m = !m and sel = !sel in
-      let out =
-        Array.init (arity + 1) (fun j ->
-            if j < arity then
-              let src = snd cols.(j) in
-              Array.init m (fun i -> src.(parents.(sel.(i) / d)))
-            else Array.init m (fun i -> dom_codes.(sel.(i) mod d)))
+      let at i = match sel with None -> i | Some a -> a.(i) in
+      (* the ids each survivor holds of the families this step records *)
+      let recorded =
+        List.filter_map
+          (fun (_, held) ->
+            Option.map (fun (f, held) -> (f, per_candidate m at held)) held)
+          compiled
       in
-      out, m, ncand, !evals
+      ( Array.init m (fun i -> parents.(at i / d)),
+        Array.init m (fun i -> at i mod d),
+        ncand,
+        !evals,
+        recorded )
     in
     let parts =
       Par.Pool.map_chunks ~min_chunk:64 run_chunk (Array.init nrows Fun.id)
     in
-    let kept = Array.fold_left (fun acc (_, m, _, _) -> acc + m) 0 parts in
+    let concat f = Array.concat (Array.to_list (Array.map f parts)) in
+    (* each survivor's parent row and domain position *)
+    let rows = concat (fun (r, _, _, _, _) -> r) in
+    let positions = concat (fun (_, p, _, _, _) -> p) in
+    let kept = Array.length rows in
+    let gather f =
+      let dst = Array.make (max 1 kept) 0 in
+      for i = 0 to kept - 1 do
+        dst.(i) <- f i
+      done;
+      dst
+    in
+    (* a step that keeps every parent row once, in order (one value per
+       row, as an output column's chain gives), passes the parent
+       columns and carried ids on unchanged: no step mutates them *)
+    let unchanged =
+      kept = nrows
+      &&
+      let rec from i = i = kept || (rows.(i) = i && from (i + 1)) in
+      from 0
+    in
     let out_cols =
       Array.init (arity + 1) (fun j ->
-          let dst = Array.make (max 1 kept) 0 in
-          let off = ref 0 in
-          Array.iter
-            (fun (o, m, _, _) ->
-              Array.blit o.(j) 0 dst !off m;
-              off := !off + m)
-            parts;
-          dst)
+          if j = arity then gather (fun i -> dom_codes.(positions.(i)))
+          else if unchanged then snd cols.(j)
+          else
+            let src = snd cols.(j) in
+            gather (fun i -> src.(rows.(i))))
+    in
+    let carried' =
+      List.map
+        (fun f ->
+          match List.assoc_opt f carried with
+          | Some s when unchanged -> (f, s)
+          | Some s -> (f, store_of_lists (Array.map (ids_of s) rows))
+          | None ->
+              let sets = concat (fun (_, _, _, _, r) -> List.assoc f r) in
+              (f, store_of_lists sets))
+        x.carry
     in
     Array.iter
-      (fun (_, _, c, e) ->
+      (fun (_, _, c, e, _) ->
         candidates := !candidates + c;
         evaluations := !evaluations + e)
       parts;
@@ -420,18 +722,17 @@ let generate ?funcs s =
       (considered - kept);
     if Obs.Config.on () then begin
       let considered_f = float_of_int considered in
+      let nchecks = List.length x.checks in
       (* uninformed textbook half per newly-ready constraint — the same
          default the planner uses for registered functions; the misest
          column of sys.plans shows how far off that is per column *)
-      let est_rows =
-        considered_f *. (0.5 ** float_of_int (List.length checks))
-      in
+      let est_rows = considered_f *. (0.5 ** float_of_int nchecks) in
       plan_cost := !plan_cost +. considered_f;
       plan_ops :=
         {
           Obs.Planlog.op =
             Printf.sprintf "extend %s (domain=%d, checks=%d)" col.cname d
-              (List.length checks);
+              nchecks;
           est_rows;
           est_cost = !plan_cost;
           actual_rows = kept;
@@ -442,16 +743,17 @@ let generate ?funcs s =
     end;
     ( schema',
       Array.init (arity + 1) (fun j -> (dicts.(j), out_cols.(j))),
+      carried',
       kept )
   in
-  let schema, cols, nrows =
-    List.fold_left step (Schema.of_list [], [||], 1) order
+  let schema, cols, _, nrows =
+    List.fold_left step (Schema.of_list [], [||], [], 1) s.plan
   in
   Obs.Metrics.add (obs_counter "candidates") !candidates;
   Obs.Metrics.add (obs_counter "evaluations") !evaluations;
   Obs.Metrics.add (obs_counter "rows_generated") nrows;
   Obs.Flightrec.record ~tag:Obs.Flightrec.tag_solver_gen ~a:nrows
-    ~b:(List.length order) ();
+    ~b:(List.length s.plan) ();
   (if Obs.Config.on () then
      let ops = List.rev !plan_ops in
      (* structural fingerprint: table, column order, domain sizes and

@@ -64,6 +64,8 @@ val make :
 (** Build a spec.  Every constrained column must exist; a column without an
     entry in [constraints] is unconstrained ([Expr.True]); constraints may
     mention any columns of the table.
+    Also plans the incremental extension {!generate} runs: which
+    constraints each column makes ready and how each splits around it.
     @raise Invalid_spec on unknown columns, duplicate columns, or an empty
     domain. *)
 
@@ -78,7 +80,13 @@ val search_space : spec -> int
 val generate : ?funcs:Expr.funcs -> spec -> Table.t * stats
 (** Incremental (column-at-a-time) generation: inputs first, in declaration
     order, then outputs.  A constraint is applied at the first point all its
-    columns are bound.  Runs over columnar code buffers. *)
+    columns are bound.  Runs over columnar code buffers along the extension
+    plan {!make} built: each parent-only test is decided once per row (from
+    the disjunct ids an earlier step recorded for the row, where the plan
+    found them), and a constraint that fixes the new column to a constant or
+    a parent column emits that value instead of testing the whole domain.
+    @raise Expr.Unknown_function at the step where a constraint calling an
+    unresolved function becomes ready, as {!generate_reference} does. *)
 
 val generate_reference : ?funcs:Expr.funcs -> spec -> Table.t * stats
 (** The same incremental generation over boxed rows, one [Value] array per

@@ -79,10 +79,33 @@ let prop_inputs_subset =
       in
       Table.subset (Table.distinct sub) (Table.distinct full))
 
+(* The vectorized generator against the boxed reference on random
+   subsets of D's scenarios in random order: reordering moves which
+   scenario a row's first-match chain picks when several boxes hold. *)
+let reordered_arb =
+  QCheck.make
+    QCheck.Gen.(scenarios_gen >>= shuffle_l)
+    ~print:(fun ss ->
+      String.concat "," (List.map (fun s -> s.Protocol.Ctrl_spec.label) ss))
+
+let prop_matches_reference =
+  QCheck.Test.make ~count:10
+    ~name:"generate = reference on reordered scenario subsets"
+    reordered_arb
+    (fun scenarios ->
+      let spec' =
+        Protocol.Ctrl_spec.to_solver_spec
+          (Protocol.Ctrl_spec.with_scenarios spec scenarios)
+      in
+      let a, sa = Solver.generate spec' in
+      let b, sb = Solver.generate_reference spec' in
+      Table.rows a = Table.rows b && sa = sb)
+
 let suite =
   [
     Test_seed.to_alcotest prop_rows_satisfy_some_guard;
     Test_seed.to_alcotest prop_deterministic;
     Test_seed.to_alcotest prop_monotone;
     Test_seed.to_alcotest prop_inputs_subset;
+    Test_seed.to_alcotest prop_matches_reference;
   ]

@@ -204,6 +204,129 @@ let prop_vectorized_matches_reference =
       && sa.Solver.evaluations = sb.Solver.evaluations
       && sa.Solver.per_column = sb.Solver.per_column)
 
+(* What a generation run reports: its rows in order, its stats and the
+   per-column pruning counters it adds to the solver registry. *)
+let observe gen spec =
+  Obs.Metrics.reset ();
+  let tbl, stats = Obs.Config.with_enabled (fun () -> gen spec) in
+  let pruned =
+    match Obs.Json.member "solver" (Obs.Metrics.to_json ()) with
+    | Some reg -> (
+        match Obs.Json.member "counters" reg with
+        | Some (Obs.Json.Obj kvs) ->
+            List.filter
+              (fun (k, _) ->
+                String.length k > 7 && String.sub k 0 7 = "pruned.")
+              kvs
+        | _ -> [])
+    | None -> []
+  in
+  Obs.Metrics.reset ();
+  (Table.rows tbl, stats, pruned)
+
+let test_controllers_match_reference () =
+  List.iter
+    (fun (c : Protocol.controller) ->
+      let spec = Protocol.Ctrl_spec.to_solver_spec c.spec in
+      let name = Solver.name spec in
+      let rows, stats, pruned = observe Solver.generate spec in
+      let rows', stats', pruned' = observe Solver.generate_reference spec in
+      check (name ^ " rows in order") true (rows = rows');
+      check (name ^ " stats") true (stats = stats');
+      check (name ^ " has pruning counters") true (pruned <> []);
+      check (name ^ " pruning counters") true (pruned = pruned'))
+    Protocol.controllers
+
+(* An unknown function raises from the step its constraint becomes
+   ready at, as the reference's compile does: even when no row reaches
+   the arm that calls it, and even when no parent row is left. *)
+let test_unknown_function_parity () =
+  let spec ~a_constraint =
+    Solver.make ~name:"fn"
+      ~columns:
+        [
+          { Solver.cname = "a"; role = Solver.Input;
+            domain = [ v "y"; v "z" ] };
+          { Solver.cname = "b"; role = Solver.Output;
+            domain = [ Value.Null; v "p" ] };
+        ]
+      ~constraints:
+        [
+          "a", a_constraint;
+          ( "b",
+            Expr.(
+              ternary (eq "a" "x")
+                (Fn ("nofn", Col "b") &&& Fn ("other", Col "a"))
+                (eq_null "b")) );
+        ]
+  in
+  let raised gen spec =
+    match gen spec with
+    | _ -> None
+    | exception Expr.Unknown_function f -> Some f
+  in
+  let funcs = function "known" -> Some (fun _ -> true) | _ -> None in
+  List.iter
+    (fun (label, spec) ->
+      let want = raised (Solver.generate_reference ~funcs) spec in
+      check (label ^ ": the reference raises") true (want = Some "nofn");
+      check label true (raised (Solver.generate ~funcs) spec = want))
+    [
+      "arm no row selects", spec ~a_constraint:Expr.True;
+      "zero parent rows", spec ~a_constraint:(Expr.eq "a" "x");
+    ]
+
+(* Scenario-shaped specs, as Ctrl_spec derives them: prefix-box
+   disjunctions on the inputs, first-match chains on the outputs.
+   Scenarios are drawn from a small pool of boxes so duplicate boxes
+   are common, and a Copy arm copies an input whose values mostly lie
+   outside the output's domain. *)
+let scenario_spec_gen =
+  let open QCheck.Gen in
+  let module C = Protocol.Ctrl_spec in
+  let values = [ "p"; "q"; "r" ] and out_values = [ "p"; "s"; "t" ] in
+  let* n_in = int_range 1 4 in
+  let* n_out = int_range 1 3 in
+  let ins = List.init n_in (fun i -> (Printf.sprintf "i%d" i, values)) in
+  let outs = List.init n_out (fun i -> (Printf.sprintf "o%d" i, out_values)) in
+  let some_of cols arm =
+    map (List.filter_map Fun.id)
+      (flatten_l
+         (List.map
+            (fun (c, _) -> oneof [ return None; map (fun a -> Some (c, a)) arm ])
+            cols))
+  in
+  let box =
+    some_of ins
+      (oneof [ map (fun v -> C.V v) (oneofl values); return (C.Among [ "p"; "r" ]) ])
+  in
+  let emit =
+    some_of outs
+      (oneof
+         [
+           map (fun v -> C.Out v) (oneofl out_values);
+           map (fun (src, _) -> C.Copy src) (oneofl ins);
+         ])
+  in
+  let* pool = list_size (int_range 1 4) box in
+  let* n = int_range 1 8 in
+  let* scenarios =
+    flatten_l
+      (List.init n (fun i ->
+           let* when_ = oneofl pool in
+           let* emit = emit in
+           return { C.label = Printf.sprintf "s%d" i; when_; emit }))
+  in
+  return
+    (C.to_solver_spec (C.make ~name:"scen" ~inputs:ins ~outputs:outs ~scenarios))
+
+let prop_scenarios_match_reference =
+  QCheck.Test.make ~count:200
+    ~name:"vectorized extension = reference on scenario-shaped specs"
+    (QCheck.make scenario_spec_gen)
+    (fun spec ->
+      observe Solver.generate spec = observe Solver.generate_reference spec)
+
 let suite =
   [
     Alcotest.test_case "incremental generation" `Quick test_generate;
@@ -214,4 +337,9 @@ let suite =
     Alcotest.test_case "spec validation" `Quick test_validation;
     Test_seed.to_alcotest prop_strategies_agree;
     Test_seed.to_alcotest prop_vectorized_matches_reference;
+    Alcotest.test_case "all controllers match the reference" `Quick
+      test_controllers_match_reference;
+    Alcotest.test_case "unknown function parity" `Quick
+      test_unknown_function_parity;
+    Test_seed.to_alcotest prop_scenarios_match_reference;
   ]
