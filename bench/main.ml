@@ -92,44 +92,46 @@ let benchmarks =
   ]
 
 (* --- exploration-core A/B pairs --------------------------------------
-   The same bounded search through explicitly pinned engines.  The
-   packed/boxed pair isolates the representation change (bit-packed
-   vectors + open addressing vs Marshal strings + Hashtbl): both run on
-   one domain, where the stealing engine is a single FIFO queue in the
-   boxed engine's BFS order.  The pairs surface in the JSON snapshot
-   "pairs". *)
+   The same bounded search through the boxed oracle and through
+   production.  The packed/boxed pair isolates the representation
+   change (bit-packed vectors + open addressing vs Marshal strings +
+   Hashtbl): both run on one domain, where the stealing engine is a
+   single FIFO queue in the boxed engine's BFS order.  It is the only
+   pair left that prices packed against boxed; the seq/par pairs below
+   time production at both degrees.  The pairs surface in the JSON
+   snapshot "pairs". *)
 let mcheck_engine_cfg =
   {
     Mcheck.Semantics.nodes = 2; addrs = 1; ops = [ "load"; "store" ];
     capacity = 3; io_addrs = []; lossy = false;
   }
 
-let mcheck_engine_test ~name engine =
-  Test.make ~name
-    (Staged.stage (fun () ->
-         ignore
-           (Mcheck.Explore.run ~max_states:5_000 ~engine
-              ~tables:(Lazy.force mcheck_tables) mcheck_engine_cfg)))
+let boxed_search () =
+  Mcheck.Explore.run_reference ~max_states:5_000
+    ~tables:(Lazy.force mcheck_tables) mcheck_engine_cfg
+
+let packed_search () =
+  Mcheck.Explore.run ~max_states:5_000 ~tables:(Lazy.force mcheck_tables)
+    mcheck_engine_cfg
+
+let mcheck_engine_test ~name search =
+  Test.make ~name (Staged.stage (fun () -> ignore (search ())))
 
 let engine_baseline_benchmarks =
   [
-    mcheck_engine_test ~name:"mcheck-2node-boxed" `Seq;
-    mcheck_engine_test ~name:"mcheck-2node-packed" `Steal;
+    mcheck_engine_test ~name:"mcheck-2node-boxed" boxed_search;
+    mcheck_engine_test ~name:"mcheck-2node-packed" packed_search;
   ]
 
 let engine_degree_benchmarks =
   [
-    mcheck_engine_test ~name:"mcheck-2node-steal" `Steal;
+    mcheck_engine_test ~name:"mcheck-2node-steal" packed_search;
     (* the flight-recorder overhead control: the same steal-engine search
        with event recording compiled in but switched off, so the
        recorder-on-vs-off pair prices the always-on default.  The CI gate
        holds the on/off ratio at <= 1.05x. *)
-    Test.make ~name:"mcheck-2node-steal-recoff"
-      (Staged.stage (fun () ->
-           Obs.Flightrec.with_disabled (fun () ->
-               ignore
-                 (Mcheck.Explore.run ~max_states:5_000 ~engine:`Steal
-                    ~tables:(Lazy.force mcheck_tables) mcheck_engine_cfg))));
+    mcheck_engine_test ~name:"mcheck-2node-steal-recoff" (fun () ->
+        Obs.Flightrec.with_disabled packed_search);
   ]
 
 (* (pair name, reference measurement, candidate measurement, domains the

@@ -565,12 +565,14 @@ let simulate_cmd =
 (* Counts (--last, --max-uncovered, --max-states) are external input
    like any other: a negative one is refused with a one-line message and
    exit 2 instead of being read as an empty or inverted window.  Sizes
-   (--nodes, --addrs) must be positive: a system with no cache or no
-   line has one state and no violation, a silently wrong answer. *)
-let bounded_conv ~least ~must flag =
+   (--nodes, --addrs) and mcheck's search bound must be positive: a
+   system with no cache or no line, or a search of no state, reports
+   "no violations", a silently wrong answer.  A fingerprint width
+   outside what the visited set supports is refused the same way. *)
+let bounded_conv ?(most = max_int) ~least ~must flag =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= least -> Ok n
+    | Some n when n >= least && n <= most -> Ok n
     | Some _ ->
         Printf.eprintf "asura: %s must %s (got %s)\n" flag must s;
         exit 2
@@ -597,7 +599,10 @@ let mcheck_cmd =
       & info [ "addrs" ] ~doc:"Number of cache lines (at least 1).")
   in
   let max_states =
-    Arg.(value & opt int 200_000 & info [ "max-states" ] ~doc:"Search bound.")
+    Arg.(
+      value
+      & opt (pos_count_conv "--max-states") 200_000
+      & info [ "max-states" ] ~doc:"Search bound (at least 1).")
   in
   let evictions =
     Arg.(value & flag & info [ "evictions" ] ~doc:"Include eviction operations.")
@@ -617,25 +622,14 @@ let mcheck_cmd =
              message-sequence chart (the form of the paper's Figures 2 \
              and 4) instead of raw trace lines.")
   in
-  let engine =
-    let engine_conv =
-      Arg.enum
-        [
-          "auto", `Auto; "seq", `Seq; "steal", `Steal;
-        ]
-    in
-    Arg.(
-      value & opt engine_conv `Auto
-      & info [ "engine" ]
-          ~doc:
-            "Exploration core: $(b,auto) (default: sequential boxed at one \
-             domain, work-stealing packed otherwise), $(b,seq) (boxed \
-             reference) or $(b,steal) (work-stealing packed frontier; \
-             at one domain a single-threaded packed BFS).")
-  in
   let compact_bits =
     Arg.(
-      value & opt (some int) None
+      value
+      & opt
+          (some
+             (bounded_conv ~least:8 ~most:62 ~must:"be in 8..62"
+                "--compact-bits"))
+          None
       & info [ "compact-bits" ] ~docv:"N"
           ~doc:
             "Stern-Dill hash compaction: keep only an $(docv)-bit \
@@ -644,13 +638,13 @@ let mcheck_cmd =
              merge two states, so the run is reported as probabilistic \
              and violations carry no trace.")
   in
-  let run () nodes addrs max_states evictions depth_profile msc_flag engine
+  let run () nodes addrs max_states evictions depth_profile msc_flag
       compact_bits =
     let ops =
       [ "load"; "store" ] @ if evictions then [ "evictmod"; "evictsh" ] else []
     in
     let r =
-      Mcheck.Explore.run ~max_states ~engine ?compact_bits
+      Mcheck.Explore.run ~max_states ?compact_bits
         { Mcheck.Semantics.nodes; addrs; ops; capacity = 3; io_addrs = []; lossy = false }
     in
     Format.printf "%a@." Mcheck.Explore.pp_result r;
@@ -672,7 +666,7 @@ let mcheck_cmd =
           Murphi-style baseline the paper compares against).")
     Term.(
       const run $ setup_term $ nodes $ addrs $ max_states $ evictions
-      $ depth_profile $ msc $ engine $ compact_bits)
+      $ depth_profile $ msc $ compact_bits)
 
 (* ------------------------- system tables (sys.) ----------------------- *)
 
@@ -938,13 +932,8 @@ let events_top_cmd =
   in
   let run () runs max_states =
     (* answering live, a small exploration fills the rings: fires and
-       dedup from any engine, steals when domains > 1 pick the stealing
-       core (explicit `Steal keeps the requested degree even when the
-       hardware offers fewer cores, unlike `Auto) *)
-    if runs = None then begin
-      let engine = if Par.Pool.domains () > 1 then `Steal else `Auto in
-      ignore (Mcheck.Explore.run ~max_states ~engine exercise_cfg)
-    end;
+       dedup at any degree, steals when domains > 1 *)
+    if runs = None then ignore (Mcheck.Explore.run ~max_states exercise_cfg);
     print_canned (attach_sys (Protocol.database ()) runs) events_canned_keys
   in
   Cmd.v

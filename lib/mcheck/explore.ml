@@ -37,7 +37,7 @@ let classify detail =
 
 let obs_reg = lazy (Obs.Metrics.registry "mcheck")
 
-(* Mutable search bookkeeping shared by the sequential and stealing
+(* Mutable search bookkeeping shared by the reference and stealing
    engines; [finish] renders it into a {!result}.  [t0] is a monotonic
    wall-clock reading: process CPU time would sum every domain's work
    and over-count parallel runs. *)
@@ -67,7 +67,7 @@ let new_search () =
         (Lazy.force obs_reg) "expansion_depth";
   }
 
-(* Per-state bookkeeping at expansion time in the sequential engine:
+(* Per-state bookkeeping at expansion time in the reference engine:
    the frontier length is sampled before the state is counted. *)
 let expand_state sr ~frontier ~depth =
   if frontier > sr.s_max_frontier then sr.s_max_frontier <- frontier;
@@ -82,7 +82,7 @@ let expand_state sr ~frontier ~depth =
   if depth > sr.s_max_depth then sr.s_max_depth <- depth
 
 (* The --progress heartbeat.  Only ever called from the spawning domain
-   (the sequential loop, or stealing participant 0, which runs there),
+   (the reference loop, or stealing participant 0, which runs there),
    so snapshotting coverage shards is safe.  [Runlog.tick] rate-limits
    to the configured interval; when --progress is off this is one
    match. *)
@@ -190,10 +190,13 @@ let finish sr ~states ~engine ~probabilistic violation complete =
 
 exception Found of violation
 
-(* ------------------------- sequential engine -------------------------- *)
+(* ------------------------- reference engine --------------------------- *)
 
-let run_seq ?(engine = "seq") ~max_states ~keep_states ~state_key ~tables
-    config =
+(* The boxed sequential oracle: FIFO BFS over Marshal-string keys with
+   exact parent pointers.  [engine] names the result: ["seq"] when a
+   test or benchmark calls it, ["steal"] when it replays a violation
+   the packed engine found. *)
+let boxed_bfs ~engine ~max_states ~keep_states ~state_key ~tables config =
   let sr = new_search () in
   let initial = Mstate.initial ~nodes:config.Semantics.nodes ~addrs:config.addrs in
   let visited : (string, unit) Hashtbl.t = Hashtbl.create 4096 in
@@ -357,11 +360,11 @@ type sacc = {
    at exactly [max_states] expansions.  On a violation the search stops
    and — in exact mode — the boxed sequential reference engine replays
    the whole search, so verdicts and counterexample traces are
-   bit-identical to [run_seq]; the steal path itself only ever proves
+   bit-identical to [run_reference]; the steal path itself only ever proves
    the *absence* of violations.  With [compact_bits] the replay is
    skipped (the point of compaction is that the full search does not
    fit) and the violation is reported without a trace. *)
-let run_steal ?workers ~max_states ~keep_states ~state_key ~symmetry
+let run_steal ~max_states ~keep_states ~state_key ~symmetry
     ~compact_bits ~tables config =
   let sr = new_search () in
   let layout = cached_layout tables config in
@@ -407,7 +410,7 @@ let run_steal ?workers ~max_states ~keep_states ~state_key ~symmetry
   let inflight = Atomic.make 1 in
   let maxfront = Atomic.make 1 in
   let accs =
-    Par.Pool.steal_loop ?workers
+    Par.Pool.steal_loop
       ~init:(fun i ->
         {
           sa_self = i;
@@ -500,7 +503,7 @@ let run_steal ?workers ~max_states ~keep_states ~state_key ~symmetry
       (* exact mode: replay through the boxed reference engine for the
          bit-identical verdict and counterexample trace *)
       let r =
-        run_seq ~engine:"steal" ~max_states ~keep_states ~state_key ~tables
+        boxed_bfs ~engine:"steal" ~max_states ~keep_states ~state_key ~tables
           config
       in
       if r.violation <> None then r
@@ -543,8 +546,9 @@ let run_steal ?workers ~max_states ~keep_states ~state_key ~symmetry
       finish sr ~states ~engine:"steal" ~probabilistic:(compact_bits <> None)
         violation complete
 
-let run ?(max_states = 200_000) ?(symmetry = false) ?tables
-    ?(keep_states = false) ?(engine = `Auto) ?compact_bits config =
+(* Both entry points share the ["mcheck.run"] span, so a trace times
+   the oracle and the packed engine alike. *)
+let with_search ~max_states ~symmetry ~tables config search =
   Obs.Trace.with_span ~cat:"mcheck"
     ~args:
       [ "nodes", Obs.Json.Int config.Semantics.nodes;
@@ -557,27 +561,17 @@ let run ?(max_states = 200_000) ?(symmetry = false) ?tables
     if symmetry then Mstate.canonical_key ~nodes:config.Semantics.nodes
     else Mstate.key
   in
-  let steal ?workers () =
-    run_steal ?workers ~max_states ~keep_states ~state_key ~symmetry
-      ~compact_bits ~tables config
-  in
-  match engine with
-  | `Seq -> run_seq ~max_states ~keep_states ~state_key ~tables config
-  | `Steal -> steal ()
-  | `Auto ->
-      (* Oversubscribing stealing workers past the hardware buys nothing
-         and costs real time: every extra domain must be scheduled into
-         each stop-the-world minor collection.  Auto caps the degree at
-         what the machine can actually run; an explicit `Steal keeps the
-         requested degree (tests rely on that to exercise genuinely
-         concurrent stealing even on small machines). *)
-      let workers =
-        max 1 (min (Par.Pool.domains ()) (Domain.recommended_domain_count ()))
-      in
-      if compact_bits <> None then steal ~workers ()
-      else if Par.Pool.sequential () then
-        run_seq ~max_states ~keep_states ~state_key ~tables config
-      else steal ~workers ()
+  search ~max_states ~state_key ~tables config
+
+let run ?(max_states = 200_000) ?(symmetry = false) ?tables
+    ?(keep_states = false) ?compact_bits config =
+  with_search ~max_states ~symmetry ~tables config
+    (run_steal ~keep_states ~symmetry ~compact_bits)
+
+let run_reference ?(max_states = 200_000) ?(symmetry = false) ?tables
+    ?(keep_states = false) config =
+  with_search ~max_states ~symmetry ~tables config
+    (boxed_bfs ~engine:"seq" ~keep_states)
 
 let pp_result fmt r =
   Format.fprintf fmt

@@ -26,7 +26,8 @@ type result = {
   states : string list option;
       (** sorted visited-set keys, when requested with [keep_states] *)
   engine : string;
-      (** which exploration core ran: ["seq"] or ["steal"] *)
+      (** which exploration core ran: ["steal"] from {!run}, ["seq"]
+          from {!run_reference} *)
   probabilistic : bool;
       (** dedup used hash compaction ([compact_bits]): a fingerprint
           collision may have hidden states, so a clean result is
@@ -49,7 +50,6 @@ val run :
   ?symmetry:bool ->
   ?tables:Semantics.tables ->
   ?keep_states:bool ->
-  ?engine:[ `Auto | `Seq | `Steal ] ->
   ?compact_bits:int ->
   Semantics.config ->
   result
@@ -65,26 +65,40 @@ val run :
     reachable-state sets; the packed engine reports the same strings by
     unpacking its visited vectors through the boxed key function.
 
-    [engine] selects the exploration core:
-    - [`Seq]: the boxed reference — FIFO BFS, Marshal-string visited
-      set, exact parent-pointer counterexample traces.
-    - [`Steal]: the work-stealing packed frontier
-      ({!Par.Pool.steal_loop}); at one domain a single FIFO queue, i.e.
-      the [`Seq] BFS order over the bit-packed representation ({!Pack}).  For complete exact searches the
-      reachable set, [explored], [transitions], [dedup_hits], verdicts
-      and coverage bitmaps are identical to [`Seq]; [per_depth],
-      [max_depth] and [max_frontier] are schedule-dependent.  A bounded
-      search still expands exactly [max_states] states (atomic tickets)
-      but an arbitrary subset.  When the steal path hits a violation it
-      stops and replays through [`Seq] for a bit-identical verdict and
-      trace.
-    - [`Auto] (default): [`Seq] when {!Par.Pool.sequential}, otherwise
-      [`Steal].
+    The search runs the work-stealing packed frontier
+    ({!Par.Pool.steal_loop}) at {!Par.Pool.domains}[ ()] participants
+    over the bit-packed representation ({!Pack}); [engine] is
+    ["steal"].  At one domain that is a single FIFO queue, i.e. the BFS
+    order of {!run_reference}.  For complete exact searches the
+    reachable set, [explored], [transitions], [dedup_hits], verdicts and
+    coverage bitmaps are identical to {!run_reference} at any degree;
+    [per_depth] and [max_depth] are too at one domain, and
+    schedule-dependent above it, as [max_frontier] always is.  A bounded
+    search still expands exactly [max_states] states (atomic tickets)
+    but an arbitrary subset.  When the search hits a violation it stops
+    and replays through {!run_reference} for a bit-identical verdict and
+    trace.
 
-    [compact_bits] ([`Steal] and [`Auto] only) switches the visited set to
-    N-bit hash compaction: memory bounded by the fingerprint table, but
-    the result is flagged {!field-probabilistic}, [keep_states] is
-    unavailable, and violations are reported without traces. *)
+    [compact_bits] (8..62) switches the visited set to N-bit hash
+    compaction: memory bounded by the fingerprint table, but the result
+    is flagged {!field-probabilistic}, [keep_states] is unavailable, and
+    violations are reported without traces (no replay).
+    @raise Invalid_argument if [compact_bits] is outside 8..62. *)
+
+val run_reference :
+  ?max_states:int ->
+  ?symmetry:bool ->
+  ?tables:Semantics.tables ->
+  ?keep_states:bool ->
+  Semantics.config ->
+  result
+(** The boxed sequential oracle: FIFO BFS with a Marshal-string visited
+    set ({!Mstate.key}, or {!Mstate.canonical_key} under [symmetry]) and
+    exact parent-pointer counterexample traces; [engine] is ["seq"].
+    Arguments as for {!run}.  Production never calls it directly: the
+    differential tests compare {!run} against it, the benchmark prices
+    the packed representation against it, and {!run} replays a
+    violation through it. *)
 
 val pp_result : Format.formatter -> result -> unit
 

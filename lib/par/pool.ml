@@ -17,7 +17,6 @@ let env_domains () =
       | _ -> 1)
 
 let requested = Atomic.make (env_domains ())
-let available () = Domain.recommended_domain_count ()
 let domains () = Atomic.get requested
 let set_domains n = Atomic.set requested (max 1 n)
 
@@ -366,10 +365,9 @@ let deque_steal d =
 
 type 'job ctl = { push : 'job -> unit; stop : unit -> unit }
 
-let steal_loop (type job acc) ?workers ~(init : int -> acc)
+let steal_loop (type job acc) ~(init : int -> acc)
     ~(work : acc -> job ctl -> job -> unit) (jobs : job list) : acc array =
-  let w = match workers with Some w -> max 1 w | None -> domains () in
-  if w = 1 || sequential () then begin
+  if sequential () then begin
     (* Degenerate single-participant loop: a FIFO queue, so at one
        domain the processing order is exactly breadth-first — the same
        order as the sequential reference engine. *)
@@ -386,6 +384,7 @@ let steal_loop (type job acc) ?workers ~(init : int -> acc)
     [| acc |]
   end
   else begin
+    let w = domains () in
     let deques = Array.init w (fun _ -> deque_create ()) in
     let pending = Atomic.make 0 in
     let stopped = Atomic.make false in

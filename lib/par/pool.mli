@@ -32,9 +32,6 @@
     a worker runs sequentially, so kernels freely compose without
     deadlocking the pool. *)
 
-val available : unit -> int
-(** [Domain.recommended_domain_count ()] — what the hardware offers. *)
-
 val domains : unit -> int
 (** Current parallelism degree.  Initialized from the [ASURA_DOMAINS]
     environment variable (default [1]); [--domains N] on the CLI calls
@@ -90,27 +87,26 @@ type 'job ctl = { push : 'job -> unit; stop : unit -> unit }
     early termination (best-effort — jobs already mid-execution finish). *)
 
 val steal_loop :
-  ?workers:int ->
   init:(int -> 'acc) ->
   work:('acc -> 'job ctl -> 'job -> unit) ->
   'job list ->
   'acc array
 (** Work-stealing parallel loop: the initial [jobs] are dealt round-robin
-    to [workers] participants (default {!domains}[ ()]), each of which
-    repeatedly pops from its own deque — newest first — executes
-    [work acc ctl job], and steals the {e oldest} job from a random victim
-    when its own deque is empty.  Terminates when every pushed job has
+    to {!domains}[ ()] participants, each of which repeatedly pops from
+    its own deque — newest first — executes [work acc ctl job], and
+    steals the {e oldest} job from a random victim when its own deque is
+    empty.  Terminates when every pushed job has
     been executed (detected by a global unfinished-job count) or when
     [ctl.stop] is called.  Returns the per-participant accumulators in
     participant order.
 
     Unlike the chunked entry points, the execution order — and therefore
     anything order-sensitive a caller folds into its accumulators — is
-    {e not} deterministic at [workers > 1]; callers needing the
+    {e not} deterministic above one domain; callers needing the
     deterministic-merge contract must only extract order-free results
-    (sets, bitmap ORs, sums) from the accumulator array.  With
-    [workers = 1] (or under {!sequential}) the loop degenerates to a
-    single FIFO queue on the calling domain, i.e. exact breadth-first
-    order.  Participants are ordinary pool jobs, so the resident worker
+    (sets, bitmap ORs, sums) from the accumulator array.  Under
+    {!sequential} (one domain, or a call from a pool worker) the loop
+    degenerates to a single FIFO queue on the calling domain, i.e. exact
+    breadth-first order.  Participants are ordinary pool jobs, so the resident worker
     domains are reused ("spawn" counter in the ["par"] registry counts
     every [Domain.spawn]). *)

@@ -91,19 +91,21 @@ let test_order_free_determinism () =
   in
   ignore (Lazy.force mcheck_tables);
   with_recorder ~capacity:(1 lsl 16) (fun () ->
-      let go engine d =
+      let tables = Lazy.force mcheck_tables in
+      let reference () =
+        Mcheck.Explore.run_reference ~max_states:50_000 ~tables cfg
+      in
+      let packed () = Mcheck.Explore.run ~max_states:50_000 ~tables cfg in
+      let go search d =
         Par.Pool.with_domains d (fun () ->
             Obs.Flightrec.reset ();
-            let r =
-              Mcheck.Explore.run ~max_states:50_000 ~engine
-                ~tables:(Lazy.force mcheck_tables) cfg
-            in
+            let r = search () in
             Alcotest.(check bool) "search is complete" true
               r.Mcheck.Explore.complete;
             observe_events ())
       in
-      let reference = go `Seq 1 in
-      let counts, fires = reference in
+      let expected = go reference 1 in
+      let counts, fires = expected in
       Alcotest.(check bool) "reference recorded expansions and firings" true
         (counts <> [] && fires <> []);
       List.iter
@@ -112,7 +114,7 @@ let test_order_free_determinism () =
             (Printf.sprintf
                "steal event projections match the reference at %d domains" d)
             true
-            (go `Steal d = reference))
+            (go packed d = expected))
         domains_swept)
 
 (* --------------------------- escape hatch ----------------------------- *)

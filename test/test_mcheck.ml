@@ -206,7 +206,7 @@ let test_bounded_search_reports_incomplete () =
    call. *)
 let test_elapsed_is_wall_time () =
   let search () =
-    Explore.run ~symmetry:true ~engine:`Steal ~tables:(Lazy.force tables)
+    Explore.run ~symmetry:true ~tables:(Lazy.force tables)
       (config ~nodes:3 [ "load"; "store" ])
   in
   Par.Pool.with_domains 2 (fun () ->
@@ -220,6 +220,25 @@ let test_elapsed_is_wall_time () =
            (Obs.Clock.to_s ns))
         true
         (r.Explore.elapsed <= Obs.Clock.to_s ns))
+
+(* Production is the packed stealing engine at every degree; at one
+   domain its single FIFO queue is the reference BFS, so even the
+   schedule-dependent observables (per-depth counts, depth) match. *)
+let test_default_engine_is_packed () =
+  let cfg = config [ "load"; "store" ] in
+  let observe (r : Explore.result) =
+    ( r.explored, r.transitions, r.dedup_hits, r.per_depth, r.max_depth,
+      r.states )
+  in
+  Par.Pool.with_domains 1 (fun () ->
+      let tables = Lazy.force tables in
+      let r = Explore.run ~keep_states:true ~tables cfg in
+      let oracle = Explore.run_reference ~keep_states:true ~tables cfg in
+      Alcotest.(check string) "default engine" "steal" r.Explore.engine;
+      Alcotest.(check string) "oracle engine" "seq" oracle.Explore.engine;
+      check "complete" true r.Explore.complete;
+      check "same counts, depth profile and reachable states" true
+        (observe r = observe oracle))
 
 let suite =
   [
@@ -240,4 +259,5 @@ let suite =
     Alcotest.test_case "symmetry preserves bug finding" `Slow test_symmetry_still_finds_bugs;
     Alcotest.test_case "bounded search reports incomplete" `Quick test_bounded_search_reports_incomplete;
     Alcotest.test_case "elapsed is wall time" `Quick test_elapsed_is_wall_time;
+    Alcotest.test_case "default engine is packed at one domain" `Quick test_default_engine_is_packed;
   ]

@@ -233,6 +233,19 @@ let mcheck_case_gen =
 let observe_order_free (r : Mcheck.Explore.result) =
   (r.explored, r.transitions, r.dedup_hits, r.violation, r.complete, r.states)
 
+(* The boxed oracle and production (the packed stealing engine) share
+   this shape, so one differential body drives both. *)
+type search =
+  ?max_states:int ->
+  ?symmetry:bool ->
+  ?tables:Mcheck.Semantics.tables ->
+  ?keep_states:bool ->
+  Mcheck.Semantics.config ->
+  Mcheck.Explore.result
+
+let reference : search = Mcheck.Explore.run_reference
+let packed : search = Mcheck.Explore.run ?compact_bits:None
+
 let steal_case_gen =
   QCheck.Gen.(
     let* ops = nonempty_sublist_gen [ "load"; "store" ] in
@@ -257,16 +270,16 @@ let prop_mcheck_steal_diff =
        complete searches"
     (QCheck.make steal_case_gen ~print:print_steal_case)
     (fun (cfg, symmetry) ->
-      let go engine =
+      let go (search : search) =
         observe_order_free
-          (Mcheck.Explore.run ~max_states:50_000 ~symmetry ~engine
+          (search ~max_states:50_000 ~symmetry
              ~tables:(Lazy.force mcheck_tables) ~keep_states:true cfg)
       in
-      let reference = Par.Pool.with_domains 1 (fun () -> go `Seq) in
-      let _, _, _, _, complete, _ = reference in
+      let expected = Par.Pool.with_domains 1 (fun () -> go reference) in
+      let _, _, _, _, complete, _ = expected in
       complete
       && List.for_all
-           (fun d -> Par.Pool.with_domains d (fun () -> go `Steal) = reference)
+           (fun d -> Par.Pool.with_domains d (fun () -> go packed) = expected)
            domains_swept)
 
 (* Truncated searches visit a schedule-dependent SUBSET, but the atomic
@@ -280,16 +293,15 @@ let prop_mcheck_steal_bounded =
            (String.concat ";" cfg.Mcheck.Semantics.ops)
            cfg.Mcheck.Semantics.capacity max_states symmetry))
     (fun (cfg, max_states, symmetry) ->
-      let go engine =
+      let go (search : search) =
         let r =
-          Mcheck.Explore.run ~max_states ~symmetry ~engine
-            ~tables:(Lazy.force mcheck_tables) cfg
+          search ~max_states ~symmetry ~tables:(Lazy.force mcheck_tables) cfg
         in
         r.Mcheck.Explore.explored, r.Mcheck.Explore.complete
       in
-      let reference = Par.Pool.with_domains 1 (fun () -> go `Seq) in
+      let expected = Par.Pool.with_domains 1 (fun () -> go reference) in
       List.for_all
-        (fun d -> Par.Pool.with_domains d (fun () -> go `Steal) = reference)
+        (fun d -> Par.Pool.with_domains d (fun () -> go packed) = expected)
         domains_swept)
 
 (* Coverage is recorded from inside worker domains and OR-merged; the
@@ -299,28 +311,27 @@ let test_steal_coverage_matches_seq () =
     { Mcheck.Semantics.nodes = 2; addrs = 1; ops = [ "load"; "store" ];
       capacity = 2; io_addrs = []; lossy = false }
   in
-  let snap engine d =
+  let snap (search : search) d =
     Par.Pool.with_domains d (fun () ->
         Obs.Coverage.reset ();
         ignore
-          (Mcheck.Explore.run ~max_states:50_000 ~engine
-             ~tables:(Lazy.force mcheck_tables) cfg);
+          (search ~max_states:50_000 ~tables:(Lazy.force mcheck_tables) cfg);
         List.map
           (fun (tc : Obs.Coverage.table_coverage) ->
             tc.name, tc.rows, tc.covered, Bytes.to_string tc.bitmap)
           (Obs.Coverage.snapshot ()))
   in
   Obs.Coverage.with_enabled (fun () ->
-      let reference = snap `Seq 1 in
+      let expected = snap reference 1 in
       Alcotest.(check bool)
         "sequential run covered something" true
-        (List.exists (fun (_, _, covered, _) -> covered > 0) reference);
+        (List.exists (fun (_, _, covered, _) -> covered > 0) expected);
       List.iter
         (fun d ->
           Alcotest.(check bool)
             (Printf.sprintf "steal coverage bitmaps at %d domains" d)
             true
-            (snap `Steal d = reference))
+            (snap packed d = expected))
         domains_swept;
       Obs.Coverage.reset ())
 
@@ -338,19 +349,19 @@ let test_steal_seeded_bug_matches_seq () =
     { Mcheck.Semantics.nodes = 3; addrs = 1; ops = [ "load"; "store" ];
       capacity = 3; io_addrs = []; lossy = false }
   in
-  let viol engine d =
+  let viol (search : search) d =
     Par.Pool.with_domains d (fun () ->
-        (Mcheck.Explore.run ~max_states:200_000 ~engine ~tables:tables' cfg)
+        (search ~max_states:200_000 ~tables:tables' cfg)
           .Mcheck.Explore.violation)
   in
-  match viol `Seq 1 with
+  match viol reference 1 with
   | None -> Alcotest.fail "seeded hang not found by the reference engine"
   | Some v ->
       Alcotest.(check bool) "reference has a trace" true (v.trace <> []);
       let msc = Sim.Msc.render_run v.Mcheck.Explore.trace in
       List.iter
         (fun d ->
-          match viol `Steal d with
+          match viol packed d with
           | None ->
               Alcotest.fail
                 (Printf.sprintf "steal at %d domains missed the seeded hang" d)
@@ -421,7 +432,7 @@ let test_pool_spawns_no_new_domains () =
       for _ = 1 to 3 do
         ignore (Checker.Deadlock.analyze Checker.Vcassign.with_vc4);
         ignore
-          (Mcheck.Explore.run ~max_states:2_000 ~engine:`Steal
+          (Mcheck.Explore.run ~max_states:2_000
              ~tables:(Lazy.force mcheck_tables) cfg)
       done;
       Alcotest.(check int)
