@@ -589,8 +589,10 @@ let mcheck_cmd =
   let nodes =
     Arg.(
       value
-      & opt (pos_count_conv "--nodes") 2
-      & info [ "n"; "nodes" ] ~doc:"Number of caches (at least 1).")
+      (* sharer, ack and snapshot masks are one OCaml int: one bit per
+         node, 62 bits wide at most *)
+      & opt (bounded_conv ~least:1 ~most:62 ~must:"be in 1..62" "--nodes") 2
+      & info [ "n"; "nodes" ] ~doc:"Number of caches (1..62).")
   in
   let addrs =
     Arg.(

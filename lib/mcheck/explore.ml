@@ -376,31 +376,6 @@ let run_steal ~max_states ~keep_states ~state_key ~symmetry
     if symmetry then Pack.canonical layout else Pack.pack ?perm:None layout
   in
   let visited = Pack.Vset.create ?compact_bits () in
-  (* Symmetry-mode fast path: dedup on the identity packing first, and
-     only run the all-permutations canonicalization for states never
-     seen verbatim.  Sound because an exact duplicate's canonical form
-     is already in [visited] (it was inserted when the state was first
-     seen), so counters and the reachable set are unchanged — the
-     filter only skips provably redundant canonical packs.  Disabled
-     under compaction, where the whole point is bounded memory.
-     [dedup_key] returns [None] for an exact duplicate, [Some key]
-     otherwise. *)
-  let dedup_key =
-    if symmetry && compact_bits = None then begin
-      let exact = Pack.Vset.create () in
-      let initial_id =
-        Pack.pack layout
-          (Mstate.initial ~nodes:config.Semantics.nodes ~addrs:config.addrs)
-      in
-      ignore (Pack.Vset.add exact initial_id : bool);
-      fun st' ->
-        let id = Pack.pack layout st' in
-        if Pack.Vset.add exact id then
-          Some (Pack.canonical_seeded layout id st')
-        else None
-    end
-    else fun st' -> Some (key_of st')
-  in
   let initial =
     Mstate.initial ~nodes:config.Semantics.nodes ~addrs:config.addrs
   in
@@ -467,28 +442,19 @@ let run_steal ~max_states ~keep_states ~state_key ~symmetry
                           acc.sa_violation <-
                             Some { kind = classify detail; detail; trace = [] };
                         ctl.Par.Pool.stop ()
-                    | Semantics.Next st' -> (
-                        match dedup_key st' with
-                        | None ->
-                            acc.sa_dedup <- acc.sa_dedup + 1;
-                            Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup
-                              ~a:(depth + 1) ~b:1 ()
-                        | Some k ->
-                            if Pack.Vset.add visited k then begin
-                              Obs.Flightrec.record
-                                ~tag:Obs.Flightrec.tag_dedup ~a:(depth + 1)
-                                ~b:0 ();
-                              let n = Atomic.fetch_and_add inflight 1 + 1 in
-                              if n > Atomic.get maxfront then
-                                Atomic.set maxfront n;
-                              ctl.Par.Pool.push (st', depth + 1)
-                            end
-                            else begin
-                              acc.sa_dedup <- acc.sa_dedup + 1;
-                              Obs.Flightrec.record
-                                ~tag:Obs.Flightrec.tag_dedup ~a:(depth + 1)
-                                ~b:1 ()
-                            end))
+                    | Semantics.Next st' ->
+                        if Pack.Vset.add visited (key_of st') then begin
+                          Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup
+                            ~a:(depth + 1) ~b:0 ();
+                          let n = Atomic.fetch_and_add inflight 1 + 1 in
+                          if n > Atomic.get maxfront then Atomic.set maxfront n;
+                          ctl.Par.Pool.push (st', depth + 1)
+                        end
+                        else begin
+                          acc.sa_dedup <- acc.sa_dedup + 1;
+                          Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup
+                            ~a:(depth + 1) ~b:1 ()
+                        end)
                   succs
         end)
       [ initial, 0 ]

@@ -19,8 +19,9 @@
    test/test_pack.ml checks both directions.
 
    Node permutations are applied *during* encoding ([pack ?perm]), so
-   symmetry reduction (lexicographically minimal packed vector over all
-   permutations) never materializes the permuted boxed state. *)
+   symmetry reduction never materializes the permuted boxed state, and
+   [canonical] encodes only the permutations that sort the nodes by an
+   equivariant signature (scalarset normalisation, as in Murphi). *)
 
 type field = {
   dict : Relalg.Dict.t;
@@ -78,30 +79,10 @@ type layout = {
   w_qlen : int;
   w_qcount : int;
   id_perm : int array * int array;
-  perms : (int array * int array) list;  (** (perm, inverse) pairs *)
 }
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-      List.concat_map
-        (fun x ->
-          List.map
-            (fun rest -> x :: rest)
-            (permutations (List.filter (fun y -> y <> x) l)))
-        l
 
 let layout ~nodes ~addrs ~capacity ~dirst ~bst ~cache ~pend ~msg () =
   let identity = Array.init nodes Fun.id in
-  let perms =
-    List.map
-      (fun p ->
-        let m = Array.of_list p in
-        let inv = Array.make nodes 0 in
-        Array.iteri (fun j mj -> inv.(mj) <- j) m;
-        m, inv)
-      (permutations (Array.to_list identity))
-  in
   {
     nodes;
     addrs;
@@ -119,7 +100,6 @@ let layout ~nodes ~addrs ~capacity ~dirst ~bst ~cache ~pend ~msg () =
     w_qlen = bits_needed (max 2 (capacity + 2)) + 1;
     w_qcount = bits_needed (max 2 (6 * (nodes + 2) * (nodes + 2))) + 1;
     id_perm = identity, identity;
-    perms;
   }
 
 let refresh l =
@@ -177,7 +157,9 @@ exception Cut
 let writer () = { buf = Array.make 4 0; bit = 0; cut = [||]; cut_i = -1 }
 
 let put wr ~width v =
-  if v < 0 || v >= 1 lsl width then
+  (* [v lsr width] rather than [v >= 1 lsl width]: a 62-bit field (the
+     sharer mask at 62 nodes) would shift into the sign bit *)
+  if v < 0 || v lsr width <> 0 then
     raise (Overflow (Printf.sprintf "value %d exceeds %d-bit field" v width));
   let iw = wr.bit / word_bits and ib = wr.bit mod word_bits in
   if iw + 1 >= Array.length wr.buf then begin
@@ -413,58 +395,151 @@ let compare_packed a b =
     in
     go 0
 
-(* One scratch writer serves every permutation: the encoded bit length
-   of a state is permutation-invariant (same fields, same queue
-   lengths), so candidates compare word-for-word in the scratch buffer
-   and only the running minimum is ever copied out.  [seed], when
-   given, must be the identity packing of [st]; the identity
-   permutation is then skipped instead of re-encoded. *)
-let canonical_loop ?seed l st =
-  let wr = writer () in
-  let best = ref (match seed with Some v -> v | None -> [||]) in
+(* ------------------------- canonical form ----------------------------
+
+   Symmetry reduction keys a state by one representative of its
+   node-permutation orbit.  Scanning all [nodes!] permutations for the
+   least packed vector costs a pack per permutation; instead every node
+   gets an integer signature that is {e equivariant} —
+   [sig (π·s) (π j) = sig s j] — and only the permutations that list
+   the nodes in non-decreasing signature order are candidates.  The
+   permuted states those candidates produce are exactly the members of
+   the orbit whose signatures come out sorted, a set that does not
+   depend on which member we started from, so the least candidate
+   vector is an orbit invariant; and being a packing of a permutation of
+   [st], it separates orbits.  Reachable states rarely tie, so the scan
+   is usually one pack.
+
+   A node's signature mixes, per address, its sharer/ack/snapshot bits
+   and whether it is the busy requester, then its cache and pending
+   rows, then a hash of every channel it ends with each endpoint
+   rewritten relative to it (itself, another node, dir or mem).
+   Channel hashes are {e summed}: [Mstate.queues] is sorted by raw node
+   labels, so list order is not equivariant.  Strings hash as strings,
+   so signatures never touch the dictionaries. *)
+
+let mix h x =
+  let x = (h lxor x) * 0x2545F4914F6CDD1D land max_int in
+  x lxor (x lsr 29)
+
+let signatures l (st : Mstate.t) =
+  let n = l.nodes in
+  let sg = Array.make n 0 in
   List.iter
-    (fun ((m, _) as perm) ->
-      if not (seed <> None && m = fst l.id_perm) then begin
-        Array.fill wr.buf 0 (Array.length wr.buf) 0;
-        wr.bit <- 0;
-        (* arm the writer's cutoff against the incumbent minimum: most
-           candidate permutations lose on the first completed word (the
-           directory/cache section) and abort after a fraction of the
-           encoding (encoded length is permutation-invariant, so
-           word-for-word compare against [best] is sound mid-pack) *)
-        wr.cut <- !best;
-        wr.cut_i <- (if Array.length !best = 0 then -1 else 0);
-        match pack_into wr ~perm l st with
-        | exception Cut -> wr.cut_i <- -1 (* provably greater: skip *)
-        | () ->
-            let words = max 1 ((wr.bit + word_bits - 1) / word_bits) in
-            let decided_smaller = Array.length !best > 0 && wr.cut_i < 0 in
-            let tail_start = max 0 wr.cut_i in
-            wr.cut_i <- -1;
-            let better =
-              Array.length !best = 0 || decided_smaller
-              ||
-              (* equal prefix up to the last complete word: compare the
-                 (at most one partial) tail *)
-              let rec go i =
-                if i >= words then false
-                else
-                  let a = Array.unsafe_get wr.buf i
-                  and b = Array.unsafe_get !best i in
-                  if a < b then true else if a > b then false else go (i + 1)
-              in
-              go tail_start
-            in
-            if better then best := Array.sub wr.buf 0 words
-      end)
-    l.perms;
-  !best
+    (fun (a : Mstate.addr_state) ->
+      let req, acks, snap =
+        match a.busy with
+        | None -> -1, 0, 0
+        | Some b -> b.requester, b.acks, b.snapshot
+      in
+      for j = 0 to n - 1 do
+        let bit mask = (mask lsr j) land 1 in
+        sg.(j) <-
+          mix sg.(j)
+            (bit a.sharers
+            lor (bit acks lsl 1)
+            lor (bit snap lsl 2)
+            lor (b2i (req = j) lsl 3))
+      done)
+    st.addrs;
+  List.iteri
+    (fun j row -> List.iter (fun c -> sg.(j) <- mix sg.(j) (Hashtbl.hash c)) row)
+    st.caches;
+  List.iteri
+    (fun j row ->
+      List.iter
+        (fun p ->
+          sg.(j) <- mix sg.(j) (match p with None -> 0 | Some op -> Hashtbl.hash op))
+        row)
+    st.pend;
+  let channel self ((src, dst, cls), q) =
+    let rel e = if e = self then 0 else if e >= 0 then 1 else e + 4 in
+    List.fold_left
+      (fun h (msg : Mstate.msg) ->
+        mix
+          (mix (mix (mix (mix h (Hashtbl.hash msg.m)) (rel msg.src)) (rel msg.dst))
+             msg.addr)
+          (b2i msg.fresh))
+      (mix (mix (mix 0x3ade68b1 (rel src)) (rel dst)) (Hashtbl.hash cls))
+      q
+  in
+  List.iter
+    (fun (((src, dst, _), _) as ch) ->
+      if src >= 0 then sg.(src) <- sg.(src) + channel src ch;
+      if dst >= 0 && dst <> src then sg.(dst) <- sg.(dst) + channel dst ch)
+    st.queues;
+  sg
 
+(* One scratch writer serves every candidate: the encoded bit length of
+   a state is permutation-invariant (same fields, same queue lengths),
+   so candidates compare word-for-word in the scratch buffer and only
+   the running minimum is ever copied out. *)
 let canonical l st =
-  match l.perms with [] | [ _ ] -> pack l st | _ -> canonical_loop l st
-
-let canonical_seeded l seed st =
-  match l.perms with [] | [ _ ] -> seed | _ -> canonical_loop ~seed l st
+  let n = l.nodes in
+  let sg = signatures l st in
+  (* [order.(i)] is the node packed at position i (the inverse
+     permutation) *)
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> Int.compare sg.(a) sg.(b)) order;
+  (* [tie_end.(i)]: one past the last position tying with position i *)
+  let tie_end = Array.make n n in
+  for i = n - 2 downto 0 do
+    if sg.(order.(i)) <> sg.(order.(i + 1)) then tie_end.(i) <- i + 1
+    else tie_end.(i) <- tie_end.(i + 1)
+  done;
+  let m = Array.make n 0 in
+  let wr = writer () in
+  let best = ref [||] in
+  let candidate () =
+    Array.iteri (fun i j -> m.(j) <- i) order;
+    Array.fill wr.buf 0 (Array.length wr.buf) 0;
+    wr.bit <- 0;
+    (* arm the writer's cutoff against the incumbent minimum: a losing
+       candidate usually aborts on the first completed word (encoded
+       length is permutation-invariant, so word-for-word compare
+       against [best] is sound mid-pack) *)
+    wr.cut <- !best;
+    wr.cut_i <- (if Array.length !best = 0 then -1 else 0);
+    match pack_into wr ~perm:(m, order) l st with
+    | exception Cut -> wr.cut_i <- -1 (* provably greater: skip *)
+    | () ->
+        let words = max 1 ((wr.bit + word_bits - 1) / word_bits) in
+        let decided_smaller = Array.length !best > 0 && wr.cut_i < 0 in
+        let tail_start = max 0 wr.cut_i in
+        wr.cut_i <- -1;
+        let better =
+          Array.length !best = 0 || decided_smaller
+          ||
+          (* equal prefix up to the last complete word: compare the (at
+             most one partial) tail *)
+          let rec go i =
+            if i >= words then false
+            else
+              let a = Array.unsafe_get wr.buf i
+              and b = Array.unsafe_get !best i in
+              if a < b then true else if a > b then false else go (i + 1)
+          in
+          go tail_start
+        in
+        if better then best := Array.sub wr.buf 0 words
+  in
+  (* every arrangement of each tie group, the rest of [order] fixed *)
+  let swap i k =
+    let t = order.(i) in
+    order.(i) <- order.(k);
+    order.(k) <- t
+  in
+  let rec arrange i =
+    if i >= n then candidate ()
+    else
+      for k = i to tie_end.(i) - 1 do
+        swap i k;
+        arrange (i + 1);
+        swap i k
+      done
+  in
+  arrange 0;
+  !best
 
 (* --------------------------- visited set -----------------------------
 

@@ -53,16 +53,19 @@ val pack : ?perm:int array * int array -> layout -> Mstate.t -> int array
 val unpack : layout -> int array -> Mstate.t
 (** Exact inverse of {!pack} (with the identity permutation). *)
 
-val canonical : layout -> Mstate.t -> int array
-(** The lexicographically smallest packed vector over all node
-    permutations: the packed analogue of {!Mstate.canonical_key}.
-    Symmetric states canonicalize to the same vector. *)
+val signatures : layout -> Mstate.t -> int array
+(** One integer per node, equivariant under node permutations:
+    [(signatures l (Mstate.permute m st)).(m j) = (signatures l st).(j)].
+    Built from the node's directory bits, cache and pending rows and the
+    channels it ends (other node ids anonymised), so nodes that play
+    different roles rarely tie. *)
 
-val canonical_seeded : layout -> int array -> Mstate.t -> int array
-(** [canonical_seeded l id st] equals [canonical l st] given
-    [id = pack l st] (the identity packing, which callers deduping on
-    exact identity have already paid for): the identity permutation is
-    reused instead of re-encoded. *)
+val canonical : layout -> Mstate.t -> int array
+(** The packed analogue of {!Mstate.canonical_key}: the least packed
+    vector over the node permutations that sort {!signatures} into
+    non-decreasing order.  Two states get equal vectors iff one is a
+    node permutation of the other.  Costs one pack per arrangement of
+    each group of tying nodes — usually one pack in all. *)
 
 val equal : int array -> int array -> bool
 (** Word-by-word compare; with a shared layout this is exactly

@@ -240,6 +240,26 @@ let test_default_engine_is_packed () =
       check "same counts, depth profile and reachable states" true
         (observe r = observe oracle))
 
+(* The packed layout holds per-field widths and dictionaries only, so
+   building it costs the same at 9 nodes as at 2; a table of all
+   [nodes!] permutations would allocate tens of millions of words. *)
+let test_layout_not_factorial () =
+  let tables = Lazy.force tables in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  (* warm the one-off vocabulary harvest *)
+  ignore (Explore.layout_of_tables tables (config [ "load"; "store" ]));
+  let before = words () in
+  ignore
+    (Sys.opaque_identity
+       (Explore.layout_of_tables tables (config ~nodes:9 [ "load"; "store" ])));
+  let allocated = words () -. before in
+  check
+    (Printf.sprintf "9-node layout allocated %.0f words (< 1M)" allocated)
+    true (allocated < 1e6)
+
 let suite =
   [
     Alcotest.test_case "state basics" `Quick test_state_basics;
@@ -260,4 +280,6 @@ let suite =
     Alcotest.test_case "bounded search reports incomplete" `Quick test_bounded_search_reports_incomplete;
     Alcotest.test_case "elapsed is wall time" `Quick test_elapsed_is_wall_time;
     Alcotest.test_case "default engine is packed at one domain" `Quick test_default_engine_is_packed;
+    Alcotest.test_case "layout cost is not factorial in nodes" `Quick
+      test_layout_not_factorial;
   ]

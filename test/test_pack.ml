@@ -185,6 +185,231 @@ let prop_canonical_orbit =
       Pack.equal (Pack.canonical l st)
         (Pack.canonical l (Mstate.permute (fun j -> m.(j)) ~nodes st)))
 
+(* ------------------------- signature canonical form ------------------------
+
+   [Pack.canonical] scans only the permutations that sort the node
+   signatures, so constancy on an orbit (above) is half the obligation:
+   the key must also separate orbits.  [Mstate.canonical_key], the
+   all-permutations minimum over Marshal keys, is the oracle. *)
+
+let all_perms nodes =
+  let rec go = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun x -> List.map (List.cons x) (go (List.filter (( <> ) x) l)))
+          l
+  in
+  List.map Array.of_list (go (List.init nodes Fun.id))
+
+let permute_by m ~nodes st = Mstate.permute (fun j -> m.(j)) ~nodes st
+
+let other_than pool x = List.filter (( <> ) x) pool
+
+(* A one-field change: the result is never structurally equal to [st],
+   though it may still be a permutation of it. *)
+let mutate_gen ~nodes ~addrs (st : Mstate.t) =
+  QCheck.Gen.(
+    let* node = int_bound (nodes - 1) in
+    let* addr = int_bound (addrs - 1) in
+    let set_addr f =
+      { st with addrs = List.mapi (fun a x -> if a = addr then f x else x) st.addrs }
+    in
+    let* kind = int_bound 4 in
+    match kind with
+    | 0 ->
+        let* c = oneofl (other_than cache_pool (Mstate.cache st ~node ~addr)) in
+        return (Mstate.set_cache st ~node ~addr c)
+    | 1 ->
+        let* p =
+          match Mstate.pending st ~node ~addr with
+          | None -> map Option.some (oneofl pend_pool)
+          | Some op ->
+              oneofl (None :: List.map Option.some (other_than pend_pool op))
+        in
+        return (Mstate.set_pending st ~node ~addr p)
+    | 2 ->
+        return
+          (set_addr (fun a -> { a with sharers = a.sharers lxor (1 lsl node) }))
+    | 3 -> return (set_addr (fun a -> { a with mem_fresh = not a.mem_fresh }))
+    | _ ->
+        return
+          (set_addr (fun a ->
+               match a.busy with
+               | Some _ -> { a with busy = None }
+               | None ->
+                   {
+                     a with
+                     busy =
+                       Some
+                         { Mstate.bst = "Busy-wb"; requester = node; acks = 0;
+                           snapshot = 0; data_fresh = true };
+                   })))
+
+(* Arbitrary states rarely tie two nodes that a permutation cannot
+   exchange, which is where scanning every arrangement of a tie group
+   matters.  This variant gives every node node 0's rows and every mask
+   all or no nodes, so only the channels tell nodes apart. *)
+let tied_state_gen ~nodes ~addrs ~capacity =
+  QCheck.Gen.(
+    let* st = state_gen ~nodes ~addrs ~capacity in
+    let all = (1 lsl nodes) - 1 in
+    let widen m = if m = 0 then 0 else all in
+    let row rows = List.init nodes (fun _ -> List.hd rows) in
+    return
+      {
+        st with
+        Mstate.addrs =
+          List.map
+            (fun (a : Mstate.addr_state) ->
+              {
+                a with
+                sharers = widen a.sharers;
+                busy =
+                  Option.map
+                    (fun (b : Mstate.busy) ->
+                      { b with requester = Mstate.dir; acks = widen b.acks;
+                        snapshot = widen b.snapshot })
+                    a.busy;
+              })
+            st.addrs;
+        caches = row st.caches;
+        pend = row st.pend;
+      })
+
+let some_state_gen ~nodes ~addrs ~capacity =
+  QCheck.Gen.(
+    let* tied = bool in
+    (if tied then tied_state_gen else state_gen) ~nodes ~addrs ~capacity)
+
+let orbit_pair_gen =
+  QCheck.Gen.(
+    let* nodes = int_range 3 4 in
+    let* addrs = int_range 1 2 in
+    let* a = some_state_gen ~nodes ~addrs ~capacity:2 in
+    let* same = bool in
+    let* b = if same then return a else mutate_gen ~nodes ~addrs a in
+    let* m, _ = perm_gen nodes in
+    return (nodes, addrs, a, permute_by m ~nodes b))
+
+let prop_canonical_separates =
+  QCheck.Test.make ~count:400
+    ~name:"canonical vectors agree iff Mstate.canonical_key agrees (3-4 nodes)"
+    (QCheck.make orbit_pair_gen ~print:(fun (n, a, s1, s2) ->
+         print_case (n, a, s1) ^ "----\n" ^ print_case (n, a, s2)))
+    (fun (nodes, addrs, a, b) ->
+      let l = layout_for ~nodes ~addrs ~capacity:2 in
+      Pack.equal (Pack.canonical l a) (Pack.canonical l b)
+      = (Mstate.canonical_key ~nodes a = Mstate.canonical_key ~nodes b))
+
+let perm_case_gen =
+  QCheck.Gen.(
+    let* nodes = int_range 1 4 in
+    let* addrs = int_range 1 2 in
+    let* st = some_state_gen ~nodes ~addrs ~capacity:3 in
+    let* m, _ = perm_gen nodes in
+    return (nodes, addrs, st, m))
+
+let print_perm_case (n, a, st, m) =
+  Printf.sprintf "perm=[%s] %s"
+    (String.concat ";" (Array.to_list (Array.map string_of_int m)))
+    (print_case (n, a, st))
+
+let prop_signatures_equivariant =
+  QCheck.Test.make ~count:500 ~name:"node signatures are equivariant"
+    (QCheck.make perm_case_gen ~print:print_perm_case)
+    (fun (nodes, addrs, st, m) ->
+      let l = layout_for ~nodes ~addrs ~capacity:3 in
+      let sg = Pack.signatures l st
+      and sg' = Pack.signatures l (permute_by m ~nodes st) in
+      List.for_all (fun j -> sg'.(m.(j)) = sg.(j)) (List.init nodes Fun.id))
+
+let sorted a =
+  let ok = ref true in
+  Array.iteri (fun i x -> if i > 0 && a.(i - 1) > x then ok := false) a;
+  !ok
+
+(* The definition, by brute force: the least packed vector among the
+   permuted states whose signatures come out sorted. *)
+let least_sorted_candidate l ~nodes st =
+  List.fold_left
+    (fun best m ->
+      let st' = permute_by m ~nodes st in
+      if not (sorted (Pack.signatures l st')) then best
+      else
+        let v = Pack.pack l st' in
+        match best with
+        | Some b when Pack.compare_packed b v <= 0 -> best
+        | _ -> Some v)
+    None (all_perms nodes)
+  |> Option.get
+
+let prop_canonical_least_candidate =
+  QCheck.Test.make ~count:300
+    ~name:"canonical is the least signature-sorted permutation"
+    (QCheck.make perm_case_gen ~print:print_perm_case)
+    (fun (nodes, addrs, st, _) ->
+      let l = layout_for ~nodes ~addrs ~capacity:3 in
+      Pack.equal (Pack.canonical l st) (least_sorted_candidate l ~nodes st))
+
+let distinct_signatures sg =
+  List.length (List.sort_uniq compare (Array.to_list sg))
+
+let check_orbit_constant l ~nodes st =
+  let c = Pack.canonical l st in
+  Alcotest.(check bool)
+    "least sorted candidate" true
+    (Pack.equal c (least_sorted_candidate l ~nodes st));
+  List.iter
+    (fun m ->
+      Alcotest.(check bool)
+        "same canonical vector on every permutation" true
+        (Pack.equal c (Pack.canonical l (permute_by m ~nodes st))))
+    (all_perms nodes)
+
+let test_all_nodes_tie () =
+  let l = layout_for ~nodes:3 ~addrs:1 ~capacity:2 in
+  let st = Mstate.initial ~nodes:3 ~addrs:1 in
+  Alcotest.(check int) "one signature" 1 (distinct_signatures (Pack.signatures l st));
+  (* every permutation fixes the initial state *)
+  Alcotest.(check bool)
+    "canonical is the identity packing" true
+    (Pack.equal (Pack.canonical l st) (Pack.pack l st));
+  check_orbit_constant l ~nodes:3 st
+
+(* All three nodes tie, yet only the rotations fix the state: the
+   reflections turn the request cycle 0→1→2→0 around. *)
+let test_tie_without_symmetry () =
+  let l = layout_for ~nodes:3 ~addrs:1 ~capacity:2 in
+  let st =
+    List.fold_left
+      (fun st (src, dst) ->
+        Mstate.enqueue st ~cls:"reqq"
+          { Mstate.m = "read"; src; dst; addr = 0; fresh = true })
+      (Mstate.initial ~nodes:3 ~addrs:1)
+      [ 0, 1; 1, 2; 2, 0 ]
+  in
+  Alcotest.(check int) "one signature" 1 (distinct_signatures (Pack.signatures l st));
+  let swapped = permute_by [| 1; 0; 2 |] ~nodes:3 st in
+  Alcotest.(check bool)
+    "a reflection packs differently" false
+    (Pack.equal (Pack.pack l st) (Pack.pack l swapped));
+  check_orbit_constant l ~nodes:3 st
+
+let test_two_nodes_tie () =
+  let l = layout_for ~nodes:3 ~addrs:1 ~capacity:2 in
+  let st = Mstate.initial ~nodes:3 ~addrs:1 in
+  let st = Mstate.set_cache st ~node:0 ~addr:0 "S" in
+  let st = Mstate.set_cache st ~node:2 ~addr:0 "S" in
+  let st =
+    Mstate.set_addr st 0
+      { (Mstate.addr_state st 0) with dirst = "SI"; sharers = 0b101 }
+  in
+  let sg = Pack.signatures l st in
+  Alcotest.(check int) "two signatures" 2 (distinct_signatures sg);
+  Alcotest.(check bool) "nodes 0 and 2 tie" true (sg.(0) = sg.(2));
+  check_orbit_constant l ~nodes:3 st
+
 (* Width-recomputation safety: a layout seeded with a tiny vocabulary is
    fed states drawing from the full pool.  Either every string fits in
    the headroom bit, or packing raises Overflow; [refresh] then widens
@@ -258,4 +483,11 @@ let suite =
     Test_seed.to_alcotest prop_canonical_orbit;
     Test_seed.to_alcotest prop_width_recompute;
     Test_seed.to_alcotest prop_vset;
+    Test_seed.to_alcotest prop_canonical_separates;
+    Test_seed.to_alcotest prop_signatures_equivariant;
+    Test_seed.to_alcotest prop_canonical_least_candidate;
+    Alcotest.test_case "canonical: all three nodes tie" `Quick test_all_nodes_tie;
+    Alcotest.test_case "canonical: exactly two nodes tie" `Quick test_two_nodes_tie;
+    Alcotest.test_case "canonical: a tie no permutation exchanges" `Quick
+      test_tie_without_symmetry;
   ]

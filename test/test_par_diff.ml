@@ -282,6 +282,40 @@ let prop_mcheck_steal_diff =
            (fun d -> Par.Pool.with_domains d (fun () -> go packed) = expected)
            domains_swept)
 
+(* The random cases above are 2-node, where the only non-identity
+   permutation is a swap, so a tie group of three nodes never forms.
+   The complete 3-node symmetric search does form them (its initial
+   state ties every node) and pins the counts. *)
+let test_steal_3node_symmetry () =
+  let cfg =
+    { Mcheck.Semantics.nodes = 3; addrs = 1; ops = [ "load"; "store" ];
+      capacity = 3; io_addrs = []; lossy = false }
+  in
+  let go (search : search) =
+    observe_order_free
+      (search ~max_states:50_000 ~symmetry:true
+         ~tables:(Lazy.force mcheck_tables) ~keep_states:true cfg)
+  in
+  let expected = Par.Pool.with_domains 1 (fun () -> go reference) in
+  let explored, transitions, dedup_hits, violation, complete, states =
+    expected
+  in
+  Alcotest.(check (list int))
+    "reference explored, transitions, dedup hits"
+    [ 13_618; 54_676; 41_059 ]
+    [ explored; transitions; dedup_hits ];
+  Alcotest.(check bool) "complete and clean" true (complete && violation = None);
+  Alcotest.(check (option int))
+    "one kept state per explored state" (Some explored)
+    (Option.map List.length states);
+  List.iter
+    (fun d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "steal at %d domains matches the reference" d)
+        true
+        (Par.Pool.with_domains d (fun () -> go packed) = expected))
+    domains_swept
+
 (* Truncated searches visit a schedule-dependent SUBSET, but the atomic
    ticket budget makes the expansion count itself exact: explored and the
    completeness verdict still match the reference at any domain count. *)
@@ -456,4 +490,6 @@ let suite =
       test_pool_spawns_no_new_domains;
     Alcotest.test_case "figure 4 witness packs" `Quick
       test_figure4_witness_packs;
+    Alcotest.test_case "3-node symmetric steal search matches the reference"
+      `Slow test_steal_3node_symmetry;
   ]
