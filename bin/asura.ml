@@ -100,11 +100,12 @@ let setup_term =
       & opt (some string) None
       & info [ "domains" ] ~docv:"N" ~env:(Cmd.Env.info "ASURA_DOMAINS")
           ~doc:
-            "Number of OCaml domains to spread table generation, \
-             dependency composition and model-checker frontier expansion \
-             across.  1 (the default) runs the original sequential code \
-             paths; results are identical at every setting.  A value \
-             that is not an integer of at least 1 exits 2.")
+            "Number of OCaml domains to spread table generation and the \
+             model checker's work-stealing search across (default 1).  \
+             Tables, \
+             dependencies and verdicts are identical at every setting, \
+             and so are the counts of a complete model-checking search.  \
+             A value that is not an integer of at least 1 exits 2.")
   in
   (* The degree is external input like the counts: anything but an
      integer >= 1 is refused with one line naming where it came from

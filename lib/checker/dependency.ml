@@ -90,65 +90,8 @@ let relocate placement d =
   let move a = { a with src = c a.src; dst = c a.dst } in
   { input = move d.input; output = move d.output }
 
-let matches ~ignore_messages out inp =
-  out.src = inp.src && out.dst = inp.dst && out.vc = inp.vc
-  && (ignore_messages || out.msg = inp.msg)
-
-(* Pure pairwise composition — no observability recording, so it is safe
-   to run on pool worker domains; callers account the match counts after
-   the join. *)
 let merge_origin a b =
   a @ List.filter (fun x -> not (List.mem x a)) b
-
-let compose_core ~ignore_messages ~placement (n1, t1) (n2, t2) =
-  let reloc t = List.map (fun e -> (relocate placement e.dep, e.origin)) t in
-  let t1 = reloc t1 and t2 = reloc t2 in
-  let provenance =
-    Composed
-      { first = n1; second = n2; placement; exact = not ignore_messages }
-  in
-  let entry (r, ro) (s, so) =
-    {
-      dep = { input = r.input; output = s.output };
-      provenance;
-      origin = merge_origin ro so;
-    }
-  in
-  if List.compare_length_with t2 8 > 0 then begin
-    (* hash-join shape: bucket the inner side by its match key once
-       instead of scanning it per outer entry.  Buckets keep [t2] order,
-       and [t1] drives iteration, so the output order is exactly the
-       nested loop's. *)
-    let key a =
-      a.src ^ "\x00" ^ a.dst ^ "\x00" ^ a.vc
-      ^ if ignore_messages then "" else "\x00" ^ a.msg
-    in
-    let buckets = Hashtbl.create (2 * List.length t2) in
-    List.iter
-      (fun ((s, _) as e) ->
-        let k = key s.input in
-        Hashtbl.replace buckets k
-          (match Hashtbl.find_opt buckets k with
-          | Some tail -> e :: tail
-          | None -> [ e ]))
-      (List.rev t2);
-    List.concat_map
-      (fun ((r, _) as outer) ->
-        match Hashtbl.find_opt buckets (key r.output) with
-        | None -> []
-        | Some inners -> List.map (entry outer) inners)
-      t1
-  end
-  else
-    List.concat_map
-      (fun ((r, _) as outer) ->
-        List.filter_map
-          (fun ((s, _) as inner) ->
-            if matches ~ignore_messages r.output s.input then
-              Some (entry outer inner)
-            else None)
-          t2)
-      t1
 
 (* per-placement-relation match counts for the composition pass *)
 let record_matches placement matched =
@@ -158,75 +101,92 @@ let record_matches placement matched =
        ^ Protocol.Topology.placement_to_string placement))
     (List.length matched)
 
-(* One plan-observatory record per composition.  Compose is a
-   programmatic join that bypasses the SQL planner, but its physical
-   choice — hash-bucketed vs nested loop, decided by the inner
-   cardinality — is a plan decision the fingerprint must witness, so
-   plan diffs catch a silent path flip here too.  Recorded
-   from the spawning domain only (this wrapper, not [compose_core],
-   which runs on pool workers). *)
-let record_plan ~ignore_messages ~placement (n1, t1) (n2, t2) matched total_ns =
-  if Obs.Config.on () then begin
-    let len1 = List.length t1 and len2 = List.length t2 in
-    let hash_path = len2 > 8 in
-    let place = Protocol.Topology.placement_to_string placement in
-    let fingerprint =
-      Obs.Planlog.fingerprint
-        [
-          "compose";
-          n1;
-          n2;
-          place;
-          (if hash_path then "hash-bucket" else "nested-loop");
-          (if ignore_messages then "inexact" else "exact");
-        ]
-    in
-    (* each outer entry is expected to continue one transaction: the
-       uninformed unit-match estimate est = |t1| *)
-    let est = float_of_int len1 in
-    let rows_out = List.length matched in
-    let ns = Int64.to_float total_ns in
-    let scan name len =
-      {
-        Obs.Planlog.op = "scan " ^ name;
-        est_rows = float_of_int len;
-        est_cost = float_of_int len;
-        actual_rows = len;
-        actual_ns = 0.;
-        batches = 0;
-      }
-    in
-    Obs.Planlog.record ~site:"dependency.compose" ~fingerprint
-      ~query:(Printf.sprintf "compose %s . %s @ %s" n1 n2 place)
-      ~est_cost:(float_of_int (len1 + len2) +. est)
-      ~total_ns:ns ~rows_out
-      [
-        {
-          Obs.Planlog.op =
-            Printf.sprintf "compose %s (key=src,dst,vc%s)"
-              (if hash_path then "hash-bucket" else "nested-loop")
-              (if ignore_messages then "" else ",msg");
-          est_rows = est;
-          est_cost = float_of_int (len1 + len2) +. est;
-          actual_rows = rows_out;
-          actual_ns = ns;
-          batches = 0;
-        };
-        scan n1 len1;
-        scan n2 len2;
-      ]
-  end
+(* One side of a composition, flattened: every entry of every named
+   table, its dependency relocated, with the position of its table. *)
+type item = { table : int; name : string; entry : entry }
 
-let compose ~ignore_messages ~placement t1 t2 =
-  let t0 = Obs.Clock.now_ns () in
-  let matched = compose_core ~ignore_messages ~placement t1 t2 in
-  let total_ns = Obs.Clock.since t0 in
+let flatten placement side =
+  Array.of_list
+    (List.concat
+       (List.mapi
+          (fun table (name, entries) ->
+            List.map
+              (fun e ->
+                { table; name;
+                  entry = { e with dep = relocate placement e.dep } })
+              entries)
+          side))
+
+(* One row per item: the match key of [assign] of its dependency, then
+   its position in [items] under column [id]. *)
+let side_table ~name ~keys ~id items assign =
+  Table.of_rows ~name
+    (Schema.of_list (List.map fst keys @ [ id ]))
+    (List.init (Array.length items) (fun i ->
+         let a = assign items.(i).entry.dep in
+         Array.of_list
+           (List.map (fun (_, get) -> Value.Str (get a)) keys
+           @ [ Value.Int i ])))
+
+(* Composition is the join of [left]'s outputs with [right]'s inputs on
+   (src, dst, vc[, msg]).  The join returns pairs left-major with matches
+   in right order; a stable counting sort by (left table, right table)
+   turns that into the nested loop over table pairs. *)
+let compose ~ignore_messages ~placement left right =
+  let l = flatten placement left and r = flatten placement right in
+  let keys =
+    [ ("src", fun a -> a.src); ("dst", fun a -> a.dst); ("vc", fun a -> a.vc) ]
+    @ if ignore_messages then [] else [ ("msg", fun a -> a.msg) ]
+  in
+  let joined =
+    Obs.Planlog.with_site "dependency.compose" @@ fun () ->
+    Planner.equi_join
+      ~on:(List.map (fun (k, _) -> k, k) keys)
+      (side_table ~name:"outputs" ~keys ~id:"first" l (fun d -> d.output))
+      (side_table ~name:"inputs" ~keys ~id:"second" r (fun d -> d.input))
+  in
+  (* column [id] of the join, decoded once per distinct value *)
+  let positions id =
+    let j = Schema.index (Table.schema joined) id in
+    let dict = Table.dict joined j and codes = Table.codes joined j in
+    let of_code =
+      Array.init (Dict.size dict) (fun c ->
+          match Dict.value dict c with Value.Int i -> i | _ -> assert false)
+    in
+    Array.init (Table.cardinality joined) (fun k -> of_code.(codes.(k)))
+  in
+  let first = positions "first" and second = positions "second" in
+  let n = Array.length first and tables = List.length right in
+  let group k = (l.(first.(k)).table * tables) + r.(second.(k)).table in
+  let start = Array.make ((List.length left * tables) + 1) 0 in
+  for k = 0 to n - 1 do
+    let g = group k + 1 in
+    start.(g) <- start.(g) + 1
+  done;
+  for g = 1 to Array.length start - 1 do
+    start.(g) <- start.(g) + start.(g - 1)
+  done;
+  let order = Array.make n 0 in
+  for k = 0 to n - 1 do
+    let g = group k in
+    order.(start.(g)) <- k;
+    start.(g) <- start.(g) + 1
+  done;
+  let exact = not ignore_messages in
+  let matched =
+    List.init n (fun i ->
+        let a = l.(first.(order.(i))) and b = r.(second.(order.(i))) in
+        {
+          dep = { input = a.entry.dep.input; output = b.entry.dep.output };
+          provenance =
+            Composed { first = a.name; second = b.name; placement; exact };
+          origin = merge_origin a.entry.origin b.entry.origin;
+        })
+  in
   record_matches placement matched;
-  record_plan ~ignore_messages ~placement t1 t2 matched total_ns;
   matched
 
-let dedup entries =
-  let seen = Hashtbl.create 256 in
+let dedup ?(seen = Hashtbl.create 256) entries =
   List.filter
     (fun e ->
       if Hashtbl.mem seen e.dep then false
@@ -235,18 +195,6 @@ let dedup entries =
         true
       end)
     entries
-
-let compose_closure ~ignore_messages ~placements entries =
-  let parts =
-    Par.Pool.map_list ~min_chunk:1
-      (fun placement ->
-        ( placement,
-          compose_core ~ignore_messages ~placement ("closure", entries)
-            ("closure", entries) ))
-      placements
-  in
-  List.iter (fun (placement, matched) -> record_matches placement matched) parts;
-  List.concat_map snd parts
 
 let protocol_dependency ?placements ?(interleavings = true)
     ?(fixpoint = false) ~v controllers =
@@ -274,57 +222,40 @@ let protocol_dependency ?placements ?(interleavings = true)
     extracted
   in
   let modes = if interleavings then [ false; true ] else [ false ] in
+  (* every quad placement, in each matching mode *)
+  let compose_all left right =
+    List.concat_map
+      (fun placement ->
+        List.concat_map
+          (fun ignore_messages ->
+            compose ~ignore_messages ~placement left right)
+          modes)
+      placements
+  in
   let composed =
     Obs.Trace.with_span ~cat:"checker" "checker.compose" @@ fun () ->
-    (* Fan the pairwise compositions — the five quad-placement relations
-       times both matching modes times every ordered controller pair —
-       across the domain pool as independent work items.  Flattening the
-       nested iteration into a job list and concatenating results in job
-       order reproduces the sequential nesting order exactly. *)
-    let jobs =
-      List.concat_map
-        (fun placement ->
-          List.concat_map
-            (fun ignore_messages ->
-              List.concat_map
-                (fun t1 ->
-                  List.map
-                    (fun t2 -> placement, ignore_messages, t1, t2)
-                    named)
-                named)
-            modes)
-        placements
-    in
-    let parts =
-      Par.Pool.map_list ~min_chunk:1
-        (fun (placement, ignore_messages, t1, t2) ->
-          placement, compose_core ~ignore_messages ~placement t1 t2)
-        jobs
-    in
-    List.iter
-      (fun (placement, matched) -> record_matches placement matched)
-      parts;
-    List.concat_map snd parts
+    compose_all named named
   in
-  let base = dedup (List.concat_map snd named @ composed) in
+  let seen = Hashtbl.create 1024 in
+  let base = dedup ~seen (List.concat_map snd named @ composed) in
   Obs.Metrics.set
     (Obs.Metrics.gauge (Lazy.force obs_reg) "dependency_table_rows")
     (float_of_int (List.length base));
   if not fixpoint then base
   else begin
-    (* iterate self-composition until no new dependency appears *)
-    let rec iterate acc =
-      let next =
-        dedup
-          (acc
-          @ List.concat_map
-              (fun ignore_messages ->
-                compose_closure ~ignore_messages ~placements acc)
-              modes)
-      in
-      if List.length next = List.length acc then acc else iterate next
+    (* semi-naive: a round composes only the last round's new
+       dependencies [delta] with the set they extend, on either side, and
+       stops when it finds none *)
+    let closure left right =
+      compose_all [ "closure", left ] [ "closure", right ]
     in
-    iterate base
+    let rec iterate acc = function
+      | [] -> acc
+      | delta ->
+          let next = acc @ delta in
+          iterate next (dedup ~seen (closure delta next @ closure acc delta))
+    in
+    iterate base (dedup ~seen (closure base base))
   end
 
 let dep_schema =

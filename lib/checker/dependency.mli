@@ -52,12 +52,17 @@ val relocate : Protocol.Topology.placement -> dep -> dep
 val compose :
   ignore_messages:bool ->
   placement:Protocol.Topology.placement ->
-  string * entry list ->
-  string * entry list ->
+  (string * entry list) list ->
+  (string * entry list) list ->
   entry list
-(** [compose (n1, t1) (n2, t2)]: all transitive dependencies obtained by
-    matching outputs of [t1] against inputs of [t2] after relocating both
-    under [placement]. *)
+(** [compose left right]: every transitive dependency obtained by
+    matching the output of an entry of a [left] table against the input
+    of an entry of a [right] table, after relocating both under
+    [placement].  The match is one {!Relalg.Planner.equi_join} on (src,
+    dst, vc), plus msg unless [ignore_messages], recorded under plan site
+    ["dependency.compose"].  Results come in nested-loop order: left
+    table, right table, left entry, right entry.  Nothing is
+    deduplicated. *)
 
 val protocol_dependency :
   ?placements:Protocol.Topology.placement list ->
@@ -76,17 +81,12 @@ val protocol_dependency :
     dependency appears — the paper's footnote: "to ensure that [the]
     protocol dependency table includes all the dependencies, it is
     necessary to repeatedly compose … until no new dependencies are
-    added.  However, in practice this was not needed."  Experiment E13
-    verifies the footnote: the fixpoint adds rows but no new channel
-    edges or cycles. *)
-
-val compose_closure :
-  ignore_messages:bool ->
-  placements:Protocol.Topology.placement list ->
-  entry list ->
-  entry list
-(** One self-composition round over an accumulated dependency set, used
-    by the fixpoint iteration. *)
+    added.  However, in practice this was not needed."  The iteration is
+    semi-naive: each round composes only the previous round's new
+    dependencies with the accumulated set, in both orders.  Experiment
+    E13 measures the footnote: on V-vc4 and V-debugged the fixpoint adds
+    rows but no new channel edges or cycles; on V-initial it adds one
+    spurious cycle. *)
 
 val to_table : name:string -> entry list -> Relalg.Table.t
 (** Eight-column tabular form

@@ -81,6 +81,13 @@ type error =
   | Wrong_columns of string list
   | No_rows
   | Non_string_cell of { row : int; column : string; value : Value.t }
+  | Duplicate of {
+      first : int;
+      second : int;
+      msg : string;
+      src : string;
+      dst : string;
+    }
 
 exception Invalid of error
 
@@ -91,6 +98,9 @@ let error_to_string = function
   | Non_string_cell { row; column; value } ->
       Printf.sprintf "row %d, column %s: expected a name, found %s" row column
         (Value.to_sql value)
+  | Duplicate { first; second; msg; src; dst } ->
+      Printf.sprintf "rows %d and %d both assign (%s, %s, %s)" first second
+        msg src dst
 
 let of_table tbl =
   let columns = Schema.columns (Table.schema tbl) in
@@ -111,7 +121,18 @@ let of_table tbl =
     let dst = cell 2 in
     { msg; src; dst; vc = cell 3 }
   in
-  { name = Table.name tbl; rows = List.init (Table.cardinality tbl) assignment }
+  let rows = List.init (Table.cardinality tbl) assignment in
+  (* [lookup] reads the first matching row, so a second row for the same
+     triple would be silently ignored *)
+  let seen = Hashtbl.create 64 in
+  List.iteri
+    (fun second { msg; src; dst; _ } ->
+      match Hashtbl.find_opt seen (msg, src, dst) with
+      | Some first ->
+          raise (Invalid (Duplicate { first; second; msg; src; dst }))
+      | None -> Hashtbl.add seen (msg, src, dst) second)
+    rows;
+  { name = Table.name tbl; rows }
 
 let reassign t ~msg ~src ~dst ~vc =
   let t = remove t ~msg ~src ~dst in

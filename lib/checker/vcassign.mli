@@ -46,6 +46,15 @@ type error =
   | No_rows
   | Non_string_cell of { row : int; column : string; value : Relalg.Value.t }
       (** a NULL, number or boolean where a name belongs ([row] 0-based) *)
+  | Duplicate of {
+      first : int;
+      second : int;
+      msg : string;
+      src : string;
+      dst : string;
+    }
+      (** rows [first] < [second] (0-based) assign the same (message,
+          source, destination) triple *)
 
 exception Invalid of error
 
@@ -55,7 +64,8 @@ val error_to_string : error -> string
 val of_table : Relalg.Table.t -> t
 (** Inverse of {!to_table}.
     @raise Invalid unless the columns are exactly (m, s, d, v), there is
-    at least one row, and every cell is a name. *)
+    at least one row, every cell is a name, and no (m, s, d) triple is
+    assigned twice. *)
 
 val reassign : t -> msg:string -> src:string -> dst:string -> vc:string -> t
 (** Functional update of one triple's channel (adding it if absent). *)

@@ -60,7 +60,12 @@ let test_vcassign_rejects_bad_tables () =
   rejects "empty cell" "m,s,d,v\nread,local,home,VC0\nwb,local,home,\n"
     (Vcassign.Non_string_cell { row = 1; column = "v"; value = Relalg.Value.Null });
   rejects "number cell" "m,s,d,v\nread,local,home,4\n"
-    (Vcassign.Non_string_cell { row = 0; column = "v"; value = Relalg.Value.Int 4 })
+    (Vcassign.Non_string_cell { row = 0; column = "v"; value = Relalg.Value.Int 4 });
+  (* [lookup] reads the first matching row, so a second one would be dead *)
+  rejects "duplicate triple"
+    "m,s,d,v\nread,local,home,VC0\nmread,home,home,VC2\nmread,home,home,VC4\n"
+    (Vcassign.Duplicate
+       { first = 1; second = 2; msg = "mread"; src = "home"; dst = "home" })
 
 let test_vcassign_edit () =
   let v = Vcassign.reassign Vcassign.initial ~msg:"mread" ~src:"home" ~dst:"home" ~vc:"VC9" in
@@ -117,23 +122,44 @@ let test_composition_modes () =
   check_int "no exact composition" 0
     (List.length
        (Dependency.compose ~ignore_messages:false
-          ~placement:Protocol.Topology.All_distinct ("M", [ r1 ]) ("D", [ r2 ])));
+          ~placement:Protocol.Topology.All_distinct
+          [ ("M", [ r1 ]) ] [ ("D", [ r2 ]) ]));
   (* under L<>H=R with messages ignored, R1 . R2' yields the paper's R3 *)
   let composed =
     Dependency.compose ~ignore_messages:true
-      ~placement:Protocol.Topology.Hr_same ("M", [ r1 ]) ("D", [ r2 ])
+      ~placement:Protocol.Topology.Hr_same [ ("M", [ r1 ]) ] [ ("D", [ r2 ]) ]
   in
   check_int "R3 found" 1 (List.length composed);
   let r3 = (List.hd composed).Dependency.dep in
   Alcotest.(check string) "R3 closes on VC4" "VC4" r3.Dependency.output.vc;
   Alcotest.(check string) "R3 input stays wb on VC4" "VC4" r3.Dependency.input.vc
 
-(* Composition buckets its inner side by match key once that side has
-   more than eight entries, and scans it per outer entry below that.
-   Against a nested loop written out here, on inner sides past the
-   threshold whose roles, channels and messages collide, it must return
-   the same entries in the same order with the same origins. *)
-let prop_compose_matches_nested_loop =
+(* Composition as the nested loop it stands for: every entry of [t1]
+   against every entry of [t2], both relocated under [placement]. *)
+let nested_compose ~ignore_messages ~placement (n1, t1) (n2, t2) =
+  let reloc (e : Dependency.entry) =
+    (Dependency.relocate placement e.dep, e.origin)
+  in
+  let exact = not ignore_messages in
+  let provenance =
+    Dependency.Composed { first = n1; second = n2; placement; exact }
+  in
+  List.concat_map
+    (fun ((r : Dependency.dep), ro) ->
+      List.filter_map
+        (fun ((s : Dependency.dep), so) ->
+          let o = r.output and i = s.input in
+          if o.src = i.src && o.dst = i.dst && o.vc = i.vc
+             && (ignore_messages || o.msg = i.msg)
+          then
+            let so = List.filter (fun x -> not (List.mem x ro)) so in
+            let dep = { Dependency.input = r.input; output = s.output } in
+            Some { Dependency.dep; provenance; origin = ro @ so }
+          else None)
+        (List.map reloc t2))
+    (List.map reloc t1)
+
+let gen_entry name =
   let open QCheck.Gen in
   let role = oneofl [ "local"; "home"; "remote" ] in
   let assign =
@@ -142,16 +168,21 @@ let prop_compose_matches_nested_loop =
     return { Dependency.msg; src; dst; vc }
   in
   let origin = pair (oneofl [ "T"; "U" ]) (int_bound 3) in
-  let entry name =
-    let* input = assign and* output = assign
-    and* origin = list_size (int_range 1 2) origin in
-    let dep = { Dependency.input; output } in
-    return { Dependency.dep; provenance = Direct name; origin }
-  in
+  let* input = assign and* output = assign
+  and* origin = list_size (int_range 1 2) origin in
+  let dep = { Dependency.input; output } in
+  return { Dependency.dep; provenance = Direct name; origin }
+
+(* Composition runs on the planner's hash join.  Against a nested loop
+   written out here, on sides whose roles, channels and messages
+   collide, it must return the same entries in the same order with the
+   same origins. *)
+let prop_compose_matches_nested_loop =
+  let open QCheck.Gen in
   let gen =
     quad
-      (list_size (int_bound 12) (entry "T"))
-      (list_size (int_range 9 24) (entry "U"))
+      (list_size (int_bound 12) (gen_entry "T"))
+      (list_size (int_range 9 24) (gen_entry "U"))
       (oneofl Protocol.Topology.all_placements)
       bool
   in
@@ -161,31 +192,95 @@ let prop_compose_matches_nested_loop =
            (List.length t1) (List.length t2)
            (Protocol.Topology.placement_to_string p) im))
     (fun (t1, t2, placement, ignore_messages) ->
-      let reloc (e : Dependency.entry) =
-        (Dependency.relocate placement e.dep, e.origin)
-      in
-      let exact = not ignore_messages in
-      let provenance =
-        Dependency.Composed { first = "T"; second = "U"; placement; exact }
-      in
-      let nested =
+      Dependency.compose ~ignore_messages ~placement [ ("T", t1) ] [ ("U", t2) ]
+      = nested_compose ~ignore_messages ~placement ("T", t1) ("U", t2))
+
+(* With several tables on each side, one join stands for the nested loop
+   over table pairs: left table, right table, then their entries. *)
+let prop_compose_tables_in_pair_order =
+  let open QCheck.Gen in
+  let side prefix =
+    let* n = int_range 1 3 in
+    flatten_l
+      (List.init n (fun i ->
+           let name = Printf.sprintf "%s%d" prefix i in
+           map
+             (fun es -> (name, es))
+             (list_size (int_bound 8) (gen_entry name))))
+  in
+  let gen =
+    quad (side "L") (side "R") (oneofl Protocol.Topology.all_placements) bool
+  in
+  QCheck.Test.make ~count:200
+    ~name:"multi-table compose = pairwise nested loops"
+    (QCheck.make gen ~print:(fun (l, r, p, im) ->
+         Printf.sprintf "%d x %d tables %s ignore_messages=%b" (List.length l)
+           (List.length r)
+           (Protocol.Topology.placement_to_string p) im))
+    (fun (left, right, placement, ignore_messages) ->
+      Dependency.compose ~ignore_messages ~placement left right
+      = List.concat_map
+          (fun t1 ->
+            List.concat_map
+              (nested_compose ~ignore_messages ~placement t1)
+              right)
+          left)
+
+let dedup_entries entries =
+  let seen = Hashtbl.create 256 in
+  List.filter
+    (fun (e : Dependency.entry) ->
+      if Hashtbl.mem seen e.dep then false
+      else begin
+        Hashtbl.add seen e.dep ();
+        true
+      end)
+    entries
+
+(* The protocol dependency table as nested loops: the deduplicated
+   individual tables, then every placement, both matching modes, every
+   ordered pair of controller tables and every pair of their entries,
+   keeping the first provenance of each dependency. *)
+let nested_loop_dependency ~v controllers =
+  let named =
+    List.map
+      (fun c ->
+        ( Protocol.Ctrl_spec.name c.Protocol.spec,
+          dedup_entries (Dependency.individual ~v c) ))
+      controllers
+  in
+  let composed =
+    List.concat_map
+      (fun placement ->
         List.concat_map
-          (fun ((r : Dependency.dep), ro) ->
-            List.filter_map
-              (fun ((s : Dependency.dep), so) ->
-                let o = r.output and i = s.input in
-                if o.src = i.src && o.dst = i.dst && o.vc = i.vc
-                   && (ignore_messages || o.msg = i.msg)
-                then
-                  let so = List.filter (fun x -> not (List.mem x ro)) so in
-                  let dep = { Dependency.input = r.input; output = s.output } in
-                  Some { Dependency.dep; provenance; origin = ro @ so }
-                else None)
-              (List.map reloc t2))
-          (List.map reloc t1)
-      in
-      Dependency.compose ~ignore_messages ~placement ("T", t1) ("U", t2)
-      = nested)
+          (fun ignore_messages ->
+            List.concat_map
+              (fun t1 ->
+                List.concat_map
+                  (nested_compose ~ignore_messages ~placement t1)
+                  named)
+              named)
+          [ false; true ])
+      Protocol.Topology.all_placements
+  in
+  dedup_entries (List.concat_map snd named @ composed)
+
+(* Dependency, provenance, origin and order all match the nested loops
+   on the three assignments, whichever side the hash join builds on. *)
+let test_dependency_matches_nested_loop () =
+  let controllers = Protocol.deadlock_controllers in
+  List.iter
+    (fun build ->
+      Test_env.with_env "ASURA_PLAN_BUILD" build (fun () ->
+          List.iter
+            (fun (v : Vcassign.t) ->
+              check
+                (Printf.sprintf "%s, ASURA_PLAN_BUILD=%S" v.name build)
+                true
+                (Dependency.protocol_dependency ~v controllers
+                = nested_loop_dependency ~v controllers))
+            Vcassign.standard))
+    [ ""; "left"; "right" ]
 
 let test_dependency_table_form () =
   let entries =
@@ -490,4 +585,7 @@ let suite =
       test_seeded_family_crossing_update;
     Alcotest.test_case "seeded: naive retry reissue" `Slow test_seeded_naive_retry_reissue;
     Alcotest.test_case "summary format" `Quick test_invariant_summary_format;
+    Test_seed.to_alcotest prop_compose_tables_in_pair_order;
+    Alcotest.test_case "dependency table = nested loops, either build side"
+      `Slow test_dependency_matches_nested_loop;
   ]

@@ -451,8 +451,8 @@ let test_figure4_witness_packs () =
 (* The deadlock-V-vc4 seq/par regression root cause: parallel regions
    used to pay a Domain.spawn each.  Workers are resident now — once the
    pool is warm, repeated chunked regions (the deadlock analysis maps
-   490 jobs through map_list) and stealing searches must not spawn a
-   single additional domain. *)
+   its per-controller extraction through map_list) and stealing
+   searches must not spawn a single additional domain. *)
 let test_pool_spawns_no_new_domains () =
   let cfg =
     { Mcheck.Semantics.nodes = 2; addrs = 1; ops = [ "load"; "store" ];

@@ -52,6 +52,52 @@ let test_fixpoint_on_debugged () =
   check "still deadlock free at the fixpoint" true
     (Checker.Deadlock.is_deadlock_free fixed)
 
+(* The fixpoint is semi-naive: each round composes only the previous
+   round's new dependencies.  The naive loop, every round composing the
+   whole accumulated set with itself until nothing is added, must reach
+   the same dependencies and the same cycles. *)
+let naive_fixpoint v =
+  let dedup =
+    List.sort_uniq (fun (a : Checker.Dependency.entry) b ->
+        compare a.dep b.dep)
+  in
+  let round acc =
+    List.concat_map
+      (fun ignore_messages ->
+        List.concat_map
+          (fun placement ->
+            Checker.Dependency.compose ~ignore_messages ~placement
+              [ ("closure", acc) ] [ ("closure", acc) ])
+          Protocol.Topology.all_placements)
+      [ false; true ]
+  in
+  let rec iterate acc =
+    let next = dedup (acc @ round acc) in
+    if List.length next = List.length acc then acc else iterate next
+  in
+  iterate
+    (Checker.Dependency.protocol_dependency ~v Protocol.deadlock_controllers)
+
+let test_fixpoint_semi_naive () =
+  List.iter
+    (fun (v : Checker.Vcassign.t) ->
+      let fixed = Checker.Deadlock.analyze ~fixpoint:true v in
+      let naive = naive_fixpoint v in
+      let deps entries =
+        List.sort_uniq compare
+          (List.map (fun (e : Checker.Dependency.entry) -> e.dep) entries)
+      in
+      let cycles cs =
+        List.sort compare
+          (List.map (fun (c : _ Vcgraph.Cycles.cycle) -> c.nodes) cs)
+      in
+      check (v.name ^ ": same dependencies") true
+        (deps fixed.Checker.Deadlock.entries = deps naive);
+      check (v.name ^ ": same cycles") true
+        (cycles fixed.Checker.Deadlock.cycles
+        = cycles (Checker.Vcg.cycles (Checker.Vcg.build naive))))
+    Checker.Vcassign.[ with_vc4; debugged ]
+
 (* --- SQL conveniences over the real protocol database ---------------- *)
 
 let test_count_over_protocol () =
@@ -80,4 +126,6 @@ let suite =
     Alcotest.test_case "fixpoint on debugged assignment" `Slow test_fixpoint_on_debugged;
     Alcotest.test_case "count over the protocol db" `Quick test_count_over_protocol;
     Alcotest.test_case "planner over the protocol db" `Quick test_planner_over_protocol;
+    Alcotest.test_case "semi-naive fixpoint = naive fixpoint" `Slow
+      test_fixpoint_semi_naive;
   ]

@@ -54,6 +54,33 @@ let test_why_deadlock_free () =
   let text = Checker.Why.deadlock r in
   assert_contains "deadlock-free narrative" ~needle:"Deadlock free" text
 
+(* The full explanations, byte for byte, against the texts in
+   [golden/] (the output of `asura why deadlock --vc NAME [--dot]`).  Each
+   cycle edge lists its witnessing dependencies in dependency-table
+   order, so these pin that order as well as the verdicts. *)
+let golden name =
+  (* `dune runtest` runs the suite in test/, `dune exec` from the root *)
+  let path =
+    List.find Sys.file_exists
+      [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
+let test_why_deadlock_texts () =
+  List.iter
+    (fun (name, v) ->
+      let r = Checker.Deadlock.analyze v in
+      Alcotest.(check string)
+        (name ^ " narrative")
+        (golden ("why_deadlock_" ^ name ^ ".txt"))
+        (Checker.Why.deadlock r);
+      Alcotest.(check string)
+        (name ^ " dot")
+        (golden ("why_deadlock_" ^ name ^ ".dot"))
+        (Checker.Why.deadlock_dot r))
+    Checker.Vcassign.
+      [ ("initial", initial); ("vc4", with_vc4); ("debugged", debugged) ]
+
 (* ------------------------- why invariant ------------------------------ *)
 
 let test_why_invariant_lineage () =
@@ -275,4 +302,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_select_lineage;
     QCheck_alcotest.to_alcotest prop_project_lineage;
     QCheck_alcotest.to_alcotest prop_witness_contract;
+    Alcotest.test_case "why deadlock texts match the goldens" `Quick
+      test_why_deadlock_texts;
   ]
