@@ -208,7 +208,7 @@ let protocol_dependency ?placements ?(interleavings = true)
   let named =
     Obs.Trace.with_span ~cat:"checker" "checker.individual" @@ fun () ->
     let extracted =
-      Par.Pool.map_list ~min_chunk:1
+      List.map
         (fun c ->
           Protocol.Ctrl_spec.name c.Protocol.spec, dedup (individual ~v c))
         controllers

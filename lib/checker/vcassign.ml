@@ -80,7 +80,7 @@ let to_table t =
 type error =
   | Wrong_columns of string list
   | No_rows
-  | Non_string_cell of { row : int; column : string; value : Value.t }
+  | Non_string_cell of { line : int; column : string; value : Value.t }
   | Duplicate of {
       first : int;
       second : int;
@@ -95,12 +95,16 @@ let error_to_string = function
   | Wrong_columns cols ->
       Printf.sprintf "columns are %s, expected m,s,d,v" (String.concat "," cols)
   | No_rows -> "no assignment rows"
-  | Non_string_cell { row; column; value } ->
-      Printf.sprintf "row %d, column %s: expected a name, found %s" row column
-        (Value.to_sql value)
+  | Non_string_cell { line; column; value } ->
+      Printf.sprintf "line %d, column %s: expected a name, found %s" line
+        column (Value.to_sql value)
   | Duplicate { first; second; msg; src; dst } ->
-      Printf.sprintf "rows %d and %d both assign (%s, %s, %s)" first second
+      Printf.sprintf "lines %d and %d both assign (%s, %s, %s)" first second
         msg src dst
+
+(* Data row [i] of a CSV file is line [i + 2]: line 1 is the header, as
+   {!Relalg.Csv} counts in its own errors. *)
+let line_of_row i = i + 2
 
 let of_table tbl =
   let columns = Schema.columns (Table.schema tbl) in
@@ -114,7 +118,8 @@ let of_table tbl =
       | value ->
           raise
             (Invalid
-               (Non_string_cell { row = i; column = List.nth columns j; value }))
+               (Non_string_cell
+                  { line = line_of_row i; column = List.nth columns j; value }))
     in
     let msg = cell 0 in
     let src = cell 1 in
@@ -126,7 +131,8 @@ let of_table tbl =
      triple would be silently ignored *)
   let seen = Hashtbl.create 64 in
   List.iteri
-    (fun second { msg; src; dst; _ } ->
+    (fun i { msg; src; dst; _ } ->
+      let second = line_of_row i in
       match Hashtbl.find_opt seen (msg, src, dst) with
       | Some first ->
           raise (Invalid (Duplicate { first; second; msg; src; dst }))

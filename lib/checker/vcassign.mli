@@ -40,12 +40,14 @@ val channels : t -> string list
 val to_table : t -> Relalg.Table.t
 (** As a database table named after the assignment, columns (m, s, d, v). *)
 
-(** Why a table is not a channel assignment. *)
+(** Why a table is not a channel assignment.  Rows are named by the CSV
+    file line they come from, as {!Relalg.Csv} names its own errors: line
+    1 is the header, so data row [i] (0-based) is line [i + 2]. *)
 type error =
   | Wrong_columns of string list  (** the columns found, not (m, s, d, v) *)
   | No_rows
-  | Non_string_cell of { row : int; column : string; value : Relalg.Value.t }
-      (** a NULL, number or boolean where a name belongs ([row] 0-based) *)
+  | Non_string_cell of { line : int; column : string; value : Relalg.Value.t }
+      (** a NULL, number or boolean where a name belongs *)
   | Duplicate of {
       first : int;
       second : int;
@@ -53,8 +55,8 @@ type error =
       src : string;
       dst : string;
     }
-      (** rows [first] < [second] (0-based) assign the same (message,
-          source, destination) triple *)
+      (** lines [first] < [second] assign the same (message, source,
+          destination) triple *)
 
 exception Invalid of error
 

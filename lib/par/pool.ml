@@ -29,8 +29,7 @@ let with_domains n f =
    function degrades to the sequential path instead of re-entering (and
    possibly starving) the pool. *)
 let in_worker_key = Domain.DLS.new_key (fun () -> false)
-let in_worker () = Domain.DLS.get in_worker_key
-let sequential () = in_worker () || domains () <= 1
+let sequential () = Domain.DLS.get in_worker_key || domains () <= 1
 
 (* ------------------------------ the pool ------------------------------ *)
 
@@ -151,19 +150,6 @@ let record_region ~t0 ~starts ~stops ~doms n =
       (Obs.Metrics.counter reg "join_wait_us")
       (us (Int64.sub join_t stops.(0)))
 
-(* Time spent by the spawning domain stitching chunk results back
-   together (Array.concat / List.concat in the entry points below). *)
-let timed_merge f =
-  if not (Obs.Config.on ()) then f ()
-  else begin
-    let t0 = Obs.Clock.now_ns () in
-    let r = f () in
-    Obs.Metrics.add
-      (Obs.Metrics.counter (Lazy.force obs_reg) "merge_us")
-      (us (Obs.Clock.since t0));
-    r
-  end
-
 (* Run every thunk, chunk 0 on the calling domain, the rest on workers;
    return only once all have finished.  The first exception (by chunk
    index) is re-raised in the calling domain after the join, so a failing
@@ -214,7 +200,7 @@ let run_chunks (thunks : (unit -> unit) array) =
     Array.iter (function Some e -> raise e | None -> ()) failures
   end
 
-(* ------------------------- chunked entry points ------------------------ *)
+(* ------------------------- chunked parallel map ------------------------ *)
 
 (* Small-work fallback: below this many items, a chunked parallel region
    runs inline on the calling domain.  Fanning a region out costs queue
@@ -228,19 +214,18 @@ let inline_threshold = ref 128
 let inline_below () = !inline_threshold
 let set_inline_below n = inline_threshold := max 0 n
 
-let degree ?(min_chunk = 1) n =
-  if sequential () || n <= min_chunk || n < !inline_threshold then 1
-  else min (domains ()) (max 1 (n / max 1 min_chunk))
-
 (* Contiguous (offset, length) ranges with sizes differing by at most 1. *)
 let ranges n d =
   let base = n / d and extra = n mod d in
   Array.init d (fun i ->
       (i * base) + min i extra, base + if i < extra then 1 else 0)
 
-let map_chunks ?min_chunk f a =
+let map_chunks ?(min_chunk = 1) f a =
   let n = Array.length a in
-  let d = degree ?min_chunk n in
+  let d =
+    if sequential () || n <= min_chunk || n < !inline_threshold then 1
+    else min (domains ()) (max 1 (n / max 1 min_chunk))
+  in
   if d <= 1 then [| f a |]
   else begin
     let rs = ranges n d in
@@ -251,41 +236,6 @@ let map_chunks ?min_chunk f a =
            out.(i) <- Some (f (Array.sub a lo len))));
     Array.map (function Some v -> v | None -> assert false) out
   end
-
-let map_array ?min_chunk f a =
-  let d = degree ?min_chunk (Array.length a) in
-  if d <= 1 then Array.map f a
-  else
-    let parts = map_chunks ?min_chunk (Array.map f) a in
-    timed_merge (fun () -> Array.concat (Array.to_list parts))
-
-let map_list ?min_chunk f l =
-  let d = degree ?min_chunk (List.length l) in
-  if d <= 1 then List.map f l
-  else
-    Array.to_list (map_array ?min_chunk f (Array.of_list l))
-
-let concat_map_list ?min_chunk f l =
-  let d = degree ?min_chunk (List.length l) in
-  if d <= 1 then List.concat_map f l
-  else
-    let parts =
-      map_chunks ?min_chunk
-        (fun chunk -> List.concat_map f (Array.to_list chunk))
-        (Array.of_list l)
-    in
-    timed_merge (fun () -> List.concat (Array.to_list parts))
-
-let filter_list ?min_chunk p l =
-  let d = degree ?min_chunk (List.length l) in
-  if d <= 1 then List.filter p l
-  else
-    let parts =
-      map_chunks ?min_chunk
-        (fun chunk -> List.filter p (Array.to_list chunk))
-        (Array.of_list l)
-    in
-    timed_merge (fun () -> List.concat (Array.to_list parts))
 
 (* --------------------------- work stealing ---------------------------
 

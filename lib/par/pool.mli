@@ -1,19 +1,22 @@
 (** A dependency-free domain pool for the data-parallel kernels.
 
     The paper's whole methodology is bulk relational work — cross-product
-    pruning, pairwise composition, breadth-first reachability — and those
-    kernels split into independent chunks whose results only need to be
-    concatenated back in chunk order.  This module provides exactly that:
-    chunked parallel map, concat-map and filter over arrays and lists with a
-    {e deterministic merge order}, so the parallel result is structurally
-    identical to the sequential one, element for element.
+    pruning and breadth-first reachability — and those kernels split into
+    independent pieces.  This module provides two entry points:
+    {!map_chunks}, a chunked parallel map over an array whose per-chunk
+    results come back in chunk order, so a caller that concatenates them
+    gets a result structurally identical to the sequential one; and
+    {!steal_loop}, a work-stealing loop for work whose size is unknown up
+    front.  Production solver generation ([Relalg.Solver.generate]) runs
+    on the first, the model checker's frontier on the second.  The
+    reference oracles the production engines are tested against never
+    enter the pool.
 
     Worker domains are spawned lazily on first use and then persist,
     blocked on a condition variable, so a long run pays the spawn cost
-    once.  With [domains () <= 1] every entry point falls back to the
-    plain [Stdlib] sequential implementation ([List.map],
-    [List.concat_map], …), making the sequential path byte-identical to a
-    build without this module.
+    once.  With [domains () <= 1] both entry points run on the calling
+    domain: {!map_chunks} applies its function to the whole input once,
+    and {!steal_loop} is a single FIFO queue.
 
     Determinism contract: callers must pass chunk functions that are pure
     (no shared mutable state, no I/O, no observability recording); all
@@ -44,42 +47,25 @@ val with_domains : int -> (unit -> 'a) -> 'a
 (** Run a thunk under a temporary parallelism degree, restoring the
     previous degree afterwards (exception-safe). *)
 
-val sequential : unit -> bool
-(** [domains () <= 1], or the caller is itself a pool worker. *)
-
-val in_worker : unit -> bool
-(** Is the calling domain a pool worker? *)
-
-val degree : ?min_chunk:int -> int -> int
-(** [degree ~min_chunk n]: how many chunks {!map_chunks} would split [n]
-    items into — [1] means the sequential fallback.  Each chunk gets at
-    least [min_chunk] items (default [1]), and inputs smaller than the
-    {!set_inline_below} threshold always run inline: for small regions
-    the queue/barrier traffic and extra GC coordination of a fan-out
-    cost more than the parallelism recovers. *)
-
 val inline_below : unit -> int
-(** The small-work threshold (item count) below which chunked entry
-    points run inline regardless of {!domains}.  Default [128]. *)
+(** The small-work threshold (item count) below which {!map_chunks}
+    runs inline regardless of {!domains}.  Default [128]. *)
 
 val set_inline_below : int -> unit
 (** Set {!inline_below}; [0] disables the fallback, as tests do to make
     small regions fan out.  {!steal_loop} is unaffected. *)
 
 val map_chunks : ?min_chunk:int -> ('a array -> 'b) -> 'a array -> 'b array
-(** Split the input into [degree] contiguous chunks, apply [f] to each
-    chunk (in parallel when [degree > 1]), and return the per-chunk
-    results in chunk order.  With one chunk this is [[| f input |]] run in
-    the calling domain. *)
-
-val map_list : ?min_chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.map], preserving order. *)
-
-val concat_map_list : ?min_chunk:int -> ('a -> 'b list) -> 'a list -> 'b list
-(** Parallel [List.concat_map], preserving order. *)
-
-val filter_list : ?min_chunk:int -> ('a -> bool) -> 'a list -> 'a list
-(** Parallel [List.filter], preserving order. *)
+(** Split the input into contiguous chunks of at least [min_chunk] items
+    (default [1]), at most {!domains}[ ()] of them, apply [f] to each chunk
+    (in parallel when there are several), and return the per-chunk results
+    in chunk order.  The input is one chunk, [[| f input |]] run in the
+    calling domain, at one domain, from inside a pool worker, when it has
+    at most [min_chunk] items, or when it is shorter than {!inline_below}:
+    for small regions the queue/barrier traffic and extra GC coordination
+    of a fan-out cost more than the parallelism recovers.  With telemetry
+    on, a region that fans out counts one ["regions"] in the ["par"]
+    metrics registry. *)
 
 type 'job ctl = { push : 'job -> unit; stop : unit -> unit }
 (** Handle given to {!steal_loop} work functions: [push] enqueues a new
@@ -100,13 +86,13 @@ val steal_loop :
     [ctl.stop] is called.  Returns the per-participant accumulators in
     participant order.
 
-    Unlike the chunked entry points, the execution order — and therefore
+    Unlike {!map_chunks}, the execution order — and therefore
     anything order-sensitive a caller folds into its accumulators — is
     {e not} deterministic above one domain; callers needing the
     deterministic-merge contract must only extract order-free results
-    (sets, bitmap ORs, sums) from the accumulator array.  Under
-    {!sequential} (one domain, or a call from a pool worker) the loop
-    degenerates to a single FIFO queue on the calling domain, i.e. exact
-    breadth-first order.  Participants are ordinary pool jobs, so the resident worker
-    domains are reused ("spawn" counter in the ["par"] registry counts
+    (sets, bitmap ORs, sums) from the accumulator array.  At one domain,
+    or in a call from a pool worker, the loop degenerates to a single
+    FIFO queue on the calling domain, i.e. exact breadth-first order.
+    Participants are ordinary pool jobs, so the resident worker domains
+    are reused ("spawn" counter in the ["par"] registry counts
     every [Domain.spawn]). *)

@@ -1,27 +1,11 @@
 exception Schema_clash of string
 exception Incompatible_schemas of string
 
-(* Chunk sizes below which the pool is not worth waking: selections and
-   join probes are cheap per row, so parallelism only pays on bulk scans. *)
-let select_min_chunk = 1024
-let probe_min_chunk = 512
-
 let select ?funcs pred t =
-  let check =
-    Expr.compile_columns ?funcs (Table.schema t) ~dict:(Table.dict t)
-      ~codes:(Table.codes t) pred
-  in
-  let n = Table.cardinality t in
-  if Par.Pool.degree ~min_chunk:select_min_chunk n <= 1 then
-    Table.filter_idx check t
-  else
-    (* The compiled predicate only reads code arrays and compile-time memo
-       tables, so chunks can evaluate it concurrently; the chunk-order
-       merge keeps the kept indices ascending, exactly like the
-       sequential filter. *)
-    Table.gather t
-      (Par.Pool.filter_list ~min_chunk:select_min_chunk check
-         (List.init n Fun.id))
+  Table.filter_idx
+    (Expr.compile_columns ?funcs (Table.schema t) ~dict:(Table.dict t)
+       ~codes:(Table.codes t) pred)
+    t
 
 let project cols t =
   let schema = Table.schema t in
@@ -149,68 +133,35 @@ let equi_join ~on ta tb =
     done;
     !ok
   in
-  let seq_pairs () =
-    (* probe with one reused key array and push straight into growable
-       index buffers: no per-row allocation on the sequential path *)
-    let cap = ref 16 in
-    let ias = ref (Array.make !cap 0) and ibs = ref (Array.make !cap 0) in
-    let m = ref 0 in
-    let k = Array.make nkeys 0 in
-    for ia = 0 to na - 1 do
-      if key_into k ia then
-        match Hashtbl.find_opt index k with
-        | None -> ()
-        | Some matches ->
-            Array.iter
-              (fun ib ->
-                if !m = !cap then begin
-                  cap := !cap * 2;
-                  let grow a =
-                    let a' = Array.make !cap 0 in
-                    Array.blit a 0 a' 0 !m;
-                    a'
-                  in
-                  ias := grow !ias;
-                  ibs := grow !ibs
-                end;
-                !ias.(!m) <- ia;
-                !ibs.(!m) <- ib;
-                incr m)
-              matches
-    done;
-    (!ias, !ibs, !m)
-  in
-  let par_pairs () =
-    let probe ia =
-      let k = Array.make nkeys 0 in
-      if not (key_into k ia) then []
-      else
-        match Hashtbl.find_opt index k with
-        | None -> []
-        | Some matches ->
-            Array.fold_right (fun ib acc -> (ia, ib) :: acc) matches []
-    in
-    (* The build index and translation maps are immutable once populated,
-       so probe chunks may read them from several domains concurrently;
-       pair chunks concatenate in row order, matching the sequential
-       probe loop exactly. *)
-    let pairs =
-      Par.Pool.concat_map_list ~min_chunk:probe_min_chunk probe
-        (List.init na Fun.id)
-    in
-    let m = List.length pairs in
-    let ias = Array.make (max 1 m) 0 and ibs = Array.make (max 1 m) 0 in
-    List.iteri
-      (fun k (ia, ib) ->
-        ias.(k) <- ia;
-        ibs.(k) <- ib)
-      pairs;
-    (ias, ibs, m)
-  in
-  let ias, ibs, m =
-    if Par.Pool.degree ~min_chunk:probe_min_chunk na <= 1 then seq_pairs ()
-    else par_pairs ()
-  in
+  (* probe with one reused key array and push straight into growable
+     index buffers: no per-row allocation *)
+  let cap = ref 16 in
+  let ias = ref (Array.make !cap 0) and ibs = ref (Array.make !cap 0) in
+  let m = ref 0 in
+  let k = Array.make nkeys 0 in
+  for ia = 0 to na - 1 do
+    if key_into k ia then
+      match Hashtbl.find_opt index k with
+      | None -> ()
+      | Some matches ->
+          Array.iter
+            (fun ib ->
+              if !m = !cap then begin
+                cap := !cap * 2;
+                let grow a =
+                  let a' = Array.make !cap 0 in
+                  Array.blit a 0 a' 0 !m;
+                  a'
+                in
+                ias := grow !ias;
+                ibs := grow !ibs
+              end;
+              !ias.(!m) <- ia;
+              !ibs.(!m) <- ib;
+              incr m)
+            matches
+  done;
+  let ias = !ias and ibs = !ibs and m = !m in
   let col_from t idxs j =
     let src = Table.codes t j in
     let data = Array.make (max 1 m) 0 in

@@ -5,7 +5,12 @@
     generation), union (assembling dependency tables), difference, and
     joins (pairwise composition).  Set-producing operators ([union],
     [except], [intersect]) return duplicate-free tables; [select]/[project]
-    preserve multiplicity like their SQL counterparts. *)
+    preserve multiplicity like their SQL counterparts.
+
+    Every operator runs sequentially on the calling domain: [select] and
+    [equi_join] are the oracles the planner's vectorized operators are
+    differentially tested against, so they share no code with the
+    domain pool. *)
 
 exception Schema_clash of string
 (** Raised by {!cross} when operand schemas share a column name. *)

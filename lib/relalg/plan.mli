@@ -40,6 +40,9 @@ val simplify_predicate : Expr.t -> Expr.t
     ternaries with constant conditions collapse, etc. *)
 
 val execute : Database.t -> t -> Table.t
+(** Row-at-a-time evaluation, one {!Ops} call per node, sequential on the
+    calling domain: with {!of_query}, the reference oracle the planner is
+    differentially tested against ({!Sql_exec.run_query_reference}). *)
 
 val explain : t -> string
 (** Indented tree rendering, EXPLAIN-style. *)

@@ -311,43 +311,22 @@ let generate_reference ?funcs s =
       List.map (fun (_, e) -> Expr.compile ?funcs schema' e) ready
     in
     (* Extend each surviving row by every domain value of the new column,
-       keeping the candidates that pass the newly-applicable constraints.
-       The row stream is partitioned into contiguous chunks across the
-       domain pool; each chunk counts its own candidates/evaluations and
-       the spawning domain merges chunk results in chunk order, so both
-       the row order and the stats are identical to the sequential run. *)
-    let run_chunk chunk =
-      let cand = ref 0 and evals = ref 0 in
-      let extend row v =
-        incr cand;
-        let row' = Array.append row [| v |] in
-        let ok =
-          List.for_all
-            (fun check ->
-              incr evals;
-              check row')
-            applicable
-        in
-        if ok then Some row' else None
+       keeping the candidates that pass the newly-applicable constraints. *)
+    let extend row v =
+      incr candidates;
+      let row' = Array.append row [| v |] in
+      let ok =
+        List.for_all
+          (fun check ->
+            incr evaluations;
+            check row')
+          applicable
       in
-      let out =
-        List.concat_map
-          (fun row -> List.filter_map (extend row) col.domain)
-          (Array.to_list chunk)
-      in
-      out, !cand, !evals
-    in
-    let parts =
-      Par.Pool.map_chunks ~min_chunk:64 run_chunk (Array.of_list rows)
+      if ok then Some row' else None
     in
     let rows' =
-      List.concat (Array.to_list (Array.map (fun (r, _, _) -> r) parts))
+      List.concat_map (fun row -> List.filter_map (extend row) col.domain) rows
     in
-    Array.iter
-      (fun (_, c, e) ->
-        candidates := !candidates + c;
-        evaluations := !evaluations + e)
-      parts;
     let kept = List.length rows' in
     per_column := (col.cname, kept) :: !per_column;
     let considered = !candidates - candidates_before in
@@ -790,49 +769,29 @@ let generate_monolithic ?funcs s =
       (Expr.conj (List.map (fun c -> constraint_of s c.cname) order))
   in
   (* Enumerate the full cross product without materializing it as a list of
-     lists: depth-first over the domains.  For the parallel path the
-     outermost column's values are split across the pool; each chunk
-     enumerates its sub-product with private counters and a private row
-     buffer, and chunk results concatenate in value order — the exact
-     depth-first order of the sequential enumeration. *)
+     lists: depth-first over the domains. *)
   let domains = Array.of_list (List.map (fun c -> Array.of_list c.domain) order) in
   let n = Array.length domains in
-  let enum_chunk first_values =
-    let evaluations = ref 0 and candidates = ref 0 in
-    let kept = ref [] in
-    let row = Array.make (max n 1) Value.Null in
-    let rec enum i =
-      if i = n then begin
-        incr candidates;
-        incr evaluations;
-        let r = Array.sub row 0 n in
-        if conjunction r then kept := r :: !kept
-      end
-      else
-        let values = if i = 0 then first_values else domains.(i) in
-        Array.iter
-          (fun v ->
-            row.(i) <- v;
-            enum (i + 1))
-          values
-    in
-    enum 0;
-    List.rev !kept, !candidates, !evaluations
+  (* one evaluation per candidate: the whole conjunction at once *)
+  let candidates = ref 0 in
+  let kept = ref [] in
+  let row = Array.make n Value.Null in
+  let rec enum i =
+    if i = n then begin
+      incr candidates;
+      let r = Array.sub row 0 n in
+      if conjunction r then kept := r :: !kept
+    end
+    else
+      Array.iter
+        (fun v ->
+          row.(i) <- v;
+          enum (i + 1))
+        domains.(i)
   in
   (* no columns: the product of no domains is the one empty row *)
-  let parts =
-    if n = 0 then [| enum_chunk [||] |]
-    else Par.Pool.map_chunks ~min_chunk:1 enum_chunk domains.(0)
-  in
-  let rows =
-    List.concat (Array.to_list (Array.map (fun (r, _, _) -> r) parts))
-  in
-  let candidates =
-    ref (Array.fold_left (fun acc (_, c, _) -> acc + c) 0 parts)
-  in
-  let evaluations =
-    ref (Array.fold_left (fun acc (_, _, e) -> acc + e) 0 parts)
-  in
+  enum 0;
+  let rows = List.rev !kept in
   Obs.Metrics.add
     (obs_counter (Printf.sprintf "pruned.%s.<full product>" s.sname))
     (!candidates - List.length rows);
@@ -841,7 +800,7 @@ let generate_monolithic ?funcs s =
   ( Table.of_rows ~name:s.sname schema rows,
     {
       candidates = !candidates;
-      evaluations = !evaluations;
+      evaluations = !candidates;
       per_column = [ ("<full product>", List.length rows) ];
       pruning =
         [ { column = "<full product>"; considered = !candidates;

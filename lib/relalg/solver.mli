@@ -90,9 +90,11 @@ val generate : ?funcs:Expr.funcs -> spec -> Table.t * stats
 
 val generate_reference : ?funcs:Expr.funcs -> spec -> Table.t * stats
 (** The same incremental generation over boxed rows, one [Value] array per
-    candidate, unconditionally — the oracle {!generate} is differentially
-    tested against: same rows in the same order, same {!stats}. *)
+    candidate, sequential on the calling domain — the oracle {!generate} is
+    differentially tested against: same rows in the same order, same
+    {!stats}. *)
 
 val generate_monolithic : ?funcs:Expr.funcs -> spec -> Table.t * stats
-(** Full cross product, then filter by the conjunction of all constraints.
-    Same result as {!generate}; exponentially more work. *)
+(** Full cross product, then filter by the conjunction of all constraints,
+    depth-first and sequential on the calling domain.  Same result as
+    {!generate}; exponentially more work. *)

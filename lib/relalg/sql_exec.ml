@@ -5,85 +5,35 @@ let error fmt = Printf.ksprintf (fun s -> raise (Exec_error s)) fmt
 let obs_reg = lazy (Obs.Metrics.registry "relalg")
 let obs_counter name = Obs.Metrics.counter (Lazy.force obs_reg) name
 
-(* The reference row-at-a-time interpreter: one {!Ops} call per clause,
-   in the fixed textbook order.  Kept verbatim as the differential-test
-   oracle for the cost-based planner below. *)
-let rec run_query_reference db (q : Sql_ast.query) =
-  match q with
-  | Select { distinct; columns; from; where; order_by; limit } ->
-      let table =
-        match Database.find_opt db from with
-        | Some t -> t
-        | None -> error "unknown table %s" from
-      in
-      let table =
-        match where with
-        | None -> table
-        | Some pred -> Ops.select ~funcs:(Database.functions db) pred table
-      in
-      let dir = function Sql_ast.Asc -> `Asc | Sql_ast.Desc -> `Desc in
-      let sort t =
-        match order_by with
-        | [] -> t
-        | keys -> Ops.order_by (List.map (fun (c, d) -> (c, dir d)) keys) t
-      in
-      (* Plain projections sort {e upstream}, so ORDER BY may use
-         columns the SELECT list drops (projection preserves row
-         order).  Aggregates sort downstream, over their output columns
-         ([count] included). *)
-      let table, sorted =
-        match columns with
-        | Sql_ast.Star -> (sort table, true)
-        | Sql_ast.Columns cols -> (Ops.project cols (sort table), true)
-        | Sql_ast.Count ->
-            ( Table.of_rows ~name:"<count>"
-                (Schema.of_list [ "count" ])
-                [ [| Value.Int (Table.cardinality table) |] ],
-              false )
-        | Sql_ast.Group_count cols ->
-            let groups = Ops.group_count ~by:cols table in
-            ( Table.of_rows ~name:"<group>"
-                (Schema.of_list (cols @ [ "count" ]))
-                (List.map
-                   (fun (key, n) -> Array.append key [| Value.Int n |])
-                   groups),
-              false )
-      in
-      let table = if distinct then Table.distinct table else table in
-      let table = if sorted then table else sort table in
-      let table =
-        match limit with None -> table | Some n -> Ops.limit n table
-      in
-      Table.with_name "<query>" table
-  | Union (a, b) ->
-      Ops.union (run_query_reference db a) (run_query_reference db b)
-  | Except (a, b) ->
-      Ops.except (run_query_reference db a) (run_query_reference db b)
-  | Intersect (a, b) ->
-      Ops.intersect (run_query_reference db a) (run_query_reference db b)
-
 let rec referenced_tables (q : Sql_ast.query) =
   match q with
   | Select { from; _ } -> [ from ]
   | Union (a, b) | Except (a, b) | Intersect (a, b) ->
       referenced_tables a @ referenced_tables b
 
+let find_tables db q =
+  List.map
+    (fun name ->
+      match Database.find_opt db name with
+      | Some t -> t
+      | None -> error "unknown table %s" name)
+    (referenced_tables q)
+
+(* The row-at-a-time oracle: the unoptimized plan run through {!Ops},
+   one operator at a time, on the calling domain. *)
+let run_query_reference db q =
+  ignore (find_tables db q);
+  Table.with_name "<query>" (Plan.execute db (Plan.of_query q))
+
 (* Dispatch: the cost-based planner runs the query through the
-   vectorized engine.  Unknown tables and unknown functions are
-   reported with the reference interpreter's error messages.  [prepare]
-   supplies the plan, given the referenced tables.  Planner executions
+   vectorized engine.  Unknown tables and unknown functions raise
+   {!Exec_error}.  [prepare] supplies the plan, given the referenced
+   tables.  Planner executions
    land in the plan observatory under [label] (the SQL text when coming
    through {!query}); the "sql" site applies only when no more specific
    call-site label (invariant id, solver phase) is already active. *)
 let dispatch ?label db (q : Sql_ast.query) ~prepare =
-  let tables =
-    List.map
-      (fun name ->
-        match Database.find_opt db name with
-        | Some t -> t
-        | None -> error "unknown table %s" name)
-      (referenced_tables q)
-  in
+  let tables = find_tables db q in
   try
     let run () = Planner.run_prepared ?label db (prepare tables) in
     match Obs.Planlog.site () with

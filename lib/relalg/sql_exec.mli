@@ -11,14 +11,17 @@ val run_query : ?label:string -> Database.t -> Sql_ast.query -> Table.t
 (** Evaluate a query AST.  The result table is named ["<query>"] unless
     produced by [CREATE TABLE … AS].  Runs the cost-based {!Planner}
     (vectorized execution).  An unknown table or function raises
-    {!Exec_error}, as in {!run_query_reference}.  Planner executions
+    {!Exec_error}.  Planner executions
     are recorded in the plan observatory under [label] (default: the
     pretty-printed query), at site ["sql"] unless a more specific
     {!Obs.Planlog.with_site} label is active. *)
 
 val run_query_reference : Database.t -> Sql_ast.query -> Table.t
-(** The row-at-a-time reference interpreter, unconditionally — the
-    oracle the planner is differentially tested against. *)
+(** The oracle the planner is differentially tested against:
+    {!Plan.execute} over the unoptimized {!Plan.of_query}, one {!Ops}
+    call per plan node, sequential on the calling domain.  An unknown
+    table raises {!Exec_error}; an unknown function raises
+    {!Expr.Unknown_function}.  The result is named ["<query>"]. *)
 
 val run_statement : Database.t -> Sql_ast.statement -> Database.t * Table.t option
 (** Evaluate a statement; [CREATE TABLE AS] / [INSERT] / [DROP] return the

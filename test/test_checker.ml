@@ -57,15 +57,40 @@ let test_vcassign_rejects_bad_tables () =
   rejects "wrong header" "a,b,c,d\nread,local,home,VC0\n"
     (Vcassign.Wrong_columns [ "a"; "b"; "c"; "d" ]);
   rejects "header only" "m,s,d,v\n" Vcassign.No_rows;
+  (* errors name file lines: the header is line 1 *)
   rejects "empty cell" "m,s,d,v\nread,local,home,VC0\nwb,local,home,\n"
-    (Vcassign.Non_string_cell { row = 1; column = "v"; value = Relalg.Value.Null });
+    (Vcassign.Non_string_cell { line = 3; column = "v"; value = Relalg.Value.Null });
   rejects "number cell" "m,s,d,v\nread,local,home,4\n"
-    (Vcassign.Non_string_cell { row = 0; column = "v"; value = Relalg.Value.Int 4 });
+    (Vcassign.Non_string_cell { line = 2; column = "v"; value = Relalg.Value.Int 4 });
   (* [lookup] reads the first matching row, so a second one would be dead *)
   rejects "duplicate triple"
     "m,s,d,v\nread,local,home,VC0\nmread,home,home,VC2\nmread,home,home,VC4\n"
     (Vcassign.Duplicate
-       { first = 1; second = 2; msg = "mread"; src = "home"; dst = "home" })
+       { first = 3; second = 4; msg = "mread"; src = "home"; dst = "home" });
+  (* the paper's Figure-4 file with a second mread row inserted above
+     line 38: the message names the lines an editor shows.  `dune
+     runtest` runs the suite in test/, `dune exec` from the root *)
+  let path =
+    List.find Sys.file_exists [ "../examples/vc2_vc4"; "examples/vc2_vc4" ]
+  in
+  let lines =
+    String.split_on_char '\n'
+      (In_channel.with_open_text path In_channel.input_all)
+  in
+  let csv =
+    String.concat "\n"
+      (List.filteri (fun i _ -> i < 37) lines
+      @ ("mread,home,home,VC2" :: List.filteri (fun i _ -> i >= 37) lines))
+  in
+  check "line 38 is the original mread row" true
+    (List.nth lines 37 = "mread,home,home,VC4");
+  match Vcassign.of_table (Relalg.Csv.of_string ~name:"v" csv) with
+  | _ -> Alcotest.fail "duplicate in the Figure-4 file: accepted"
+  | exception Vcassign.Invalid e ->
+      Alcotest.(check string)
+        "duplicate in the Figure-4 file"
+        "lines 38 and 39 both assign (mread, home, home)"
+        (Vcassign.error_to_string e)
 
 let test_vcassign_edit () =
   let v = Vcassign.reassign Vcassign.initial ~msg:"mread" ~src:"home" ~dst:"home" ~vc:"VC9" in

@@ -134,12 +134,21 @@ let prop_hash_stable_across_domains =
          Printf.sprintf "nodes=%d addrs=%d, %d states" n a (List.length sts)))
     (fun (nodes, addrs, sts) ->
       let l = layout_for ~nodes ~addrs ~capacity:3 in
-      let packed = List.map (Pack.pack l) sts in
-      let reference = List.map Pack.hash packed in
+      let packed = Array.of_list (List.map (Pack.pack l) sts) in
+      let reference = Array.map Pack.hash packed in
+      (* eight states sit below the small-work threshold: lift it so the
+         chunks really run on pool workers *)
+      let inline = Par.Pool.inline_below () in
+      Par.Pool.set_inline_below 0;
+      Fun.protect ~finally:(fun () -> Par.Pool.set_inline_below inline)
+      @@ fun () ->
       List.for_all
         (fun d ->
           Par.Pool.with_domains d (fun () ->
-              Par.Pool.map_list ~min_chunk:1 Pack.hash packed = reference))
+              Array.concat
+                (Array.to_list
+                   (Par.Pool.map_chunks (Array.map Pack.hash) packed))
+              = reference))
         [ 1; 2; 4 ])
 
 let perm_gen nodes =

@@ -106,46 +106,66 @@ let prop_generate_diff =
     ~name:"incremental generation identical across 1/2/4 domains" spec_arb
     (fun s -> agree (fun () -> observe_generation (Solver.generate s)))
 
-let prop_monolithic_diff =
-  QCheck.Test.make ~count:500
-    ~name:"monolithic generation identical across 1/2/4 domains" spec_arb
-    (fun s ->
-      agree (fun () -> observe_generation (Solver.generate_monolithic s)))
+(* ----------------------- the oracles stay sequential ------------------ *)
 
-(* --------------------- relational-operator differential --------------- *)
+(* The reference oracles share no code with the domain pool: at four
+   domains, with the small-work fallback off and telemetry on, none of
+   them fans a region out, even over inputs big enough that a chunked
+   scan, probe or extension would split them four ways. *)
+let never_fan_out oracles =
+  let inline = Par.Pool.inline_below () in
+  Par.Pool.set_inline_below 0;
+  Fun.protect ~finally:(fun () -> Par.Pool.set_inline_below inline)
+  @@ fun () ->
+  Par.Pool.with_domains 4 @@ fun () ->
+  Obs.Config.with_enabled @@ fun () ->
+  List.iter
+    (fun (name, run) ->
+      let before = regions () in
+      run ();
+      Alcotest.(check int) (name ^ " opened no parallel region") before
+        (regions ()))
+    oracles
 
-let wide_table_gen =
-  QCheck.Gen.(
-    let* n = int_range 0 1500 in
-    let* rows =
-      list_repeat n
-        (let* k = oneofl value_pool in
-         let* x = int_bound 9 in
-         return [| Value.Str k; Value.Int x |])
-    in
-    return (Table.of_rows ~name:"t" (Schema.of_list [ "k"; "x" ]) rows))
+let test_relational_oracles_sequential () =
+  let keys = Array.of_list value_pool in
+  let t =
+    Table.of_rows ~name:"t"
+      (Schema.of_list [ "k"; "x" ])
+      (List.init 2_048 (fun i ->
+           [| Value.Str keys.(i mod Array.length keys); Value.Int (i mod 10) |]))
+  in
+  let u =
+    Table.of_rows ~name:"u"
+      (Schema.of_list [ "k"; "y" ])
+      (Array.to_list (Array.mapi (fun i k -> [| Value.Str k; Value.Int i |]) keys))
+  in
+  let db = Database.of_tables [ t; u ] in
+  never_fan_out
+    [
+      ("Ops.select", fun () -> ignore (Ops.select (Expr.eq "k" "a") t));
+      ("Ops.equi_join", fun () -> ignore (Ops.equi_join ~on:[ "k", "k" ] t u));
+      ( "Sql_exec.run_query_reference",
+        fun () ->
+          ignore
+            (Sql_exec.run_query_reference db
+               (Sql_parser.parse_query
+                  "SELECT x FROM t WHERE NOT k = 'b' ORDER BY x")) );
+    ]
 
-let prop_select_diff =
-  QCheck.Test.make ~count:100
-    ~name:"parallel selection identical across 1/2/4 domains"
-    (QCheck.make
-       QCheck.Gen.(pair wide_table_gen (oneofl value_pool))
-       ~print:(fun (t, v) ->
-         Printf.sprintf "%d rows, k=%s" (Table.cardinality t) v))
-    (fun (t, v) ->
-      agree (fun () -> Table.rows (Ops.select (Expr.eq "k" v) t)))
-
-let prop_join_diff =
-  QCheck.Test.make ~count:100
-    ~name:"parallel hash-join probe identical across 1/2/4 domains"
-    (QCheck.make
-       QCheck.Gen.(pair wide_table_gen wide_table_gen)
-       ~print:(fun (a, b) ->
-         Printf.sprintf "%d x %d rows" (Table.cardinality a)
-           (Table.cardinality b)))
-    (fun (a, b) ->
-      let b = Ops.rename [ "k", "k"; "x", "y" ] b in
-      agree (fun () -> Table.rows (Ops.equi_join ~on:[ "k", "k" ] a b)))
+let test_solver_oracles_sequential () =
+  let specs =
+    QCheck.Gen.generate ~n:20
+      ~rand:(Test_seed.rand_for "solver oracles never fan out")
+      spec_gen
+  in
+  let each generate () = List.iter (fun s -> ignore (generate s)) specs in
+  never_fan_out
+    [
+      ("Solver.generate_reference", each (Solver.generate_reference ?funcs:None));
+      ( "Solver.generate_monolithic",
+        each (Solver.generate_monolithic ?funcs:None) );
+    ]
 
 (* ----------------------- deadlock-check differential ------------------ *)
 
@@ -450,9 +470,8 @@ let test_figure4_witness_packs () =
 
 (* The deadlock-V-vc4 seq/par regression root cause: parallel regions
    used to pay a Domain.spawn each.  Workers are resident now — once the
-   pool is warm, repeated chunked regions (the deadlock analysis maps
-   its per-controller extraction through map_list) and stealing
-   searches must not spawn a single additional domain. *)
+   pool is warm, repeated chunked regions and stealing searches must not
+   spawn a single additional domain. *)
 let test_pool_spawns_no_new_domains () =
   let cfg =
     { Mcheck.Semantics.nodes = 2; addrs = 1; ops = [ "load"; "store" ];
@@ -461,10 +480,13 @@ let test_pool_spawns_no_new_domains () =
   Par.Pool.with_domains 4 (fun () ->
       (* warm the pool to its high-water mark — a big enough region to
          clear the small-work inline fallback and actually fan out *)
-      ignore (Par.Pool.map_list ~min_chunk:1 Fun.id (List.init 512 Fun.id));
+      let chunked () =
+        ignore (Par.Pool.map_chunks Array.length (Array.make 512 ()))
+      in
+      chunked ();
       let before = Obs.Metrics.aggregate "spawn" in
       for _ = 1 to 3 do
-        ignore (Checker.Deadlock.analyze Checker.Vcassign.with_vc4);
+        chunked ();
         ignore
           (Mcheck.Explore.run ~max_states:2_000
              ~tables:(Lazy.force mcheck_tables) cfg)
@@ -476,9 +498,10 @@ let test_pool_spawns_no_new_domains () =
 let suite =
   [
     fans_out prop_generate_diff;
-    fans_out prop_monolithic_diff;
-    Test_seed.to_alcotest prop_select_diff;
-    Test_seed.to_alcotest prop_join_diff;
+    Alcotest.test_case "relational oracles never fan out" `Quick
+      test_relational_oracles_sequential;
+    Alcotest.test_case "solver oracles never fan out" `Quick
+      test_solver_oracles_sequential;
     Test_seed.to_alcotest prop_deadlock_diff;
     Test_seed.to_alcotest prop_mcheck_steal_diff;
     Test_seed.to_alcotest prop_mcheck_steal_bounded;
@@ -488,8 +511,8 @@ let suite =
       test_steal_seeded_bug_matches_seq;
     Alcotest.test_case "resident pool spawns no new domains" `Quick
       test_pool_spawns_no_new_domains;
-    Alcotest.test_case "figure 4 witness packs" `Quick
-      test_figure4_witness_packs;
     Alcotest.test_case "3-node symmetric steal search matches the reference"
       `Slow test_steal_3node_symmetry;
+    Alcotest.test_case "figure 4 witness packs" `Quick
+      test_figure4_witness_packs;
   ]

@@ -26,6 +26,77 @@ let test_translation () =
   | Plan.Distinct (Plan.Project ([ "a" ], Plan.Select (_, Plan.Scan "T"))) -> ()
   | p -> Alcotest.fail ("unexpected plan: " ^ Plan.explain p)
 
+(* The translation written out by hand from the SQL semantics, the
+   independent check on [Plan.of_query] that lets the reference oracle
+   be [Plan.execute] over it.  A plain projection sorts below its
+   [Project], so ORDER BY may name a column the SELECT list drops; an
+   aggregate sorts above, over its output columns; DISTINCT applies to
+   the projected rows and LIMIT to the final order. *)
+let of_query_golden =
+  let open Plan in
+  let b_is_1 = Expr.eq "b" "1" and a_is_x = Expr.eq "a" "x" in
+  [
+    ("SELECT * FROM T", Scan "T");
+    ( "SELECT * FROM T ORDER BY b DESC, a",
+      Sort ([ ("b", `Desc); ("a", `Asc) ], Scan "T") );
+    ("SELECT a, b FROM T", Project ([ "a"; "b" ], Scan "T"));
+    ( "SELECT a FROM T ORDER BY b",
+      Project ([ "a" ], Sort ([ ("b", `Asc) ], Scan "T")) );
+    ( "SELECT a FROM T WHERE b = '1' ORDER BY b DESC",
+      Project ([ "a" ], Sort ([ ("b", `Desc) ], Select (b_is_1, Scan "T"))) );
+    ("SELECT COUNT(*) FROM T", Count (Scan "T"));
+    ( "SELECT COUNT(*) FROM T WHERE a = 'x'",
+      Count (Select (a_is_x, Scan "T")) );
+    ("SELECT a, COUNT(*) FROM T GROUP BY a", Group_count ([ "a" ], Scan "T"));
+    ( "SELECT a, COUNT(*) FROM T GROUP BY a ORDER BY count DESC",
+      Sort ([ ("count", `Desc) ], Group_count ([ "a" ], Scan "T")) );
+    ( "SELECT a, COUNT(*) FROM T WHERE b = '1' GROUP BY a ORDER BY count, a",
+      Sort
+        ( [ ("count", `Asc); ("a", `Asc) ],
+          Group_count ([ "a" ], Select (b_is_1, Scan "T")) ) );
+    ("SELECT DISTINCT a FROM T", Distinct (Project ([ "a" ], Scan "T")));
+    ("SELECT DISTINCT * FROM T", Distinct (Scan "T"));
+    ( "SELECT DISTINCT a FROM T WHERE b = '1' ORDER BY a",
+      Distinct
+        (Project ([ "a" ], Sort ([ ("a", `Asc) ], Select (b_is_1, Scan "T"))))
+    );
+    ("SELECT * FROM T LIMIT 2", Limit (2, Scan "T"));
+    ( "SELECT a FROM T ORDER BY b LIMIT 1",
+      Limit (1, Project ([ "a" ], Sort ([ ("b", `Asc) ], Scan "T"))) );
+    ( "SELECT DISTINCT a FROM T LIMIT 1",
+      Limit (1, Distinct (Project ([ "a" ], Scan "T"))) );
+    ( "SELECT a, COUNT(*) FROM T GROUP BY a ORDER BY count DESC LIMIT 1",
+      Limit (1, Sort ([ ("count", `Desc) ], Group_count ([ "a" ], Scan "T")))
+    );
+    ( "SELECT * FROM T WHERE NOT (a = 'x' OR b = '1')",
+      Select (Expr.Not (Expr.Or (a_is_x, b_is_1)), Scan "T") );
+    ( "SELECT a FROM T WHERE a = 'x' AND b <> '1'",
+      Project ([ "a" ], Select (Expr.And (a_is_x, Expr.neq "b" "1"), Scan "T"))
+    );
+    ( "SELECT a FROM T UNION SELECT a FROM U",
+      Union (Project ([ "a" ], Scan "T"), Project ([ "a" ], Scan "U")) );
+    ( "SELECT a FROM T EXCEPT SELECT a FROM U WHERE b = '9'",
+      Except
+        ( Project ([ "a" ], Scan "T"),
+          Project ([ "a" ], Select (Expr.eq "b" "9", Scan "U")) ) );
+    ( "SELECT a FROM T INTERSECT SELECT a FROM U",
+      Intersect (Project ([ "a" ], Scan "T"), Project ([ "a" ], Scan "U")) );
+    ( "SELECT a FROM T ORDER BY b UNION SELECT DISTINCT a FROM U",
+      Union
+        ( Project ([ "a" ], Sort ([ ("b", `Asc) ], Scan "T")),
+          Distinct (Project ([ "a" ], Scan "U")) ) );
+  ]
+
+let test_of_query_golden () =
+  let plan =
+    Alcotest.testable
+      (fun fmt p -> Format.pp_print_string fmt (Plan.explain p))
+      ( = )
+  in
+  List.iter
+    (fun (src, want) -> Alcotest.check plan src want (Plan.of_query (q src)))
+    of_query_golden
+
 let test_simplify_predicate () =
   let s = Plan.simplify_predicate in
   check "x and true = x" true
@@ -260,6 +331,7 @@ let prop_csv_roundtrip =
 let suite =
   [
     Alcotest.test_case "query translation" `Quick test_translation;
+    Alcotest.test_case "of_query golden table" `Quick test_of_query_golden;
     Alcotest.test_case "predicate simplification" `Quick test_simplify_predicate;
     Alcotest.test_case "optimizer rules" `Quick test_optimizer_rules;
     Alcotest.test_case "optimizer preserves semantics" `Quick test_optimizer_preserves_semantics;
