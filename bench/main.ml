@@ -33,6 +33,11 @@ let benchmarks =
     Test.make ~name:"deadlock-V-debugged"
       (Staged.stage (fun () ->
            ignore (Checker.Deadlock.analyze Checker.Vcassign.debugged)));
+    (* E13: footnote 2, the semi-naive fixpoint on the initial assignment *)
+    Test.make ~name:"deadlock-V-initial-fixpoint"
+      (Staged.stage (fun () ->
+           ignore
+             (Checker.Deadlock.analyze ~fixpoint:true Checker.Vcassign.initial)));
     (* E6: the invariant suite *)
     Test.make ~name:"invariants-all"
       (Staged.stage (fun () ->

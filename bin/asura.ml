@@ -263,10 +263,9 @@ let assignment_or_csv_conv =
         Error (path ^ ": is a directory, not a CSV file")
       else
         Ok
-          (Checker.Vcassign.of_table
-             (Relalg.Csv.load
-                ~name:(Filename.remove_extension (Filename.basename path))
-                ~filename:path))
+          (Checker.Vcassign.of_csv
+             ~name:(Filename.remove_extension (Filename.basename path))
+             (In_channel.with_open_bin path In_channel.input_all))
     with
     | Relalg.Csv.Csv_error { line; message } ->
         Error (Printf.sprintf "%s: line %d: %s" path line message)

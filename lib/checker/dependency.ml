@@ -18,245 +18,296 @@ type entry = {
   origin : (string * int) list;
 }
 
-let obs_reg = lazy (Obs.Metrics.registry "checker")
-let obs_counter name = Obs.Metrics.counter (Lazy.force obs_reg) name
+let obs_counter name =
+  Obs.Metrics.counter (Obs.Metrics.registry "checker") name
 
-(* Read one (msg, src, dst) column triple off a row, resolving dont-care
-   role cells from the message's canonical direction. *)
-let triple_of_row schema row (mc, sc, dc) =
-  let get c = row.(Schema.index schema c) in
-  match get mc with
-  | Value.Str msg ->
-      let fallback f =
-        match Protocol.Message.find msg with
-        | Some m -> Some (Protocol.Topology.node_class_to_string (f m))
-        | None -> None
-      in
-      let resolve cell f =
-        match cell with
-        | Value.Str s -> Some s
-        | Value.Null -> fallback f
-        | Value.Int _ | Value.Bool _ | Value.Float _ -> None
-      in
-      Option.bind (resolve (get sc) (fun m -> m.Protocol.Message.src))
-        (fun src ->
-          Option.map
-            (fun dst -> msg, src, dst)
-            (resolve (get dc) (fun m -> m.Protocol.Message.dst)))
-  | Value.Null | Value.Int _ | Value.Bool _ | Value.Float _ -> None
-
-let assign_of ~v (msg, src, dst) =
-  Option.map
-    (fun vc -> { msg; src; dst; vc })
-    (Vcassign.lookup v ~msg ~src ~dst)
+(* For one column triple of [tbl]: the assignment row [i] carries there,
+   if V ([vcs]) gives it a channel, with a dont-care role cell resolved
+   from the message's canonical direction.  Each distinct code triple is
+   decoded and looked up once. *)
+let resolver vcs tbl (mc, sc, dc) =
+  let col c =
+    let j = Schema.index (Table.schema tbl) c in
+    (Table.dict tbl j, Table.codes tbl j)
+  in
+  let (dm, cm), (ds, cs), (dd, cd) = (col mc, col sc, col dc) in
+  let resolve i =
+    match Dict.value dm cm.(i) with
+    | Value.Str msg -> (
+        let role d c f =
+          match Dict.value d c with
+          | Value.Str s -> Some s
+          | Value.Null ->
+              Option.map
+                (fun m -> Protocol.Topology.node_class_to_string (f m))
+                (Protocol.Message.find msg)
+          | Value.Int _ | Value.Bool _ | Value.Float _ -> None
+        in
+        match
+          ( role ds cs.(i) (fun m -> m.Protocol.Message.src),
+            role dd cd.(i) (fun m -> m.Protocol.Message.dst) )
+        with
+        | Some src, Some dst ->
+            Option.map
+              (fun vc -> { msg; src; dst; vc })
+              (Hashtbl.find_opt vcs (msg, src, dst))
+        | _ -> None)
+    | Value.Null | Value.Int _ | Value.Bool _ | Value.Float _ -> None
+  in
+  let memo = Hashtbl.create 16 in
+  fun i ->
+    let k = (cm.(i), cs.(i), cd.(i)) in
+    match Hashtbl.find_opt memo k with
+    | Some a -> a
+    | None ->
+        let a = resolve i in
+        Hashtbl.add memo k a;
+        a
 
 let individual ~v (c : Protocol.controller) =
-  let tbl = Protocol.Ctrl_spec.table c.Protocol.spec in
-  let schema = Table.schema tbl in
-  let name = Protocol.Ctrl_spec.name c.Protocol.spec in
-  let of_row i row =
-    List.concat_map
-      (fun in_triple ->
-        match
-          Option.bind (triple_of_row schema row in_triple) (assign_of ~v)
-        with
-        | None -> []
-        | Some input ->
-            List.filter_map
-              (fun out_triple ->
-                Option.bind
-                  (Option.bind (triple_of_row schema row out_triple)
-                     (assign_of ~v))
-                  (fun output ->
-                    Some
-                      {
-                        dep = { input; output };
-                        provenance = Direct name;
-                        origin = [ (name, i) ];
-                      }))
-              c.Protocol.out_triples)
-      c.Protocol.in_triples
-  in
-  (* indexed scan, decoding one row at a time: the row number becomes the
-     entry's origin so diagnostics can point back at the controller row *)
-  let acc = ref [] in
-  for i = Table.cardinality tbl - 1 downto 0 do
-    acc := of_row i (Table.get tbl i) :: !acc
-  done;
-  List.concat !acc
+  let tbl = Protocol.Ctrl_spec.table c.spec in
+  let name = Protocol.Ctrl_spec.name c.spec in
+  (* V as a hash index; the first row of a triple wins, as in lookup *)
+  let vcs = Hashtbl.create 64 in
+  List.iter
+    (fun (a : Vcassign.assignment) ->
+      if not (Hashtbl.mem vcs (a.msg, a.src, a.dst)) then
+        Hashtbl.add vcs (a.msg, a.src, a.dst) a.vc)
+    v.Vcassign.rows;
+  let ins = List.map (resolver vcs tbl) c.in_triples
+  and outs = List.map (resolver vcs tbl) c.out_triples in
+  (* rows in order, then input triples, then output triples *)
+  List.concat
+    (List.init (Table.cardinality tbl) (fun i ->
+         List.concat_map
+           (fun input ->
+             match input i with
+             | None -> []
+             | Some input ->
+                 List.filter_map
+                   (fun output ->
+                     Option.map
+                       (fun output ->
+                         { dep = { input; output };
+                           provenance = Direct name;
+                           origin = [ (name, i) ] })
+                       (output i))
+                   outs)
+           ins))
 
 let relocate placement d =
   let c = Protocol.Topology.canon_string placement in
   let move a = { a with src = c a.src; dst = c a.dst } in
   { input = move d.input; output = move d.output }
 
-let merge_origin a b =
-  a @ List.filter (fun x -> not (List.mem x a)) b
+(* A pass numbers the assignments it meets, so a dependency's key is a
+   pair of integers: its input's number and its output's. *)
+let key ids d =
+  let id a =
+    match Hashtbl.find_opt ids a with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length ids in
+        Hashtbl.add ids a i;
+        i
+  in
+  (id d.input, id d.output)
 
-(* per-placement-relation match counts for the composition pass *)
-let record_matches placement matched =
-  Obs.Metrics.add
-    (obs_counter
-       ("compose_matches."
-       ^ Protocol.Topology.placement_to_string placement))
-    (List.length matched)
+(* adds [k] to [seen]; false when it was there already *)
+let fresh seen k = (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true)
 
-(* One side of a composition, flattened: every entry of every named
-   table, its dependency relocated, with the position of its table. *)
-type item = { table : int; name : string; entry : entry }
+(* A composed dependency's rows are its derivation flattened: the left
+   parent's rows, then the right parent's that are not among them. *)
+let derive a b = a @ List.filter (fun r -> not (List.mem r a)) b
 
-let flatten placement side =
+(* One side of a composition: every entry of every named table,
+   relocated, with the position of its table.  With [distinct], only the
+   first entry of each relocated dependency is kept, and [size] counts
+   the entries it stands for.  No first occurrence of a composed
+   dependency is lost: entries run table by table, so if [e'] follows
+   [e] with the same relocated dependency, [e'] composes the same
+   dependencies as [e] with every partner, later in nested-loop order
+   (left table, right table, left entry, right entry). *)
+type item = { table : int; entry : entry; key : int * int; mutable size : int }
+
+let flatten ids ~distinct placement side =
+  let opener = Hashtbl.create 256 in
   Array.of_list
     (List.concat
        (List.mapi
-          (fun table (name, entries) ->
-            List.map
+          (fun table (_, entries) ->
+            List.filter_map
               (fun e ->
-                { table; name;
-                  entry = { e with dep = relocate placement e.dep } })
+                let dep = relocate placement e.dep in
+                let key = key ids dep in
+                match Hashtbl.find_opt opener key with
+                | Some it ->
+                    it.size <- it.size + 1;
+                    None
+                | None ->
+                    let it = { table; entry = { e with dep }; key; size = 1 } in
+                    if distinct then Hashtbl.add opener key it;
+                    Some it)
               entries)
           side))
 
-(* One row per item: the match key of [assign] of its dependency, then
-   its position in [items] under column [id]. *)
-let side_table ~name ~keys ~id items assign =
+(* One row per item: the (src, dst, vc, msg) of [assign] of its
+   dependency, then its position in [items] under column [id]. *)
+let side_table ~name ~id items assign =
   Table.of_rows ~name
-    (Schema.of_list (List.map fst keys @ [ id ]))
+    (Schema.of_list [ "src"; "dst"; "vc"; "msg"; id ])
     (List.init (Array.length items) (fun i ->
          let a = assign items.(i).entry.dep in
-         Array.of_list
-           (List.map (fun (_, get) -> Value.Str (get a)) keys
-           @ [ Value.Int i ])))
+         [| Value.Str a.src; Value.Str a.dst; Value.Str a.vc; Value.Str a.msg;
+            Value.Int i |]))
 
-(* Composition is the join of [left]'s outputs with [right]'s inputs on
-   (src, dst, vc[, msg]).  The join returns pairs left-major with matches
-   in right order; a stable counting sort by (left table, right table)
-   turns that into the nested loop over table pairs. *)
+(* Every match of [left]'s outputs against [right]'s inputs under
+   [placement], as [f ~exact a b] for the left and right items: one
+   {!Planner.equi_join} per mode on one side-table pair, on (src, dst,
+   vc), plus msg when exact.  Matches come mode by mode in nested-loop
+   order: the join returns them left-major with matches in right order,
+   and a stable counting sort by (left table, right table) restores the
+   loop over table pairs. *)
+let iter_matches ids ~distinct ~modes ~placement left right f =
+  let l = flatten ids ~distinct placement left
+  and r = flatten ids ~distinct placement right in
+  let outputs = side_table ~name:"outputs" ~id:"first" l (fun d -> d.output)
+  and inputs = side_table ~name:"inputs" ~id:"second" r (fun d -> d.input) in
+  let tables = List.length right in
+  List.iter
+    (fun exact ->
+      let keys = [ "src"; "dst"; "vc" ] @ if exact then [ "msg" ] else [] in
+      (* matching ignoring messages joins views without the msg column *)
+      let view t id =
+        if exact then t
+        else Table.select_columns (Schema.of_list (keys @ [ id ])) t [ 0; 1; 2; 4 ]
+      in
+      let joined =
+        Obs.Planlog.with_site "dependency.compose" @@ fun () ->
+        Planner.equi_join
+          ~on:(List.map (fun k -> (k, k)) keys)
+          (view outputs "first") (view inputs "second")
+      in
+      (* column [id] of the join, decoded once per distinct value *)
+      let positions id =
+        let j = Schema.index (Table.schema joined) id in
+        let dict = Table.dict joined j and codes = Table.codes joined j in
+        let of_code =
+          Array.init (Dict.size dict) (fun c ->
+              match Dict.value dict c with Value.Int i -> i | _ -> assert false)
+        in
+        Array.init (Table.cardinality joined) (fun k -> of_code.(codes.(k)))
+      in
+      let first = positions "first" and second = positions "second" in
+      let n = Table.cardinality joined and matches = ref 0 in
+      let group k = (l.(first.(k)).table * tables) + r.(second.(k)).table in
+      let start = Array.make ((List.length left * tables) + 1) 0 in
+      for k = 0 to n - 1 do
+        let g = group k + 1 in
+        start.(g) <- start.(g) + 1;
+        matches := !matches + (l.(first.(k)).size * r.(second.(k)).size)
+      done;
+      Obs.Metrics.add
+        (obs_counter
+           ("compose_matches." ^ Protocol.Topology.placement_to_string placement))
+        !matches;
+      for g = 1 to Array.length start - 1 do
+        start.(g) <- start.(g) + start.(g - 1)
+      done;
+      let order = Array.make n 0 in
+      for k = 0 to n - 1 do
+        let g = group k in
+        order.(start.(g)) <- k;
+        start.(g) <- start.(g) + 1
+      done;
+      Array.iter (fun k -> f ~exact l.(first.(k)) r.(second.(k))) order)
+    (List.map not modes)
+
+(* The compositions of [left] and [right] under every placement and
+   mode, in that order.  With [seen], a match whose dependency is in
+   [seen] builds nothing, and a new one joins [seen]: each dependency is
+   kept at its first match. *)
+let compose_sides ids ?seen ~modes ~placements left right =
+  let names side = Array.of_list (List.map fst side) in
+  let l_names = names left and r_names = names right in
+  let keep = match seen with None -> fun _ -> true | Some s -> fresh s in
+  let kept = ref [] in
+  List.iter
+    (fun placement ->
+      let added = ref 0 in
+      iter_matches ids ~distinct:(seen <> None) ~modes ~placement left right
+        (fun ~exact a b ->
+          if keep (fst a.key, snd b.key) then begin
+            let dep = { input = a.entry.dep.input; output = b.entry.dep.output } in
+            incr added;
+            kept :=
+              { dep;
+                provenance =
+                  Composed
+                    { first = l_names.(a.table); second = r_names.(b.table);
+                      placement; exact };
+                origin = derive a.entry.origin b.entry.origin }
+              :: !kept
+          end);
+      Obs.Metrics.add
+        (obs_counter
+           ("compose_new." ^ Protocol.Topology.placement_to_string placement))
+        !added)
+    placements;
+  List.rev !kept
+
 let compose ~ignore_messages ~placement left right =
-  let l = flatten placement left and r = flatten placement right in
-  let keys =
-    [ ("src", fun a -> a.src); ("dst", fun a -> a.dst); ("vc", fun a -> a.vc) ]
-    @ if ignore_messages then [] else [ ("msg", fun a -> a.msg) ]
-  in
-  let joined =
-    Obs.Planlog.with_site "dependency.compose" @@ fun () ->
-    Planner.equi_join
-      ~on:(List.map (fun (k, _) -> k, k) keys)
-      (side_table ~name:"outputs" ~keys ~id:"first" l (fun d -> d.output))
-      (side_table ~name:"inputs" ~keys ~id:"second" r (fun d -> d.input))
-  in
-  (* column [id] of the join, decoded once per distinct value *)
-  let positions id =
-    let j = Schema.index (Table.schema joined) id in
-    let dict = Table.dict joined j and codes = Table.codes joined j in
-    let of_code =
-      Array.init (Dict.size dict) (fun c ->
-          match Dict.value dict c with Value.Int i -> i | _ -> assert false)
-    in
-    Array.init (Table.cardinality joined) (fun k -> of_code.(codes.(k)))
-  in
-  let first = positions "first" and second = positions "second" in
-  let n = Array.length first and tables = List.length right in
-  let group k = (l.(first.(k)).table * tables) + r.(second.(k)).table in
-  let start = Array.make ((List.length left * tables) + 1) 0 in
-  for k = 0 to n - 1 do
-    let g = group k + 1 in
-    start.(g) <- start.(g) + 1
-  done;
-  for g = 1 to Array.length start - 1 do
-    start.(g) <- start.(g) + start.(g - 1)
-  done;
-  let order = Array.make n 0 in
-  for k = 0 to n - 1 do
-    let g = group k in
-    order.(start.(g)) <- k;
-    start.(g) <- start.(g) + 1
-  done;
-  let exact = not ignore_messages in
-  let matched =
-    List.init n (fun i ->
-        let a = l.(first.(order.(i))) and b = r.(second.(order.(i))) in
-        {
-          dep = { input = a.entry.dep.input; output = b.entry.dep.output };
-          provenance =
-            Composed { first = a.name; second = b.name; placement; exact };
-          origin = merge_origin a.entry.origin b.entry.origin;
-        })
-  in
-  record_matches placement matched;
-  matched
+  compose_sides (Hashtbl.create 256) ~modes:[ ignore_messages ]
+    ~placements:[ placement ] left right
 
-let dedup ?(seen = Hashtbl.create 256) entries =
-  List.filter
-    (fun e ->
-      if Hashtbl.mem seen e.dep then false
-      else begin
-        Hashtbl.add seen e.dep ();
-        true
-      end)
-    entries
+let of_tables ?(placements = Protocol.Topology.all_placements)
+    ?(interleavings = true) ?(fixpoint = false) tables =
+  let modes = if interleavings then [ false; true ] else [ false ] in
+  let ids = Hashtbl.create 256 in
+  let firsts seen = List.filter (fun e -> fresh seen (key ids e.dep)) in
+  let named =
+    List.map
+      (fun (name, entries) ->
+        let entries = firsts (Hashtbl.create 64) entries in
+        Obs.Metrics.add (obs_counter ("direct_deps." ^ name)) (List.length entries);
+        (name, entries))
+      tables
+  in
+  let seen = Hashtbl.create 1024 in
+  let compose left right = compose_sides ids ~seen ~modes ~placements left right in
+  let direct = firsts seen (List.concat_map snd named) in
+  let composed =
+    Obs.Trace.with_span ~cat:"checker" "checker.compose" @@ fun () ->
+    compose named named
+  in
+  let base = direct @ composed in
+  Obs.Metrics.set
+    (Obs.Metrics.gauge (Obs.Metrics.registry "checker") "dependency_table_rows")
+    (float_of_int (List.length base));
+  (* semi-naive: with A the dependencies found before the last round and
+     Δ its new ones, a round is Δ ⋈ (A ∪ Δ), then A ⋈ Δ, each minus
+     everything found so far; it stops when a round finds nothing *)
+  let closure left right = compose [ ("closure", left) ] [ ("closure", right) ] in
+  let rec iterate acc = function
+    | [] -> acc
+    | delta ->
+        let next = acc @ delta in
+        let extended = closure delta next in
+        iterate next (extended @ closure acc delta)
+  in
+  if fixpoint then iterate base (closure base base) else base
 
-let protocol_dependency ?placements ?(interleavings = true)
-    ?(fixpoint = false) ~v controllers =
+let protocol_dependency ?placements ?interleavings ?fixpoint ~v controllers =
   Obs.Trace.with_span ~cat:"checker"
     ~args:[ "assignment", Obs.Json.Str v.Vcassign.name ]
     "checker.dependency"
   @@ fun () ->
-  let placements =
-    Option.value placements ~default:Protocol.Topology.all_placements
-  in
-  let named =
-    Obs.Trace.with_span ~cat:"checker" "checker.individual" @@ fun () ->
-    let extracted =
-      List.map
-        (fun c ->
-          Protocol.Ctrl_spec.name c.Protocol.spec, dedup (individual ~v c))
-        controllers
-    in
-    List.iter
-      (fun (name, deps) ->
-        Obs.Metrics.add
-          (obs_counter ("direct_deps." ^ name))
-          (List.length deps))
-      extracted;
-    extracted
-  in
-  let modes = if interleavings then [ false; true ] else [ false ] in
-  (* every quad placement, in each matching mode *)
-  let compose_all left right =
-    List.concat_map
-      (fun placement ->
-        List.concat_map
-          (fun ignore_messages ->
-            compose ~ignore_messages ~placement left right)
-          modes)
-      placements
-  in
-  let composed =
-    Obs.Trace.with_span ~cat:"checker" "checker.compose" @@ fun () ->
-    compose_all named named
-  in
-  let seen = Hashtbl.create 1024 in
-  let base = dedup ~seen (List.concat_map snd named @ composed) in
-  Obs.Metrics.set
-    (Obs.Metrics.gauge (Lazy.force obs_reg) "dependency_table_rows")
-    (float_of_int (List.length base));
-  if not fixpoint then base
-  else begin
-    (* semi-naive: a round composes only the last round's new
-       dependencies [delta] with the set they extend, on either side, and
-       stops when it finds none *)
-    let closure left right =
-      compose_all [ "closure", left ] [ "closure", right ]
-    in
-    let rec iterate acc = function
-      | [] -> acc
-      | delta ->
-          let next = acc @ delta in
-          iterate next (dedup ~seen (closure delta next @ closure acc delta))
-    in
-    iterate base (dedup ~seen (closure base base))
-  end
+  of_tables ?placements ?interleavings ?fixpoint
+    (Obs.Trace.with_span ~cat:"checker" "checker.individual" @@ fun () ->
+     List.map
+       (fun (c : Protocol.controller) ->
+         (Protocol.Ctrl_spec.name c.spec, individual ~v c))
+       controllers)
 
 let dep_schema =
   Schema.of_list

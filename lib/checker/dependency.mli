@@ -38,8 +38,10 @@ type entry = {
       (** The controller-table rows this dependency was read off, as
           (controller name, 0-based row index) pairs: what [why deadlock]
           prints behind each cycle edge.  A [Direct] entry has exactly
-          one; a [Composed] entry the union of both parents', order
-          preserved. *)
+          one.  A [Composed] entry derives from its two parents, and its
+          rows are the first parent's, then the second's that are not
+          among them; {!protocol_dependency} builds them only for a
+          match that adds a new dependency. *)
 }
 
 val individual : v:Vcassign.t -> Protocol.controller -> entry list
@@ -62,7 +64,10 @@ val compose :
     dst, vc), plus msg unless [ignore_messages], recorded under plan site
     ["dependency.compose"].  Results come in nested-loop order: left
     table, right table, left entry, right entry.  Nothing is
-    deduplicated. *)
+    deduplicated.  Nothing in the checker calls it: it is the
+    composition step on its own, for the tests that check it against
+    nested loops; {!protocol_dependency} runs the same join with the
+    deduplication inside. *)
 
 val protocol_dependency :
   ?placements:Protocol.Topology.placement list ->
@@ -77,16 +82,34 @@ val protocol_dependency :
     message-ignoring relaxation.  Duplicate dependencies are merged,
     keeping the first provenance.
 
+    Each side of a join keeps only the first entry of each relocated
+    dependency, and a match is dropped, before any entry is built, when
+    its (input, output) key is already known; what remains is
+    [compose]'s output without its duplicates.  The
+    [compose_matches.<placement>] and [compose_new.<placement>] counters
+    of the [checker] registry count the matches and the new
+    dependencies of each placement.
+
     [fixpoint] (default false) repeats the composition until no new
     dependency appears — the paper's footnote: "to ensure that [the]
     protocol dependency table includes all the dependencies, it is
     necessary to repeatedly compose … until no new dependencies are
     added.  However, in practice this was not needed."  The iteration is
-    semi-naive: each round composes only the previous round's new
-    dependencies with the accumulated set, in both orders.  Experiment
-    E13 measures the footnote: on V-vc4 and V-debugged the fixpoint adds
-    rows but no new channel edges or cycles; on V-initial it adds one
-    spurious cycle. *)
+    semi-naive: with A the dependencies found before the last round and
+    Δ its new ones, a round is Δ ⋈ (A ∪ Δ), then A ⋈ Δ, minus all found
+    so far.  Experiment E13 measures the footnote: on V-vc4 and
+    V-debugged the fixpoint adds rows but no new channel edges or
+    cycles; on V-initial it adds one spurious cycle. *)
+
+val of_tables :
+  ?placements:Protocol.Topology.placement list ->
+  ?interleavings:bool ->
+  ?fixpoint:bool ->
+  (string * entry list) list ->
+  entry list
+(** {!protocol_dependency} over named individual tables, each first
+    deduplicated: [protocol_dependency ~v cs] is [of_tables] over
+    [individual ~v c] for each [c] of [cs]. *)
 
 val to_table : name:string -> entry list -> Relalg.Table.t
 (** Eight-column tabular form

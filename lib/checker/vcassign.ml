@@ -102,11 +102,8 @@ let error_to_string = function
       Printf.sprintf "lines %d and %d both assign (%s, %s, %s)" first second
         msg src dst
 
-(* Data row [i] of a CSV file is line [i + 2]: line 1 is the header, as
-   {!Relalg.Csv} counts in its own errors. *)
-let line_of_row i = i + 2
-
-let of_table tbl =
+(* [line_of_row i] is the file line data row [i] starts on *)
+let of_rows ~line_of_row tbl =
   let columns = Schema.columns (Table.schema tbl) in
   if columns <> Schema.columns schema then raise (Invalid (Wrong_columns columns));
   if Table.is_empty tbl then raise (Invalid No_rows);
@@ -139,6 +136,13 @@ let of_table tbl =
       | None -> Hashtbl.add seen (msg, src, dst) second)
     rows;
   { name = Table.name tbl; rows }
+
+(* line 1 is the header *)
+let of_table = of_rows ~line_of_row:(fun i -> i + 2)
+
+let of_csv ~name src =
+  let tbl, lines = Relalg.Csv.of_string_lines ~name src in
+  of_rows ~line_of_row:(Array.get lines) tbl
 
 let reassign t ~msg ~src ~dst ~vc =
   let t = remove t ~msg ~src ~dst in

@@ -41,8 +41,7 @@ val to_table : t -> Relalg.Table.t
 (** As a database table named after the assignment, columns (m, s, d, v). *)
 
 (** Why a table is not a channel assignment.  Rows are named by the CSV
-    file line they come from, as {!Relalg.Csv} names its own errors: line
-    1 is the header, so data row [i] (0-based) is line [i + 2]. *)
+    file line they start on, as {!Relalg.Csv} names its own errors. *)
 type error =
   | Wrong_columns of string list  (** the columns found, not (m, s, d, v) *)
   | No_rows
@@ -64,10 +63,17 @@ val error_to_string : error -> string
 (** One line, without the table's name. *)
 
 val of_table : Relalg.Table.t -> t
-(** Inverse of {!to_table}.
+(** Inverse of {!to_table}.  Row [i] is named line [i + 2], the line
+    {!Relalg.Csv.to_string} writes it on when no cell spans lines.
     @raise Invalid unless the columns are exactly (m, s, d, v), there is
     at least one row, every cell is a name, and no (m, s, d) triple is
     assigned twice. *)
+
+val of_csv : name:string -> string -> t
+(** {!of_table} of a CSV document, naming each row by the file line it
+    starts on.
+    @raise Relalg.Csv.Csv_error if the document is not a table.
+    @raise Invalid as {!of_table}. *)
 
 val reassign : t -> msg:string -> src:string -> dst:string -> vc:string -> t
 (** Functional update of one triple's channel (adding it if absent). *)

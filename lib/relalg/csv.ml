@@ -52,14 +52,16 @@ let to_string t =
   done;
   Buffer.contents buf
 
-(* RFC-4180-style splitting: returns the records of the document, each a
-   list of raw cell strings (quotes resolved). *)
+(* RFC-4180-style splitting: returns the records of the document, each
+   the file line it starts on and its cells (quotes resolved).  A quoted
+   cell may span lines, so a record's line is not its index + 1. *)
 let records src =
   let n = String.length src in
   let cell = Buffer.create 16 in
   let row = ref [] in
   let rows = ref [] in
   let line = ref 1 in
+  let start = ref 1 in
   let quoted_cell = ref false in
   let flush_cell () =
     let raw = Buffer.contents cell in
@@ -70,8 +72,9 @@ let records src =
   in
   let flush_row () =
     flush_cell ();
-    rows := List.rev !row :: !rows;
-    row := []
+    rows := (!start, List.rev !row) :: !rows;
+    row := [];
+    start := !line
   in
   let rec plain i =
     if i >= n then (if !row <> [] || Buffer.length cell > 0 then flush_row ())
@@ -101,10 +104,10 @@ let records src =
   plain 0;
   List.rev !rows
 
-let of_string ~name src =
+let of_string_lines ~name src =
   match records src with
   | [] -> raise (Csv_error { line = 1; message = "empty document" })
-  | header :: rest ->
+  | (_, header) :: rest ->
       let columns =
         List.map
           (function
@@ -115,13 +118,13 @@ let of_string ~name src =
       let schema = Schema.of_list columns in
       let arity = Schema.arity schema in
       let rows =
-        List.mapi
-          (fun i cells ->
+        List.map
+          (fun (line, cells) ->
             if List.length cells <> arity then
               raise
                 (Csv_error
                    {
-                     line = i + 2;
+                     line;
                      message =
                        Printf.sprintf "expected %d cells, got %d" arity
                          (List.length cells);
@@ -129,18 +132,12 @@ let of_string ~name src =
             Row.of_list cells)
           rest
       in
-      Table.of_rows ~name schema rows
+      (Table.of_rows ~name schema rows, Array.of_list (List.map fst rest))
+
+let of_string ~name src = fst (of_string_lines ~name src)
 
 let save ~filename t =
   let oc = open_out filename in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string t))
-
-let load ~name ~filename =
-  let ic = open_in filename in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      of_string ~name (really_input_string ic len))

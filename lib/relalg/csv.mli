@@ -15,7 +15,12 @@ val to_string : Table.t -> string
 
 val of_string : name:string -> string -> Table.t
 (** Parse a CSV document; the first line is the schema.
-    @raise Csv_error on ragged rows or unterminated quotes. *)
+    @raise Csv_error on ragged rows or unterminated quotes, naming the
+    file line the row starts on. *)
+
+val of_string_lines : name:string -> string -> Table.t * int array
+(** {!of_string}, plus the file line each data row starts on (the
+    header is line 1).  A quoted cell can span lines, so row [i] is not
+    always line [i + 2]. *)
 
 val save : filename:string -> Table.t -> unit
-val load : name:string -> filename:string -> Table.t

@@ -92,6 +92,25 @@ let test_vcassign_rejects_bad_tables () =
         "lines 38 and 39 both assign (mread, home, home)"
         (Vcassign.error_to_string e)
 
+(* A quoted cell may span lines, so a row's file line is not its index
+   + 2: every message names the line its row starts on. *)
+let test_vcassign_multiline_cell_lines () =
+  let head = "m,s,d,v\n\"read\nx\",local,home,VC0\n" in
+  let dup = head ^ "mread,home,home,VC2\nmread,home,home,VC4\n" in
+  let _, lines = Relalg.Csv.of_string_lines ~name:"v" dup in
+  Alcotest.(check (array int)) "rows start on lines 2, 4 and 5" [| 2; 4; 5 |] lines;
+  (match Vcassign.of_csv ~name:"v" dup with
+  | _ -> Alcotest.fail "duplicate after a two-line cell: accepted"
+  | exception Vcassign.Invalid e ->
+      Alcotest.(check string) "duplicate names lines 4 and 5"
+        "lines 4 and 5 both assign (mread, home, home)"
+        (Vcassign.error_to_string e));
+  match Vcassign.of_csv ~name:"v" (dup ^ "wb,local,home\n") with
+  | _ -> Alcotest.fail "short row: accepted"
+  | exception Relalg.Csv.Csv_error { line; message } ->
+      Alcotest.(check (pair int string)) "short row on line 6"
+        (6, "expected 4 cells, got 3") (line, message)
+
 let test_vcassign_edit () =
   let v = Vcassign.reassign Vcassign.initial ~msg:"mread" ~src:"home" ~dst:"home" ~vc:"VC9" in
   check "reassign" true
@@ -306,6 +325,92 @@ let test_dependency_matches_nested_loop () =
                 = nested_loop_dependency ~v controllers))
             Vcassign.standard))
     [ ""; "left"; "right" ]
+
+(* [Dependency.of_tables] as nested loops: each table deduplicated, then
+   every placement, mode, ordered pair of tables and pair of entries,
+   keeping the first entry of each dependency. *)
+let nested_loop_tables ~placements ~interleavings tables =
+  let named = List.map (fun (n, es) -> (n, dedup_entries es)) tables in
+  let composed =
+    List.concat_map
+      (fun placement ->
+        List.concat_map
+          (fun ignore_messages ->
+            List.concat_map
+              (fun t1 ->
+                List.concat_map
+                  (nested_compose ~ignore_messages ~placement t1)
+                  named)
+              named)
+          (if interleavings then [ false; true ] else [ false ]))
+      placements
+  in
+  dedup_entries (List.concat_map snd named @ composed)
+
+(* The pass drops a duplicate match before it builds anything, and only
+   joins the first entry of each (relocated output, relocated input)
+   class.  On tables whose entries collide in every field it
+   must still keep each dependency's first match, with its provenance
+   and origin, in the nested loops' order. *)
+let prop_of_tables_matches_nested_loops =
+  let open QCheck.Gen in
+  let gen =
+    let* n = int_range 1 3 in
+    let* tables =
+      flatten_l
+        (List.init n (fun i ->
+             let name = Printf.sprintf "T%d" i in
+             map (fun es -> (name, es)) (list_size (int_bound 10) (gen_entry name))))
+    and* keep = list_repeat 5 bool
+    and* interleavings = bool in
+    let placements =
+      List.filteri (fun i _ -> List.nth keep i) Protocol.Topology.all_placements
+    in
+    return (tables, placements, interleavings)
+  in
+  QCheck.Test.make ~count:300 ~name:"deduplicating pass = nested loops"
+    (QCheck.make gen ~print:(fun (ts, ps, il) ->
+         Printf.sprintf "%d tables of %s, %s, interleavings=%b"
+           (List.length ts)
+           (String.concat "/" (List.map (fun (_, es) -> string_of_int (List.length es)) ts))
+           (String.concat "," (List.map Protocol.Topology.placement_to_string ps))
+           il))
+    (fun (tables, placements, interleavings) ->
+      Dependency.of_tables ~placements ~interleavings tables
+      = nested_loop_tables ~placements ~interleavings tables)
+
+(* Per placement, compose_new counts the matches that added a
+   dependency: at most compose_matches, and summed over the placements
+   exactly the entries composition added to the direct ones. *)
+let test_compose_counters () =
+  Obs.Metrics.reset ();
+  let entries =
+    Obs.Config.with_enabled (fun () ->
+        Dependency.protocol_dependency ~v:Vcassign.initial
+          Protocol.deadlock_controllers)
+  in
+  let count name =
+    Obs.Metrics.count (Obs.Metrics.counter (Obs.Metrics.registry "checker") name)
+  in
+  let added =
+    List.fold_left
+      (fun sum p ->
+        let p = Protocol.Topology.placement_to_string p in
+        let fresh = count ("compose_new." ^ p) in
+        check (p ^ ": new <= matches") true
+          (fresh <= count ("compose_matches." ^ p));
+        sum + fresh)
+      0 Protocol.Topology.all_placements
+  in
+  Obs.Metrics.reset ();
+  let composed =
+    List.filter
+      (fun (e : Dependency.entry) ->
+        match e.provenance with Dependency.Composed _ -> true | Direct _ -> false)
+      entries
+  in
+  check_int "new keys = composed entries" (List.length composed) added;
+  check "composition added some" true (added > 0)
 
 let test_dependency_table_form () =
   let entries =
@@ -587,12 +692,17 @@ let suite =
     Alcotest.test_case "assignment editing" `Quick test_vcassign_edit;
     Alcotest.test_case "assignment tables are validated" `Quick
       test_vcassign_rejects_bad_tables;
+    Alcotest.test_case "CSV rows are named by their first file line" `Quick
+      test_vcassign_multiline_cell_lines;
     Alcotest.test_case "individual dependency tables" `Quick test_individual_dependencies;
     Alcotest.test_case "PIF originates, never depends" `Quick test_pif_has_no_dependencies;
     Alcotest.test_case "placement relocation (R2 -> R2')" `Quick test_relocate;
     Alcotest.test_case "composition modes (R1 . R2' = R3)" `Quick test_composition_modes;
     Test_seed.to_alcotest prop_compose_matches_nested_loop;
     Alcotest.test_case "dependency table form" `Quick test_dependency_table_form;
+    Test_seed.to_alcotest prop_of_tables_matches_nested_loops;
+    Alcotest.test_case "compose_new counts the added dependencies" `Quick
+      test_compose_counters;
     Alcotest.test_case "initial assignment: several cycles" `Slow test_initial_assignment_cycles;
     Alcotest.test_case "VC4 assignment: the Figure 4 cycle" `Slow test_vc4_assignment_finds_figure4;
     Alcotest.test_case "debugged assignment: clean" `Slow test_debugged_assignment_clean;

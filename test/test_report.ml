@@ -98,6 +98,100 @@ let test_fixpoint_semi_naive () =
         = cycles (Checker.Vcg.cycles (Checker.Vcg.build naive))))
     Checker.Vcassign.[ with_vc4; debugged ]
 
+let deps entries =
+  List.sort_uniq compare
+    (List.map (fun (e : Checker.Dependency.entry) -> e.dep) entries)
+
+let cycles cs =
+  List.sort compare (List.map (fun (c : _ Vcgraph.Cycles.cycle) -> c.nodes) cs)
+
+(* The same closure over sets of dependencies, sharing no code with the
+   pass under test: every round joins the whole known set with itself
+   through a hash index on relocated inputs, under each placement and
+   mode, until a round adds nothing.  It starts from the direct
+   dependencies, whose closure is the closure of any one-round table. *)
+let naive_set_closure ?(placements = Protocol.Topology.all_placements)
+    ?(interleavings = true) direct =
+  let open Checker.Dependency in
+  let known = Hashtbl.create 4096 in
+  List.iter (fun d -> Hashtbl.replace known d ()) direct;
+  let rec round () =
+    let before = Hashtbl.length known in
+    let acc = List.of_seq (Hashtbl.to_seq_keys known) in
+    List.iter
+      (fun placement ->
+        let moved = List.sort_uniq compare (List.map (relocate placement) acc) in
+        List.iter
+          (fun exact ->
+            let key a = (a.src, a.dst, a.vc, if exact then a.msg else "") in
+            let by_input = Hashtbl.create 4096 in
+            List.iter (fun d -> Hashtbl.add by_input (key d.input) d.output) moved;
+            List.iter
+              (fun d ->
+                List.iter
+                  (fun output -> Hashtbl.replace known { input = d.input; output } ())
+                  (Hashtbl.find_all by_input (key d.output)))
+              moved)
+          (true :: (if interleavings then [ false ] else [])))
+      placements;
+    if Hashtbl.length known > before then round ()
+  in
+  round ();
+  List.sort compare (List.of_seq (Hashtbl.to_seq_keys known))
+
+(* V-initial's naive loop holds millions of matches per round, so it is
+   checked against the set closure instead. *)
+let test_fixpoint_semi_naive_initial () =
+  let v = Checker.Vcassign.initial in
+  let fixed = Checker.Deadlock.analyze ~fixpoint:true v in
+  let direct =
+    List.concat_map (Checker.Dependency.individual ~v) Protocol.deadlock_controllers
+  in
+  let naive = naive_set_closure (deps direct) in
+  check "V-initial: same dependencies" true (deps fixed.Checker.Deadlock.entries = naive);
+  let as_entries =
+    List.map
+      (fun dep ->
+        { Checker.Dependency.dep; provenance = Direct "naive"; origin = [] })
+      naive
+  in
+  check "V-initial: same cycles" true
+    (cycles fixed.Checker.Deadlock.cycles
+    = cycles (Checker.Vcg.cycles (Checker.Vcg.build as_entries)))
+
+(* Two entries whose closure needs a round to compose an old dependency
+   with a new one on its right.  Under L=H=R every role relocates to
+   local, so e0 . e1 = (local,local,B) -> (local,local,B) in the
+   one-round pass, and e1 . (e0 . e1) = (local,local,A) ->
+   (local,local,B) in the first fixpoint round.  Under L<>H<>R,
+   e0 . (e1 . (e0 . e1)) = (local,remote,B) -> (local,local,B): only e0
+   carries that input, and by the second round e0 is old while its
+   partner is new.  A round that only extended new dependencies by the
+   others would never find it. *)
+let test_fixpoint_extends_old_by_new () =
+  let a src dst vc = { Checker.Dependency.msg = "m"; src; dst; vc } in
+  let e i input output =
+    { Checker.Dependency.dep = { input; output };
+      provenance = Direct "T"; origin = [ ("T", i) ] }
+  in
+  let direct =
+    [ e 0 (a "local" "remote" "B") (a "local" "local" "A");
+      e 1 (a "local" "remote" "A") (a "remote" "home" "B") ]
+  in
+  let placements = Protocol.Topology.[ All_distinct; All_same ] in
+  let fixed =
+    deps
+      (Checker.Dependency.of_tables ~placements ~interleavings:false
+         ~fixpoint:true [ ("T", direct) ])
+  in
+  check "e0 . (e1 . (e0 . e1)) found" true
+    (List.mem
+       { Checker.Dependency.input = a "local" "remote" "B";
+         output = a "local" "local" "B" }
+       fixed);
+  check "semi-naive = naive" true
+    (fixed = naive_set_closure ~placements ~interleavings:false (deps direct))
+
 (* --- SQL conveniences over the real protocol database ---------------- *)
 
 let test_count_over_protocol () =
@@ -128,4 +222,8 @@ let suite =
     Alcotest.test_case "planner over the protocol db" `Quick test_planner_over_protocol;
     Alcotest.test_case "semi-naive fixpoint = naive fixpoint" `Slow
       test_fixpoint_semi_naive;
+    Alcotest.test_case "semi-naive round extends old by new" `Quick
+      test_fixpoint_extends_old_by_new;
+    Alcotest.test_case "semi-naive fixpoint = naive set closure on V-initial"
+      `Slow test_fixpoint_semi_naive_initial;
   ]
