@@ -70,7 +70,7 @@ let determinism_check db =
           bad :=
             Printf.sprintf "%s: duplicate inputs %s" name
               (Format.asprintf "%a" Row.pp
-                 (Table.get (Ops.project ins tbl) i))
+                 (Table.get (Table.project ins tbl) i))
             :: !bad
       done)
     Protocol.controllers;

@@ -35,7 +35,7 @@ let reconstruct db =
           else Ops.add_column ~name:c (fun _ -> Value.Null) acc)
         t full_order
     in
-    Ops.project full_order widened
+    Table.project full_order widened
   in
   Table.with_name "ED-rebuilt"
     (Ops.union (complete request) (complete response))
@@ -57,7 +57,7 @@ let check ?db () =
   let d = Protocol.Dir_controller.table () in
   let d_cols = Schema.columns (Table.schema d) in
   let projected =
-    Table.distinct (Ops.project d_cols (Ops.select unblocked rebuilt_ed))
+    Table.distinct (Table.project d_cols (Ops.select unblocked rebuilt_ed))
   in
   let d_preserved = Table.subset d projected in
   let missing_rows =

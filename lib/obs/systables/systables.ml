@@ -612,7 +612,7 @@ let run_plan_workload db =
   match Database.find_opt db "D" with
   | None -> ()
   | Some d ->
-      let states = Planner.distinct (Ops.project [ "dirst"; "dirpv" ] d) in
+      let states = Planner.distinct (Table.project [ "dirst"; "dirpv" ] d) in
       ignore
         (Planner.equi_join
            ~on:[ "dirst", "dirst"; "dirpv", "dirpv" ]

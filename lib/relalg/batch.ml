@@ -7,8 +7,9 @@
    exact-size columns of the surviving rows, drains size their output by
    the rows actually produced, and an emptiness probe stops at the first
    surviving row.  All of that runs on one selection-vector loop and one
-   gather loop.  Blocking operators (join build sides, group, distinct,
-   sort) drain their input and index rows by *combined integer keys* — a
+   gather loop.  Distinct and group read a table through the same
+   selection vector and gather only each key's first occurrence; they
+   and the join's build side index rows by *combined integer keys* — a
    dense array when the key domain (product of dictionary sizes) is
    small, open addressing with per-column code comparison otherwise —
    instead of the polymorphic [int array]-keyed hash tables of the
@@ -151,30 +152,48 @@ let with_sel n f =
   Domain.DLS.set scratch_sel sel;
   r
 
+(* The selection of [where] over [t] (every row, in order, when there
+   is no predicate): [f sel rows] runs on the first [limit] survivors,
+   and its result comes back with the number of rows that passed. *)
+let selecting ?funcs ?where ?(limit = max_int) t f =
+  let n = Table.cardinality t in
+  let check =
+    Option.map
+      (Expr.compile_columns ?funcs (Table.schema t) ~dict:(Table.dict t)
+         ~codes:(Table.codes t))
+      where
+  in
+  with_sel n @@ fun sel ->
+  let m =
+    match check with
+    | Some check -> select_rows check sel n
+    | None ->
+        for i = 0 to n - 1 do
+          Array.unsafe_set sel i i
+        done;
+        n
+  in
+  (f sel (min m limit), m)
+
+(* Columns [js] of [t] at the first [rows] selected rows, gathered into
+   arrays of exactly that size that share [t]'s dictionaries. *)
+let gather_columns t js sel rows =
+  Obs.Metrics.add (Lazy.force bytes_copied)
+    (word_bytes * Array.length js * rows);
+  Array.map
+    (fun j ->
+      let d = Array.make rows 0 in
+      gather (Table.codes t j) sel rows d;
+      (Table.dict t j, d))
+    js
+
 (* A filter whose input is already a table and whose output is drained:
    no stream, so the selection vector covers the whole table and the
    kept columns are gathered at exactly the size that is kept. *)
-let select_table ?funcs ?keep ?(limit = max_int) ~name pred t =
-  let n = Table.cardinality t in
-  let check =
-    Expr.compile_columns ?funcs (Table.schema t) ~dict:(Table.dict t)
-      ~codes:(Table.codes t) pred
-  in
-  with_sel n @@ fun sel ->
-  let m = select_rows check sel n in
-  let rows = min m limit in
+let select_table ?funcs ?where ?keep ?limit ~name t =
   let schema, js = kept_columns (Table.schema t) keep in
-  let cols =
-    Array.map
-      (fun j ->
-        let d = Array.make rows 0 in
-        gather (Table.codes t j) sel rows d;
-        (Table.dict t j, d))
-      js
-  in
-  Obs.Metrics.add (Lazy.force bytes_copied)
-    (word_bytes * Array.length js * rows);
-  (Table.of_columns ~name schema ~nrows:rows cols, m)
+  selecting ?funcs ?where ?limit t @@ fun sel rows ->
+  Table.of_columns ~name schema ~nrows:rows (gather_columns t js sel rows)
 
 let exists ?funcs pred src =
   let check = compile ?funcs pred src in
@@ -305,273 +324,115 @@ let mix k =
 
 let rec pow2_at_least n = if n <= 16 then 16 else 2 * pow2_at_least ((n + 1) / 2)
 
-(* Open-addressing set of rows keyed by their code tuple: [slot] holds a
-   caller-supplied id per distinct key, resolved by hashing the codes and
-   comparing column-by-column.  No boxing, no polymorphic hash. *)
-type rowset = {
-  mask : int;
-  slots : int array;  (* id or -1 *)
-  hash_of : int -> int;  (* row -> hash of its code tuple *)
-  same_key : int -> int -> bool;  (* candidate row vs stored id *)
-}
+(* ------------------------- distinct / group by ------------------------ *)
 
-let make_rowset ~expected ~hash_of ~same_key =
-  let cap = pow2_at_least (4 * max 1 expected) in
-  { mask = cap - 1; slots = Array.make cap (-1); hash_of; same_key }
-
-(* Slot holding this row's key: either already claimed by an equal key
-   (slots.(i) >= 0) or the free slot to claim. *)
-let rowset_slot rs row =
-  let rec probe i =
-    let id = rs.slots.(i) in
-    if id < 0 || rs.same_key row id then i else probe ((i + 1) land rs.mask)
+(* The one dedup kernel.  [sel.(0 .. m-1)] are the candidate rows of [t]
+   in order and [js] the key columns, read in place.  A key met for the
+   first time becomes group [g]: its row is written back to [sel.(g)]
+   (never past the candidate being read, so the selection compacts in
+   place) and its count, when [counts] is given, starts at 1.  Returns
+   the number of groups; [sel.(0 .. g-1)] then holds each key's first
+   occurrence, in order.  The index is a direct-address array over the
+   combined codes when the key domain is at most [dense_limit], else an
+   open-addressing table sized for [m] distinct keys (load at most 1/2),
+   so it never grows. *)
+let dedup_rows ?counts t js sel m =
+  let k = Array.length js in
+  let cols = Array.map (Table.codes t) js in
+  let g = ref 0 in
+  let add i =
+    Array.unsafe_set sel !g i;
+    (match counts with Some c -> Array.unsafe_set c !g 1 | None -> ());
+    incr g
   in
-  probe (mix (rs.hash_of row) land rs.mask)
-
-let hash_codes cols arity i =
-  let h = ref 0 in
-  for j = 0 to arity - 1 do
-    h := (!h * 1000003) + cols.(j).(i)
-  done;
-  !h
-
-(* ------------------------------ group by ----------------------------- *)
-
-(* First-occurrence-ordered group count, exactly like {!Ops.group_count}
-   but over combined int keys.  Returns the [by @ ["count"]] table the
-   SQL layer materializes for GROUP BY. *)
-let group_table ~by src =
-  let src = project by src in
-  let arity = Array.length src.cols in
-  let out_cap = ref 64 in
-  let out = ref (Array.init arity (fun _ -> Array.make !out_cap 0)) in
-  let counts = ref (Array.make !out_cap 0) in
-  let ngroups = ref 0 in
-  let grow () =
-    let cap' = 2 * !out_cap in
-    out :=
-      Array.map
-        (fun d ->
-          let d' = Array.make cap' 0 in
-          Array.blit d 0 d' 0 !ngroups;
-          d')
-        !out;
-    let c' = Array.make cap' 0 in
-    Array.blit !counts 0 c' 0 !ngroups;
-    counts := c';
-    out_cap := cap'
+  let bump id =
+    match counts with
+    | Some c -> Array.unsafe_set c id (Array.unsafe_get c id + 1)
+    | None -> ()
   in
-  let add_group i =
-    if !ngroups = !out_cap then grow ();
-    let g = !ngroups in
-    let dst = !out in
-    for j = 0 to arity - 1 do
-      dst.(j).(g) <- src.cols.(j).(i)
-    done;
-    !counts.(g) <- 1;
-    incr ngroups;
-    g
-  in
-  let bump g = !counts.(g) <- !counts.(g) + 1 in
-  let dense = dense_domain src.dicts in
+  let dense = dense_domain (Array.map (Table.dict t) js) in
   if dense >= 0 then begin
-    let slot_of = Array.make dense (-1) in
-    (* radix weights hoisted out of the scan: the per-row key is a tight
-       multiply-add chain with no dictionary lookups *)
-    let weights = Array.map (fun d -> max 1 (Dict.size d)) src.dicts in
-    let key i =
-      let k = ref 0 in
-      for j = 0 to arity - 1 do
-        k :=
-          (!k * Array.unsafe_get weights j)
-          + Array.unsafe_get (Array.unsafe_get src.cols j) i
+    let weights = Array.map (fun j -> max 1 (Dict.size (Table.dict t j))) js in
+    let group_of = Array.make dense (-1) in
+    for s = 0 to m - 1 do
+      let i = Array.unsafe_get sel s in
+      let key = ref 0 in
+      for j = 0 to k - 1 do
+        key :=
+          (!key * Array.unsafe_get weights j)
+          + Array.unsafe_get (Array.unsafe_get cols j) i
       done;
-      !k
-    in
-    let rec loop () =
-      let b = src.pull () in
-      if b >= 0 then begin
-        for i = 0 to b - 1 do
-          let k = key i in
-          let g = Array.unsafe_get slot_of k in
-          if g >= 0 then bump g else Array.unsafe_set slot_of k (add_group i)
-        done;
-        loop ()
+      let id = Array.unsafe_get group_of !key in
+      if id >= 0 then bump id
+      else begin
+        Array.unsafe_set group_of !key !g;
+        add i
       end
-    in
-    loop ()
+    done
   end
   else begin
-    let rs =
-      make_rowset ~expected:4096
-        ~hash_of:(fun i -> hash_codes src.cols arity i)
-        ~same_key:(fun i g ->
-          let ok = ref true in
-          let stored = !out in
-          for j = 0 to arity - 1 do
-            if src.cols.(j).(i) <> stored.(j).(g) then ok := false
-          done;
-          !ok)
-    in
-    (* the fixed-capacity set only covers the expected group count; past
-       that the dedup falls back to growing the table by rehashing *)
-    let rs = ref rs in
-    let rehash () =
-      let old = !rs in
-      let bigger =
-        make_rowset
-          ~expected:(2 * (old.mask + 1))
-          ~hash_of:(fun g -> hash_codes !out arity g)
-          ~same_key:(fun a b ->
-            let ok = ref true in
-            let stored = !out in
-            for j = 0 to arity - 1 do
-              if stored.(j).(a) <> stored.(j).(b) then ok := false
-            done;
-            !ok)
-      in
-      for g = 0 to !ngroups - 1 do
-        let s = rowset_slot bigger g in
-        bigger.slots.(s) <- g
+    let mask = pow2_at_least (2 * m) - 1 in
+    let slots = Array.make (mask + 1) (-1) in
+    let same a b =
+      let j = ref 0 in
+      while
+        !j < k
+        &&
+        let c = Array.unsafe_get cols !j in
+        Array.unsafe_get c a = Array.unsafe_get c b
+      do
+        incr j
       done;
-      (* rebind lookups to batch rows against the regrown slots *)
-      rs :=
-        {
-          bigger with
-          hash_of = old.hash_of;
-          same_key = old.same_key;
-        }
+      !j = k
     in
-    let rec loop () =
-      let b = src.pull () in
-      if b >= 0 then begin
-        for i = 0 to b - 1 do
-          let s = rowset_slot !rs i in
-          let g = !rs.slots.(s) in
-          if g >= 0 then bump g
-          else begin
-            let g = add_group i in
-            !rs.slots.(s) <- g;
-            if 2 * !ngroups > !rs.mask then rehash ()
-          end
-        done;
-        loop ()
-      end
-    in
-    loop ()
+    for s = 0 to m - 1 do
+      let i = Array.unsafe_get sel s in
+      let h = ref 0 in
+      for j = 0 to k - 1 do
+        h := (!h * 1000003) + Array.unsafe_get (Array.unsafe_get cols j) i
+      done;
+      let p = ref (mix !h land mask) and probing = ref true in
+      while !probing do
+        let id = Array.unsafe_get slots !p in
+        if id < 0 then begin
+          Array.unsafe_set slots !p !g;
+          add i;
+          probing := false
+        end
+        else if same i (Array.unsafe_get sel id) then begin
+          bump id;
+          probing := false
+        end
+        else p := (!p + 1) land mask
+      done
+    done
   end;
-  let n = !ngroups in
+  !g
+
+(* First-occurrence dedup of the kept columns, like {!Table.distinct}. *)
+let distinct_table ?funcs ?where ?keep ?limit ~name t =
+  let schema, js = kept_columns (Table.schema t) keep in
+  selecting ?funcs ?where ?limit t @@ fun sel m ->
+  let g = dedup_rows t js sel m in
+  Table.of_columns ~name schema ~nrows:g (gather_columns t js sel g)
+
+(* First-occurrence group count, like {!Ops.group_count}: the [by]
+   columns (resolved through [keep], as a projection below the group
+   would) then their counts. *)
+let group_table ?funcs ?where ?keep ?limit ~by t =
+  let kept, ks = kept_columns (Table.schema t) keep in
+  let js = Array.of_list (List.map (fun c -> ks.(Schema.index kept c)) by) in
+  selecting ?funcs ?where ?limit t @@ fun sel m ->
+  let counts = Array.make m 0 in
+  let g = dedup_rows ~counts t js sel m in
   let count_dict = Dict.create () in
   let count_codes =
-    Array.init n (fun g -> Dict.intern count_dict (Value.Int !counts.(g)))
+    Array.init g (fun id -> Dict.intern count_dict (Value.Int counts.(id)))
   in
   Table.of_columns ~name:"<group>"
-    (Schema.of_list (Schema.columns src.schema @ [ "count" ]))
-    ~nrows:n
-    (Array.append
-       (Array.mapi (fun j d -> (src.dicts.(j), d)) !out)
-       [| (count_dict, count_codes) |])
-
-(* ------------------------------ distinct ----------------------------- *)
-
-(* Keep the first occurrence of each code tuple, like {!Table.distinct},
-   deduplicating on the fly so the full input is never materialized. *)
-let distinct_table ~name src =
-  let arity = Array.length src.cols in
-  let out_cap = ref 64 in
-  let out = ref (Array.init arity (fun _ -> Array.make !out_cap 0)) in
-  let kept = ref 0 in
-  let add_row i =
-    if !kept = !out_cap then begin
-      let cap' = 2 * !out_cap in
-      out :=
-        Array.map
-          (fun d ->
-            let d' = Array.make cap' 0 in
-            Array.blit d 0 d' 0 !kept;
-            d')
-          !out;
-      out_cap := cap'
-    end;
-    let dst = !out in
-    for j = 0 to arity - 1 do
-      dst.(j).(!kept) <- src.cols.(j).(i)
-    done;
-    incr kept;
-    !kept - 1
-  in
-  let dense = dense_domain src.dicts in
-  if dense >= 0 then begin
-    let seen = Array.make dense false in
-    let weights = Array.map (fun d -> max 1 (Dict.size d)) src.dicts in
-    let key i =
-      let k = ref 0 in
-      for j = 0 to arity - 1 do
-        k :=
-          (!k * Array.unsafe_get weights j)
-          + Array.unsafe_get (Array.unsafe_get src.cols j) i
-      done;
-      !k
-    in
-    let rec loop () =
-      let b = src.pull () in
-      if b >= 0 then begin
-        for i = 0 to b - 1 do
-          let k = key i in
-          if not seen.(k) then begin
-            seen.(k) <- true;
-            ignore (add_row i)
-          end
-        done;
-        loop ()
-      end
-    in
-    loop ()
-  end
-  else begin
-    let make expected =
-      make_rowset ~expected
-        ~hash_of:(fun i -> hash_codes src.cols arity i)
-        ~same_key:(fun i g ->
-          let ok = ref true in
-          let stored = !out in
-          for j = 0 to arity - 1 do
-            if src.cols.(j).(i) <> stored.(j).(g) then ok := false
-          done;
-          !ok)
-    in
-    let rs = ref (make 4096) in
-    let rehash () =
-      let bigger = make (2 * (!rs.mask + 1)) in
-      for g = 0 to !kept - 1 do
-        let s =
-          let rec probe i =
-            if bigger.slots.(i) < 0 then i else probe ((i + 1) land bigger.mask)
-          in
-          probe (mix (hash_codes !out arity g) land bigger.mask)
-        in
-        bigger.slots.(s) <- g
-      done;
-      rs := bigger
-    in
-    let rec loop () =
-      let b = src.pull () in
-      if b >= 0 then begin
-        for i = 0 to b - 1 do
-          let s = rowset_slot !rs i in
-          if !rs.slots.(s) < 0 then begin
-            let g = add_row i in
-            !rs.slots.(s) <- g;
-            if 2 * !kept > !rs.mask then rehash ()
-          end
-        done;
-        loop ()
-      end
-    in
-    loop ()
-  end;
-  Table.of_columns ~name src.schema ~nrows:!kept
-    (Array.mapi (fun j d -> (src.dicts.(j), d)) !out)
+    (Schema.of_list (by @ [ "count" ]))
+    ~nrows:g
+    (Array.append (gather_columns t js sel g) [| (count_dict, count_codes) |])
 
 (* ----------------------------- sort / top-k --------------------------- *)
 
@@ -826,7 +687,7 @@ let join_tables ?build_left ~on ta tb =
   in
   (* a semijoin-shaped result (every ta row matched exactly once, in
      order) needs no gather at all: the output's ta columns are ta's own
-     immutable code arrays, shared zero-copy like {!Ops.project} *)
+     immutable code arrays, shared zero-copy like {!Table.project} *)
   let identity idxs n =
     m = n
     &&

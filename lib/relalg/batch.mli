@@ -8,7 +8,8 @@
     loops with no per-row boxing, and the blocking operators
     (join/group/distinct/sort/top-k) key their hash and direct-address
     indexes on combined dictionary codes instead of polymorphic row
-    hashing.
+    hashing.  Distinct and group do not stream: they read a table
+    through a selection vector, like {!select_table}.
 
     {b Buffer contract.}  Materialization is late, and every filter runs
     on one selection-vector loop and one gather loop:
@@ -59,20 +60,20 @@ val select :
 
 val select_table :
   ?funcs:Expr.funcs ->
+  ?where:Expr.t ->
   ?keep:string list ->
   ?limit:int ->
   name:string ->
-  Expr.t ->
   Table.t ->
   Table.t * int
 (** The same filter over a table whose result is wanted as a table (a
     filter at the root of a plan, or a programmatic selection).  There
     is no stream to feed, so the selection vector covers the whole input
-    and the [keep] columns are gathered into arrays of exactly the
-    result's size, sharing the input's dictionaries; a zero-row result
-    allocates only empty columns.  [limit] keeps the first [n]
-    survivors.  Returns the table and the number of rows that passed the
-    predicate (before [limit]). *)
+    (every row, in order, with no [where]) and the [keep] columns are
+    gathered into arrays of exactly the result's size, sharing the
+    input's dictionaries; a zero-row result allocates only empty
+    columns.  [limit] keeps the first [n] survivors.  Returns the table
+    and the number of rows that passed the predicate (before [limit]). *)
 
 val exists : ?funcs:Expr.funcs -> Expr.t -> source -> bool
 (** Whether any row passes the predicate.  Pulls only until the first
@@ -104,15 +105,37 @@ val to_table : name:string -> source -> Table.t
     arrays are sized by the rows the stream produced: the first batch
     allocates exactly its rows, later ones grow geometrically. *)
 
-val group_table : by:string list -> source -> Table.t
-(** [GROUP BY … COUNT]: one row per distinct key in first-occurrence
-    order, schema [by @ ["count"]], named ["<group>"].  Uses a dense
-    direct-address index when the product of key-dictionary sizes is
-    small, an open-addressing code-keyed hash table otherwise. *)
+val distinct_table :
+  ?funcs:Expr.funcs ->
+  ?where:Expr.t ->
+  ?keep:string list ->
+  ?limit:int ->
+  name:string ->
+  Table.t ->
+  Table.t * int
+(** [SELECT DISTINCT]: the first occurrence of each tuple of the [keep]
+    columns among the rows {!select_table} would keep, in order.  The
+    dedup runs on that selection vector: key columns are hashed and
+    compared in place in the input, the first-occurrence row indices are
+    recorded, and each kept column is gathered once at exactly the
+    result's size.  The key index is a direct-address array when the
+    product of the key dictionaries' sizes is small, otherwise an
+    open-addressing table sized from the number of selected rows, so it
+    never grows.  Returns the table and the rows that passed [where]. *)
 
-val distinct_table : name:string -> source -> Table.t
-(** First-occurrence dedup over whole rows (same index strategy as
-    {!group_table}). *)
+val group_table :
+  ?funcs:Expr.funcs ->
+  ?where:Expr.t ->
+  ?keep:string list ->
+  ?limit:int ->
+  by:string list ->
+  Table.t ->
+  Table.t * int
+(** [GROUP BY … COUNT] on the same kernel as {!distinct_table}: one row
+    per distinct [by] key in first-occurrence order, schema
+    [by @ ["count"]], named ["<group>"].  [by] is resolved through
+    [keep], as a projection below the group would resolve it.
+    @raise Schema.Unknown_column if [by] names a column outside [keep]. *)
 
 val sort_table : name:string -> (string * [ `Asc | `Desc ]) list -> source -> Table.t
 (** Stable sort under {!Value.order}, matching {!Ops.order_by}. *)

@@ -7,11 +7,6 @@ let select ?funcs pred t =
        ~codes:(Table.codes t) pred)
     t
 
-let project cols t =
-  let schema = Table.schema t in
-  Table.select_columns (Schema.project schema cols) t
-    (List.map (Schema.index schema) cols)
-
 let rename mapping t =
   let schema = Table.schema t in
   Table.select_columns (Schema.rename schema mapping) t
@@ -190,7 +185,7 @@ let add_column ~name f t =
     (Array.append shared [| (d, extra) |])
 
 let group_count ~by t =
-  let projected = project by t in
+  let projected = Table.project by t in
   let n = Table.cardinality projected in
   let arity = Table.arity projected in
   let cols = Array.init arity (Table.codes projected) in

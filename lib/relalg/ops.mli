@@ -1,11 +1,11 @@
 (** Relational-algebra operators over {!Table.t}.
 
     These are the operations the paper performs through SQL: selection by a
-    boolean constraint, projection, renaming, cross product (table
-    generation), union (assembling dependency tables), difference, and
-    joins (pairwise composition).  Set-producing operators ([union],
-    [except], [intersect]) return duplicate-free tables; [select]/[project]
-    preserve multiplicity like their SQL counterparts.
+    boolean constraint, renaming, cross product (table generation), union
+    (assembling dependency tables), difference, and joins (pairwise
+    composition); projection is {!Table.project}.  Set-producing
+    operators ([union], [except], [intersect]) return duplicate-free
+    tables; [select] preserves multiplicity like its SQL counterpart.
 
     Every operator runs sequentially on the calling domain: [select] and
     [equi_join] are the oracles the planner's vectorized operators are
@@ -19,10 +19,6 @@ exception Incompatible_schemas of string
 
 val select : ?funcs:Expr.funcs -> Expr.t -> Table.t -> Table.t
 (** Keep rows satisfying the predicate. *)
-
-val project : string list -> Table.t -> Table.t
-(** Keep (and reorder to) the named columns; duplicates are retained — pair
-    with {!Table.distinct} for SQL's [SELECT DISTINCT]. *)
 
 val rename : (string * string) list -> Table.t -> Table.t
 

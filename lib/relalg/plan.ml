@@ -175,7 +175,7 @@ let rec execute db p =
   | Scan name -> Database.find db name
   | Select (e, inner) ->
       Ops.select ~funcs:(Database.functions db) e (execute db inner)
-  | Project (cols, inner) -> Ops.project cols (execute db inner)
+  | Project (cols, inner) -> Table.project cols (execute db inner)
   | Distinct inner -> Table.distinct (execute db inner)
   | Sort (keys, inner) -> Ops.order_by keys (execute db inner)
   | Limit (n, inner) -> Ops.limit n (execute db inner)

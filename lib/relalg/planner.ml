@@ -476,13 +476,12 @@ and execute db (n : t) : Table.t =
            value)
   | (Filter _ | Project _ | Limit _), _ -> record (drain db n)
   | Distinct, [ c ] ->
-      record (Batch.distinct_table ~name:"<distinct>" (source_of db c))
+      record (dedup db c (Batch.distinct_table ~name:"<distinct>"))
   | Sort keys, [ c ] ->
       record (Batch.sort_table ~name:"<sort>" keys (source_of db c))
   | Topk (k, keys), [ c ] ->
       record (Batch.topk_table ~name:"<topk>" k keys (source_of db c))
-  | Group cols, [ c ] ->
-      record (Batch.group_table ~by:cols (source_of ~keep:cols db c))
+  | Group cols, [ c ] -> record (dedup db c (Batch.group_table ~by:cols))
   | Count, [ c ] ->
       record
         (Table.of_rows ~name:"<count>"
@@ -498,15 +497,16 @@ and execute db (n : t) : Table.t =
       record (Table.create ~name:"<empty>" (Schema.of_list cols))
   | _ -> invalid_arg "Planner.execute: malformed plan"
 
-(* A streaming chain asked to produce a table.  A filter over a
-   materialized input, under at most a projection and a limit, runs as
-   one {!Batch.select_table}: the selection vector covers the whole
-   input and only the kept columns and rows are gathered, at exactly
-   their size.  Each node of that chain is filled in as the single
-   borrowed batch would have filled it.  Any other chain streams into
-   an output-sized drain. *)
-and drain db n =
-  let t0 = Obs.Clock.now_ns () in
+(* [Limit? (Project? (Filter? below))] with a materialized [below]: the
+   chain the executor runs on one selection vector over [below]'s table.
+   [run ~funcs ?where ?keep ?limit input] takes the peeled predicate,
+   columns and limit and returns the result with the rows that passed
+   the filter.  Each peeled node is filled in as the single borrowed batch
+   would have filled it.  [None] when a streaming node sits lower. *)
+and on_selection db n
+    (run :
+      ?funcs:Expr.funcs -> ?where:Expr.t -> ?keep:string list -> ?limit:int ->
+      Table.t -> Table.t * int) =
   let limit, p =
     match (n.op, n.children) with
     | Limit k, [ c ] when k > 0 -> (Some k, c)
@@ -517,23 +517,49 @@ and drain db n =
     | Project cols, [ c ] -> (Some cols, c)
     | _ -> (None, p)
   in
-  match (f.op, f.children) with
-  | Filter e, [ c ] when not (streaming c) ->
-      let input = execute db c in
-      (match c.op with Scan _ -> c.batches <- 1 | _ -> ());
-      let out, survivors =
-        Batch.select_table ~funcs:(Database.functions db) ?keep ?limit
-          ~name:"<batch>" e input
-      in
-      let ns = Obs.Clock.since t0 in
-      List.iter
-        (fun (node, rows) ->
-          node.actual <- rows;
-          node.ns <- ns;
-          node.batches <- 1)
-        [ (f, survivors); (p, survivors); (n, Table.cardinality out) ];
-      out
-  | _ -> Batch.to_table ~name:"<batch>" (source_of db n)
+  let where, below =
+    match (f.op, f.children) with
+    | Filter e, [ c ] -> (Some e, c)
+    | _ -> (None, f)
+  in
+  if streaming below then None
+  else begin
+    let t0 = Obs.Clock.now_ns () in
+    let input = execute db below in
+    (match below.op with Scan _ -> below.batches <- 1 | _ -> ());
+    let out, survivors =
+      run ~funcs:(Database.functions db) ?where ?keep ?limit input
+    in
+    let ns = Obs.Clock.since t0 in
+    let rec fill node =
+      if node != below then begin
+        node.actual <-
+          (match node.op with Limit k -> min k survivors | _ -> survivors);
+        node.ns <- ns;
+        node.batches <- 1;
+        List.iter fill node.children
+      end
+    in
+    fill n;
+    Some out
+  end
+
+(* A streaming chain asked to produce a table: a filter, projection and
+   limit over a materialized input are one {!Batch.select_table} that
+   gathers only the kept columns and rows, at exactly their size.  Any
+   other chain streams into an output-sized drain. *)
+and drain db n =
+  match on_selection db n (Batch.select_table ~name:"<batch>") with
+  | Some t -> t
+  | None -> Batch.to_table ~name:"<batch>" (source_of db n)
+
+(* DISTINCT or GROUP BY over [c]: over a chain on a materialized input
+   the dedup reads the filter's selection vector, otherwise every row of
+   [c]'s table. *)
+and dedup db c run =
+  match on_selection db c run with
+  | Some t -> t
+  | None -> fst (run ~funcs:(Database.functions db) (execute db c))
 
 (* --------------------------- rendering -------------------------------- *)
 
@@ -801,7 +827,7 @@ let filter_root t e =
 
 let select ?funcs ?keep e t =
   let t0 = Obs.Clock.now_ns () in
-  let out, _ = Batch.select_table ?funcs ?keep ~name:(Table.name t) e t in
+  let out, _ = Batch.select_table ?funcs ~where:e ?keep ~name:(Table.name t) t in
   let total = Obs.Clock.since t0 in
   if Obs.Config.on () then observe_tables (filter_root t e) total out [ t ];
   out
@@ -822,7 +848,7 @@ let exists ?funcs ?(indexes = []) e t =
            the predicate reads *)
         let pred = Expr.conj residual in
         let idx = Index.lookup_idx (Index.cached t column) value in
-        let rows = Table.gather (Ops.project (Expr.free_columns pred) t) idx in
+        let rows = Table.gather (Table.project (Expr.free_columns pred) t) idx in
         ( Batch.exists ?funcs pred (Batch.of_table rows),
           Some (column, value, residual, Table.cardinality rows) )
   in
@@ -856,9 +882,7 @@ let exists ?funcs ?(indexes = []) e t =
 
 let group_count ~by t =
   let t0 = Obs.Clock.now_ns () in
-  (* project before scanning so the stream only reads the grouping
-     columns, not the table's full arity *)
-  let out = Batch.group_table ~by (Batch.of_table (Ops.project by t)) in
+  let out, _ = Batch.group_table ~by t in
   let total = Obs.Clock.since t0 in
   if Obs.Config.on () then begin
     let st = table_stats t in
@@ -871,7 +895,7 @@ let group_count ~by t =
 
 let distinct t =
   let t0 = Obs.Clock.now_ns () in
-  let out = Batch.distinct_table ~name:(Table.name t) (Batch.of_table t) in
+  let out, _ = Batch.distinct_table ~name:(Table.name t) t in
   let total = Obs.Clock.since t0 in
   if Obs.Config.on () then begin
     let st = table_stats t in

@@ -296,6 +296,10 @@ let select_columns ?name schema t js =
   { name = Option.value name ~default:t.name; schema; cols; nrows = t.nrows;
     id = fresh_id () }
 
+let project cols t =
+  select_columns (Schema.project t.schema cols) t
+    (List.map (Schema.index t.schema) cols)
+
 let concat a b =
   let n = a.nrows + b.nrows in
   let cols =

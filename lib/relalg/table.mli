@@ -122,8 +122,14 @@ val gather : ?name:string -> t -> int list -> t
 val select_columns : ?name:string -> Schema.t -> t -> int list -> t
 (** [select_columns schema t js] is the zero-copy view whose [k]-th column
     is column [js_k] of [t] (buffers and dictionaries shared), under the
-    given schema.  This is how {!Ops.project} and {!Ops.rename} avoid
+    given schema.  This is how {!project} and {!Ops.rename} avoid
     touching any row.  [schema]'s arity must equal [List.length js]. *)
+
+val project : string list -> t -> t
+(** Keep (and reorder to) the named columns, zero-copy: the result
+    shares [t]'s code buffers and dictionaries.  Duplicate rows are
+    retained; pair with {!distinct} for SQL's [SELECT DISTINCT].
+    @raise Schema.Unknown_column. *)
 
 val row_membership : of_:t -> t -> int -> bool
 (** [row_membership ~of_:b a] precomputes a membership test: the returned

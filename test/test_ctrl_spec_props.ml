@@ -50,7 +50,7 @@ let prop_deterministic =
     subspec_arb
     (fun scenarios ->
       let tbl = generate scenarios in
-      let inputs = Ops.project Protocol.Dir_controller.input_columns tbl in
+      let inputs = Table.project Protocol.Dir_controller.input_columns tbl in
       Table.cardinality (Table.distinct inputs) = Table.cardinality tbl)
 
 (* Dropping scenarios never adds rows (monotonicity of generation). *)
@@ -71,10 +71,10 @@ let prop_inputs_subset =
     subspec_arb
     (fun scenarios ->
       let sub =
-        Ops.project Protocol.Dir_controller.input_columns (generate scenarios)
+        Table.project Protocol.Dir_controller.input_columns (generate scenarios)
       in
       let full =
-        Ops.project Protocol.Dir_controller.input_columns
+        Table.project Protocol.Dir_controller.input_columns
           (Protocol.Dir_controller.table ())
       in
       Table.subset (Table.distinct sub) (Table.distinct full))

@@ -304,7 +304,7 @@ let test_csv_on_controller_table () =
 let test_csv_roundtrip_derived () =
   let d = Protocol.Dir_controller.table () in
   let sub =
-    Ops.project [ "inmsg"; "dirst"; "locmsg" ]
+    Table.project [ "inmsg"; "dirst"; "locmsg" ]
       (Ops.select (Expr.eq "inmsg" "readex") d)
   in
   let back = Csv.of_string ~name:"sub" (Csv.to_string sub) in

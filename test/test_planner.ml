@@ -159,7 +159,26 @@ let test_analyze_est_vs_actual () =
     n.Planner.actual >= 0 && List.for_all all_actual n.Planner.children
   in
   check_bool "every operator recorded an actual row count" true
-    (all_actual r.Planner.root)
+    (all_actual r.Planner.root);
+  (* the projection and filter under the distinct run fused on one
+     selection vector over the scan: each reports the rows that passed
+     the filter, in one batch, as a drained filter chain does *)
+  let passed =
+    Table.cardinality (Ops.select (Expr.eq "k" "p") (Database.find db "a"))
+  in
+  match r.Planner.root with
+  | { Planner.op = Planner.Distinct;
+      children =
+        [ ({ Planner.op = Planner.Project _;
+             children = [ ({ Planner.op = Planner.Filter _; _ } as f) ]; _ }
+          as p) ]; _ } ->
+      check_int "filter actual = rows that passed" passed f.Planner.actual;
+      check_int "project actual = rows that passed" passed p.Planner.actual;
+      check_int "filter batches" 1 f.Planner.batches;
+      check_int "project batches" 1 p.Planner.batches;
+      check_bool "distinct keeps at most the filter's rows" true
+        (r.Planner.root.Planner.actual <= f.Planner.actual)
+  | _ -> Alcotest.fail ("unexpected plan:\n" ^ rendered)
 
 let test_explain_unexecuted () =
   let db = Lazy.force fixture_db in
@@ -283,7 +302,7 @@ let test_bytes_copied_kept_only () =
 let test_join_identity_shape () =
   let d = Protocol.Dir_controller.table () in
   let on = [ ("dirst", "dirst"); ("dirpv", "dirpv") ] in
-  let states = Table.distinct (Ops.project [ "dirst"; "dirpv" ] d) in
+  let states = Table.distinct (Table.project [ "dirst"; "dirpv" ] d) in
   let vec = Batch.join_tables ~on d states in
   let ref_ = Ops.equi_join ~on d states in
   check_int "every row matches once" (Table.cardinality d) (Table.cardinality vec);
@@ -323,6 +342,65 @@ let table_gen ~name ~cols =
          return (Array.of_list cells))
     in
     return (Table.of_rows ~name (Schema.of_list cols) rows))
+
+(* Six columns over seven values plus NULL, with every column's
+   dictionary padded to thirteen values: a key of five or six columns
+   spans at least 13^5 codes, past the dense direct-address limit
+   (65,536), so distinct and group over it run the hashed index.  A row
+   is fresh, a copy of an earlier row, or an earlier row with one cell
+   changed, so keys repeat and near misses share all columns but one. *)
+let wide_cols = [ "c0"; "c1"; "c2"; "c3"; "c4"; "c5" ]
+
+let wide_table_gen ~name =
+  QCheck.Gen.(
+    let cell =
+      frequency
+        [ (9, map (fun i -> Value.Str (Printf.sprintf "v%d" i)) (int_bound 6));
+          (1, return Value.Null) ]
+    in
+    let fresh = array_repeat 6 cell in
+    let rec build acc k =
+      if k = 0 then return (List.rev acc)
+      else
+        let* row =
+          match acc with
+          | [] -> fresh
+          | _ ->
+              frequency
+                [
+                  (3, fresh);
+                  (3, oneofl acc);
+                  ( 4,
+                    let* r = oneofl acc and* j = int_bound 5 and* v = cell in
+                    let r = Array.copy r in
+                    r.(j) <- v;
+                    return r );
+                ]
+        in
+        build (row :: acc) (k - 1)
+    in
+    let* n = int_bound 60 in
+    let* rows = build [] n in
+    let pad =
+      List.init 13 (fun i ->
+          Array.make 6 (Value.Str (Printf.sprintf "v%d" (12 - i))))
+    in
+    (* the padding rows intern the values; the kept rows share those
+       dictionaries *)
+    return
+      (Table.filter_idx
+         (fun i -> i >= 13)
+         (Table.of_rows ~name (Schema.of_list wide_cols) (pad @ rows))))
+
+(* A predicate over the wide table's columns. *)
+let wide_pred_gen =
+  QCheck.Gen.(
+    let base =
+      let* c = oneofl wide_cols and* v = oneofl [ "v0"; "v1"; "v2" ] in
+      oneofl [ Expr.eq c v; Expr.neq c v; Expr.eq_null c; Expr.isin c [ v; "v3" ] ]
+    in
+    let* a = base and* b = base in
+    oneofl [ a; Expr.Not a; Expr.(a &&& b); Expr.(a ||| b) ])
 
 let pred_gen =
   QCheck.Gen.(
@@ -397,40 +475,93 @@ let prop_programmatic_differential =
     ~name:"programmatic select/group/distinct/join match Ops"
     (QCheck.make
        QCheck.Gen.(
-         triple
+         quad
            (table_gen ~name:"a" ~cols:[ "k"; "x" ])
            (table_gen ~name:"b" ~cols:[ "k"; "y" ])
+           (wide_table_gen ~name:"w")
            pred_gen)
-       ~print:(fun (a, b, p) ->
-         Printf.sprintf "a(%d rows), b(%d rows), %s" (Table.cardinality a)
-           (Table.cardinality b) (Expr.to_sql p)))
-    (fun (a, b, p) ->
+       ~print:(fun (a, b, w, p) ->
+         Printf.sprintf "a(%d rows), b(%d rows), %s\nw:\n%s"
+           (Table.cardinality a) (Table.cardinality b) (Expr.to_sql p)
+           (render_rows w)))
+    (fun (a, b, w, p) ->
+      let group_matches ~by t =
+        Table.rows (Planner.group_count ~by t)
+        = List.map
+            (fun (key, n) -> Array.append key [| Value.Int n |])
+            (Ops.group_count ~by t)
+      in
       same_table (Planner.select p a) (Ops.select p a)
       && same_table (Planner.distinct a) (Table.distinct a)
-      && Table.rows (Planner.group_count ~by:[ "k" ] a)
-         = List.map
-             (fun (key, n) -> Array.append key [| Value.Int n |])
-             (Ops.group_count ~by:[ "k" ] a)
+      && group_matches ~by:[ "k" ] a
+      (* the hashed index: keys of five and six columns *)
+      && same_table (Planner.distinct w) (Table.distinct w)
+      && group_matches ~by:wide_cols w
+      && group_matches ~by:[ "c5"; "c3"; "c1"; "c0"; "c2" ] w
       && same_table
            (Planner.equi_join ~on:[ ("k", "k") ] a b)
            (Ops.equi_join ~on:[ ("k", "k") ] a b))
 
+(* DISTINCT and GROUP BY on the selection vector, over keys wide enough
+   for the hashed index: over a filter, over a projection that drops the
+   predicate's column, over a limit, over a blocking sort, with no row
+   selected, and on a table whose rows are all equal. *)
+let wide_dedup_agrees (w, p, n, equal_rows) =
+  let w =
+    if equal_rows && not (Table.is_empty w) then
+      Table.gather ~name:"w" w (List.init (n + 2) (fun _ -> 0))
+    else w
+  in
+  let db = Database.add Database.empty w in
+  let f = Plan.Select (p, Plan.Scan "w") in
+  let tail = [ "c1"; "c2"; "c3"; "c4"; "c5" ] in
+  let no_c0 = Plan.Select (Expr.neq "c0" "v1", Plan.Scan "w") in
+  let sorted = Plan.Sort ([ ("c2", `Desc); ("c4", `Asc) ], f) in
+  let nothing = Plan.Select (Expr.eq "c3" "absent", Plan.Scan "w") in
+  let plans =
+    [
+      Plan.Distinct f;
+      Plan.Distinct (Plan.Project (tail, no_c0));
+      Plan.Distinct (Plan.Project (List.rev tail, f));
+      Plan.Distinct (Plan.Limit (n, f));
+      Plan.Distinct sorted;
+      Plan.Distinct (Plan.Project (tail, sorted));
+      Plan.Distinct nothing;
+      Plan.Distinct (Plan.Scan "w");
+      Plan.Group_count (wide_cols, f);
+      Plan.Group_count (tail, Plan.Project (tail, no_c0));
+      Plan.Group_count (List.rev tail, Plan.Limit (n, f));
+      Plan.Group_count (wide_cols, sorted);
+      Plan.Group_count (tail, nothing);
+      Plan.Group_count ([ "c4"; "c0"; "c5"; "c1"; "c3" ], Plan.Scan "w");
+    ]
+  in
+  List.for_all
+    (fun plan ->
+      same_table (Plan.execute db plan)
+        (Planner.execute db (Planner.plan db plan)))
+    plans
+
 (* Filter chains the executor fuses — projections that drop the
    predicate's columns, limits, DISTINCT, COUNT and GROUP over a filter,
    filters over a materialized input — against the reference engine,
-   plus the programmatic [select ~keep]. *)
+   plus the programmatic [select ~keep] and the wide-key dedups above. *)
 let prop_fused_chain_differential =
   QCheck.Test.make ~count:300
     ~name:"fused filter chains equal the reference engine in row order"
     (QCheck.make
        QCheck.Gen.(
-         quad
-           (table_gen ~name:"a" ~cols:[ "k"; "x" ])
-           pred_gen pred_gen (int_bound 6))
-       ~print:(fun (a, p, q, n) ->
-         Printf.sprintf "a(%d rows), %s, %s, %d" (Table.cardinality a)
-           (Expr.to_sql p) (Expr.to_sql q) n))
-    (fun (a, p, q, n) ->
+         pair
+           (quad
+              (table_gen ~name:"a" ~cols:[ "k"; "x" ])
+              pred_gen pred_gen (int_bound 6))
+           (quad (wide_table_gen ~name:"w") wide_pred_gen (int_bound 40) bool))
+       ~print:(fun ((a, p, q, n), (w, wp, wn, equal_rows)) ->
+         Printf.sprintf
+           "a(%d rows), %s, %s, %d\nwide: %s, %d, all rows equal: %b\nw:\n%s"
+           (Table.cardinality a) (Expr.to_sql p) (Expr.to_sql q) n
+           (Expr.to_sql wp) wn equal_rows (render_rows w)))
+    (fun ((a, p, q, n), wide) ->
       let db = Database.add Database.empty a in
       let f = Plan.Select (p, Plan.Scan "a") in
       let plans =
@@ -455,8 +586,9 @@ let prop_fused_chain_differential =
       && List.for_all
            (fun keep ->
              same_table (Planner.select ~keep p a)
-               (Ops.project keep (Ops.select p a)))
-           [ [ "k" ]; [ "x" ]; [ "x"; "k" ] ])
+               (Table.project keep (Ops.select p a)))
+           [ [ "k" ]; [ "x" ]; [ "x"; "k" ] ]
+      && wide_dedup_agrees wide)
 
 (* The emptiness probe against the reference, on NULL-bearing tables
    and ternary predicates. *)

@@ -80,7 +80,7 @@ let prop_join_commutes =
          Printf.sprintf "%s, %s" (print_table a) (print_table b)))
     (fun (a, b) ->
       let normalize t =
-        List.sort Row.compare (Table.rows (Ops.project [ "k"; "x"; "y" ] t))
+        List.sort Row.compare (Table.rows (Table.project [ "k"; "x"; "y" ] t))
       in
       normalize (Ops.equi_join ~on:[ "k", "k" ] a b)
       = normalize (Ops.equi_join ~on:[ "k", "k" ] b a))

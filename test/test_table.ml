@@ -38,7 +38,7 @@ let test_select_project_rename () =
   let tbl = t [ [ "readex"; "local" ]; [ "data"; "home" ]; [ "wb"; "local" ] ] in
   let locals = Ops.select (Expr.eq "s" "local") tbl in
   check_int "select" 2 (cardinal locals);
-  let names = Ops.project [ "m" ] locals in
+  let names = Table.project [ "m" ] locals in
   check_int "project keeps duplicates" 2 (cardinal names);
   check_int "project arity" 1 (Table.arity names);
   let renamed = Ops.rename [ "m", "msg" ] tbl in
@@ -63,7 +63,7 @@ let test_set_ops () =
   check_int "intersect" 1 (cardinal (Ops.intersect a b));
   check "incompatible schemas rejected" true
     (try
-       ignore (Ops.union (Ops.project [ "m" ] a) b);
+       ignore (Ops.union (Table.project [ "m" ] a) b);
        false
      with Ops.Incompatible_schemas _ -> true)
 
