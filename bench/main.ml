@@ -98,9 +98,11 @@ let benchmarks =
 
 (* --- exploration-core A/B pairs --------------------------------------
    The same bounded search through the boxed oracle and through
-   production.  The packed/boxed pair isolates the representation
-   change (bit-packed vectors + open addressing vs Marshal strings +
-   Hashtbl): both run on one domain, where the stealing engine is a
+   production.  The packed/boxed pair prices two changes together: the
+   state representation (bit-packed vectors + open addressing vs
+   Marshal strings + Hashtbl) and the rule dispatch (coded integer
+   guards and output slots vs the naive first-match scan over string
+   bindings).  Both run on one domain, where the stealing engine is a
    single FIFO queue in the boxed engine's BFS order.  It is the only
    pair left that prices packed against boxed; the seq/par pairs below
    time production at both degrees.  The pairs surface in the JSON

@@ -163,8 +163,18 @@ let popcount mask =
   let rec go acc m = if m = 0 then acc else go (acc + (m land 1)) (m lsr 1) in
   go 0 mask
 
-let pv_encode mask =
-  match popcount mask with 0 -> "zero" | 1 -> "one" | _ -> "gone"
+let iter_members f mask =
+  let rec go i m =
+    if m <> 0 then begin
+      if m land 1 <> 0 then f i;
+      go (i + 1) (m lsr 1)
+    end
+  in
+  go 0 mask
+
+let pv_values = [| "zero"; "one"; "gone" |]
+let pv_index mask = min 2 (popcount mask)
+let pv_encode mask = pv_values.(pv_index mask)
 
 let quiescent t =
   t.queues = []
@@ -173,10 +183,9 @@ let quiescent t =
 
 let pp fmt t =
   let node_sets mask =
-    String.concat ","
-      (List.filter_map
-         (fun i -> if mask land (1 lsl i) <> 0 then Some (string_of_int i) else None)
-         (List.init 16 Fun.id))
+    let members = ref [] in
+    iter_members (fun i -> members := string_of_int i :: !members) mask;
+    String.concat "," (List.rev !members)
   in
   List.iteri
     (fun a st ->

@@ -84,8 +84,20 @@ val pending : t -> node:int -> addr:int -> string option
 val set_pending : t -> node:int -> addr:int -> string option -> t
 
 val popcount : int -> int
+
+val iter_members : (int -> unit) -> int -> unit
+(** [iter_members f mask] calls [f] on every node whose bit is set in
+    [mask], in ascending order. *)
+
+val pv_values : string array
+(** The zero/one/gone presence-vector encoding, indexed by
+    {!pv_index}. *)
+
+val pv_index : int -> int
+(** Bitmask cardinality as an index into {!pv_values}. *)
+
 val pv_encode : int -> string
-(** Bitmask cardinality as the zero/one/gone table encoding. *)
+(** [pv_values.(pv_index mask)]. *)
 
 val quiescent : t -> bool
 (** No in-flight messages, no busy entries, no pending processor ops. *)

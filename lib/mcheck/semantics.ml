@@ -1,35 +1,139 @@
 open Mstate
 
+(* Every table the semantics fires has a fixed binding and action
+   layout: the input columns a deliver function writes, in slot order,
+   and the output columns it reads.  A binding column either carries a
+   state string or one of a few literals the semantics chooses by index
+   (a role, a presence-vector class, a hit/miss bit); constant columns
+   are one-literal columns nobody writes. *)
+type layout = {
+  inputs : Dispatch.column array;
+  outputs : string array;
+  named : string array;
+      (* the binding the naive scan starts from: every literal column
+         at its first literal *)
+}
+
+let layout inputs outputs =
+  {
+    inputs;
+    outputs;
+    named =
+      Array.map
+        (fun (c : Dispatch.column) -> if c.lits = [||] then "" else c.lits.(0))
+        inputs;
+  }
+
+let position name names =
+  let rec go i = if String.equal names.(i) name then i else go (i + 1) in
+  go 0
+
+let in_slot l name =
+  position name (Array.map (fun (c : Dispatch.column) -> c.name) l.inputs)
+
+let out_slot l name = position name l.outputs
+
+module D = struct
+  let l =
+    layout
+      Dispatch.
+        [| state "inmsg"; lits "inmsgsrc" [| "local"; "home"; "remote" |];
+           lits "inmsgdest" [| "home" |]; state "inmsgres";
+           lits "addrspace" [| "mem"; "io" |]; state "dirst";
+           lits "dirpv" pv_values; lits "reqpv" [| "out"; "in" |];
+           state "bdirst"; lits "bdirpv" pv_values;
+           lits "dirlookup" [| "miss"; "hit" |];
+           lits "bdirlookup" [| "miss"; "hit" |] |]
+      [| "locmsg"; "remmsg"; "memmsg"; "nxtdirst"; "nxtdirpv"; "nxtbdirst";
+         "nxtbdirpv"; "bdirop" |]
+
+  let inmsgsrc = in_slot l "inmsgsrc"
+  let inmsgres = in_slot l "inmsgres"
+  let addrspace = in_slot l "addrspace"
+  let dirst = in_slot l "dirst"
+  let dirpv = in_slot l "dirpv"
+  let reqpv = in_slot l "reqpv"
+  let bdirst = in_slot l "bdirst"
+  let bdirpv = in_slot l "bdirpv"
+  let dirlookup = in_slot l "dirlookup"
+  let bdirlookup = in_slot l "bdirlookup"
+  let locmsg = out_slot l "locmsg"
+  let remmsg = out_slot l "remmsg"
+  let memmsg = out_slot l "memmsg"
+  let nxtdirst = out_slot l "nxtdirst"
+  let nxtdirpv = out_slot l "nxtdirpv"
+  let nxtbdirst = out_slot l "nxtbdirst"
+  let nxtbdirpv = out_slot l "nxtbdirpv"
+  let bdirop = out_slot l "bdirop"
+end
+
+(* D's inmsgsrc literals *)
+let local = 0 and home = 1 and remote = 2
+
+module C = struct
+  let l =
+    layout
+      Dispatch.
+        [| state "inmsg"; lits "inmsgsrc" [| "home" |];
+           lits "inmsgdest" [| "remote" |]; lits "inmsgres" [| "snpq" |];
+           state "cachest" |]
+      [| "respmsg"; "nxtcachest" |]
+
+  let cachest = in_slot l "cachest"
+  let respmsg = out_slot l "respmsg"
+  let nxtcachest = out_slot l "nxtcachest"
+end
+
+module N = struct
+  let l =
+    layout
+      Dispatch.
+        [| state "inmsg"; lits "inmsgsrc" [| "home" |];
+           lits "inmsgdest" [| "local" |]; lits "inmsgres" [| "respq" |];
+           state "pendop" |]
+      [| "cachefill"; "ackmsg"; "procresult" |]
+
+  let pendop = in_slot l "pendop"
+  let cachefill = out_slot l "cachefill"
+  let ackmsg = out_slot l "ackmsg"
+  let procresult = out_slot l "procresult"
+end
+
+(* M and IO: the memory-queue delivery, with the memory's ECC status or
+   the device status as a constant last column *)
+module Mem = struct
+  let l status ready =
+    layout
+      Dispatch.
+        [| state "inmsg"; lits "inmsgsrc" [| "home" |];
+           lits "inmsgdest" [| "home" |]; lits "inmsgres" [| "memq" |];
+           lits status [| ready |] |]
+      [| "outmsg" |]
+
+  let m = l "eccst" "ok"
+  let io = l "devst" "ready"
+  let outmsg = 0
+end
+
+module Pif = struct
+  let l =
+    layout Dispatch.[| state "procop"; state "cachest" |] [| "reqmsg"; "pendop" |]
+
+  let cachest = in_slot l "cachest"
+  let reqmsg = out_slot l "reqmsg"
+  let pendop = out_slot l "pendop"
+end
+
 (* A compiled rule list plus the runtime Table.id of the table it came
    from, so every fired rule can be charged to its source row in the
-   transition-coverage bitmaps.
-
-   [index] is an optional dispatch accelerator built by {!index_tables}:
-   rules bucketed by the value their guard binds one discriminating
-   column to (the input message name, in practice).  A bucket holds, in
-   the original priority order, exactly the rules that can match a
-   binding carrying that value — rules that leave the column
-   unconstrained appear in every bucket — so first-match evaluation over
-   a bucket returns the same row as a scan of the full list.  The
-   reference engines never build the index; the packed engines do, which
-   turns the per-delivery O(|table|) guard scan into a scan of a few
-   candidate rows. *)
-type rule_index =
-  | Flat of Mapping.Codegen.rule list
-  | Split of {
-      disc : string;
-      buckets : (string, rule_index) Hashtbl.t;
-      unbound : rule_index;
-          (* rules whose guard leaves [disc] free: the candidates for a
-             discriminator value no guard ever names *)
-      all : Mapping.Codegen.rule list;
-          (* fallback when a binding doesn't carry [disc] at all *)
-    }
-
+   transition-coverage bitmaps.  [coded] is the compiled dispatch
+   {!index_tables} adds; without it the ruleset dispatches through the
+   naive {!Mapping.Codegen.eval_rule} scan the reference engines keep. *)
 type ruleset = {
   rules : Mapping.Codegen.rule list;
   cov : int;
-  index : rule_index option;
+  layout : layout;
+  coded : Dispatch.t option;
 }
 
 type tables = {
@@ -41,130 +145,67 @@ type tables = {
   io_rules : ruleset;
 }
 
-let ruleset_of_table ~inputs ~outputs t =
-  let rules = Mapping.Codegen.rules_of_table ~inputs ~outputs t in
+let ruleset_of_spec layout spec t =
+  let rules =
+    Mapping.Codegen.rules_of_table
+      ~inputs:(Protocol.Ctrl_spec.input_columns spec)
+      ~outputs:(Protocol.Ctrl_spec.output_columns spec)
+      t
+  in
   Obs.Coverage.register ~id:(Relalg.Table.id t)
     ~name:(Relalg.Table.name t)
     ~rows:(Relalg.Table.cardinality t);
-  { rules; cov = Relalg.Table.id t; index = None }
+  { rules; cov = Relalg.Table.id t; layout; coded = None }
 
-let rules_of (c : Protocol.controller) =
+let rules_of layout (c : Protocol.controller) =
   let spec = c.Protocol.spec in
-  ruleset_of_table
-    ~inputs:(Protocol.Ctrl_spec.input_columns spec)
-    ~outputs:(Protocol.Ctrl_spec.output_columns spec)
-    (Protocol.Ctrl_spec.table spec)
+  ruleset_of_spec layout spec (Protocol.Ctrl_spec.table spec)
 
 let load_tables_with ?dir () =
   let d_rules =
     match dir with
-    | None -> rules_of Protocol.directory
+    | None -> rules_of D.l Protocol.directory
     | Some spec ->
-        ruleset_of_table
-          ~inputs:(Protocol.Ctrl_spec.input_columns spec)
-          ~outputs:(Protocol.Ctrl_spec.output_columns spec)
-          (fst (Protocol.Ctrl_spec.generate spec))
+        ruleset_of_spec D.l spec (fst (Protocol.Ctrl_spec.generate spec))
   in
   {
     d_rules;
-    c_rules = rules_of Protocol.cache;
-    n_rules = rules_of Protocol.node;
-    pif_rules = rules_of Protocol.pif;
-    m_rules = rules_of Protocol.memory;
-    io_rules = rules_of Protocol.io;
+    c_rules = rules_of C.l Protocol.cache;
+    n_rules = rules_of N.l Protocol.node;
+    pif_rules = rules_of Pif.l Protocol.pif;
+    m_rules = rules_of Mem.m Protocol.memory;
+    io_rules = rules_of Mem.io Protocol.io;
   }
 
 let load_tables () = load_tables_with ()
 
-(* The discriminator is the guard column with the most distinct values
-   (ties broken by how many guards constrain it): the input message name
-   for the delivery tables, the processor op for PIF.  More distinct
-   values means smaller buckets. *)
-let best_disc rules =
-  let vals : (string, string list) Hashtbl.t = Hashtbl.create 16 in
-  let hits : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Mapping.Codegen.rule) ->
-      List.iter
-        (fun (c, v) ->
-          Hashtbl.replace hits c
-            (1 + Option.value (Hashtbl.find_opt hits c) ~default:0);
-          let seen = Option.value (Hashtbl.find_opt vals c) ~default:[] in
-          if not (List.mem v seen) then Hashtbl.replace vals c (v :: seen))
-        r.guard)
-    rules;
-  Hashtbl.fold
-    (fun c vs best ->
-      let score = (List.length vs, Hashtbl.find hits c) in
-      match best with
-      | Some (_, bs) when bs >= score -> best
-      | _ -> Some (c, score))
-    vals None
-  |> Option.map fst
-
-(* Buckets bigger than this get split again on the next-best column
-   (e.g. D splits on inmsg, then within a message on dirst); depth is
-   bounded so degenerate tables can't recurse forever. *)
-let split_threshold = 8
-
-let rec build_index fuel rules =
-  if fuel = 0 || List.length rules <= split_threshold then Flat rules
-  else
-    match best_disc rules with
-    | None -> Flat rules
-    | Some disc ->
-        let values =
-          List.sort_uniq compare
-            (List.filter_map
-               (fun (r : Mapping.Codegen.rule) -> List.assoc_opt disc r.guard)
-               rules)
-        in
-        let bucket_of v =
-          List.filter
-            (fun (r : Mapping.Codegen.rule) ->
-              match List.assoc_opt disc r.guard with
-              | Some g -> String.equal g v
-              | None -> true)
-            rules
-        in
-        let bs = List.map (fun v -> (v, bucket_of v)) values in
-        if
-          (* no progress: every bucket is the whole list (all guards
-             agree on one value, or none constrain the column) *)
-          List.for_all
-            (fun (_, b) -> List.length b = List.length rules)
-            bs
-        then Flat rules
-        else begin
-          let buckets = Hashtbl.create (2 * List.length values) in
-          List.iter
-            (fun (v, b) -> Hashtbl.replace buckets v (build_index (fuel - 1) b))
-            bs;
-          let unbound =
-            List.filter
-              (fun (r : Mapping.Codegen.rule) ->
-                List.assoc_opt disc r.guard = None)
-              rules
-          in
-          Split
-            { disc; buckets; unbound = build_index (fuel - 1) unbound;
-              all = rules }
-        end
-
-let index_ruleset rs =
-  match build_index 3 rs.rules with
-  | Flat _ -> rs
-  | index -> { rs with index = Some index }
+let compile rs =
+  {
+    rs with
+    coded =
+      Some
+        (Dispatch.compile ~inputs:rs.layout.inputs ~outputs:rs.layout.outputs
+           rs.rules);
+  }
 
 let index_tables t =
   {
-    d_rules = index_ruleset t.d_rules;
-    c_rules = index_ruleset t.c_rules;
-    n_rules = index_ruleset t.n_rules;
-    pif_rules = index_ruleset t.pif_rules;
-    m_rules = index_ruleset t.m_rules;
-    io_rules = index_ruleset t.io_rules;
+    d_rules = compile t.d_rules;
+    c_rules = compile t.c_rules;
+    n_rules = compile t.n_rules;
+    pif_rules = compile t.pif_rules;
+    m_rules = compile t.m_rules;
+    io_rules = compile t.io_rules;
   }
+
+let named_rulesets t =
+  [ "D", t.d_rules; "C", t.c_rules; "N", t.n_rules; "PIF", t.pif_rules;
+    "M", t.m_rules; "IO", t.io_rules ]
+
+let dispatches t =
+  List.filter_map
+    (fun (name, rs) -> Option.map (fun d -> (name, rs.rules, d)) rs.coded)
+    (named_rulesets t)
 
 let directory_rules t = t.d_rules.rules
 
@@ -179,13 +220,13 @@ let pack_vocab t =
     if not (List.mem v prev) then Hashtbl.replace tbl col (v :: prev)
   in
   List.iter
-    (fun rs ->
+    (fun (_, rs) ->
       List.iter
         (fun (r : Mapping.Codegen.rule) ->
           List.iter record r.guard;
           List.iter record r.action)
         rs.rules)
-    [ t.d_rules; t.c_rules; t.n_rules; t.pif_rules; t.m_rules; t.io_rules ];
+    (named_rulesets t);
   Hashtbl.fold
     (fun col vs acc -> (col, List.sort compare vs) :: acc)
     tbl []
@@ -201,35 +242,57 @@ type config = {
 }
 type outcome = Next of Mstate.t | Broken of string
 
+(* A binding under construction, in the representation its ruleset
+   dispatches on: codes for a compiled ruleset, the strings
+   Codegen.eval_rule matches for a naive one.  Deliver functions write
+   it slot by slot and never see which. *)
+type binding =
+  | Coded of Dispatch.t * int array
+  | Named of layout * string array
+
+let binding rs =
+  match rs.coded with
+  | Some d -> Coded (d, Dispatch.binding d)
+  | None -> Named (rs.layout, Array.copy rs.layout.named)
+
+(* a state string *)
+let set b slot v =
+  match b with
+  | Coded (d, codes) -> Dispatch.set d codes slot v
+  | Named (_, strs) -> strs.(slot) <- v
+
+(* literal [i] of the slot's column *)
+let pick b slot i =
+  match b with
+  | Coded (d, codes) -> Dispatch.pick d codes slot i
+  | Named (l, strs) -> strs.(slot) <- l.inputs.(slot).lits.(i)
+
+let pairs l strs =
+  Array.to_list
+    (Array.mapi (fun i (c : Dispatch.column) -> (c.name, strs.(i))) l.inputs)
+
 (* The single choke point where controller-table rows fire: record the
    matched row in the coverage bitmap (a no-op branch when coverage is
-   off — safe from parallel workers, see Obs.Coverage). *)
-let rec index_candidates idx binding =
-  match idx with
-  | Flat rules -> rules
-  | Split { disc; buckets; unbound; all } -> (
-      match List.assoc_opt disc binding with
-      | None -> all (* binding doesn't carry the discriminator *)
-      | Some v -> (
-          match Hashtbl.find_opt buckets v with
-          | Some sub -> index_candidates sub binding
-          | None -> index_candidates unbound binding))
+   off — safe from parallel workers, see Obs.Coverage) and return the
+   row's action by output slot. *)
+let fire rs row out =
+  Obs.Coverage.record ~id:rs.cov ~row;
+  (* same (table id, row) attribution as coverage, so flight-recorded
+     firings decode through the identical registry *)
+  Obs.Flightrec.record ~tag:Obs.Flightrec.tag_fire ~a:rs.cov ~b:row ();
+  Some out
 
-let eval rs binding =
-  let candidates =
-    match rs.index with
-    | None -> rs.rules
-    | Some idx -> index_candidates idx binding
-  in
-  match Mapping.Codegen.eval_rule candidates binding with
-  | None -> None
-  | Some r ->
-      Obs.Coverage.record ~id:rs.cov ~row:r.Mapping.Codegen.row;
-      (* same (table id, row) attribution as coverage, so flight-recorded
-         firings decode through the identical registry *)
-      Obs.Flightrec.record ~tag:Obs.Flightrec.tag_fire ~a:rs.cov
-        ~b:r.Mapping.Codegen.row ();
-      Some r.Mapping.Codegen.action
+let eval rs = function
+  | Coded (d, codes) -> (
+      match Dispatch.find d codes with
+      | None -> None
+      | Some r -> fire rs r.row r.out)
+  | Named (l, strs) -> (
+      match Mapping.Codegen.eval_rule rs.rules (pairs l strs) with
+      | None -> None
+      | Some r ->
+          fire rs r.row (Dispatch.outputs l.outputs r.Mapping.Codegen.action))
+
 let bit n = 1 lsl n
 let data_bearing m =
   List.mem m
@@ -245,43 +308,51 @@ let request_of_pendop = function
   | "wback" -> Some "wb"
   | _ -> None
 
+(* Slot 0 of every layout is the dispatch discriminator: the input
+   message of the delivery tables, the processor op of PIF. *)
+let inmsg = 0
+let procop = 0
+
 (* ------------------------------------------------------------------ *)
 (* Directory                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let dir_binding config st ~cls msg =
+let src_role ~cls msg =
+  if cls = "reqq" || cls = "ackq" then local
+  else if msg.src = mem then home
+  else remote
+
+let dir_inputs config st ~cls msg b =
   let a = addr_state st msg.addr in
-  let addrspace =
-    if List.mem msg.addr config.io_addrs then "io" else "mem"
-  in
-  let src_role =
-    if cls = "reqq" || cls = "ackq" then "local"
-    else if msg.src = mem then "home"
-    else "remote"
-  in
-  [
-    "inmsg", msg.m; "inmsgsrc", src_role; "inmsgdest", "home";
-    "inmsgres", cls; "addrspace", addrspace; "dirst", a.dirst;
-    "dirpv", pv_encode a.sharers;
-    "reqpv", (if a.sharers land bit msg.src <> 0 then "in" else "out");
-    "bdirst", (match a.busy with Some b -> b.bst | None -> "I");
-    "bdirpv", (match a.busy with Some b -> pv_encode b.acks | None -> "zero");
-    "dirlookup", (if a.dirst = "I" then "miss" else "hit");
-    "bdirlookup", (if a.busy = None then "miss" else "hit");
-  ]
+  set b inmsg msg.m;
+  pick b D.inmsgsrc (src_role ~cls msg);
+  set b D.inmsgres cls;
+  pick b D.addrspace (Bool.to_int (List.mem msg.addr config.io_addrs));
+  set b D.dirst a.dirst;
+  pick b D.dirpv (pv_index a.sharers);
+  pick b D.reqpv (Bool.to_int (a.sharers land bit msg.src <> 0));
+  set b D.bdirst (match a.busy with Some b -> b.bst | None -> "I");
+  pick b D.bdirpv (match a.busy with Some b -> pv_index b.acks | None -> 0);
+  pick b D.dirlookup (Bool.to_int (a.dirst <> "I"));
+  pick b D.bdirlookup (Bool.to_int (a.busy <> None))
+
+let dir_binding config st ~cls msg =
+  let strs = Array.copy D.l.named in
+  dir_inputs config st ~cls msg (Named (D.l, strs));
+  pairs D.l strs
 
 let deliver_dir tables config st cls msg =
   let a = addr_state st msg.addr in
-  let binding = dir_binding config st ~cls msg in
-  match eval tables.d_rules binding with
+  let b = binding tables.d_rules in
+  dir_inputs config st ~cls msg b;
+  match eval tables.d_rules b with
   | None ->
       Broken
         (Printf.sprintf "D has no row for %s (%s) dirst=%s bdirst=%s" msg.m
-           (List.assoc "inmsgsrc" binding)
+           D.l.inputs.(D.inmsgsrc).lits.(src_role ~cls msg)
            a.dirst
            (match a.busy with Some b -> b.bst | None -> "I"))
-  | Some outputs ->
-      let field c = List.assoc_opt c outputs in
+  | Some out ->
       let requester =
         match cls, a.busy with
         | "reqq", _ -> msg.src
@@ -299,16 +370,16 @@ let deliver_dir tables config st cls msg =
         | None, None -> true
       in
       (* snoop targets, before any state update *)
-      let drepl = field "nxtbdirpv" = Some "drepl" in
+      let drepl = out.(D.nxtbdirpv) = Some "drepl" in
       let targets =
-        match field "remmsg" with
+        match out.(D.remmsg) with
         | None -> 0
         | Some "sinv" ->
             if drepl then a.sharers land lnot (bit requester) else a.sharers
         | Some _ -> a.sharers
       in
       let st = ref st in
-      (match field "locmsg" with
+      (match out.(D.locmsg) with
       | Some locmsg ->
           st :=
             enqueue !st ~cls:"resp"
@@ -318,18 +389,17 @@ let deliver_dir tables config st cls msg =
                   (if data_bearing locmsg then forwarded_fresh else true);
               }
       | None -> ());
-      (match field "remmsg" with
+      (match out.(D.remmsg) with
       | Some remmsg ->
-          List.iter
+          iter_members
             (fun n ->
-              if targets land bit n <> 0 then
-                st :=
-                  enqueue !st ~cls:"snp"
-                    { m = remmsg; src = dir; dst = n; addr = msg.addr;
-                      fresh = true })
-            (List.init 16 Fun.id)
+              st :=
+                enqueue !st ~cls:"snp"
+                  { m = remmsg; src = dir; dst = n; addr = msg.addr;
+                    fresh = true })
+            targets
       | None -> ());
-      (match field "memmsg" with
+      (match out.(D.memmsg) with
       | Some memmsg ->
           st :=
             enqueue !st ~cls:"memq"
@@ -344,11 +414,11 @@ let deliver_dir tables config st cls msg =
       (* busy-directory operation *)
       let base = match a.busy with Some b -> b.snapshot | None -> a.sharers in
       let busy' =
-        match field "bdirop" with
+        match out.(D.bdirop) with
         | Some "alloc" ->
             Some
               {
-                bst = Option.value (field "nxtbdirst") ~default:"I";
+                bst = Option.value out.(D.nxtbdirst) ~default:"I";
                 requester;
                 acks = targets;
                 snapshot =
@@ -369,7 +439,7 @@ let deliver_dir tables config st cls msg =
                 in
                 {
                   b with
-                  bst = Option.value (field "nxtbdirst") ~default:b.bst;
+                  bst = Option.value out.(D.nxtbdirst) ~default:b.bst;
                   acks;
                   data_fresh = forwarded_fresh;
                 })
@@ -378,9 +448,9 @@ let deliver_dir tables config st cls msg =
         | _ -> a.busy
       in
       (* directory state and concrete presence-vector operation *)
-      let dirst' = Option.value (field "nxtdirst") ~default:a.dirst in
+      let dirst' = Option.value out.(D.nxtdirst) ~default:a.dirst in
       let sharers' =
-        match field "nxtdirpv" with
+        match out.(D.nxtdirpv) with
         | Some "repl" -> bit requester
         | Some "inc" -> base lor bit requester
         | Some "dec" ->
@@ -389,7 +459,7 @@ let deliver_dir tables config st cls msg =
         | Some "drepl" -> base land lnot (bit requester)
         | _ -> a.sharers
       in
-      let sharers' = if field "nxtdirst" = Some "I" then 0 else sharers' in
+      let sharers' = if out.(D.nxtdirst) = Some "I" then 0 else sharers' in
       st :=
         set_addr !st msg.addr
           { a with dirst = dirst'; sharers = sharers'; busy = busy' };
@@ -400,53 +470,46 @@ let deliver_dir tables config st cls msg =
 (* ------------------------------------------------------------------ *)
 
 let deliver_snoop tables st node msg =
-  let binding =
-    [
-      "inmsg", msg.m; "inmsgsrc", "home"; "inmsgdest", "remote";
-      "inmsgres", "snpq"; "cachest", cache st ~node ~addr:msg.addr;
-    ]
-  in
-  match eval tables.c_rules binding with
+  let cachest = cache st ~node ~addr:msg.addr in
+  let b = binding tables.c_rules in
+  set b inmsg msg.m;
+  set b C.cachest cachest;
+  match eval tables.c_rules b with
   | None ->
       Broken
         (Printf.sprintf "C has no row for %s at node %d in %s" msg.m node
-           (cache st ~node ~addr:msg.addr))
-  | Some outputs ->
+           cachest)
+  | Some out ->
       let st = ref st in
-      (match List.assoc_opt "respmsg" outputs with
+      (match out.(C.respmsg) with
       | Some resp ->
           st :=
             enqueue !st ~cls:"respq"
               { m = resp; src = node; dst = dir; addr = msg.addr; fresh = true }
       | None -> ());
-      (match List.assoc_opt "nxtcachest" outputs with
+      (match out.(C.nxtcachest) with
       | Some c -> st := set_cache !st ~node ~addr:msg.addr c
       | None -> ());
       Next !st
 
 let deliver_response tables st node msg =
   let pendop = pending st ~node ~addr:msg.addr in
-  let binding =
-    [
-      "inmsg", msg.m; "inmsgsrc", "home"; "inmsgdest", "local";
-      "inmsgres", "respq";
-      "pendop", Option.value pendop ~default:"none";
-    ]
-  in
-  match eval tables.n_rules binding with
+  let b = binding tables.n_rules in
+  set b inmsg msg.m;
+  set b N.pendop (Option.value pendop ~default:"none");
+  match eval tables.n_rules b with
   | None ->
       Broken
         (Printf.sprintf "N has no row for %s at node %d pending %s" msg.m node
            (Option.value pendop ~default:"none"))
-  | Some outputs ->
-      let field c = List.assoc_opt c outputs in
+  | Some out ->
       if data_bearing msg.m && not msg.fresh then
         Broken
           (Printf.sprintf "stale data: %s delivered to node %d for addr %d"
              msg.m node msg.addr)
       else begin
         let st = ref st in
-        (match field "cachefill" with
+        (match out.(N.cachefill) with
         | Some "shared" -> st := set_cache !st ~node ~addr:msg.addr "S"
         | Some "excl" ->
             st := set_cache !st ~node ~addr:msg.addr "M";
@@ -454,14 +517,14 @@ let deliver_response tables st node msg =
             let a = addr_state !st msg.addr in
             st := set_addr !st msg.addr { a with mem_fresh = false }
         | _ -> ());
-        (match field "ackmsg" with
+        (match out.(N.ackmsg) with
         | Some ackmsg ->
             st :=
               enqueue !st ~cls:"ackq"
                 { m = ackmsg; src = node; dst = dir; addr = msg.addr;
                   fresh = true }
         | None -> ());
-        (match field "procresult" with
+        (match out.(N.procresult) with
         | Some ("done" | "fault") ->
             st := set_pending !st ~node ~addr:msg.addr None
         | Some "retrylater" -> (
@@ -482,14 +545,12 @@ let deliver_response tables st node msg =
 
 let deliver_mem tables st msg =
   let io_request = msg.m = "mioread" || msg.m = "miowrite" in
-  let binding =
-    [ "inmsg", msg.m; "inmsgsrc", "home"; "inmsgdest", "home";
-      "inmsgres", "memq" ]
-    @ (if io_request then [ "devst", "ready" ] else [ "eccst", "ok" ])
-  in
-  match eval (if io_request then tables.io_rules else tables.m_rules) binding with
+  let rs = if io_request then tables.io_rules else tables.m_rules in
+  let b = binding rs in
+  set b inmsg msg.m;
+  match eval rs b with
   | None -> Broken (Printf.sprintf "M/IO has no row for %s" msg.m)
-  | Some outputs ->
+  | Some out ->
       let a = addr_state st msg.addr in
       let st =
         if msg.m = "mwrite" || msg.m = "mupdate" then
@@ -498,7 +559,7 @@ let deliver_mem tables st msg =
       in
       let a = addr_state st msg.addr in
       let st =
-        match List.assoc_opt "outmsg" outputs with
+        match out.(Mem.outmsg) with
         | Some resp ->
             enqueue st ~cls:"respq"
               {
@@ -514,13 +575,13 @@ let deliver_mem tables st msg =
 (* ------------------------------------------------------------------ *)
 
 let issue tables st node addr op =
-  let cachest = cache st ~node ~addr in
-  let binding = [ "procop", op; "cachest", cachest ] in
-  match eval tables.pif_rules binding with
+  let b = binding tables.pif_rules in
+  set b procop op;
+  set b Pif.cachest (cache st ~node ~addr);
+  match eval tables.pif_rules b with
   | None -> None
-  | Some outputs ->
-      let field c = List.assoc_opt c outputs in
-      (match field "reqmsg" with
+  | Some out ->
+      (match out.(Pif.reqmsg) with
       | None -> None (* a pure cache hit changes nothing: skip *)
       | Some req ->
           let st =
@@ -528,7 +589,7 @@ let issue tables st node addr op =
               { m = req; src = node; dst = dir; addr; fresh = true }
           in
           let st =
-            match field "pendop" with
+            match out.(Pif.pendop) with
             | Some p -> set_pending st ~node ~addr (Some p)
             | None -> st
           in

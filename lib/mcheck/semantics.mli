@@ -9,22 +9,34 @@
     same rows that are mapped to hardware in section 5. *)
 
 type tables
-(** Precompiled rule lists for the five executable tables. *)
+(** The six executable controller tables (D, C, N, PIF, M, IO) as rule
+    lists, each with the fixed binding and action layout the semantics
+    fires it through. *)
 
 val load_tables : unit -> tables
+(** Rule lists that dispatch through the naive first-match scan
+    ({!Mapping.Codegen.eval_rule}): the boxed reference engine and the
+    simulators run on these. *)
 
 val load_tables_with : ?dir:Protocol.Ctrl_spec.t -> unit -> tables
 (** Like {!load_tables} but with the directory-controller specification
     replaced — used to model-check seeded-bug variants of D. *)
 
 val index_tables : tables -> tables
-(** Rules re-bucketed by a discriminating guard column (the input
-    message name, in practice) so rule dispatch scans a handful of
-    candidates instead of the whole table.  First-match semantics —
-    including the matched row recorded in the coverage bitmaps — are
-    exactly those of the unindexed rules; the packed exploration
-    engines run on indexed tables while the boxed reference engine
-    keeps the naive scan the differential suite trusts. *)
+(** Each ruleset compiled once into a coded {!Dispatch}: integer guards
+    bucketed on the input message (the processor op for PIF) and
+    actions laid out on output slots, so a delivery codes its state
+    strings with a few table lookups and compares small integers.
+    First-match semantics — including the matched row recorded in the
+    coverage bitmaps and the flight recorder — are exactly those of the
+    naive scan; the packed exploration engine runs on compiled tables
+    while the boxed reference engine keeps the naive scan the
+    differential suite trusts. *)
+
+val dispatches :
+  tables -> (string * Mapping.Codegen.rule list * Dispatch.t) list
+(** Every compiled ruleset of [tables] (none unless {!index_tables}
+    made them): table name, the naive rule list, its dispatch. *)
 
 type config = {
   nodes : int;  (** caches in the system (2–5 are practical) *)

@@ -4,8 +4,8 @@
    stable arrays and the inner loops are tight int loops with no per-row
    [Value] boxing.  Materialization is late: a filter gathers only the
    columns its consumer keeps, a filter over a materialized table gathers
-   exact-size columns of the surviving rows, drains size their output by
-   the rows actually produced, and an emptiness probe stops at the first
+   exact-size columns of the surviving rows, a drain copies a stream's
+   one batch at its exact size, and an emptiness probe stops at the first
    surviving row.  All of that runs on one selection-vector loop and one
    gather loop.  Distinct and group read a table through the same
    selection vector and gather only each key's first occurrence; they
@@ -249,39 +249,19 @@ let limit n src =
 
 (* ------------------------------ draining ----------------------------- *)
 
-(* Accumulate a whole stream into per-column code arrays sized by the
-   rows actually produced: the first batch allocates exactly its rows
-   (nothing for an empty one), later batches grow geometrically. *)
+(* Every source hands out at most one batch: a scan borrows its table as
+   one full-width batch and every streaming operator passes batches
+   through one for one.  So a drain is one exact-size copy of that
+   batch (nothing for an empty stream); a second batch would break the
+   invariant the exact size rests on, and raises. *)
 let drain src =
-  let arity = Array.length src.cols in
-  let cap = ref 0 in
-  let data = ref (Array.make arity [||]) in
-  let n = ref 0 in
-  let rec loop () =
-    let b = src.pull () in
-    if b >= 0 then begin
-      if !n + b > !cap then begin
-        let cap' = if !cap = 0 then b else max (2 * !cap) (!n + b) in
-        data :=
-          Array.map
-            (fun d ->
-              let d' = Array.make cap' 0 in
-              Array.blit d 0 d' 0 !n;
-              d')
-            !data;
-        cap := cap'
-      end;
-      Obs.Metrics.add (Lazy.force bytes_copied) (word_bytes * arity * b);
-      let dst = !data in
-      for j = 0 to arity - 1 do
-        Array.blit src.cols.(j) 0 dst.(j) !n b
-      done;
-      n := !n + b;
-      loop ()
-    end
-  in
-  loop ();
-  (!data, !n)
+  let b = src.pull () in
+  let n = max b 0 in
+  let data = Array.map (fun col -> Array.sub col 0 n) src.cols in
+  if b >= 0 && src.pull () >= 0 then
+    invalid_arg "Batch.drain: a source handed out a second batch";
+  Obs.Metrics.add (Lazy.force bytes_copied) (word_bytes * Array.length data * n);
+  (data, n)
 
 let to_table ~name src =
   let data, n = drain src in

@@ -19,9 +19,9 @@
     - {!select_table}, a filter whose input is a table and whose output
       is a table, gathers the kept columns into arrays of exactly the
       result's size (no stream, so no width-sized buffers);
-    - {!to_table} and the blocking operators that drain size their
-      arrays by the rows actually produced; an empty stream allocates
-      only empty columns;
+    - {!to_table} and the blocking operators that drain copy the one
+      batch a source hands out at exactly its size; an empty stream
+      allocates only empty columns;
     - {!exists} stops at the first surviving row and gathers nothing.
 
     Every operator preserves the reference engine's ordering semantics:
@@ -101,9 +101,10 @@ val count : source -> int
 (** Drain, counting rows. *)
 
 val to_table : name:string -> source -> Table.t
-(** Drain into a table sharing the source's dictionaries.  The code
-    arrays are sized by the rows the stream produced: the first batch
-    allocates exactly its rows, later ones grow geometrically. *)
+(** Drain into a table sharing the source's dictionaries.  A source
+    hands out at most one batch, so the code arrays are one exact-size
+    copy of it; a source that hands out a second batch raises
+    [Invalid_argument]. *)
 
 val distinct_table :
   ?funcs:Expr.funcs ->

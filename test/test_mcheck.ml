@@ -260,6 +260,169 @@ let test_layout_not_factorial () =
     (Printf.sprintf "9-node layout allocated %.0f words (< 1M)" allocated)
     true (allocated < 1e6)
 
+(* Nodes 16 and up hold sharer-mask bits like any other: a store must
+   snoop a sharer at node 16, and the state printer must list it. *)
+let test_snoops_reach_high_nodes () =
+  let tables = Lazy.force tables in
+  let cfg = config ~nodes:17 [ "load"; "store" ] in
+  let snooped = ref [] in
+  let rec drain st =
+    check "no violation on the way" true
+      (Semantics.state_violations cfg st = []);
+    match Mstate.queue_heads st with
+    | [] -> st
+    | ((src, dst, cls), msg) :: _ -> (
+        if cls = "snp" then snooped := (dst, msg.Mstate.m) :: !snooped;
+        match Mstate.dequeue st (src, dst, cls) with
+        | None -> assert false
+        | Some (_, st') -> (
+            match Semantics.deliver ~config:cfg tables st' ~cls ~dst msg with
+            | Semantics.Next st'' -> drain st''
+            | Semantics.Broken r -> Alcotest.fail r))
+  in
+  let issue node op st =
+    drain (Option.get (Semantics.issue_op tables st ~node ~addr:0 ~op))
+  in
+  let shared =
+    issue 3 "load" (issue 16 "load" (Mstate.initial ~nodes:17 ~addrs:1))
+  in
+  let printed = Format.asprintf "%a" Mstate.pp shared in
+  check (Printf.sprintf "pp lists both sharers: %s" printed) true
+    (Test_graph.contains printed "sharers={3,16}");
+  let st = issue 0 "store" shared in
+  check "node 16 was sent the sinv" true (List.mem (16, "sinv") !snooped);
+  check "node 3 was sent the sinv" true (List.mem (3, "sinv") !snooped);
+  check "queues drained" true (Mstate.quiescent st);
+  Alcotest.(check string) "node 16 invalidated" "I" (Mstate.cache st ~node:16 ~addr:0);
+  Alcotest.(check string) "node 0 owns the line" "M" (Mstate.cache st ~node:0 ~addr:0)
+
+(* Coded dispatch against the naive first-match scan, with no search in
+   between: the compiled rulesets of all six tables, bindings drawn per
+   column from its guard vocabulary, a string outside it, or absent. *)
+let dispatches =
+  lazy (Semantics.dispatches (Semantics.index_tables (Lazy.force tables)))
+
+let vocabulary rules col =
+  List.sort_uniq String.compare
+    (List.filter_map
+       (fun (r : Mapping.Codegen.rule) -> List.assoc_opt col r.guard)
+       rules)
+
+(* [values.(slot)]: the string bound at that slot, [None] for absent *)
+let same_row rules d values =
+  let codes = Dispatch.binding d in
+  Array.iteri
+    (fun slot v ->
+      match v with
+      | Some v -> Dispatch.set d codes slot v
+      | None -> codes.(slot) <- Dispatch.absent)
+    values;
+  let named =
+    List.filter_map
+      (fun (c, v) -> Option.map (fun v -> (c, v)) v)
+      (Array.to_list (Array.map2 (fun c v -> (c, v)) (Dispatch.columns d) values))
+  in
+  let coded = Option.map (fun (r : Dispatch.rule) -> r.row) (Dispatch.find d codes) in
+  let naive =
+    Option.map
+      (fun (r : Mapping.Codegen.rule) -> r.row)
+      (Mapping.Codegen.eval_rule rules named)
+  in
+  (coded = naive, coded)
+
+(* The controller tables never overlap (no binding meets two guards), so
+   on them rule priority is unobservable.  Loosened samples do overlap:
+   a handful of a table's rules in random order, each guard pair dropped
+   with probability 1/3, compiled over the same columns. *)
+let loosened_gen table_rules cols =
+  QCheck.Gen.(
+    let* picked = list_size (int_range 2 24) (oneofl table_rules) in
+    let* rules =
+      flatten_l
+        (List.map
+           (fun (r : Mapping.Codegen.rule) ->
+             let* kept =
+               flatten_l
+                 (List.map
+                    (fun pair ->
+                      map
+                        (fun keep -> if keep then Some pair else None)
+                        (frequencyl [ (2, true); (1, false) ]))
+                    r.guard)
+             in
+             return { r with guard = List.filter_map Fun.id kept })
+           picked)
+    in
+    return
+      ( rules,
+        Dispatch.compile ~inputs:(Array.map Dispatch.state cols) ~outputs:[||]
+          rules ))
+
+let dispatch_case_gen =
+  QCheck.Gen.(
+    (* draw an index, so the tables load when the first case is drawn,
+       not when the suite is built *)
+    let* k = int_bound 5 in
+    let name, table_rules, d = List.nth (Lazy.force dispatches) k in
+    let* loosened = bool in
+    let* rules, d =
+      if loosened then loosened_gen table_rules (Dispatch.columns d)
+      else return (table_rules, d)
+    in
+    (* start from a rule's own guard so bindings land near rules *)
+    let* seed = oneofl rules in
+    let* values =
+      flatten_a
+        (Array.map
+           (fun c ->
+             let vocab = vocabulary rules c in
+             frequency
+               ([ (3, return (List.assoc_opt c seed.Mapping.Codegen.guard));
+                  (1, return (Some "not-a-guard-value"));
+                  (1, return None) ]
+               @ if vocab = [] then []
+                 else [ (2, map Option.some (oneofl vocab)) ]))
+           (Dispatch.columns d))
+    in
+    let label = if loosened then name ^ " (loosened sample)" else name in
+    return (label, rules, d, values))
+
+let print_dispatch_case (label, rules, d, values) =
+  Printf.sprintf "%s, rows [%s]: %s" label
+    (String.concat ";"
+       (List.map (fun (r : Mapping.Codegen.rule) -> string_of_int r.row) rules))
+    (String.concat " "
+       (Array.to_list
+          (Array.map2
+             (fun c v -> c ^ "=" ^ Option.value v ~default:"<absent>")
+             (Dispatch.columns d) values)))
+
+let prop_dispatch_matches_scan =
+  QCheck.Test.make ~count:2000
+    ~name:
+      "coded dispatch fires the naive scan's row on all six tables and \
+       loosened samples"
+    (QCheck.make dispatch_case_gen ~print:print_dispatch_case)
+    (fun (_, rules, d, values) -> fst (same_row rules d values))
+
+let test_dispatch_own_rows () =
+  let tables = Lazy.force dispatches in
+  check_int "six compiled tables" 6 (List.length tables);
+  List.iter
+    (fun (name, rules, d) ->
+      List.iter
+        (fun (r : Mapping.Codegen.rule) ->
+          let values =
+            Array.map (fun c -> List.assoc_opt c r.guard) (Dispatch.columns d)
+          in
+          let same, fired = same_row rules d values in
+          check
+            (Printf.sprintf "%s row %d: same row, and one fires" name r.row)
+            true
+            (same && fired <> None))
+        rules)
+    tables
+
 let suite =
   [
     Alcotest.test_case "state basics" `Quick test_state_basics;
@@ -282,4 +445,9 @@ let suite =
     Alcotest.test_case "default engine is packed at one domain" `Quick test_default_engine_is_packed;
     Alcotest.test_case "layout cost is not factorial in nodes" `Quick
       test_layout_not_factorial;
+    Alcotest.test_case "snoops reach nodes 16 and up" `Quick
+      test_snoops_reach_high_nodes;
+    Alcotest.test_case "coded dispatch on every row's own binding" `Quick
+      test_dispatch_own_rows;
+    Test_seed.to_alcotest prop_dispatch_matches_scan;
   ]

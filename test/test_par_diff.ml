@@ -235,7 +235,8 @@ let mcheck_case_gen =
     let* capacity = int_range 1 3 in
     let* max_states = int_range 60 150 in
     let* symmetry = bool in
-    let ops = if evictions then ops @ [ "evict" ] else ops in
+    (* the PIF procops for evictions, which fire D's wb/wback rows *)
+    let ops = if evictions then ops @ [ "evictmod"; "evictsh" ] else ops in
     return
       ( { Mcheck.Semantics.nodes = 2; addrs = 1; ops; capacity; io_addrs = [];
           lossy = false },
@@ -272,7 +273,8 @@ let steal_case_gen =
     let* evictions = bool in
     let* capacity = int_range 1 2 in
     let* symmetry = bool in
-    let ops = if evictions then ops @ [ "evict" ] else ops in
+    (* the PIF procops for evictions, which fire D's wb/wback rows *)
+    let ops = if evictions then ops @ [ "evictmod"; "evictsh" ] else ops in
     return
       ( { Mcheck.Semantics.nodes = 2; addrs = 1; ops; capacity; io_addrs = [];
           lossy = false },
