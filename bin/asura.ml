@@ -768,6 +768,7 @@ let with_sql_errors f =
       fail (Printf.sprintf "at offset %d: %s" pos message)
   | exception Relalg.Database.Unknown_table t -> fail ("unknown table " ^ t)
   | exception Relalg.Schema.Unknown_column c -> fail ("unknown column " ^ c)
+  | exception Relalg.Schema.Incompatible_schemas msg -> fail msg
   | exception Relalg.Expr.Unknown_function f -> fail ("unknown function " ^ f)
 
 (* Execute one statement.  Writes are executed but the resulting catalog

@@ -121,16 +121,16 @@ let fresh seen k = (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true)
 let derive a b = a @ List.filter (fun r -> not (List.mem r a)) b
 
 (* One side of a composition: every entry of every named table,
-   relocated, with the position of its table.  With [distinct], only the
-   first entry of each relocated dependency is kept, and [size] counts
-   the entries it stands for.  No first occurrence of a composed
+   relocated, with the position of its table.  Only the first entry of
+   each relocated dependency is kept, and [size] counts the entries it
+   stands for.  No first occurrence of a composed
    dependency is lost: entries run table by table, so if [e'] follows
    [e] with the same relocated dependency, [e'] composes the same
    dependencies as [e] with every partner, later in nested-loop order
    (left table, right table, left entry, right entry). *)
 type item = { table : int; entry : entry; key : int * int; mutable size : int }
 
-let flatten ids ~distinct placement side =
+let flatten ids placement side =
   let opener = Hashtbl.create 256 in
   Array.of_list
     (List.concat
@@ -146,7 +146,7 @@ let flatten ids ~distinct placement side =
                     None
                 | None ->
                     let it = { table; entry = { e with dep }; key; size = 1 } in
-                    if distinct then Hashtbl.add opener key it;
+                    Hashtbl.add opener key it;
                     Some it)
               entries)
           side))
@@ -168,9 +168,8 @@ let side_table ~name ~id items assign =
    order: the join returns them left-major with matches in right order,
    and a stable counting sort by (left table, right table) restores the
    loop over table pairs. *)
-let iter_matches ids ~distinct ~modes ~placement left right f =
-  let l = flatten ids ~distinct placement left
-  and r = flatten ids ~distinct placement right in
+let iter_matches ids ~modes ~placement left right f =
+  let l = flatten ids placement left and r = flatten ids placement right in
   let outputs = side_table ~name:"outputs" ~id:"first" l (fun d -> d.output)
   and inputs = side_table ~name:"inputs" ~id:"second" r (fun d -> d.input) in
   let tables = List.length right in
@@ -224,20 +223,18 @@ let iter_matches ids ~distinct ~modes ~placement left right f =
     (List.map not modes)
 
 (* The compositions of [left] and [right] under every placement and
-   mode, in that order.  With [seen], a match whose dependency is in
-   [seen] builds nothing, and a new one joins [seen]: each dependency is
-   kept at its first match. *)
-let compose_sides ids ?seen ~modes ~placements left right =
+   mode, in that order.  A match whose dependency is in [seen] builds
+   nothing, and a new one joins [seen]: each dependency is kept at its
+   first match. *)
+let compose_sides ids seen ~modes ~placements left right =
   let names side = Array.of_list (List.map fst side) in
   let l_names = names left and r_names = names right in
-  let keep = match seen with None -> fun _ -> true | Some s -> fresh s in
   let kept = ref [] in
   List.iter
     (fun placement ->
       let added = ref 0 in
-      iter_matches ids ~distinct:(seen <> None) ~modes ~placement left right
-        (fun ~exact a b ->
-          if keep (fst a.key, snd b.key) then begin
+      iter_matches ids ~modes ~placement left right (fun ~exact a b ->
+          if fresh seen (fst a.key, snd b.key) then begin
             let dep = { input = a.entry.dep.input; output = b.entry.dep.output } in
             incr added;
             kept :=
@@ -256,10 +253,6 @@ let compose_sides ids ?seen ~modes ~placements left right =
     placements;
   List.rev !kept
 
-let compose ~ignore_messages ~placement left right =
-  compose_sides (Hashtbl.create 256) ~modes:[ ignore_messages ]
-    ~placements:[ placement ] left right
-
 let of_tables ?(placements = Protocol.Topology.all_placements)
     ?(interleavings = true) ?(fixpoint = false) tables =
   let modes = if interleavings then [ false; true ] else [ false ] in
@@ -274,7 +267,7 @@ let of_tables ?(placements = Protocol.Topology.all_placements)
       tables
   in
   let seen = Hashtbl.create 1024 in
-  let compose left right = compose_sides ids ~seen ~modes ~placements left right in
+  let compose left right = compose_sides ids seen ~modes ~placements left right in
   let direct = firsts seen (List.concat_map snd named) in
   let composed =
     Obs.Trace.with_span ~cat:"checker" "checker.compose" @@ fun () ->

@@ -51,24 +51,6 @@ val relocate : Protocol.Topology.placement -> dep -> dep
 (** Rewrite the roles of both assignments to their quad representatives —
     the paper's "R2 is modified to R2'" step.  Channels are unchanged. *)
 
-val compose :
-  ignore_messages:bool ->
-  placement:Protocol.Topology.placement ->
-  (string * entry list) list ->
-  (string * entry list) list ->
-  entry list
-(** [compose left right]: every transitive dependency obtained by
-    matching the output of an entry of a [left] table against the input
-    of an entry of a [right] table, after relocating both under
-    [placement].  The match is one {!Relalg.Planner.equi_join} on (src,
-    dst, vc), plus msg unless [ignore_messages], recorded under plan site
-    ["dependency.compose"].  Results come in nested-loop order: left
-    table, right table, left entry, right entry.  Nothing is
-    deduplicated.  Nothing in the checker calls it: it is the
-    composition step on its own, for the tests that check it against
-    nested loops; {!protocol_dependency} runs the same join with the
-    deduplication inside. *)
-
 val protocol_dependency :
   ?placements:Protocol.Topology.placement list ->
   ?interleavings:bool ->
@@ -82,10 +64,14 @@ val protocol_dependency :
     message-ignoring relaxation.  Duplicate dependencies are merged,
     keeping the first provenance.
 
-    Each side of a join keeps only the first entry of each relocated
-    dependency, and a match is dropped, before any entry is built, when
-    its (input, output) key is already known; what remains is
-    [compose]'s output without its duplicates.  The
+    Each composition is one {!Relalg.Planner.equi_join} per placement
+    and matching mode, on (src, dst, vc), plus msg unless messages are
+    ignored, recorded under plan site ["dependency.compose"].  Each side
+    of a join keeps only the first entry of each relocated dependency,
+    and a match is dropped, before any entry is built, when its (input,
+    output) key is already known; what remains is the nested loop over
+    ordered table pairs and their entries (left table, right table,
+    left entry, right entry) without its duplicates.  The
     [compose_matches.<placement>] and [compose_new.<placement>] counters
     of the [checker] registry count the matches and the new
     dependencies of each placement.

@@ -100,7 +100,8 @@ let generate () =
           ~outputs:(original_outputs row);
       ]
   in
-  Table.distinct
+  Obs.Planlog.with_site "mapping.extend" @@ fun () ->
+  Planner.distinct
     (Table.of_rows ~name:"ED" schema
        (List.concat
           (List.rev (Table.fold (fun acc row -> expand row :: acc) [] d))))

@@ -25,20 +25,26 @@ let reconstruct db =
   let request = join_side db `Request and response = join_side db `Response in
   let full_order = Extend.input_columns @ Extend.output_columns in
   (* The response side carries no remote-message columns (responses never
-     snoop), so the missing columns are re-added as NULL (no-op). *)
+     snoop), so the missing columns are NULL (no-op), all read from one
+     shared one-value dictionary. *)
+  let nulls = Dict.create () in
+  let null = Dict.intern nulls Value.Null in
   let complete t =
-    let schema = Table.schema t in
-    let widened =
-      List.fold_left
-        (fun acc c ->
-          if Schema.mem schema c then acc
-          else Ops.add_column ~name:c (fun _ -> Value.Null) acc)
-        t full_order
-    in
-    Table.project full_order widened
+    let n = Table.cardinality t in
+    let null_codes = Array.make n null in
+    Table.of_columns ~name:(Table.name t) (Schema.of_list full_order)
+      ~nrows:n
+      (Array.of_list
+         (List.map
+            (fun c ->
+              match Schema.index_opt (Table.schema t) c with
+              | Some j -> (Table.dict t j, Table.codes t j)
+              | None -> (nulls, null_codes))
+            full_order))
   in
+  Obs.Planlog.with_site "mapping.reconstruct" @@ fun () ->
   Table.with_name "ED-rebuilt"
-    (Ops.union (complete request) (complete response))
+    (Planner.union (complete request) (complete response))
 
 let check ?db () =
   let db = match db with Some db -> db | None -> Partition.run () in
@@ -56,11 +62,12 @@ let check ?db () =
   in
   let d = Protocol.Dir_controller.table () in
   let d_cols = Schema.columns (Table.schema d) in
+  Obs.Planlog.with_site "mapping.reconstruct" @@ fun () ->
   let projected =
-    Table.distinct (Table.project d_cols (Ops.select unblocked rebuilt_ed))
+    Planner.distinct (Planner.select ~keep:d_cols unblocked rebuilt_ed)
   in
   let d_preserved = Table.subset d projected in
   let missing_rows =
-    Table.with_name "missing-from-reconstruction" (Ops.except d projected)
+    Table.with_name "missing-from-reconstruction" (Planner.except d projected)
   in
   { rebuilt_ed; ed_preserved; d_preserved; missing_rows }

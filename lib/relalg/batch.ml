@@ -12,8 +12,9 @@
    and the join's build side index rows by *combined integer keys* — a
    dense array when the key domain (product of dictionary sizes) is
    small, open addressing with per-column code comparison otherwise —
-   instead of the polymorphic [int array]-keyed hash tables of the
-   row-at-a-time reference path in {!Ops}. *)
+   instead of the polymorphic row hashing of the row-at-a-time
+   reference engine in {!Oracle}.  The set operators run on the same
+   dedup kernel, over both inputs stacked in one code space. *)
 
 type source = {
   schema : Schema.t;
@@ -389,14 +390,14 @@ let dedup_rows ?counts t js sel m =
   end;
   !g
 
-(* First-occurrence dedup of the kept columns, like {!Table.distinct}. *)
+(* First-occurrence dedup of the kept columns. *)
 let distinct_table ?funcs ?where ?keep ?limit ~name t =
   let schema, js = kept_columns (Table.schema t) keep in
   selecting ?funcs ?where ?limit t @@ fun sel m ->
   let g = dedup_rows t js sel m in
   Table.of_columns ~name schema ~nrows:g (gather_columns t js sel g)
 
-(* First-occurrence group count, like {!Ops.group_count}: the [by]
+(* First-occurrence group count: the [by]
    columns (resolved through [keep], as a projection below the group
    would) then their counts. *)
 let group_table ?funcs ?where ?keep ?limit ~by t =
@@ -413,6 +414,87 @@ let group_table ?funcs ?where ?keep ?limit ~by t =
     (Schema.of_list (by @ [ "count" ]))
     ~nrows:g
     (Array.append (gather_columns t js sel g) [| (count_dict, count_codes) |])
+
+(* ---------------------------- set operators --------------------------- *)
+
+(* [ta]'s rows, then [tb]'s, as one table in [ta]'s code space: [tb]'s
+   codes are translated into [ta]'s dictionaries ({!Dict.translate}),
+   which are only read.  A value of [tb] that [ta]'s dictionary lacks
+   either, with [widen], gets a code in a new dictionary that starts
+   with [ta]'s values, or, without, drops its row, which then equals no
+   row of [ta]. *)
+let stack ~widen ta tb =
+  let na = Table.cardinality ta and nb = Table.cardinality tb in
+  let dicts = Array.init (Table.arity ta) (Table.dict ta) in
+  let maps =
+    Array.mapi (fun j d -> Dict.translate ~from:(Table.dict tb j) ~into:d) dicts
+  in
+  let cols =
+    Array.init (Table.arity ta) (fun j ->
+        let c = Array.make (na + nb) 0 in
+        Array.blit (Table.codes ta j) 0 c 0 na;
+        c)
+  in
+  let code j c =
+    let c' = maps.(j).(c) in
+    if c' >= 0 || not widen then c'
+    else begin
+      let da = Table.dict ta j in
+      if dicts.(j) == da then begin
+        let d = Dict.create () in
+        for c = 0 to Dict.size da - 1 do
+          ignore (Dict.intern d (Dict.value da c))
+        done;
+        dicts.(j) <- d
+      end;
+      let c' = Dict.intern dicts.(j) (Dict.value (Table.dict tb j) c) in
+      maps.(j).(c) <- c';
+      c'
+    end
+  in
+  let n = ref na in
+  for i = 0 to nb - 1 do
+    let ok = ref true in
+    Array.iteri
+      (fun j col ->
+        let c = code j (Table.codes tb j).(i) in
+        if c < 0 then ok := false else col.(!n) <- c)
+      cols;
+    if !ok then incr n
+  done;
+  Table.of_columns ~name:(Table.name ta) (Table.schema ta) ~nrows:!n
+    (Array.mapi (fun j col -> (dicts.(j), col)) cols)
+
+let union ta tb =
+  Schema.check_union_compatible "UNION" (Table.schema ta) (Table.schema tb);
+  fst (distinct_table ~name:(Table.name ta) (stack ~widen:true ta tb))
+
+(* Except and intersect: [ta]'s distinct rows, then the [tb] rows that
+   can equal one, counted by the dedup kernel.  Row [i] of the distinct
+   rows is group [i], and it is in [tb] when its count exceeds 1; [keep]
+   says which survive, the ones in [tb] ([true]) or the others. *)
+let membership ~keep op ta tb =
+  Schema.check_union_compatible op (Table.schema ta) (Table.schema tb);
+  let a, _ = distinct_table ~name:(Table.name ta) ta in
+  let t = stack ~widen:false a tb in
+  let js = Array.init (Table.arity t) Fun.id in
+  fst
+  @@ selecting t
+  @@ fun sel m ->
+  let counts = Array.make m 0 in
+  ignore (dedup_rows ~counts t js sel m);
+  let r = ref 0 in
+  for i = 0 to Table.cardinality a - 1 do
+    if (counts.(i) > 1) = keep then begin
+      sel.(!r) <- i;
+      incr r
+    end
+  done;
+  Table.of_columns ~name:(Table.name ta) (Table.schema ta) ~nrows:!r
+    (gather_columns t js sel !r)
+
+let except ta tb = membership ~keep:false "EXCEPT" ta tb
+let intersect ta tb = membership ~keep:true "INTERSECT" ta tb
 
 (* ----------------------------- sort / top-k --------------------------- *)
 
@@ -503,7 +585,7 @@ let topk_table ~name k keys src =
 (* ------------------------------- join -------------------------------- *)
 
 (* Hash equi-join on dictionary codes with explicit build-side choice.
-   The output is bit-identical to {!Ops.equi_join} — all [ta] columns
+   The output is bit-identical to the reference join — all [ta] columns
    then the non-key [tb] columns, rows in [ta]-major order with matches
    in [tb] row order — whichever side carries the index: building on the
    probe side's left collects pairs probe-major and a stable counting
@@ -517,7 +599,7 @@ let join_tables ?build_left ~on ta tb =
     List.filter (fun c -> not (List.mem c b_key_cols)) (Schema.columns sb)
   in
   List.iter
-    (fun c -> if Schema.mem sa c then raise (Ops.Schema_clash c))
+    (fun c -> if Schema.mem sa c then raise (Schema.Schema_clash c))
     kept_b;
   let na = Table.cardinality ta and nb = Table.cardinality tb in
   let build_left =

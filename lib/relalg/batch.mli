@@ -1,15 +1,17 @@
 (** Vectorized physical operators over batches of dictionary codes.
 
-    The row-at-a-time engine in {!Ops} interprets one {!Value} row per
-    operator call; this module is the batch-of-codes alternative the
-    cost-based planner ({!Planner}) compiles to.  A {!source} streams
+    The row-at-a-time reference engine ({!Oracle}) interprets one
+    {!Value} row per operator call; this module is the batch-of-codes
+    engine the cost-based planner ({!Planner}) compiles to, and the only
+    one production runs.  A {!source} streams
     batches as plain [int] code vectors over per-operator column
     buffers, so selection and projection inner loops are tight integer
     loops with no per-row boxing, and the blocking operators
     (join/group/distinct/sort/top-k) key their hash and direct-address
     indexes on combined dictionary codes instead of polymorphic row
     hashing.  Distinct and group do not stream: they read a table
-    through a selection vector, like {!select_table}.
+    through a selection vector, like {!select_table}; the set operators
+    run the same dedup over both inputs.
 
     {b Buffer contract.}  Materialization is late, and every filter runs
     on one selection-vector loop and one gather loop:
@@ -28,7 +30,7 @@
     select/project/limit keep input order, distinct and group are
     first-occurrence, sort is stable under {!Value.order}, and
     {!join_tables} emits pairs in the same (left-major, right ascending)
-    order as {!Ops.equi_join} — differentially tested in the suite. *)
+    order as the reference join — differentially tested in the suite. *)
 
 type source
 (** A pull-based stream of batches.  Each pull refills (or, for borrowed
@@ -138,8 +140,31 @@ val group_table :
     [keep], as a projection below the group would resolve it.
     @raise Schema.Unknown_column if [by] names a column outside [keep]. *)
 
+(** {2 Set operators}
+
+    SQL's [UNION], [EXCEPT] and [INTERSECT]: duplicate-free results in
+    first-occurrence order, named after the left input.  The right
+    input's codes are translated into the left's dictionaries
+    ({!Dict.translate}), and the dedup kernel of {!distinct_table} runs
+    over both inputs stacked in that one code space.  No input
+    dictionary is ever written: a union whose right input holds values
+    the left's dictionary lacks gets a new dictionary for that column.
+    @raise Schema.Incompatible_schemas unless the schemas are
+    {!Schema.union_compatible}. *)
+
+val union : Table.t -> Table.t -> Table.t
+(** The rows of either input, left first. *)
+
+val except : Table.t -> Table.t -> Table.t
+(** The left input's rows that the right lacks, sharing the left's
+    dictionaries. *)
+
+val intersect : Table.t -> Table.t -> Table.t
+(** The left input's rows that the right has too, sharing the left's
+    dictionaries. *)
+
 val sort_table : name:string -> (string * [ `Asc | `Desc ]) list -> source -> Table.t
-(** Stable sort under {!Value.order}, matching {!Ops.order_by}. *)
+(** Stable sort under {!Value.order}, like the reference engine's. *)
 
 val topk_table :
   name:string -> int -> (string * [ `Asc | `Desc ]) list -> source -> Table.t
@@ -155,10 +180,10 @@ val join_tables :
   Table.t
 (** Hash equi-join keyed on dictionary codes (right-side key codes are
     translated into the left dictionaries, so probe compares are integer
-    equality).  Output rows, schema and name match {!Ops.equi_join}
+    equality).  Output rows, schema and name match the reference join
     exactly, whichever side is built: when the left (smaller) side is the
     build side, matches are restored to left-major order by a stable
     counting sort.  [?build_left] overrides the cardinality heuristic
     ({!Planner.equi_join} passes its choice; tests force both sides).
 
-    @raise Ops.Schema_clash on non-key column name collisions. *)
+    @raise Schema.Schema_clash on non-key column name collisions. *)

@@ -1,5 +1,9 @@
-exception Schema_clash of string
-exception Incompatible_schemas of string
+(* The row-at-a-time reference engine.  Every operator runs
+   sequentially on the calling domain and calls nothing in {!Batch}:
+   the set operators and [distinct] work on decoded rows, selection
+   filters row by row, and the join keeps its own hash index.
+   Production never calls this module; the differential tests compare
+   the planner with it. *)
 
 let select ?funcs pred t =
   Table.filter_idx
@@ -7,80 +11,31 @@ let select ?funcs pred t =
        ~codes:(Table.codes t) pred)
     t
 
-let rename mapping t =
-  let schema = Table.schema t in
-  Table.select_columns (Schema.rename schema mapping) t
-    (List.init (Schema.arity schema) Fun.id)
+(* Rows in order, each kept at its first occurrence. *)
+let distinct_rows rows =
+  let seen = Row.Tbl.create 64 in
+  List.filter
+    (fun r -> (not (Row.Tbl.mem seen r)) && (Row.Tbl.add seen r (); true))
+    rows
 
-let check_disjoint sa sb =
-  List.iter
-    (fun c -> if Schema.mem sa c then raise (Schema_clash c))
-    (Schema.columns sb)
+let of_rows t rows =
+  Table.of_rows ~name:(Table.name t) (Table.schema t) (distinct_rows rows)
 
-let cross ta tb =
-  let sa = Table.schema ta and sb = Table.schema tb in
-  check_disjoint sa sb;
-  let schema = Schema.append sa (Schema.columns sb) in
-  let na = Table.cardinality ta and nb = Table.cardinality tb in
-  let n = na * nb in
-  (* Row (ia, ib) lands at index ia*nb + ib: a-columns repeat each code nb
-     times, b-columns tile their whole code sequence na times. *)
-  let col_of_a j =
-    let src = Table.codes ta j in
-    let out = Array.make n 0 in
-    for ia = 0 to na - 1 do
-      Array.fill out (ia * nb) nb src.(ia)
-    done;
-    (Table.dict ta j, out)
-  in
-  let col_of_b j =
-    let src = Table.codes tb j in
-    let out = Array.make n 0 in
-    for ia = 0 to na - 1 do
-      Array.blit src 0 out (ia * nb) nb
-    done;
-    (Table.dict tb j, out)
-  in
-  Table.of_columns
-    ~name:(Table.name ta ^ "*" ^ Table.name tb)
-    schema ~nrows:n
-    (Array.append
-       (Array.init (Schema.arity sa) col_of_a)
-       (Array.init (Schema.arity sb) col_of_b))
-
-let cross_many ~name = function
-  | [] -> invalid_arg "Ops.cross_many: empty list"
-  | t :: ts -> Table.with_name name (List.fold_left cross t ts)
-
-let prefix_columns prefix t =
-  let mapping =
-    List.map (fun c -> c, prefix ^ c) (Schema.columns (Table.schema t))
-  in
-  rename mapping t
-
-let require_compatible op ta tb =
-  if not (Schema.union_compatible (Table.schema ta) (Table.schema tb)) then
-    raise
-      (Incompatible_schemas
-         (Printf.sprintf "%s: %s vs %s" op (Table.name ta) (Table.name tb)))
+let distinct t = of_rows t (Table.rows t)
 
 let union ta tb =
-  require_compatible "union" ta tb;
-  Table.distinct (Table.concat ta tb)
+  Schema.check_union_compatible "UNION" (Table.schema ta) (Table.schema tb);
+  of_rows ta (Table.rows ta @ Table.rows tb)
 
-let union_many ~name schema = function
-  | [] -> Table.create ~name schema
-  | t :: ts -> Table.with_name name (List.fold_left union t ts)
+(* The distinct rows of [ta] whose membership in [tb] is [keep]. *)
+let membership ~keep op ta tb =
+  Schema.check_union_compatible op (Table.schema ta) (Table.schema tb);
+  let in_b = Row.Tbl.create 64 in
+  Table.iter (fun r -> Row.Tbl.replace in_b r ()) tb;
+  of_rows ta (List.filter (fun r -> Row.Tbl.mem in_b r = keep) (Table.rows ta))
 
-let except ta tb =
-  require_compatible "except" ta tb;
-  let in_b = Table.row_membership ~of_:tb ta in
-  Table.distinct (Table.filter_idx (fun i -> not (in_b i)) ta)
-
-let intersect ta tb =
-  require_compatible "intersect" ta tb;
-  let in_b = Table.row_membership ~of_:tb ta in
-  Table.distinct (Table.filter_idx in_b ta)
+let except ta tb = membership ~keep:false "EXCEPT" ta tb
+let intersect ta tb = membership ~keep:true "INTERSECT" ta tb
 
 let equi_join ~on ta tb =
   let sa = Table.schema ta and sb = Table.schema tb in
@@ -90,7 +45,9 @@ let equi_join ~on ta tb =
   let kept_b =
     List.filter (fun c -> not (List.mem c b_key_cols)) (Schema.columns sb)
   in
-  List.iter (fun c -> if Schema.mem sa c then raise (Schema_clash c)) kept_b;
+  List.iter
+    (fun c -> if Schema.mem sa c then raise (Schema.Schema_clash c))
+    kept_b;
   let na = Table.cardinality ta and nb = Table.cardinality tb in
   (* Hash join in code space: index tb row numbers by their key codes,
      translate ta's key codes into tb's dictionaries once, then probe. *)
@@ -172,18 +129,6 @@ let equi_join ~on ta tb =
        (Array.init (Schema.arity sa) (col_from ta ias))
        (Array.of_list (List.map (fun jb -> col_from tb ibs jb) (List.map (Schema.index sb) kept_b))))
 
-let add_column ~name f t =
-  let schema = Schema.append (Table.schema t) [ name ] in
-  let n = Table.cardinality t in
-  let d = Dict.create () in
-  let extra = Array.init n (fun i -> Dict.intern d (f (Table.get t i))) in
-  let shared =
-    Array.init (Table.arity t) (fun j ->
-        (Table.dict t j, Array.sub (Table.codes t j) 0 n))
-  in
-  Table.of_columns ~name:(Table.name t) schema ~nrows:n
-    (Array.append shared [| (d, extra) |])
-
 let group_count ~by t =
   let projected = Table.project by t in
   let n = Table.cardinality projected in
@@ -231,3 +176,27 @@ let order_by keys t =
 
 let limit n t =
   if n >= Table.cardinality t then t else Table.filter_idx (fun i -> i < n) t
+
+let rec execute db p =
+  match p with
+  | Plan.Scan name -> Database.find db name
+  | Plan.Select (e, inner) ->
+      select ~funcs:(Database.functions db) e (execute db inner)
+  | Plan.Project (cols, inner) -> Table.project cols (execute db inner)
+  | Plan.Distinct inner -> distinct (execute db inner)
+  | Plan.Sort (keys, inner) -> order_by keys (execute db inner)
+  | Plan.Limit (n, inner) -> limit n (execute db inner)
+  | Plan.Count inner ->
+      Table.of_rows ~name:"<count>"
+        (Schema.of_list [ "count" ])
+        [ [| Value.Int (Table.cardinality (execute db inner)) |] ]
+  | Plan.Group_count (cols, inner) ->
+      Table.of_rows ~name:"<group>"
+        (Schema.of_list (cols @ [ "count" ]))
+        (List.map
+           (fun (key, n) -> Array.append key [| Value.Int n |])
+           (group_count ~by:cols (execute db inner)))
+  | Plan.Union (a, b) -> union (execute db a) (execute db b)
+  | Plan.Except (a, b) -> except (execute db a) (execute db b)
+  | Plan.Intersect (a, b) -> intersect (execute db a) (execute db b)
+  | Plan.Empty cols -> Table.create ~name:"<empty>" (Schema.of_list cols)

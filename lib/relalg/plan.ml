@@ -137,20 +137,24 @@ let rec rewrite p =
       | inner, _ -> Limit (n, inner))
   | Count inner -> Count (rewrite inner)
   | Group_count (cols, inner) -> Group_count (cols, rewrite inner)
+  (* set operators produce distinct results and Empty is their unit,
+     but an Empty operand folds away only when the other operand's
+     columns are known to be its own: operands that are not
+     union-compatible must still fail when the plan runs *)
   | Union (a, b) -> (
       match rewrite a, rewrite b with
-      (* set operators produce distinct results; Empty is the unit *)
-      | Empty _, x | x, Empty _ -> Distinct x
+      | Empty cols, x when schema_hint x = Some cols -> Distinct x
+      | x, Empty cols when schema_hint x = Some cols -> Distinct x
       | a, b -> Union (a, b))
   | Except (a, b) -> (
       match rewrite a, rewrite b with
-      | Empty cols, _ -> Empty cols
-      | a, Empty _ -> Distinct a
+      | Empty cols, x when schema_hint x = Some cols -> Empty cols
+      | x, Empty cols when schema_hint x = Some cols -> Distinct x
       | a, b -> Except (a, b))
   | Intersect (a, b) -> (
       match rewrite a, rewrite b with
-      | Empty cols, _ -> Empty cols
-      | _, Empty cols -> Empty cols
+      | Empty cols, x when schema_hint x = Some cols -> Empty cols
+      | x, Empty cols when schema_hint x = Some cols -> Empty cols
       | a, b -> Intersect (a, b))
 
 and schema_hint = function
@@ -165,34 +169,6 @@ and schema_hint = function
 let rec optimize p =
   let p' = rewrite p in
   if p' = p then p else optimize p'
-
-(* ------------------------------------------------------------------ *)
-(* Evaluation                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let rec execute db p =
-  match p with
-  | Scan name -> Database.find db name
-  | Select (e, inner) ->
-      Ops.select ~funcs:(Database.functions db) e (execute db inner)
-  | Project (cols, inner) -> Table.project cols (execute db inner)
-  | Distinct inner -> Table.distinct (execute db inner)
-  | Sort (keys, inner) -> Ops.order_by keys (execute db inner)
-  | Limit (n, inner) -> Ops.limit n (execute db inner)
-  | Count inner ->
-      Table.of_rows ~name:"<count>"
-        (Schema.of_list [ "count" ])
-        [ [| Value.Int (Table.cardinality (execute db inner)) |] ]
-  | Group_count (cols, inner) ->
-      Table.of_rows ~name:"<group>"
-        (Schema.of_list (cols @ [ "count" ]))
-        (List.map
-           (fun (key, n) -> Array.append key [| Value.Int n |])
-           (Ops.group_count ~by:cols (execute db inner)))
-  | Union (a, b) -> Ops.union (execute db a) (execute db b)
-  | Except (a, b) -> Ops.except (execute db a) (execute db b)
-  | Intersect (a, b) -> Ops.intersect (execute db a) (execute db b)
-  | Empty cols -> Table.create ~name:"<empty>" (Schema.of_list cols)
 
 let explain p =
   let buf = Buffer.create 256 in
@@ -231,10 +207,3 @@ let explain p =
   in
   go 0 p;
   Buffer.contents buf
-
-let optimize_to_fixpoint = optimize
-
-let run ?(optimize = true) db src =
-  let plan = of_query (Sql_parser.parse_query src) in
-  let plan = if optimize then optimize_to_fixpoint plan else plan in
-  execute db plan

@@ -7,9 +7,11 @@
     merging, pushing selections below projections and through set
     operators, and short-circuiting provably-empty branches.
 
-    {!execute} evaluates a plan against a database; optimization is
-    semantics-preserving ({!optimize} then {!execute} equals direct
-    execution — property-tested in the test suite). *)
+    This module is the plan algebra only: {!Planner} annotates and runs
+    plans on the {!Batch} engine, and the reference engine ({!Oracle})
+    evaluates them one operator at a time.  Optimization is
+    semantics-preserving: the reference answer to an optimized plan
+    equals the unoptimized one (property-tested in the test suite). *)
 
 (** A plan says exactly what the SQL subset ({!Sql_ast}) can say, so
     it has no join: code that joins tables calls {!Planner.equi_join}. *)
@@ -39,13 +41,5 @@ val simplify_predicate : Expr.t -> Expr.t
     [x AND true = x], [not (not p) = p], ['a' = 'b'] folds to [false],
     ternaries with constant conditions collapse, etc. *)
 
-val execute : Database.t -> t -> Table.t
-(** Row-at-a-time evaluation, one {!Ops} call per node, sequential on the
-    calling domain: with {!of_query}, the reference oracle the planner is
-    differentially tested against ({!Sql_exec.run_query_reference}). *)
-
 val explain : t -> string
 (** Indented tree rendering, EXPLAIN-style. *)
-
-val run : ?optimize:bool -> Database.t -> string -> Table.t
-(** Parse, plan, optionally optimize, execute. *)

@@ -4,8 +4,8 @@
    on declared indexes), and execute through the vectorized {!Batch}
    layer.  Joins are not SQL: code that joins tables calls the
    programmatic {!equi_join}, which picks the hash-join build side.
-   The row-at-a-time {!Ops} path stays behind as the reference engine
-   that differential tests call by name. *)
+   The row-at-a-time reference engine ({!Oracle}) is for the
+   differential tests only; nothing here calls it. *)
 
 (* ASURA_PLAN_BUILD=left|right overrides {!equi_join}'s build-side
    choice.  This is the deterministic "planted plan regression" knob:
@@ -155,6 +155,31 @@ let index_leaf st ~table ~column value =
   let st = { st with ndv = (column, 1.) :: List.remove_assoc column st.ndv } in
   (node (Index_scan { table; column; value }) rows rows [], st)
 
+(* A set operator over two annotated inputs: a union is estimated at
+   the distinct rows of both, an except at half the left's distinct
+   rows, an intersect at half the smaller side's. *)
+let set_node op (ca, sta) (cb, stb) =
+  let cost = ca.cost +. cb.cost +. sta.rows +. stb.rows in
+  match op with
+  | Union ->
+      let merged =
+        {
+          rows = sta.rows +. stb.rows;
+          cols = sta.cols;
+          ndv = List.map (fun (c, n) -> (c, max n (ndv_of stb c))) sta.ndv;
+        }
+      in
+      let rows = distinct_est merged merged.cols in
+      (node Union rows cost [ ca; cb ], restrict merged rows)
+  | Except ->
+      let rows = distinct_est sta sta.cols *. 0.5 in
+      (node Except rows cost [ ca; cb ], restrict sta rows)
+  | _ ->
+      let rows =
+        min (distinct_est sta sta.cols) (distinct_est stb stb.cols) *. 0.5
+      in
+      (node op rows cost [ ca; cb ], restrict sta rows)
+
 (* [indexes] lists the (table, column) pairs that carry a hash index: a
    selection directly over a scan of such a table with a [col = literal]
    conjunct on an indexed column reads only the matching rows through
@@ -229,30 +254,10 @@ let rec annotate ~indexes db (p : Plan.t) : t * stats =
       in
       ( node (Group cols) rows (c.cost +. st.rows) [ c ],
         { rows; cols = cols @ [ "count" ]; ndv } )
-  | Plan.Union (a, b) ->
-      let ca, sta = annotate db a and cb, stb = annotate db b in
-      let merged =
-        {
-          rows = sta.rows +. stb.rows;
-          cols = sta.cols;
-          ndv = List.map (fun (c, n) -> (c, max n (ndv_of stb c))) sta.ndv;
-        }
-      in
-      let rows = distinct_est merged merged.cols in
-      ( node Union rows (ca.cost +. cb.cost +. merged.rows) [ ca; cb ],
-        restrict merged rows )
-  | Plan.Except (a, b) ->
-      let ca, sta = annotate db a and cb, stb = annotate db b in
-      let rows = distinct_est sta sta.cols *. 0.5 in
-      ( node Except rows (ca.cost +. cb.cost +. sta.rows +. stb.rows) [ ca; cb ],
-        restrict sta rows )
+  | Plan.Union (a, b) -> set_node Union (annotate db a) (annotate db b)
+  | Plan.Except (a, b) -> set_node Except (annotate db a) (annotate db b)
   | Plan.Intersect (a, b) ->
-      let ca, sta = annotate db a and cb, stb = annotate db b in
-      let rows = min (distinct_est sta sta.cols) (distinct_est stb stb.cols) *. 0.5 in
-      ( node Intersect rows
-          (ca.cost +. cb.cost +. sta.rows +. stb.rows)
-          [ ca; cb ],
-        restrict sta rows )
+      set_node Intersect (annotate db a) (annotate db b)
   | Plan.Empty cols ->
       ( node (Nothing cols) 0. 0. [],
         { rows = 0.; cols; ndv = List.map (fun c -> (c, 1.)) cols } )
@@ -487,12 +492,10 @@ and execute db (n : t) : Table.t =
         (Table.of_rows ~name:"<count>"
            (Schema.of_list [ "count" ])
            [ [| Value.Int (Batch.count (source_of ~keep:[] db c)) |] ])
-  (* set operators delegate to the reference implementations for their
-     exact dictionary-sharing and first-occurrence semantics; both
-     inputs are already vectorized upstream *)
-  | Union, [ a; b ] -> record (Ops.union (execute db a) (execute db b))
-  | Except, [ a; b ] -> record (Ops.except (execute db a) (execute db b))
-  | Intersect, [ a; b ] -> record (Ops.intersect (execute db a) (execute db b))
+  | Union, [ a; b ] -> record (Batch.union (execute db a) (execute db b))
+  | Except, [ a; b ] -> record (Batch.except (execute db a) (execute db b))
+  | Intersect, [ a; b ] ->
+      record (Batch.intersect (execute db a) (execute db b))
   | Nothing cols, [] ->
       record (Table.create ~name:"<empty>" (Schema.of_list cols))
   | _ -> invalid_arg "Planner.execute: malformed plan"
@@ -772,18 +775,26 @@ let tables_lookup tables name =
       else None)
     tables
 
-let observe_tables root total_ns out tables =
+(* Run [f] over [inputs]; when observing, record the tree [root ()]
+   builds, with the result's size and the time taken at its root. *)
+let recorded inputs root f =
+  let t0 = Obs.Clock.now_ns () in
+  let out = f () in
+  let total = Obs.Clock.since t0 in
   if Obs.Config.on () then begin
-    root.actual <- Table.cardinality out;
-    root.ns <- total_ns;
-    observe ~lookup:(tables_lookup tables) root total_ns
-      (Table.cardinality out)
-  end
+    let root = root () and rows = Table.cardinality out in
+    root.actual <- rows;
+    root.ns <- total;
+    observe ~lookup:(tables_lookup inputs) root total rows
+  end;
+  out
 
-let scan_node t st =
+(* A scan of [t], as observed, and [t]'s stats. *)
+let scan t =
+  let st = table_stats t in
   let n = node (Scan (Table.name t)) st.rows st.rows [] in
   n.actual <- Table.cardinality t;
-  n
+  (n, st)
 
 let equi_join ~on ta tb =
   let na = Table.cardinality ta and nb = Table.cardinality tb in
@@ -792,45 +803,34 @@ let equi_join ~on ta tb =
   let build_left =
     match forced_build_side () with Some b -> b | None -> na <= nb
   in
-  let t0 = Obs.Clock.now_ns () in
-  let out = Batch.join_tables ~build_left ~on ta tb in
-  let total = Obs.Clock.since t0 in
-  if Obs.Config.on () then begin
-    let sta = table_stats ta and stb = table_stats tb in
-    (* each key value of the side with more distinct keys matches about
-       one of the other's; [distinct_est] caps a side's key count at its
-       rows, so a key of many columns does not drive the estimate to
-       zero the way a product of per-column selectivities would *)
-    let keys =
-      fmax
-        (distinct_est sta (List.map fst on))
-        (distinct_est stb (List.map snd on))
-    in
-    let rows = sta.rows *. stb.rows /. fmax 1. keys in
-    let ca = scan_node ta sta and cb = scan_node tb stb in
-    let root =
+  recorded [ ta; tb ]
+    (fun () ->
+      let (ca, sta), (cb, stb) = (scan ta, scan tb) in
+      (* each key value of the side with more distinct keys matches about
+         one of the other's; [distinct_est] caps a side's key count at its
+         rows, so a key of many columns does not drive the estimate to
+         zero the way a product of per-column selectivities would *)
+      let keys =
+        fmax
+          (distinct_est sta (List.map fst on))
+          (distinct_est stb (List.map snd on))
+      in
+      let rows = sta.rows *. stb.rows /. fmax 1. keys in
       node
         (Hash_join { on; build_left })
         rows
         (ca.cost +. cb.cost +. sta.rows +. stb.rows +. rows)
-        [ ca; cb ]
-    in
-    observe_tables root total out [ ta; tb ]
-  end;
-  out
+        [ ca; cb ])
+  @@ fun () -> Batch.join_tables ~build_left ~on ta tb
 
 let filter_root t e =
-  let st = table_stats t in
+  let c, st = scan t in
   let rows = st.rows *. selectivity st (Plan.simplify_predicate e) in
-  let c = scan_node t st in
   node (Filter e) rows (c.cost +. st.rows) [ c ]
 
 let select ?funcs ?keep e t =
-  let t0 = Obs.Clock.now_ns () in
-  let out, _ = Batch.select_table ?funcs ~where:e ?keep ~name:(Table.name t) t in
-  let total = Obs.Clock.since t0 in
-  if Obs.Config.on () then observe_tables (filter_root t e) total out [ t ];
-  out
+  recorded [ t ] (fun () -> filter_root t e) @@ fun () ->
+  fst (Batch.select_table ?funcs ~where:e ?keep ~name:(Table.name t) t)
 
 (* The probe is [LIMIT 1] over the filter, and reports itself as such
    (labelled by its whole predicate, so probes stay apart in sys.plans):
@@ -880,28 +880,23 @@ let exists ?funcs ?(indexes = []) e t =
   end;
   found
 
+(* A dedup of [t] on [cols], recorded as [op] over its scan. *)
+let dedup_node op cols t =
+  let c, st = scan t in
+  node op (distinct_est st (cols st)) (c.cost +. st.rows) [ c ]
+
 let group_count ~by t =
-  let t0 = Obs.Clock.now_ns () in
-  let out, _ = Batch.group_table ~by t in
-  let total = Obs.Clock.since t0 in
-  if Obs.Config.on () then begin
-    let st = table_stats t in
-    let rows = distinct_est st by in
-    let c = scan_node t st in
-    let root = node (Group by) rows (c.cost +. st.rows) [ c ] in
-    observe_tables root total out [ t ]
-  end;
-  out
+  recorded [ t ] (fun () -> dedup_node (Group by) (fun _ -> by) t)
+  @@ fun () -> fst (Batch.group_table ~by t)
 
 let distinct t =
-  let t0 = Obs.Clock.now_ns () in
-  let out, _ = Batch.distinct_table ~name:(Table.name t) t in
-  let total = Obs.Clock.since t0 in
-  if Obs.Config.on () then begin
-    let st = table_stats t in
-    let rows = distinct_est st st.cols in
-    let c = scan_node t st in
-    let root = node Distinct rows (c.cost +. st.rows) [ c ] in
-    observe_tables root total out [ t ]
-  end;
-  out
+  recorded [ t ] (fun () -> dedup_node Distinct (fun st -> st.cols) t)
+  @@ fun () -> fst (Batch.distinct_table ~name:(Table.name t) t)
+
+let union ta tb =
+  recorded [ ta; tb ] (fun () -> fst (set_node Union (scan ta) (scan tb)))
+  @@ fun () -> Batch.union ta tb
+
+let except ta tb =
+  recorded [ ta; tb ] (fun () -> fst (set_node Except (scan ta) (scan tb)))
+  @@ fun () -> Batch.except ta tb

@@ -12,8 +12,8 @@
     [EXPLAIN --analyze] can show estimated vs. actual rows for every
     operator.
 
-    The row-at-a-time {!Ops} path remains the reference engine: no
-    production caller reaches it, and differential tests compare the
+    The row-at-a-time reference engine ({!Oracle}) is for tests only:
+    no production caller reaches it, and differential tests compare the
     two. *)
 
 val forced_build_side : unit -> bool option
@@ -129,12 +129,12 @@ val to_json : report -> Obs.Json.t
 
     Entry points for consumers that build operator chains in code
     (solver, checkers, mapping, bench), all on the vectorized {!Batch}
-    layer; {!Ops} and {!Table} hold the row-at-a-time oracles tests
-    compare them with. *)
+    layer; {!Oracle} holds the row-at-a-time operators tests compare
+    them with. *)
 
 val equi_join : on:(string * string) list -> Table.t -> Table.t -> Table.t
-(** The join on [(left col, right col)] pairs, as {!Ops.equi_join}: all
-    left columns, then the right columns that are not keys, pairs in
+(** The join on [(left col, right col)] pairs, as the reference join:
+    all left columns, then the right columns that are not keys, pairs in
     left-major order.  The hash table is built on the smaller input
     (ties: left) unless {!forced_build_side} says otherwise.  Recorded
     as [join [l=r, …]], estimated at |A|·|B| over the larger side's
@@ -159,3 +159,11 @@ val group_count : by:string list -> Table.t -> Table.t
     SQL layer's GROUP BY result. *)
 
 val distinct : Table.t -> Table.t
+
+val union : Table.t -> Table.t -> Table.t
+(** {!Batch.union}, recorded as [union] over scans of both inputs.
+    @raise Schema.Incompatible_schemas unless union-compatible. *)
+
+val except : Table.t -> Table.t -> Table.t
+(** {!Batch.except}, recorded as [except] over scans of both inputs.
+    @raise Schema.Incompatible_schemas unless union-compatible. *)

@@ -2,6 +2,8 @@ type t = { cols : string array; idx : (string, int) Hashtbl.t }
 
 exception Duplicate_column of string
 exception Unknown_column of string
+exception Schema_clash of string
+exception Incompatible_schemas of string
 
 let of_list names =
   let cols = Array.of_list names in
@@ -29,13 +31,17 @@ let project s keep =
   List.iter (fun c -> ignore (index s c)) keep;
   of_list keep
 
-let rename s mapping =
-  List.iter (fun (old, _) -> ignore (index s old)) mapping;
-  let renamed c = match List.assoc_opt c mapping with Some n -> n | None -> c in
-  of_list (List.map renamed (columns s))
-
 let equal a b = columns a = columns b
 let union_compatible = equal
+
+let check_union_compatible op a b =
+  if not (union_compatible a b) then
+    raise
+      (Incompatible_schemas
+         (Printf.sprintf "%s operands are not union-compatible: (%s) vs (%s)"
+            op
+            (String.concat ", " (columns a))
+            (String.concat ", " (columns b))))
 
 let pp fmt s =
   Format.fprintf fmt "(%s)" (String.concat ", " (columns s))

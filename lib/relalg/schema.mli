@@ -9,6 +9,13 @@ type t
 exception Duplicate_column of string
 exception Unknown_column of string
 
+exception Schema_clash of string
+(** A join would give its result two columns of this name. *)
+
+exception Incompatible_schemas of string
+(** The operands of a set operator are not {!union_compatible}; the
+    message names the operator and both column lists. *)
+
 val of_list : string list -> t
 (** Build a schema from column names, in order.
     @raise Duplicate_column if a name repeats. *)
@@ -32,15 +39,16 @@ val project : t -> string list -> t
 (** Sub-schema with the given columns, in the {e given} order.
     @raise Unknown_column if any is absent. *)
 
-val rename : t -> (string * string) list -> t
-(** [rename s [(old, new_); ...]] renames columns; unmentioned columns keep
-    their names. @raise Unknown_column / @raise Duplicate_column. *)
-
 val equal : t -> t -> bool
 (** Same columns in the same order. *)
 
 val union_compatible : t -> t -> bool
 (** Same arity and same column names in the same order (the precondition for
     UNION / EXCEPT / INTERSECT). *)
+
+val check_union_compatible : string -> t -> t -> unit
+(** [check_union_compatible op a b] returns when [a] and [b] are
+    {!union_compatible}.  @raise Incompatible_schemas naming [op]
+    otherwise. *)
 
 val pp : Format.formatter -> t -> unit

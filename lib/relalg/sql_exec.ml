@@ -19,11 +19,11 @@ let find_tables db q =
       | None -> error "unknown table %s" name)
     (referenced_tables q)
 
-(* The row-at-a-time oracle: the unoptimized plan run through {!Ops},
-   one operator at a time, on the calling domain. *)
+(* The reference answer, for tests and bench/e2e: the unoptimized plan
+   run by the row-at-a-time oracle, on the calling domain. *)
 let run_query_reference db q =
   ignore (find_tables db q);
-  Table.with_name "<query>" (Plan.execute db (Plan.of_query q))
+  Table.with_name "<query>" (Oracle.execute db (Plan.of_query q))
 
 (* Dispatch: the cost-based planner runs the query through the
    vectorized engine.  Unknown tables and unknown functions raise

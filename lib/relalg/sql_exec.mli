@@ -17,9 +17,10 @@ val run_query : ?label:string -> Database.t -> Sql_ast.query -> Table.t
     {!Obs.Planlog.with_site} label is active. *)
 
 val run_query_reference : Database.t -> Sql_ast.query -> Table.t
-(** The oracle the planner is differentially tested against:
-    {!Plan.execute} over the unoptimized {!Plan.of_query}, one {!Ops}
-    call per plan node, sequential on the calling domain.  An unknown
+(** The oracle the planner is differentially tested against: the
+    reference engine ({!Oracle}) over the unoptimized {!Plan.of_query},
+    one operator call per plan node, sequential on the calling domain.
+    Only tests and the end-to-end benchmark call it.  An unknown
     table raises {!Exec_error}; an unknown function raises
     {!Expr.Unknown_function}.  The result is named ["<query>"]. *)
 

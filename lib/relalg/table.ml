@@ -217,19 +217,6 @@ let sort t =
     idx;
   gather t (Array.to_list idx)
 
-let distinct t =
-  let seen = Hashtbl.create (max 16 t.nrows) in
-  let kept = ref [] in
-  (* forward pass: keep the first occurrence of each code tuple *)
-  for i = 0 to t.nrows - 1 do
-    let key = key_of_codes t.cols i in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      kept := i :: !kept
-    end
-  done;
-  gather t (List.rev !kept)
-
 (* Map every code of [a]'s column [j] into [b]'s dictionary space (-1 when
    the value is absent from [b]'s dictionary).  Physically shared
    dictionaries get the identity map for free. *)
@@ -283,14 +270,6 @@ let subset a b =
 
 let equal_as_sets a b = subset a b && subset b a
 
-let row_membership ~of_:b a =
-  let bset = row_code_set b in
-  let trans = Array.init (Array.length a.cols) (fun j -> translation a.cols.(j) b.cols.(j)) in
-  fun i ->
-    match translated_key trans a.cols i with
-    | Some key -> Hashtbl.mem bset key
-    | None -> false
-
 let select_columns ?name schema t js =
   let cols = Array.of_list (List.map (fun j -> t.cols.(j)) js) in
   { name = Option.value name ~default:t.name; schema; cols; nrows = t.nrows;
@@ -299,36 +278,6 @@ let select_columns ?name schema t js =
 let project cols t =
   select_columns (Schema.project t.schema cols) t
     (List.map (Schema.index t.schema) cols)
-
-let concat a b =
-  let n = a.nrows + b.nrows in
-  let cols =
-    Array.mapi
-      (fun j ca ->
-        let cb = b.cols.(j) in
-        let data = Array.make (max 8 n) 0 in
-        Array.blit ca.buf.data 0 data 0 a.nrows;
-        if ca.dict == cb.dict then Array.blit cb.buf.data 0 data a.nrows b.nrows
-        else begin
-          (* re-intern b's values into a's dictionary via a memo table *)
-          let map = Array.make (Dict.size cb.dict) (-1) in
-          for i = 0 to b.nrows - 1 do
-            let c = cb.buf.data.(i) in
-            let c' =
-              if map.(c) >= 0 then map.(c)
-              else begin
-                let c' = Dict.intern ca.dict (Dict.value cb.dict c) in
-                map.(c) <- c';
-                c'
-              end
-            in
-            data.(a.nrows + i) <- c'
-          done
-        end;
-        { dict = ca.dict; buf = { data; len = n } })
-      a.cols
-  in
-  { name = a.name; schema = a.schema; cols; nrows = n; id = fresh_id () }
 
 let of_columns ~name schema ~nrows pairs =
   let cols =

@@ -2,15 +2,15 @@
 
     Tables are immutable values; every operation returns a new table.  Rows
     keep insertion order (useful for printing controller tables in the
-    paper's layout) but all set-like operations ({!Ops}) treat a table as a
-    set of rows.
+    paper's layout) but all set-like operations ({!Batch.union} and the
+    rest) treat a table as a set of rows.
 
     {b Storage.}  Since the columnar refactor a table no longer holds a
     [Row.t list]: rows live column-wise in growable integer arrays, and
     every cell is a code into a per-column {!Dict} (dictionary encoding).
     Appends are O(1) amortized, {!cardinality} is O(1), and the physical
-    operators in {!Ops} work directly on the code arrays — equality on the
-    hot path is an integer compare.  Derived tables (selections,
+    operators in {!Batch} work directly on the code arrays — equality on
+    the hot path is an integer compare.  Derived tables (selections,
     projections, joins) share their parents' dictionaries, and projections
     and renames share the code buffers themselves.  {!rows} still
     materializes the classic row-major view for callers that want it, but
@@ -76,10 +76,6 @@ val map_rows : (Row.t -> Row.t) -> t -> t
 val sort : t -> t
 (** Rows in {!Row.compare} order. *)
 
-val distinct : t -> t
-(** Remove duplicate rows, keeping the first occurrence of each.
-    Runs on dictionary codes: no cell is decoded. *)
-
 val equal_as_sets : t -> t -> bool
 (** Same schema (column names in order) and same set of rows. *)
 
@@ -100,7 +96,7 @@ val row_assoc : t -> Row.t -> (string * Value.t) list
 
 (** {1 Columnar access}
 
-    The physical layer ({!Ops}, {!Index}, {!Batch}) operates on these.
+    The physical layer ({!Index}, {!Batch}) operates on these.
     The returned arrays are the live backing buffers: only indices
     [0 .. cardinality - 1] are meaningful, and callers must never mutate
     them. *)
@@ -122,31 +118,19 @@ val gather : ?name:string -> t -> int list -> t
 val select_columns : ?name:string -> Schema.t -> t -> int list -> t
 (** [select_columns schema t js] is the zero-copy view whose [k]-th column
     is column [js_k] of [t] (buffers and dictionaries shared), under the
-    given schema.  This is how {!project} and {!Ops.rename} avoid
-    touching any row.  [schema]'s arity must equal [List.length js]. *)
+    given schema.  This is how {!project} avoids touching any row.  [schema]'s arity must equal [List.length js]. *)
 
 val project : string list -> t -> t
 (** Keep (and reorder to) the named columns, zero-copy: the result
     shares [t]'s code buffers and dictionaries.  Duplicate rows are
-    retained; pair with {!distinct} for SQL's [SELECT DISTINCT].
+    retained; pair with {!Planner.distinct} for SQL's [SELECT DISTINCT].
     @raise Schema.Unknown_column. *)
-
-val row_membership : of_:t -> t -> int -> bool
-(** [row_membership ~of_:b a] precomputes a membership test: the returned
-    predicate tells whether row [i] of [a] occurs in [b].  Works in code
-    space via dictionary translation, like {!subset}.  Schemas must be
-    union-compatible (callers check). *)
-
-val concat : t -> t -> t
-(** Union-all: the rows of both tables in order, under the first table's
-    name and dictionaries ([b]'s codes are re-interned).  Schemas must be
-    union-compatible — callers ({!Ops.union}) check. *)
 
 val of_columns :
   name:string -> Schema.t -> nrows:int -> (Dict.t * int array) array -> t
 (** Assemble a table directly from per-column (dictionary, codes) pairs —
     the fast path for operators that compute code arrays wholesale
-    ({!Ops.cross}, {!Ops.equi_join}).  Every code array must have at least
+    (joins, gathers, set operators).  Every code array must have at least
     [nrows] entries valid against its dictionary. *)
 
 (** {1 Storage accounting} *)

@@ -162,21 +162,27 @@ let test_composition_modes () =
   (* the paper's R1 (memory) and R2 (directory) *)
   let r1 = mk "wb" "home" "home" "VC4" "compl" "home" "home" "VC2" in
   let r2 = mk "idone" "remote" "home" "VC2" "mread" "home" "home" "VC4" in
+  let composed ~placement ~interleavings =
+    List.filter_map
+      (fun (e : Dependency.entry) ->
+        match e.provenance with
+        | Dependency.Composed { first = "M"; second = "D"; _ } -> Some e.dep
+        | _ -> None)
+      (Dependency.of_tables ~placements:[ placement ] ~interleavings
+         [ ("M", [ r1 ]); ("D", [ r2 ]) ])
+  in
   (* exact match fails: compl <> idone and remote <> home *)
   check_int "no exact composition" 0
     (List.length
-       (Dependency.compose ~ignore_messages:false
-          ~placement:Protocol.Topology.All_distinct
-          [ ("M", [ r1 ]) ] [ ("D", [ r2 ]) ]));
+       (composed ~placement:Protocol.Topology.All_distinct
+          ~interleavings:false));
   (* under L<>H=R with messages ignored, R1 . R2' yields the paper's R3 *)
-  let composed =
-    Dependency.compose ~ignore_messages:true
-      ~placement:Protocol.Topology.Hr_same [ ("M", [ r1 ]) ] [ ("D", [ r2 ]) ]
-  in
-  check_int "R3 found" 1 (List.length composed);
-  let r3 = (List.hd composed).Dependency.dep in
-  Alcotest.(check string) "R3 closes on VC4" "VC4" r3.Dependency.output.vc;
-  Alcotest.(check string) "R3 input stays wb on VC4" "VC4" r3.Dependency.input.vc
+  match composed ~placement:Protocol.Topology.Hr_same ~interleavings:true with
+  | [ r3 ] ->
+      Alcotest.(check string) "R3 closes on VC4" "VC4" r3.Dependency.output.vc;
+      Alcotest.(check string) "R3 input stays wb on VC4" "VC4"
+        r3.Dependency.input.vc
+  | l -> Alcotest.failf "R3: %d M . D compositions" (List.length l)
 
 (* Composition as the nested loop it stands for: every entry of [t1]
    against every entry of [t2], both relocated under [placement]. *)
@@ -217,8 +223,40 @@ let gen_entry name =
   let dep = { Dependency.input; output } in
   return { Dependency.dep; provenance = Direct name; origin }
 
+let dedup_entries entries =
+  let seen = Hashtbl.create 256 in
+  List.filter
+    (fun (e : Dependency.entry) ->
+      if Hashtbl.mem seen e.dep then false
+      else begin
+        Hashtbl.add seen e.dep ();
+        true
+      end)
+    entries
+
+(* [Dependency.of_tables] as nested loops: each table deduplicated, then
+   every placement, mode, ordered pair of tables and pair of entries,
+   keeping the first entry of each dependency. *)
+let nested_loop_tables ~placements ~interleavings tables =
+  let named = List.map (fun (n, es) -> (n, dedup_entries es)) tables in
+  let composed =
+    List.concat_map
+      (fun placement ->
+        List.concat_map
+          (fun ignore_messages ->
+            List.concat_map
+              (fun t1 ->
+                List.concat_map
+                  (nested_compose ~ignore_messages ~placement t1)
+                  named)
+              named)
+          (if interleavings then [ false; true ] else [ false ]))
+      placements
+  in
+  dedup_entries (List.concat_map snd named @ composed)
+
 (* Composition runs on the planner's hash join.  Against a nested loop
-   written out here, on sides whose roles, channels and messages
+   written out here, on two tables whose roles, channels and messages
    collide, it must return the same entries in the same order with the
    same origins. *)
 let prop_compose_matches_nested_loop =
@@ -231,55 +269,38 @@ let prop_compose_matches_nested_loop =
       bool
   in
   QCheck.Test.make ~count:300 ~name:"hash-bucket compose = nested loop"
-    (QCheck.make gen ~print:(fun (t1, t2, p, im) ->
-         Printf.sprintf "|t1|=%d |t2|=%d %s ignore_messages=%b"
+    (QCheck.make gen ~print:(fun (t1, t2, p, il) ->
+         Printf.sprintf "|t1|=%d |t2|=%d %s interleavings=%b"
            (List.length t1) (List.length t2)
-           (Protocol.Topology.placement_to_string p) im))
-    (fun (t1, t2, placement, ignore_messages) ->
-      Dependency.compose ~ignore_messages ~placement [ ("T", t1) ] [ ("U", t2) ]
-      = nested_compose ~ignore_messages ~placement ("T", t1) ("U", t2))
+           (Protocol.Topology.placement_to_string p) il))
+    (fun (t1, t2, placement, interleavings) ->
+      let tables = [ ("T", t1); ("U", t2) ] in
+      Dependency.of_tables ~placements:[ placement ] ~interleavings tables
+      = nested_loop_tables ~placements:[ placement ] ~interleavings tables)
 
-(* With several tables on each side, one join stands for the nested loop
-   over table pairs: left table, right table, then their entries. *)
+(* With several tables, one join per mode stands for the nested loop
+   over ordered table pairs: left table, right table, then their
+   entries. *)
 let prop_compose_tables_in_pair_order =
   let open QCheck.Gen in
-  let side prefix =
-    let* n = int_range 1 3 in
+  let tables =
+    let* n = int_range 2 6 in
     flatten_l
       (List.init n (fun i ->
-           let name = Printf.sprintf "%s%d" prefix i in
+           let name = Printf.sprintf "T%d" i in
            map
              (fun es -> (name, es))
              (list_size (int_bound 8) (gen_entry name))))
   in
-  let gen =
-    quad (side "L") (side "R") (oneofl Protocol.Topology.all_placements) bool
-  in
+  let gen = triple tables (oneofl Protocol.Topology.all_placements) bool in
   QCheck.Test.make ~count:200
     ~name:"multi-table compose = pairwise nested loops"
-    (QCheck.make gen ~print:(fun (l, r, p, im) ->
-         Printf.sprintf "%d x %d tables %s ignore_messages=%b" (List.length l)
-           (List.length r)
-           (Protocol.Topology.placement_to_string p) im))
-    (fun (left, right, placement, ignore_messages) ->
-      Dependency.compose ~ignore_messages ~placement left right
-      = List.concat_map
-          (fun t1 ->
-            List.concat_map
-              (nested_compose ~ignore_messages ~placement t1)
-              right)
-          left)
-
-let dedup_entries entries =
-  let seen = Hashtbl.create 256 in
-  List.filter
-    (fun (e : Dependency.entry) ->
-      if Hashtbl.mem seen e.dep then false
-      else begin
-        Hashtbl.add seen e.dep ();
-        true
-      end)
-    entries
+    (QCheck.make gen ~print:(fun (ts, p, il) ->
+         Printf.sprintf "%d tables %s interleavings=%b" (List.length ts)
+           (Protocol.Topology.placement_to_string p) il))
+    (fun (tables, placement, interleavings) ->
+      Dependency.of_tables ~placements:[ placement ] ~interleavings tables
+      = nested_loop_tables ~placements:[ placement ] ~interleavings tables)
 
 (* The protocol dependency table as nested loops: the deduplicated
    individual tables, then every placement, both matching modes, every
@@ -325,27 +346,6 @@ let test_dependency_matches_nested_loop () =
                 = nested_loop_dependency ~v controllers))
             Vcassign.standard))
     [ ""; "left"; "right" ]
-
-(* [Dependency.of_tables] as nested loops: each table deduplicated, then
-   every placement, mode, ordered pair of tables and pair of entries,
-   keeping the first entry of each dependency. *)
-let nested_loop_tables ~placements ~interleavings tables =
-  let named = List.map (fun (n, es) -> (n, dedup_entries es)) tables in
-  let composed =
-    List.concat_map
-      (fun placement ->
-        List.concat_map
-          (fun ignore_messages ->
-            List.concat_map
-              (fun t1 ->
-                List.concat_map
-                  (nested_compose ~ignore_messages ~placement t1)
-                  named)
-              named)
-          (if interleavings then [ false; true ] else [ false ]))
-      placements
-  in
-  dedup_entries (List.concat_map snd named @ composed)
 
 (* The pass drops a duplicate match before it builds anything, and only
    joins the first entry of each (relocated output, relocated input)
@@ -422,7 +422,7 @@ let test_dependency_table_form () =
   check_int "one row per dependency" (List.length entries)
     (Relalg.Table.cardinality t);
   check "no duplicate dependencies" true
-    (Relalg.Table.cardinality (Relalg.Table.distinct t)
+    (Relalg.Table.cardinality (Relalg.Oracle.distinct t)
     = Relalg.Table.cardinality t)
 
 (* ------------------------------ deadlock ---------------------------- *)

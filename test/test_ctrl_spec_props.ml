@@ -51,7 +51,7 @@ let prop_deterministic =
     (fun scenarios ->
       let tbl = generate scenarios in
       let inputs = Table.project Protocol.Dir_controller.input_columns tbl in
-      Table.cardinality (Table.distinct inputs) = Table.cardinality tbl)
+      Table.cardinality (Oracle.distinct inputs) = Table.cardinality tbl)
 
 (* Dropping scenarios never adds rows (monotonicity of generation). *)
 let prop_monotone =
@@ -77,7 +77,7 @@ let prop_inputs_subset =
         Table.project Protocol.Dir_controller.input_columns
           (Protocol.Dir_controller.table ())
       in
-      Table.subset (Table.distinct sub) (Table.distinct full))
+      Table.subset (Oracle.distinct sub) (Oracle.distinct full))
 
 (* The vectorized generator against the boxed reference on random
    subsets of D's scenarios in random order: reordering moves which

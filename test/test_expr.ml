@@ -210,7 +210,7 @@ let prop_compile_columns_on_derived =
          Format.asprintf "%a on %d rows" Expr.pp e (List.length rows)))
     (fun (e, rows) ->
       let t = Table.of_rows ~name:"t" schema rows in
-      let sub = Ops.select (Expr.Not (Expr.eq_null "inmsg")) t in
+      let sub = Oracle.select (Expr.Not (Expr.eq_null "inmsg")) t in
       let compiled =
         Expr.compile_columns ~funcs:columns_funcs schema
           ~dict:(Table.dict sub) ~codes:(Table.codes sub) e

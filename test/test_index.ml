@@ -50,7 +50,7 @@ let prop_index_agrees_with_scan =
       in
       let idx = Index.build t "k" in
       let via_index = Index.lookup idx (Value.str probe) in
-      let via_scan = Table.rows (Ops.select (Expr.eq "k" probe) t) in
+      let via_scan = Table.rows (Oracle.select (Expr.eq "k" probe) t) in
       List.length via_index = List.length via_scan
       && List.for_all2 Row.equal via_index via_scan)
 

@@ -21,7 +21,7 @@ let test_ed_shape () =
 
 let test_ed_blocked_requests_retry () =
   let ed = Lazy.force ed in
-  let blocked = Ops.select (Expr.eq "qstatus" "Full") ed in
+  let blocked = Oracle.select (Expr.eq "qstatus" "Full") ed in
   check "blocked variants exist" true (not (Table.is_empty blocked));
   check "every blocked request retries or feeds back" true
     (List.for_all
@@ -38,7 +38,7 @@ let test_ed_blocked_requests_retry () =
 let test_ed_feedback_on_full_update_queue () =
   let ed = Lazy.force ed in
   let deferred =
-    Ops.select Expr.(eq "dqstatus" "Full" &&& eq_null "qstatus") ed
+    Oracle.select Expr.(eq "dqstatus" "Full" &&& eq_null "qstatus") ed
   in
   check "deferred variants exist" true (not (Table.is_empty deferred));
   check "deferrals only feed back" true
@@ -51,7 +51,7 @@ let test_ed_feedback_on_full_update_queue () =
 
 let test_ed_dfdback_rows () =
   let ed = Lazy.force ed in
-  let replays = Ops.select (Expr.eq "inmsg" "dfdback") ed in
+  let replays = Oracle.select (Expr.eq "inmsg" "dfdback") ed in
   check "replay rows exist" true (not (Table.is_empty replays));
   check "replays carry their originating response" true
     (List.for_all (fun row -> str_cell replays row "fdctx" <> "-")
@@ -64,7 +64,7 @@ let test_ed_unblocked_preserves_d () =
   let ed = Lazy.force ed in
   let d = Protocol.Dir_controller.table () in
   let normal =
-    Ops.select
+    Oracle.select
       Expr.(
         eq_null "fdctx"
         &&& Not (eq "inmsg" "dfdback")
@@ -73,7 +73,7 @@ let test_ed_unblocked_preserves_d () =
       ed
   in
   let projected =
-    Table.distinct (Table.project (Schema.columns (Table.schema d)) normal)
+    Oracle.distinct (Table.project (Schema.columns (Table.schema d)) normal)
   in
   check "unblocked ED rows contain D" true (Table.subset d projected)
 
@@ -81,8 +81,8 @@ let test_ed_deterministic () =
   let ed = Lazy.force ed in
   let inputs = Table.project Extend.input_columns ed in
   check_int "ED is a function of its inputs"
-    (Table.cardinality (Table.distinct inputs))
-    (Table.cardinality (Table.distinct ed))
+    (Table.cardinality (Oracle.distinct inputs))
+    (Table.cardinality (Oracle.distinct ed))
 
 let test_nine_tables () =
   let db = Lazy.force impl_db in

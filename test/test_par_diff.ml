@@ -143,8 +143,8 @@ let test_relational_oracles_sequential () =
   let db = Database.of_tables [ t; u ] in
   never_fan_out
     [
-      ("Ops.select", fun () -> ignore (Ops.select (Expr.eq "k" "a") t));
-      ("Ops.equi_join", fun () -> ignore (Ops.equi_join ~on:[ "k", "k" ] t u));
+      ("Oracle.select", fun () -> ignore (Oracle.select (Expr.eq "k" "a") t));
+      ("Oracle.equi_join", fun () -> ignore (Oracle.equi_join ~on:[ "k", "k" ] t u));
       ( "Sql_exec.run_query_reference",
         fun () ->
           ignore

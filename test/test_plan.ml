@@ -28,7 +28,7 @@ let test_translation () =
 
 (* The translation written out by hand from the SQL semantics, the
    independent check on [Plan.of_query] that lets the reference oracle
-   be [Plan.execute] over it.  A plain projection sorts below its
+   be [Oracle.execute] over it.  A plain projection sorts below its
    [Project], so ORDER BY may name a column the SELECT list drops; an
    aggregate sorts above, over its output columns; DISTINCT applies to
    the projected rows and LIMIT to the final order. *)
@@ -155,11 +155,16 @@ let queries =
     "SELECT COUNT(*) FROM T WHERE a = 'x'";
   ]
 
+(* The reference answer to a query, its plan optimized or not. *)
+let reference ?(optimize = true) db src =
+  let p = Plan.of_query (Sql_parser.parse_query src) in
+  Oracle.execute db (if optimize then Plan.optimize p else p)
+
 let test_optimizer_preserves_semantics () =
   List.iter
     (fun src ->
-      let direct = Plan.run ~optimize:false db src in
-      let optimized = Plan.run ~optimize:true db src in
+      let direct = reference ~optimize:false db src in
+      let optimized = reference db src in
       check ("same result: " ^ src) true
         (Table.equal_as_sets direct optimized))
     queries
@@ -168,7 +173,7 @@ let test_plan_matches_executor () =
   List.iter
     (fun src ->
       check ("plan = executor: " ^ src) true
-        (Table.equal_as_sets (Plan.run db src) (Sql_exec.query db src)))
+        (Table.equal_as_sets (reference db src) (Sql_exec.query db src)))
     queries
 
 let test_explain () =
@@ -219,10 +224,10 @@ let prop_optimize_sound =
     (fun p ->
       (* random Union/Except operands may have incompatible schemas after
          a Project: treat those as trivially passing *)
-      match Plan.execute db p with
+      match Oracle.execute db p with
       | direct ->
-          Table.equal_as_sets direct (Plan.execute db (Plan.optimize p))
-      | exception Ops.Incompatible_schemas _ -> true
+          Table.equal_as_sets direct (Oracle.execute db (Plan.optimize p))
+      | exception Schema.Incompatible_schemas _ -> true
       | exception Schema.Unknown_column _ -> true)
 
 (* ------------------------------- count ------------------------------ *)
@@ -256,7 +261,7 @@ let test_group_by () =
   (* planner and physical agree *)
   let q = "SELECT a, COUNT(*) FROM T WHERE NOT a = 'z' GROUP BY a" in
   check "plan agrees" true
-    (Table.equal_as_sets (Plan.run db q) (Sql_exec.query db q));
+    (Table.equal_as_sets (reference db q) (Sql_exec.query db q));
   check "mismatched keys rejected" true
     (try
        ignore (Sql_parser.parse_query "SELECT a, COUNT(*) FROM T GROUP BY b");
@@ -305,7 +310,7 @@ let test_csv_roundtrip_derived () =
   let d = Protocol.Dir_controller.table () in
   let sub =
     Table.project [ "inmsg"; "dirst"; "locmsg" ]
-      (Ops.select (Expr.eq "inmsg" "readex") d)
+      (Oracle.select (Expr.eq "inmsg" "readex") d)
   in
   let back = Csv.of_string ~name:"sub" (Csv.to_string sub) in
   check "derived table roundtrips" true (Table.equal_as_sets sub back);

@@ -6,7 +6,7 @@
    reference engine's answers *in row order*, not just as multisets —
    select/project/limit stream in order, group and distinct keep first
    occurrences, sort is stable, and the hash join emits left-major
-   pairs exactly like {!Ops.equi_join}.  The qcheck properties throw
+   pairs exactly like {!Oracle.equi_join}.  The qcheck properties throw
    random logical plans (including NULL cells, ternary predicates,
    joins and set operators) at both engines; set QCHECK_SEED to replay
    a failure. *)
@@ -164,7 +164,7 @@ let test_analyze_est_vs_actual () =
      selection vector over the scan: each reports the rows that passed
      the filter, in one batch, as a drained filter chain does *)
   let passed =
-    Table.cardinality (Ops.select (Expr.eq "k" "p") (Database.find db "a"))
+    Table.cardinality (Oracle.select (Expr.eq "k" "p") (Database.find db "a"))
   in
   match r.Planner.root with
   | { Planner.op = Planner.Distinct;
@@ -298,13 +298,13 @@ let test_bytes_copied_kept_only () =
 
 (* Joining D back to the distinct summary of its own key columns matches
    every row exactly once in order — the shape Batch.join_tables returns
-   zero-copy.  It must still agree with Ops.equi_join row for row. *)
+   zero-copy.  It must still agree with Oracle.equi_join row for row. *)
 let test_join_identity_shape () =
   let d = Protocol.Dir_controller.table () in
   let on = [ ("dirst", "dirst"); ("dirpv", "dirpv") ] in
-  let states = Table.distinct (Table.project [ "dirst"; "dirpv" ] d) in
+  let states = Oracle.distinct (Table.project [ "dirst"; "dirpv" ] d) in
   let vec = Batch.join_tables ~on d states in
-  let ref_ = Ops.equi_join ~on d states in
+  let ref_ = Oracle.equi_join ~on d states in
   check_int "every row matches once" (Table.cardinality d) (Table.cardinality vec);
   check_bool "vectorized join equals reference in order" true
     (same_table vec ref_)
@@ -467,12 +467,12 @@ let prop_plan_differential =
            (Plan.explain p)))
     (fun (a, p) ->
       let db = Database.add Database.empty a in
-      same_table (Plan.execute db p) (Planner.execute db (Planner.plan db p)))
+      same_table (Oracle.execute db p) (Planner.execute db (Planner.plan db p)))
 
 (* programmatic operators: the checker/solver-facing entry points *)
 let prop_programmatic_differential =
   QCheck.Test.make ~count:300
-    ~name:"programmatic select/group/distinct/join match Ops"
+    ~name:"programmatic select/group/distinct/join match the oracle"
     (QCheck.make
        QCheck.Gen.(
          quad
@@ -489,18 +489,18 @@ let prop_programmatic_differential =
         Table.rows (Planner.group_count ~by t)
         = List.map
             (fun (key, n) -> Array.append key [| Value.Int n |])
-            (Ops.group_count ~by t)
+            (Oracle.group_count ~by t)
       in
-      same_table (Planner.select p a) (Ops.select p a)
-      && same_table (Planner.distinct a) (Table.distinct a)
+      same_table (Planner.select p a) (Oracle.select p a)
+      && same_table (Planner.distinct a) (Oracle.distinct a)
       && group_matches ~by:[ "k" ] a
       (* the hashed index: keys of five and six columns *)
-      && same_table (Planner.distinct w) (Table.distinct w)
+      && same_table (Planner.distinct w) (Oracle.distinct w)
       && group_matches ~by:wide_cols w
       && group_matches ~by:[ "c5"; "c3"; "c1"; "c0"; "c2" ] w
       && same_table
            (Planner.equi_join ~on:[ ("k", "k") ] a b)
-           (Ops.equi_join ~on:[ ("k", "k") ] a b))
+           (Oracle.equi_join ~on:[ ("k", "k") ] a b))
 
 (* DISTINCT and GROUP BY on the selection vector, over keys wide enough
    for the hashed index: over a filter, over a projection that drops the
@@ -538,7 +538,7 @@ let wide_dedup_agrees (w, p, n, equal_rows) =
   in
   List.for_all
     (fun plan ->
-      same_table (Plan.execute db plan)
+      same_table (Oracle.execute db plan)
         (Planner.execute db (Planner.plan db plan)))
     plans
 
@@ -580,13 +580,13 @@ let prop_fused_chain_differential =
       in
       List.for_all
         (fun plan ->
-          same_table (Plan.execute db plan)
+          same_table (Oracle.execute db plan)
             (Planner.execute db (Planner.plan db plan)))
         plans
       && List.for_all
            (fun keep ->
              same_table (Planner.select ~keep p a)
-               (Table.project keep (Ops.select p a)))
+               (Table.project keep (Oracle.select p a)))
            [ [ "k" ]; [ "x" ]; [ "x"; "k" ] ]
       && wide_dedup_agrees wide)
 
@@ -600,7 +600,7 @@ let prop_exists_differential =
        ~print:(fun (a, p) ->
          Printf.sprintf "a(%d rows), %s" (Table.cardinality a) (Expr.to_sql p)))
     (fun (a, p) ->
-      let want = not (Table.is_empty (Ops.select p a)) in
+      let want = not (Table.is_empty (Oracle.select p a)) in
       Planner.exists p a = want)
 
 (* ------------------------ prepared queries ---------------------------- *)
@@ -740,7 +740,7 @@ let test_prepared_dispatch () =
    residual on either side. *)
 let prop_indexed_exists =
   QCheck.Test.make ~count:300
-    ~name:"Planner.exists ~indexes equals the scan and Ops.select"
+    ~name:"Planner.exists ~indexes equals the scan and Oracle.select"
     (QCheck.make
        QCheck.Gen.(
          triple
@@ -757,7 +757,7 @@ let prop_indexed_exists =
       let key = Expr.Eq (Expr.Col c, Expr.Const v) in
       List.for_all
         (fun e ->
-          let want = not (Table.is_empty (Ops.select e a)) in
+          let want = not (Table.is_empty (Oracle.select e a)) in
           Planner.exists e a = want
           && List.for_all
                (fun indexes -> Planner.exists ~indexes e a = want)
@@ -794,7 +794,7 @@ let suite =
       test_analyze_est_vs_actual;
     Alcotest.test_case "explain renders cost estimates unexecuted" `Quick
       test_explain_unexecuted;
-    Alcotest.test_case "semijoin-shaped hash join matches Ops row for row"
+    Alcotest.test_case "semijoin-shaped hash join matches the oracle row for row"
       `Quick test_join_identity_shape;
     Alcotest.test_case "join estimate holds on a key of many columns" `Quick
       test_join_estimate_wide_key;

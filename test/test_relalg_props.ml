@@ -45,8 +45,8 @@ let prop_select_union =
            (Expr.to_sql p)))
     (fun (a, b, p) ->
       Table.equal_as_sets
-        (Ops.select p (Ops.union a b))
-        (Ops.union (Ops.select p a) (Ops.select p b)))
+        (Oracle.select p (Oracle.union a b))
+        (Oracle.union (Oracle.select p a) (Oracle.select p b)))
 
 (* The hash index is an access path, not a semantics change: the same
    query through the planner returns the same rows with and without an
@@ -82,8 +82,8 @@ let prop_join_commutes =
       let normalize t =
         List.sort Row.compare (Table.rows (Table.project [ "k"; "x"; "y" ] t))
       in
-      normalize (Ops.equi_join ~on:[ "k", "k" ] a b)
-      = normalize (Ops.equi_join ~on:[ "k", "k" ] b a))
+      normalize (Oracle.equi_join ~on:[ "k", "k" ] a b)
+      = normalize (Oracle.equi_join ~on:[ "k", "k" ] b a))
 
 let suite =
   [

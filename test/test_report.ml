@@ -54,25 +54,12 @@ let test_fixpoint_on_debugged () =
 
 (* The fixpoint is semi-naive: each round composes only the previous
    round's new dependencies.  The naive loop, every round composing the
-   whole accumulated set with itself until nothing is added, must reach
-   the same dependencies and the same cycles. *)
+   whole accumulated set with itself (one ["closure"] table, every
+   placement and both modes) until nothing is added, must reach the same
+   dependencies and the same cycles. *)
 let naive_fixpoint v =
-  let dedup =
-    List.sort_uniq (fun (a : Checker.Dependency.entry) b ->
-        compare a.dep b.dep)
-  in
-  let round acc =
-    List.concat_map
-      (fun ignore_messages ->
-        List.concat_map
-          (fun placement ->
-            Checker.Dependency.compose ~ignore_messages ~placement
-              [ ("closure", acc) ] [ ("closure", acc) ])
-          Protocol.Topology.all_placements)
-      [ false; true ]
-  in
   let rec iterate acc =
-    let next = dedup (acc @ round acc) in
+    let next = Checker.Dependency.of_tables [ ("closure", acc) ] in
     if List.length next = List.length acc then acc else iterate next
   in
   iterate
@@ -96,7 +83,7 @@ let test_fixpoint_semi_naive () =
       check (v.name ^ ": same cycles") true
         (cycles fixed.Checker.Deadlock.cycles
         = cycles (Checker.Vcg.cycles (Checker.Vcg.build naive))))
-    Checker.Vcassign.[ with_vc4; debugged ]
+    Checker.Vcassign.standard
 
 let deps entries =
   List.sort_uniq compare
@@ -139,8 +126,9 @@ let naive_set_closure ?(placements = Protocol.Topology.all_placements)
   round ();
   List.sort compare (List.of_seq (Hashtbl.to_seq_keys known))
 
-(* V-initial's naive loop holds millions of matches per round, so it is
-   checked against the set closure instead. *)
+(* V-initial, the assignment whose fixpoint adds a cycle, is also
+   checked against the set closure, which shares no code with the
+   pass. *)
 let test_fixpoint_semi_naive_initial () =
   let v = Checker.Vcassign.initial in
   let fixed = Checker.Deadlock.analyze ~fixpoint:true v in
@@ -208,7 +196,10 @@ let test_planner_over_protocol () =
      AND NOT locmsg = NULL"
   in
   check "planner agrees with executor on D" true
-    (Relalg.Table.equal_as_sets (Relalg.Plan.run db q)
+    (Relalg.Table.equal_as_sets
+       (Relalg.Oracle.execute db
+          (Relalg.Plan.optimize
+             (Relalg.Plan.of_query (Relalg.Sql_parser.parse_query q))))
        (Relalg.Sql_exec.query db q))
 
 let suite =

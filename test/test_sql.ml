@@ -89,6 +89,49 @@ let test_set_operators () =
     (Table.cardinality
        (q "SELECT DISTINCT inmsg FROM D INTERSECT SELECT inmsg FROM D WHERE isrequest(inmsg)"))
 
+(* Set operands that are not union-compatible are one schema error
+   naming the operator and both column lists, from the engine and from
+   the reference alike, also when the optimizer can tell an operand is
+   empty. *)
+let test_incompatible_operands op () =
+  let error run =
+    match run () with
+    | _ -> "no error"
+    | exception Schema.Incompatible_schemas msg -> msg
+  in
+  let want =
+    op ^ " operands are not union-compatible: (inmsg) vs (inmsg, dirst)"
+  in
+  List.iter
+    (fun (left, right) ->
+      let src =
+        Printf.sprintf "SELECT inmsg FROM D%s %s SELECT inmsg, dirst FROM D%s"
+          left op right
+      in
+      Alcotest.(check string) ("engine: " ^ src) want (error (fun () -> q src));
+      Alcotest.(check string) ("reference: " ^ src) want
+        (error (fun () ->
+             Sql_exec.run_query_reference db (Sql_parser.parse_query src))))
+    [ ("", ""); (" LIMIT 0", ""); ("", " LIMIT 0") ]
+
+(* A set operation over two base tables never interns into their
+   dictionaries: every column of D and M keeps its dictionary size,
+   and the engine's answer is the reference's, row for row. *)
+let test_set_ops_leave_inputs () =
+  let pdb = Protocol.database () in
+  let sizes () =
+    List.map (fun name -> Table.dict_sizes (Database.find pdb name)) [ "D"; "M" ]
+  in
+  let before = sizes () in
+  List.iter
+    (fun op ->
+      let src = Printf.sprintf "SELECT inmsg FROM D %s SELECT inmsg FROM M" op in
+      let got = Sql_exec.query pdb src in
+      let want = Sql_exec.run_query_reference pdb (Sql_parser.parse_query src) in
+      check (op ^ ": reference rows") true (Table.rows got = Table.rows want);
+      check (op ^ ": dictionary sizes unchanged") true (sizes () = before))
+    [ "UNION"; "EXCEPT"; "INTERSECT" ]
+
 let test_create_insert_drop () =
   let db, _ = Sql_exec.exec db "CREATE TABLE V AS SELECT DISTINCT inmsg FROM D" in
   check_int "create table as" 2 (Table.cardinality (Database.find db "V"));
@@ -254,6 +297,14 @@ let suite =
     Alcotest.test_case "null and functions" `Quick test_null_and_functions;
     Alcotest.test_case "ternary in where" `Quick test_ternary_where;
     Alcotest.test_case "set operators" `Quick test_set_operators;
+    Alcotest.test_case "UNION of incompatible operands" `Quick
+      (test_incompatible_operands "UNION");
+    Alcotest.test_case "EXCEPT of incompatible operands" `Quick
+      (test_incompatible_operands "EXCEPT");
+    Alcotest.test_case "INTERSECT of incompatible operands" `Quick
+      (test_incompatible_operands "INTERSECT");
+    Alcotest.test_case "set operators leave input dictionaries" `Quick
+      test_set_ops_leave_inputs;
     Alcotest.test_case "create/insert/drop" `Quick test_create_insert_drop;
     Alcotest.test_case "emptiness checks" `Quick test_is_empty;
     Alcotest.test_case "errors" `Quick test_errors;

@@ -72,8 +72,6 @@ let test_schema_ops () =
     (Schema.columns (Schema.project s [ "c"; "a" ]) = [ "c"; "a" ]);
   check "append" true
     (Schema.columns (Schema.append s [ "d" ]) = [ "a"; "b"; "c"; "d" ]);
-  check "rename" true
-    (Schema.columns (Schema.rename s [ "b", "bb" ]) = [ "a"; "bb"; "c" ]);
   check "union compatible with self" true (Schema.union_compatible s s);
   check "order matters" false
     (Schema.union_compatible s (Schema.of_list [ "b"; "a"; "c" ]))
