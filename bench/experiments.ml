@@ -518,9 +518,12 @@ let e14 () =
     let st = Mcheck.Mstate.initial ~nodes:2 ~addrs:2 in
     let st =
       Option.get
-        (Mcheck.Semantics.issue_op tables st ~node:0 ~addr:0 ~op:"store")
+        (Mcheck.Semantics.issue_op tables st ~node:0 ~addr:0
+           ~op:(Mcheck.Mstate.intern "store"))
     in
-    Option.get (Mcheck.Semantics.issue_op tables st ~node:1 ~addr:1 ~op:"store")
+    Option.get
+      (Mcheck.Semantics.issue_op tables st ~node:1 ~addr:1
+         ~op:(Mcheck.Mstate.intern "store"))
   in
   (* drive every delivery through the gated directory with the update
      engine stalled, then let it drain *)

@@ -31,6 +31,16 @@ let obs_setup level trace_file stats domains log_file progress manifest =
       let fmt = Format.formatter_of_out_channel oc in
       Logs.set_reporter (Logs.format_reporter ~app:fmt ~dst:fmt ()));
   Logs.set_level level;
+  (* like ASURA_DOMAINS: a malformed switch is one line and exit 2,
+     never silently "on" *)
+  Option.iter
+    (fun v ->
+      Printf.eprintf
+        "asura: ASURA_FLIGHTREC must be on or off (or 1/0, true/false, \
+         yes/no) (got %S)\n"
+        v;
+      Stdlib.exit 2)
+    (Obs.Flightrec.env_invalid ());
   Option.iter Par.Pool.set_domains domains;
   if progress then begin
     Obs.Coverage.enable ();
@@ -358,12 +368,12 @@ let exercise_events_figure4 assignment =
   let result, _trace = Sim.Scenario.figure4 assignment in
   (match result with
   | Sim.Runner.Deadlock _ ->
-      Obs.Flightrec.record ~tag:Obs.Flightrec.tag_deadlock ();
+      Obs.Flightrec.record ~tag:Obs.Flightrec.tag_deadlock ~a:0 ~b:0 ~c:0;
       Obs.Flightrec.record ~tag:Obs.Flightrec.tag_stop
-        ~a:Obs.Flightrec.stop_violation ()
+        ~a:Obs.Flightrec.stop_violation ~b:0 ~c:0
   | _ ->
       Obs.Flightrec.record ~tag:Obs.Flightrec.tag_stop
-        ~a:Obs.Flightrec.stop_complete ());
+        ~a:Obs.Flightrec.stop_complete ~b:0 ~c:0);
   result
 
 (* Render the last [n] events as a relation: attach sys.events and let

@@ -9,12 +9,14 @@ type rule = {
   row : int;
   slots : int array;
   codes : int array;
-  out : string option array;
+  out : Mstate.sym option array;
 }
 
 type t = {
   columns : string array;
-  vocab : int Stbl.t array;  (* per slot: guard value -> code, from 1 *)
+  sym_codes : int array array;
+      (* per slot: symbol id -> guard code, from 1; [other] for a symbol
+         no guard names, including every id past the array's end *)
   lit_codes : int array array;  (* per slot: literal index -> code *)
   template : int array;
   buckets : rule array array;
@@ -24,11 +26,13 @@ type t = {
 let other = 0
 let absent = -1
 
-let code vocab slot v =
-  match Stbl.find_opt vocab.(slot) v with Some c -> c | None -> other
+let code_of codes v =
+  if v >= 0 && v < Array.length codes then Array.unsafe_get codes v else other
 
 let outputs cols action =
-  Array.map (fun c -> List.assoc_opt c action) cols
+  Array.map
+    (fun c -> Option.map Mstate.intern (List.assoc_opt c action))
+    cols
 
 let compile ~inputs ~outputs:out_cols (rules : Mapping.Codegen.rule list) =
   let named = Array.to_list (Array.map (fun c -> c.name) inputs) in
@@ -75,11 +79,26 @@ let compile ~inputs ~outputs:out_cols (rules : Mapping.Codegen.rule list) =
           } ))
       rules
   in
+  (* the string vocabulary becomes a direct-address array on symbol
+     ids: one bounds check and one load per coded state field *)
+  let sym_codes =
+    Array.map
+      (fun tbl ->
+        let syms = Stbl.fold (fun v c acc -> (Mstate.intern v, c) :: acc) tbl [] in
+        let codes =
+          Array.make (1 + List.fold_left (fun m (s, _) -> max m s) (-1) syms) other
+        in
+        List.iter (fun (s, c) -> codes.(s) <- c) syms;
+        codes)
+      vocab
+  in
   let lit_codes =
     Array.mapi
       (fun slot _ ->
         if slot < Array.length inputs then
-          Array.map (code vocab slot) inputs.(slot).lits
+          Array.map
+            (fun v -> code_of sym_codes.(slot) (Mstate.intern v))
+            inputs.(slot).lits
         else [||])
       columns
   in
@@ -100,12 +119,12 @@ let compile ~inputs ~outputs:out_cols (rules : Mapping.Codegen.rule list) =
                | Some _ | None -> Some r)
              coded))
   in
-  { columns; vocab; lit_codes; template; buckets }
+  { columns; sym_codes; lit_codes; template; buckets }
 
 let columns t = t.columns
 let binding t = Array.copy t.template
 
-let set t b slot v = b.(slot) <- code t.vocab slot v
+let set t b slot v = b.(slot) <- code_of t.sym_codes.(slot) v
 
 let pick t b slot i = b.(slot) <- t.lit_codes.(slot).(i)
 

@@ -74,7 +74,7 @@ let expand_state sr ~frontier ~depth =
   (* sample the frontier sparsely so tracing stays cheap *)
   if sr.s_explored land 1023 = 0 then
     Obs.Trace.counter "mcheck.frontier" [ "queued", float_of_int frontier ];
-  Obs.Flightrec.record ~tag:Obs.Flightrec.tag_expand ~a:depth ~b:frontier ();
+  Obs.Flightrec.record ~tag:Obs.Flightrec.tag_expand ~a:depth ~b:frontier ~c:0;
   sr.s_explored <- sr.s_explored + 1;
   Hashtbl.replace sr.s_per_depth depth
     (1 + Option.value (Hashtbl.find_opt sr.s_per_depth depth) ~default:0);
@@ -131,14 +131,14 @@ let finish sr ~states ~engine ~probabilistic violation complete =
         if v.kind = `Deadlock then Obs.Flightrec.tag_deadlock
         else Obs.Flightrec.tag_violation
       in
-      Obs.Flightrec.record ~tag ~a:(violation_code v.kind) ~b:sr.s_max_depth ()
+      Obs.Flightrec.record ~tag ~a:(violation_code v.kind) ~b:sr.s_max_depth ~c:0
   | None -> ());
   Obs.Flightrec.record ~tag:Obs.Flightrec.tag_stop
     ~a:
       (if violation <> None then Obs.Flightrec.stop_violation
        else if complete then Obs.Flightrec.stop_complete
        else Obs.Flightrec.stop_budget)
-    ~b:sr.s_explored ();
+    ~b:sr.s_explored ~c:0;
   let reg = Lazy.force obs_reg in
   Obs.Metrics.add (Obs.Metrics.counter reg "states_explored") sr.s_explored;
   Obs.Metrics.add (Obs.Metrics.counter reg "transitions") sr.s_transitions;
@@ -257,11 +257,11 @@ let boxed_bfs ~engine ~max_states ~keep_states ~state_key ~tables config =
               if Hashtbl.mem visited key' then begin
                 sr.s_dedup_hits <- sr.s_dedup_hits + 1;
                 Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup
-                  ~a:(depth + 1) ~b:1 ()
+                  ~a:(depth + 1) ~b:1 ~c:0
               end
               else begin
                 Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup
-                  ~a:(depth + 1) ~b:0 ();
+                  ~a:(depth + 1) ~b:0 ~c:0;
                 Hashtbl.add visited key' ();
                 Hashtbl.add parent key' (key, label);
                 Queue.add (st', key', depth + 1) queue
@@ -277,9 +277,9 @@ let boxed_bfs ~engine ~max_states ~keep_states ~state_key ~tables config =
 (* ------------------------ work-stealing engine ------------------------ *)
 
 (* Glue between the controller tables and the bit-packer: seed every
-   per-field dictionary with the full vocabulary that can ever reach a
-   state, so packing inside stealing workers stays on the read-only
-   dictionary path.  The protocol-level constants that the semantics
+   per-field code table with the full vocabulary that can ever reach a
+   state, so packing inside stealing workers only ever reads its
+   symbol-to-code arrays.  The protocol-level constants that the semantics
    writes programmatically (cache fills, reissued request names, backoff
    markers) are appended to what {!Semantics.pack_vocab} harvests from
    the table cells. *)
@@ -311,11 +311,11 @@ let layout_of_tables tables (config : Semantics.config) =
 (* One-slot caches for the two per-search build steps the packed
    engine pays before touching a single state: compiling the coded rule
    dispatch (about 4 ms for all six tables on a 2-vCPU host) and
-   harvesting the packed layout's dictionaries.  Callers that loop over
+   harvesting the packed layout's code tables.  Callers that loop over
    [run] with the same tables value — the benchmarks, the differential
    suites, repeated CLI sweeps — hit the cache on physical identity and
    skip the rebuild.  Reuse is sound: the dispatch is compiled from the
-   same rows and never changes, and a layout's dictionaries only ever
+   same rows and never changes, and a layout's code tables only ever
    grow (codes never change), so packing stays exact across searches.
    A racing miss merely rebuilds; the slots are plain refs on
    purpose. *)
@@ -407,7 +407,7 @@ let run_steal ~max_states ~keep_states ~state_key ~symmetry
         else begin
           acc.sa_explored <- acc.sa_explored + 1;
           Obs.Flightrec.record ~tag:Obs.Flightrec.tag_expand ~a:depth
-            ~b:(Atomic.get inflight) ();
+            ~b:(Atomic.get inflight) ~c:0;
           Hashtbl.replace acc.sa_per_depth depth
             (1 + Option.value (Hashtbl.find_opt acc.sa_per_depth depth) ~default:0);
           if depth > acc.sa_max_depth then acc.sa_max_depth <- depth;
@@ -446,7 +446,7 @@ let run_steal ~max_states ~keep_states ~state_key ~symmetry
                     | Semantics.Next st' ->
                         if Pack.Vset.add visited (key_of st') then begin
                           Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup
-                            ~a:(depth + 1) ~b:0 ();
+                            ~a:(depth + 1) ~b:0 ~c:0;
                           let n = Atomic.fetch_and_add inflight 1 + 1 in
                           if n > Atomic.get maxfront then Atomic.set maxfront n;
                           ctl.Par.Pool.push (st', depth + 1)
@@ -454,7 +454,7 @@ let run_steal ~max_states ~keep_states ~state_key ~symmetry
                         else begin
                           acc.sa_dedup <- acc.sa_dedup + 1;
                           Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup
-                            ~a:(depth + 1) ~b:1 ()
+                            ~a:(depth + 1) ~b:1 ~c:0
                         end)
                   succs
         end)

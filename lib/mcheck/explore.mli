@@ -41,7 +41,7 @@ val dedup_rate : result -> float
 
 val layout_of_tables : Semantics.tables -> Semantics.config -> Pack.layout
 (** The packing layout the stealing engine uses for a model: per-field
-    dictionaries seeded with the full vocabulary of the controller
+    code tables seeded with the full vocabulary of the controller
     tables ({!Semantics.pack_vocab}) plus the protocol constants the
     semantics writes programmatically. *)
 

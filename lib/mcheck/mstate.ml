@@ -1,10 +1,55 @@
 let dir = -1
 let mem = -2
 
-type msg = { m : string; src : int; dst : int; addr : int; fresh : bool }
+(* ---------------------------- symbol table ----------------------------
+
+   Every symbolic field of a state is a small int naming a string in one
+   process-wide table, so a state compares, hashes and packs as machine
+   words.  [names] only ever grows by appending, on the main domain, and
+   readers index the array they see: an id handed out is valid in every
+   later (and the current) array, so [name] is safe from any domain. *)
+
+type sym = int
+
+let ids : (string, sym) Hashtbl.t = Hashtbl.create 256
+let names : string array Atomic.t = Atomic.make [||]
+
+let intern s =
+  if not (Domain.is_main_domain ()) then
+    invalid_arg ("Mstate.intern off the main domain: " ^ s);
+  match Hashtbl.find_opt ids s with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length ids in
+      let old = Atomic.get names in
+      let arr =
+        if i < Array.length old then old
+        else Array.init (max 64 (2 * i)) (fun j -> if j < i then old.(j) else "")
+      in
+      arr.(i) <- s;
+      Atomic.set names arr;
+      Hashtbl.add ids s i;
+      i
+
+let find s = Hashtbl.find_opt ids s
+let name i = (Atomic.get names).(i)
+
+(* The six channel classes are interned first and in string order, so
+   ordering queue keys by class id orders them exactly as the class
+   strings would. *)
+let ackq = intern "ackq"
+let memq = intern "memq"
+let reqq = intern "reqq"
+let resp = intern "resp"
+let respq = intern "respq"
+let snp = intern "snp"
+
+let s_I = intern "I"
+
+type msg = { m : sym; src : int; dst : int; addr : int; fresh : bool }
 
 type busy = {
-  bst : string;
+  bst : sym;
   requester : int;
   acks : int;
   snapshot : int;
@@ -12,7 +57,7 @@ type busy = {
 }
 
 type addr_state = {
-  dirst : string;
+  dirst : sym;
   sharers : int;
   busy : busy option;
   mem_fresh : bool;
@@ -20,26 +65,26 @@ type addr_state = {
 
 type t = {
   addrs : addr_state list;
-  caches : string list list;
-  pend : string option list list;
-  queues : ((int * int * string) * msg list) list;
+  caches : sym list list;
+  pend : sym option list list;
+  queues : ((int * int * sym) * msg list) list;
 }
 
 let initial ~nodes ~addrs =
-  let addr0 = { dirst = "I"; sharers = 0; busy = None; mem_fresh = true } in
+  let addr0 = { dirst = s_I; sharers = 0; busy = None; mem_fresh = true } in
   {
     addrs = List.init addrs (fun _ -> addr0);
-    caches = List.init nodes (fun _ -> List.init addrs (fun _ -> "I"));
+    caches = List.init nodes (fun _ -> List.init addrs (fun _ -> s_I));
     pend = List.init nodes (fun _ -> List.init addrs (fun _ -> None));
     queues = [];
   }
 
 (* No_sharing matters for correctness, not just size: with sharing
    enabled the byte string depends on which of the (structurally equal)
-   strings inside [t] are physically shared, so the same state reached
-   through different rule firings could serialize differently and be
-   visited twice.  The packed-vs-boxed differential suite caught exactly
-   that: without this flag the boxed engine overcounts reachable
+   records and lists inside [t] are physically shared, so the same state
+   reached through different rule firings could serialize differently
+   and be visited twice.  The packed-vs-boxed differential suite catches
+   exactly that: without this flag the boxed engine overcounts reachable
    states. *)
 let key t = Marshal.to_string t [ Marshal.No_sharing ]
 
@@ -115,26 +160,37 @@ let canonical_key ~nodes t =
 
 let update_nth l i f = List.mapi (fun j x -> if i = j then f x else x) l
 
+(* the order of [queues]: source, destination, class id *)
+let compare_key ((s, d, c) : int * int * sym) (s', d', c') =
+  if s <> s' then Int.compare s s'
+  else if d <> d' then Int.compare d d'
+  else Int.compare c c'
+
 let enqueue t ~cls msg =
   let k = msg.src, msg.dst, cls in
   let rec go = function
     | [] -> [ k, [ msg ] ]
     | ((k', q) as entry) :: rest ->
-        if k' = k then (k, q @ [ msg ]) :: rest
-        else if compare k' k > 0 then (k, [ msg ]) :: entry :: rest
+        let c = compare_key k' k in
+        if c = 0 then (k, q @ [ msg ]) :: rest
+        else if c > 0 then (k, [ msg ]) :: entry :: rest
         else entry :: go rest
   in
   { t with queues = go t.queues }
 
 let dequeue t k =
-  match List.assoc_opt k t.queues with
-  | None | Some [] -> None
-  | Some (msg :: rest) ->
-      let queues =
-        if rest = [] then List.remove_assoc k t.queues
-        else List.map (fun (k', q) -> if k' = k then k', rest else k', q) t.queues
-      in
-      Some (msg, { t with queues })
+  let rec go = function
+    | [] -> None
+    | ((k', q) as entry) :: rest ->
+        if compare_key k' k <> 0 then
+          Option.map (fun (msg, rest') -> msg, entry :: rest') (go rest)
+        else (
+          match q with
+          | [] -> None
+          | [ msg ] -> Some (msg, rest)
+          | msg :: q' -> Some (msg, (k', q') :: rest))
+  in
+  Option.map (fun (msg, queues) -> msg, { t with queues }) (go t.queues)
 
 let queue_heads t =
   List.filter_map
@@ -190,23 +246,26 @@ let pp fmt t =
   List.iteri
     (fun a st ->
       Format.fprintf fmt "addr %d: dir=%s sharers={%s}%s memfresh=%b@." a
-        st.dirst (node_sets st.sharers)
+        (name st.dirst) (node_sets st.sharers)
         (match st.busy with
         | None -> ""
         | Some b ->
-            Printf.sprintf " busy=%s req=%d acks={%s}" b.bst b.requester
+            Printf.sprintf " busy=%s req=%d acks={%s}" (name b.bst) b.requester
               (node_sets b.acks))
         st.mem_fresh)
     t.addrs;
   List.iteri
     (fun n row ->
       Format.fprintf fmt "node %d: cache=[%s] pend=[%s]@." n
-        (String.concat " " row)
+        (String.concat " " (List.map name row))
         (String.concat " "
-           (List.map (Option.value ~default:"-") (List.nth t.pend n))))
+           (List.map
+              (function Some p -> name p | None -> "-")
+              (List.nth t.pend n))))
     t.caches;
   List.iter
     (fun ((src, dst, cls), q) ->
-      Format.fprintf fmt "queue %d->%d %s: %s@." src dst cls
-        (String.concat " " (List.map (fun m -> Printf.sprintf "%s(a%d)" m.m m.addr) q)))
+      Format.fprintf fmt "queue %d->%d %s: %s@." src dst (name cls)
+        (String.concat " "
+           (List.map (fun m -> Printf.sprintf "%s(a%d)" (name m.m) m.addr) q)))
     t.queues

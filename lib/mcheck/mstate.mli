@@ -23,8 +23,50 @@ val dir : int
 val mem : int
 (** The home memory controller (-2). *)
 
+(** {1 Symbols}
+
+    Every symbolic field of a state — directory state, busy state, cache
+    state, pending op (including its [backoff:<op>] form), message name
+    and queue class — is a {!sym}: a small int naming a string in one
+    process-wide table.  States therefore compare, hash, pack and
+    dispatch on machine words; strings only reappear when something is
+    printed ({!name}).
+
+    The domain rule: {!intern} runs on the main domain only, and raises
+    anywhere else.  The semantics interns every symbol a search can meet
+    when the controller tables are loaded and compiled, so stealing
+    workers only ever read symbols ({!name} is safe from any domain). *)
+
+type sym = int
+
+val intern : string -> sym
+(** The id of a string, allocating the next id on first sight.  Ids are
+    dense from 0 and never change.
+    @raise Invalid_argument when called off the main domain. *)
+
+val find : string -> sym option
+(** The id of a string already interned, without interning: a read of
+    the table, safe from any domain because nothing interns while a
+    search runs. *)
+
+val name : sym -> string
+(** The string an id was interned from. *)
+
+(** The six channel classes.  They are interned before any other symbol
+    and in string order ([ackq < memq < reqq < resp < respq < snp]), so
+    queue keys ordered by class id are ordered exactly as by the class
+    strings: {!field-queues} order, successor order, BFS order and every
+    counterexample trace are those of the string-keyed model. *)
+
+val ackq : sym
+val memq : sym
+val reqq : sym
+val resp : sym
+val respq : sym
+val snp : sym
+
 type msg = {
-  m : string;  (** message name, e.g. ["readex"] *)
+  m : sym;  (** message name, e.g. [intern "readex"] *)
   src : int;
   dst : int;
   addr : int;
@@ -32,7 +74,7 @@ type msg = {
 }
 
 type busy = {
-  bst : string;  (** busy state, e.g. ["Busy-readex-sd"] *)
+  bst : sym;  (** busy state, e.g. [intern "Busy-readex-sd"] *)
   requester : int;
   acks : int;  (** bitmask of nodes still owing snoop responses *)
   snapshot : int;  (** sharer set captured when the entry was allocated *)
@@ -40,7 +82,7 @@ type busy = {
 }
 
 type addr_state = {
-  dirst : string;  (** "I" | "SI" | "MESI" *)
+  dirst : sym;  (** "I" | "SI" | "MESI" *)
   sharers : int;  (** bitmask *)
   busy : busy option;
   mem_fresh : bool;  (** home memory holds the latest data *)
@@ -48,9 +90,9 @@ type addr_state = {
 
 type t = {
   addrs : addr_state list;  (** per address *)
-  caches : string list list;  (** [caches.(node).(addr)] in MESI *)
-  pend : string option list list;  (** outstanding processor op per node/addr *)
-  queues : ((int * int * string) * msg list) list;
+  caches : sym list list;  (** [caches.(node).(addr)] in MESI *)
+  pend : sym option list list;  (** outstanding processor op per node/addr *)
+  queues : ((int * int * sym) * msg list) list;
       (** FIFO per (src, dst, class); kept sorted by key, no empties *)
 }
 
@@ -72,16 +114,16 @@ val canonical_key : nodes:int -> t -> string
     scalarset reduction); worthwhile up to the 4-node configurations the
     explosion experiments use. *)
 
-val enqueue : t -> cls:string -> msg -> t
-val dequeue : t -> int * int * string -> (msg * t) option
-val queue_heads : t -> ((int * int * string) * msg) list
+val enqueue : t -> cls:sym -> msg -> t
+val dequeue : t -> int * int * sym -> (msg * t) option
+val queue_heads : t -> ((int * int * sym) * msg) list
 
 val addr_state : t -> int -> addr_state
 val set_addr : t -> int -> addr_state -> t
-val cache : t -> node:int -> addr:int -> string
-val set_cache : t -> node:int -> addr:int -> string -> t
-val pending : t -> node:int -> addr:int -> string option
-val set_pending : t -> node:int -> addr:int -> string option -> t
+val cache : t -> node:int -> addr:int -> sym
+val set_cache : t -> node:int -> addr:int -> sym -> t
+val pending : t -> node:int -> addr:int -> sym option
+val set_pending : t -> node:int -> addr:int -> sym option -> t
 
 val popcount : int -> int
 
@@ -103,3 +145,4 @@ val quiescent : t -> bool
 (** No in-flight messages, no busy entries, no pending processor ops. *)
 
 val pp : Format.formatter -> t -> unit
+(** Prints every symbol through {!name}. *)

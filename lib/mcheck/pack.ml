@@ -2,13 +2,14 @@
 
    A model state is encoded into an immutable int array: every symbolic
    field (directory state, busy state, cache state, pending op, message
-   name) is interned into a per-field dictionary (Relalg.Dict) and
-   written as a fixed-width code, with the width computed once per model
-   from the dictionary cardinality plus one headroom bit.  Dedup then
-   becomes a machine-word hash plus a word-by-word compare instead of a
-   Marshal string and polymorphic structural equality, and the encoding
-   is exactly invertible ([unpack]) so counterexample replay and MSC
-   rendering still see ordinary {!Mstate.t} values.
+   name) is already a small-int symbol ({!Mstate.sym}); each field maps
+   it to a dense per-field code by one array load, written at a fixed
+   width computed once per model from the field's cardinality plus one
+   headroom bit.  Dedup then becomes a machine-word hash plus a
+   word-by-word compare instead of a Marshal string and polymorphic
+   structural equality, and the encoding is exactly invertible
+   ([unpack]) so counterexample replay and MSC rendering still see
+   ordinary {!Mstate.t} values.  No string is hashed per state.
 
    The encoding is injective on arbitrary states, not just reachable
    ones: message endpoints are written explicitly per message (even
@@ -23,14 +24,16 @@
    [canonical] encodes only the permutations that sort the nodes by an
    equivariant signature (scalarset normalisation, as in Murphi). *)
 
-type field = {
-  dict : Relalg.Dict.t;
-  mutable width : int;
-  memo : (string, int) Hashtbl.t;
-      (* plain string → code shortcut so the hot path hashes the bare
-         string once instead of boxing a [Value.Str]; grows only when
-         the dictionary does (spawning domain, per the Dict contract) *)
+(* A field's code table, shared by a layout and its refreshes: codes
+   are dense from 0 in first-seen order (seed order, then growth) and
+   never change. *)
+type codes = {
+  mutable of_sym : int array;  (* symbol id -> code, -1 when unseen *)
+  mutable syms : int array;  (* code -> symbol id *)
+  mutable size : int;
 }
+
+type field = { codes : codes; width : int }
 
 exception Overflow of string
 
@@ -39,31 +42,56 @@ let bits_needed n =
   let rec go acc m = if m <= 1 then max 1 acc else go (acc + 1) ((m + 1) / 2) in
   go 0 n
 
+(* Only the main domain grows a table (the symbol table's rule): a
+   layout seeded from the controller tables holds every symbol a search
+   can reach, so workers only ever read. *)
+let add_sym d s =
+  if not (Domain.is_main_domain ()) then
+    invalid_arg ("Pack: symbol " ^ Mstate.name s ^ " unseen by the layout");
+  let c = d.size in
+  if s >= Array.length d.of_sym then begin
+    let a = Array.make (max 64 (2 * (s + 1))) (-1) in
+    Array.blit d.of_sym 0 a 0 (Array.length d.of_sym);
+    d.of_sym <- a
+  end;
+  if c >= Array.length d.syms then begin
+    let a = Array.make (max 16 (2 * c)) 0 in
+    Array.blit d.syms 0 a 0 c;
+    d.syms <- a
+  end;
+  d.syms.(c) <- s;
+  d.of_sym.(s) <- c;
+  d.size <- c + 1;
+  c
+
+let lookup d s =
+  if s >= 0 && s < Array.length d.of_sym then Array.unsafe_get d.of_sym s
+  else -1
+
+let width_of d = bits_needed (max 2 d.size) + 1
+
 let field_of_seed seed =
-  let dict = Relalg.Dict.create () in
-  let memo = Hashtbl.create 64 in
+  let d = { of_sym = [||]; syms = [||]; size = 0 } in
   List.iter
-    (fun s ->
-      let c = Relalg.Dict.intern dict (Relalg.Value.Str s) in
-      if not (Hashtbl.mem memo s) then Hashtbl.add memo s c)
+    (fun v ->
+      let s = Mstate.intern v in
+      if lookup d s < 0 then ignore (add_sym d s : int))
     seed;
-  (* one headroom bit: the dictionary may double before codes stop
-     fitting, so a handful of late-interned strings never force a
-     re-encode of the visited set *)
-  { dict; width = bits_needed (max 2 (Relalg.Dict.size dict)) + 1; memo }
+  (* one headroom bit: the table may double before codes stop fitting,
+     so a handful of late symbols never force a re-encode of the visited
+     set *)
+  { codes = d; width = width_of d }
 
 (* The message classes are a closed set fixed by the channel structure,
-   not a dictionary: three bits, stable across every model. *)
-let classes = [| "reqq"; "respq"; "snp"; "resp"; "ackq"; "memq" |]
+   not a table: three bits, stable across every model, in this order. *)
+let classes = Mstate.[| reqq; respq; snp; resp; ackq; memq |]
 let w_cls = 3
 
-let cls_code name =
-  let rec go i =
-    if i >= Array.length classes then raise (Overflow ("class " ^ name))
-    else if String.equal classes.(i) name then i
-    else go (i + 1)
-  in
-  go 0
+(* class symbol -> class code; the class symbols are the first six ids *)
+let cls_codes =
+  let a = Array.make (1 + Array.fold_left max 0 classes) (-1) in
+  Array.iteri (fun i s -> a.(s) <- i) classes;
+  a
 
 type layout = {
   nodes : int;
@@ -103,7 +131,7 @@ let layout ~nodes ~addrs ~capacity ~dirst ~bst ~cache ~pend ~msg () =
   }
 
 let refresh l =
-  let grow f = { f with width = bits_needed (max 2 (Relalg.Dict.size f.dict)) + 1 } in
+  let grow f = { f with width = width_of f.codes } in
   {
     l with
     f_dirst = grow l.f_dirst;
@@ -113,77 +141,97 @@ let refresh l =
     f_msg = grow l.f_msg;
   }
 
-(* [code] stays read-only ([Dict.code_opt]) as long as the seed
-   vocabulary covers the string — the property that makes packing safe
-   from pool workers.  A genuinely new string interns (spawning domain
-   only, by the Dict contract) and raises once it outgrows the field
-   width; callers then [refresh] into a wider layout. *)
+(* Symbol -> field code: one array load.  A symbol the seed missed gets
+   the next code (main domain only) and raises once it outgrows the
+   field width; callers then [refresh] into a wider layout. *)
 let code what f s =
-  let c =
-    match Hashtbl.find_opt f.memo s with
-    | Some c -> c
-    | None ->
-        let c = Relalg.Dict.intern f.dict (Relalg.Value.Str s) in
-        Hashtbl.add f.memo s c;
-        c
-  in
-  if c >= 1 lsl f.width then
-    raise (Overflow (Printf.sprintf "%s %S: code %d needs more than %d bits" what s c f.width))
+  let c = lookup f.codes s in
+  let c = if c >= 0 then c else add_sym f.codes s in
+  if c lsr f.width <> 0 then
+    raise
+      (Overflow
+         (Printf.sprintf "%s %S: code %d needs more than %d bits" what
+            (Mstate.name s) c f.width))
   else c
+
+let cls_code s =
+  let c = if s >= 0 && s < Array.length cls_codes then cls_codes.(s) else -1 in
+  if c < 0 then raise (Overflow ("class " ^ Mstate.name s)) else c
 
 (* --------------------------- bit stream -------------------------------
    62 payload bits per word keeps every shift strictly inside OCaml's
-   63-bit native int, on both sides of a word boundary. *)
+   63-bit native int, on both sides of a word boundary.  The writer
+   keeps the open word in an accumulator and stores it once, when it
+   fills; the buffer is sized for the whole state before the first
+   [put], so a [put] is a range check, a shift-or and (once per word) a
+   store. *)
 
 let word_bits = 62
 let word_mask = (1 lsl word_bits) - 1
 
 type writer = {
   mutable buf : int array;
-  mutable bit : int;
+  mutable iw : int;  (* index of the open word *)
+  mutable acc : int;  (* the open word's bits so far *)
+  mutable ib : int;  (* bits used in the open word *)
   (* Canonical-scan cutoff.  While [cut_i >= 0], every word the writer
      completes is compared against the incumbent minimum [cut]: the
      moment a completed word is greater the whole encoding is provably
      greater (words are written most-significant-field first and never
-     touched again once [bit] moves past them), so the pack aborts with
-     {!Cut}; a smaller word decides the scan the other way and disables
-     further compares ([cut_i <- -1]).  [-1] also means "no cutoff". *)
+     touched again once completed), so the pack aborts with {!Cut}; a
+     smaller word decides the scan the other way and disables further
+     compares ([cut_i <- -1]).  [-1] also means "no cutoff". *)
   mutable cut : int array;
   mutable cut_i : int;
 }
 
 exception Cut
 
-let writer () = { buf = Array.make 4 0; bit = 0; cut = [||]; cut_i = -1 }
+let writer () = { buf = [||]; iw = 0; acc = 0; ib = 0; cut = [||]; cut_i = -1 }
 
-let put wr ~width v =
-  (* [v lsr width] rather than [v >= 1 lsl width]: a 62-bit field (the
-     sharer mask at 62 nodes) would shift into the sign bit *)
-  if v < 0 || v lsr width <> 0 then
-    raise (Overflow (Printf.sprintf "value %d exceeds %d-bit field" v width));
-  let iw = wr.bit / word_bits and ib = wr.bit mod word_bits in
-  if iw + 1 >= Array.length wr.buf then begin
-    let buf = Array.make (2 * Array.length wr.buf) 0 in
-    Array.blit wr.buf 0 buf 0 (Array.length wr.buf);
-    wr.buf <- buf
-  end;
-  wr.buf.(iw) <- wr.buf.(iw) lor (v lsl ib land word_mask);
-  if ib + width > word_bits then wr.buf.(iw + 1) <- v lsr (word_bits - ib);
-  wr.bit <- wr.bit + width;
-  if wr.cut_i >= 0 then begin
-    let cw = wr.bit / word_bits in
-    while wr.cut_i >= 0 && wr.cut_i < cw && wr.cut_i < Array.length wr.cut do
-      let i = wr.cut_i in
-      let a = Array.unsafe_get wr.buf i and b = Array.unsafe_get wr.cut i in
-      if a > b then raise Cut
-      else if a < b then wr.cut_i <- -1
-      else wr.cut_i <- i + 1
-    done
+let complete wr word =
+  let i = wr.iw in
+  wr.buf.(i) <- word;
+  wr.iw <- i + 1;
+  if wr.cut_i >= 0 && i < Array.length wr.cut then begin
+    let b = Array.unsafe_get wr.cut i in
+    if word > b then raise Cut
+    else if word < b then wr.cut_i <- -1
+    else wr.cut_i <- i + 1
   end
 
-let contents wr =
-  let words = (wr.bit + word_bits - 1) / word_bits in
-  Array.sub wr.buf 0 (max 1 words)
+let too_wide v width =
+  raise (Overflow (Printf.sprintf "value %d exceeds %d-bit field" v width))
+
+let[@inline] put wr ~width v =
+  (* [v lsr width] rather than [v >= 1 lsl width]: a 62-bit field (the
+     sharer mask at 62 nodes) would shift into the sign bit *)
+  if v < 0 || v lsr width <> 0 then too_wide v width;
+  let ib = wr.ib in
+  let acc = wr.acc lor (v lsl ib) in
+  let nb = ib + width in
+  if nb < word_bits then begin
+    wr.acc <- acc;
+    wr.ib <- nb
+  end
+  else begin
+    (* the bits past the word boundary are [v]'s top [nb - word_bits] *)
+    complete wr (acc land word_mask);
+    wr.acc <- v lsr (word_bits - ib);
+    wr.ib <- nb - word_bits
+  end
+
+(* Rewind for a state of [words] words, growing the buffer only when it
+   is too short (a fresh writer gets exactly [words]). *)
+let start wr words =
+  if Array.length wr.buf < words then wr.buf <- Array.make words 0;
+  wr.iw <- 0;
+  wr.acc <- 0;
+  wr.ib <- 0
+
+(* Store the open partial word; the encoding is then [wr.buf.(0 ..
+   words-1)]. *)
+let close wr = if wr.ib > 0 then wr.buf.(wr.iw) <- wr.acc
 
 type reader = { r_buf : int array; mutable r_bit : int }
 
@@ -215,8 +263,40 @@ let remap_mask m nodes mask =
 
 let remap_ep m e = if e >= 0 then m.(e) else e
 
+(* The exact encoded length of [st] in words: the layout fixes every
+   width, so only the channel and message counts vary. *)
+let words_of l (st : Mstate.t) =
+  let per_addr =
+    l.f_dirst.width + l.w_mask + 1
+    + (1 + l.f_bst.width + l.w_ep + (2 * l.w_mask) + 1)
+  in
+  let per_msg = l.f_msg.width + (2 * l.w_ep) + l.w_addr + 1 in
+  let per_chan = (2 * l.w_ep) + w_cls + l.w_qlen in
+  let rows = ref 0 in
+  List.iteri
+    (fun j row -> if j < l.nodes then rows := !rows + List.length row)
+    st.caches;
+  let pends = ref 0 in
+  List.iteri
+    (fun j row -> if j < l.nodes then pends := !pends + List.length row)
+    st.pend;
+  let chans = ref 0 and msgs = ref 0 in
+  List.iter
+    (fun (_, q) ->
+      incr chans;
+      msgs := !msgs + List.length q)
+    st.queues;
+  let bits =
+    (List.length st.addrs * per_addr)
+    + (!rows * l.f_cache.width)
+    + (!pends * (1 + l.f_pend.width))
+    + l.w_qcount + (!chans * per_chan) + (!msgs * per_msg)
+  in
+  max 1 ((bits + word_bits - 1) / word_bits)
+
 let pack_into wr ?perm l (st : Mstate.t) =
   let m, minv = match perm with Some p -> p | None -> l.id_perm in
+  start wr (words_of l st);
   let put_busy = function
     | None ->
         put wr ~width:1 0;
@@ -261,43 +341,55 @@ let pack_into wr ?perm l (st : Mstate.t) =
             put wr ~width:l.f_pend.width (code "pend" l.f_pend op))
       pend.(minv.(i))
   done;
-  (* channels, sorted by the canonical (src+2, dst+2, class-code) order
-     after endpoint remapping; message FIFO order is preserved *)
-  let chans =
-    List.sort compare
-      (List.map
-         (fun ((src, dst, cls), q) ->
-           (remap_ep m src + 2, remap_ep m dst + 2, cls_code cls), q)
-         st.queues)
-  in
-  put wr ~width:l.w_qcount (List.length chans);
-  List.iter
-    (fun ((src2, dst2, cc), q) ->
-      put wr ~width:l.w_ep src2;
-      put wr ~width:l.w_ep dst2;
-      put wr ~width:w_cls cc;
-      put wr ~width:l.w_qlen (List.length q);
-      List.iter
-        (fun (msg : Mstate.msg) ->
-          put wr ~width:l.f_msg.width (code "msg" l.f_msg msg.m);
-          put wr ~width:l.w_ep (remap_ep m msg.src + 2);
-          put wr ~width:l.w_ep (remap_ep m msg.dst + 2);
-          put wr ~width:l.w_addr msg.addr;
-          put wr ~width:1 (b2i msg.fresh))
-        q)
-    chans
+  (* channels, in the canonical (src+2, dst+2, class-code) order after
+     endpoint remapping: one int key per channel, insertion-sorted in
+     place (a handful of channels, no list to allocate); message FIFO
+     order is preserved *)
+  let n = List.length st.queues in
+  let keys = Array.make n 0 and qs = Array.make n [] in
+  List.iteri
+    (fun i ((src, dst, cls), q) ->
+      let k =
+        (((remap_ep m src + 2) lsl 7) lor (remap_ep m dst + 2)) lsl 3
+        lor cls_code cls
+      in
+      let j = ref i in
+      while !j > 0 && keys.(!j - 1) > k do
+        keys.(!j) <- keys.(!j - 1);
+        qs.(!j) <- qs.(!j - 1);
+        decr j
+      done;
+      keys.(!j) <- k;
+      qs.(!j) <- q)
+    st.queues;
+  put wr ~width:l.w_qcount n;
+  for i = 0 to n - 1 do
+    let k = keys.(i) in
+    put wr ~width:l.w_ep (k lsr 10);
+    put wr ~width:l.w_ep ((k lsr 3) land 127);
+    put wr ~width:w_cls (k land 7);
+    put wr ~width:l.w_qlen (List.length qs.(i));
+    List.iter
+      (fun (msg : Mstate.msg) ->
+        put wr ~width:l.f_msg.width (code "msg" l.f_msg msg.m);
+        put wr ~width:l.w_ep (remap_ep m msg.src + 2);
+        put wr ~width:l.w_ep (remap_ep m msg.dst + 2);
+        put wr ~width:l.w_addr msg.addr;
+        put wr ~width:1 (b2i msg.fresh))
+      qs.(i)
+  done;
+  close wr
 
 let pack ?perm l st =
   let wr = writer () in
   pack_into wr ?perm l st;
-  contents wr
+  wr.buf
 
 (* ------------------------------ decode ------------------------------- *)
 
 let decode what f c =
-  match Relalg.Dict.value f.dict c with
-  | Relalg.Value.Str s -> s
-  | _ -> invalid_arg ("Pack.unpack: non-string " ^ what ^ " code")
+  if c < f.codes.size then f.codes.syms.(c)
+  else invalid_arg ("Pack.unpack: unknown " ^ what ^ " code")
 
 let unpack l v : Mstate.t =
   let rd = reader v in
@@ -358,8 +450,13 @@ let unpack l v : Mstate.t =
   in
   (* restore Mstate's invariant order: sorted by the raw (src, dst, cls)
      key — the canonical pack order agrees on endpoints but ranks
-     classes by code, not alphabetically *)
-  { addrs; caches; pend; queues = List.sort compare chans }
+     classes by code, not by class symbol *)
+  {
+    addrs;
+    caches;
+    pend;
+    queues = List.sort compare chans;
+  }
 
 (* --------------------------- word-level ops --------------------------- *)
 
@@ -415,8 +512,8 @@ let compare_packed a b =
    rows, then a hash of every channel it ends with each endpoint
    rewritten relative to it (itself, another node, dir or mem).
    Channel hashes are {e summed}: [Mstate.queues] is sorted by raw node
-   labels, so list order is not equivariant.  Strings hash as strings,
-   so signatures never touch the dictionaries. *)
+   labels, so list order is not equivariant.  Symbols mix as their ids,
+   so signatures never touch the field codes. *)
 
 let mix h x =
   let x = (h lxor x) * 0x2545F4914F6CDD1D land max_int in
@@ -433,54 +530,73 @@ let signatures l (st : Mstate.t) =
         | Some b -> b.requester, b.acks, b.snapshot
       in
       for j = 0 to n - 1 do
-        let bit mask = (mask lsr j) land 1 in
         sg.(j) <-
           mix sg.(j)
-            (bit a.sharers
-            lor (bit acks lsl 1)
-            lor (bit snap lsl 2)
+            ((a.sharers lsr j) land 1
+            lor (((acks lsr j) land 1) lsl 1)
+            lor (((snap lsr j) land 1) lsl 2)
             lor (b2i (req = j) lsl 3))
       done)
     st.addrs;
-  List.iteri
-    (fun j row -> List.iter (fun c -> sg.(j) <- mix sg.(j) (Hashtbl.hash c)) row)
-    st.caches;
-  List.iteri
-    (fun j row ->
-      List.iter
-        (fun p ->
-          sg.(j) <- mix sg.(j) (match p with None -> 0 | Some op -> Hashtbl.hash op))
-        row)
-    st.pend;
-  let channel self ((src, dst, cls), q) =
-    let rel e = if e = self then 0 else if e >= 0 then 1 else e + 4 in
-    List.fold_left
-      (fun h (msg : Mstate.msg) ->
-        mix
-          (mix (mix (mix (mix h (Hashtbl.hash msg.m)) (rel msg.src)) (rel msg.dst))
-             msg.addr)
-          (b2i msg.fresh))
-      (mix (mix (mix 0x3ade68b1 (rel src)) (rel dst)) (Hashtbl.hash cls))
-      q
+  let rec caches j = function
+    | row :: rows when j < n ->
+        sg.(j) <- List.fold_left mix sg.(j) row;
+        caches (j + 1) rows
+    | _ -> ()
+  in
+  caches 0 st.caches;
+  let rec pends j = function
+    | row :: rows when j < n ->
+        sg.(j) <-
+          List.fold_left
+            (fun h p -> mix h (match p with None -> 0 | Some op -> op + 1))
+            sg.(j) row;
+        pends (j + 1) rows
+    | _ -> ()
+  in
+  pends 0 st.pend;
+  let rel self e = if e = self then 0 else if e >= 0 then 1 else e + 4 in
+  let rec msgs self h = function
+    | [] -> h
+    | (msg : Mstate.msg) :: q ->
+        msgs self
+          (mix
+             (mix (mix (mix (mix h msg.m) (rel self msg.src)) (rel self msg.dst))
+                msg.addr)
+             (b2i msg.fresh))
+          q
+  in
+  let channel self src dst cls q =
+    msgs self (mix (mix (mix 0x3ade68b1 (rel self src)) (rel self dst)) cls) q
   in
   List.iter
-    (fun (((src, dst, _), _) as ch) ->
-      if src >= 0 then sg.(src) <- sg.(src) + channel src ch;
-      if dst >= 0 && dst <> src then sg.(dst) <- sg.(dst) + channel dst ch)
+    (fun ((src, dst, cls), q) ->
+      if src >= 0 then sg.(src) <- sg.(src) + channel src src dst cls q;
+      if dst >= 0 && dst <> src then
+        sg.(dst) <- sg.(dst) + channel dst src dst cls q)
     st.queues;
   sg
 
-(* One scratch writer serves every candidate: the encoded bit length of
-   a state is permutation-invariant (same fields, same queue lengths),
-   so candidates compare word-for-word in the scratch buffer and only
-   the running minimum is ever copied out. *)
+(* One scratch writer serves every candidate: the encoded length of a
+   state is permutation-invariant (same fields, same queue lengths), so
+   candidates compare word-for-word in the scratch buffer and only the
+   running minimum is ever copied out. *)
 let canonical l st =
   let n = l.nodes in
   let sg = signatures l st in
   (* [order.(i)] is the node packed at position i (the inverse
      permutation) *)
   let order = Array.init n Fun.id in
-  Array.sort (fun a b -> Int.compare sg.(a) sg.(b)) order;
+  (* insertion sort: a handful of nodes, and no closure to allocate *)
+  for i = 1 to n - 1 do
+    let x = order.(i) in
+    let j = ref i in
+    while !j > 0 && sg.(order.(!j - 1)) > sg.(x) do
+      order.(!j) <- order.(!j - 1);
+      decr j
+    done;
+    order.(!j) <- x
+  done;
   (* [tie_end.(i)]: one past the last position tying with position i *)
   let tie_end = Array.make n n in
   for i = n - 2 downto 0 do
@@ -489,11 +605,17 @@ let canonical l st =
   done;
   let m = Array.make n 0 in
   let wr = writer () in
+  let rec untied i = i >= n || (tie_end.(i) = i + 1 && untied (i + 1)) in
+  if untied 0 then begin
+    (* one candidate (the usual case): pack it in place, no copy *)
+    Array.iteri (fun i j -> m.(j) <- i) order;
+    pack_into wr ~perm:(m, order) l st;
+    wr.buf
+  end
+  else
   let best = ref [||] in
   let candidate () =
     Array.iteri (fun i j -> m.(j) <- i) order;
-    Array.fill wr.buf 0 (Array.length wr.buf) 0;
-    wr.bit <- 0;
     (* arm the writer's cutoff against the incumbent minimum: a losing
        candidate usually aborts on the first completed word (encoded
        length is permutation-invariant, so word-for-word compare
@@ -503,7 +625,7 @@ let canonical l st =
     match pack_into wr ~perm:(m, order) l st with
     | exception Cut -> wr.cut_i <- -1 (* provably greater: skip *)
     | () ->
-        let words = max 1 ((wr.bit + word_bits - 1) / word_bits) in
+        let words = Array.length wr.buf in
         let decided_smaller = Array.length !best > 0 && wr.cut_i < 0 in
         let tail_start = max 0 wr.cut_i in
         wr.cut_i <- -1;
@@ -521,7 +643,7 @@ let canonical l st =
           in
           go tail_start
         in
-        if better then best := Array.sub wr.buf 0 words
+        if better then best := Array.copy wr.buf
   in
   (* every arrangement of each tie group, the rest of [order] fixed *)
   let swap i k =
@@ -638,7 +760,7 @@ module Vset = struct
                 grow_exact s;
                 (* shard pressure: the open-addressing table doubled *)
                 Obs.Flightrec.record ~tag:Obs.Flightrec.tag_compact ~a:si
-                  ~b:(Array.length s.keys) ()
+                  ~b:(Array.length s.keys) ~c:0
               end;
               true
             end
@@ -655,7 +777,7 @@ module Vset = struct
               if 2 * s.count >= Array.length s.fps then begin
                 grow_compact s;
                 Obs.Flightrec.record ~tag:Obs.Flightrec.tag_compact ~a:si
-                  ~b:(Array.length s.fps) ()
+                  ~b:(Array.length s.fps) ~c:0
               end;
               true
             end

@@ -2,23 +2,27 @@
 
     The throughput core of the checker: an {!Mstate.t} is encoded into a
     short immutable [int array] whose field widths are fixed once per
-    model from per-field dictionary cardinalities
-    ({!Relalg.Dict}), so the visited set compares and hashes machine
-    words instead of Marshal strings.  [pack]/[unpack] are exact
+    model from per-field code-table cardinalities, so the visited set
+    compares and hashes machine words instead of Marshal strings.  The
+    state's symbolic fields are already {!Mstate.sym} ids; each field
+    maps an id to its dense field code by one array load, so no string
+    is hashed per state.  [pack]/[unpack] are exact
     inverses over {e arbitrary} states (the qcheck battery in
     [test/test_pack.ml] proves round-trip and
     pack-equality ⟺ structural-equality), so counterexample replay and
     MSC rendering never notice the representation. *)
 
 type layout
-(** Field widths + dictionaries for one model shape.  Build once, share
-    across a whole search; packing against a layout is safe from pool
-    workers as long as the seed vocabulary covers every string that can
-    appear (dictionary reads are lock-free; only unseen strings
-    intern). *)
+(** Field widths + per-field code tables (symbol id → code, code →
+    symbol id) for one model shape.  Build once (on the main domain: it
+    interns its seeds), share across a whole search; packing against a
+    layout is safe from pool workers as long as the seed vocabulary
+    covers every symbol that can appear.  A symbol the seeds missed gets
+    the next code on the main domain and raises [Invalid_argument] on
+    any other. *)
 
 exception Overflow of string
-(** A dictionary outgrew its field width (or a structural field its
+(** A code table outgrew its field width (or a structural field its
     fixed width).  Recover with {!refresh}: vectors packed before the
     refresh remain decodable with the {e old} layout value. *)
 
@@ -34,21 +38,22 @@ val layout :
   unit ->
   layout
 (** [capacity] bounds per-channel queue length (one headroom bit is
-    added); the five string lists seed the per-field dictionaries
-    (typically harvested from the controller tables via
-    {!Semantics.pack_vocab}).  Every field width gets one headroom bit,
-    so a dictionary can roughly double before {!Overflow}. *)
+    added); the five string lists, interned, seed the per-field code
+    tables in list order (typically harvested from the controller tables
+    via {!Semantics.pack_vocab}).  Every field width gets one headroom
+    bit, so a table can roughly double before {!Overflow}. *)
 
 val refresh : layout -> layout
-(** Recompute field widths from current dictionary sizes (plus
-    headroom).  The dictionaries are shared with the old layout — codes
-    never change — but packed vectors are only comparable when produced
-    by the same layout value. *)
+(** Recompute field widths from current code-table sizes (plus
+    headroom).  The tables are shared with the old layout — codes never
+    change — but packed vectors are only comparable when produced by the
+    same layout value. *)
 
 val pack : ?perm:int array * int array -> layout -> Mstate.t -> int array
 (** Encode.  [perm = (m, m⁻¹)] applies the node permutation [m] during
     encoding — [pack ~perm l st] equals [pack l (Mstate.permute m st)]
-    without materializing the permuted state. *)
+    without materializing the permuted state.  The result is allocated
+    once at its exact length; the writer fills it a word at a time. *)
 
 val unpack : layout -> int array -> Mstate.t
 (** Exact inverse of {!pack} (with the identity permutation). *)
@@ -57,8 +62,8 @@ val signatures : layout -> Mstate.t -> int array
 (** One integer per node, equivariant under node permutations:
     [(signatures l (Mstate.permute m st)).(m j) = (signatures l st).(j)].
     Built from the node's directory bits, cache and pending rows and the
-    channels it ends (other node ids anonymised), so nodes that play
-    different roles rarely tie. *)
+    channels it ends (other node ids anonymised), mixing symbol ids, so
+    nodes that play different roles rarely tie. *)
 
 val canonical : layout -> Mstate.t -> int array
 (** The packed analogue of {!Mstate.canonical_key}: the least packed

@@ -3,7 +3,7 @@ open Mstate
 (* Every table the semantics fires has a fixed binding and action
    layout: the input columns a deliver function writes, in slot order,
    and the output columns it reads.  A binding column either carries a
-   state string or one of a few literals the semantics chooses by index
+   state symbol or one of a few literals the semantics chooses by index
    (a role, a presence-vector class, a hit/miss bit); constant columns
    are one-literal columns nobody writes. *)
 type layout = {
@@ -161,6 +161,77 @@ let rules_of layout (c : Protocol.controller) =
   let spec = c.Protocol.spec in
   ruleset_of_spec layout spec (Protocol.Ctrl_spec.table spec)
 
+let named_rulesets t =
+  [ "D", t.d_rules; "C", t.c_rules; "N", t.n_rules; "PIF", t.pif_rules;
+    "M", t.m_rules; "IO", t.io_rules ]
+
+(* Every symbolic string a reachable state can contain comes out of a
+   controller-table cell: harvest them per column, so the bit-packer can
+   seed its per-field dictionaries up front. *)
+let pack_vocab t =
+  let tbl : (string, string list) Hashtbl.t = Hashtbl.create 32 in
+  let record (col, v) =
+    let prev = Option.value (Hashtbl.find_opt tbl col) ~default:[] in
+    if not (List.mem v prev) then Hashtbl.replace tbl col (v :: prev)
+  in
+  List.iter
+    (fun (_, rs) ->
+      List.iter
+        (fun (r : Mapping.Codegen.rule) ->
+          List.iter record r.guard;
+          List.iter record r.action)
+        rs.rules)
+    (named_rulesets t);
+  Hashtbl.fold
+    (fun col vs acc -> (col, List.sort compare vs) :: acc)
+    tbl []
+  |> List.sort compare
+
+(* ---------------------------- backoff forms ---------------------------
+
+   A retried processor op parks as [backoff:<op>] until it reissues.
+   Both directions are symbol-indexed arrays, filled on the main domain
+   when the tables load (every [pendop] value of every table), so
+   delivering a retry and reissuing it never touch a string.  They only
+   grow by whole-array replacement, like the symbol table itself. *)
+
+let backoff_sym : int array Atomic.t = Atomic.make [||]  (* op -> backoff:op *)
+let backoff_op : int array Atomic.t = Atomic.make [||]  (* backoff:op -> op *)
+
+let lookup arr i =
+  let a = Atomic.get arr in
+  if i >= 0 && i < Array.length a then Array.unsafe_get a i else -1
+
+let store arr i v =
+  let a = Atomic.get arr in
+  let a =
+    if i < Array.length a then Array.copy a
+    else
+      Array.init (max 64 (2 * (i + 1))) (fun j ->
+          if j < Array.length a then a.(j) else -1)
+  in
+  a.(i) <- v;
+  Atomic.set arr a
+
+let register_pendop op =
+  let o = Mstate.intern op and b = Mstate.intern ("backoff:" ^ op) in
+  if lookup backoff_sym o <> b then begin
+    store backoff_sym o b;
+    store backoff_op b o
+  end;
+  b
+
+(* the backoff form of a pending op; an op no table names (a
+   hand-built state) registers here, on the main domain only *)
+let backoff op =
+  match lookup backoff_sym op with
+  | -1 -> register_pendop (Mstate.name op)
+  | b -> b
+
+let backoff_of = function
+  | Some p -> (match lookup backoff_op p with -1 -> None | o -> Some o)
+  | None -> None
+
 let load_tables_with ?dir () =
   let d_rules =
     match dir with
@@ -168,14 +239,27 @@ let load_tables_with ?dir () =
     | Some spec ->
         ruleset_of_spec D.l spec (fst (Protocol.Ctrl_spec.generate spec))
   in
-  {
-    d_rules;
-    c_rules = rules_of C.l Protocol.cache;
-    n_rules = rules_of N.l Protocol.node;
-    pif_rules = rules_of Pif.l Protocol.pif;
-    m_rules = rules_of Mem.m Protocol.memory;
-    io_rules = rules_of Mem.io Protocol.io;
-  }
+  let t =
+    {
+      d_rules;
+      c_rules = rules_of C.l Protocol.cache;
+      n_rules = rules_of N.l Protocol.node;
+      pif_rules = rules_of Pif.l Protocol.pif;
+      m_rules = rules_of Mem.m Protocol.memory;
+      io_rules = rules_of Mem.io Protocol.io;
+    }
+  in
+  (* intern every cell value, so a search meets no string the symbol
+     table lacks *)
+  List.iter
+    (fun (col, vs) ->
+      List.iter
+        (fun v ->
+          ignore (Mstate.intern v : Mstate.sym);
+          if col = "pendop" then ignore (register_pendop v : Mstate.sym))
+        vs)
+    (pack_vocab t);
+  t
 
 let load_tables () = load_tables_with ()
 
@@ -198,39 +282,12 @@ let index_tables t =
     io_rules = compile t.io_rules;
   }
 
-let named_rulesets t =
-  [ "D", t.d_rules; "C", t.c_rules; "N", t.n_rules; "PIF", t.pif_rules;
-    "M", t.m_rules; "IO", t.io_rules ]
-
 let dispatches t =
   List.filter_map
     (fun (name, rs) -> Option.map (fun d -> (name, rs.rules, d)) rs.coded)
     (named_rulesets t)
 
 let directory_rules t = t.d_rules.rules
-
-(* Every symbolic string a reachable state can contain comes out of a
-   controller-table cell: harvest them per column, so the bit-packer can
-   seed its per-field dictionaries up front and pool workers never
-   intern (Pack relies on the read-only Dict.code_opt fast path). *)
-let pack_vocab t =
-  let tbl : (string, string list) Hashtbl.t = Hashtbl.create 32 in
-  let record (col, v) =
-    let prev = Option.value (Hashtbl.find_opt tbl col) ~default:[] in
-    if not (List.mem v prev) then Hashtbl.replace tbl col (v :: prev)
-  in
-  List.iter
-    (fun (_, rs) ->
-      List.iter
-        (fun (r : Mapping.Codegen.rule) ->
-          List.iter record r.guard;
-          List.iter record r.action)
-        rs.rules)
-    (named_rulesets t);
-  Hashtbl.fold
-    (fun col vs acc -> (col, List.sort compare vs) :: acc)
-    tbl []
-  |> List.sort compare
 
 type config = {
   nodes : int;
@@ -255,11 +312,11 @@ let binding rs =
   | Some d -> Coded (d, Dispatch.binding d)
   | None -> Named (rs.layout, Array.copy rs.layout.named)
 
-(* a state string *)
+(* a state symbol *)
 let set b slot v =
   match b with
   | Coded (d, codes) -> Dispatch.set d codes slot v
-  | Named (_, strs) -> strs.(slot) <- v
+  | Named (_, strs) -> strs.(slot) <- Mstate.name v
 
 (* literal [i] of the slot's column *)
 let pick b slot i =
@@ -279,7 +336,7 @@ let fire rs row out =
   Obs.Coverage.record ~id:rs.cov ~row;
   (* same (table id, row) attribution as coverage, so flight-recorded
      firings decode through the identical registry *)
-  Obs.Flightrec.record ~tag:Obs.Flightrec.tag_fire ~a:rs.cov ~b:row ();
+  Obs.Flightrec.record ~tag:Obs.Flightrec.tag_fire ~a:rs.cov ~b:row ~c:0;
   Some out
 
 let eval rs = function
@@ -291,22 +348,62 @@ let eval rs = function
       match Mapping.Codegen.eval_rule rs.rules (pairs l strs) with
       | None -> None
       | Some r ->
+          (* the oracle path runs on the main domain, where laying the
+             action out as symbols is a lookup of interned strings *)
           fire rs r.row (Dispatch.outputs l.outputs r.Mapping.Codegen.action))
 
 let bit n = 1 lsl n
+
+(* The symbols the semantics writes or compares programmatically,
+   interned once when the module initialises (on the main domain). *)
+let sym = Mstate.intern
+let s_I = sym "I" and s_S = sym "S" and s_E = sym "E" and s_M = sym "M"
+let s_none = sym "none"
+
+(* message names *)
+let m_idone = sym "idone" and m_sack = sym "sack" and m_snack = sym "snack"
+let m_sdata = sym "sdata" and m_swbdata = sym "swbdata"
+let m_data = sym "data" and m_datax = sym "datax" and m_mdata = sym "mdata"
+let m_wb = sym "wb" and m_mwrite = sym "mwrite" and m_mupdate = sym "mupdate"
+let m_mioread = sym "mioread" and m_miowrite = sym "miowrite"
+let m_sinv = sym "sinv"
+
+(* action values *)
+let a_drepl = sym "drepl" and a_repl = sym "repl" and a_inc = sym "inc"
+let a_dec = sym "dec"
+let a_alloc = sym "alloc" and a_update = sym "update"
+let a_dealloc = sym "dealloc"
+let a_shared = sym "shared" and a_excl = sym "excl"
+let a_done = sym "done" and a_fault = sym "fault"
+let a_retrylater = sym "retrylater"
+
+(* processor ops *)
+let op_evictmod = sym "evictmod" and op_evictsh = sym "evictsh"
+let op_ioload = sym "ioload" and op_iostore = sym "iostore"
+let op_iormwop = sym "iormwop"
+
 let data_bearing m =
-  List.mem m
-    [ "data"; "datax"; "mdata"; "sdata"; "swbdata"; "wb"; "mwrite"; "mupdate" ]
+  m = m_data || m = m_datax || m = m_mdata || m = m_sdata || m = m_swbdata
+  || m = m_wb || m = m_mwrite || m = m_mupdate
+
+let snoop_reply m =
+  m = m_idone || m = m_sack || m = m_snack || m = m_sdata || m = m_swbdata
 
 (* The request a node reissues after a retry, from its pending op. *)
-let request_of_pendop = function
-  | "read" -> Some "read"
-  | "ifetch" -> Some "fetch"
-  | "write" -> Some "readex"
-  | "rmw" -> Some "swap"
-  | "upgrade" -> Some "upgrade"
-  | "wback" -> Some "wb"
-  | _ -> None
+let reissue_requests =
+  List.map
+    (fun (op, req) ->
+      ignore (register_pendop op : Mstate.sym);
+      (sym op, sym req))
+    [ "read", "read"; "ifetch", "fetch"; "write", "readex"; "rmw", "swap";
+      "upgrade", "upgrade"; "wback", "wb" ]
+
+let request_of_pendop op =
+  match List.find_opt (fun (o, _) -> o = op) reissue_requests with
+  | Some (_, req) -> Some req
+  | None -> None
+
+let is out slot v = match out.(slot) with Some x -> x = v | None -> false
 
 (* Slot 0 of every layout is the dispatch discriminator: the input
    message of the delivery tables, the processor op of PIF. *)
@@ -318,7 +415,7 @@ let procop = 0
 (* ------------------------------------------------------------------ *)
 
 let src_role ~cls msg =
-  if cls = "reqq" || cls = "ackq" then local
+  if cls = reqq || cls = ackq then local
   else if msg.src = mem then home
   else remote
 
@@ -331,9 +428,9 @@ let dir_inputs config st ~cls msg b =
   set b D.dirst a.dirst;
   pick b D.dirpv (pv_index a.sharers);
   pick b D.reqpv (Bool.to_int (a.sharers land bit msg.src <> 0));
-  set b D.bdirst (match a.busy with Some b -> b.bst | None -> "I");
+  set b D.bdirst (match a.busy with Some b -> b.bst | None -> s_I);
   pick b D.bdirpv (match a.busy with Some b -> pv_index b.acks | None -> 0);
-  pick b D.dirlookup (Bool.to_int (a.dirst <> "I"));
+  pick b D.dirlookup (Bool.to_int (a.dirst <> s_I));
   pick b D.bdirlookup (Bool.to_int (a.busy <> None))
 
 let dir_binding config st ~cls msg =
@@ -348,16 +445,15 @@ let deliver_dir tables config st cls msg =
   match eval tables.d_rules b with
   | None ->
       Broken
-        (Printf.sprintf "D has no row for %s (%s) dirst=%s bdirst=%s" msg.m
+        (Printf.sprintf "D has no row for %s (%s) dirst=%s bdirst=%s"
+           (name msg.m)
            D.l.inputs.(D.inmsgsrc).lits.(src_role ~cls msg)
-           a.dirst
-           (match a.busy with Some b -> b.bst | None -> "I"))
+           (name a.dirst)
+           (match a.busy with Some b -> name b.bst | None -> "I"))
   | Some out ->
       let requester =
-        match cls, a.busy with
-        | "reqq", _ -> msg.src
-        | _, Some b -> b.requester
-        | _, None -> msg.src
+        if cls = reqq then msg.src
+        else match a.busy with Some b -> b.requester | None -> msg.src
       in
       (* freshness of any data this row forwards to the requester *)
       let incoming_fresh =
@@ -370,11 +466,11 @@ let deliver_dir tables config st cls msg =
         | None, None -> true
       in
       (* snoop targets, before any state update *)
-      let drepl = out.(D.nxtbdirpv) = Some "drepl" in
+      let drepl = is out D.nxtbdirpv a_drepl in
       let targets =
         match out.(D.remmsg) with
         | None -> 0
-        | Some "sinv" ->
+        | Some r when r = m_sinv ->
             if drepl then a.sharers land lnot (bit requester) else a.sharers
         | Some _ -> a.sharers
       in
@@ -382,7 +478,7 @@ let deliver_dir tables config st cls msg =
       (match out.(D.locmsg) with
       | Some locmsg ->
           st :=
-            enqueue !st ~cls:"resp"
+            enqueue !st ~cls:resp
               {
                 m = locmsg; src = dir; dst = requester; addr = msg.addr;
                 fresh =
@@ -394,7 +490,7 @@ let deliver_dir tables config st cls msg =
           iter_members
             (fun n ->
               st :=
-                enqueue !st ~cls:"snp"
+                enqueue !st ~cls:snp
                   { m = remmsg; src = dir; dst = n; addr = msg.addr;
                     fresh = true })
             targets
@@ -402,11 +498,11 @@ let deliver_dir tables config st cls msg =
       (match out.(D.memmsg) with
       | Some memmsg ->
           st :=
-            enqueue !st ~cls:"memq"
+            enqueue !st ~cls:memq
               {
                 m = memmsg; src = dir; dst = mem; addr = msg.addr;
                 fresh =
-                  (if memmsg = "mwrite" || memmsg = "mupdate" then
+                  (if memmsg = m_mwrite || memmsg = m_mupdate then
                      forwarded_fresh
                    else true);
               }
@@ -415,10 +511,10 @@ let deliver_dir tables config st cls msg =
       let base = match a.busy with Some b -> b.snapshot | None -> a.sharers in
       let busy' =
         match out.(D.bdirop) with
-        | Some "alloc" ->
+        | Some op when op = a_alloc ->
             Some
               {
-                bst = Option.value out.(D.nxtbdirst) ~default:"I";
+                bst = Option.value out.(D.nxtbdirst) ~default:s_I;
                 requester;
                 acks = targets;
                 snapshot =
@@ -426,15 +522,12 @@ let deliver_dir tables config st cls msg =
                    else a.sharers);
                 data_fresh = forwarded_fresh;
               }
-        | Some "update" ->
+        | Some op when op = a_update ->
             Option.map
               (fun b ->
                 let acks =
-                  if
-                    cls = "respq"
-                    && List.mem msg.m
-                         [ "idone"; "sack"; "snack"; "sdata"; "swbdata" ]
-                  then b.acks land lnot (bit msg.src)
+                  if cls = respq && snoop_reply msg.m then
+                    b.acks land lnot (bit msg.src)
                   else b.acks
                 in
                 {
@@ -444,22 +537,22 @@ let deliver_dir tables config st cls msg =
                   data_fresh = forwarded_fresh;
                 })
               a.busy
-        | Some "dealloc" -> None
+        | Some op when op = a_dealloc -> None
         | _ -> a.busy
       in
       (* directory state and concrete presence-vector operation *)
       let dirst' = Option.value out.(D.nxtdirst) ~default:a.dirst in
       let sharers' =
         match out.(D.nxtdirpv) with
-        | Some "repl" -> bit requester
-        | Some "inc" -> base lor bit requester
-        | Some "dec" ->
-            let actor = if cls = "reqq" then msg.src else requester in
+        | Some pv when pv = a_repl -> bit requester
+        | Some pv when pv = a_inc -> base lor bit requester
+        | Some pv when pv = a_dec ->
+            let actor = if cls = reqq then msg.src else requester in
             a.sharers land lnot (bit actor)
-        | Some "drepl" -> base land lnot (bit requester)
+        | Some pv when pv = a_drepl -> base land lnot (bit requester)
         | _ -> a.sharers
       in
-      let sharers' = if out.(D.nxtdirst) = Some "I" then 0 else sharers' in
+      let sharers' = if is out D.nxtdirst s_I then 0 else sharers' in
       st :=
         set_addr !st msg.addr
           { a with dirst = dirst'; sharers = sharers'; busy = busy' };
@@ -477,14 +570,14 @@ let deliver_snoop tables st node msg =
   match eval tables.c_rules b with
   | None ->
       Broken
-        (Printf.sprintf "C has no row for %s at node %d in %s" msg.m node
-           cachest)
+        (Printf.sprintf "C has no row for %s at node %d in %s" (name msg.m)
+           node (name cachest))
   | Some out ->
       let st = ref st in
       (match out.(C.respmsg) with
       | Some resp ->
           st :=
-            enqueue !st ~cls:"respq"
+            enqueue !st ~cls:respq
               { m = resp; src = node; dst = dir; addr = msg.addr; fresh = true }
       | None -> ());
       (match out.(C.nxtcachest) with
@@ -496,23 +589,24 @@ let deliver_response tables st node msg =
   let pendop = pending st ~node ~addr:msg.addr in
   let b = binding tables.n_rules in
   set b inmsg msg.m;
-  set b N.pendop (Option.value pendop ~default:"none");
+  set b N.pendop (Option.value pendop ~default:s_none);
   match eval tables.n_rules b with
   | None ->
       Broken
-        (Printf.sprintf "N has no row for %s at node %d pending %s" msg.m node
-           (Option.value pendop ~default:"none"))
+        (Printf.sprintf "N has no row for %s at node %d pending %s"
+           (name msg.m) node
+           (match pendop with Some p -> name p | None -> "none"))
   | Some out ->
       if data_bearing msg.m && not msg.fresh then
         Broken
           (Printf.sprintf "stale data: %s delivered to node %d for addr %d"
-             msg.m node msg.addr)
+             (name msg.m) node msg.addr)
       else begin
         let st = ref st in
         (match out.(N.cachefill) with
-        | Some "shared" -> st := set_cache !st ~node ~addr:msg.addr "S"
-        | Some "excl" ->
-            st := set_cache !st ~node ~addr:msg.addr "M";
+        | Some f when f = a_shared -> st := set_cache !st ~node ~addr:msg.addr s_S
+        | Some f when f = a_excl ->
+            st := set_cache !st ~node ~addr:msg.addr s_M;
             (* the new owner will write: memory is no longer current *)
             let a = addr_state !st msg.addr in
             st := set_addr !st msg.addr { a with mem_fresh = false }
@@ -520,20 +614,20 @@ let deliver_response tables st node msg =
         (match out.(N.ackmsg) with
         | Some ackmsg ->
             st :=
-              enqueue !st ~cls:"ackq"
+              enqueue !st ~cls:ackq
                 { m = ackmsg; src = node; dst = dir; addr = msg.addr;
                   fresh = true }
         | None -> ());
         (match out.(N.procresult) with
-        | Some ("done" | "fault") ->
+        | Some r when r = a_done || r = a_fault ->
             st := set_pending !st ~node ~addr:msg.addr None
-        | Some "retrylater" -> (
+        | Some r when r = a_retrylater -> (
             (* the node controller emits nothing: the processor interface
                reissues later, as a separate (backpressurable) step --
                consuming a retry must never need request-channel space *)
             match pendop with
             | Some op ->
-                st := set_pending !st ~node ~addr:msg.addr (Some ("backoff:" ^ op))
+                st := set_pending !st ~node ~addr:msg.addr (Some (backoff op))
             | None -> ())
         | _ -> ());
         Next !st
@@ -544,16 +638,16 @@ let deliver_response tables st node msg =
 (* ------------------------------------------------------------------ *)
 
 let deliver_mem tables st msg =
-  let io_request = msg.m = "mioread" || msg.m = "miowrite" in
+  let io_request = msg.m = m_mioread || msg.m = m_miowrite in
   let rs = if io_request then tables.io_rules else tables.m_rules in
   let b = binding rs in
   set b inmsg msg.m;
   match eval rs b with
-  | None -> Broken (Printf.sprintf "M/IO has no row for %s" msg.m)
+  | None -> Broken (Printf.sprintf "M/IO has no row for %s" (name msg.m))
   | Some out ->
       let a = addr_state st msg.addr in
       let st =
-        if msg.m = "mwrite" || msg.m = "mupdate" then
+        if msg.m = m_mwrite || msg.m = m_mupdate then
           set_addr st msg.addr { a with mem_fresh = msg.fresh }
         else st
       in
@@ -561,10 +655,10 @@ let deliver_mem tables st msg =
       let st =
         match out.(Mem.outmsg) with
         | Some resp ->
-            enqueue st ~cls:"respq"
+            enqueue st ~cls:respq
               {
                 m = resp; src = mem; dst = dir; addr = msg.addr;
-                fresh = (if resp = "mdata" then a.mem_fresh else true);
+                fresh = (if resp = m_mdata then a.mem_fresh else true);
               }
         | None -> st
       in
@@ -585,7 +679,7 @@ let issue tables st node addr op =
       | None -> None (* a pure cache hit changes nothing: skip *)
       | Some req ->
           let st =
-            enqueue st ~cls:"reqq"
+            enqueue st ~cls:reqq
               { m = req; src = node; dst = dir; addr; fresh = true }
           in
           let st =
@@ -595,19 +689,13 @@ let issue tables st node addr op =
           in
           (* evictions drop the line from the cache as they issue *)
           let st =
-            if op = "evictmod" || op = "evictsh" then
-              set_cache st ~node ~addr "I"
+            if op = op_evictmod || op = op_evictsh then
+              set_cache st ~node ~addr s_I
             else st
           in
           Some st)
 
 (* A backed-off operation re-enters the network as a fresh request. *)
-let backoff_of pend =
-  match pend with
-  | Some s when String.length s > 8 && String.sub s 0 8 = "backoff:" ->
-      Some (String.sub s 8 (String.length s - 8))
-  | _ -> None
-
 let reissue st ~node ~addr =
   match backoff_of (pending st ~node ~addr) with
   | None -> None
@@ -616,7 +704,7 @@ let reissue st ~node ~addr =
       | None -> None
       | Some req ->
           let st =
-            enqueue st ~cls:"reqq"
+            enqueue st ~cls:reqq
               { m = req; src = node; dst = dir; addr; fresh = true }
           in
           Some (set_pending st ~node ~addr (Some op)))
@@ -630,6 +718,24 @@ let within_capacity config st =
     (fun (_, q) -> List.length q <= config.capacity)
     st.Mstate.queues
 
+(* [config.ops] as symbols, resolved read-only ({!Mstate.find}: an op
+   no table names cannot fire, so it is dropped) and memoised on the
+   list's physical identity, so a search resolves its ops once, not
+   per state.  The slot holds one immutable pair: a racing miss merely
+   resolves again. *)
+let ops_memo : (string list * Mstate.sym list) Atomic.t = Atomic.make ([], [])
+
+let op_syms ops =
+  let ops', syms = Atomic.get ops_memo in
+  if ops' == ops then syms
+  else begin
+    let syms = List.filter_map Mstate.find ops in
+    Atomic.set ops_memo (ops, syms);
+    syms
+  end
+
+let io_op op = op = op_ioload || op = op_iostore || op = op_iormwop
+
 let successors ?(labels = true) tables config st =
   (* Label rendering is a real fraction of the per-state cost (several
      Printf.sprintf per expansion).  The boxed reference engine needs
@@ -637,7 +743,7 @@ let successors ?(labels = true) tables config st =
      traces — but the packed engines reconstruct traces by sequential
      replay and pass [~labels:false] to skip the rendering entirely. *)
   let lbl f = if labels then f () else "" in
-  let io_op op = List.mem op [ "ioload"; "iostore"; "iormwop" ] in
+  let ops = op_syms config.ops in
   let reissues =
     List.concat_map
       (fun node ->
@@ -669,11 +775,11 @@ let successors ?(labels = true) tables config st =
                   | Some st' when within_capacity config st' ->
                       Some
                         ( lbl (fun () ->
-                              Printf.sprintf "issue %s node%d addr%d" op node
-                                addr),
+                              Printf.sprintf "issue %s node%d addr%d" (name op)
+                                node addr),
                           Next st' )
                   | Some _ | None -> None)
-                config.ops)
+                ops)
           (List.init config.addrs Fun.id))
       (List.init config.nodes Fun.id)
   in
@@ -682,8 +788,8 @@ let successors ?(labels = true) tables config st =
       (fun ((_, dst, cls), msg) ->
         let label =
           lbl (fun () ->
-              Printf.sprintf "deliver %s %d->%d (%s) addr%d" msg.m msg.src dst
-                cls msg.addr)
+              Printf.sprintf "deliver %s %d->%d (%s) addr%d" (name msg.m)
+                msg.src dst (name cls) msg.addr)
         in
         let st' =
           match dequeue st (msg.src, dst, cls) with
@@ -693,7 +799,7 @@ let successors ?(labels = true) tables config st =
         let outcome =
           if dst = dir then deliver_dir tables config st' cls msg
           else if dst = mem then deliver_mem tables st' msg
-          else if cls = "snp" then deliver_snoop tables st' dst msg
+          else if cls = snp then deliver_snoop tables st' dst msg
           else deliver_response tables st' dst msg
         in
         match outcome with
@@ -710,13 +816,13 @@ let successors ?(labels = true) tables config st =
          (memq, ackq) are not links *)
       List.filter_map
         (fun ((src, dst, cls), (msg : Mstate.msg)) ->
-          if List.mem cls [ "reqq"; "respq"; "snp"; "resp" ] then
+          if cls = reqq || cls = respq || cls = snp || cls = resp then
             match dequeue st (src, dst, cls) with
             | Some (_, st') ->
                 Some
                   ( lbl (fun () ->
-                        Printf.sprintf "DROP %s %d->%d (%s) addr%d" msg.m src
-                          dst cls msg.addr),
+                        Printf.sprintf "DROP %s %d->%d (%s) addr%d" (name msg.m)
+                          src dst (name cls) msg.addr),
                     Next st' )
             | None -> None
           else None)
@@ -728,7 +834,7 @@ let deliver ?(config = { nodes = 0; addrs = 0; ops = []; capacity = 0; io_addrs 
     tables st ~cls ~dst msg =
   if dst = dir then deliver_dir tables config st cls msg
   else if dst = mem then deliver_mem tables st msg
-  else if cls = "snp" then deliver_snoop tables st dst msg
+  else if cls = snp then deliver_snoop tables st dst msg
   else deliver_response tables st dst msg
 
 let issue_op tables st ~node ~addr ~op = issue tables st node addr op
@@ -740,8 +846,10 @@ let state_violations config st =
          let caches =
            List.init config.nodes (fun n -> n, cache st ~node:n ~addr)
          in
-         let owners = List.filter (fun (_, c) -> c = "M" || c = "E") caches in
-         let sharers = List.filter (fun (_, c) -> c = "S") caches in
+         let owners =
+           List.filter (fun (_, c) -> c = s_M || c = s_E) caches
+         in
+         let sharers = List.filter (fun (_, c) -> c = s_S) caches in
          let multi_owner =
            if List.length owners > 1 then
              [ Printf.sprintf "addr %d: multiple owners" addr ]
@@ -772,10 +880,10 @@ let state_violations config st =
          let idle_invalid =
            (* only meaningful when nothing is in flight for this address *)
            if
-             a.dirst = "I" && a.busy = None
+             a.dirst = s_I && a.busy = None
              && (not (List.exists (fun (_, q) ->
                      List.exists (fun m -> m.addr = addr) q) st.queues))
-             && List.exists (fun (_, c) -> c <> "I") caches
+             && List.exists (fun (_, c) -> c <> s_I) caches
            then [ Printf.sprintf "addr %d: cached under invalid directory" addr ]
            else []
          in

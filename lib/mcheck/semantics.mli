@@ -16,7 +16,9 @@ type tables
 val load_tables : unit -> tables
 (** Rule lists that dispatch through the naive first-match scan
     ({!Mapping.Codegen.eval_rule}): the boxed reference engine and the
-    simulators run on these. *)
+    simulators run on these.  Loading interns every table cell as a
+    {!Mstate.sym}, including the [backoff:<op>] form of every [pendop]
+    value, so it runs on the main domain. *)
 
 val load_tables_with : ?dir:Protocol.Ctrl_spec.t -> unit -> tables
 (** Like {!load_tables} but with the directory-controller specification
@@ -26,7 +28,7 @@ val index_tables : tables -> tables
 (** Each ruleset compiled once into a coded {!Dispatch}: integer guards
     bucketed on the input message (the processor op for PIF) and
     actions laid out on output slots, so a delivery codes its state
-    strings with a few table lookups and compares small integers.
+    symbols with a few array loads and compares small integers.
     First-match semantics — including the matched row recorded in the
     coverage bitmaps and the flight recorder — are exactly those of the
     naive scan; the packed exploration engine runs on compiled tables
@@ -43,7 +45,9 @@ type config = {
   addrs : int;  (** distinct cache lines (1–2 are practical) *)
   ops : string list;
       (** processor operations the workload may issue, from
-          [load; store; evictmod; evictsh] *)
+          [load; store; evictmod; evictsh]; {!successors} resolves them
+          to symbols read-only, once per list (memoised on the list's
+          physical identity), and drops any op no table names *)
   capacity : int;
       (** FIFO capacity per (source, destination, class) channel; a
           transition whose outputs would overflow a queue is disabled
@@ -86,7 +90,7 @@ val deliver :
   ?config:config ->
   tables ->
   Mstate.t ->
-  cls:string ->
+  cls:Mstate.sym ->
   dst:int ->
   Mstate.msg ->
   outcome
@@ -95,7 +99,7 @@ val deliver :
     consulted here). *)
 
 val issue_op :
-  tables -> Mstate.t -> node:int -> addr:int -> op:string -> Mstate.t option
+  tables -> Mstate.t -> node:int -> addr:int -> op:Mstate.sym -> Mstate.t option
 (** Run one processor operation through the PIF table; [None] if it is a
     pure cache hit (no state change) or undefined for the line state. *)
 
@@ -104,7 +108,7 @@ val reissue : Mstate.t -> node:int -> addr:int -> Mstate.t option
     fresh request; [None] if nothing is backed off at that line. *)
 
 val dir_binding :
-  config -> Mstate.t -> cls:string -> Mstate.msg -> (string * string) list
+  config -> Mstate.t -> cls:Mstate.sym -> Mstate.msg -> (string * string) list
 (** The input binding the directory table sees for a message — also the
     first half of the ED binding used by the implementation-level
     simulator ({!Sim.Impl_runner}). *)
@@ -115,5 +119,5 @@ val directory_rules : tables -> Mapping.Codegen.rule list
 val pack_vocab : tables -> (string * string list) list
 (** Every (column, value) string pair appearing in any guard or action
     of the compiled tables, grouped by column and sorted.  The
-    bit-packer ({!Pack.layout}) seeds its per-field dictionaries from
-    this, so packing in pool workers never has to intern. *)
+    bit-packer ({!Pack.layout}) seeds its per-field codes from this, so
+    packing in pool workers never meets a symbol its layout lacks. *)

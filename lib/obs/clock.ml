@@ -3,6 +3,10 @@
    backwards. *)
 
 let now_ns () : int64 = Monotonic_clock.now ()
+
+(* the stub returns an unboxed int64, so converting at once keeps the
+   reading an immediate int: no allocation *)
+let now_int_ns () = Int64.to_int (Monotonic_clock.now ())
 let to_us ns = Int64.to_float ns /. 1_000.
 let to_ms ns = Int64.to_float ns /. 1_000_000.
 let to_s ns = Int64.to_float ns /. 1_000_000_000.

@@ -3,6 +3,10 @@
 val now_ns : unit -> int64
 (** Nanoseconds from an arbitrary fixed origin; never goes backwards. *)
 
+val now_int_ns : unit -> int
+(** [now_ns] as an immediate int (63 bits of nanoseconds: centuries of
+    range); reading it allocates nothing. *)
+
 val to_us : int64 -> float
 val to_ms : int64 -> float
 val to_s : int64 -> float

@@ -6,8 +6,20 @@
    saturated — so that a violation, deadlock or signal can be explained
    from the last milliseconds of evidence.  It is on by default, so the
    write path is engineered to vanish into the noise of a model-checking
-   step: one enabled-check branch, one monotonic clock read, five int
-   stores into a pre-allocated ring, no allocation in steady state.
+   step: one enabled-check branch, at most one monotonic clock read,
+   five int stores into a pre-allocated ring, and no allocation at all
+   (the ring's last stamp is an immediate int, and every payload word
+   is a required argument, so no option box is built per call).
+
+   The clock read is most of a record's cost, so the hot tags mostly
+   skip it.  [fire] and [dedup] records never read the clock: they
+   happen inside the expansion of the state their ring's latest
+   [expand] names, so they reuse the ring's last stamp with a zero
+   delta, and their drained stamp is their [expand]'s.  One [expand] in
+   [expand_stamp_every] (16) reads the clock and the others reuse the
+   last stamp too, so a ring's stamps advance in steps of at most 16
+   expansions.  A ring's first record and every rarer tag (steal,
+   compact, solver, violation, deadlock, stop) always read it.
 
    Recording must be legal from inside parallel workers (expand, dedup
    and steal events originate there), so the store is sharded exactly
@@ -22,7 +34,8 @@
      word 0  tag (see {!tag_name})
      word 1  timestamp delta in ns from the previous record of this ring
              (monotonic clock, so reconstruction walks backwards from
-             the ring's last absolute stamp)
+             the ring's last absolute stamp; 0 for a record that
+             reuses the previous stamp)
      word 2..4  payload a, b, c (tag-specific; unused slots are 0)
    A full ring overwrites its oldest record — the recorder keeps the
    most recent window by construction, and {!dropped} reports how much
@@ -85,12 +98,23 @@ let default_capacity = 4096
 
 (* On by default (the whole point is that the evidence is already there
    when something goes wrong); ASURA_FLIGHTREC=off is the bench escape
-   hatch for measuring the recorder's own overhead. *)
+   hatch for measuring the recorder's own overhead.  Any other spelling
+   is refused by the CLI ({!env_invalid}) rather than read as "on". *)
+let parse_env = function
+  | "0" | "off" | "false" | "no" -> Some false
+  | "1" | "on" | "true" | "yes" -> Some true
+  | _ -> None
+
+let env_invalid () =
+  match Sys.getenv_opt "ASURA_FLIGHTREC" with
+  | Some v when parse_env v = None -> Some v
+  | _ -> None
+
 let enabled =
   ref
     (match Sys.getenv_opt "ASURA_FLIGHTREC" with
-    | Some ("0" | "off" | "false" | "no") -> false
-    | _ -> true)
+    | Some v -> Option.value (parse_env v) ~default:true
+    | None -> true)
 
 let enable () = enabled := true
 let disable () = enabled := false
@@ -106,7 +130,9 @@ type ring = {
   mutable buf : int array;  (* capacity * stride *)
   mutable cap : int;  (* capacity in records *)
   mutable head : int;  (* total records ever written to this ring *)
-  mutable last_ns : int64;  (* absolute stamp of the newest record *)
+  mutable slot : int;  (* buffer index of the next record: head mod cap * stride *)
+  mutable last_ns : int;  (* absolute stamp of the newest record *)
+  mutable quiet : int;  (* expands since the last clock read *)
 }
 
 (* The lock covers the ring list and capacity; ring buffers themselves
@@ -129,11 +155,19 @@ let ring_key =
               buf = Array.make (!capacity * stride) 0;
               cap = !capacity;
               head = 0;
-              last_ns = 0L;
+              slot = 0;
+              last_ns = 0;
+              quiet = 0;
             }
           in
           rings := r :: !rings;
           r))
+
+let clear_ring r =
+  r.head <- 0;
+  r.slot <- 0;
+  r.last_ns <- 0;
+  r.quiet <- 0
 
 let set_capacity n =
   let n = max 16 n in
@@ -143,28 +177,41 @@ let set_capacity n =
         (fun r ->
           r.buf <- Array.make (n * stride) 0;
           r.cap <- n;
-          r.head <- 0;
-          r.last_ns <- 0L)
+          clear_ring r)
         !rings)
 
-let record ~tag ?(a = 0) ?(b = 0) ?(c = 0) () =
+(* see the header: which records read the clock *)
+let expand_stamp_every = 16
+
+let stamp r =
+  let now = Clock.now_int_ns () in
+  let d = if r.head = 0 then 0 else now - r.last_ns in
+  r.last_ns <- now;
+  r.quiet <- 0;
+  if d < 0 then 0 else d
+
+let record ~tag ~a ~b ~c =
   if !enabled then begin
     let r = Domain.DLS.get ring_key in
-    let now = Clock.now_ns () in
     let dt =
-      if r.head = 0 then 0
-      else
-        let d = Int64.to_int (Int64.sub now r.last_ns) in
-        if d < 0 then 0 else d
+      if tag = tag_fire || tag = tag_dedup then
+        if r.head > 0 then 0 else stamp r
+      else if tag = tag_expand && r.quiet < expand_stamp_every - 1 && r.head > 0
+      then begin
+        r.quiet <- r.quiet + 1;
+        0
+      end
+      else stamp r
     in
-    r.last_ns <- now;
-    let slot = r.head mod r.cap * stride in
-    let buf = r.buf in
-    buf.(slot) <- tag;
-    buf.(slot + 1) <- dt;
-    buf.(slot + 2) <- a;
-    buf.(slot + 3) <- b;
-    buf.(slot + 4) <- c;
+    (* [slot + stride <= Array.length buf] by construction *)
+    let slot = r.slot and buf = r.buf in
+    Array.unsafe_set buf slot tag;
+    Array.unsafe_set buf (slot + 1) dt;
+    Array.unsafe_set buf (slot + 2) a;
+    Array.unsafe_set buf (slot + 3) b;
+    Array.unsafe_set buf (slot + 4) c;
+    let next = slot + stride in
+    r.slot <- (if next >= Array.length buf then 0 else next);
     r.head <- r.head + 1
   end
 
@@ -185,7 +232,7 @@ type event = {
 let ring_events r =
   let n = min r.head r.cap in
   let out = ref [] in
-  let t = ref r.last_ns in
+  let t = ref (Int64.of_int r.last_ns) in
   for k = 0 to n - 1 do
     let slot = (r.head - 1 - k) mod r.cap * stride in
     let buf = r.buf in
@@ -225,8 +272,7 @@ let reset () =
       List.iter
         (fun r ->
           Array.fill r.buf 0 (Array.length r.buf) 0;
-          r.head <- 0;
-          r.last_ns <- 0L)
+          clear_ring r)
         !rings)
 
 (* ------------------------ order-free projections ---------------------- *)

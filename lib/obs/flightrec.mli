@@ -2,7 +2,11 @@
 
     Per-domain fixed-capacity ring buffers of packed integer event
     records: tag, monotonic-delta timestamp, and three payload words —
-    five int stores per event, no allocation in steady state.  The
+    five int stores per event, no allocation.  The hot tags mostly skip
+    the clock read: [fire] and [dedup] records always reuse their
+    ring's last stamp (their state's [expand]) with a zero delta, and
+    only one [expand] in 16 reads the clock, so stamps advance in steps
+    of at most 16 expansions.  The
     model-checking engines, the visited set and the constraint solver
     record their dynamics here (rule firings, dedup hits, steals,
     visited-set growth, solver column extension), so that a violation,
@@ -56,16 +60,24 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val on : unit -> bool
-(** [true] at startup unless [ASURA_FLIGHTREC=off]. *)
+(** [true] at startup unless [ASURA_FLIGHTREC] is [off] (or [0],
+    [false], [no]). *)
+
+val env_invalid : unit -> string option
+(** The value of [ASURA_FLIGHTREC] when it is set to anything but
+    [on]/[off] or their spellings [1]/[0], [true]/[false], [yes]/[no]:
+    the CLI refuses such a value (exit 2) instead of guessing. *)
 
 val with_disabled : (unit -> 'a) -> 'a
 (** Run a thunk with recording off, restoring the previous state (also
     on exceptions).  The bench overhead pair measures against this. *)
 
-val record : tag:int -> ?a:int -> ?b:int -> ?c:int -> unit -> unit
-(** Append one event to the calling domain's ring.  A single branch
-    when recording is off; never allocates, never blocks.  A full ring
-    overwrites its oldest record. *)
+val record : tag:int -> a:int -> b:int -> c:int -> unit
+(** Append one event to the calling domain's ring (unused payload words
+    are 0).  A single branch when recording is off; never allocates,
+    never blocks.  [fire], [dedup] and 15 [expand]s in 16 reuse the
+    ring's last stamp instead of reading the clock (except as a ring's
+    first record).  A full ring overwrites its oldest record. *)
 
 val set_capacity : int -> unit
 (** Ring capacity in records per domain (default 4096, clamped to at

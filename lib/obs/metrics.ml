@@ -193,11 +193,6 @@ let reset () =
         r.histograms)
     registries
 
-let clear () =
-  locked @@ fun () ->
-  Hashtbl.reset registries;
-  registry_order := []
-
 (* ------------------------------ rendering ----------------------------- *)
 
 let sorted_values tbl name_of =
@@ -205,12 +200,20 @@ let sorted_values tbl name_of =
     (fun a b -> compare (name_of a) (name_of b))
     (Hashtbl.fold (fun _ v acc -> v :: acc) tbl [])
 
+(* A registry renders once something was recorded in it since the last
+   {!reset}: reset zeroes registries in place (subsystems cache their
+   handles), so an idle registry is all zeros rather than absent. *)
+let recorded r =
+  Hashtbl.fold (fun _ c acc -> acc || c.count <> 0) r.counters false
+  || Hashtbl.fold (fun _ g acc -> acc || g.samples > 0) r.gauges false
+  || Hashtbl.fold (fun _ h acc -> acc || h.n > 0) r.histograms false
+
 let render_registry buf r =
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let counters = sorted_values r.counters (fun c -> c.c_name) in
   let gauges = sorted_values r.gauges (fun g -> g.g_name) in
   let histograms = sorted_values r.histograms (fun h -> h.h_name) in
-  if counters <> [] || gauges <> [] || histograms <> [] then begin
+  if recorded r then begin
     pr "[%s]\n" r.r_name;
     List.iter (fun c -> pr "  %-32s %12d\n" c.c_name c.count) counters;
     List.iter
@@ -249,7 +252,7 @@ let to_json () =
     let counters = sorted_values r.counters (fun c -> c.c_name) in
     let gauges = sorted_values r.gauges (fun g -> g.g_name) in
     let histograms = sorted_values r.histograms (fun h -> h.h_name) in
-    if counters = [] && gauges = [] && histograms = [] then None
+    if not (recorded r) then None
     else
       let fields = [] in
       let fields =

@@ -63,16 +63,13 @@ val quantile : histogram -> float -> float
 val reset : unit -> unit
 (** Zero every metric in every registry (handles stay valid). *)
 
-val clear : unit -> unit
-(** Drop every registry entirely.  Existing handles keep working but are
-    no longer rendered; call sites that re-request their registry get a
-    fresh one.  Meant for test isolation. *)
-
 val summary : unit -> string
-(** Aligned text rendering of every non-empty registry. *)
+(** Aligned text rendering of every registry that recorded something
+    since the last {!reset} (a non-zero counter, a gauge sample or a
+    histogram observation). *)
 
 val to_json : unit -> Json.t
-(** Machine-readable snapshot of every non-empty registry (sorted, so
+(** Machine-readable snapshot of every registry {!summary} renders (sorted, so
     identical runs render byte-identically); embedded under ["metrics"]
     in [asura-run/1] manifests.  Per registry: ["counters"] maps names to
     counts, ["gauges"] to [{value; max; n}] ([n] = samples set) and

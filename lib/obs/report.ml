@@ -26,6 +26,6 @@ let render () =
 
 let reset () =
   Trace.reset ();
-  Metrics.clear ();
+  Metrics.reset ();
   Coverage.reset ();
   Runlog.reset ()

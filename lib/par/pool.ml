@@ -389,7 +389,7 @@ let steal_loop (type job acc) ~(init : int -> acc)
                 (* flight-record the migration: per-domain steal counts
                    are the imbalance evidence `asura events top` shows *)
                 Obs.Flightrec.record ~tag:Obs.Flightrec.tag_steal ~a:self
-                  ~b:victim ();
+                  ~b:victim ~c:0;
                 Some j
             | None -> go (k + 1)
         in

@@ -331,7 +331,7 @@ let generate_reference ?funcs s =
     per_column := (col.cname, kept) :: !per_column;
     let considered = !candidates - candidates_before in
     Obs.Flightrec.record ~tag:Obs.Flightrec.tag_solver_extend ~a:considered
-      ~b:kept ();
+      ~b:kept ~c:0;
     pruning := { column = col.cname; considered; kept } :: !pruning;
     (* per-constraint pruning attribution: candidate rows this column's
        newly-applicable constraints eliminated, so the most selective
@@ -348,7 +348,7 @@ let generate_reference ?funcs s =
   Obs.Metrics.add (obs_counter "evaluations") !evaluations;
   Obs.Metrics.add (obs_counter "rows_generated") (List.length rows);
   Obs.Flightrec.record ~tag:Obs.Flightrec.tag_solver_gen
-    ~a:(List.length rows) ~b:(List.length order) ();
+    ~a:(List.length rows) ~b:(List.length order) ~c:0;
   let table = Table.of_rows ~name:s.sname schema rows in
   Obs.Metrics.add (obs_counter "storage_bytes") (Table.storage_bytes table);
   ( table,
@@ -694,7 +694,7 @@ let generate ?funcs s =
     per_column := (col.cname, kept) :: !per_column;
     let considered = !candidates - candidates_before in
     Obs.Flightrec.record ~tag:Obs.Flightrec.tag_solver_extend ~a:considered
-      ~b:kept ();
+      ~b:kept ~c:0;
     pruning := { column = col.cname; considered; kept } :: !pruning;
     Obs.Metrics.add
       (obs_counter (Printf.sprintf "pruned.%s.%s" s.sname col.cname))
@@ -732,7 +732,7 @@ let generate ?funcs s =
   Obs.Metrics.add (obs_counter "evaluations") !evaluations;
   Obs.Metrics.add (obs_counter "rows_generated") nrows;
   Obs.Flightrec.record ~tag:Obs.Flightrec.tag_solver_gen ~a:nrows
-    ~b:(List.length s.plan) ();
+    ~b:(List.length s.plan) ~c:0;
   (if Obs.Config.on () then
      let ops = List.rev !plan_ops in
      (* structural fingerprint: table, column order, domain sizes and
@@ -796,7 +796,7 @@ let generate_monolithic ?funcs s =
     (obs_counter (Printf.sprintf "pruned.%s.<full product>" s.sname))
     (!candidates - List.length rows);
   Obs.Flightrec.record ~tag:Obs.Flightrec.tag_solver_gen
-    ~a:(List.length rows) ~b:n ();
+    ~a:(List.length rows) ~b:n ~c:0;
   ( Table.of_rows ~name:s.sname schema rows,
     {
       candidates = !candidates;

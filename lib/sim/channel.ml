@@ -28,7 +28,10 @@ let occupancy ~v (st : Mcheck.Mstate.t) =
     (fun ((src, dst, cls), q) ->
       List.iter
         (fun (m : Mcheck.Mstate.msg) ->
-          match of_message ~v ~cls ~src ~dst m.m with
+          match
+            of_message ~v ~cls:(Mcheck.Mstate.name cls) ~src ~dst
+              (Mcheck.Mstate.name m.m)
+          with
           | Vc vc ->
               Hashtbl.replace counts vc
                 (1 + Option.value (Hashtbl.find_opt counts vc) ~default:0)

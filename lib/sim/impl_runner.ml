@@ -2,12 +2,14 @@ type t = {
   base : Mcheck.Mstate.t;
   upd_capacity : int;
   upd_used : int;
-  feedback : (string * Mcheck.Mstate.msg) list;
+  feedback : (Mcheck.Mstate.sym * Mcheck.Mstate.msg) list;
   deferred : int;
   retried : int;
 }
 
 type gate = Proceed | Bounce | Defer
+
+let retry = Mcheck.Mstate.intern "retry"
 
 let tables = lazy (Mcheck.Semantics.load_tables ())
 
@@ -42,7 +44,7 @@ let gate t ~cls msg =
       else if
         List.assoc_opt "locmsg" outputs = Some "retry"
         && List.assoc_opt "bdirop" outputs = None
-        && cls = "reqq"
+        && cls = Mcheck.Mstate.reqq
         && List.assoc_opt "qstatus" (statuses t) = Some "Full"
       then Bounce
       else Proceed
@@ -73,12 +75,12 @@ let deliver t ~cls ~dst msg =
     | Proceed -> apply t ~cls ~dst msg
     | Bounce ->
         let retry =
-          { Mcheck.Mstate.m = "retry"; src = Mcheck.Mstate.dir; dst = msg.src;
+          { Mcheck.Mstate.m = retry; src = Mcheck.Mstate.dir; dst = msg.src;
             addr = msg.addr; fresh = true }
         in
         {
           t with
-          base = Mcheck.Mstate.enqueue t.base ~cls:"resp" retry;
+          base = Mcheck.Mstate.enqueue t.base ~cls:Mcheck.Mstate.resp retry;
           retried = t.retried + 1;
         }
     | Defer ->

@@ -20,7 +20,7 @@ type t = {
   base : Mcheck.Mstate.t;
   upd_capacity : int;  (** slots in the directory update queue *)
   upd_used : int;  (** slots currently occupied by in-flight updates *)
-  feedback : (string * Mcheck.Mstate.msg) list;
+  feedback : (Mcheck.Mstate.sym * Mcheck.Mstate.msg) list;
       (** deferred responses with their arrival class, FIFO *)
   deferred : int;  (** statistics: deferrals taken *)
   retried : int;  (** statistics: requests bounced on full queues *)
@@ -33,10 +33,10 @@ type gate =
 
 val make : ?upd_capacity:int -> Mcheck.Mstate.t -> t
 
-val gate : t -> cls:string -> Mcheck.Mstate.msg -> gate
+val gate : t -> cls:Mcheck.Mstate.sym -> Mcheck.Mstate.msg -> gate
 (** Classify a delivery by its ED row under the current queue statuses. *)
 
-val deliver : t -> cls:string -> dst:int -> Mcheck.Mstate.msg -> t
+val deliver : t -> cls:Mcheck.Mstate.sym -> dst:int -> Mcheck.Mstate.msg -> t
 (** Pop-and-process one message through the gate: [Proceed] runs the
     table semantics (consuming an update slot if the row writes the
     directory), [Defer] pushes the message onto the feedback path,

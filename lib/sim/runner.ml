@@ -41,6 +41,7 @@ let semantics_config config =
    empty or the outputs do not fit their channels. *)
 let try_deliver config st key =
   let src, dst, cls = key in
+  let name = Mcheck.Mstate.name in
   match Mcheck.Mstate.dequeue st key with
   | None -> None
   | Some (msg, st') -> (
@@ -51,13 +52,17 @@ let try_deliver config st key =
       | Mcheck.Semantics.Broken reason -> raise (Script_error reason)
       | Mcheck.Semantics.Next st'' ->
           if fits config st'' then
-            Some (Printf.sprintf "deliver %s %d->%d (%s)" msg.m src dst cls, st'')
+            Some
+              ( Printf.sprintf "deliver %s %d->%d (%s)" (name msg.m) src dst
+                  (name cls),
+                st'' )
           else None)
 
 let apply_event config st = function
   | Issue { node; addr; op } -> (
       match
-        Mcheck.Semantics.issue_op (Lazy.force tables) st ~node ~addr ~op
+        Mcheck.Semantics.issue_op (Lazy.force tables) st ~node ~addr
+          ~op:(Mcheck.Mstate.intern op)
       with
       | Some st' when fits config st' ->
           Printf.sprintf "issue %s node%d addr%d" op node addr, st'
@@ -65,7 +70,7 @@ let apply_event config st = function
           raise (Script_error (Printf.sprintf "issue %s overflows a channel" op))
       | None -> raise (Script_error (Printf.sprintf "issue %s not enabled" op)))
   | Deliver { src; dst; cls } -> (
-      match try_deliver config st (src, dst, cls) with
+      match try_deliver config st (src, dst, Mcheck.Mstate.intern cls) with
       | Some r -> r
       | None ->
           raise
@@ -79,8 +84,8 @@ let blocked_heads config st =
       | Some _ -> None
       | None ->
           Some
-            (Printf.sprintf "%s %d->%d (%s) blocked: outputs do not fit" m.m
-               src dst cls))
+            (Printf.sprintf "%s %d->%d (%s) blocked: outputs do not fit"
+               (Mcheck.Mstate.name m.m) src dst (Mcheck.Mstate.name cls)))
     (Mcheck.Mstate.queue_heads st)
 
 let obs_reg = lazy (Obs.Metrics.registry "sim")

@@ -7,21 +7,22 @@ let make_initial ~nodes ~addrs ~owners =
       let st =
         set_addr st addr
           {
-            dirst = "MESI";
+            dirst = intern "MESI";
             sharers = 1 lsl owner;
             busy = None;
             mem_fresh = false;
           }
       in
-      set_cache st ~node:owner ~addr "M")
+      set_cache st ~node:owner ~addr (intern "M"))
     st owners
 
 let shared_line st ~addr ~sharers =
   let mask = List.fold_left (fun m n -> m lor (1 lsl n)) 0 sharers in
   let st =
-    set_addr st addr { dirst = "SI"; sharers = mask; busy = None; mem_fresh = true }
+    set_addr st addr
+      { dirst = intern "SI"; sharers = mask; busy = None; mem_fresh = true }
   in
-  List.fold_left (fun st n -> set_cache st ~node:n ~addr "S") st sharers
+  List.fold_left (fun st n -> set_cache st ~node:n ~addr (intern "S")) st sharers
 
 let collect () =
   let log = ref [] in
@@ -100,7 +101,7 @@ let stress ?(seed = 42) ?(rounds = 200) ?(nodes = 3) ?(addrs = 2) v =
   let tables = Mcheck.Semantics.load_tables () in
   let issued = ref 0 in
   let st = ref (initial ~nodes ~addrs) in
-  let ops = [| "load"; "store"; "evictmod"; "evictsh" |] in
+  let ops = Array.map intern [| "load"; "store"; "evictmod"; "evictsh" |] in
   let try_deliver_random () =
     match Mcheck.Mstate.queue_heads !st with
     | [] -> ()

@@ -60,10 +60,10 @@ let all ?(v = Checker.Vcassign.debugged) () =
          ~prepare:(fun st ->
            let st =
              Mcheck.Mstate.set_addr st 0
-               { dirst = "SI"; sharers = 0b110; busy = None; mem_fresh = true }
+               { dirst = Mcheck.Mstate.intern "SI"; sharers = 0b110; busy = None; mem_fresh = true }
            in
-           let st = Mcheck.Mstate.set_cache st ~node:1 ~addr:0 "S" in
-           Mcheck.Mstate.set_cache st ~node:2 ~addr:0 "S")
+           let st = Mcheck.Mstate.set_cache st ~node:1 ~addr:0 (Mcheck.Mstate.intern "S") in
+           Mcheck.Mstate.set_cache st ~node:2 ~addr:0 (Mcheck.Mstate.intern "S"))
          [ 0, 0, "store" ]);
     make "ownership upgrade"
       "A store by an existing sharer: no data moves; the other sharer is \
@@ -72,10 +72,10 @@ let all ?(v = Checker.Vcassign.debugged) () =
          ~prepare:(fun st ->
            let st =
              Mcheck.Mstate.set_addr st 0
-               { dirst = "SI"; sharers = 0b011; busy = None; mem_fresh = true }
+               { dirst = Mcheck.Mstate.intern "SI"; sharers = 0b011; busy = None; mem_fresh = true }
            in
-           let st = Mcheck.Mstate.set_cache st ~node:0 ~addr:0 "S" in
-           Mcheck.Mstate.set_cache st ~node:1 ~addr:0 "S")
+           let st = Mcheck.Mstate.set_cache st ~node:0 ~addr:0 (Mcheck.Mstate.intern "S") in
+           Mcheck.Mstate.set_cache st ~node:1 ~addr:0 (Mcheck.Mstate.intern "S"))
          [ 0, 0, "store" ]);
     make "writeback"
       "The owner evicts its dirty line: the data is forwarded to memory \
@@ -84,10 +84,10 @@ let all ?(v = Checker.Vcassign.debugged) () =
          ~prepare:(fun st ->
            let st =
              Mcheck.Mstate.set_addr st 0
-               { dirst = "MESI"; sharers = 0b001; busy = None;
+               { dirst = Mcheck.Mstate.intern "MESI"; sharers = 0b001; busy = None;
                  mem_fresh = false }
            in
-           Mcheck.Mstate.set_cache st ~node:0 ~addr:0 "M")
+           Mcheck.Mstate.set_cache st ~node:0 ~addr:0 (Mcheck.Mstate.intern "M"))
          [ 0, 0, "evictmod" ]);
     make "read from a dirty owner"
       "A load against a line another node owns dirty: the owner is \
@@ -97,10 +97,10 @@ let all ?(v = Checker.Vcassign.debugged) () =
          ~prepare:(fun st ->
            let st =
              Mcheck.Mstate.set_addr st 0
-               { dirst = "MESI"; sharers = 0b010; busy = None;
+               { dirst = Mcheck.Mstate.intern "MESI"; sharers = 0b010; busy = None;
                  mem_fresh = false }
            in
-           Mcheck.Mstate.set_cache st ~node:1 ~addr:0 "M")
+           Mcheck.Mstate.set_cache st ~node:1 ~addr:0 (Mcheck.Mstate.intern "M"))
          [ 0, 0, "load" ]);
     make "uncached I/O read"
       "An I/O-space load: serialized through the busy directory and served \

@@ -23,7 +23,7 @@ let with_recorder ?(capacity = 4096) f =
 let test_wraparound () =
   with_recorder ~capacity:16 (fun () ->
       for i = 1 to 50 do
-        Obs.Flightrec.record ~tag:Obs.Flightrec.tag_expand ~a:i ()
+        Obs.Flightrec.record ~tag:Obs.Flightrec.tag_expand ~a:i ~b:0 ~c:0
       done;
       let evs = Obs.Flightrec.drain () in
       Alcotest.(check int) "drain keeps exactly the capacity" 16
@@ -45,14 +45,84 @@ let test_wraparound () =
       Alcotest.(check bool) "reconstructed stamps are monotone" true
         (monotone evs))
 
+(* ---------------------------- record cost ----------------------------- *)
+
+(* [record] allocates nothing, for every tag: 10k records of each add no
+   minor words beyond what the two [Gc.minor_words] probes allocate
+   themselves (measured back to back). *)
+let test_record_allocates_nothing () =
+  with_recorder (fun () ->
+      let probe_cost =
+        let w0 = Gc.minor_words () in
+        let w1 = Gc.minor_words () in
+        w1 -. w0
+      in
+      List.iter
+        (fun tag ->
+          let w0 = Gc.minor_words () in
+          for i = 1 to 10_000 do
+            Obs.Flightrec.record ~tag ~a:i ~b:(i + 1) ~c:(i + 2)
+          done;
+          let w1 = Gc.minor_words () in
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s: minor words per 10k records"
+               (Obs.Flightrec.tag_name tag))
+            0.
+            (w1 -. w0 -. probe_cost))
+        Obs.Flightrec.
+          [ tag_expand; tag_fire; tag_dedup; tag_steal; tag_compact;
+            tag_solver_gen; tag_solver_extend; tag_violation; tag_deadlock;
+            tag_stop ])
+
+(* [fire] and [dedup] records reuse their [expand]'s stamp (no clock
+   read, a zero delta); expands read the clock periodically, so over 40
+   of them, with the clock moving in between, stamps advance. *)
+let test_fire_dedup_share_expand_stamp () =
+  with_recorder (fun () ->
+      let open Obs.Flightrec in
+      for depth = 1 to 40 do
+        record ~tag:tag_expand ~a:depth ~b:0 ~c:0;
+        for row = 1 to 4 do
+          record ~tag:tag_fire ~a:0 ~b:row ~c:depth;
+          record ~tag:tag_dedup ~a:depth ~b:(row land 1) ~c:0
+        done;
+        (* let the clock move between expansions *)
+        let t0 = Obs.Clock.now_ns () in
+        while Int64.equal (Obs.Clock.now_ns ()) t0 do () done
+      done;
+      let evs = drain () in
+      Alcotest.(check int) "every record drained" 360 (List.length evs);
+      let stamp = ref 0L in
+      List.iter
+        (fun e ->
+          if e.tag = tag_expand then begin
+            Alcotest.(check bool) "expand stamps never go back" true
+              (Int64.compare !stamp e.t_ns <= 0);
+            stamp := e.t_ns
+          end
+          else
+            Alcotest.(check int64)
+              (Printf.sprintf "%s at depth %d stamped as its expand"
+                 (tag_name e.tag) (if e.tag = tag_fire then e.c else e.a))
+              !stamp e.t_ns)
+        evs;
+      let expand_stamps =
+        List.sort_uniq Int64.compare
+          (List.filter_map
+             (fun e -> if e.tag = tag_expand then Some e.t_ns else None)
+             evs)
+      in
+      Alcotest.(check bool) "expands read the clock" true
+        (List.length expand_stamps >= 2))
+
 (* ------------------------------- JSON --------------------------------- *)
 
 let test_json_round_trip () =
   with_recorder (fun () ->
-      Obs.Flightrec.record ~tag:Obs.Flightrec.tag_expand ~a:3 ~b:7 ();
-      Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup ~a:3 ~b:1 ();
+      Obs.Flightrec.record ~tag:Obs.Flightrec.tag_expand ~a:3 ~b:7 ~c:0;
+      Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup ~a:3 ~b:1 ~c:0;
       Obs.Flightrec.record ~tag:Obs.Flightrec.tag_stop
-        ~a:Obs.Flightrec.stop_budget ~b:42 ();
+        ~a:Obs.Flightrec.stop_budget ~b:42 ~c:0;
       let docs = Obs.Flightrec.of_json (Obs.Flightrec.to_json ()) in
       Alcotest.(check (list string))
         "tags survive the manifest round trip"
@@ -123,7 +193,7 @@ let test_with_disabled () =
   with_recorder (fun () ->
       let before = Obs.Flightrec.total () in
       Obs.Flightrec.with_disabled (fun () ->
-          Obs.Flightrec.record ~tag:Obs.Flightrec.tag_expand ());
+          Obs.Flightrec.record ~tag:Obs.Flightrec.tag_expand ~a:0 ~b:0 ~c:0);
       Alcotest.(check int) "no writes while disabled" before
         (Obs.Flightrec.total ());
       Alcotest.(check bool) "recording restored" true (Obs.Flightrec.on ());
@@ -158,7 +228,7 @@ let test_signal_arming () =
 let test_sys_events_table () =
   with_recorder (fun () ->
       Obs.Flightrec.record ~tag:Obs.Flightrec.tag_stop
-        ~a:Obs.Flightrec.stop_complete ~b:5 ();
+        ~a:Obs.Flightrec.stop_complete ~b:5 ~c:0;
       let t =
         Systables.events_of (Obs.Flightrec.of_json (Obs.Flightrec.to_json ()))
       in
@@ -186,6 +256,10 @@ let suite =
       test_with_disabled;
     Alcotest.test_case "signal drain handlers armed idempotently" `Quick
       test_signal_arming;
+    Alcotest.test_case "record allocates nothing, for every tag" `Quick
+      test_record_allocates_nothing;
+    Alcotest.test_case "fire and dedup reuse their expand's stamp" `Quick
+      test_fire_dedup_share_expand_stamp;
     Alcotest.test_case "sys.events decodes stop rows" `Quick
       test_sys_events_table;
   ]

@@ -17,28 +17,59 @@ let test_state_basics () =
   let st = Mstate.initial ~nodes:2 ~addrs:1 in
   check "initially quiescent" true (Mstate.quiescent st);
   check_int "no messages" 0 (List.length (Mstate.queue_heads st));
-  let msg = { Mstate.m = "read"; src = 0; dst = Mstate.dir; addr = 0; fresh = true } in
-  let st = Mstate.enqueue st ~cls:"reqq" msg in
+  let read = Mstate.intern "read" in
+  let msg = { Mstate.m = read; src = 0; dst = Mstate.dir; addr = 0; fresh = true } in
+  let st = Mstate.enqueue st ~cls:Mstate.reqq msg in
   check "not quiescent with traffic" false (Mstate.quiescent st);
-  (match Mstate.dequeue st (0, Mstate.dir, "reqq") with
+  (match Mstate.dequeue st (0, Mstate.dir, Mstate.reqq) with
   | Some (m, st') ->
-      check "fifo returns the message" true (m.Mstate.m = "read");
+      check "fifo returns the message" true (m.Mstate.m = read);
       check "dequeue empties" true (Mstate.quiescent st')
   | None -> Alcotest.fail "dequeue failed");
   check "keys are canonical" true (Mstate.key st = Mstate.key st)
 
 let test_fifo_order () =
   let st = Mstate.initial ~nodes:1 ~addrs:1 in
-  let m name = { Mstate.m = name; src = 0; dst = Mstate.dir; addr = 0; fresh = true } in
-  let st = Mstate.enqueue (Mstate.enqueue st ~cls:"reqq" (m "first")) ~cls:"reqq" (m "second") in
-  match Mstate.dequeue st (0, Mstate.dir, "reqq") with
+  let m name =
+    { Mstate.m = Mstate.intern name; src = 0; dst = Mstate.dir; addr = 0; fresh = true }
+  in
+  let st =
+    Mstate.enqueue (Mstate.enqueue st ~cls:Mstate.reqq (m "first")) ~cls:Mstate.reqq
+      (m "second")
+  in
+  match Mstate.dequeue st (0, Mstate.dir, Mstate.reqq) with
   | Some (x, st') ->
-      check "fifo head" true (x.Mstate.m = "first");
+      check "fifo head" true (Mstate.name x.Mstate.m = "first");
       check "fifo second" true
-        (match Mstate.dequeue st' (0, Mstate.dir, "reqq") with
-        | Some (y, _) -> y.Mstate.m = "second"
+        (match Mstate.dequeue st' (0, Mstate.dir, Mstate.reqq) with
+        | Some (y, _) -> Mstate.name y.Mstate.m = "second"
         | None -> false)
   | None -> Alcotest.fail "dequeue failed"
+
+(* The symbol table: class ids order like the class strings (so queue,
+   successor and BFS order are the string-keyed model's), names round
+   trip, and interning is the main domain's alone while any domain may
+   read. *)
+let test_symbols () =
+  let classes = Mstate.[ ackq; memq; reqq; resp; respq; snp ] in
+  Alcotest.(check (list string)) "class ids sort like the class strings"
+    (List.sort String.compare (List.map Mstate.name classes))
+    (List.map Mstate.name (List.sort Int.compare classes));
+  let s = Mstate.intern "Busy-readex-sd" in
+  check_int "interning is idempotent" s (Mstate.intern "Busy-readex-sd");
+  Alcotest.(check string) "name inverts intern" "Busy-readex-sd" (Mstate.name s);
+  Alcotest.(check (option int)) "find reads without interning" None
+    (Mstate.find "never-interned-symbol");
+  let off_main =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let read = Mstate.name s in
+           match Mstate.intern "Busy-readex-sd" with
+           | _ -> read, false
+           | exception Invalid_argument _ -> read, true))
+  in
+  Alcotest.(check (pair string bool)) "off the main domain: name reads, intern raises"
+    ("Busy-readex-sd", true) off_main
 
 let test_pv_encode () =
   Alcotest.(check string) "zero" "zero" (Mstate.pv_encode 0);
@@ -138,8 +169,9 @@ let test_lock_workload_clean () =
 let test_symmetry_reduction () =
   (* the canonical key must respect permutation orbits... *)
   let st = Mcheck.Mstate.initial ~nodes:3 ~addrs:1 in
-  let st_a = Mcheck.Mstate.set_cache st ~node:0 ~addr:0 "S" in
-  let st_b = Mcheck.Mstate.set_cache st ~node:2 ~addr:0 "S" in
+  let s = Mcheck.Mstate.intern "S" in
+  let st_a = Mcheck.Mstate.set_cache st ~node:0 ~addr:0 s in
+  let st_b = Mcheck.Mstate.set_cache st ~node:2 ~addr:0 s in
   check "permuted states share a canonical key" true
     (Mcheck.Mstate.canonical_key ~nodes:3 st_a
     = Mcheck.Mstate.canonical_key ~nodes:3 st_b);
@@ -272,7 +304,8 @@ let test_snoops_reach_high_nodes () =
     match Mstate.queue_heads st with
     | [] -> st
     | ((src, dst, cls), msg) :: _ -> (
-        if cls = "snp" then snooped := (dst, msg.Mstate.m) :: !snooped;
+        if cls = Mstate.snp then
+          snooped := (dst, Mstate.name msg.Mstate.m) :: !snooped;
         match Mstate.dequeue st (src, dst, cls) with
         | None -> assert false
         | Some (_, st') -> (
@@ -281,7 +314,9 @@ let test_snoops_reach_high_nodes () =
             | Semantics.Broken r -> Alcotest.fail r))
   in
   let issue node op st =
-    drain (Option.get (Semantics.issue_op tables st ~node ~addr:0 ~op))
+    drain
+      (Option.get
+         (Semantics.issue_op tables st ~node ~addr:0 ~op:(Mstate.intern op)))
   in
   let shared =
     issue 3 "load" (issue 16 "load" (Mstate.initial ~nodes:17 ~addrs:1))
@@ -293,8 +328,10 @@ let test_snoops_reach_high_nodes () =
   check "node 16 was sent the sinv" true (List.mem (16, "sinv") !snooped);
   check "node 3 was sent the sinv" true (List.mem (3, "sinv") !snooped);
   check "queues drained" true (Mstate.quiescent st);
-  Alcotest.(check string) "node 16 invalidated" "I" (Mstate.cache st ~node:16 ~addr:0);
-  Alcotest.(check string) "node 0 owns the line" "M" (Mstate.cache st ~node:0 ~addr:0)
+  Alcotest.(check string) "node 16 invalidated" "I"
+    (Mstate.name (Mstate.cache st ~node:16 ~addr:0));
+  Alcotest.(check string) "node 0 owns the line" "M"
+    (Mstate.name (Mstate.cache st ~node:0 ~addr:0))
 
 (* Coded dispatch against the naive first-match scan, with no search in
    between: the compiled rulesets of all six tables, bindings drawn per
@@ -314,7 +351,7 @@ let same_row rules d values =
   Array.iteri
     (fun slot v ->
       match v with
-      | Some v -> Dispatch.set d codes slot v
+      | Some v -> Dispatch.set d codes slot (Mstate.intern v)
       | None -> codes.(slot) <- Dispatch.absent)
     values;
   let named =
@@ -428,6 +465,7 @@ let suite =
     Alcotest.test_case "state basics" `Quick test_state_basics;
     Alcotest.test_case "fifo ordering" `Quick test_fifo_order;
     Alcotest.test_case "pv encoding" `Quick test_pv_encode;
+    Alcotest.test_case "symbol table and its domain rule" `Quick test_symbols;
     Alcotest.test_case "single transaction" `Quick test_single_transaction;
     Alcotest.test_case "load/store exhaustive" `Slow test_load_store_clean;
     Alcotest.test_case "full workload exhaustive" `Slow test_full_workload_clean;

@@ -281,8 +281,46 @@ let test_report_render =
   Obs.Report.reset ();
   check_string "reset empties the report" "" (Obs.Report.render ())
 
+(* Subsystems cache their registry handle in a [lazy] (the solver's
+   [obs_reg], Batch's, Explore's): a reset must zero the registries in
+   place, not drop them, or the cached handle's counts stop reaching
+   [Metrics.to_json]. *)
+let test_reset_keeps_cached_handles () =
+  let spec =
+    Protocol.Ctrl_spec.to_solver_spec Protocol.directory.Protocol.spec
+  in
+  let pruned () =
+    match Obs.Json.member "solver" (Obs.Metrics.to_json ()) with
+    | Some reg -> (
+        match Obs.Json.member "counters" reg with
+        | Some (Obs.Json.Obj kvs) ->
+            List.filter_map
+              (fun (k, v) ->
+                match v with
+                | Obs.Json.Int n
+                  when String.length k > 7 && String.sub k 0 7 = "pruned." ->
+                    Some n
+                | _ -> None)
+              kvs
+        | _ -> [])
+    | None -> []
+  in
+  (* the first generation forces the solver's cached registry *)
+  ignore (Relalg.Solver.generate spec);
+  let before = pruned () in
+  Obs.Report.reset ();
+  check "reset zeroes the pruning counters" true
+    (List.for_all (( = ) 0) (pruned ()));
+  ignore (Relalg.Solver.generate spec);
+  let after = pruned () in
+  check "pruning counters listed after a reset" true (after <> []);
+  Alcotest.(check (list int)) "same counts as before the reset" before after
+
 let suite =
   [
+    ( "reset keeps cached registry handles live",
+      `Quick,
+      with_obs test_reset_keeps_cached_handles );
     "span nesting and ordering", `Quick, test_span_nesting;
     "span survives exceptions", `Quick, test_span_exception;
     "disabled layer is a no-op", `Quick, test_disabled_is_noop;

@@ -14,19 +14,28 @@ open Mcheck
 
 (* ------------------------- state generation -------------------------- *)
 
-let dirst_pool = [ "I"; "SI"; "MESI" ]
-let bst_pool = [ "I"; "Busy-read-sd"; "Busy-readex-sd"; "Busy-wb" ]
-let cache_pool = [ "I"; "S"; "E"; "M" ]
-let pend_pool = [ "read"; "write"; "wback"; "backoff:read"; "backoff:write" ]
+let dirst_names = [ "I"; "SI"; "MESI" ]
+let bst_names = [ "I"; "Busy-read-sd"; "Busy-readex-sd"; "Busy-wb" ]
+let cache_names = [ "I"; "S"; "E"; "M" ]
+let pend_names = [ "read"; "write"; "wback"; "backoff:read"; "backoff:write" ]
 
-let msg_pool =
+let msg_names =
   [ "read"; "readex"; "wb"; "data"; "sdata"; "idone"; "mread"; "mdata" ]
 
-let cls_pool = [ "reqq"; "respq"; "snp"; "resp"; "ackq"; "memq" ]
+(* the same vocabularies as symbols, interned while the suite is built
+   (on the main domain) *)
+let dirst_pool = List.map Mstate.intern dirst_names
+let bst_pool = List.map Mstate.intern bst_names
+let cache_pool = List.map Mstate.intern cache_names
+let pend_pool = List.map Mstate.intern pend_names
+let msg_pool = List.map Mstate.intern msg_names
+
+let cls_pool =
+  Mstate.[ reqq; respq; snp; resp; ackq; memq ]
 
 let layout_for ~nodes ~addrs ~capacity =
-  Pack.layout ~nodes ~addrs ~capacity ~dirst:dirst_pool ~bst:bst_pool
-    ~cache:cache_pool ~pend:pend_pool ~msg:msg_pool ()
+  Pack.layout ~nodes ~addrs ~capacity ~dirst:dirst_names ~bst:bst_names
+    ~cache:cache_names ~pend:pend_names ~msg:msg_names ()
 
 (* Arbitrary well-formed states for a (nodes, addrs) shape: any field
    combination the Mstate type allows, with queues respecting the
@@ -36,7 +45,7 @@ let state_gen ~nodes ~addrs ~capacity =
     let endpoint = map (fun e -> e - 2) (int_bound (nodes + 1)) in
     let mask = int_bound ((1 lsl nodes) - 1) in
     let busy_gen =
-      let* bst = oneofl (List.filter (( <> ) "I") bst_pool) in
+      let* bst = oneofl (List.filter (( <> ) (Mstate.intern "I")) bst_pool) in
       let* requester = endpoint in
       let* acks = mask in
       let* snapshot = mask in
@@ -251,7 +260,7 @@ let mutate_gen ~nodes ~addrs (st : Mstate.t) =
                      a with
                      busy =
                        Some
-                         { Mstate.bst = "Busy-wb"; requester = node; acks = 0;
+                         { Mstate.bst = Mstate.intern "Busy-wb"; requester = node; acks = 0;
                            snapshot = 0; data_fresh = true };
                    })))
 
@@ -393,8 +402,8 @@ let test_tie_without_symmetry () =
   let st =
     List.fold_left
       (fun st (src, dst) ->
-        Mstate.enqueue st ~cls:"reqq"
-          { Mstate.m = "read"; src; dst; addr = 0; fresh = true })
+        Mstate.enqueue st ~cls:Mstate.reqq
+          { Mstate.m = Mstate.intern "read"; src; dst; addr = 0; fresh = true })
       (Mstate.initial ~nodes:3 ~addrs:1)
       [ 0, 1; 1, 2; 2, 0 ]
   in
@@ -408,11 +417,12 @@ let test_tie_without_symmetry () =
 let test_two_nodes_tie () =
   let l = layout_for ~nodes:3 ~addrs:1 ~capacity:2 in
   let st = Mstate.initial ~nodes:3 ~addrs:1 in
-  let st = Mstate.set_cache st ~node:0 ~addr:0 "S" in
-  let st = Mstate.set_cache st ~node:2 ~addr:0 "S" in
+  let s = Mstate.intern "S" in
+  let st = Mstate.set_cache st ~node:0 ~addr:0 s in
+  let st = Mstate.set_cache st ~node:2 ~addr:0 s in
   let st =
     Mstate.set_addr st 0
-      { (Mstate.addr_state st 0) with dirst = "SI"; sharers = 0b101 }
+      { (Mstate.addr_state st 0) with dirst = Mstate.intern "SI"; sharers = 0b101 }
   in
   let sg = Pack.signatures l st in
   Alcotest.(check int) "two signatures" 2 (distinct_signatures sg);
@@ -483,6 +493,57 @@ let prop_vset =
              not (Pack.Vset.add compact v))
            packed)
 
+(* The encoding pinned bit for bit: the packed visited set of the 2-node
+   all-ops search (no symmetry), as a count and two order-independent
+   digests of {!Pack.hash} (wrapping sum and xor) plus the total word
+   count.  The figures were recorded with a string-keyed encoder of the
+   same layout; any change to field order, widths, code assignment or
+   channel order moves them. *)
+module Visited = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = Pack.equal
+  let hash = Pack.hash
+end)
+
+let test_visited_set_digest () =
+  let tables = Semantics.load_tables () in
+  let indexed = Semantics.index_tables tables in
+  let cfg =
+    { Semantics.nodes = 2; addrs = 1;
+      ops = [ "load"; "store"; "evictmod"; "evictsh" ];
+      capacity = 3; io_addrs = []; lossy = false }
+  in
+  let layout = Explore.layout_of_tables tables cfg in
+  let visited = Visited.create 4096 in
+  let queue = Queue.create () in
+  let visit st =
+    let v = Pack.pack layout st in
+    if not (Visited.mem visited v) then begin
+      Visited.add visited v ();
+      Queue.add st queue
+    end
+  in
+  visit (Mstate.initial ~nodes:2 ~addrs:1);
+  while not (Queue.is_empty queue) do
+    List.iter
+      (function
+        | _, Semantics.Next st -> visit st
+        | _, Semantics.Broken r -> Alcotest.fail r)
+      (Semantics.successors ~labels:false indexed cfg (Queue.take queue))
+  done;
+  let sum = ref 0 and xor = ref 0 and words = ref 0 in
+  Visited.iter
+    (fun v () ->
+      sum := !sum + Pack.hash v;
+      xor := !xor lxor Pack.hash v;
+      words := !words + Array.length v)
+    visited;
+  Alcotest.(check int) "vectors" 16_188 (Visited.length visited);
+  Alcotest.(check int) "hash sum" (-4205316499339850594) !sum;
+  Alcotest.(check int) "hash xor" 151743013724663208 !xor;
+  Alcotest.(check int) "words" 37_846 !words
+
 let suite =
   [
     Test_seed.to_alcotest prop_roundtrip;
@@ -499,4 +560,6 @@ let suite =
     Alcotest.test_case "canonical: exactly two nodes tie" `Quick test_two_nodes_tie;
     Alcotest.test_case "canonical: a tie no permutation exchanges" `Quick
       test_tie_without_symmetry;
+    Alcotest.test_case "2-node visited set: golden digest" `Quick
+      test_visited_set_digest;
   ]

@@ -33,12 +33,12 @@ let test_occupancy () =
   let v = Checker.Vcassign.with_vc4 in
   let st = Mcheck.Mstate.initial ~nodes:2 ~addrs:1 in
   let st =
-    Mcheck.Mstate.enqueue st ~cls:"reqq"
-      { Mcheck.Mstate.m = "readex"; src = 0; dst = Mcheck.Mstate.dir; addr = 0; fresh = true }
+    Mcheck.Mstate.enqueue st ~cls:Mcheck.Mstate.reqq
+      { Mcheck.Mstate.m = Mcheck.Mstate.intern "readex"; src = 0; dst = Mcheck.Mstate.dir; addr = 0; fresh = true }
   in
   let st =
-    Mcheck.Mstate.enqueue st ~cls:"reqq"
-      { Mcheck.Mstate.m = "wb"; src = 1; dst = Mcheck.Mstate.dir; addr = 0; fresh = true }
+    Mcheck.Mstate.enqueue st ~cls:Mcheck.Mstate.reqq
+      { Mcheck.Mstate.m = Mcheck.Mstate.intern "wb"; src = 1; dst = Mcheck.Mstate.dir; addr = 0; fresh = true }
   in
   Alcotest.(check (list (pair string int))) "two requests on VC0"
     [ "VC0", 2 ] (Channel.occupancy ~v st);
@@ -144,7 +144,7 @@ let test_feedback_defers_and_replays () =
   let tables = Mcheck.Semantics.load_tables () in
   let st = Mcheck.Mstate.initial ~nodes:2 ~addrs:2 in
   let issue st node addr =
-    Option.get (Mcheck.Semantics.issue_op tables st ~node ~addr ~op:"load")
+    Option.get (Mcheck.Semantics.issue_op tables st ~node ~addr ~op:(Mcheck.Mstate.intern "load"))
   in
   let st = issue (issue st 0 0) 1 1 in
   let t = drive_without_drains (Impl_runner.make ~upd_capacity:1 st) in
@@ -185,10 +185,10 @@ let test_feedback_run_to_completion () =
   let tables = Mcheck.Semantics.load_tables () in
   let st = Mcheck.Mstate.initial ~nodes:2 ~addrs:2 in
   let st =
-    Option.get (Mcheck.Semantics.issue_op tables st ~node:0 ~addr:0 ~op:"store")
+    Option.get (Mcheck.Semantics.issue_op tables st ~node:0 ~addr:0 ~op:(Mcheck.Mstate.intern "store"))
   in
   let st =
-    Option.get (Mcheck.Semantics.issue_op tables st ~node:1 ~addr:1 ~op:"store")
+    Option.get (Mcheck.Semantics.issue_op tables st ~node:1 ~addr:1 ~op:(Mcheck.Mstate.intern "store"))
   in
   let t = Impl_runner.run_to_completion (Impl_runner.make ~upd_capacity:1 st) in
   check "quiescent" true (Mcheck.Mstate.quiescent t.Impl_runner.base);
