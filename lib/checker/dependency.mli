@@ -76,6 +76,14 @@ val protocol_dependency :
     of the [checker] registry count the matches and the new
     dependencies of each placement.
 
+    One call keeps one codebook: every distinct assignment gets an int
+    id the first time the call meets it, and keys, relocation (an
+    id-to-id map per placement) and the side tables of the joins (built
+    from codes, with per-side dictionaries, so the planner's estimates
+    are those of row-built tables) all work on ids.  A side is
+    flattened once per placement, so the first round's [named ⋈ named]
+    relocates each table once.
+
     [fixpoint] (default false) repeats the composition until no new
     dependency appears — the paper's footnote: "to ensure that [the]
     protocol dependency table includes all the dependencies, it is

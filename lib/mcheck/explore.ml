@@ -329,16 +329,20 @@ let indexed_tables tables =
       index_cache := Some (tables, indexed);
       indexed
 
+(* A layout reads only [nodes], [addrs] and [capacity] of the config,
+   so searches that differ in ops or lossiness (the all-ops and lossy
+   searches of one sweep) share it. *)
 let layout_cache :
-    (Semantics.tables * Semantics.config * Pack.layout) option ref =
+    (Semantics.tables * (int * int * int) * Pack.layout) option ref =
   ref None
 
-let cached_layout tables config =
+let cached_layout tables (config : Semantics.config) =
+  let shape = (config.nodes, config.addrs, config.capacity) in
   match !layout_cache with
-  | Some (raw, cfg, layout) when raw == tables && cfg = config -> layout
+  | Some (raw, s, layout) when raw == tables && s = shape -> layout
   | _ ->
       let layout = layout_of_tables tables config in
-      layout_cache := Some (tables, config, layout);
+      layout_cache := Some (tables, shape, layout);
       layout
 
 (* Per-participant bookkeeping of the stealing engine.  Everything

@@ -156,8 +156,9 @@ let index_leaf st ~table ~column value =
   (node (Index_scan { table; column; value }) rows rows [], st)
 
 (* A set operator over two annotated inputs: a union is estimated at
-   the distinct rows of both, an except at half the left's distinct
-   rows, an intersect at half the smaller side's. *)
+   the distinct rows of both, an except at the left's distinct rows
+   less the right's (containment: the smaller side's distinct rows are
+   among the larger's), an intersect at half the smaller side's. *)
 let set_node op (ca, sta) (cb, stb) =
   let cost = ca.cost +. cb.cost +. sta.rows +. stb.rows in
   match op with
@@ -172,7 +173,9 @@ let set_node op (ca, sta) (cb, stb) =
       let rows = distinct_est merged merged.cols in
       (node Union rows cost [ ca; cb ], restrict merged rows)
   | Except ->
-      let rows = distinct_est sta sta.cols *. 0.5 in
+      let rows =
+        fmax 0. (distinct_est sta sta.cols -. distinct_est stb stb.cols)
+      in
       (node Except rows cost [ ca; cb ], restrict sta rows)
   | _ ->
       let rows =

@@ -412,6 +412,75 @@ let test_compose_counters () =
   check_int "new keys = composed entries" (List.length composed) added;
   check "composition added some" true (added > 0)
 
+(* Per placement, the nested loops' matches (every ordered pair of
+   deduplicated individual tables, both modes) and their new
+   dependencies (the composed entries of [nested_loop_dependency] under
+   that placement).  The pass counts a match as one joined item pair
+   weighted by the entries each item stands for, so these pin that
+   bookkeeping. *)
+let nested_loop_counts ~v controllers placement =
+  let named =
+    List.map
+      (fun c ->
+        ( Protocol.Ctrl_spec.name c.Protocol.spec,
+          dedup_entries (Dependency.individual ~v c) ))
+      controllers
+  in
+  let matches =
+    List.fold_left
+      (fun sum ignore_messages ->
+        List.fold_left
+          (fun sum t1 ->
+            List.fold_left
+              (fun sum t2 ->
+                sum
+                + List.length (nested_compose ~ignore_messages ~placement t1 t2))
+              sum named)
+          sum named)
+      0 [ false; true ]
+  in
+  let added =
+    List.length
+      (List.filter
+         (fun (e : Dependency.entry) ->
+           match e.provenance with
+           | Dependency.Composed { placement = p; _ } -> p = placement
+           | Direct _ -> false)
+         (nested_loop_dependency ~v controllers))
+  in
+  (matches, added)
+
+let test_compose_counts_match_nested_loop () =
+  let controllers = Protocol.deadlock_controllers in
+  let count name =
+    Obs.Metrics.count (Obs.Metrics.counter (Obs.Metrics.registry "checker") name)
+  in
+  List.iter
+    (fun (v : Vcassign.t) ->
+      Obs.Metrics.reset ();
+      ignore
+        (Obs.Config.with_enabled (fun () ->
+             Dependency.protocol_dependency ~v controllers)
+          : Dependency.entry list);
+      let counted =
+        List.map
+          (fun p ->
+            let p = Protocol.Topology.placement_to_string p in
+            (count ("compose_matches." ^ p), count ("compose_new." ^ p)))
+          Protocol.Topology.all_placements
+      in
+      Obs.Metrics.reset ();
+      List.iter2
+        (fun p (matches, added) ->
+          let want_matches, want_added = nested_loop_counts ~v controllers p in
+          let p = Protocol.Topology.placement_to_string p in
+          check_int (Printf.sprintf "%s: compose_matches.%s" v.name p)
+            want_matches matches;
+          check_int (Printf.sprintf "%s: compose_new.%s" v.name p) want_added
+            added)
+        Protocol.Topology.all_placements counted)
+    Vcassign.standard
+
 let test_dependency_table_form () =
   let entries =
     Dependency.protocol_dependency ~v:Vcassign.with_vc4
@@ -703,6 +772,8 @@ let suite =
     Test_seed.to_alcotest prop_of_tables_matches_nested_loops;
     Alcotest.test_case "compose_new counts the added dependencies" `Quick
       test_compose_counters;
+    Alcotest.test_case "compose counters = nested-loop counts" `Slow
+      test_compose_counts_match_nested_loop;
     Alcotest.test_case "initial assignment: several cycles" `Slow test_initial_assignment_cycles;
     Alcotest.test_case "VC4 assignment: the Figure 4 cycle" `Slow test_vc4_assignment_finds_figure4;
     Alcotest.test_case "debugged assignment: clean" `Slow test_debugged_assignment_clean;

@@ -228,6 +228,35 @@ let test_lossy_links_found () =
   check "loss-free run clean under the orphan invariant" true
     (clean.Explore.violation = None)
 
+(* The all-ops and lossy searches differ in ops and lossiness but share
+   one packed layout (it reads only nodes, addrs and capacity).
+   Alternating them on one tables value must give what each gives on a
+   tables value of its own. *)
+let test_alternating_searches_share_layout () =
+  let all_ops = config [ "load"; "store"; "evictmod"; "evictsh" ] in
+  let lossy = { (config [ "load"; "store" ]) with Semantics.lossy = true } in
+  let observe (r : Explore.result) =
+    ( r.explored,
+      r.transitions,
+      Option.map (fun (v : Explore.violation) -> (v.kind, v.trace)) r.violation )
+  in
+  let solo cfg =
+    observe (Explore.run ~tables:(Semantics.load_tables ()) cfg)
+  in
+  let ((explored, _, _) as solo_all) = solo all_ops
+  and ((_, _, violation) as solo_lossy) = solo lossy in
+  check_int "all ops explored" 16_188 explored;
+  check "lossy finds a violation" true (violation <> None);
+  let tables = Semantics.load_tables () in
+  List.iteri
+    (fun i (cfg, want) ->
+      check
+        (Printf.sprintf "search %d matches its solo run" i)
+        true
+        (observe (Explore.run ~tables cfg) = want))
+    [ (all_ops, solo_all); (lossy, solo_lossy); (all_ops, solo_all);
+      (lossy, solo_lossy) ]
+
 let test_bounded_search_reports_incomplete () =
   let r = run ~max_states:50 (config ~nodes:3 [ "load"; "store" ]) in
   check "bounded" false r.Explore.complete;
@@ -478,6 +507,8 @@ let suite =
     Alcotest.test_case "lossy links produce wedges" `Quick test_lossy_links_found;
     Alcotest.test_case "symmetry reduction" `Slow test_symmetry_reduction;
     Alcotest.test_case "symmetry preserves bug finding" `Slow test_symmetry_still_finds_bugs;
+    Alcotest.test_case "alternating searches share one layout" `Quick
+      test_alternating_searches_share_layout;
     Alcotest.test_case "bounded search reports incomplete" `Quick test_bounded_search_reports_incomplete;
     Alcotest.test_case "elapsed is wall time" `Quick test_elapsed_is_wall_time;
     Alcotest.test_case "default engine is packed at one domain" `Quick test_default_engine_is_packed;

@@ -325,6 +325,21 @@ let test_join_estimate_wide_key () =
       check_bool (Printf.sprintf "misest %.1f < 2" m) true (m < 2.)
   | es -> Alcotest.failf "expected one plan, got %d" (List.length es)
 
+(* An EXCEPT whose right input holds every left row, the shape of the
+   mapping proof's [D EXCEPT reconstructed] on a sound mapping, comes
+   out empty; containment estimates it at the left's distinct rows less
+   the right's, not at half the left's. *)
+let test_except_estimate_contained () =
+  let d = Protocol.Dir_controller.table () in
+  Obs.Config.with_enabled @@ fun () ->
+  Obs.Planlog.reset ();
+  check_int "nothing left" 0 (Table.cardinality (Planner.except d d));
+  match Obs.Planlog.snapshot () with
+  | [ e ] ->
+      let m = Obs.Planlog.misest e in
+      check_bool (Printf.sprintf "misest %.1f < 2" m) true (m < 2.)
+  | es -> Alcotest.failf "expected one plan, got %d" (List.length es)
+
 (* -------------------------- random plans ------------------------------ *)
 
 let cell_gen =
@@ -798,6 +813,8 @@ let suite =
       `Quick test_join_identity_shape;
     Alcotest.test_case "join estimate holds on a key of many columns" `Quick
       test_join_estimate_wide_key;
+    Alcotest.test_case "except estimate holds on a contained right input"
+      `Quick test_except_estimate_contained;
     QCheck_alcotest.to_alcotest prop_plan_differential;
     QCheck_alcotest.to_alcotest prop_programmatic_differential;
     Alcotest.test_case "explain --analyze times a streaming root whole" `Quick
