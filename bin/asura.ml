@@ -18,6 +18,12 @@ open Cmdliner
    output are finalized in at_exit hooks so commands that exit 1 on a
    failed verdict still write them. *)
 
+(* Print canned sys. queries, each under its title with the SQL it ran:
+   the one printer behind top, events top, plan top and --stats. *)
+let print_canned oc db cs =
+  output_string oc (Systables.render_canned db cs);
+  flush oc
+
 let obs_setup level trace_file stats domains log_file progress manifest =
   Fmt_tty.setup_std_outputs ();
   (match log_file with
@@ -32,16 +38,26 @@ let obs_setup level trace_file stats domains log_file progress manifest =
       Logs.set_reporter (Logs.format_reporter ~app:fmt ~dst:fmt ()));
   Logs.set_level level;
   (* like ASURA_DOMAINS: a malformed switch is one line and exit 2,
-     never silently "on" *)
-  Option.iter
-    (fun v ->
-      Printf.eprintf
-        "asura: ASURA_FLIGHTREC must be on or off (or 1/0, true/false, \
-         yes/no) (got %S)\n"
-        v;
-      Stdlib.exit 2)
+     never silently read as "on" or as unset *)
+  let refuse expected =
+    Option.iter (fun v ->
+        Printf.eprintf "asura: %s (got %S)\n" expected v;
+        Stdlib.exit 2)
+  in
+  refuse "ASURA_FLIGHTREC must be on or off (or 1/0, true/false, yes/no)"
     (Obs.Flightrec.env_invalid ());
+  refuse "ASURA_PLAN_BUILD must be left or right (or LEFT/RIGHT, l/r)"
+    (Relalg.Planner.env_invalid ());
   Option.iter Par.Pool.set_domains domains;
+  (* at_exit hooks run last-registered first: the --stats views print
+     after the manifest and the trace are written, so the queries behind
+     them never land in either *)
+  if stats then begin
+    Obs.Config.enable ();
+    at_exit (fun () ->
+        let db = Systables.stats_db () in
+        print_canned stderr db (Systables.canned_in [ Stats ]))
+  end;
   if progress then begin
     Obs.Coverage.enable ();
     Obs.Runlog.enable_progress ()
@@ -66,23 +82,20 @@ let obs_setup level trace_file stats domains log_file progress manifest =
               Printf.fprintf (Obs.Runlog.sink ()) "wrote run manifest to %s\n%!"
                 path
           | None -> ()));
-  if trace_file <> None || stats then begin
-    Obs.Config.enable ();
-    at_exit (fun () ->
-        (match trace_file with
-        | Some file -> (
-            try
-              Obs.Trace.save file;
-              Logs.app (fun m ->
-                  m "wrote Chrome trace (%d events) to %s; load it in \
-                     chrome://tracing or https://ui.perfetto.dev"
-                    (List.length (Obs.Trace.events ()))
-                    file)
-            with Sys_error msg ->
-              Logs.err (fun m -> m "could not write trace: %s" msg))
-        | None -> ());
-        if stats then prerr_string (Obs.Report.render ()))
-  end
+  Option.iter
+    (fun file ->
+      Obs.Config.enable ();
+      at_exit (fun () ->
+          try
+            Obs.Trace.save file;
+            Logs.app (fun m ->
+                m "wrote Chrome trace (%d events) to %s; load it in \
+                   chrome://tracing or https://ui.perfetto.dev"
+                  (List.length (Obs.Trace.events ()))
+                  file)
+          with Sys_error msg ->
+            Logs.err (fun m -> m "could not write trace: %s" msg)))
+    trace_file
 
 let setup_term =
   let trace_file =
@@ -100,9 +113,11 @@ let setup_term =
       value & flag
       & info [ "stats" ]
           ~doc:
-            "Print a span roll-up and all subsystem metric registries \
-             (solver pruning, join cardinalities, model-checker frontier, \
-             simulator queues) to standard error on exit.")
+            "Print two canned views to standard error on exit: every \
+             span of $(b,sys.span_stats) by total time, and every row of \
+             $(b,sys.metrics) (solver pruning, join cardinalities, \
+             model-checker frontier, simulator queues; histogram \
+             buckets in its $(b,buckets) column) by registry and key.")
   in
   let domains =
     Arg.(
@@ -725,8 +740,7 @@ let load_run_docs dir =
       exit 2
 
 let runs_arg =
-  let attached = fst (Systables.attach_docs [] Relalg.Database.empty) in
-  let names = List.filter (Relalg.Database.mem attached) Systables.table_names in
+  let names = List.filter (( <> ) "sys.spans") Systables.table_names in
   Arg.(
     value
     & opt (some dir) None
@@ -747,19 +761,6 @@ let attach_sys db runs =
       let db, skipped = Systables.attach_docs (load_run_docs dir) db in
       warn_skipped skipped;
       db
-
-(* Print canned sys. queries by key, each under its title with the SQL
-   it ran: the one printer behind top, events top and plan top. *)
-let print_canned db keys =
-  List.iter
-    (fun key ->
-      match List.find_opt (fun c -> c.Systables.key = key) Systables.canned with
-      | None -> ()
-      | Some c ->
-          Printf.printf "## %s [%s]\n-- %s\n" c.title c.key c.sql;
-          print_string (Relalg.Table.to_string (Relalg.Sql_exec.query db c.sql));
-          print_newline ())
-    keys
 
 (* Run [f] with every SQL engine error rendered as one [sql:] line on
    stderr and exit 2, instead of an uncaught exception.  Shared by
@@ -866,14 +867,13 @@ let top_cmd =
       ignore (Mcheck.Explore.run ~max_states exercise_cfg)
     end;
     let db = attach_sys db runs in
-    let keys = List.map (fun c -> c.Systables.key) Systables.canned in
-    match only with
-    | None -> print_canned db keys
-    | Some key when List.mem key keys -> print_canned db [ key ]
-    | Some key ->
-        Printf.eprintf "top: unknown query %s (one of: %s)\n" key
-          (String.concat ", " keys);
+    let all = Systables.canned_in [ Top; Plan; Events ] in
+    match List.filter (fun c -> only = None || only = Some c.Systables.key) all with
+    | [] ->
+        Printf.eprintf "top: unknown query %s (one of: %s)\n" (Option.get only)
+          (String.concat ", " (List.map (fun c -> c.Systables.key) all));
         exit 2
+    | cs -> print_canned stdout db cs
   in
   Cmd.v
     (Cmd.info "top"
@@ -931,8 +931,6 @@ let events_tail_cmd =
           manifests.")
     Term.(const run $ setup_term $ n $ runs_arg $ assignment)
 
-let events_canned_keys = [ "hottest-rules"; "steals-by-domain"; "dedup-by-depth" ]
-
 let events_top_cmd =
   let max_states =
     Arg.(
@@ -947,7 +945,8 @@ let events_top_cmd =
     (* answering live, a small exploration fills the rings: fires and
        dedup at any degree, steals when domains > 1 *)
     if runs = None then ignore (Mcheck.Explore.run ~max_states exercise_cfg);
-    print_canned (attach_sys (Protocol.database ()) runs) events_canned_keys
+    print_canned stdout (attach_sys (Protocol.database ()) runs)
+      (Systables.canned_in [ Events ])
   in
   Cmd.v
     (Cmd.info "top"
@@ -1354,8 +1353,6 @@ let exercise_plan_workload () =
   Systables.run_plan_workload db;
   db
 
-let plan_canned_keys = [ "hottest-plans"; "worst-misest" ]
-
 let plan_top_cmd =
   let run () runs =
     (* with --runs, answer from the plans the manifests carry instead of
@@ -1363,7 +1360,7 @@ let plan_top_cmd =
     let db =
       if runs = None then exercise_plan_workload () else Protocol.database ()
     in
-    print_canned (attach_sys db runs) plan_canned_keys
+    print_canned stdout (attach_sys db runs) (Systables.canned_in [ Plan ])
   in
   Cmd.v
     (Cmd.info "top"

@@ -106,7 +106,6 @@ let set g v =
         if v > g.g_max then g.g_max <- v;
         g.samples <- g.samples + 1)
 
-let gauge_value g = g.value
 let gauge_max g = if g.samples = 0 then 0. else g.g_max
 
 (* ----------------------------- histograms ----------------------------- *)
@@ -122,6 +121,7 @@ let default_bounds = exponential_bounds ~start:1. ~factor:4. 10
    runs in one process can re-request their instruments freely. *)
 let histogram ?(bounds = default_bounds) reg name =
   memo reg.histograms name (fun () ->
+      if bounds = [||] then invalid_arg ("histogram " ^ name ^ ": no bounds");
       Array.iteri
         (fun i b ->
           if i > 0 && b <= bounds.(i - 1) then
@@ -193,14 +193,14 @@ let reset () =
         r.histograms)
     registries
 
-(* ------------------------------ rendering ----------------------------- *)
+(* ------------------------------- export ------------------------------- *)
 
 let sorted_values tbl name_of =
   List.sort
     (fun a b -> compare (name_of a) (name_of b))
     (Hashtbl.fold (fun _ v acc -> v :: acc) tbl [])
 
-(* A registry renders once something was recorded in it since the last
+(* A registry is exported once something was recorded in it since the last
    {!reset}: reset zeroes registries in place (subsystems cache their
    handles), so an idle registry is all zeros rather than absent. *)
 let recorded r =
@@ -208,41 +208,22 @@ let recorded r =
   || Hashtbl.fold (fun _ g acc -> acc || g.samples > 0) r.gauges false
   || Hashtbl.fold (fun _ h acc -> acc || h.n > 0) r.histograms false
 
-let render_registry buf r =
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let counters = sorted_values r.counters (fun c -> c.c_name) in
-  let gauges = sorted_values r.gauges (fun g -> g.g_name) in
-  let histograms = sorted_values r.histograms (fun h -> h.h_name) in
-  if recorded r then begin
-    pr "[%s]\n" r.r_name;
-    List.iter (fun c -> pr "  %-32s %12d\n" c.c_name c.count) counters;
-    List.iter
-      (fun g -> pr "  %-32s %12.1f (max %.1f)\n" g.g_name g.value (gauge_max g))
-      gauges;
-    List.iter
-      (fun h ->
-        pr "  %-32s n=%d mean=%.2f p50=%.2f p95=%.2f p99=%.2f max=%.2f\n"
-          h.h_name h.n (mean h) (quantile h 0.5) (quantile h 0.95)
-          (quantile h 0.99)
-          (if h.n = 0 then 0. else h.h_max);
-        if h.n > 0 then begin
-          pr "    buckets:";
-          Array.iteri
-            (fun i c ->
-              if c > 0 then
-                if i < Array.length h.bounds then
-                  pr " <=%g:%d" h.bounds.(i) c
-                else pr " >%g:%d" h.bounds.(Array.length h.bounds - 1) c)
-            h.counts;
-          pr "\n"
-        end)
-      histograms
-  end
-
-let summary () =
-  let buf = Buffer.create 1024 in
-  List.iter (render_registry buf) (all_registries ());
-  Buffer.contents buf
+(* The nonzero buckets in bound order: [{"le": bound; "n"}] per bounded
+   bucket, [{"gt": last bound; "n"}] for the overflow bucket. *)
+let buckets_json h =
+  let last = Array.length h.bounds - 1 in
+  Json.List
+    (List.filter_map
+       (fun i ->
+         let c = h.counts.(i) in
+         if c = 0 then None
+         else
+           let bound =
+             if i <= last then ("le", Json.Float h.bounds.(i))
+             else ("gt", Json.Float h.bounds.(last))
+           in
+           Some (Json.Obj [ bound; ("n", Json.Int c) ]))
+       (List.init (Array.length h.counts) Fun.id))
 
 (* The machine-readable snapshot embedded in run manifests.  Registries
    and instruments are rendered in sorted order so two identical runs
@@ -271,6 +252,7 @@ let to_json () =
                          ("p95", Json.Float (quantile h 0.95));
                          ("p99", Json.Float (quantile h 0.99));
                          ("max", Json.Float (if h.n = 0 then 0. else h.h_max));
+                         ("buckets", buckets_json h);
                        ] ))
                  histograms) )
           :: fields

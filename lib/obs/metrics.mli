@@ -32,9 +32,6 @@ val gauge : registry -> string -> gauge
 val set : gauge -> float -> unit
 (** Record the current value; the maximum ever set is kept too. *)
 
-val gauge_value : gauge -> float
-val gauge_max : gauge -> float
-
 (** {2 Histograms} *)
 
 val exponential_bounds : ?start:float -> ?factor:float -> int -> float array
@@ -49,7 +46,7 @@ val histogram : ?bounds:float array -> registry -> string -> histogram
     (even a malformed one) is ignored then, so repeated runs in one
     process never raise on re-registration.
     @raise Invalid_argument if the handle is being created and [bounds]
-    is not strictly increasing. *)
+    is empty or not strictly increasing. *)
 
 val observe : histogram -> float -> unit
 val observations : histogram -> int
@@ -58,19 +55,18 @@ val mean : histogram -> float
 val quantile : histogram -> float -> float
 (** Bucket-resolution quantile estimate ([quantile h 0.5] = median). *)
 
-(** {2 Lifecycle and rendering} *)
+(** {2 Lifecycle and export} *)
 
 val reset : unit -> unit
 (** Zero every metric in every registry (handles stay valid). *)
 
-val summary : unit -> string
-(** Aligned text rendering of every registry that recorded something
-    since the last {!reset} (a non-zero counter, a gauge sample or a
-    histogram observation). *)
-
 val to_json : unit -> Json.t
-(** Machine-readable snapshot of every registry {!summary} renders (sorted, so
-    identical runs render byte-identically); embedded under ["metrics"]
-    in [asura-run/1] manifests.  Per registry: ["counters"] maps names to
-    counts, ["gauges"] to [{value; max; n}] ([n] = samples set) and
-    ["histograms"] to [{n; mean; p50; p95; p99; max}]. *)
+(** Snapshot of every registry that recorded something since the last
+    {!reset} (a non-zero counter, a gauge sample or a histogram
+    observation), sorted so identical runs render byte-identically;
+    embedded under ["metrics"] in [asura-run/1] manifests.  Per
+    registry: ["counters"] maps names to counts, ["gauges"] to
+    [{value; max; n}] ([n] = samples set) and ["histograms"] to
+    [{n; mean; p50; p95; p99; max; buckets}], where [buckets] lists the
+    nonzero buckets in bound order: [{le; n}] per bounded bucket and
+    [{gt; n}] (gt = the last bound) for the overflow bucket. *)

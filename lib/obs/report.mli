@@ -1,9 +1,3 @@
-(** Text summary of everything recorded so far. *)
-
-val render : unit -> string
-(** Span roll-up (by name) followed by every metric registry; empty
-    string when nothing was recorded. *)
-
 val reset : unit -> unit
 (** Clear the trace buffer, zero all metrics and coverage bitmaps
     (registrations survive), and disarm any pending run manifest. *)

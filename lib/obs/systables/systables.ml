@@ -12,19 +12,6 @@
 open Relalg
 module Json = Obs.Json
 
-let table_names =
-  [
-    "sys.spans";
-    "sys.span_stats";
-    "sys.metrics";
-    "sys.coverage";
-    "sys.runs";
-    "sys.bench";
-    "sys.plans";
-    "sys.plan_ops";
-    "sys.events";
-  ]
-
 (* A query "mentions" the sys namespace when some identifier-shaped
    token starts with "sys." — the trigger for the CLI to attach this
    process's telemetry before executing.  A false positive (the token in a
@@ -51,6 +38,61 @@ let mentions_sys src =
   in
   go 0
 
+(* ---------------------------- declarations ---------------------------- *)
+
+(* Each sys.* table is declared exactly once: its name, how to list its
+   source rows, and its columns in order, each a column name and the
+   function computing that cell from one source row.  The schema, the
+   row arrays, {!tables} and the attach loop all come from the
+   declaration, so a column cannot drift out of step with its cell. *)
+type 'src decl =
+  | Decl : {
+      name : string;
+      rows : 'src -> 'row list;
+      columns : (string * ('row -> Value.t)) list;
+    }
+      -> 'src decl
+
+let build (Decl d) src =
+  let cells = Array.of_list (List.map snd d.columns) in
+  Table.of_rows ~name:d.name
+    (Schema.of_list (List.map fst d.columns))
+    (List.map (fun r -> Array.map (fun cell -> cell r) cells) (d.rows src))
+
+let declared (Decl d) = (d.name, List.map fst d.columns)
+
+(* What the document tables read: {!attach_docs}'s classified inputs. *)
+type docs = {
+  runs : (string * Json.t) list;  (* labeled asura-run/1 manifests *)
+  benches : (string * Json.t) list;  (* labeled asura-bench/* snapshots *)
+  coverage : Obs.Coverage.table_coverage list;  (* bitmaps, merged *)
+  plans : Obs.Planlog.entry list;  (* aggregated across documents *)
+  events : Obs.Flightrec.doc_event list;  (* the manifests' recordings *)
+}
+
+let no_docs = { runs = []; benches = []; coverage = []; plans = []; events = [] }
+
+let path doc keys = List.fold_left (fun d k -> Option.bind d (Json.member k)) (Some doc) keys
+
+let str_at keys doc =
+  match Option.bind (path doc keys) Json.to_str with
+  | Some s -> Value.Str s
+  | None -> Value.Null
+
+let num_at keys doc =
+  match Option.bind (path doc keys) Json.to_number with
+  | Some f -> Value.Float f
+  | None -> Value.Null
+
+let jstr k = str_at [ k ]
+let jnum k = num_at [ k ]
+
+let jint k doc =
+  match Json.member k doc with Some (Json.Int i) -> Value.Int i | _ -> Value.Null
+
+let entries member doc =
+  match Json.member member doc with Some (Json.List l) -> l | _ -> []
+
 (* ------------------------------ sys.spans ----------------------------- *)
 
 (* Trace events arrive in completion order, so a child span always
@@ -64,36 +106,158 @@ let span_rows () =
   let rows = ref [] in
   for i = 0 to Array.length events - 1 do
     match events.(Array.length events - 1 - i) with
-    | Obs.Trace.Complete { name; cat; ts_us; dur_us; depth; tid; args = _ } ->
+    | Obs.Trace.Complete s ->
         let parent =
-          if depth = 0 then Value.Null
+          if s.depth = 0 then Value.Null
           else
-            match Hashtbl.find_opt last (tid, depth - 1) with
+            match Hashtbl.find_opt last (s.tid, s.depth - 1) with
             | Some p -> Value.Str p
             | None -> Value.Null
         in
-        Hashtbl.replace last (tid, depth) name;
-        rows :=
-          [|
-            Value.Str name;
-            Value.Str cat;
-            parent;
-            Value.Int tid;
-            Value.Int depth;
-            Value.Float ts_us;
-            Value.Float dur_us;
-          |]
-          :: !rows
+        Hashtbl.replace last (s.tid, s.depth) s.name;
+        rows := (parent, s) :: !rows
     | Obs.Trace.Instant _ | Obs.Trace.Counter _ -> ()
   done;
   (* accumulated from a reverse scan, so !rows is back in buffer order *)
   !rows
 
-let spans_schema =
-  Schema.of_list
-    [ "name"; "cat"; "parent"; "tid"; "depth"; "start_us"; "dur_us" ]
+let spans_table =
+  Decl
+    {
+      name = "sys.spans";
+      rows = span_rows;
+      columns =
+        [
+          ("name", fun (_, (s : Obs.Trace.span)) -> Value.Str s.name);
+          ("cat", fun (_, s) -> Value.Str s.cat);
+          ("parent", fun (parent, _) -> parent);
+          ("tid", fun (_, s) -> Value.Int s.tid);
+          ("depth", fun (_, s) -> Value.Int s.depth);
+          ("start_us", fun (_, s) -> Value.Float s.ts_us);
+          ("dur_us", fun (_, s) -> Value.Float s.dur_us);
+        ];
+    }
 
-let spans () = Table.of_rows ~name:"sys.spans" spans_schema (span_rows ())
+let spans () = build spans_table ()
+
+(* --------------------------- sys.span_stats -------------------------- *)
+
+(* Each manifest's "spans" roll-up, one row per span name.  mean_us is
+   derived because the SQL subset has no SUM or division: "slowest
+   operators" is then ORDER BY total_us DESC LIMIT n over this table. *)
+let span_stats_table =
+  Decl
+    {
+      name = "sys.span_stats";
+      rows =
+        (fun d ->
+          List.concat_map
+            (fun (label, doc) ->
+              List.filter_map
+                (fun e ->
+                  match (jstr "span" e, jint "count" e, jnum "total_us" e) with
+                  | Value.Str _, Value.Int _, Value.Float _ -> Some (label, e)
+                  | _ -> None)
+                (entries "spans" doc))
+            d.runs);
+      columns =
+        [
+          ("file", fun (label, _) -> Value.Str label);
+          ("span", fun (_, e) -> jstr "span" e);
+          ("count", fun (_, e) -> jint "count" e);
+          ("total_us", fun (_, e) -> jnum "total_us" e);
+          ( "mean_us",
+            fun (_, e) ->
+              match (jint "count" e, jnum "total_us" e) with
+              | Value.Int 0, _ -> Value.Float 0.
+              | Value.Int n, Value.Float total -> Value.Float (total /. float_of_int n)
+              | _ -> Value.Null );
+          ("min_us", fun (_, e) -> jnum "min_us" e);
+          ("max_us", fun (_, e) -> jnum "max_us" e);
+        ];
+    }
+
+(* ----------------------------- sys.metrics ---------------------------- *)
+
+type metric_row = {
+  m_file : string;
+  m_registry : string;
+  m_key : string;
+  m_kind : string;  (* "counter", "gauge" or "histogram" *)
+  m_value : float;
+  m_json : Json.t;  (* the instrument's member of {!Obs.Metrics.to_json} *)
+}
+
+(* Each manifest's "metrics" member ({!Obs.Metrics.to_json}), one row per
+   instrument.  value is a counter's count, a gauge's last value and a
+   histogram's mean; the quantiles are 0 for counters and gauges.
+   buckets is a histogram's nonzero buckets in bound order, as text
+   ("<=0.01:24 <=0.04:19 >0.16:1"), and NULL for counters, gauges and
+   manifests older than the "buckets" member.  A field an older
+   manifest lacks (a gauge's n) is NULL. *)
+let metric_rows (label, doc) =
+  match Json.member "metrics" doc with
+  | Some (Json.Obj registries) ->
+      List.concat_map
+        (fun (registry, groups) ->
+          let section kind member value =
+            match Json.member member groups with
+            | Some (Json.Obj instruments) ->
+                List.filter_map
+                  (fun (key, v) ->
+                    Option.map
+                      (fun m_value ->
+                        { m_file = label; m_registry = registry; m_key = key;
+                          m_kind = kind; m_value; m_json = v })
+                      (value v))
+                  instruments
+            | _ -> []
+          in
+          let num k v = Option.bind (Json.member k v) Json.to_number in
+          section "counter" "counters" Json.to_number
+          @ section "gauge" "gauges" (num "value")
+          @ section "histogram" "histograms" (num "mean"))
+        registries
+  | _ -> []
+
+let bucket_text v =
+  let bucket b =
+    let at k = Option.bind (Json.member k b) Json.to_number in
+    match (at "le", at "gt", Json.member "n" b) with
+    | Some le, _, Some (Json.Int n) -> Some (Printf.sprintf "<=%g:%d" le n)
+    | None, Some gt, Some (Json.Int n) -> Some (Printf.sprintf ">%g:%d" gt n)
+    | _ -> None
+  in
+  match Json.member "buckets" v with
+  | Some (Json.List bs) -> Value.Str (String.concat " " (List.filter_map bucket bs))
+  | _ -> Value.Null
+
+let metrics_table =
+  let histogram f m = if m.m_kind = "histogram" then f m.m_json else Value.Float 0. in
+  Decl
+    {
+      name = "sys.metrics";
+      rows = (fun d -> List.concat_map metric_rows d.runs);
+      columns =
+        [
+          ("file", fun m -> Value.Str m.m_file);
+          ("registry", fun m -> Value.Str m.m_registry);
+          ("key", fun m -> Value.Str m.m_key);
+          ("kind", fun m -> Value.Str m.m_kind);
+          ("value", fun m -> Value.Float m.m_value);
+          (* a counter's member is its count *)
+          ("n", fun m -> match m.m_json with Json.Int i -> Value.Int i | v -> jint "n" v);
+          ( "max",
+            fun m ->
+              if m.m_kind = "counter" then Value.Float m.m_value
+              else jnum "max" m.m_json );
+          ("p50", histogram (jnum "p50"));
+          ("p95", histogram (jnum "p95"));
+          ("p99", histogram (jnum "p99"));
+          ( "buckets",
+            fun m -> if m.m_kind = "histogram" then bucket_text m.m_json else Value.Null );
+        ];
+    }
 
 (* ---------------------------- sys.coverage ---------------------------- *)
 
@@ -101,219 +265,97 @@ let spans () = Table.of_rows ~name:"sys.spans" spans_schema (span_rows ())
    plain WHERE NOT covered.  table_rows keeps tables whose row count
    differs between manifests apart under GROUP BY.  The description
    comes from the protocol layer's row decoder and is NULL when the
-   bitmap's recorded shape no longer matches the regenerated controller
-   (different protocol version). *)
-let describe ~table ~rows ~row =
+   bitmap's recorded shape ([rows], by default the controller's own)
+   no longer matches the regenerated controller (different protocol
+   version). *)
+let describe ?rows ~table ~row () =
   match Protocol.find table with
   | None -> Value.Null
   | Some c ->
       let spec = c.Protocol.spec in
-      let t = Protocol.Ctrl_spec.table spec in
-      if Table.cardinality t = rows && row >= 0 && row < rows then
+      let n = Table.cardinality (Protocol.Ctrl_spec.table spec) in
+      let rows = Option.value rows ~default:n in
+      if n = rows && row >= 0 && row < rows then
         Value.Str (Protocol.Ctrl_spec.describe_row spec row)
       else Value.Null
 
-let coverage_schema =
-  Schema.of_list [ "table_name"; "row"; "covered"; "description"; "table_rows" ]
-
-let coverage_of entries =
-  let rows =
-    List.concat_map
-      (fun (tc : Obs.Coverage.table_coverage) ->
-        List.init tc.rows (fun row ->
-            [|
-              Value.Str tc.name;
-              Value.Int row;
-              Value.Bool (Obs.Coverage.is_covered tc row);
-              describe ~table:tc.name ~rows:tc.rows ~row;
-              Value.Int tc.rows;
-            |]))
-      entries
-  in
-  Table.of_rows ~name:"sys.coverage" coverage_schema rows
+let coverage_table =
+  Decl
+    {
+      name = "sys.coverage";
+      rows =
+        (fun d ->
+          List.concat_map
+            (fun (tc : Obs.Coverage.table_coverage) ->
+              List.init tc.rows (fun row -> (tc, row)))
+            d.coverage);
+      columns =
+        [
+          ("table_name", fun (tc, _) -> Value.Str tc.Obs.Coverage.name);
+          ("row", fun (_, row) -> Value.Int row);
+          ("covered", fun (tc, row) -> Value.Bool (Obs.Coverage.is_covered tc row));
+          ("description", fun (tc, row) -> describe ~table:tc.name ~rows:tc.rows ~row ());
+          ("table_rows", fun (tc, _) -> Value.Int tc.rows);
+        ];
+    }
 
 (* ------------------------------ sys.runs ------------------------------ *)
 
-let jstr ?(default = Value.Null) doc k =
-  match Option.bind (Json.member k doc) Json.to_str with
-  | Some s -> Value.Str s
-  | None -> default
-
-let jnum ?(default = Value.Null) doc k =
-  match Option.bind (Json.member k doc) Json.to_number with
-  | Some f -> Value.Float f
-  | None -> default
-
-let path doc keys = List.fold_left (fun d k -> Option.bind d (Json.member k)) (Some doc) keys
-
-let path_num doc keys = Option.bind (path doc keys) Json.to_number
-
-let runs_schema =
-  Schema.of_list
-    [
-      "file";
-      "cmd";
-      "argv";
-      "date";
-      "git_rev";
-      "elapsed_s";
-      "covered";
-      "rows";
-      "coverage_pct";
-      "states_per_sec";
-      "engine";
-      "probabilistic";
-      "events_dropped";
-    ]
-
-let run_row (label, doc) =
-  let argv =
-    match Option.bind (Json.member "argv" doc) Json.to_list with
-    | Some parts ->
-        Value.Str
-          (String.concat " " (List.filter_map Json.to_str parts))
-    | None -> Value.Null
+(* One row per run manifest, with the coverage summary, the mcheck
+   throughput gauge and the number of flight-recorder events lost to
+   ring wrap-around flattened in, so cross-run trend queries are
+   single-table. *)
+let runs_table =
+  let doc f (_, d) = f d in
+  let int_at keys =
+    doc (fun d ->
+        match num_at keys d with Value.Float f -> Value.Int (int_of_float f) | v -> v)
   in
-  let intv keys =
-    match path_num doc keys with
-    | Some f -> Value.Int (int_of_float f)
-    | None -> Value.Null
-  in
-  [|
-    Value.Str label;
-    jstr doc "cmd";
-    argv;
-    jstr doc "date";
-    jstr doc "git_rev";
-    jnum doc "elapsed_s";
-    intv [ "coverage"; "covered" ];
-    intv [ "coverage"; "rows" ];
-    (match path_num doc [ "coverage"; "percent" ] with
-    | Some f -> Value.Float f
-    | None -> Value.Null);
-    (match
-       path_num doc [ "metrics"; "mcheck"; "gauges"; "states_per_sec"; "value" ]
-     with
-    | Some f -> Value.Float f
-    | None -> Value.Null);
-    (* which exploration core a model-checking run used, and whether its
-       dedup was hash-compacted (probabilistic coverage): non-mcheck
-       manifests leave both NULL *)
-    (match Option.bind (path doc [ "mcheck"; "engine" ]) Json.to_str with
-    | Some s -> Value.Str s
-    | None -> Value.Null);
-    (match path doc [ "mcheck"; "probabilistic" ] with
-    | Some (Json.Bool b) -> Value.Bool b
-    | Some _ | None -> Value.Null);
-    Value.Int (Obs.Flightrec.doc_dropped doc);
-  |]
-
-let runs docs = Table.of_rows ~name:"sys.runs" runs_schema (List.map run_row docs)
-
-(* --------------------------- sys.span_stats -------------------------- *)
-
-let jint doc k =
-  match Json.member k doc with Some (Json.Int i) -> Value.Int i | _ -> Value.Null
-
-let entries member doc =
-  match Json.member member doc with Some (Json.List l) -> l | _ -> []
-
-let span_stats_schema =
-  Schema.of_list
-    [ "file"; "span"; "count"; "total_us"; "mean_us"; "min_us"; "max_us" ]
-
-(* Each manifest's "spans" roll-up, one row per span name.  mean_us is
-   derived because the SQL subset has no SUM or division: "slowest
-   operators" is then ORDER BY total_us DESC LIMIT n over this table. *)
-let span_stat_rows (label, doc) =
-  List.filter_map
-    (fun e ->
-      match
-        ( Option.bind (Json.member "span" e) Json.to_str,
-          Json.member "count" e,
-          Option.bind (Json.member "total_us" e) Json.to_number )
-      with
-      | Some span, Some (Json.Int count), Some total ->
-          Some
-            [|
-              Value.Str label;
-              Value.Str span;
-              Value.Int count;
-              Value.Float total;
-              Value.Float (if count = 0 then 0. else total /. float_of_int count);
-              jnum e "min_us";
-              jnum e "max_us";
-            |]
-      | _ -> None)
-    (entries "spans" doc)
-
-(* ----------------------------- sys.metrics ---------------------------- *)
-
-let metrics_schema =
-  Schema.of_list
-    [ "file"; "registry"; "key"; "kind"; "value"; "n"; "max"; "p50"; "p95";
-      "p99" ]
-
-(* Each manifest's "metrics" member ({!Obs.Metrics.to_json}), one row per
-   instrument.  value is a counter's count, a gauge's last value and a
-   histogram's mean; the quantiles are 0 for counters and gauges.  A
-   field an older manifest lacks (a gauge's n) is NULL. *)
-let metric_rows (label, doc) =
-  let zero = Value.Float 0. in
-  match Json.member "metrics" doc with
-  | Some (Json.Obj registries) ->
-      List.concat_map
-        (fun (reg, groups) ->
-          let section kind name cells =
-            match Json.member name groups with
-            | Some (Json.Obj instruments) ->
-                List.filter_map
-                  (fun (key, v) ->
-                    Option.map
-                      (Array.append
-                         [| Value.Str label; Value.Str reg; Value.Str key;
-                            Value.Str kind |])
-                      (cells v))
-                  instruments
-            | _ -> []
-          in
-          let num v k = Option.bind (Json.member k v) Json.to_number in
-          section "counter" "counters" (fun v ->
-              Option.map
-                (fun c ->
-                  [| Value.Float c;
-                     (match v with Json.Int i -> Value.Int i | _ -> Value.Null);
-                     Value.Float c; zero; zero; zero |])
-                (Json.to_number v))
-          @ section "gauge" "gauges" (fun v ->
-                Option.map
-                  (fun value ->
-                    [| Value.Float value; jint v "n"; jnum v "max"; zero; zero;
-                       zero |])
-                  (num v "value"))
-          @ section "histogram" "histograms" (fun v ->
-                Option.map
-                  (fun mean ->
-                    [| Value.Float mean; jint v "n"; jnum v "max"; jnum v "p50";
-                       jnum v "p95"; jnum v "p99" |])
-                  (num v "mean")))
-        registries
-  | _ -> []
+  Decl
+    {
+      name = "sys.runs";
+      rows = (fun d -> d.runs);
+      columns =
+        [
+          ("file", fun (label, _) -> Value.Str label);
+          ("cmd", doc (jstr "cmd"));
+          ( "argv",
+            doc (fun d ->
+                match Option.bind (Json.member "argv" d) Json.to_list with
+                | Some parts -> Value.Str (String.concat " " (List.filter_map Json.to_str parts))
+                | None -> Value.Null) );
+          ("date", doc (jstr "date"));
+          ("git_rev", doc (jstr "git_rev"));
+          ("elapsed_s", doc (jnum "elapsed_s"));
+          ("covered", int_at [ "coverage"; "covered" ]);
+          ("rows", int_at [ "coverage"; "rows" ]);
+          ("coverage_pct", doc (num_at [ "coverage"; "percent" ]));
+          ( "states_per_sec",
+            doc (num_at [ "metrics"; "mcheck"; "gauges"; "states_per_sec"; "value" ]) );
+          (* which exploration core a model-checking run used, and whether
+             its dedup was hash-compacted (probabilistic coverage):
+             non-mcheck manifests leave both NULL *)
+          ("engine", doc (str_at [ "mcheck"; "engine" ]));
+          ( "probabilistic",
+            doc (fun d ->
+                match path d [ "mcheck"; "probabilistic" ] with
+                | Some (Json.Bool b) -> Value.Bool b
+                | Some _ | None -> Value.Null) );
+          ("events_dropped", doc (fun d -> Value.Int (Obs.Flightrec.doc_dropped d)));
+        ];
+    }
 
 (* ------------------------------ sys.bench ----------------------------- *)
 
-let bench_schema =
-  Schema.of_list
-    [
-      "file";
-      "date";
-      "kind";
-      "name";
-      "baseline_ns";
-      "measured_ns";
-      "speedup";
-      "regression";
-    ]
+type bench_row = {
+  b_file : string;
+  b_date : Value.t;
+  b_kind : string;
+  b_name : string;
+  b_baseline : Value.t;
+  b_measured : float;
+  b_speedup : Value.t;
+}
 
 (* Pairs normalize as baseline = the reference (sequential), measured =
    the contender (parallel), and speedup < 1.0 flags a regression.
@@ -337,119 +379,137 @@ let bench_rows (label, doc) =
             | None -> Some Value.Null
             | Some k -> Option.map (fun f -> Value.Float f) (num k)
           in
-          let name = Option.bind (Json.member "name" e) Json.to_str in
-          match (name, field baseline, num measured, field speedup) with
+          match
+            (Option.bind (Json.member "name" e) Json.to_str, field baseline,
+             num measured, field speedup)
+          with
           | Some name, Some b, Some m, Some sp ->
               Some
-                [|
-                  Value.Str label; jstr doc "date"; Value.Str kind; Value.Str name;
-                  b; Value.Float m; sp;
-                  Value.Bool (match sp with Value.Float f -> f < 1.0 | _ -> false);
-                |]
+                { b_file = label; b_date = jstr "date" doc; b_kind = kind;
+                  b_name = name; b_baseline = b; b_measured = m; b_speedup = sp }
           | _ -> None)
         (entries member doc))
     bench_families
 
-let bench docs =
-  Table.of_rows ~name:"sys.bench" bench_schema (List.concat_map bench_rows docs)
+let bench_table =
+  Decl
+    {
+      name = "sys.bench";
+      rows = (fun d -> List.concat_map bench_rows d.benches);
+      columns =
+        [
+          ("file", fun b -> Value.Str b.b_file);
+          ("date", fun b -> b.b_date);
+          ("kind", fun b -> Value.Str b.b_kind);
+          ("name", fun b -> Value.Str b.b_name);
+          ("baseline_ns", fun b -> b.b_baseline);
+          ("measured_ns", fun b -> Value.Float b.b_measured);
+          ("speedup", fun b -> b.b_speedup);
+          ( "regression",
+            fun b ->
+              Value.Bool (match b.b_speedup with Value.Float f -> f < 1.0 | _ -> false) );
+        ];
+    }
 
 (* ------------------------- sys.plans / sys.plan_ops ------------------- *)
-
-let plans_schema =
-  Schema.of_list
-    [ "fingerprint"; "site"; "query"; "est_cost"; "execs"; "total_ms";
-      "rows_out"; "misest" ]
 
 (* One row per (site, fingerprint) — the plan observatory's aggregation
    unit.  misest is pre-computed (max per-node estimation error) so the
    acceptance query "worst estimated plans" stays ORDER BY misest DESC
    in the SUM-less SQL subset, exactly like sys.span_stats. *)
-let plans_of entries =
-  Table.of_rows ~name:"sys.plans" plans_schema
-    (List.map
-       (fun (e : Obs.Planlog.entry) ->
-         [|
-           Value.Str e.e_fingerprint;
-           Value.Str e.e_site;
-           Value.Str e.e_query;
-           Value.Float e.e_est_cost;
-           Value.Int e.e_execs;
-           Value.Float (e.e_total_ns /. 1e6);
-           Value.Int e.e_rows_out;
-           Value.Float (Obs.Planlog.misest e);
-         |])
-       entries)
-
-let plan_ops_schema =
-  Schema.of_list
-    [ "fingerprint"; "site"; "seq"; "op"; "est_rows"; "est_cost";
-      "actual_rows"; "actual_ms"; "batches" ]
+let plans_table =
+  Decl
+    {
+      name = "sys.plans";
+      rows = (fun d -> d.plans);
+      columns =
+        [
+          ("fingerprint", fun (e : Obs.Planlog.entry) -> Value.Str e.e_fingerprint);
+          ("site", fun e -> Value.Str e.e_site);
+          ("query", fun e -> Value.Str e.e_query);
+          ("est_cost", fun e -> Value.Float e.e_est_cost);
+          ("execs", fun e -> Value.Int e.e_execs);
+          ("total_ms", fun e -> Value.Float (e.e_total_ns /. 1e6));
+          ("rows_out", fun e -> Value.Int e.e_rows_out);
+          ("misest", fun e -> Value.Float (Obs.Planlog.misest e));
+        ];
+    }
 
 (* Per-operator detail, joinable back to sys.plans on (fingerprint,
    site); seq is the pre-order position within the plan. *)
-let plan_ops_of entries =
-  Table.of_rows ~name:"sys.plan_ops" plan_ops_schema
-    (List.concat_map
-       (fun (e : Obs.Planlog.entry) ->
-         Array.to_list
-           (Array.map
-              (fun (o : Obs.Planlog.op_rec) ->
-                [|
-                  Value.Str e.e_fingerprint;
-                  Value.Str e.e_site;
-                  Value.Int o.seq;
-                  Value.Str o.o_op;
-                  Value.Float o.o_est_rows;
-                  Value.Float o.o_est_cost;
-                  Value.Int o.o_actual_rows;
-                  Value.Float (o.o_actual_ns /. 1e6);
-                  Value.Int o.o_batches;
-                |])
-              e.e_ops))
-       entries)
+let plan_ops_table =
+  Decl
+    {
+      name = "sys.plan_ops";
+      rows =
+        (fun d ->
+          List.concat_map
+            (fun (e : Obs.Planlog.entry) ->
+              List.map (fun o -> (e, o)) (Array.to_list e.e_ops))
+            d.plans);
+      columns =
+        [
+          ("fingerprint", fun ((e : Obs.Planlog.entry), _) -> Value.Str e.e_fingerprint);
+          ("site", fun (e, _) -> Value.Str e.e_site);
+          ("seq", fun (_, (o : Obs.Planlog.op_rec)) -> Value.Int o.seq);
+          ("op", fun (_, o) -> Value.Str o.o_op);
+          ("est_rows", fun (_, o) -> Value.Float o.o_est_rows);
+          ("est_cost", fun (_, o) -> Value.Float o.o_est_cost);
+          ("actual_rows", fun (_, o) -> Value.Int o.o_actual_rows);
+          ("actual_ms", fun (_, o) -> Value.Float (o.o_actual_ns /. 1e6));
+          ("batches", fun (_, o) -> Value.Int o.o_batches);
+        ];
+    }
 
 (* ----------------------------- sys.events ----------------------------- *)
 
 (* The flight recorder's ring drain as a relation: one row per surviving
-   event, in merge (timestamp) order, with fire events decoded back to
-   readable transitions through the same protocol-layer row decoder
-   sys.coverage uses. *)
-let events_schema =
-  Schema.of_list
-    [ "seq"; "t_us"; "dom"; "tag"; "a"; "b"; "c"; "table_name"; "detail" ]
-
+   event, in merge (timestamp) order, t_us relative to the oldest
+   surviving event.  detail decodes fire events back to readable
+   transitions through the same protocol-layer row decoder sys.coverage
+   uses, and names the reason on stop events. *)
 let event_detail (e : Obs.Flightrec.doc_event) =
   match e.d_tag, e.d_table with
-  | "fire", Some table -> (
-      match Protocol.find table with
-      | None -> Value.Null
-      | Some c ->
-          let spec = c.Protocol.spec in
-          let t = Protocol.Ctrl_spec.table spec in
-          describe ~table ~rows:(Table.cardinality t) ~row:e.d_b)
+  | "fire", Some table -> describe ~table ~row:e.d_b ()
   | "stop", _ -> Value.Str (Obs.Flightrec.stop_name e.d_a)
   | _ -> Value.Null
 
-let events_of (evs : Obs.Flightrec.doc_event list) =
-  Table.of_rows ~name:"sys.events" events_schema
-    (List.mapi
-       (fun seq (e : Obs.Flightrec.doc_event) ->
-         [|
-           Value.Int seq;
-           Value.Float e.d_t_us;
-           Value.Int e.d_dom;
-           Value.Str e.d_tag;
-           Value.Int e.d_a;
-           Value.Int e.d_b;
-           Value.Int e.d_c;
-           (match e.d_table with Some t -> Value.Str t | None -> Value.Null);
-           event_detail e;
-         |])
-       evs)
+let events_table =
+  Decl
+    {
+      name = "sys.events";
+      rows = (fun d -> List.mapi (fun seq e -> (seq, e)) d.events);
+      columns =
+        [
+          ("seq", fun (seq, _) -> Value.Int seq);
+          ("t_us", fun (_, (e : Obs.Flightrec.doc_event)) -> Value.Float e.d_t_us);
+          ("dom", fun (_, e) -> Value.Int e.d_dom);
+          ("tag", fun (_, e) -> Value.Str e.d_tag);
+          ("a", fun (_, e) -> Value.Int e.d_a);
+          ("b", fun (_, e) -> Value.Int e.d_b);
+          ("c", fun (_, e) -> Value.Int e.d_c);
+          ( "table_name",
+            fun (_, e) -> match e.d_table with Some t -> Value.Str t | None -> Value.Null );
+          ("detail", fun (_, e) -> event_detail e);
+        ];
+    }
 
 (* ------------------------------- attach ------------------------------- *)
 
+let coverage_of coverage = build coverage_table { no_docs with coverage }
+let plans_of plans = build plans_table { no_docs with plans }
+let plan_ops_of plans = build plan_ops_table { no_docs with plans }
+let events_of events = build events_table { no_docs with events }
+
+(* Every table {!attach_docs} builds, in attach order. *)
+let doc_tables =
+  [ span_stats_table; metrics_table; coverage_table; runs_table; bench_table;
+    plans_table; plan_ops_table; events_table ]
+
+let tables = declared spans_table :: List.map declared doc_tables
+let table_names = List.map fst tables
 let put db t = Database.replace_system db t
+let attach decls src db = List.fold_left (fun db d -> put db (build d src)) db decls
 
 (* What a labeled document contributes, by its "schema" field.  A run
    manifest whose coverage entries are malformed is refused like an
@@ -475,35 +535,24 @@ let attach_docs docs db =
         | Error reason -> Either.Right (label, reason))
       docs
   in
-  let run_docs = List.filter_map (function `Run _, d -> Some d | _ -> None) kept in
-  let db = put db (runs run_docs) in
-  let of_runs name schema rows =
-    Table.of_rows ~name schema (List.concat_map rows run_docs)
+  let runs = List.filter_map (function `Run _, d -> Some d | _ -> None) kept in
+  let src =
+    {
+      runs;
+      benches = List.filter_map (function `Bench, d -> Some d | _ -> None) kept;
+      coverage =
+        Obs.Coverage.merge (List.concat_map (function `Run cov, _ -> cov | _ -> []) kept);
+      plans =
+        Obs.Planlog.aggregate
+          (List.filter_map
+             (function
+               | (`Run _ | `Plans), (_, doc) -> Some (Obs.Planlog.of_json doc)
+               | _ -> None)
+             kept);
+      events = List.concat_map (fun (_, doc) -> Obs.Flightrec.of_json doc) runs;
+    }
   in
-  let db = put db (of_runs "sys.span_stats" span_stats_schema span_stat_rows) in
-  let db = put db (of_runs "sys.metrics" metrics_schema metric_rows) in
-  let db =
-    put db (bench (List.filter_map (function `Bench, d -> Some d | _ -> None) kept))
-  in
-  let db =
-    put db
-      (coverage_of
-         (Obs.Coverage.merge
-            (List.concat_map (function `Run cov, _ -> cov | _ -> []) kept)))
-  in
-  let plan_entries =
-    Obs.Planlog.aggregate
-      (List.filter_map
-         (function
-           | (`Run _ | `Plans), (_, doc) -> Some (Obs.Planlog.of_json doc)
-           | _ -> None)
-         kept)
-  in
-  let db = put db (plans_of plan_entries) in
-  let db = put db (plan_ops_of plan_entries) in
-  let events = List.concat_map (fun (_, doc) -> Obs.Flightrec.of_json doc) run_docs in
-  let db = put db (events_of events) in
-  (db, skipped)
+  (attach doc_tables src db, skipped)
 
 (* This process is one more run: its manifest, labeled "live", plus
    sys.spans from the trace buffer — the one signal a manifest does not
@@ -511,76 +560,136 @@ let attach_docs docs db =
 let attach_live db =
   fst (attach_docs [ ("live", Obs.Runlog.manifest ()) ] (put db (spans ())))
 
+(* --stats reads the two collectors it prints straight into their
+   declared tables.  It does not go through attach_live: at exit that
+   would spawn git for the manifest's git_rev and drain the
+   flight-recorder rings. *)
+let stats_db () =
+  let doc =
+    Json.Obj
+      [ ("metrics", Obs.Metrics.to_json ()); ("spans", Obs.Trace.stats_to_json ()) ]
+  in
+  attach
+    [ span_stats_table; metrics_table ]
+    { no_docs with runs = [ ("live", doc) ] }
+    Database.empty
+
 (* ---------------------------- canned queries -------------------------- *)
 
-type canned = { key : string; title : string; sql : string }
+type group = Top | Events | Plan | Stats | Report
+type canned = { key : string; group : group; title : string; sql : string }
 
 let canned =
-  [
-    {
-      key = "slowest-operators";
-      title = "Slowest operators (by total span time)";
-      sql =
+  List.map
+    (fun (key, group, title, sql) -> { key; group; title; sql })
+    [
+      ( "slowest-operators", Top,
+        "Slowest operators (by total span time)",
         "SELECT span, count, total_us, mean_us, max_us FROM sys.span_stats \
-         ORDER BY total_us DESC LIMIT 10";
-    };
-    {
-      key = "hottest-tables";
-      title = "Hottest controller tables (covered transitions)";
-      sql =
+         ORDER BY total_us DESC LIMIT 10" );
+      ( "hottest-tables", Top,
+        "Hottest controller tables (covered transitions)",
         "SELECT table_name, COUNT(*) FROM sys.coverage WHERE covered GROUP \
-         BY table_name ORDER BY count DESC";
-    };
-    {
-      key = "uncovered-by-controller";
-      title = "Uncovered transitions per controller";
-      sql =
+         BY table_name ORDER BY count DESC" );
+      ( "uncovered-by-controller", Top,
+        "Uncovered transitions per controller",
         "SELECT table_name, COUNT(*) FROM sys.coverage WHERE NOT covered \
-         GROUP BY table_name ORDER BY count DESC";
-    };
-    {
-      key = "hottest-plans";
-      title = "Hottest plans (by total execution time)";
-      sql =
+         GROUP BY table_name ORDER BY count DESC" );
+      ( "hottest-plans", Plan,
+        "Hottest plans (by total execution time)",
         "SELECT fingerprint, site, query, execs, total_ms, rows_out FROM \
-         sys.plans ORDER BY total_ms DESC LIMIT 10";
-    };
-    {
-      key = "worst-misest";
-      title = "Worst cardinality misestimates (est vs actual)";
-      sql =
+         sys.plans ORDER BY total_ms DESC LIMIT 10" );
+      ( "worst-misest", Plan,
+        "Worst cardinality misestimates (est vs actual)",
         "SELECT fingerprint, site, query, misest, est_cost, rows_out FROM \
-         sys.plans ORDER BY misest DESC LIMIT 5";
-    };
-    {
-      key = "speedup-regressions";
-      title = "Bench speedup regressions (speedup < 1.0)";
-      sql =
+         sys.plans ORDER BY misest DESC LIMIT 5" );
+      ( "speedup-regressions", Top,
+        "Bench speedup regressions (speedup < 1.0)",
         "SELECT kind, name, speedup, baseline_ns, measured_ns FROM sys.bench \
-         WHERE regression ORDER BY speedup LIMIT 20";
-    };
-    {
-      key = "hottest-rules";
-      title = "Hottest rules (by recorded firings)";
-      sql =
+         WHERE regression ORDER BY speedup LIMIT 20" );
+      ( "hottest-rules", Events,
+        "Hottest rules (by recorded firings)",
         "SELECT table_name, b, detail, COUNT(*) FROM sys.events WHERE tag = \
-         'fire' GROUP BY table_name, b, detail ORDER BY count DESC LIMIT 10";
-    };
-    {
-      key = "steals-by-domain";
-      title = "Work-stealing imbalance (steals per thief domain)";
-      sql =
+         'fire' GROUP BY table_name, b, detail ORDER BY count DESC LIMIT 10" );
+      ( "steals-by-domain", Events,
+        "Work-stealing imbalance (steals per thief domain)",
         "SELECT a, COUNT(*) FROM sys.events WHERE tag = 'steal' GROUP BY a \
-         ORDER BY count DESC";
-    };
-    {
-      key = "dedup-by-depth";
-      title = "Dedup hits vs inserts by depth";
-      sql =
+         ORDER BY count DESC" );
+      ( "dedup-by-depth", Events,
+        "Dedup hits vs inserts by depth",
         "SELECT a, b, COUNT(*) FROM sys.events WHERE tag = 'dedup' GROUP BY \
-         a, b ORDER BY a, b";
-    };
-  ]
+         a, b ORDER BY a, b" );
+      ( "stats-spans", Stats,
+        "Spans (by total time)",
+        "SELECT span, count, total_us, mean_us, min_us, max_us FROM \
+         sys.span_stats ORDER BY total_us DESC" );
+      ( "stats-metrics", Stats,
+        "Metrics (by registry and key)",
+        "SELECT registry, key, kind, value, n, max, p50, p95, p99, buckets \
+         FROM sys.metrics ORDER BY registry, key" );
+      (* Every section of `asura report` is one of these queries over the
+         manifest-backed tables.  The renderers below only format, pivot
+         and total their results, so any section can be rerun verbatim
+         with `asura sql --runs`. *)
+      ( "runs", Report,
+        "Runs",
+        "SELECT file, cmd, date, git_rev, elapsed_s, events_dropped FROM \
+         sys.runs" );
+      ( "coverage", Report,
+        "Transition coverage",
+        "SELECT table_name, table_rows, covered, COUNT(*) FROM sys.coverage \
+         GROUP BY table_name, table_rows, covered ORDER BY table_name, \
+         table_rows, covered" );
+      ( "uncovered", Report,
+        "Uncovered transitions",
+        "SELECT table_name, table_rows, row, description FROM sys.coverage \
+         WHERE NOT covered ORDER BY table_name, table_rows, row" );
+      ( "invariants", Report,
+        "Invariant hit matrix (checked, then violated if any)",
+        "SELECT file, key, value FROM sys.metrics WHERE registry = \
+         'checker' AND kind = 'counter'" );
+      ( "bench-pairs", Report,
+        "Benchmarks (seq vs par)",
+        "SELECT file, name, baseline_ns, measured_ns, speedup FROM sys.bench \
+         WHERE kind = 'par'" );
+      ( "bench-diff", Report,
+        "Baseline diff (first vs last bench snapshot)",
+        "SELECT file, name, measured_ns FROM sys.bench WHERE kind = \
+         'measurement'" );
+      ( "plans", Report,
+        "Plan observatory",
+        "SELECT fingerprint, site, query, execs, total_ms, rows_out, misest \
+         FROM sys.plans ORDER BY misest DESC, site, query, fingerprint" );
+      ( "events", Report,
+        "Flight recorder",
+        "SELECT tag, COUNT(*) FROM sys.events GROUP BY tag ORDER BY tag" );
+      ( "rules", Report,
+        "Hottest rules",
+        "SELECT table_name, b, COUNT(*) FROM sys.events WHERE tag = 'fire' \
+         GROUP BY table_name, b ORDER BY count DESC, table_name, b" );
+      ( "steals", Report,
+        "Steals by domain",
+        "SELECT a, COUNT(*) FROM sys.events WHERE tag = 'steal' GROUP BY a \
+         ORDER BY a" );
+      ( "trend", Report,
+        "Trend (coverage / throughput per manifest)",
+        "SELECT file, date, coverage_pct, states_per_sec FROM sys.runs ORDER \
+         BY date, file" );
+    ]
+
+let canned_in groups = List.filter (fun c -> List.mem c.group groups) canned
+
+(* The one printer of canned queries: each under its title and key, with
+   the SQL it ran, then its result table. *)
+let render_canned db cs =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun c ->
+      Printf.bprintf buf "## %s [%s]\n-- %s\n" c.title c.key c.sql;
+      Buffer.add_string buf (Table.to_string (Sql_exec.query db c.sql));
+      Buffer.add_char buf '\n')
+    cs;
+  Buffer.contents buf
 
 (* ---------------------------- plan workload --------------------------- *)
 
@@ -646,59 +755,7 @@ let table_to_json t =
 
 (* ------------------------------- report ------------------------------- *)
 
-(* Every section of `asura report` is one of these queries over the
-   manifest-backed tables.  The renderers below only format, pivot and
-   total their results, so any section can be rerun verbatim with
-   `asura sql --runs`. *)
-let report_sections =
-  List.map
-    (fun (key, title, sql) -> { key; title; sql })
-    [
-      ( "runs",
-        "Runs",
-        "SELECT file, cmd, date, git_rev, elapsed_s, events_dropped FROM \
-         sys.runs" );
-      ( "coverage",
-        "Transition coverage",
-        "SELECT table_name, table_rows, covered, COUNT(*) FROM sys.coverage \
-         GROUP BY table_name, table_rows, covered ORDER BY table_name, \
-         table_rows, covered" );
-      ( "uncovered",
-        "Uncovered transitions",
-        "SELECT table_name, table_rows, row, description FROM sys.coverage \
-         WHERE NOT covered ORDER BY table_name, table_rows, row" );
-      ( "invariants",
-        "Invariant hit matrix (checked, then violated if any)",
-        "SELECT file, key, value FROM sys.metrics WHERE registry = \
-         'checker' AND kind = 'counter'" );
-      ( "bench-pairs",
-        "Benchmarks (seq vs par)",
-        "SELECT file, name, baseline_ns, measured_ns, speedup FROM sys.bench \
-         WHERE kind = 'par'" );
-      ( "bench-diff",
-        "Baseline diff (first vs last bench snapshot)",
-        "SELECT file, name, measured_ns FROM sys.bench WHERE kind = \
-         'measurement'" );
-      ( "plans",
-        "Plan observatory",
-        "SELECT fingerprint, site, query, execs, total_ms, rows_out, misest \
-         FROM sys.plans ORDER BY misest DESC, site, query, fingerprint" );
-      ( "events",
-        "Flight recorder",
-        "SELECT tag, COUNT(*) FROM sys.events GROUP BY tag ORDER BY tag" );
-      ( "rules",
-        "Hottest rules",
-        "SELECT table_name, b, COUNT(*) FROM sys.events WHERE tag = 'fire' \
-         GROUP BY table_name, b ORDER BY count DESC, table_name, b" );
-      ( "steals",
-        "Steals by domain",
-        "SELECT a, COUNT(*) FROM sys.events WHERE tag = 'steal' GROUP BY a \
-         ORDER BY a" );
-      ( "trend",
-        "Trend (coverage / throughput per manifest)",
-        "SELECT file, date, coverage_pct, states_per_sec FROM sys.runs ORDER \
-         BY date, file" );
-    ]
+let report_sections = canned_in [ Report ]
 
 let run_report db = List.map (fun c -> (c, Sql_exec.query db c.sql)) report_sections
 let section results key = snd (List.find (fun (c, _) -> c.key = key) results)

@@ -14,82 +14,42 @@
     Tables are attached with {!Relalg.Database.replace_system}; user SQL
     cannot create or mutate them ([sys.] is reserved at the catalog). *)
 
+val tables : (string * string list) list
+(** Every [sys.*] table with its columns in order, from the one
+    declaration each table has in [systables.ml]: [sys.spans] first
+    (attached by {!attach_live} only), then the tables {!attach_docs}
+    builds, in attach order. *)
+
 val table_names : string list
-(** Every table this module can attach, for [--help] and docs. *)
+(** The names of {!tables}. *)
 
 val mentions_sys : string -> bool
 (** Does the SQL text reference a [sys.]-prefixed identifier?  Used by
     the CLI to decide whether to attach telemetry before executing.
     Conservative: a match inside a string literal also returns [true]. *)
 
-(** {1 Trace buffer} *)
+(** {1 Tables}
+
+    Each table is declared once in [systables.ml], where its columns
+    are documented; {!tables} lists them.  A builder below is one
+    declaration applied to one kind of source. *)
 
 val spans : unit -> Relalg.Table.t
-(** [sys.spans](name, cat, parent, tid, depth, start_us, dur_us): one
-    row per completed span of this process's trace buffer.  [parent] is
-    reconstructed from the completion-ordered buffer (child precedes
-    parent; the parent of a depth-[d] span is the enclosing depth-[d-1]
-    span on the same domain) and is [NULL] for roots. *)
-
-(** {1 Document tables}
-
-    Inputs are labeled documents: [(file name, parsed JSON)].  Besides
-    the tables below, {!attach_docs} builds:
-    - [sys.span_stats](file, span, count, total_us, mean_us, min_us,
-      max_us) from each run manifest's ["spans"] roll-up, so "slowest
-      operators" is an [ORDER BY total_us DESC LIMIT n] away in a
-      SUM-less SQL subset;
-    - [sys.metrics](file, registry, key, kind, value, n, max, p50, p95,
-      p99) from each run manifest's ["metrics"] member, one row per
-      instrument: [kind] is ["counter"], ["gauge"] or ["histogram"],
-      [value] a counter's count, a gauge's last value or a histogram's
-      mean, and the quantiles are 0 for non-histograms. *)
+(** [sys.spans]: one row per completed span of this process's trace
+    buffer, with [parent] reconstructed ([NULL] for roots). *)
 
 val coverage_of : Obs.Coverage.table_coverage list -> Relalg.Table.t
-(** [sys.coverage](table_name, row, covered, description, table_rows):
-    one row per controller-table row of the given entries (manifest
-    bitmaps merged by {!Obs.Coverage.merge}).  [description] decodes the
-    row through the protocol layer and is [NULL] when the bitmap's
-    recorded shape no longer matches the regenerated controller;
-    [table_rows] is the row count the bitmap was recorded against. *)
-
-val runs : (string * Obs.Json.t) list -> Relalg.Table.t
-(** [sys.runs](file, cmd, argv, date, git_rev, elapsed_s, covered,
-    rows, coverage_pct, states_per_sec, engine, probabilistic,
-    events_dropped): one row per [asura-run/1] manifest, with the
-    coverage summary, the [mcheck] throughput gauge and the number of
-    flight-recorder events lost to ring wrap-around flattened in so
-    cross-run trend queries are single-table. *)
-
-val bench : (string * Obs.Json.t) list -> Relalg.Table.t
-(** [sys.bench](file, date, kind, name, baseline_ns, measured_ns,
-    speedup, regression): seq-vs-par pairs ([kind = "par"]) and plain
-    per-benchmark timings ([kind = "measurement"], only [measured_ns]
-    set) of every [asura-bench/*] snapshot; [regression] is [speedup <
-    1.0].  Other snapshot members are ignored. *)
-
-(** {1 Plan observatory tables} *)
+(** [sys.coverage]: one row per controller-table row of these bitmaps. *)
 
 val plans_of : Obs.Planlog.entry list -> Relalg.Table.t
-(** [sys.plans](fingerprint, site, query, est_cost, execs, total_ms,
-    rows_out, misest): one row per (site, fingerprint) plan record.
-    [misest] is pre-computed ({!Obs.Planlog.misest}) so "worst estimated
-    plans" is [ORDER BY misest DESC] in the SUM-less SQL subset. *)
+(** [sys.plans]: one row per (site, fingerprint) plan record. *)
 
 val plan_ops_of : Obs.Planlog.entry list -> Relalg.Table.t
-(** [sys.plan_ops](fingerprint, site, seq, op, est_rows, est_cost,
-    actual_rows, actual_ms, batches): per-operator detail in pre-order,
-    joinable back to [sys.plans] on (fingerprint, site). *)
-
-(** {1 Flight recorder table} *)
+(** [sys.plan_ops]: each plan's operators in pre-order. *)
 
 val events_of : Obs.Flightrec.doc_event list -> Relalg.Table.t
-(** [sys.events](seq, t_us, dom, tag, a, b, c, table_name, detail): one
-    row per surviving flight-recorder event in timestamp-merge order.
-    [t_us] is microseconds relative to the oldest surviving event;
-    [table_name] is set for rule firings; [detail] decodes firings back
-    to readable transitions through the same protocol-layer decoder
-    [sys.coverage] uses, and names the stop reason on [stop] rows. *)
+(** [sys.events]: one row per flight-recorder event, firings decoded to
+    their controller rows. *)
 
 (** {1 Attaching} *)
 
@@ -111,11 +71,10 @@ val attach_docs :
   Relalg.Database.t ->
   Relalg.Database.t * (string * string) list
 (** Attach every table but [sys.spans] from labeled documents:
-    [sys.runs], [sys.span_stats], [sys.metrics], [sys.bench],
-    [sys.coverage] (bitmaps ORed by {!Obs.Coverage.merge}),
-    [sys.plans], [sys.plan_ops] ({!Obs.Planlog.aggregate} over run
-    manifests and plan snapshots) and [sys.events] (run manifests'
-    recordings, concatenated).  A document {!classify} refuses is
+    [sys.coverage] ORs the bitmaps ({!Obs.Coverage.merge}),
+    [sys.plans] and [sys.plan_ops] aggregate run manifests and plan
+    snapshots ({!Obs.Planlog.aggregate}), and [sys.events] concatenates
+    the run manifests' recordings.  A document {!classify} refuses is
     skipped and returned as a [(label, reason)] warning, in input
     order. *)
 
@@ -124,17 +83,40 @@ val attach_live : Relalg.Database.t -> Relalg.Database.t
     {!attach_docs} over [("live", Obs.Runlog.manifest ())] — so the live
     tables are by construction the tables of the run's own manifest. *)
 
+val stats_db : unit -> Relalg.Database.t
+(** [sys.span_stats] and [sys.metrics] alone, built through their
+    declarations from {!Obs.Trace.stats_to_json} and
+    {!Obs.Metrics.to_json} (file ["live"]): what [--stats] prints at
+    exit.  Unlike {!attach_live} it neither runs [git] nor drains the
+    flight recorder. *)
+
 (** {1 Canned queries} *)
+
+type group =
+  | Top  (** [asura top] *)
+  | Events  (** [asura events top] (and [asura top]) *)
+  | Plan  (** [asura plan top] (and [asura top]) *)
+  | Stats  (** the [--stats] views *)
+  | Report  (** the sections of [asura report] *)
 
 type canned = {
   key : string;  (** CLI name, e.g. ["slowest-operators"] *)
+  group : group;
   title : string;
   sql : string;
 }
 
 val canned : canned list
-(** The [asura top] query library — each entry is plain SQL over the
-    [sys.] tables, executed through the ordinary planner. *)
+(** The query library: each entry is plain SQL over the [sys.] tables,
+    executed through the ordinary planner. *)
+
+val canned_in : group list -> canned list
+(** The entries of these groups, in {!canned} order. *)
+
+val render_canned : Relalg.Database.t -> canned list -> string
+(** Each query under [## title [key]] and its [-- SQL], then its result
+    table: the one printer behind [top], [events top], [plan top] and
+    [--stats]. *)
 
 (** {1 Plan workload} *)
 
@@ -166,10 +148,11 @@ val table_to_json : Relalg.Table.t -> Obs.Json.t
     tables; the renderers read nothing but those results. *)
 
 val report_sections : canned list
-(** The report's sections in print order, each one SQL query over the
-    document tables (keys ["runs"], ["coverage"], ["uncovered"],
-    ["invariants"], ["bench-pairs"], ["bench-diff"], ["plans"],
-    ["events"], ["rules"], ["steals"], ["trend"]). *)
+(** {!canned_in} [[Report]]: the report's sections in print order, each
+    one SQL query over the document tables (keys ["runs"],
+    ["coverage"], ["uncovered"], ["invariants"], ["bench-pairs"],
+    ["bench-diff"], ["plans"], ["events"], ["rules"], ["steals"],
+    ["trend"]). *)
 
 val run_report : Relalg.Database.t -> (canned * Relalg.Table.t) list
 (** Execute every section through {!Relalg.Sql_exec}. *)

@@ -10,16 +10,18 @@
 
 type args = (string * Json.t) list
 
+type span = {
+  name : string;
+  cat : string;
+  ts_us : float;  (** microseconds since the first recorded event *)
+  dur_us : float;
+  depth : int;  (** nesting depth at the time the span was open *)
+  tid : int;  (** recording domain, the Chrome-trace thread track *)
+  args : args;
+}
+
 type event =
-  | Complete of {
-      name : string;
-      cat : string;
-      ts_us : float;  (** microseconds since the first recorded event *)
-      dur_us : float;
-      depth : int;  (** nesting depth at the time the span was open *)
-      tid : int;  (** recording domain, the Chrome-trace thread track *)
-      args : args;
-    }
+  | Complete of span
   | Instant of {
       name : string;
       cat : string;
@@ -134,56 +136,33 @@ let save filename =
 
 (* ------------------------------ roll-up ------------------------------- *)
 
-type span_stat = {
-  span : string;
-  count : int;
-  total_us : float;
-  min_us : float;
-  max_us : float;
-}
-
-let span_stats () =
-  let tbl : (string, span_stat) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
+(* The span roll-up embedded under "spans" in run manifests, so a
+   manifest answers "where did the time go" without the --trace file:
+   one entry per span name, in first-appearance order. *)
+let stats_to_json () =
+  let tbl = Hashtbl.create 16 and order = ref [] in
   List.iter
     (function
       | Complete { name; dur_us; _ } -> (
           match Hashtbl.find_opt tbl name with
           | None ->
               order := name :: !order;
-              Hashtbl.add tbl name
-                {
-                  span = name;
-                  count = 1;
-                  total_us = dur_us;
-                  min_us = dur_us;
-                  max_us = dur_us;
-                }
-          | Some s ->
+              Hashtbl.add tbl name (1, dur_us, dur_us, dur_us)
+          | Some (count, total, lo, hi) ->
               Hashtbl.replace tbl name
-                {
-                  s with
-                  count = s.count + 1;
-                  total_us = s.total_us +. dur_us;
-                  min_us = Float.min s.min_us dur_us;
-                  max_us = Float.max s.max_us dur_us;
-                })
+                (count + 1, total +. dur_us, Float.min lo dur_us, Float.max hi dur_us))
       | Instant _ | Counter _ -> ())
     (events ());
-  List.rev_map (Hashtbl.find tbl) !order
-
-(* The roll-up embedded under "spans" in run manifests, so a manifest
-   answers "where did the time go" without the --trace file. *)
-let stats_to_json () =
   Json.List
-    (List.map
-       (fun s ->
+    (List.rev_map
+       (fun name ->
+         let count, total, lo, hi = Hashtbl.find tbl name in
          Json.Obj
            [
-             ("span", Json.Str s.span);
-             ("count", Json.Int s.count);
-             ("total_us", Json.Float s.total_us);
-             ("min_us", Json.Float s.min_us);
-             ("max_us", Json.Float s.max_us);
+             ("span", Json.Str name);
+             ("count", Json.Int count);
+             ("total_us", Json.Float total);
+             ("min_us", Json.Float lo);
+             ("max_us", Json.Float hi);
            ])
-       (span_stats ()))
+       !order)

@@ -6,20 +6,22 @@
 
 type args = (string * Json.t) list
 
+(** A completed span. *)
+type span = {
+  name : string;
+  cat : string;
+  ts_us : float;  (** microseconds since the first recorded event *)
+  dur_us : float;
+  depth : int;  (** nesting depth when the span opened (0 = root) *)
+  tid : int;
+      (** id of the domain that recorded the span — each domain gets its
+          own thread track in the Chrome-trace view, so worker chunks of
+          a parallel kernel appear under the domain that ran them *)
+  args : args;
+}
+
 type event =
-  | Complete of {
-      name : string;
-      cat : string;
-      ts_us : float;  (** microseconds since the first recorded event *)
-      dur_us : float;
-      depth : int;  (** nesting depth when the span opened (0 = root) *)
-      tid : int;
-          (** id of the domain that recorded the span — each domain gets
-              its own thread track in the Chrome-trace view, so worker
-              chunks of a parallel kernel appear under the domain that
-              ran them *)
-      args : args;
-    }
+  | Complete of span
   | Instant of {
       name : string;
       cat : string;
@@ -55,17 +57,7 @@ val export : unit -> string
 val save : string -> unit
 (** Write the Chrome trace JSON to a file. *)
 
-type span_stat = {
-  span : string;
-  count : int;
-  total_us : float;
-  min_us : float;
-  max_us : float;
-}
-
-val span_stats : unit -> span_stat list
-(** Spans rolled up by name, in first-appearance order. *)
-
 val stats_to_json : unit -> Json.t
-(** {!span_stats} as a list of [{span; count; total_us; min_us;
-    max_us}] — embedded under ["spans"] in [asura-run/1] manifests. *)
+(** Spans rolled up by name, in first-appearance order, as a list of
+    [{span; count; total_us; min_us; max_us}] — embedded under ["spans"]
+    in [asura-run/1] manifests. *)

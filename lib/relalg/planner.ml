@@ -11,11 +11,21 @@
    choice.  This is the deterministic "planted plan regression" knob:
    the structural fingerprint covers the build side, so flipping it is
    exactly what `asura plan diff --strict` and the CI plan gate must
-   catch.  Read dynamically. *)
+   catch.  Read dynamically.  The empty string reads as unset; any
+   other value is malformed, which the CLI refuses ({!env_invalid})
+   rather than silently running the planner's own choice. *)
+let parse_build_side = function
+  | "left" | "LEFT" | "l" -> Some (Some true)
+  | "right" | "RIGHT" | "r" -> Some (Some false)
+  | "" -> Some None
+  | _ -> None
+
 let forced_build_side () =
+  Option.join (Option.bind (Sys.getenv_opt "ASURA_PLAN_BUILD") parse_build_side)
+
+let env_invalid () =
   match Sys.getenv_opt "ASURA_PLAN_BUILD" with
-  | Some ("left" | "LEFT" | "l") -> Some true
-  | Some ("right" | "RIGHT" | "r") -> Some false
+  | Some v when parse_build_side v = None -> Some v
   | _ -> None
 
 (* ------------------------- annotated plans ---------------------------- *)

@@ -24,6 +24,12 @@ val forced_build_side : unit -> bool option
     the non-chosen side is exactly what [asura plan diff --strict] must
     catch. *)
 
+val env_invalid : unit -> string option
+(** The value of [ASURA_PLAN_BUILD] when it is set to anything but
+    [left]/[right] (or [LEFT]/[RIGHT], [l]/[r]) or the empty string
+    (unset): {!forced_build_side} ignores such a value, so the CLI
+    refuses it (exit 2) instead of running without the drill. *)
+
 type keys = (string * [ `Asc | `Desc ]) list
 
 type op =

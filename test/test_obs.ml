@@ -100,11 +100,14 @@ let test_histogram_buckets =
   (* 0.5 and 1.0 land in <=1; 1.5 in <=2; 3.0 in <=4; 100 overflows *)
   check_float "median from buckets" 2. (Obs.Metrics.quantile h 0.5);
   check_float "p100 is the observed max" 100. (Obs.Metrics.quantile h 1.0);
-  check "rejects non-increasing bounds" true
-    (try
-       ignore (Obs.Metrics.histogram ~bounds:[| 2.; 1. |] reg "bad");
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun (what, bounds) ->
+      check ("rejects " ^ what ^ " bounds") true
+        (try
+           ignore (Obs.Metrics.histogram ~bounds reg ("bad-" ^ what));
+           false
+         with Invalid_argument _ -> true))
+    [ ("non-increasing", [| 2.; 1. |]); ("empty", [||]) ]
 
 let test_exponential_bounds () =
   Alcotest.(check (array (float 1e-9)))
@@ -112,6 +115,17 @@ let test_exponential_bounds () =
     (Obs.Metrics.exponential_bounds ~start:1. ~factor:2. 4)
 
 (* ------------------------------ counters ------------------------------ *)
+
+(* The rows of each --stats view, by key ("stats-spans",
+   "stats-metrics"), over one snapshot of this process's collectors, as
+   --stats prints them at exit.  One snapshot: the views' own queries
+   record metrics while telemetry is on. *)
+let stats_views () =
+  let db = Systables.stats_db () in
+  List.map
+    (fun (c : Systables.canned) ->
+      (c.key, Relalg.Table.rows (Relalg.Sql_exec.query db c.sql)))
+    (Systables.canned_in [ Systables.Stats ])
 
 let test_counter_aggregation =
   with_obs @@ fun () ->
@@ -125,14 +139,10 @@ let test_counter_aggregation =
   check_int "per-registry counts" 3 (Obs.Metrics.count ca);
   check_int "aggregate sums across registries" 8 (Obs.Metrics.aggregate "rows");
   check_int "aggregation is by name" 100 (Obs.Metrics.aggregate "other");
-  check "summary mentions both registries" true
-    (let s = Obs.Metrics.summary () in
-     let contains sub =
-       let n = String.length s and m = String.length sub in
-       let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-       go 0
-     in
-     contains "[agg-a]" && contains "[agg-b]");
+  check "the --stats metrics view lists both registries" true
+    (let registries = List.map (fun r -> r.(0)) (List.assoc "stats-metrics" (stats_views ())) in
+     List.mem (Relalg.Value.Str "agg-a") registries
+     && List.mem (Relalg.Value.Str "agg-b") registries);
   Obs.Metrics.reset ();
   check_int "reset zeroes handles in place" 0 (Obs.Metrics.count ca)
 
@@ -270,16 +280,33 @@ let test_report_render =
   with_obs @@ fun () ->
   Obs.Trace.with_span "stage" (fun () -> spin ());
   Obs.Metrics.add (Obs.Metrics.counter (Obs.Metrics.registry "layer") "n") 5;
-  let s = Obs.Report.render () in
+  let views = stats_views () in
+  let spans = List.assoc "stats-spans" views in
+  let metrics = List.assoc "stats-metrics" views in
+  check "the spans view lists the span" true
+    (List.exists (fun r -> r.(0) = Relalg.Value.Str "stage") spans);
+  check "the metrics view lists the registry" true
+    (List.exists
+       (fun r ->
+         r.(0) = Relalg.Value.Str "layer"
+         && r.(1) = Relalg.Value.Str "n"
+         && r.(3) = Relalg.Value.Float 5.)
+       metrics);
+  let text =
+    Systables.render_canned (Systables.stats_db ())
+      (Systables.canned_in [ Systables.Stats ])
+  in
   let contains sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    let n = String.length text and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub text i m = sub || go (i + 1)) in
     go 0
   in
-  check "report lists the span" true (contains "stage");
-  check "report lists the registry" true (contains "[layer]");
+  check "both views are printed under their titles" true
+    (contains "[stats-spans]" && contains "[stats-metrics]" && contains "stage");
   Obs.Report.reset ();
-  check_string "reset empties the report" "" (Obs.Report.render ())
+  List.iter
+    (fun (key, rows) -> check_int ("reset empties " ^ key) 0 (List.length rows))
+    (stats_views ())
 
 (* Subsystems cache their registry handle in a [lazy] (the solver's
    [obs_reg], Batch's, Explore's): a reset must zero the registries in

@@ -402,6 +402,20 @@ let test_suite_plans_doubled () =
   check_bool "same rows, execs and rows_out doubled" true
     (List.map doubled first = List.map untimed second)
 
+(* A malformed ASURA_PLAN_BUILD is reported, not read as unset: a typo
+   must not silently turn the planted-regression drill off.  The empty
+   string is how a test hands an unset variable back. *)
+let test_plan_build_env_invalid () =
+  List.iter
+    (fun (v, invalid) ->
+      Test_env.with_env "ASURA_PLAN_BUILD" v (fun () ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "ASURA_PLAN_BUILD=%S" v)
+            (if invalid then Some v else None)
+            (Planner.env_invalid ())))
+    [ ("lfet", true); ("both", true); (" left", true); ("left", false);
+      ("RIGHT", false); ("r", false); ("", false) ]
+
 (* Golden fingerprints of the committed bench/PLANS.json baseline: if
    one of these moves, the planner's physical choices changed and the
    baseline (plus this list) must be regenerated deliberately —
@@ -463,6 +477,8 @@ let suite =
     Alcotest.test_case "build side sensitive" `Quick test_build_side_sensitive;
     Alcotest.test_case "ASURA_PLAN_BUILD flips recorded fingerprints" `Quick
       test_forced_build_side_records_differently;
+    Alcotest.test_case "malformed ASURA_PLAN_BUILD is reported" `Quick
+      test_plan_build_env_invalid;
     Alcotest.test_case "record aggregates by (site, fingerprint)" `Quick
       test_record_aggregates;
     Alcotest.test_case "misest ratio" `Quick test_misest;

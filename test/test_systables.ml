@@ -8,6 +8,10 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
+(* One table of the one ingest path over these labeled documents. *)
+let attached docs name =
+  Database.find (fst (Systables.attach_docs docs Database.empty)) name
+
 let small_cfg =
   {
     Mcheck.Semantics.nodes = 2;
@@ -195,7 +199,7 @@ let prop_manifest_roundtrip =
     (fun (cmd, rev, elapsed, sps, covered, rows, doc) ->
       (* the manifest itself must survive print/parse *)
       let doc = Obs.Json.parse_exn (Obs.Json.to_string doc) in
-      let t = Systables.runs [ ("m.json", doc) ] in
+      let t = attached [ ("m.json", doc) ] "sys.runs" in
       let cell col = Table.cell t (Table.get t 0) col in
       Table.cardinality t = 1
       && cell "file" = Value.Str "m.json"
@@ -231,7 +235,7 @@ let bench_doc =
        "representation":[{"name":"scan","columnar_ns":10.0,"listrep_ns":40.0,"speedup":4.0}]}|}
 
 let test_bench_regressions () =
-  let t = Systables.bench [ ("b.json", bench_doc) ] in
+  let t = attached [ ("b.json", bench_doc) ] "sys.bench" in
   check_int "two bench rows: the pairs, not the representation member" 2
     (Table.cardinality t);
   let db = Database.add_system Database.empty t in
@@ -303,6 +307,52 @@ let test_live_is_manifest () =
     [ "sys.runs"; "sys.span_stats"; "sys.metrics"; "sys.coverage"; "sys.plans";
       "sys.plan_ops" ]
 
+(* ------------------------ declared tables, attached -------------------- *)
+
+(* Every declared table is attached, with its declared columns in order:
+   all but sys.spans by attach_docs (even from no documents), and
+   sys.spans by attach_live only. *)
+let test_declared_tables_attached () =
+  let docs = fst (Systables.attach_docs [] Database.empty) in
+  let live = Systables.attach_live Database.empty in
+  check_int "nine declared tables" 9 (List.length Systables.tables);
+  List.iter
+    (fun (name, columns) ->
+      let columns_in db =
+        Schema.columns (Table.schema (Database.find db name))
+      in
+      if name = "sys.spans" then
+        check "sys.spans is not a document table" false (Database.mem docs name)
+      else
+        Alcotest.(check (list string)) (name ^ " columns from attach_docs")
+          columns (columns_in docs);
+      Alcotest.(check (list string)) (name ^ " columns from attach_live")
+        columns (columns_in live))
+    Systables.tables
+
+(* A histogram written through the run manifest keeps its buckets:
+   sys.metrics.buckets is the nonzero buckets in bound order, the
+   overflow bucket last, and NULL for a counter. *)
+let test_histogram_buckets_column () =
+  Obs.Report.reset ();
+  Fun.protect ~finally:Obs.Report.reset @@ fun () ->
+  Obs.Config.with_enabled (fun () ->
+      let reg = Obs.Metrics.registry "buckets-test" in
+      let h = Obs.Metrics.histogram ~bounds:[| 0.01; 1.; 4. |] reg "h" in
+      List.iter (Obs.Metrics.observe h) [ 0.005; 0.5; 0.75; 3.; 100. ];
+      Obs.Metrics.incr (Obs.Metrics.counter reg "c"));
+  let doc = Obs.Json.parse_exn (Obs.Json.to_string (Obs.Runlog.manifest ())) in
+  let db, _ = Systables.attach_docs [ ("m.json", doc) ] Database.empty in
+  let t =
+    Sql_exec.query db
+      "SELECT key, buckets FROM sys.metrics WHERE registry = 'buckets-test' \
+       ORDER BY key"
+  in
+  check "counter has no buckets, histogram has its text" true
+    (Table.rows t
+    = [ [| Value.Str "c"; Value.Null |];
+        [| Value.Str "h"; Value.Str "<=0.01:1 <=1:2 <=4:1 >4:1" |] ])
+
 (* ------------------- the one ingest path never raises ------------------ *)
 
 (* Manifest-shaped documents: a random schema, then members whose keys
@@ -321,7 +371,8 @@ let children = function
   | "counters" -> [ "inv.x.checked"; "inv.x.violated"; "inv.y.checked" ]
   | "gauges" | "histograms" -> [ "states_per_sec"; "frontier" ]
   | "states_per_sec" | "frontier" ->
-      [ "value"; "max"; "n"; "mean"; "p50"; "p95"; "p99" ]
+      [ "value"; "max"; "n"; "mean"; "p50"; "p95"; "p99"; "buckets" ]
+  | "buckets" -> [ "le"; "gt"; "n" ]
   | "spans" -> [ "span"; "count"; "total_us"; "min_us"; "max_us" ]
   | "plans" ->
       [ "schema"; "plans"; "fingerprint"; "site"; "query"; "est_cost"; "execs";
@@ -403,7 +454,7 @@ let gen_doc =
         (2, pure (Obs.Json.Str "asura-plans/1"));
         (1, pure (Obs.Json.Str "asura-stats/1")); (1, gen_leaf) ]
   in
-  let+ fields = gen_member "" 5 in
+  let+ fields = gen_member "" 6 in
   match fields with
   | Obs.Json.Obj fields -> Obs.Json.Obj (("schema", schema) :: fields)
   | other -> other
@@ -454,4 +505,8 @@ let suite =
       test_live_is_manifest;
     QCheck_alcotest.to_alcotest prop_ingest_never_raises;
     Alcotest.test_case "sys. prefix reserved" `Quick test_sys_prefix_reserved;
+    Alcotest.test_case "declared tables attached in column order" `Quick
+      test_declared_tables_attached;
+    Alcotest.test_case "sys.metrics buckets from the manifest" `Quick
+      test_histogram_buckets_column;
   ]
