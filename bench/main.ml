@@ -5,6 +5,36 @@
 open Bechamel
 open Toolkit
 
+(* The argument after the last [flag] in argv: [Some None] when [flag]
+   ends the command line. *)
+let flag_arg flag =
+  let argv = Sys.argv in
+  let found = ref None in
+  Array.iteri
+    (fun i arg ->
+      if arg = flag then
+        found :=
+          Some (if i + 1 < Array.length argv then Some argv.(i + 1) else None))
+    argv;
+  !found
+
+(* The degree comes from --domains, else ASURA_DOMAINS, else 1.  That
+   and every other ASURA_* knob are checked here, before any work (the
+   benchmark list below builds the controller tables), as in the CLI:
+   a malformed value is one line and exit 2. *)
+let domains =
+  try
+    let domains =
+      match flag_arg "--domains" with
+      | Some (Some v) -> Obs.Settings.parse_domains ~name:"--domains" v
+      | Some None | None -> Obs.Settings.domains ()
+    in
+    Option.iter (fun line -> raise (Obs.Settings.Invalid line)) (Obs.Settings.check ());
+    domains
+  with Obs.Settings.Invalid line ->
+    Printf.eprintf "bench: %s\n" line;
+    exit 2
+
 let dir_solver_spec =
   lazy (Protocol.Ctrl_spec.to_solver_spec Protocol.Dir_controller.spec)
 
@@ -308,7 +338,8 @@ let git_rev () =
    trajectory without re-parsing the text output.  v2 added the domain
    count, the git revision, and seq/par pairs with their speedups;
    baseline entries are measured pinned to one domain, "-par" entries
-   at the requested degree.  v3 adds "regressions"; older v3 files
+   at the requested degree.  v3 adds "regressions" and, additively,
+   "settings" (the ASURA_* knobs, Obs.Settings.to_json); older v3 files
    also carry a "representation" member, which readers ignore. *)
 let write_json ~domains ~speedups measurements =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
@@ -402,6 +433,7 @@ let write_json ~domains ~speedups measurements =
         "ocaml", Obs.Json.Str Sys.ocaml_version;
         "word_size", Obs.Json.Int Sys.word_size;
         "domains", Obs.Json.Int domains;
+        "settings", Obs.Settings.to_json ();
         "git_rev", Obs.Json.Str (git_rev ());
         ( "benchmarks",
           Obs.Json.List
@@ -434,60 +466,20 @@ let write_json ~domains ~speedups measurements =
            "regressions", Obs.Json.Int (List.length regressions);
          ])
 
-(* The degree comes from --domains, else ASURA_DOMAINS, else 1.  The
-   source used must be an integer >= 1, as in the CLI, or the run stops
-   with one line naming it instead of falling back to one domain. *)
-let parse_domains () =
-  let argv = Sys.argv in
-  let parse source v =
-    match int_of_string_opt v with
-    | Some n when n >= 1 -> n
-    | Some _ | None ->
-        Printf.eprintf "bad %s value %S\n" source v;
-        exit 2
-  in
-  let flag = ref None in
-  Array.iteri
-    (fun i arg ->
-      if arg = "--domains" && i + 1 < Array.length argv then
-        flag := Some argv.(i + 1))
-    argv;
-  match (!flag, Sys.getenv_opt "ASURA_DOMAINS") with
-  | Some v, _ -> parse "--domains" v
-  | None, Some v -> parse "ASURA_DOMAINS" v
-  | None, None -> 1
-
-(* --manifest [DIR]: persist an asura-run/1 manifest of this bench
-   invocation (same flag the CLI takes; DIR defaults to "runs"). *)
-let parse_manifest () =
-  let argv = Sys.argv in
-  let dir = ref None in
-  Array.iteri
-    (fun i arg ->
-      if arg = "--manifest" then
-        if
-          i + 1 < Array.length argv
-          && String.length argv.(i + 1) > 0
-          && argv.(i + 1).[0] <> '-'
-        then dir := Some argv.(i + 1)
-        else dir := Some "runs")
-    argv;
-  !dir
-
 let () =
   let json = Array.exists (( = ) "--json") Sys.argv in
-  let domains = parse_domains () in
-  (match parse_manifest () with
+  (* --manifest [DIR]: persist an asura-run/1 manifest of this bench
+     invocation (the flag the CLI takes; DIR defaults to "runs") *)
+  (match flag_arg "--manifest" with
   | None -> ()
-  | Some dir ->
-      Obs.Config.enable ();
-      Obs.Coverage.enable ();
-      Obs.Runlog.configure ~dir ~cmd:"bench" ~argv:Sys.argv;
-      Obs.Runlog.note "domains" (Obs.Json.Int domains);
-      at_exit (fun () ->
-          match Obs.Runlog.write () with
-          | Some path -> Printf.eprintf "wrote run manifest to %s\n" path
-          | None -> ()));
+  | Some arg ->
+      let dir =
+        match arg with
+        | Some d when d <> "" && d.[0] <> '-' -> d
+        | Some _ | None -> "runs"
+      in
+      Obs.Runlog.start ~dir ~cmd:"bench";
+      Obs.Runlog.note "domains" (Obs.Json.Int domains));
   Printf.printf "ASURA coherence-protocol design toolchain: benchmark suite\n";
   if json then begin
     (* machine-readable mode: micro-benchmarks only, plus the snapshot;

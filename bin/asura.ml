@@ -37,18 +37,16 @@ let obs_setup level trace_file stats domains log_file progress manifest =
       let fmt = Format.formatter_of_out_channel oc in
       Logs.set_reporter (Logs.format_reporter ~app:fmt ~dst:fmt ()));
   Logs.set_level level;
-  (* like ASURA_DOMAINS: a malformed switch is one line and exit 2,
-     never silently read as "on" or as unset *)
-  let refuse expected =
-    Option.iter (fun v ->
-        Printf.eprintf "asura: %s (got %S)\n" expected v;
-        Stdlib.exit 2)
-  in
-  refuse "ASURA_FLIGHTREC must be on or off (or 1/0, true/false, yes/no)"
-    (Obs.Flightrec.env_invalid ());
-  refuse "ASURA_PLAN_BUILD must be left or right (or LEFT/RIGHT, l/r)"
-    (Relalg.Planner.env_invalid ());
-  Option.iter Par.Pool.set_domains domains;
+  (* a malformed --domains or ASURA_* value is one line and exit 2,
+     never clamped, read as the default or ignored *)
+  (try
+     Option.iter
+       (fun s -> Par.Pool.set_domains (Obs.Settings.parse_domains ~name:"--domains" s))
+       domains;
+     Option.iter (fun line -> raise (Obs.Settings.Invalid line)) (Obs.Settings.check ())
+   with Obs.Settings.Invalid line ->
+     Printf.eprintf "asura: %s\n" line;
+     Stdlib.exit 2);
   (* at_exit hooks run last-registered first: the --stats views print
      after the manifest and the trace are written, so the queries behind
      them never land in either *)
@@ -62,26 +60,12 @@ let obs_setup level trace_file stats domains log_file progress manifest =
     Obs.Coverage.enable ();
     Obs.Runlog.enable_progress ()
   end;
-  (match manifest with
-  | None -> ()
-  | Some dir ->
-      (* Manifests embed the coverage summary and a metrics snapshot, so
-         arm both collectors.  They also embed the flight-recorder drain,
-         and an interrupted run is exactly when that evidence matters —
-         turn SIGINT/SIGTERM into orderly exits so the at_exit write
-         below still happens. *)
-      Obs.Coverage.enable ();
-      Obs.Config.enable ();
-      Obs.Flightrec.arm_signal_drain ();
+  Option.iter
+    (fun dir ->
       let cmd = if Array.length Sys.argv > 1 then Sys.argv.(1) else "run" in
-      Obs.Runlog.configure ~dir ~cmd ~argv:Sys.argv;
-      Obs.Runlog.note "domains" (Obs.Json.Int (Par.Pool.domains ()));
-      at_exit (fun () ->
-          match Obs.Runlog.write () with
-          | Some path ->
-              Printf.fprintf (Obs.Runlog.sink ()) "wrote run manifest to %s\n%!"
-                path
-          | None -> ()));
+      Obs.Runlog.start ~dir ~cmd;
+      Obs.Runlog.note "domains" (Obs.Json.Int (Par.Pool.domains ())))
+    manifest;
   Option.iter
     (fun file ->
       Obs.Config.enable ();
@@ -123,33 +107,15 @@ let setup_term =
     Arg.(
       value
       & opt (some string) None
-      & info [ "domains" ] ~docv:"N" ~env:(Cmd.Env.info "ASURA_DOMAINS")
+      & info [ "domains" ] ~docv:"N"
           ~doc:
             "Number of OCaml domains to spread table generation and the \
-             model checker's work-stealing search across (default 1).  \
-             Tables, \
-             dependencies and verdicts are identical at every setting, \
-             and so are the counts of a complete model-checking search.  \
-             A value that is not an integer of at least 1 exits 2.")
-  in
-  (* The degree is external input like the counts: anything but an
-     integer >= 1 is refused with one line naming where it came from
-     (no command-line argument used means the environment) and exit 2,
-     instead of being clamped to 1 or answered with a usage screen. *)
-  let domains =
-    Term.(
-      const (fun (v, used) ->
-          Option.map
-            (fun s ->
-              match int_of_string_opt s with
-              | Some n when n >= 1 -> n
-              | _ ->
-                  Printf.eprintf "asura: %s must be an integer >= 1 (got %S)\n"
-                    (if used = [] then "ASURA_DOMAINS" else "--domains")
-                    s;
-                  Stdlib.exit 2)
-            v)
-      $ with_used_args domains)
+             model checker's work-stealing search across (default: \
+             $(b,ASURA_DOMAINS), else 1).  Tables, dependencies and \
+             verdicts are identical at every setting, and so are the \
+             counts of a complete model-checking search.  A value that \
+             is not an integer of at least 1, here or in \
+             $(b,ASURA_DOMAINS), exits 2.")
   in
   let log_file =
     Arg.(
@@ -267,20 +233,11 @@ let invariants_cmd =
 
 (* ----------------------------- deadlock ------------------------------ *)
 
-let assignment_conv =
-  let parse = function
-    | "initial" -> Ok Checker.Vcassign.initial
-    | "vc4" -> Ok Checker.Vcassign.with_vc4
-    | "debugged" -> Ok Checker.Vcassign.debugged
-    | s -> Error (`Msg ("unknown assignment " ^ s ^ " (initial|vc4|debugged)"))
-  in
-  Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt v.Checker.Vcassign.name)
-
-(* Like [assignment_conv] but also accepts a CSV file (columns m,s,d,v),
-   so externally-edited channel assignments can be analyzed directly.
-   A file that cannot be read, or does not hold an assignment, is bad
-   input rather than a usage error: {!vc_arg} reports it on one line and
-   exits 2. *)
+(* A virtual-channel assignment by name (initial|vc4|debugged) or a CSV
+   file (columns m,s,d,v), so externally-edited channel assignments can
+   be analyzed directly.  A file that cannot be read, or does not hold
+   an assignment, is bad input rather than a usage error: {!vc_arg}
+   reports it on one line and exits 2. *)
 let assignment_or_csv_conv =
   let load path =
     try
@@ -315,8 +272,9 @@ let assignment_or_csv_conv =
         | Ok v -> Format.pp_print_string fmt v.Checker.Vcassign.name
         | Error m -> Format.pp_print_string fmt m )
 
-(* The [--vc] option (default: the paper's Figure-4 assignment). *)
-let vc_arg ~doc =
+(* An assignment option: [--vc] (default: the paper's Figure-4
+   assignment) unless [names] and [default] say otherwise. *)
+let vc_arg ?(names = [ "vc" ]) ?(default = Checker.Vcassign.with_vc4) ~doc () =
   let resolve = function
     | Ok v -> v
     | Error message ->
@@ -327,18 +285,17 @@ let vc_arg ~doc =
     const resolve
     $ Arg.(
         value
-        & opt assignment_or_csv_conv (Ok Checker.Vcassign.with_vc4)
-        & info [ "vc" ] ~docv:"ASSIGNMENT" ~doc))
+        & opt assignment_or_csv_conv (Ok default)
+        & info names ~docv:"ASSIGNMENT" ~doc))
 
 let deadlock_cmd =
   let assignment =
-    Arg.(
-      value
-      & opt assignment_conv Checker.Vcassign.debugged
-      & info [ "a"; "assignment" ] ~docv:"ASSIGNMENT"
-          ~doc:
-            "Virtual-channel assignment: $(b,initial) (VC0-VC3), $(b,vc4) \
-             (the paper's Figure 4 setup) or $(b,debugged) (the fix).")
+    vc_arg ~names:[ "a"; "assignment" ] ~default:Checker.Vcassign.debugged
+      ~doc:
+        "Virtual-channel assignment: $(b,initial) (VC0-VC3), $(b,vc4) \
+         (the paper's Figure 4 setup), $(b,debugged) (the fix), or a CSV \
+         file with columns m,s,d,v."
+      ()
   in
   let dot =
     Arg.(
@@ -435,7 +392,7 @@ let why_cmd =
       ~doc:
         "Virtual-channel assignment to explain: $(b,initial), $(b,vc4), \
          $(b,debugged), or a CSV file with columns m,s,d,v (as written by \
-         $(b,export))."
+         $(b,export))." ()
   in
   let dot =
     Arg.(
@@ -556,11 +513,8 @@ let simulate_cmd =
       & info [] ~docv:"SCENARIO" ~doc:"figure4, readex or contention.")
   in
   let assignment =
-    Arg.(
-      value
-      & opt assignment_conv Checker.Vcassign.with_vc4
-      & info [ "a"; "assignment" ] ~docv:"ASSIGNMENT"
-          ~doc:"Channel assignment (initial|vc4|debugged).")
+    vc_arg ~names:[ "a"; "assignment" ]
+      ~doc:"Channel assignment (initial|vc4|debugged, or a CSV file)." ()
   in
   let msc =
     Arg.(
@@ -907,7 +861,7 @@ let events_tail_cmd =
       ~doc:
         "Virtual-channel assignment for the live Figure-4 replay: \
          $(b,initial), $(b,vc4) (default: the paper's deadlock), \
-         $(b,debugged), or a CSV file."
+         $(b,debugged), or a CSV file." ()
   in
   let run () n runs assignment =
     let docs =
@@ -973,7 +927,7 @@ let events_dump_cmd =
           ~doc:"Write the document to this file instead of standard output.")
   in
   let assignment =
-    vc_arg ~doc:"Assignment for the live Figure-4 replay (as in tail)."
+    vc_arg ~doc:"Assignment for the live Figure-4 replay (as in tail)." ()
   in
   let run () _json output runs assignment =
     let doc =
@@ -1103,11 +1057,9 @@ let review_cmd =
           ~doc:"Embed the complete controller tables and column constraints.")
   in
   let assignment =
-    Arg.(
-      value
-      & opt assignment_conv Checker.Vcassign.debugged
-      & info [ "a"; "assignment" ] ~docv:"ASSIGNMENT"
-          ~doc:"Channel assignment to analyze (initial|vc4|debugged).")
+    vc_arg ~names:[ "a"; "assignment" ] ~default:Checker.Vcassign.debugged
+      ~doc:"Channel assignment to analyze (initial|vc4|debugged, or a CSV file)."
+      ()
   in
   let run () full assignment =
     let options =

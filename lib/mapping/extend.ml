@@ -1,7 +1,5 @@
 open Relalg
 
-let qstatus_values = [ "Full"; "NotFull" ]
-
 let d_inputs = Protocol.Dir_controller.input_columns
 let d_outputs = Protocol.Dir_controller.output_columns
 let input_columns = d_inputs @ [ "qstatus"; "dqstatus"; "fdctx" ]

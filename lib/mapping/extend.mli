@@ -23,9 +23,6 @@
     ED therefore has D's 30 columns plus inputs [qstatus], [dqstatus],
     [fdctx] and output [fdback] — 34 columns. *)
 
-val qstatus_values : string list
-(** [Full; NotFull]. *)
-
 val input_columns : string list
 (** ED's 14 input columns, in order. *)
 

@@ -17,6 +17,7 @@ type result = {
   states : string list option;
       (** sorted visited-set keys, when requested with [keep_states] *)
   engine : string;  (** which exploration core produced this result *)
+  participants : int;  (** search participants; depths are BFS depths at 1 *)
   probabilistic : bool;
       (** dedup used hash compaction: a fingerprint collision may have
           hidden states, so "no violation" is high-confidence, not
@@ -121,7 +122,7 @@ let violation_code = function
   | `Unhandled -> 2
   | `Deadlock -> 3
 
-let finish sr ~states ~engine ~probabilistic violation complete =
+let finish sr ~states ~engine ~participants ~probabilistic violation complete =
   let elapsed = Obs.Clock.to_s (Obs.Clock.since sr.t0) in
   (* the stop reason closes the flight recording, so a drain's tail
      explains *why* the engine stopped right after *what* it was doing *)
@@ -185,6 +186,7 @@ let finish sr ~states ~engine ~probabilistic violation complete =
     max_frontier = sr.s_max_frontier;
     states;
     engine;
+    participants;
     probabilistic;
   }
 
@@ -268,11 +270,11 @@ let boxed_bfs ~engine ~max_states ~keep_states ~state_key ~tables config =
               end)
         succs
     done;
-    finish sr ~states:(states ()) ~engine ~probabilistic:false None true
+    finish sr ~states:(states ()) ~engine ~participants:1 ~probabilistic:false None true
   with
-  | Exit -> finish sr ~states:(states ()) ~engine ~probabilistic:false None false
+  | Exit -> finish sr ~states:(states ()) ~engine ~participants:1 ~probabilistic:false None false
   | Found v ->
-      finish sr ~states:(states ()) ~engine ~probabilistic:false (Some v) true
+      finish sr ~states:(states ()) ~engine ~participants:1 ~probabilistic:false (Some v) true
 
 (* ------------------------ work-stealing engine ------------------------ *)
 
@@ -514,7 +516,8 @@ let run_steal ~max_states ~keep_states ~state_key ~symmetry
         else None
       in
       let complete = not (Atomic.get truncated) in
-      finish sr ~states ~engine:"steal" ~probabilistic:(compact_bits <> None)
+      finish sr ~states ~engine:"steal" ~participants:(Array.length accs)
+        ~probabilistic:(compact_bits <> None)
         violation complete
 
 (* Both entry points share the ["mcheck.run"] span, so a trace times
@@ -547,11 +550,12 @@ let run_reference ?(max_states = 200_000) ?(symmetry = false) ?tables
 let pp_result fmt r =
   Format.fprintf fmt
     "states=%d transitions=%d depth=%d time=%.2fs (%.0f states/s, dedup \
-     %.0f%%) engine=%s%s %s"
+     %.0f%%) engine=%s%s%s %s"
     r.explored r.transitions r.max_depth r.elapsed (states_per_sec r)
     (100. *. dedup_rate r)
     r.engine
     (if r.probabilistic then " (probabilistic)" else "")
+    (if r.participants > 1 then " (schedule-dependent depth)" else "")
     (match r.violation with
     | None -> if r.complete then "no violations" else "bounded, no violations"
     | Some v ->
@@ -559,7 +563,12 @@ let pp_result fmt r =
           (List.length v.trace))
 
 let pp_depth_profile fmt r =
-  Format.fprintf fmt "depth histogram (states expanded per BFS depth):@.";
+  if r.participants > 1 then
+    Format.fprintf fmt
+      "depth histogram (states expanded per discovery depth, \
+       schedule-dependent at %d participants):@."
+      r.participants
+  else Format.fprintf fmt "depth histogram (states expanded per BFS depth):@.";
   let widest =
     List.fold_left (fun acc (_, n) -> max acc n) 1 r.per_depth
   in

@@ -28,6 +28,10 @@ type result = {
   engine : string;
       (** which exploration core ran: ["steal"] from {!run}, ["seq"]
           from {!run_reference} *)
+  participants : int;
+      (** participants the search ran on.  Above one, [max_depth] and
+          [per_depth] follow the steal schedule's discovery order, not
+          the BFS depth, and the printers say so. *)
   probabilistic : bool;
       (** dedup used hash compaction ([compact_bits]): a fingerprint
           collision may have hidden states, so a clean result is
@@ -101,6 +105,9 @@ val run_reference :
     violation through it. *)
 
 val pp_result : Format.formatter -> result -> unit
+(** The one-line summary; [(schedule-dependent depth)] follows the
+    engine name when {!field-participants} is above one. *)
 
 val pp_depth_profile : Format.formatter -> result -> unit
-(** ASCII histogram of states expanded per BFS depth. *)
+(** ASCII histogram of states expanded per BFS depth, or per discovery
+    depth, titled schedule-dependent, above one participant. *)

@@ -67,19 +67,6 @@ let tag_name = function
   | 9 -> "stop"
   | n -> Printf.sprintf "tag%d" n
 
-let tag_of_name = function
-  | "expand" -> Some tag_expand
-  | "fire" -> Some tag_fire
-  | "dedup" -> Some tag_dedup
-  | "steal" -> Some tag_steal
-  | "compact" -> Some tag_compact
-  | "solver_gen" -> Some tag_solver_gen
-  | "solver_extend" -> Some tag_solver_extend
-  | "violation" -> Some tag_violation
-  | "deadlock" -> Some tag_deadlock
-  | "stop" -> Some tag_stop
-  | _ -> None
-
 (* stop reason codes (payload a of [tag_stop]) *)
 let stop_complete = 0
 let stop_budget = 1
@@ -98,27 +85,22 @@ let default_capacity = 4096
 
 (* On by default (the whole point is that the evidence is already there
    when something goes wrong); ASURA_FLIGHTREC=off is the bench escape
-   hatch for measuring the recorder's own overhead.  Any other spelling
-   is refused by the CLI ({!env_invalid}) rather than read as "on". *)
-let parse_env = function
-  | "0" | "off" | "false" | "no" -> Some false
-  | "1" | "on" | "true" | "yes" -> Some true
-  | _ -> None
+   hatch for measuring the recorder's own overhead.  The initial state
+   is read once.  Module initialisation must not raise, so a malformed
+   value records nothing and is raised by the first reader ({!on},
+   {!drain}, {!to_json}), while {!record} stays one load and branch. *)
+let initial =
+  match Settings.flightrec () with
+  | b -> Ok b
+  | exception (Settings.Invalid _ as e) -> Error e
 
-let env_invalid () =
-  match Sys.getenv_opt "ASURA_FLIGHTREC" with
-  | Some v when parse_env v = None -> Some v
-  | _ -> None
-
-let enabled =
-  ref
-    (match Sys.getenv_opt "ASURA_FLIGHTREC" with
-    | Some v -> Option.value (parse_env v) ~default:true
-    | None -> true)
-
+let checked () = Result.iter_error raise initial
+let enabled = ref (Result.value initial ~default:false)
 let enable () = enabled := true
 let disable () = enabled := false
-let on () = !enabled
+let on () =
+  checked ();
+  !enabled
 
 let with_disabled f =
   let prev = !enabled in
@@ -254,6 +236,7 @@ let ring_events r =
    belong to other domains.  Par.Pool entry points only return after
    every chunk completes, so any caller outside a worker qualifies. *)
 let drain () =
+  checked ();
   let evs = locked (fun () -> List.concat_map ring_events !rings) in
   List.stable_sort
     (fun x y ->

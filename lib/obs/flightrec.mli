@@ -47,7 +47,6 @@ val tag_deadlock : int
 val tag_stop : int
 
 val tag_name : int -> string
-val tag_of_name : string -> int option
 
 val stop_complete : int
 val stop_budget : int
@@ -61,12 +60,9 @@ val disable : unit -> unit
 
 val on : unit -> bool
 (** [true] at startup unless [ASURA_FLIGHTREC] is [off] (or [0],
-    [false], [no]). *)
-
-val env_invalid : unit -> string option
-(** The value of [ASURA_FLIGHTREC] when it is set to anything but
-    [on]/[off] or their spellings [1]/[0], [true]/[false], [yes]/[no]:
-    the CLI refuses such a value (exit 2) instead of guessing. *)
+    [false], [no]; {!Settings.flightrec}, read once).
+    @raise Settings.Invalid if [ASURA_FLIGHTREC] is malformed, as do
+    {!drain} and {!to_json}; {!record} then records nothing. *)
 
 val with_disabled : (unit -> 'a) -> 'a
 (** Run a thunk with recording off, restoring the previous state (also

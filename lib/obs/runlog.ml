@@ -102,6 +102,8 @@ let manifest () =
        ( "git_rev",
          match git_rev () with Some r -> Json.Str r | None -> Json.Null );
        ("elapsed_s", Json.Float (Clock.to_s (Clock.since t0)));
+       (* the ASURA_* knobs this run read, null when unset *)
+       ("settings", Settings.to_json ());
      ]
     @ List.rev notes
     @ [
@@ -144,6 +146,20 @@ let write () =
           output_char oc '\n');
       Some path
 
+(* Manifests embed the coverage summary, a metrics snapshot and the
+   flight-recorder drain, so arm both collectors; an interrupted run is
+   exactly when the drain matters, so SIGINT/SIGTERM become orderly
+   exits and the at_exit write still happens. *)
+let start ~dir ~cmd =
+  Config.enable ();
+  Coverage.enable ();
+  Flightrec.arm_signal_drain ();
+  configure ~dir ~cmd ~argv:Sys.argv;
+  at_exit (fun () ->
+      match write () with
+      | Some path -> Printf.fprintf (sink ()) "wrote run manifest to %s\n%!" path
+      | None -> ())
+
 (* ------------------------------ heartbeat ----------------------------- *)
 
 let progress_interval : float option ref = ref None
@@ -154,7 +170,6 @@ let enable_progress ?(interval_s = 1.0) () =
   last_beat := Int64.min_int
 
 let disable_progress () = progress_interval := None
-let progress_on () = !progress_interval <> None
 
 let tick render =
   match !progress_interval with

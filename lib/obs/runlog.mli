@@ -4,10 +4,11 @@
     A manifest records one toolchain invocation end to end: argv, git
     revision, start date, wall time, command-contributed notes, the
     coverage summary, a metrics snapshot, the span roll-up
-    ({!Trace.stats_to_json}), the plan log and the flight-recorder
-    drain.  The CLI calls {!configure}
-    at startup and {!write} from an [at_exit] hook so every exit path
-    persists the run. *)
+    ({!Trace.stats_to_json}), the plan log, the flight-recorder
+    drain and the [ASURA_*] settings ({!Settings.to_json}).  The
+    binaries call {!start}, which {!configure}s the manifest and
+    {!write}s it from an [at_exit] hook so every exit path persists the
+    run. *)
 
 (** {2 Sink}
 
@@ -23,6 +24,12 @@ val sink : unit -> out_channel
 val configure : dir:string -> cmd:string -> argv:string array -> unit
 (** Arm manifest writing: the file will land in [dir] as
     [<timestamp>-<cmd>.json].  Resets the wall-time origin and notes. *)
+
+val start : dir:string -> cmd:string -> unit
+(** The binaries' manifest start-up: enable telemetry ({!Config}) and
+    coverage, arm {!Flightrec.arm_signal_drain}, {!configure} with
+    [Sys.argv], and register an [at_exit] {!write} that prints [wrote
+    run manifest to PATH] on {!sink}. *)
 
 val configured : unit -> bool
 
@@ -46,7 +53,6 @@ val enable_progress : ?interval_s:float -> unit -> unit
     tick — used by tests). *)
 
 val disable_progress : unit -> unit
-val progress_on : unit -> bool
 
 val tick : (unit -> string) -> unit
 (** Emit [render ()] to the sink if at least the configured interval

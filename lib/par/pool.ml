@@ -8,16 +8,18 @@
 
 (* ------------------------- parallelism degree ------------------------- *)
 
-let env_domains () =
-  match Sys.getenv_opt "ASURA_DOMAINS" with
-  | None -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> 1)
+(* 0 until the degree is first read or set.  The default comes from
+   ASURA_DOMAINS on the first read, so a malformed value raises
+   Obs.Settings.Invalid there rather than at module initialisation. *)
+let requested = Atomic.make 0
 
-let requested = Atomic.make (env_domains ())
-let domains () = Atomic.get requested
+let domains () =
+  match Atomic.get requested with
+  | 0 ->
+      ignore (Atomic.compare_and_set requested 0 (Obs.Settings.domains ()));
+      Atomic.get requested
+  | n -> n
+
 let set_domains n = Atomic.set requested (max 1 n)
 
 let with_domains n f =

@@ -36,9 +36,11 @@
     deadlocking the pool. *)
 
 val domains : unit -> int
-(** Current parallelism degree.  Initialized from the [ASURA_DOMAINS]
-    environment variable (default [1]); [--domains N] on the CLI calls
-    {!set_domains}. *)
+(** Current parallelism degree.  Until {!set_domains} is called, the
+    first call reads it from [ASURA_DOMAINS] ({!Obs.Settings.domains},
+    default [1]); [--domains N] on the CLI calls {!set_domains}.
+    @raise Obs.Settings.Invalid on that first read if [ASURA_DOMAINS] is
+    malformed. *)
 
 val set_domains : int -> unit
 (** Set the parallelism degree (clamped to at least 1). *)

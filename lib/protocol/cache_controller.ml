@@ -94,4 +94,3 @@ let scenarios =
   ]
 
 let spec = make ~name:"C" ~inputs ~outputs ~scenarios
-let table () = Ctrl_spec.table spec

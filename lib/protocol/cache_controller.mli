@@ -13,4 +13,3 @@
     [snack] (data-expecting snoops). *)
 
 val spec : Ctrl_spec.t
-val table : unit -> Relalg.Table.t

@@ -86,7 +86,6 @@ let domain t col =
   | None -> invalid "%s: unknown column %s" t.name col
 
 let scenarios t = t.scenarios
-let find_scenario t label = List.find_opt (fun s -> s.label = label) t.scenarios
 
 (* The box of a scenario restricted to a set of input columns: mentioned
    columns must match their spec, unmentioned ones are pinned to NULL. *)

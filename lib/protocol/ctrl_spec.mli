@@ -55,7 +55,6 @@ val domain : t -> string -> Relalg.Value.t list
 (** Column table contents (includes [Null]). @raise Invalid_controller. *)
 
 val scenarios : t -> scenario list
-val find_scenario : t -> string -> scenario option
 
 val guard : t -> scenario -> Relalg.Expr.t
 (** The scenario's full box over all input columns (unmentioned inputs

@@ -475,14 +475,6 @@ let scenarios =
 let spec = make ~name:"D" ~inputs ~outputs ~scenarios
 let table () = Ctrl_spec.table spec
 
-let readex_scenario_labels =
-  List.filter_map
-    (fun s ->
-      if String.length s.label >= 6 && String.sub s.label 0 6 = "readex" then
-        Some s.label
-      else None)
-    scenarios
-
 (* Figure 3 of the paper: the readex rows with busy states folded into the
    dirst/dirpv columns, projected onto the paper's eight columns. *)
 let figure3 () =

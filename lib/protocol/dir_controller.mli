@@ -44,10 +44,6 @@ val busy_retry_label : string
 (** The scenario serializing requests against busy lines — the target of
     the seeded-bug experiment that breaks the serialization invariant. *)
 
-val readex_scenario_labels : string list
-(** The scenarios reproducing the paper's Figure 2/3 read-exclusive
-    transaction. *)
-
 val figure3 : unit -> Relalg.Table.t
 (** The paper's Figure 3: the readex-transaction rows of D projected onto
     (inmsg, dirst, dirpv, locmsg, remmsg, memmsg, nxtdirst, nxtdirpv),

@@ -43,4 +43,3 @@ let scenarios =
   ]
 
 let spec = make ~name:"IO" ~inputs ~outputs ~scenarios
-let table () = Ctrl_spec.table spec

@@ -6,4 +6,3 @@
     [nack] to the requester. *)
 
 val spec : Ctrl_spec.t
-val table : unit -> Relalg.Table.t

@@ -46,4 +46,3 @@ let scenarios =
   ]
 
 let spec = make ~name:"LK" ~inputs ~outputs ~scenarios
-let table () = Ctrl_spec.table spec

@@ -9,4 +9,3 @@
     on every channel. *)
 
 val spec : Ctrl_spec.t
-val table : unit -> Relalg.Table.t

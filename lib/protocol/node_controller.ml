@@ -131,4 +131,3 @@ let naive_retry_scenario =
   }
 
 let spec = make ~name:"N" ~inputs ~outputs ~scenarios
-let table () = Ctrl_spec.table spec

@@ -14,7 +14,6 @@
     the SQL deadlock check catching it. *)
 
 val spec : Ctrl_spec.t
-val table : unit -> Relalg.Table.t
 
 val naive_retry_scenario : Ctrl_spec.scenario
 (** The buggy "reissue on retry from the response path" scenario used by

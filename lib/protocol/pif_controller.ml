@@ -72,4 +72,3 @@ let scenarios =
   ]
 
 let spec = make ~name:"PIF" ~inputs ~outputs ~scenarios
-let table () = Ctrl_spec.table spec

@@ -8,4 +8,3 @@
     retry-backoff reissue safely (see {!Node_controller}). *)
 
 val spec : Ctrl_spec.t
-val table : unit -> Relalg.Table.t

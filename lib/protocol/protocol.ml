@@ -118,6 +118,3 @@ let tables () = List.map (fun c -> Ctrl_spec.table c.spec) controllers
 
 let database () =
   Message.register (Relalg.Database.of_tables (tables ()))
-
-let total_rows () =
-  List.fold_left (fun acc t -> acc + Relalg.Table.cardinality t) 0 (tables ())

@@ -63,4 +63,3 @@ val database : unit -> Relalg.Database.t
 (** A database containing all eight tables, with [isrequest] /
     [isresponse] registered. *)
 
-val total_rows : unit -> int

@@ -93,4 +93,3 @@ let scenarios =
   ]
 
 let spec = make ~name:"RAC" ~inputs ~outputs ~scenarios
-let table () = Ctrl_spec.table spec

@@ -8,4 +8,3 @@
     the RAC adds no VC3 → VC0 dependency. *)
 
 val spec : Ctrl_spec.t
-val table : unit -> Relalg.Table.t

@@ -1,30 +1,8 @@
 type cache_state = M | E | S | I_cache
 
-let cache_state_to_string = function M -> "M" | E -> "E" | S -> "S" | I_cache -> "I"
-
-let cache_state_of_string = function
-  | "M" -> Some M
-  | "E" -> Some E
-  | "S" -> Some S
-  | "I" -> Some I_cache
-  | _ -> None
-
 let all_cache_states = [ M; E; S; I_cache ]
 
 type dir_state = Dir_i | Dir_si | Dir_mesi
-
-let dir_state_to_string = function
-  | Dir_i -> "I"
-  | Dir_si -> "SI"
-  | Dir_mesi -> "MESI"
-
-let dir_state_of_string = function
-  | "I" -> Some Dir_i
-  | "SI" -> Some Dir_si
-  | "MESI" -> Some Dir_mesi
-  | _ -> None
-
-let all_dir_states = [ Dir_i; Dir_si; Dir_mesi ]
 
 type txn =
   | T_read

@@ -17,8 +17,6 @@
 
 type cache_state = M | E | S | I_cache
 
-val cache_state_to_string : cache_state -> string
-val cache_state_of_string : string -> cache_state option
 val all_cache_states : cache_state list
 
 (** {1 Directory states} *)
@@ -27,10 +25,6 @@ type dir_state =
   | Dir_i  (** not cached anywhere *)
   | Dir_si  (** shared or invalid: clean copies may exist *)
   | Dir_mesi  (** possibly modified/exclusive at exactly one node *)
-
-val dir_state_to_string : dir_state -> string
-val dir_state_of_string : string -> dir_state option
-val all_dir_states : dir_state list
 
 (** {1 Busy states} *)
 

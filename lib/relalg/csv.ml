@@ -107,7 +107,7 @@ let records src =
 let of_string_lines ~name src =
   match records src with
   | [] -> raise (Csv_error { line = 1; message = "empty document" })
-  | (_, header) :: rest ->
+  | (header_line, header) :: rest ->
       let columns =
         List.map
           (function
@@ -115,7 +115,13 @@ let of_string_lines ~name src =
             | v -> Value.to_string v)
           header
       in
-      let schema = Schema.of_list columns in
+      let schema =
+        try Schema.of_list columns
+        with Schema.Duplicate_column c ->
+          raise
+            (Csv_error
+               { line = header_line; message = Printf.sprintf "duplicate column %S" c })
+      in
       let arity = Schema.arity schema in
       let rows =
         List.map

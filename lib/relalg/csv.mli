@@ -15,8 +15,8 @@ val to_string : Table.t -> string
 
 val of_string : name:string -> string -> Table.t
 (** Parse a CSV document; the first line is the schema.
-    @raise Csv_error on ragged rows or unterminated quotes, naming the
-    file line the row starts on. *)
+    @raise Csv_error on ragged rows, unterminated quotes or a header
+    naming a column twice, naming the file line the row starts on. *)
 
 val of_string_lines : name:string -> string -> Table.t * int array
 (** {!of_string}, plus the file line each data row starts on (the

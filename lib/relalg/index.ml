@@ -33,7 +33,6 @@ let lookup_idx t v =
 
 let lookup t v = List.map (Table.get t.source) (lookup_idx t v)
 let lookup_gather t v = Table.gather t.source (lookup_idx t v)
-let distinct_keys t = Hashtbl.length t.buckets
 
 (* One entry per (table name, column), remembering the Table.id of the
    snapshot it indexes: a CREATE TABLE … AS that re-registers the name

@@ -38,8 +38,6 @@ val cached : Table.t -> string -> t
     column).  An entry built from another snapshot of the same name (a
     different {!Table.id}) is rebuilt. *)
 
-val distinct_keys : t -> int
-
 val consistent : t -> Table.t -> bool
 (** Every row of the table is reachable through the index and vice versa
     (used by the property tests). *)

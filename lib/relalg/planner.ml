@@ -7,27 +7,6 @@
    The row-at-a-time reference engine ({!Oracle}) is for the
    differential tests only; nothing here calls it. *)
 
-(* ASURA_PLAN_BUILD=left|right overrides {!equi_join}'s build-side
-   choice.  This is the deterministic "planted plan regression" knob:
-   the structural fingerprint covers the build side, so flipping it is
-   exactly what `asura plan diff --strict` and the CI plan gate must
-   catch.  Read dynamically.  The empty string reads as unset; any
-   other value is malformed, which the CLI refuses ({!env_invalid})
-   rather than silently running the planner's own choice. *)
-let parse_build_side = function
-  | "left" | "LEFT" | "l" -> Some (Some true)
-  | "right" | "RIGHT" | "r" -> Some (Some false)
-  | "" -> Some None
-  | _ -> None
-
-let forced_build_side () =
-  Option.join (Option.bind (Sys.getenv_opt "ASURA_PLAN_BUILD") parse_build_side)
-
-let env_invalid () =
-  match Sys.getenv_opt "ASURA_PLAN_BUILD" with
-  | Some v when parse_build_side v = None -> Some v
-  | _ -> None
-
 (* ------------------------- annotated plans ---------------------------- *)
 
 type keys = (string * [ `Asc | `Desc ]) list
@@ -811,10 +790,11 @@ let scan t =
 
 let equi_join ~on ta tb =
   let na = Table.cardinality ta and nb = Table.cardinality tb in
-  (* build on the smaller side (ties: left), unless a plan-gate
-     regression drill forces a side *)
+  (* build on the smaller side (ties: left), unless ASURA_PLAN_BUILD
+     forces a side: the planted regression the plan gate drills with,
+     since the structural fingerprint covers the build side *)
   let build_left =
-    match forced_build_side () with Some b -> b | None -> na <= nb
+    match Obs.Settings.plan_build () with Some b -> b | None -> na <= nb
   in
   recorded [ ta; tb ]
     (fun () ->

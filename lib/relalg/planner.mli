@@ -16,20 +16,6 @@
     no production caller reaches it, and differential tests compare the
     two. *)
 
-val forced_build_side : unit -> bool option
-(** [ASURA_PLAN_BUILD=left|right] overrides {!equi_join}'s build-side
-    choice (read dynamically); [Some true] means build-left.  The
-    deterministic "planted plan regression" knob the plan gate drills
-    with: the structural fingerprint covers the build side, so forcing
-    the non-chosen side is exactly what [asura plan diff --strict] must
-    catch. *)
-
-val env_invalid : unit -> string option
-(** The value of [ASURA_PLAN_BUILD] when it is set to anything but
-    [left]/[right] (or [LEFT]/[RIGHT], [l]/[r]) or the empty string
-    (unset): {!forced_build_side} ignores such a value, so the CLI
-    refuses it (exit 2) instead of running without the drill. *)
-
 type keys = (string * [ `Asc | `Desc ]) list
 
 type op =
@@ -142,9 +128,12 @@ val equi_join : on:(string * string) list -> Table.t -> Table.t -> Table.t
 (** The join on [(left col, right col)] pairs, as the reference join:
     all left columns, then the right columns that are not keys, pairs in
     left-major order.  The hash table is built on the smaller input
-    (ties: left) unless {!forced_build_side} says otherwise.  Recorded
-    as [join [l=r, …]], estimated at |A|·|B| over the larger side's
-    distinct key count. *)
+    (ties: left) unless [ASURA_PLAN_BUILD] ({!Obs.Settings.plan_build},
+    read on every call) forces a side: the deterministic "planted plan
+    regression" the plan gate drills with, since the structural
+    fingerprint covers the build side.  Recorded as [join [l=r, …]],
+    estimated at |A|·|B| over the larger side's distinct key count.
+    @raise Obs.Settings.Invalid if [ASURA_PLAN_BUILD] is malformed. *)
 
 val select :
   ?funcs:Expr.funcs -> ?keep:string list -> Expr.t -> Table.t -> Table.t

@@ -61,16 +61,3 @@ let rec pp_query fmt = function
   | Except (a, b) -> Format.fprintf fmt "(%a except %a)" pp_query a pp_query b
   | Intersect (a, b) ->
       Format.fprintf fmt "(%a intersect %a)" pp_query a pp_query b
-
-let pp_statement fmt = function
-  | Query q -> pp_query fmt q
-  | Create_table_as (n, q) ->
-      Format.fprintf fmt "create table %s as %a" n pp_query q
-  | Insert (n, rows) ->
-      Format.fprintf fmt "insert into %s values %s" n
-        (String.concat ", "
-           (List.map
-              (fun vs ->
-                "(" ^ String.concat ", " (List.map Value.to_sql vs) ^ ")")
-              rows))
-  | Drop_table n -> Format.fprintf fmt "drop table %s" n

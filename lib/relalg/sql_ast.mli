@@ -43,4 +43,3 @@ type statement =
   | Drop_table of string
 
 val pp_query : Format.formatter -> query -> unit
-val pp_statement : Format.formatter -> statement -> unit

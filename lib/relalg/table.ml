@@ -137,13 +137,6 @@ let fold f init t =
   done;
   !acc
 
-let iter_column f t col =
-  let j = Schema.index t.schema col in
-  let { dict; buf } = t.cols.(j) in
-  for i = 0 to t.nrows - 1 do
-    f (Dict.value dict buf.data.(i))
-  done
-
 (* shared tail of gather/filter_idx: copy rows [idx.(0..m-1)] of every
    column with a tight loop; when the index is the identity over the
    whole table, share the column records instead (safe for the same
@@ -317,9 +310,6 @@ let to_string t =
 
 let pp fmt t =
   Format.fprintf fmt "%s [%d rows]@.%s" t.name (cardinality t) (to_string t)
-
-let row_assoc t row =
-  List.mapi (fun i c -> c, row.(i)) (Schema.columns t.schema)
 
 let distinct_dicts t =
   Array.fold_left

@@ -64,8 +64,6 @@ val get : t -> int -> Row.t
 
 val iter : (Row.t -> unit) -> t -> unit
 val fold : ('a -> Row.t -> 'a) -> 'a -> t -> 'a
-val iter_column : (Value.t -> unit) -> t -> string -> unit
-(** Iterate one column top to bottom without decoding whole rows. *)
 
 val filter : (Row.t -> bool) -> t -> t
 val map_rows : (Row.t -> Row.t) -> t -> t
@@ -90,9 +88,6 @@ val to_string : t -> string
 (** Aligned textual rendering with a header line, as in Figure 3. *)
 
 val pp : Format.formatter -> t -> unit
-
-val row_assoc : t -> Row.t -> (string * Value.t) list
-(** A row as (column, value) pairs, in schema order. *)
 
 (** {1 Columnar access}
 

@@ -111,6 +111,45 @@ let test_vcassign_multiline_cell_lines () =
       Alcotest.(check (pair int string)) "short row on line 6"
         (6, "expected 4 cells, got 3") (line, message)
 
+(* An assignment file is external input: arbitrary text, and the three
+   standard assignments' exported CSV truncated, spliced, overwritten or
+   with a line dropped or doubled, gives an assignment or raises
+   [Csv_error] / [Vcassign.Invalid], never another exception. *)
+let gen_vcassign_text =
+  let open QCheck2.Gen in
+  let char = oneofl (List.of_seq (String.to_seq "mVC4,\"\r\n\000 ")) in
+  let exported =
+    map
+      (fun v -> Relalg.Csv.to_string (Vcassign.to_table v))
+      (oneofl [ Vcassign.initial; Vcassign.with_vc4; Vcassign.debugged ])
+  in
+  let mutated =
+    let* s = exported in
+    let* i = int_bound (String.length s) in
+    let* c = char in
+    let lines = String.split_on_char '\n' s in
+    let* k = int_bound (List.length lines - 1) in
+    let line_edit f = String.concat "\n" (List.concat (List.mapi f lines)) in
+    oneofl
+      [
+        String.sub s 0 i;
+        String.sub s 0 i ^ String.make 1 c ^ String.sub s i (String.length s - i);
+        String.mapi (fun j x -> if j = i then c else x) s;
+        line_edit (fun j l -> if j = k then [] else [ l ]);
+        line_edit (fun j l -> if j = k then [ l; l ] else [ l ]);
+      ]
+  in
+  oneof [ mutated; string_size ~gen:char (int_range 0 40) ]
+
+let prop_vcassign_of_csv_total =
+  QCheck2.Test.make ~count:1000
+    ~name:"Vcassign.of_csv returns an assignment or raises Csv_error/Invalid"
+    ~print:(Printf.sprintf "%S") gen_vcassign_text
+    (fun src ->
+      match Vcassign.of_csv ~name:"fuzz" src with
+      | _ -> true
+      | exception (Relalg.Csv.Csv_error _ | Vcassign.Invalid _) -> true)
+
 let test_vcassign_edit () =
   let v = Vcassign.reassign Vcassign.initial ~msg:"mread" ~src:"home" ~dst:"home" ~vc:"VC9" in
   check "reassign" true
@@ -761,6 +800,7 @@ let suite =
     Alcotest.test_case "assignment editing" `Quick test_vcassign_edit;
     Alcotest.test_case "assignment tables are validated" `Quick
       test_vcassign_rejects_bad_tables;
+    Test_seed.to_alcotest prop_vcassign_of_csv_total;
     Alcotest.test_case "CSV rows are named by their first file line" `Quick
       test_vcassign_multiline_cell_lines;
     Alcotest.test_case "individual dependency tables" `Quick test_individual_dependencies;

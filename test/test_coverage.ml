@@ -209,7 +209,12 @@ let test_manifest_write_round_trip () =
   Obs.Runlog.configure ~dir ~cmd:"testcmd" ~argv:[| "asura"; "testcmd" |];
   Obs.Runlog.note "answer" (Obs.Json.Int 42);
   Obs.Runlog.note "answer" (Obs.Json.Int 43);
-  (match Obs.Runlog.write () with
+  (* the manifest records each ASURA_* knob's parsed value *)
+  let written, settings =
+    Test_env.with_env "ASURA_PLAN_BUILD" "l" (fun () ->
+        (Obs.Runlog.write (), Obs.Settings.to_json ()))
+  in
+  (match written with
   | None -> Alcotest.fail "configured runlog refused to write"
   | Some path ->
       let ic = open_in_bin path in
@@ -224,7 +229,15 @@ let test_manifest_write_round_trip () =
       check_string "cmd" "testcmd"
         (Option.get (Obs.Json.to_str (member_exn "cmd" j)));
       check "note replaced, not duplicated" true
-        (Obs.Json.to_number (member_exn "answer" j) = Some 43.));
+        (Obs.Json.to_number (member_exn "answer" j) = Some 43.);
+      let recorded = member_exn "settings" j in
+      check "settings member is Settings.to_json" true (recorded = settings);
+      Alcotest.(check (list string))
+        "one member per knob"
+        [ "ASURA_DOMAINS"; "ASURA_FLIGHTREC"; "ASURA_PLAN_BUILD" ]
+        (match recorded with Obs.Json.Obj kvs -> List.map fst kvs | _ -> []);
+      check "ASURA_PLAN_BUILD=l is recorded as left" true
+        (Obs.Json.member "ASURA_PLAN_BUILD" recorded = Some (Obs.Json.Str "left")));
   Obs.Runlog.reset ()
 
 let test_heartbeat_tick () =

@@ -301,6 +301,36 @@ let test_default_engine_is_packed () =
       check "same counts, depth profile and reachable states" true
         (observe r = observe oracle))
 
+(* Above one participant the steal engine's depths follow the discovery
+   order, so both printers say so; at one domain they print the BFS
+   depth as before. *)
+let test_depth_marked_schedule_dependent () =
+  let cfg = config [ "load"; "store" ] in
+  let contains sub s =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let printed d =
+    Par.Pool.with_domains d (fun () ->
+        let r = Explore.run ~tables:(Lazy.force tables) cfg in
+        ( r.Explore.participants,
+          Format.asprintf "%a" Explore.pp_result r,
+          Format.asprintf "%a" Explore.pp_depth_profile r ))
+  in
+  let p1, line1, profile1 = printed 1 and p2, line2, profile2 = printed 2 in
+  check_int "one participant" 1 p1;
+  check_int "two participants" 2 p2;
+  check "one domain: summary unmarked" false (contains "schedule-dependent" line1);
+  check "one domain: BFS depth profile" true
+    (contains "(states expanded per BFS depth):" profile1);
+  check "two domains: summary marked" true
+    (contains "engine=steal (schedule-dependent depth)" line2);
+  check "two domains: profile marked" true
+    (contains "schedule-dependent at 2 participants" profile2);
+  check "oracle unmarked" true
+    ((Explore.run_reference ~tables:(Lazy.force tables) cfg).Explore.participants = 1)
+
 (* The packed layout holds per-field widths and dictionaries only, so
    building it costs the same at 9 nodes as at 2; a table of all
    [nodes!] permutations would allocate tens of millions of words. *)
@@ -512,6 +542,8 @@ let suite =
     Alcotest.test_case "bounded search reports incomplete" `Quick test_bounded_search_reports_incomplete;
     Alcotest.test_case "elapsed is wall time" `Quick test_elapsed_is_wall_time;
     Alcotest.test_case "default engine is packed at one domain" `Quick test_default_engine_is_packed;
+    Alcotest.test_case "depth marked schedule-dependent above one participant"
+      `Quick test_depth_marked_schedule_dependent;
     Alcotest.test_case "layout cost is not factorial in nodes" `Quick
       test_layout_not_factorial;
     Alcotest.test_case "snoops reach nodes 16 and up" `Quick

@@ -343,6 +343,61 @@ let test_reset_keeps_cached_handles () =
   check "pruning counters listed after a reset" true (after <> []);
   Alcotest.(check (list int)) "same counts as before the reset" before after
 
+(* ------------------------------ settings ------------------------------ *)
+
+(* Each knob's declaration accepts exactly the spellings asura accepts
+   and refuses the rest with the line the binaries print.  Only
+   ASURA_PLAN_BUILD goes through the environment: Test_env restores an
+   unset variable as "", which the other two refuse. *)
+let test_settings_spellings () =
+  let outcome parse v =
+    match parse v with
+    | x -> Ok x
+    | exception Obs.Settings.Invalid line -> Error line
+  in
+  let cases name parse pp accepted refused_values expected =
+    List.iter
+      (fun (v, want) ->
+        check (Printf.sprintf "%s=%S accepted" name v) true
+          (outcome parse v = Ok want))
+      accepted;
+    List.iter
+      (fun v ->
+        check_string
+          (Printf.sprintf "%s=%S refused" name v)
+          (Printf.sprintf "%s %s (got %S)" name expected v)
+          (match outcome parse v with Error l -> l | Ok x -> "accepted " ^ pp x))
+      refused_values
+  in
+  let int_domains = "must be an integer >= 1" in
+  cases "ASURA_DOMAINS" (Obs.Settings.parse_domains ~name:"ASURA_DOMAINS")
+    string_of_int
+    [ ("1", 1); ("4", 4); ("+3", 3); ("0x2", 2) ]
+    [ "0"; "-2"; "x"; "abc"; ""; " 2"; "2 "; "99999999999999999999" ]
+    int_domains;
+  cases "--domains" (Obs.Settings.parse_domains ~name:"--domains")
+    string_of_int [ ("2", 2) ] [ "0"; "x" ] int_domains;
+  cases "ASURA_FLIGHTREC" Obs.Settings.parse_flightrec string_of_bool
+    [ ("on", true); ("1", true); ("true", true); ("yes", true);
+      ("off", false); ("0", false); ("false", false); ("no", false) ]
+    [ "offf"; "2"; "enabled"; ""; "ON"; " on" ]
+    "must be on or off (or 1/0, true/false, yes/no)";
+  cases "ASURA_PLAN_BUILD" Obs.Settings.parse_plan_build
+    (function None -> "unset" | Some b -> string_of_bool b)
+    [ ("left", Some true); ("LEFT", Some true); ("l", Some true);
+      ("right", Some false); ("RIGHT", Some false); ("r", Some false);
+      ("", None) ]
+    [ "lfet"; "both"; "1"; " left"; "Left" ]
+    "must be left or right (or LEFT/RIGHT, l/r)";
+  (* the environment path: read on every call, "" recorded as null *)
+  let recorded v =
+    Test_env.with_env "ASURA_PLAN_BUILD" v (fun () ->
+        ( Obs.Settings.plan_build (),
+          Obs.Json.member "ASURA_PLAN_BUILD" (Obs.Settings.to_json ()) ))
+  in
+  check "right" true (recorded "right" = (Some false, Some (Obs.Json.Str "right")));
+  check "empty is unset" true (recorded "" = (None, Some Obs.Json.Null))
+
 let suite =
   [
     ( "reset keeps cached registry handles live",
@@ -356,6 +411,7 @@ let suite =
     "counter aggregation across registries", `Quick, test_counter_aggregation;
     "chrome trace json round trip", `Quick, test_chrome_roundtrip;
     "json parser", `Quick, test_json_parser;
-    QCheck_alcotest.to_alcotest prop_json_parse_total;
+    Test_seed.to_alcotest prop_json_parse_total;
     "report rendering", `Quick, test_report_render;
+    "settings: accepted and refused spellings", `Quick, test_settings_spellings;
   ]

@@ -296,7 +296,18 @@ let test_csv_errors () =
      with Csv.Csv_error _ -> true);
   check "unterminated quote" true
     (try ignore (Csv.of_string ~name:"x" "a\n\"oops\n"); false
-     with Csv.Csv_error _ -> true)
+     with Csv.Csv_error _ -> true);
+  (* a header naming a column twice (two empty cells read alike) is a
+     CSV error on line 1, not an escaping schema exception *)
+  List.iter
+    (fun (src, message) ->
+      Alcotest.(check (pair int string))
+        (Printf.sprintf "duplicate column in %S" src)
+        (1, message)
+        (match Csv.of_string ~name:"x" src with
+        | _ -> (0, "accepted")
+        | exception Csv.Csv_error { line; message } -> (line, message)))
+    [ ("a,a\n1,2\n", "duplicate column \"a\""); (",\n1,2\n", "duplicate column \"-\"") ]
 
 let test_csv_on_controller_table () =
   let d = Protocol.Dir_controller.table () in
@@ -333,6 +344,28 @@ let prop_csv_roundtrip =
       in
       Table.equal_as_sets t (Csv.of_string ~name:"q" (Csv.to_string t)))
 
+(* CSV is external input: any text parses to a table or raises
+   [Csv_error], never another exception. *)
+let csv_chars = "ab1.-,\"\r\n\000 "
+
+let gen_csv_text =
+  let open QCheck2.Gen in
+  let text = string_size ~gen:(oneofl (List.of_seq (String.to_seq csv_chars))) (int_range 0 40) in
+  oneof
+    [
+      text;
+      map2 ( ^ ) (oneofl [ "m,s,d,v\n"; "a,a\n"; ",\n"; "\"a\n\n\",b\n" ]) text;
+    ]
+
+let prop_csv_of_string_total =
+  QCheck2.Test.make ~count:3000
+    ~name:"Csv.of_string returns a table or raises Csv_error"
+    ~print:(Printf.sprintf "%S") gen_csv_text
+    (fun src ->
+      match Csv.of_string ~name:"fuzz" src with
+      | _ -> true
+      | exception Csv.Csv_error _ -> true)
+
 let suite =
   [
     Alcotest.test_case "query translation" `Quick test_translation;
@@ -351,4 +384,5 @@ let suite =
     Alcotest.test_case "csv on a derived table" `Quick test_csv_roundtrip_derived;
     Test_seed.to_alcotest prop_optimize_sound;
     Test_seed.to_alcotest prop_csv_roundtrip;
+    Test_seed.to_alcotest prop_csv_of_string_total;
   ]

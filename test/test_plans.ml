@@ -404,15 +404,30 @@ let test_suite_plans_doubled () =
 
 (* A malformed ASURA_PLAN_BUILD is reported, not read as unset: a typo
    must not silently turn the planted-regression drill off.  The empty
-   string is how a test hands an unset variable back. *)
+   string is how a test hands an unset variable back.  The binaries
+   refuse it through [Settings.check]; the join itself raises. *)
 let test_plan_build_env_invalid () =
+  let db = Lazy.force fixture_db in
+  let a = Database.find db "a" and b = Database.find db "b" in
   List.iter
     (fun (v, invalid) ->
       Test_env.with_env "ASURA_PLAN_BUILD" v (fun () ->
+          let line =
+            if invalid then
+              Some
+                (Printf.sprintf
+                   "ASURA_PLAN_BUILD must be left or right (or LEFT/RIGHT, \
+                    l/r) (got %S)"
+                   v)
+            else None
+          in
+          let name = Printf.sprintf "ASURA_PLAN_BUILD=%S" v in
+          Alcotest.(check (option string)) name line (Obs.Settings.check ());
           Alcotest.(check (option string))
-            (Printf.sprintf "ASURA_PLAN_BUILD=%S" v)
-            (if invalid then Some v else None)
-            (Planner.env_invalid ())))
+            (name ^ ": equi_join") line
+            (match Planner.equi_join ~on:[ ("k", "k") ] a b with
+            | _ -> None
+            | exception Obs.Settings.Invalid l -> Some l)))
     [ ("lfet", true); ("both", true); (" left", true); ("left", false);
       ("RIGHT", false); ("r", false); ("", false) ]
 
