@@ -350,7 +350,8 @@ let cached_layout tables (config : Semantics.config) =
 (* Per-participant bookkeeping of the stealing engine.  Everything
    order-free (counts, per-depth sums) merges after the join; anything
    schedule-dependent (depths under racing discovery orders, the
-   frontier gauge) is documented as approximate in steal mode. *)
+   frontier gauge) is documented as approximate in steal mode.  Each
+   participant keys its successors through its own scratch writer. *)
 type sacc = {
   sa_self : int;
   mutable sa_explored : int;
@@ -359,6 +360,7 @@ type sacc = {
   mutable sa_max_depth : int;
   sa_per_depth : (int, int) Hashtbl.t;
   mutable sa_violation : violation option;
+  sa_writer : Pack.writer;
 }
 
 (* The frontier never synchronizes: per-participant deques with
@@ -379,14 +381,19 @@ let run_steal ~max_states ~keep_states ~state_key ~symmetry
      same first-match row, a fraction of the guard scans; the boxed
      reference engine keeps the naive scan *)
   let tables = indexed_tables tables in
-  let key_of =
-    if symmetry then Pack.canonical layout else Pack.pack ?perm:None layout
-  in
   let visited = Pack.Vset.create ?compact_bits () in
+  (* key [st] in the writer and insert it; [true] iff it was new *)
+  let fresh wr st =
+    let len =
+      if symmetry then Pack.canonical_into wr layout st
+      else Pack.pack_into wr layout st
+    in
+    Pack.Vset.add_words visited (Pack.buffer wr) len
+  in
   let initial =
     Mstate.initial ~nodes:config.Semantics.nodes ~addrs:config.addrs
   in
-  ignore (Pack.Vset.add visited (key_of initial) : bool);
+  ignore (fresh (Pack.writer ()) initial : bool);
   let budget = Atomic.make max_states in
   let truncated = Atomic.make false in
   let inflight = Atomic.make 1 in
@@ -402,6 +409,7 @@ let run_steal ~max_states ~keep_states ~state_key ~symmetry
           sa_max_depth = 0;
           sa_per_depth = Hashtbl.create 64;
           sa_violation = None;
+          sa_writer = Pack.writer ();
         })
       ~work:(fun acc ctl (st, depth) ->
         Atomic.decr inflight;
@@ -412,7 +420,9 @@ let run_steal ~max_states ~keep_states ~state_key ~symmetry
         end
         else begin
           acc.sa_explored <- acc.sa_explored + 1;
-          Obs.Flightrec.record ~tag:Obs.Flightrec.tag_expand ~a:depth
+          (* one ring lookup for this state's expand and dedup records *)
+          let ring = Obs.Flightrec.local () in
+          Obs.Flightrec.record_in ring ~tag:Obs.Flightrec.tag_expand ~a:depth
             ~b:(Atomic.get inflight) ~c:0;
           Hashtbl.replace acc.sa_per_depth depth
             (1 + Option.value (Hashtbl.find_opt acc.sa_per_depth depth) ~default:0);
@@ -450,8 +460,8 @@ let run_steal ~max_states ~keep_states ~state_key ~symmetry
                             Some { kind = classify detail; detail; trace = [] };
                         ctl.Par.Pool.stop ()
                     | Semantics.Next st' ->
-                        if Pack.Vset.add visited (key_of st') then begin
-                          Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup
+                        if fresh acc.sa_writer st' then begin
+                          Obs.Flightrec.record_in ring ~tag:Obs.Flightrec.tag_dedup
                             ~a:(depth + 1) ~b:0 ~c:0;
                           let n = Atomic.fetch_and_add inflight 1 + 1 in
                           if n > Atomic.get maxfront then Atomic.set maxfront n;
@@ -459,7 +469,7 @@ let run_steal ~max_states ~keep_states ~state_key ~symmetry
                         end
                         else begin
                           acc.sa_dedup <- acc.sa_dedup + 1;
-                          Obs.Flightrec.record ~tag:Obs.Flightrec.tag_dedup
+                          Obs.Flightrec.record_in ring ~tag:Obs.Flightrec.tag_dedup
                             ~a:(depth + 1) ~b:1 ~c:0
                         end)
                   succs

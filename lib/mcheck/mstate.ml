@@ -158,7 +158,19 @@ let canonical_key ~nodes t =
     None (permutations ids)
   |> Option.get
 
-let update_nth l i f = List.mapi (fun j x -> if i = j then f x else x) l
+(* [l] with element [i] replaced by [x] ([l] itself past its end) *)
+let rec replace_nth l i x =
+  match l with
+  | [] -> []
+  | y :: rest -> if i = 0 then x :: rest else y :: replace_nth rest (i - 1) x
+
+(* [rows] with cell [j] of row [i] replaced by [x] *)
+let rec replace_cell rows i j x =
+  match rows with
+  | [] -> []
+  | row :: rest ->
+      if i = 0 then replace_nth row j x :: rest
+      else row :: replace_cell rest (i - 1) j x
 
 (* the order of [queues]: source, destination, class id *)
 let compare_key ((s, d, c) : int * int * sym) (s', d', c') =
@@ -178,19 +190,29 @@ let enqueue t ~cls msg =
   in
   { t with queues = go t.queues }
 
+(* [queues] without the head message of channel [k]; a channel it
+   empties is removed *)
+let rec drop_head k = function
+  | [] -> []
+  | ((k', q) as entry) :: rest ->
+      if compare_key k' k <> 0 then entry :: drop_head k rest
+      else (
+        match q with
+        | [] | [ _ ] -> rest
+        | _ :: q' -> (k', q') :: rest)
+
+let rec head k = function
+  | [] -> None
+  | (k', q) :: rest ->
+      if compare_key k' k <> 0 then head k rest
+      else (match q with [] -> None | msg :: _ -> Some msg)
+
 let dequeue t k =
-  let rec go = function
-    | [] -> None
-    | ((k', q) as entry) :: rest ->
-        if compare_key k' k <> 0 then
-          Option.map (fun (msg, rest') -> msg, entry :: rest') (go rest)
-        else (
-          match q with
-          | [] -> None
-          | [ msg ] -> Some (msg, rest)
-          | msg :: q' -> Some (msg, (k', q') :: rest))
-  in
-  Option.map (fun (msg, queues) -> msg, { t with queues }) (go t.queues)
+  match head k t.queues with
+  | None -> None
+  | Some msg -> Some (msg, { t with queues = drop_head k t.queues })
+
+let without_head t k = { t with queues = drop_head k t.queues }
 
 let queue_heads t =
   List.filter_map
@@ -198,22 +220,16 @@ let queue_heads t =
     t.queues
 
 let addr_state t a = List.nth t.addrs a
-let set_addr t a st = { t with addrs = update_nth t.addrs a (fun _ -> st) }
+let set_addr t a st = { t with addrs = replace_nth t.addrs a st }
 let cache t ~node ~addr = List.nth (List.nth t.caches node) addr
 
 let set_cache t ~node ~addr st =
-  {
-    t with
-    caches = update_nth t.caches node (fun row -> update_nth row addr (fun _ -> st));
-  }
+  { t with caches = replace_cell t.caches node addr st }
 
 let pending t ~node ~addr = List.nth (List.nth t.pend node) addr
 
 let set_pending t ~node ~addr op =
-  {
-    t with
-    pend = update_nth t.pend node (fun row -> update_nth row addr (fun _ -> op));
-  }
+  { t with pend = replace_cell t.pend node addr op }
 
 let popcount mask =
   let rec go acc m = if m = 0 then acc else go (acc + (m land 1)) (m lsr 1) in

@@ -116,6 +116,11 @@ val canonical_key : nodes:int -> t -> string
 
 val enqueue : t -> cls:sym -> msg -> t
 val dequeue : t -> int * int * sym -> (msg * t) option
+
+val without_head : t -> int * int * sym -> t
+(** The state after its channel's head message leaves: the second half
+    of {!dequeue}, for a caller that already holds the head. *)
+
 val queue_heads : t -> ((int * int * sym) * msg) list
 
 val addr_state : t -> int -> addr_state

@@ -169,32 +169,57 @@ let cls_code s =
 let word_bits = 62
 let word_mask = (1 lsl word_bits) - 1
 
+(* A writer is the whole scratch of one encoder: the word buffer plus
+   every array a pack or a canonical scan needs, each grown on demand
+   and reused, so a participant that owns one writer keys a state
+   without allocating.  The buffer may be longer than the encoding: an
+   encoding is [buf.(0 .. n-1)] for the [n] the encode call returns. *)
 type writer = {
   mutable buf : int array;
   mutable iw : int;  (* index of the open word *)
   mutable acc : int;  (* the open word's bits so far *)
   mutable ib : int;  (* bits used in the open word *)
   (* Canonical-scan cutoff.  While [cut_i >= 0], every word the writer
-     completes is compared against the incumbent minimum [cut]: the
+     completes is compared against the incumbent minimum [best]: the
      moment a completed word is greater the whole encoding is provably
      greater (words are written most-significant-field first and never
      touched again once completed), so the pack aborts with {!Cut}; a
      smaller word decides the scan the other way and disables further
      compares ([cut_i <- -1]).  [-1] also means "no cutoff". *)
-  mutable cut : int array;
   mutable cut_i : int;
+  mutable best : int array;
+  mutable best_len : int;  (* 0 while the scan has no incumbent *)
+  (* channel sort: one int key per channel and its FIFO, in key order *)
+  mutable keys : int array;
+  mutable qs : Mstate.msg list array;
+  (* per-node rows, indexed by original node *)
+  mutable cache_rows : Mstate.sym list array;
+  mutable pend_rows : Mstate.sym option list array;
+  (* canonical scan: signatures, the packing order, tie groups and the
+     permutation the order induces *)
+  mutable sg : int array;
+  mutable order : int array;
+  mutable tie_end : int array;
+  mutable perm : int array;
 }
 
 exception Cut
 
-let writer () = { buf = [||]; iw = 0; acc = 0; ib = 0; cut = [||]; cut_i = -1 }
+let writer () =
+  {
+    buf = [||]; iw = 0; acc = 0; ib = 0; cut_i = -1; best = [||]; best_len = 0;
+    keys = [||]; qs = [||]; cache_rows = [||]; pend_rows = [||]; sg = [||];
+    order = [||]; tie_end = [||]; perm = [||];
+  }
+
+let buffer wr = wr.buf
 
 let complete wr word =
   let i = wr.iw in
   wr.buf.(i) <- word;
   wr.iw <- i + 1;
-  if wr.cut_i >= 0 && i < Array.length wr.cut then begin
-    let b = Array.unsafe_get wr.cut i in
+  if wr.cut_i >= 0 then begin
+    let b = wr.best.(i) in
     if word > b then raise Cut
     else if word < b then wr.cut_i <- -1
     else wr.cut_i <- i + 1
@@ -233,6 +258,22 @@ let start wr words =
    words-1)]. *)
 let close wr = if wr.ib > 0 then wr.buf.(wr.iw) <- wr.acc
 
+(* Scratch for [n] nodes and [chans] channels. *)
+let reserve wr ~n ~chans =
+  if Array.length wr.cache_rows < n then begin
+    wr.cache_rows <- Array.make n [];
+    wr.pend_rows <- Array.make n [];
+    wr.sg <- Array.make n 0;
+    wr.order <- Array.make n 0;
+    wr.tie_end <- Array.make n 0;
+    wr.perm <- Array.make n 0
+  end;
+  if Array.length wr.keys < chans then begin
+    let cap = max 8 (2 * chans) in
+    wr.keys <- Array.make cap 0;
+    wr.qs <- Array.make cap []
+  end
+
 type reader = { r_buf : int array; mutable r_bit : int }
 
 let reader v = { r_buf = v; r_bit = 0 }
@@ -250,7 +291,10 @@ let get rd ~width =
   rd.r_bit <- rd.r_bit + width;
   v
 
-(* ------------------------------ encode ------------------------------- *)
+(* ------------------------------ encode -------------------------------
+   Every walk over a state's lists is a top-level recursion taking what
+   it needs as arguments: a local closure over the writer would be
+   allocated on every call. *)
 
 let b2i b = if b then 1 else 0
 
@@ -263,6 +307,15 @@ let remap_mask m nodes mask =
 
 let remap_ep m e = if e >= 0 then m.(e) else e
 
+(* cells in the first [n] rows *)
+let rec row_cells n j acc = function
+  | row :: rows when j < n -> row_cells n (j + 1) (acc + List.length row) rows
+  | _ -> acc
+
+let rec queued acc = function
+  | [] -> acc
+  | (_, q) :: rest -> queued (acc + List.length q) rest
+
 (* The exact encoded length of [st] in words: the layout fixes every
    width, so only the channel and message counts vary. *)
 let words_of l (st : Mstate.t) =
@@ -272,87 +325,75 @@ let words_of l (st : Mstate.t) =
   in
   let per_msg = l.f_msg.width + (2 * l.w_ep) + l.w_addr + 1 in
   let per_chan = (2 * l.w_ep) + w_cls + l.w_qlen in
-  let rows = ref 0 in
-  List.iteri
-    (fun j row -> if j < l.nodes then rows := !rows + List.length row)
-    st.caches;
-  let pends = ref 0 in
-  List.iteri
-    (fun j row -> if j < l.nodes then pends := !pends + List.length row)
-    st.pend;
-  let chans = ref 0 and msgs = ref 0 in
-  List.iter
-    (fun (_, q) ->
-      incr chans;
-      msgs := !msgs + List.length q)
-    st.queues;
   let bits =
     (List.length st.addrs * per_addr)
-    + (!rows * l.f_cache.width)
-    + (!pends * (1 + l.f_pend.width))
-    + l.w_qcount + (!chans * per_chan) + (!msgs * per_msg)
+    + (row_cells l.nodes 0 0 st.caches * l.f_cache.width)
+    + (row_cells l.nodes 0 0 st.pend * (1 + l.f_pend.width))
+    + l.w_qcount
+    + (List.length st.queues * per_chan)
+    + (queued 0 st.queues * per_msg)
   in
   max 1 ((bits + word_bits - 1) / word_bits)
 
-let pack_into wr ?perm l (st : Mstate.t) =
-  let m, minv = match perm with Some p -> p | None -> l.id_perm in
-  start wr (words_of l st);
-  let put_busy = function
-    | None ->
-        put wr ~width:1 0;
-        put wr ~width:l.f_bst.width 0;
-        put wr ~width:l.w_ep 0;
-        put wr ~width:l.w_mask 0;
-        put wr ~width:l.w_mask 0;
-        put wr ~width:1 0
-    | Some (b : Mstate.busy) ->
-        put wr ~width:1 1;
-        put wr ~width:l.f_bst.width (code "bst" l.f_bst b.bst);
-        put wr ~width:l.w_ep (remap_ep m b.requester + 2);
-        put wr ~width:l.w_mask (remap_mask m l.nodes b.acks);
-        put wr ~width:l.w_mask (remap_mask m l.nodes b.snapshot);
-        put wr ~width:1 (b2i b.data_fresh)
-  in
-  List.iter
-    (fun (a : Mstate.addr_state) ->
+let rec put_addrs wr l m = function
+  | [] -> ()
+  | (a : Mstate.addr_state) :: rest ->
       put wr ~width:l.f_dirst.width (code "dirst" l.f_dirst a.dirst);
       put wr ~width:l.w_mask (remap_mask m l.nodes a.sharers);
       put wr ~width:1 (b2i a.mem_fresh);
-      put_busy a.busy)
-    st.addrs;
-  (* per-node rows, emitted in permuted order: output row i is the
-     original row m⁻¹(i), matching Mstate.permute's reorder *)
-  let caches = Array.of_list st.caches in
-  let pend = Array.of_list st.pend in
-  for i = 0 to l.nodes - 1 do
-    List.iter
-      (fun c -> put wr ~width:l.f_cache.width (code "cache" l.f_cache c))
-      caches.(minv.(i))
-  done;
-  for i = 0 to l.nodes - 1 do
-    List.iter
-      (fun p ->
-        match p with
-        | None ->
-            put wr ~width:1 0;
-            put wr ~width:l.f_pend.width 0
-        | Some op ->
-            put wr ~width:1 1;
-            put wr ~width:l.f_pend.width (code "pend" l.f_pend op))
-      pend.(minv.(i))
-  done;
-  (* channels, in the canonical (src+2, dst+2, class-code) order after
-     endpoint remapping: one int key per channel, insertion-sorted in
-     place (a handful of channels, no list to allocate); message FIFO
-     order is preserved *)
-  let n = List.length st.queues in
-  let keys = Array.make n 0 and qs = Array.make n [] in
-  List.iteri
-    (fun i ((src, dst, cls), q) ->
+      (match a.busy with
+      | None ->
+          put wr ~width:1 0;
+          put wr ~width:l.f_bst.width 0;
+          put wr ~width:l.w_ep 0;
+          put wr ~width:l.w_mask 0;
+          put wr ~width:l.w_mask 0;
+          put wr ~width:1 0
+      | Some b ->
+          put wr ~width:1 1;
+          put wr ~width:l.f_bst.width (code "bst" l.f_bst b.bst);
+          put wr ~width:l.w_ep (remap_ep m b.requester + 2);
+          put wr ~width:l.w_mask (remap_mask m l.nodes b.acks);
+          put wr ~width:l.w_mask (remap_mask m l.nodes b.snapshot);
+          put wr ~width:1 (b2i b.data_fresh));
+      put_addrs wr l m rest
+
+(* [rows.(j)] <- row j, for the first [n] rows; the rows stored *)
+let rec store_rows rows n j = function
+  | row :: rest when j < n ->
+      rows.(j) <- row;
+      store_rows rows n (j + 1) rest
+  | _ -> j
+
+let rec put_cache_row wr l = function
+  | [] -> ()
+  | c :: rest ->
+      put wr ~width:l.f_cache.width (code "cache" l.f_cache c);
+      put_cache_row wr l rest
+
+let rec put_pend_row wr l = function
+  | [] -> ()
+  | None :: rest ->
+      put wr ~width:1 0;
+      put wr ~width:l.f_pend.width 0;
+      put_pend_row wr l rest
+  | Some op :: rest ->
+      put wr ~width:1 1;
+      put wr ~width:l.f_pend.width (code "pend" l.f_pend op);
+      put_pend_row wr l rest
+
+(* Channels in the canonical (src+2, dst+2, class-code) order after
+   endpoint remapping: one int key per channel, insertion-sorted into
+   the writer's key array (a handful of channels); message FIFO order is
+   preserved. *)
+let rec sort_chans wr m i = function
+  | [] -> ()
+  | ((src, dst, cls), q) :: rest ->
       let k =
         (((remap_ep m src + 2) lsl 7) lor (remap_ep m dst + 2)) lsl 3
         lor cls_code cls
       in
+      let keys = wr.keys and qs = wr.qs in
       let j = ref i in
       while !j > 0 && keys.(!j - 1) > k do
         keys.(!j) <- keys.(!j - 1);
@@ -360,30 +401,61 @@ let pack_into wr ?perm l (st : Mstate.t) =
         decr j
       done;
       keys.(!j) <- k;
-      qs.(!j) <- q)
-    st.queues;
-  put wr ~width:l.w_qcount n;
+      qs.(!j) <- q;
+      sort_chans wr m (i + 1) rest
+
+let rec put_msgs wr l m = function
+  | [] -> ()
+  | (msg : Mstate.msg) :: rest ->
+      put wr ~width:l.f_msg.width (code "msg" l.f_msg msg.m);
+      put wr ~width:l.w_ep (remap_ep m msg.src + 2);
+      put wr ~width:l.w_ep (remap_ep m msg.dst + 2);
+      put wr ~width:l.w_addr msg.addr;
+      put wr ~width:1 (b2i msg.fresh);
+      put_msgs wr l m rest
+
+(* Encode [st] under the node permutation [m] (inverse [minv]) into the
+   writer; returns the encoded length. *)
+let pack_perm wr l (st : Mstate.t) m minv =
+  let words = words_of l st in
+  let n = l.nodes and chans = List.length st.queues in
+  reserve wr ~n ~chans;
+  start wr words;
+  put_addrs wr l m st.addrs;
+  if store_rows wr.cache_rows n 0 st.caches < n
+     || store_rows wr.pend_rows n 0 st.pend < n
+  then invalid_arg "Pack: a state with fewer node rows than the layout";
+  (* per-node rows, emitted in permuted order: output row i is the
+     original row m⁻¹(i), matching Mstate.permute's reorder *)
   for i = 0 to n - 1 do
-    let k = keys.(i) in
+    put_cache_row wr l wr.cache_rows.(minv.(i))
+  done;
+  for i = 0 to n - 1 do
+    put_pend_row wr l wr.pend_rows.(minv.(i))
+  done;
+  sort_chans wr m 0 st.queues;
+  put wr ~width:l.w_qcount chans;
+  for i = 0 to chans - 1 do
+    let k = wr.keys.(i) and q = wr.qs.(i) in
     put wr ~width:l.w_ep (k lsr 10);
     put wr ~width:l.w_ep ((k lsr 3) land 127);
     put wr ~width:w_cls (k land 7);
-    put wr ~width:l.w_qlen (List.length qs.(i));
-    List.iter
-      (fun (msg : Mstate.msg) ->
-        put wr ~width:l.f_msg.width (code "msg" l.f_msg msg.m);
-        put wr ~width:l.w_ep (remap_ep m msg.src + 2);
-        put wr ~width:l.w_ep (remap_ep m msg.dst + 2);
-        put wr ~width:l.w_addr msg.addr;
-        put wr ~width:1 (b2i msg.fresh))
-      qs.(i)
+    put wr ~width:l.w_qlen (List.length q);
+    put_msgs wr l m q
   done;
-  close wr
+  close wr;
+  words
+
+(* The public entry points disarm the cutoff first: a scan that an
+   {!Overflow} aborted may have left it armed. *)
+let pack_into wr ?perm l st =
+  let m, minv = match perm with Some p -> p | None -> l.id_perm in
+  wr.cut_i <- -1;
+  pack_perm wr l st m minv
 
 let pack ?perm l st =
   let wr = writer () in
-  pack_into wr ?perm l st;
-  wr.buf
+  Array.sub wr.buf 0 (pack_into wr ?perm l st)
 
 (* ------------------------------ decode ------------------------------- *)
 
@@ -458,27 +530,28 @@ let unpack l v : Mstate.t =
     queues = List.sort compare chans;
   }
 
+
 (* --------------------------- word-level ops --------------------------- *)
+
+let rec same_words a b i n =
+  i >= n || (Array.unsafe_get a i = Array.unsafe_get b i && same_words a b (i + 1) n)
 
 let equal a b =
   let n = Array.length a in
-  n = Array.length b
-  &&
-  let rec go i =
-    i >= n || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1))
-  in
-  go 0
+  n = Array.length b && same_words a b 0 n
 
 (* Pure arithmetic — no per-process salt, no Domain state — so the same
    vector hashes identically on every domain and in every run. *)
-let hash v =
+let hash_words v len =
   let h = ref 0x3ade68b1 in
-  for i = 0 to Array.length v - 1 do
+  for i = 0 to len - 1 do
     let x = !h lxor Array.unsafe_get v i in
     let x = x * 0x2545F4914F6CDD1D land max_int in
     h := x lxor (x lsr 31)
   done;
   !h
+
+let hash v = hash_words v (Array.length v)
 
 let compare_packed a b =
   let la = Array.length a and lb = Array.length b in
@@ -519,16 +592,12 @@ let mix h x =
   let x = (h lxor x) * 0x2545F4914F6CDD1D land max_int in
   x lxor (x lsr 29)
 
-let signatures l (st : Mstate.t) =
-  let n = l.nodes in
-  let sg = Array.make n 0 in
-  List.iter
-    (fun (a : Mstate.addr_state) ->
-      let req, acks, snap =
-        match a.busy with
-        | None -> -1, 0, 0
-        | Some b -> b.requester, b.acks, b.snapshot
-      in
+let rec sig_addrs sg n = function
+  | [] -> ()
+  | (a : Mstate.addr_state) :: rest ->
+      let req = match a.busy with None -> -1 | Some b -> b.requester in
+      let acks = match a.busy with None -> 0 | Some b -> b.acks in
+      let snap = match a.busy with None -> 0 | Some b -> b.snapshot in
       for j = 0 to n - 1 do
         sg.(j) <-
           mix sg.(j)
@@ -536,58 +605,124 @@ let signatures l (st : Mstate.t) =
             lor (((acks lsr j) land 1) lsl 1)
             lor (((snap lsr j) land 1) lsl 2)
             lor (b2i (req = j) lsl 3))
-      done)
-    st.addrs;
-  let rec caches j = function
-    | row :: rows when j < n ->
-        sg.(j) <- List.fold_left mix sg.(j) row;
-        caches (j + 1) rows
-    | _ -> ()
-  in
-  caches 0 st.caches;
-  let rec pends j = function
-    | row :: rows when j < n ->
-        sg.(j) <-
-          List.fold_left
-            (fun h p -> mix h (match p with None -> 0 | Some op -> op + 1))
-            sg.(j) row;
-        pends (j + 1) rows
-    | _ -> ()
-  in
-  pends 0 st.pend;
-  let rel self e = if e = self then 0 else if e >= 0 then 1 else e + 4 in
-  let rec msgs self h = function
-    | [] -> h
-    | (msg : Mstate.msg) :: q ->
-        msgs self
-          (mix
-             (mix (mix (mix (mix h msg.m) (rel self msg.src)) (rel self msg.dst))
-                msg.addr)
-             (b2i msg.fresh))
-          q
-  in
-  let channel self src dst cls q =
-    msgs self (mix (mix (mix 0x3ade68b1 (rel self src)) (rel self dst)) cls) q
-  in
-  List.iter
-    (fun ((src, dst, cls), q) ->
+      done;
+      sig_addrs sg n rest
+
+let mix_pend h p = mix h (match p with None -> 0 | Some op -> op + 1)
+
+let rec sig_caches sg n j = function
+  | row :: rows when j < n ->
+      sg.(j) <- List.fold_left mix sg.(j) row;
+      sig_caches sg n (j + 1) rows
+  | _ -> ()
+
+let rec sig_pends sg n j = function
+  | row :: rows when j < n ->
+      sg.(j) <- List.fold_left mix_pend sg.(j) row;
+      sig_pends sg n (j + 1) rows
+  | _ -> ()
+
+let rel self e = if e = self then 0 else if e >= 0 then 1 else e + 4
+
+let rec sig_msgs self h = function
+  | [] -> h
+  | (msg : Mstate.msg) :: q ->
+      sig_msgs self
+        (mix
+           (mix (mix (mix (mix h msg.m) (rel self msg.src)) (rel self msg.dst))
+              msg.addr)
+           (b2i msg.fresh))
+        q
+
+let channel self src dst cls q =
+  sig_msgs self (mix (mix (mix 0x3ade68b1 (rel self src)) (rel self dst)) cls) q
+
+let rec sig_chans sg = function
+  | [] -> ()
+  | ((src, dst, cls), q) :: rest ->
       if src >= 0 then sg.(src) <- sg.(src) + channel src src dst cls q;
       if dst >= 0 && dst <> src then
-        sg.(dst) <- sg.(dst) + channel dst src dst cls q)
-    st.queues;
+        sg.(dst) <- sg.(dst) + channel dst src dst cls q;
+      sig_chans sg rest
+
+(* The first [n] cells of [sg] <- the signatures of [st]'s [n] nodes. *)
+let signatures_into sg n (st : Mstate.t) =
+  Array.fill sg 0 n 0;
+  sig_addrs sg n st.addrs;
+  sig_caches sg n 0 st.caches;
+  sig_pends sg n 0 st.pend;
+  sig_chans sg st.queues
+
+let signatures l st =
+  let sg = Array.make l.nodes 0 in
+  signatures_into sg l.nodes st;
   sg
 
-(* One scratch writer serves every candidate: the encoded length of a
-   state is permutation-invariant (same fields, same queue lengths), so
-   candidates compare word-for-word in the scratch buffer and only the
-   running minimum is ever copied out. *)
-let canonical l st =
+let rec untied tie_end n i = i >= n || (tie_end.(i) = i + 1 && untied tie_end n (i + 1))
+
+(* the words [i ..] of [a] come before those of [b], over [len] words *)
+let rec less_from a b i len =
+  i < len
+  &&
+  let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+  x < y || (x = y && less_from a b (i + 1) len)
+
+(* Pack the arrangement [wr.order] and keep it if it beats the
+   incumbent [wr.best].  The encoded length of a state is
+   permutation-invariant (same fields, same queue lengths), so
+   candidates compare word for word. *)
+let candidate wr l st =
   let n = l.nodes in
-  let sg = signatures l st in
+  for i = 0 to n - 1 do
+    wr.perm.(wr.order.(i)) <- i
+  done;
+  (* arm the writer's cutoff against the incumbent: a losing candidate
+     usually aborts on the first completed word *)
+  let incumbent = wr.best_len > 0 in
+  wr.cut_i <- (if incumbent then 0 else -1);
+  match pack_perm wr l st wr.perm wr.order with
+  | exception Cut -> wr.cut_i <- -1 (* provably greater: skip *)
+  | words ->
+      let decided_smaller = incumbent && wr.cut_i < 0 in
+      let tail_start = max 0 wr.cut_i in
+      wr.cut_i <- -1;
+      (* an equal prefix up to the last complete word leaves at most one
+         partial tail word to compare *)
+      if
+        (not incumbent) || decided_smaller
+        || less_from wr.buf wr.best tail_start words
+      then begin
+        if Array.length wr.best < words then wr.best <- Array.make words 0;
+        Array.blit wr.buf 0 wr.best 0 words;
+        wr.best_len <- words
+      end
+
+let swap a i k =
+  let t = a.(i) in
+  a.(i) <- a.(k);
+  a.(k) <- t
+
+(* every arrangement of each tie group, the rest of [wr.order] fixed *)
+let rec arrange wr l st i =
+  if i >= l.nodes then candidate wr l st
+  else
+    for k = i to wr.tie_end.(i) - 1 do
+      swap wr.order i k;
+      arrange wr l st (i + 1);
+      swap wr.order i k
+    done
+
+let canonical_into wr l st =
+  let n = l.nodes in
+  wr.cut_i <- -1;
+  reserve wr ~n ~chans:0;
+  let sg = wr.sg and order = wr.order and tie_end = wr.tie_end in
+  signatures_into sg n st;
   (* [order.(i)] is the node packed at position i (the inverse
-     permutation) *)
-  let order = Array.init n Fun.id in
-  (* insertion sort: a handful of nodes, and no closure to allocate *)
+     permutation); insertion sort, a handful of nodes *)
+  for i = 0 to n - 1 do
+    order.(i) <- i
+  done;
   for i = 1 to n - 1 do
     let x = order.(i) in
     let j = ref i in
@@ -598,70 +733,29 @@ let canonical l st =
     order.(!j) <- x
   done;
   (* [tie_end.(i)]: one past the last position tying with position i *)
-  let tie_end = Array.make n n in
+  if n > 0 then tie_end.(n - 1) <- n;
   for i = n - 2 downto 0 do
     if sg.(order.(i)) <> sg.(order.(i + 1)) then tie_end.(i) <- i + 1
     else tie_end.(i) <- tie_end.(i + 1)
   done;
-  let m = Array.make n 0 in
-  let wr = writer () in
-  let rec untied i = i >= n || (tie_end.(i) = i + 1 && untied (i + 1)) in
-  if untied 0 then begin
-    (* one candidate (the usual case): pack it in place, no copy *)
-    Array.iteri (fun i j -> m.(j) <- i) order;
-    pack_into wr ~perm:(m, order) l st;
-    wr.buf
+  if untied tie_end n 0 then begin
+    (* one candidate (the usual case): pack it in place *)
+    for i = 0 to n - 1 do
+      wr.perm.(order.(i)) <- i
+    done;
+    pack_perm wr l st wr.perm order
   end
-  else
-  let best = ref [||] in
-  let candidate () =
-    Array.iteri (fun i j -> m.(j) <- i) order;
-    (* arm the writer's cutoff against the incumbent minimum: a losing
-       candidate usually aborts on the first completed word (encoded
-       length is permutation-invariant, so word-for-word compare
-       against [best] is sound mid-pack) *)
-    wr.cut <- !best;
-    wr.cut_i <- (if Array.length !best = 0 then -1 else 0);
-    match pack_into wr ~perm:(m, order) l st with
-    | exception Cut -> wr.cut_i <- -1 (* provably greater: skip *)
-    | () ->
-        let words = Array.length wr.buf in
-        let decided_smaller = Array.length !best > 0 && wr.cut_i < 0 in
-        let tail_start = max 0 wr.cut_i in
-        wr.cut_i <- -1;
-        let better =
-          Array.length !best = 0 || decided_smaller
-          ||
-          (* equal prefix up to the last complete word: compare the (at
-             most one partial) tail *)
-          let rec go i =
-            if i >= words then false
-            else
-              let a = Array.unsafe_get wr.buf i
-              and b = Array.unsafe_get !best i in
-              if a < b then true else if a > b then false else go (i + 1)
-          in
-          go tail_start
-        in
-        if better then best := Array.copy wr.buf
-  in
-  (* every arrangement of each tie group, the rest of [order] fixed *)
-  let swap i k =
-    let t = order.(i) in
-    order.(i) <- order.(k);
-    order.(k) <- t
-  in
-  let rec arrange i =
-    if i >= n then candidate ()
-    else
-      for k = i to tie_end.(i) - 1 do
-        swap i k;
-        arrange (i + 1);
-        swap i k
-      done
-  in
-  arrange 0;
-  !best
+  else begin
+    wr.best_len <- 0;
+    arrange wr l st 0;
+    let words = wr.best_len in
+    Array.blit wr.best 0 wr.buf 0 words;
+    words
+  end
+
+let canonical l st =
+  let wr = writer () in
+  Array.sub wr.buf 0 (canonical_into wr l st)
 
 (* --------------------------- visited set -----------------------------
 
@@ -673,7 +767,9 @@ let canonical l st =
    with [compact_bits n] only an n-bit fingerprint of the hash survives
    (Stern–Dill hash compaction), which bounds memory at the cost of a
    fingerprint collision silently merging two distinct states — callers
-   must report such searches as probabilistic. *)
+   must report such searches as probabilistic.  A lookup takes the
+   vector as [(buf, len)], a writer's scratch buffer included, and a
+   vector is copied out only when it is inserted. *)
 
 module Vset = struct
   let shard_count = 64
@@ -710,6 +806,18 @@ module Vset = struct
     let fp = (h lsr 6) land ((1 lsl bits) - 1) in
     if fp = 0 then 1 else fp
 
+  (* The probe loops: the slot holding the vector [buf.(0 .. len-1)]
+     (the fingerprint [fp]), or the empty slot where it belongs. *)
+  let rec probe_exact keys mask buf len i =
+    let k = keys.(i) in
+    let n = Array.length k in
+    if n = 0 || (n = len && same_words k buf 0 len) then i
+    else probe_exact keys mask buf len ((i + 1) land mask)
+
+  let rec probe_compact fps mask fp i =
+    let x = fps.(i) in
+    if x = 0 || x = fp then i else probe_compact fps mask fp ((i + 1) land mask)
+
   let grow_exact s =
     let old = s.keys in
     let cap = 2 * Array.length old in
@@ -717,13 +825,9 @@ module Vset = struct
     s.mask <- cap - 1;
     Array.iter
       (fun k ->
-        if Array.length k > 0 then begin
-          let i = ref (hash k lsr 6 land s.mask) in
-          while Array.length s.keys.(!i) > 0 do
-            i := (!i + 1) land s.mask
-          done;
-          s.keys.(!i) <- k
-        end)
+        let len = Array.length k in
+        if len > 0 then
+          s.keys.(probe_exact s.keys s.mask k len (hash k lsr 6 land s.mask)) <- k)
       old
 
   let grow_compact s =
@@ -733,84 +837,68 @@ module Vset = struct
     s.mask <- cap - 1;
     Array.iter
       (fun fp ->
-        if fp <> 0 then begin
-          let i = ref (fp land s.mask) in
-          while s.fps.(!i) <> 0 do
-            i := (!i + 1) land s.mask
-          done;
-          s.fps.(!i) <- fp
-        end)
+        if fp <> 0 then s.fps.(probe_compact s.fps s.mask fp (fp land s.mask)) <- fp)
       old
 
-  (* [add t v] inserts and reports whether [v] was new. *)
-  let add t v =
-    let h = hash v in
+  let check_len buf len =
+    if len < 0 || len > Array.length buf then invalid_arg "Pack.Vset: bad vector length"
+
+  (* [add_words t buf len] inserts [buf.(0 .. len-1)] and reports
+     whether it was new. *)
+  let add_words t buf len =
+    check_len buf len;
+    let h = hash_words buf len in
     let si = h land (shard_count - 1) in
     let s = t.shards.(si) in
     Mutex.lock s.lock;
     let inserted =
       match t.compact with
       | None ->
-          let rec probe i =
-            let k = s.keys.(i) in
-            if Array.length k = 0 then begin
-              s.keys.(i) <- v;
-              s.count <- s.count + 1;
-              if 2 * s.count >= Array.length s.keys then begin
-                grow_exact s;
-                (* shard pressure: the open-addressing table doubled *)
-                Obs.Flightrec.record ~tag:Obs.Flightrec.tag_compact ~a:si
-                  ~b:(Array.length s.keys) ~c:0
-              end;
-              true
-            end
-            else if equal k v then false
-            else probe ((i + 1) land s.mask)
-          in
-          probe (h lsr 6 land s.mask)
+          let i = probe_exact s.keys s.mask buf len (h lsr 6 land s.mask) in
+          Array.length s.keys.(i) = 0
+          && begin
+               s.keys.(i) <- Array.sub buf 0 len;
+               s.count <- s.count + 1;
+               if 2 * s.count >= Array.length s.keys then begin
+                 grow_exact s;
+                 (* shard pressure: the open-addressing table doubled *)
+                 Obs.Flightrec.record ~tag:Obs.Flightrec.tag_compact ~a:si
+                   ~b:(Array.length s.keys) ~c:0
+               end;
+               true
+             end
       | Some bits ->
           let fp = fingerprint bits h in
-          let rec probe i =
-            if s.fps.(i) = 0 then begin
-              s.fps.(i) <- fp;
-              s.count <- s.count + 1;
-              if 2 * s.count >= Array.length s.fps then begin
-                grow_compact s;
-                Obs.Flightrec.record ~tag:Obs.Flightrec.tag_compact ~a:si
-                  ~b:(Array.length s.fps) ~c:0
-              end;
-              true
-            end
-            else if s.fps.(i) = fp then false
-            else probe ((i + 1) land s.mask)
-          in
-          probe (fp land s.mask)
+          let i = probe_compact s.fps s.mask fp (fp land s.mask) in
+          s.fps.(i) = 0
+          && begin
+               s.fps.(i) <- fp;
+               s.count <- s.count + 1;
+               if 2 * s.count >= Array.length s.fps then begin
+                 grow_compact s;
+                 Obs.Flightrec.record ~tag:Obs.Flightrec.tag_compact ~a:si
+                   ~b:(Array.length s.fps) ~c:0
+               end;
+               true
+             end
     in
     Mutex.unlock s.lock;
     inserted
 
+  let add t v = add_words t v (Array.length v)
+
   let mem t v =
-    let h = hash v in
+    let len = Array.length v in
+    let h = hash_words v len in
     let s = t.shards.(h land (shard_count - 1)) in
     Mutex.lock s.lock;
     let found =
       match t.compact with
       | None ->
-          let rec probe i =
-            let k = s.keys.(i) in
-            if Array.length k = 0 then false
-            else if equal k v then true
-            else probe ((i + 1) land s.mask)
-          in
-          probe (h lsr 6 land s.mask)
+          Array.length s.keys.(probe_exact s.keys s.mask v len (h lsr 6 land s.mask)) > 0
       | Some bits ->
           let fp = fingerprint bits h in
-          let rec probe i =
-            if s.fps.(i) = 0 then false
-            else if s.fps.(i) = fp then true
-            else probe ((i + 1) land s.mask)
-          in
-          probe (fp land s.mask)
+          s.fps.(probe_compact s.fps s.mask fp (fp land s.mask)) <> 0
     in
     Mutex.unlock s.lock;
     found

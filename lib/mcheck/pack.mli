@@ -49,11 +49,33 @@ val refresh : layout -> layout
     change — but packed vectors are only comparable when produced by the
     same layout value. *)
 
+type writer
+(** An encoder's scratch: the word buffer plus every array a pack or a
+    canonical scan needs, grown on demand and reused.  A search
+    participant owns one and keys every state it meets through it, so
+    keying allocates nothing once the arrays have grown.  A writer
+    belongs to one domain at a time. *)
+
+val writer : unit -> writer
+
+val pack_into : writer -> ?perm:int array * int array -> layout -> Mstate.t -> int
+(** Encode into the writer and return the encoded length [n]: the
+    encoding is [(buffer wr).(0 .. n-1)], valid until the writer's next
+    use.  [perm = (m, m⁻¹)] applies the node permutation [m] during
+    encoding — the words equal those of [pack l (Mstate.permute m st)]
+    without materializing the permuted state. *)
+
+val canonical_into : writer -> layout -> Mstate.t -> int
+(** {!canonical} into the writer, returned like {!pack_into}.  A state
+    whose node signatures do not tie packs without allocating. *)
+
+val buffer : writer -> int array
+(** The writer's word buffer: read it after the encode call, which may
+    replace it with a longer one. *)
+
 val pack : ?perm:int array * int array -> layout -> Mstate.t -> int array
-(** Encode.  [perm = (m, m⁻¹)] applies the node permutation [m] during
-    encoding — [pack ~perm l st] equals [pack l (Mstate.permute m st)]
-    without materializing the permuted state.  The result is allocated
-    once at its exact length; the writer fills it a word at a time. *)
+(** {!pack_into} a fresh writer, as a vector of exactly the encoded
+    length that the caller owns. *)
 
 val unpack : layout -> int array -> Mstate.t
 (** Exact inverse of {!pack} (with the identity permutation). *)
@@ -70,7 +92,8 @@ val canonical : layout -> Mstate.t -> int array
     vector over the node permutations that sort {!signatures} into
     non-decreasing order.  Two states get equal vectors iff one is a
     node permutation of the other.  Costs one pack per arrangement of
-    each group of tying nodes — usually one pack in all. *)
+    each group of tying nodes — usually one pack in all.  Like {!pack},
+    a fresh writer and an exact-length result. *)
 
 val equal : int array -> int array -> bool
 (** Word-by-word compare; with a shared layout this is exactly
@@ -95,9 +118,14 @@ module Vset : sig
   val create : ?compact_bits:int -> unit -> t
   (** [compact_bits] must be within [8..62] when given. *)
 
+  val add_words : t -> int array -> int -> bool
+  (** [add_words t buf len] inserts the vector [buf.(0 .. len-1)];
+      [true] iff it (or, compacted, its fingerprint) was not already
+      present.  The words are copied only when inserted, so [buf] may be
+      a writer's {!buffer}.  Thread-safe. *)
+
   val add : t -> int array -> bool
-  (** Insert; [true] iff the vector (or, compacted, its fingerprint) was
-      not already present.  Thread-safe. *)
+  (** [add_words t v (Array.length v)]. *)
 
   val mem : t -> int array -> bool
 

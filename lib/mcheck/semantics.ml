@@ -713,10 +713,11 @@ let reissue st ~node ~addr =
 (* Successor relation and structural checks                            *)
 (* ------------------------------------------------------------------ *)
 
-let within_capacity config st =
-  List.for_all
-    (fun (_, q) -> List.length q <= config.capacity)
-    st.Mstate.queues
+let rec fits capacity = function
+  | [] -> true
+  | (_, q) :: rest -> List.compare_length_with q capacity <= 0 && fits capacity rest
+
+let within_capacity config st = fits config.capacity st.Mstate.queues
 
 (* [config.ops] as symbols, resolved read-only ({!Mstate.find}: an op
    no table names cannot fire, so it is dropped) and memoised on the
@@ -736,99 +737,105 @@ let op_syms ops =
 
 let io_op op = op = op_ioload || op = op_iostore || op = op_iormwop
 
+(* The walks below cons each enabled transition onto [acc], so
+   [successors] reverses once.  Each is a top-level recursion: a local
+   closure would be allocated per state.  A label is rendered only when
+   [labels] is set. *)
+
+let rec issues tables config st ~node ~addr ~is_io labels acc = function
+  | [] -> acc
+  | op :: ops ->
+      let acc =
+        if io_op op <> is_io then acc
+        else
+          match issue tables st node addr op with
+          | Some st' when within_capacity config st' ->
+              let label =
+                if labels then
+                  Printf.sprintf "issue %s node%d addr%d" (name op) node addr
+                else ""
+              in
+              (label, Next st') :: acc
+          | Some _ | None -> acc
+      in
+      issues tables config st ~node ~addr ~is_io labels acc ops
+
+let rec deliveries tables config st labels acc = function
+  | [] -> acc
+  | ((((_, dst, cls) as k), q) : _ * msg list) :: rest ->
+      let acc =
+        match q with
+        | [] -> acc
+        | msg :: _ -> (
+            let st' = without_head st k in
+            let outcome =
+              if dst = dir then deliver_dir tables config st' cls msg
+              else if dst = mem then deliver_mem tables st' msg
+              else if cls = snp then deliver_snoop tables st' dst msg
+              else deliver_response tables st' dst msg
+            in
+            match outcome with
+            | Next s when not (within_capacity config s) ->
+                acc (* backpressure: the consumer stalls on a full queue *)
+            | outcome ->
+                let label =
+                  if labels then
+                    Printf.sprintf "deliver %s %d->%d (%s) addr%d" (name msg.m)
+                      msg.src dst (name cls) msg.addr
+                  else ""
+                in
+                (label, outcome) :: acc)
+      in
+      deliveries tables config st labels acc rest
+
+(* a faulty link silently drops an inter-node message (the link
+   controller's crcdrop row); intra-node and reserved resources (memq,
+   ackq) are not links *)
+let rec drops st labels acc = function
+  | [] -> acc
+  | ((((src, dst, cls) as k), msg :: _) : _ * msg list) :: rest
+    when cls = reqq || cls = respq || cls = snp || cls = resp ->
+      let label =
+        if labels then
+          Printf.sprintf "DROP %s %d->%d (%s) addr%d" (name msg.m) src dst
+            (name cls) msg.addr
+        else ""
+      in
+      drops st labels ((label, Next (without_head st k)) :: acc) rest
+  | _ :: rest -> drops st labels acc rest
+
 let successors ?(labels = true) tables config st =
   (* Label rendering is a real fraction of the per-state cost (several
      Printf.sprintf per expansion).  The boxed reference engine needs
      the labels — it stores one per visited state for counterexample
      traces — but the packed engines reconstruct traces by sequential
      replay and pass [~labels:false] to skip the rendering entirely. *)
-  let lbl f = if labels then f () else "" in
   let ops = op_syms config.ops in
-  let reissues =
-    List.concat_map
-      (fun node ->
-        List.filter_map
-          (fun addr ->
-            match reissue st ~node ~addr with
-            | Some st' when within_capacity config st' ->
-                Some
-                  ( lbl (fun () ->
-                        Printf.sprintf "reissue node%d addr%d" node addr),
-                    Next st' )
-            | Some _ | None -> None)
-          (List.init config.addrs Fun.id))
-      (List.init config.nodes Fun.id)
-  in
-  let issues =
-    List.concat_map
-      (fun node ->
-        List.concat_map
-          (fun addr ->
-            let is_io = List.mem addr config.io_addrs in
-            if pending st ~node ~addr <> None then []
-            else
-              List.filter_map
-                (fun op ->
-                  if io_op op <> is_io then None
-                  else
-                  match issue tables st node addr op with
-                  | Some st' when within_capacity config st' ->
-                      Some
-                        ( lbl (fun () ->
-                              Printf.sprintf "issue %s node%d addr%d" (name op)
-                                node addr),
-                          Next st' )
-                  | Some _ | None -> None)
-                ops)
-          (List.init config.addrs Fun.id))
-      (List.init config.nodes Fun.id)
-  in
-  let deliveries =
-    List.filter_map
-      (fun ((_, dst, cls), msg) ->
-        let label =
-          lbl (fun () ->
-              Printf.sprintf "deliver %s %d->%d (%s) addr%d" (name msg.m)
-                msg.src dst (name cls) msg.addr)
-        in
-        let st' =
-          match dequeue st (msg.src, dst, cls) with
-          | Some (_, st') -> st'
-          | None -> assert false
-        in
-        let outcome =
-          if dst = dir then deliver_dir tables config st' cls msg
-          else if dst = mem then deliver_mem tables st' msg
-          else if cls = snp then deliver_snoop tables st' dst msg
-          else deliver_response tables st' dst msg
-        in
-        match outcome with
-        | Next s when not (within_capacity config s) ->
-            None (* backpressure: the consumer stalls on a full queue *)
-        | outcome -> Some (label, outcome))
-      (queue_heads st)
-  in
-  let drops =
-    if not config.lossy then []
-    else
-      (* a faulty link silently drops an inter-node message (the link
-         controller's crcdrop row); intra-node and reserved resources
-         (memq, ackq) are not links *)
-      List.filter_map
-        (fun ((src, dst, cls), (msg : Mstate.msg)) ->
-          if cls = reqq || cls = respq || cls = snp || cls = resp then
-            match dequeue st (src, dst, cls) with
-            | Some (_, st') ->
-                Some
-                  ( lbl (fun () ->
-                        Printf.sprintf "DROP %s %d->%d (%s) addr%d" (name msg.m)
-                          src dst (name cls) msg.addr),
-                    Next st' )
-            | None -> None
-          else None)
-        (queue_heads st)
-  in
-  reissues @ issues @ deliveries @ drops
+  let acc = ref [] in
+  for node = 0 to config.nodes - 1 do
+    for addr = 0 to config.addrs - 1 do
+      match reissue st ~node ~addr with
+      | Some st' when within_capacity config st' ->
+          let label =
+            if labels then Printf.sprintf "reissue node%d addr%d" node addr
+            else ""
+          in
+          acc := (label, Next st') :: !acc
+      | Some _ | None -> ()
+    done
+  done;
+  for node = 0 to config.nodes - 1 do
+    for addr = 0 to config.addrs - 1 do
+      if Option.is_none (pending st ~node ~addr) then
+        acc :=
+          issues tables config st ~node ~addr
+            ~is_io:(List.mem addr config.io_addrs)
+            labels !acc ops
+    done
+  done;
+  acc := deliveries tables config st labels !acc st.queues;
+  if config.lossy then acc := drops st labels !acc st.queues;
+  List.rev !acc
 
 let deliver ?(config = { nodes = 0; addrs = 0; ops = []; capacity = 0; io_addrs = []; lossy = false })
     tables st ~cls ~dst msg =

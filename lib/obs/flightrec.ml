@@ -172,30 +172,40 @@ let stamp r =
   r.quiet <- 0;
   if d < 0 then 0 else d
 
+let write r ~tag ~a ~b ~c =
+  let dt =
+    if tag = tag_fire || tag = tag_dedup then
+      if r.head > 0 then 0 else stamp r
+    else if tag = tag_expand && r.quiet < expand_stamp_every - 1 && r.head > 0
+    then begin
+      r.quiet <- r.quiet + 1;
+      0
+    end
+    else stamp r
+  in
+  (* [slot + stride <= Array.length buf] by construction *)
+  let slot = r.slot and buf = r.buf in
+  Array.unsafe_set buf slot tag;
+  Array.unsafe_set buf (slot + 1) dt;
+  Array.unsafe_set buf (slot + 2) a;
+  Array.unsafe_set buf (slot + 3) b;
+  Array.unsafe_set buf (slot + 4) c;
+  let next = slot + stride in
+  r.slot <- (if next >= Array.length buf then 0 else next);
+  r.head <- r.head + 1
+
 let record ~tag ~a ~b ~c =
-  if !enabled then begin
-    let r = Domain.DLS.get ring_key in
-    let dt =
-      if tag = tag_fire || tag = tag_dedup then
-        if r.head > 0 then 0 else stamp r
-      else if tag = tag_expand && r.quiet < expand_stamp_every - 1 && r.head > 0
-      then begin
-        r.quiet <- r.quiet + 1;
-        0
-      end
-      else stamp r
-    in
-    (* [slot + stride <= Array.length buf] by construction *)
-    let slot = r.slot and buf = r.buf in
-    Array.unsafe_set buf slot tag;
-    Array.unsafe_set buf (slot + 1) dt;
-    Array.unsafe_set buf (slot + 2) a;
-    Array.unsafe_set buf (slot + 3) b;
-    Array.unsafe_set buf (slot + 4) c;
-    let next = slot + stride in
-    r.slot <- (if next >= Array.length buf then 0 else next);
-    r.head <- r.head + 1
-  end
+  if !enabled then write (Domain.DLS.get ring_key) ~tag ~a ~b ~c
+
+(* A ring nothing drains: what [local] hands out while recording is off,
+   so asking for a ring never creates one. *)
+let inert =
+  { dom = -1; buf = Array.make stride 0; cap = 1; head = 0; slot = 0;
+    last_ns = 0; quiet = 0 }
+
+let local () = if !enabled then Domain.DLS.get ring_key else inert
+
+let record_in r ~tag ~a ~b ~c = if !enabled then write r ~tag ~a ~b ~c
 
 (* ------------------------------- drain -------------------------------- *)
 

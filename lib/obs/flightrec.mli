@@ -75,6 +75,18 @@ val record : tag:int -> a:int -> b:int -> c:int -> unit
     ring's last stamp instead of reading the clock (except as a ring's
     first record).  A full ring overwrites its oldest record. *)
 
+type ring
+(** One domain's ring. *)
+
+val local : unit -> ring
+(** The ring {!record} writes from the calling domain, for a caller that
+    records several events in a row: one domain-local lookup, then
+    {!record_in} for each.  Use it only on the calling domain.  While
+    recording is off it is an inert ring that is never drained. *)
+
+val record_in : ring -> tag:int -> a:int -> b:int -> c:int -> unit
+(** {!record} into a ring from {!local}. *)
+
 val set_capacity : int -> unit
 (** Ring capacity in records per domain (default 4096, clamped to at
     least 16).  Resets all existing rings.  Only call while quiescent. *)

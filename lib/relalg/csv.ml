@@ -54,7 +54,10 @@ let to_string t =
 
 (* RFC-4180-style splitting: returns the records of the document, each
    the file line it starts on and its cells (quotes resolved).  A quoted
-   cell may span lines, so a record's line is not its index + 1. *)
+   cell may span lines, so a record's line is not its index + 1.  A
+   blank line outside quotes is no record ([to_string] never writes
+   one: NULL renders as [NULL] and the empty string quoted), so a file
+   ending in an editor's blank line still reads. *)
 let records src =
   let n = String.length src in
   let cell = Buffer.create 16 in
@@ -76,12 +79,16 @@ let records src =
     row := [];
     start := !line
   in
+  let blank () = !row = [] && Buffer.length cell = 0 && not !quoted_cell in
   let rec plain i =
-    if i >= n then (if !row <> [] || Buffer.length cell > 0 then flush_row ())
+    if i >= n then (if not (blank ()) then flush_row ())
     else
       match src.[i] with
       | ',' -> flush_cell (); plain (i + 1)
-      | '\n' -> incr line; flush_row (); plain (i + 1)
+      | '\n' ->
+          incr line;
+          if blank () then start := !line else flush_row ();
+          plain (i + 1)
       | '\r' -> plain (i + 1)
       | '"' when Buffer.length cell = 0 ->
           quoted_cell := true;
@@ -109,8 +116,15 @@ let of_string_lines ~name src =
   | [] -> raise (Csv_error { line = 1; message = "empty document" })
   | (header_line, header) :: rest ->
       let columns =
-        List.map
-          (function
+        List.mapi
+          (fun i -> function
+            | Value.Str "" | Value.Null ->
+                raise
+                  (Csv_error
+                     {
+                       line = header_line;
+                       message = Printf.sprintf "column %d has no name" (i + 1);
+                     })
             | Value.Str s -> s
             | v -> Value.to_string v)
           header

@@ -64,6 +64,14 @@ let run_statement db (s : Sql_ast.statement) =
         | Some t -> t
         | None -> error "unknown table %s" name
       in
+      let arity = Table.arity t in
+      List.iteri
+        (fun i row ->
+          let got = List.length row in
+          if got <> arity then
+            error "INSERT INTO %s: row %d has %d values, the table has %d columns"
+              name (i + 1) got arity)
+        rows;
       let t = Table.add_all t (List.map Row.of_list rows) in
       Database.replace db t, None
   | Drop_table name ->

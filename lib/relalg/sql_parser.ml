@@ -139,6 +139,14 @@ let eat_count_star c =
   expect c STAR;
   expect c RPAREN
 
+(* A result schema names each column once: reject a projection that
+   would name one twice (a grouped count adds a [count] column). *)
+let rec check_distinct seen = function
+  | [] -> ()
+  | col :: rest ->
+      if List.mem col seen then error "column %s is projected twice" col;
+      check_distinct (col :: seen) rest
+
 let select_columns c =
   if accept c STAR then Sql_ast.Star
   else if count_star_ahead c then begin
@@ -150,12 +158,16 @@ let select_columns c =
       if count_star_ahead c then begin
         (* trailing COUNT star: a grouped aggregate *)
         eat_count_star c;
+        check_distinct [] ("count" :: acc);
         Sql_ast.Group_count (List.rev acc)
       end
       else
         let col = expect_ident c in
         if accept c COMMA then go (col :: acc)
-        else Sql_ast.Columns (List.rev (col :: acc))
+        else begin
+          check_distinct [] (col :: acc);
+          Sql_ast.Columns (List.rev (col :: acc))
+        end
     in
     go []
 

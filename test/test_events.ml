@@ -45,11 +45,25 @@ let test_wraparound () =
       Alcotest.(check bool) "reconstructed stamps are monotone" true
         (monotone evs))
 
+(* [record_in] on [local]'s ring lands in the same stream as [record];
+   while recording is off, [local] hands out a ring nothing drains. *)
+let test_record_in_local_ring () =
+  with_recorder (fun () ->
+      let off = Obs.Flightrec.with_disabled Obs.Flightrec.local in
+      Obs.Flightrec.record_in off ~tag:Obs.Flightrec.tag_expand ~a:1 ~b:0 ~c:0;
+      let ring = Obs.Flightrec.local () in
+      Obs.Flightrec.record ~tag:Obs.Flightrec.tag_expand ~a:2 ~b:0 ~c:0;
+      Obs.Flightrec.record_in ring ~tag:Obs.Flightrec.tag_dedup ~a:3 ~b:0 ~c:0;
+      Alcotest.(check (list int))
+        "one stream, the inert ring's record dropped" [ 2; 3 ]
+        (List.map (fun e -> e.Obs.Flightrec.a) (Obs.Flightrec.drain ())))
+
 (* ---------------------------- record cost ----------------------------- *)
 
-(* [record] allocates nothing, for every tag: 10k records of each add no
-   minor words beyond what the two [Gc.minor_words] probes allocate
-   themselves (measured back to back). *)
+(* [record] and [record_in] allocate nothing, for every tag: 10k
+   records of each through each add no minor words beyond what the two
+   [Gc.minor_words] probes allocate themselves (measured back to
+   back). *)
 let test_record_allocates_nothing () =
   with_recorder (fun () ->
       let probe_cost =
@@ -62,6 +76,10 @@ let test_record_allocates_nothing () =
           let w0 = Gc.minor_words () in
           for i = 1 to 10_000 do
             Obs.Flightrec.record ~tag ~a:i ~b:(i + 1) ~c:(i + 2)
+          done;
+          let ring = Obs.Flightrec.local () in
+          for i = 1 to 10_000 do
+            Obs.Flightrec.record_in ring ~tag ~a:i ~b:(i + 1) ~c:(i + 2)
           done;
           let w1 = Gc.minor_words () in
           Alcotest.(check (float 0.))
@@ -248,6 +266,8 @@ let suite =
   [
     Alcotest.test_case "ring wrap-around keeps the newest window" `Quick
       test_wraparound;
+    Alcotest.test_case "record_in shares record's ring" `Quick
+      test_record_in_local_ring;
     Alcotest.test_case "events round-trip through manifest JSON" `Quick
       test_json_round_trip;
     Alcotest.test_case "order-free projections match seq at 1/2/4 domains"

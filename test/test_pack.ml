@@ -544,6 +544,142 @@ let test_visited_set_digest () =
   Alcotest.(check int) "hash xor" 151743013724663208 !xor;
   Alcotest.(check int) "words" 37_846 !words
 
+(* ------------------------- scratch writer -------------------------
+
+   The engine keys every successor through one writer per search
+   participant and hands [(buffer, len)] to the visited set, which
+   copies a vector only when it inserts it.  The scratch path must
+   produce exactly the words of the allocating wrappers, whatever the
+   writer packed before, and must allocate nothing once grown. *)
+
+let scratch_words wr n = Array.sub (Pack.buffer wr) 0 n
+
+(* one writer across every case: shapes, lengths and tie patterns vary
+   from case to case, so stale scratch would show *)
+let shared_writer = Pack.writer ()
+
+let prop_scratch_keys =
+  QCheck.Test.make ~count:500
+    ~name:"scratch pack_into/canonical_into equal pack/canonical"
+    (QCheck.make perm_case_gen ~print:print_perm_case)
+    (fun (nodes, addrs, st, m) ->
+      let l = layout_for ~nodes ~addrs ~capacity:3 in
+      let wr = shared_writer in
+      let inv = Array.make nodes 0 in
+      Array.iteri (fun j mj -> inv.(mj) <- j) m;
+      let packed = scratch_words wr (Pack.pack_into wr l st) in
+      let permuted = scratch_words wr (Pack.pack_into wr ~perm:(m, inv) l st) in
+      let canonical = scratch_words wr (Pack.canonical_into wr l st) in
+      Pack.equal packed (Pack.pack l st)
+      && Pack.equal permuted (Pack.pack ~perm:(m, inv) l st)
+      && Pack.equal canonical (Pack.canonical l st))
+
+let prop_add_words =
+  QCheck.Test.make ~count:300
+    ~name:"Vset.add_words agrees with add, exact and compact"
+    (QCheck.make
+       QCheck.Gen.(
+         let* nodes, addrs = shape_gen in
+         let* sts = list_repeat 12 (state_gen ~nodes ~addrs ~capacity:2) in
+         let* pad = int_range 0 3 in
+         return (nodes, addrs, sts, pad))
+       ~print:(fun (n, a, sts, pad) ->
+         Printf.sprintf "nodes=%d addrs=%d, %d states, pad %d" n a
+           (List.length sts) pad))
+    (fun (nodes, addrs, sts, pad) ->
+      let l = layout_for ~nodes ~addrs ~capacity:2 in
+      (* every state twice, so half the adds are dedup hits *)
+      let packed = List.map (Pack.pack l) (sts @ sts) in
+      List.for_all
+        (fun compact_bits ->
+          let by_add = Pack.Vset.create ?compact_bits ()
+          and by_words = Pack.Vset.create ?compact_bits () in
+          List.for_all
+            (fun v ->
+              (* words past [len] must not matter *)
+              let buf = Array.append v (Array.make pad (-1)) in
+              Pack.Vset.add by_add v
+              = Pack.Vset.add_words by_words buf (Array.length v)
+              && Pack.Vset.mem by_words v)
+            packed
+          && Pack.Vset.cardinal by_add = Pack.Vset.cardinal by_words)
+        [ None; Some 30 ])
+
+(* [Gc.minor_words] around [f ()], less what the two probes allocate
+   themselves (measured back to back) *)
+let minor_words_of f =
+  let probe_cost =
+    let w0 = Gc.minor_words () in
+    let w1 = Gc.minor_words () in
+    w1 -. w0
+  in
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  w1 -. w0 -. probe_cost
+
+(* A 3-node state whose nodes all play different roles (no signature
+   tie) with messages in flight, so every part of the encoder runs. *)
+let untied_state () =
+  let st = Mstate.initial ~nodes:3 ~addrs:1 in
+  let st = Mstate.set_cache st ~node:0 ~addr:0 (Mstate.intern "S") in
+  let st = Mstate.set_cache st ~node:1 ~addr:0 (Mstate.intern "M") in
+  let st = Mstate.set_pending st ~node:2 ~addr:0 (Some (Mstate.intern "read")) in
+  List.fold_left
+    (fun st (cls, src, dst) ->
+      Mstate.enqueue st ~cls
+        { Mstate.m = Mstate.intern "read"; src; dst; addr = 0; fresh = true })
+    st
+    [ Mstate.reqq, 2, Mstate.dir; Mstate.snp, Mstate.dir, 1; Mstate.snp, Mstate.dir, 0 ]
+
+let test_scratch_allocates_nothing () =
+  let l = layout_for ~nodes:3 ~addrs:1 ~capacity:3 in
+  let st = untied_state () in
+  Alcotest.(check int) "three signatures" 3 (distinct_signatures (Pack.signatures l st));
+  let wr = Pack.writer () in
+  let vs = Pack.Vset.create () in
+  (* grow the scratch and insert the vector once *)
+  let n = Pack.canonical_into wr l st in
+  Alcotest.(check bool) "first add inserts" true
+    (Pack.Vset.add_words vs (Pack.buffer wr) n);
+  ignore (Pack.pack_into wr l st : int);
+  let check what f =
+    Alcotest.(check (float 0.))
+      (what ^ ": minor words per 10k calls") 0.
+      (minor_words_of (fun () ->
+           for _ = 1 to 10_000 do
+             f ()
+           done))
+  in
+  check "pack_into" (fun () -> ignore (Pack.pack_into wr l st : int));
+  check "canonical_into, untied" (fun () ->
+      ignore (Pack.canonical_into wr l st : int));
+  let n = Pack.canonical_into wr l st in
+  check "add_words of a present vector" (fun () ->
+      ignore (Pack.Vset.add_words vs (Pack.buffer wr) n : bool))
+
+(* The allocation budget of the engine's expansion step, pinned where
+   it is deterministic: one domain, one participant.  About 470 minor
+   words per explored state when pinned; the bound leaves about 25 %
+   headroom. *)
+let test_expansion_allocation () =
+  let tables = Semantics.load_tables () in
+  let cfg =
+    { Semantics.nodes = 2; addrs = 1;
+      ops = [ "load"; "store"; "evictmod"; "evictsh" ];
+      capacity = 3; io_addrs = []; lossy = false }
+  in
+  Par.Pool.with_domains 1 (fun () ->
+      (* the first search builds the cached dispatch and layout *)
+      ignore (Explore.run ~tables cfg : Explore.result);
+      let r = ref None in
+      let words = minor_words_of (fun () -> r := Some (Explore.run ~tables cfg)) in
+      let r = Option.get !r in
+      Alcotest.(check int) "explored" 16_188 r.explored;
+      let per_state = words /. float_of_int r.explored in
+      if per_state > 590. then
+        Alcotest.failf "%.0f minor words per explored state (bound 590)" per_state)
+
 let suite =
   [
     Test_seed.to_alcotest prop_roundtrip;
@@ -562,4 +698,10 @@ let suite =
       test_tie_without_symmetry;
     Alcotest.test_case "2-node visited set: golden digest" `Quick
       test_visited_set_digest;
+    Test_seed.to_alcotest prop_scratch_keys;
+    Test_seed.to_alcotest prop_add_words;
+    Alcotest.test_case "scratch keying allocates nothing" `Quick
+      test_scratch_allocates_nothing;
+    Alcotest.test_case "expansion: minor words per state at one domain" `Quick
+      test_expansion_allocation;
   ]

@@ -297,17 +297,33 @@ let test_csv_errors () =
   check "unterminated quote" true
     (try ignore (Csv.of_string ~name:"x" "a\n\"oops\n"); false
      with Csv.Csv_error _ -> true);
-  (* a header naming a column twice (two empty cells read alike) is a
-     CSV error on line 1, not an escaping schema exception *)
+  (* a header naming a column twice is a CSV error on line 1, not an
+     escaping schema exception; so is a header cell that names no
+     column, by its position *)
   List.iter
     (fun (src, message) ->
       Alcotest.(check (pair int string))
-        (Printf.sprintf "duplicate column in %S" src)
+        (Printf.sprintf "bad header in %S" src)
         (1, message)
         (match Csv.of_string ~name:"x" src with
         | _ -> (0, "accepted")
         | exception Csv.Csv_error { line; message } -> (line, message)))
-    [ ("a,a\n1,2\n", "duplicate column \"a\""); (",\n1,2\n", "duplicate column \"-\"") ]
+    [ ("a,a\n1,2\n", "duplicate column \"a\"");
+      (",\n1,2\n", "column 1 has no name");
+      ("m,,d,v\nread,local,home,VC0\n", "column 2 has no name");
+      ("m,NULL,d,v\nread,local,home,VC0\n", "column 2 has no name");
+      ("m,s,d,\"\"\nread,local,home,VC0\n", "column 4 has no name") ];
+  (* blank lines outside quotes are no records, wherever they are; the
+     line numbers of later records still count them *)
+  let t, lines =
+    Csv.of_string_lines ~name:"x" "m,s\r\n\nread,local\n\n\nwb,home\n\n"
+  in
+  check "blank lines skipped" true
+    (Table.rows t = [ Row.strings [ "read"; "local" ]; Row.strings [ "wb"; "home" ] ]);
+  Alcotest.(check (array int)) "record lines" [| 3; 6 |] lines;
+  (* a quoted empty cell is a record, even as the last line *)
+  check "quoted empty cell" true
+    (Table.cardinality (Csv.of_string ~name:"x" "a\n\"\"") = 1)
 
 let test_csv_on_controller_table () =
   let d = Protocol.Dir_controller.table () in

@@ -289,6 +289,103 @@ let test_reparse_stability () =
       check ("roundtrip " ^ src) true (Table.equal_as_sets once twice))
     roundtrip_queries
 
+(* ------------------------------ fuzzing ------------------------------
+
+   SQL text is external input: whatever the text, parsing and running it
+   returns a result or raises one of the typed SQL errors the CLI turns
+   into a one-line diagnostic (exit 2), never another exception (an
+   internal error, exit 125).  Texts are arbitrary strings over SQL's
+   characters, or valid statements mutated token by token. *)
+
+let fuzz_db = Database.add db (Database.find ndb "T")
+
+let corpus =
+  [
+    "SELECT * FROM D";
+    "SELECT DISTINCT inmsg, dirst FROM D WHERE dirst = 'SI' AND NOT dirpv IN ('one','gone')";
+    "SELECT inmsg FROM D WHERE inmsg = 'readex' ? dirst = 'SI' : dirpv = 'one'";
+    "SELECT inmsg FROM D WHERE isrequest(inmsg) OR locmsg = NULL";
+    "SELECT DISTINCT inmsg FROM D UNION SELECT DISTINCT inmsg FROM D WHERE inmsg = 'idone'";
+    "SELECT DISTINCT inmsg FROM D EXCEPT SELECT inmsg FROM D WHERE inmsg = 'readex'";
+    "SELECT inmsg FROM D INTERSECT SELECT inmsg FROM D WHERE dirst <> 'I'";
+    "SELECT inmsg, COUNT(*) FROM D GROUP BY inmsg ORDER BY count DESC LIMIT 2";
+    "SELECT COUNT(*) FROM T WHERE ok AND n > 2";
+    "SELECT name FROM T WHERE x >= 1.5 ORDER BY ok DESC, n ASC LIMIT 2";
+    "SELECT * FROM T WHERE NOT (name > 'a' OR n <= 2);";
+    "CREATE TABLE V AS SELECT DISTINCT inmsg FROM D";
+    "INSERT INTO T VALUES ('d', 4, 0.25, FALSE), ('e', NULL, 1.0, TRUE)";
+    "DROP TABLE T";
+  ]
+
+let fragments =
+  [ "SELECT"; "DISTINCT"; "FROM"; "WHERE"; "AND"; "OR"; "NOT"; "IN"; "CREATE";
+    "TABLE"; "AS"; "INSERT"; "INTO"; "VALUES"; "UNION"; "EXCEPT"; "INTERSECT";
+    "NULL"; "TRUE"; "FALSE"; "DROP"; "EMPTY"; "GROUP"; "BY"; "ORDER"; "LIMIT";
+    "ASC"; "DESC"; "COUNT(*)"; "count"; "("; ")"; ","; "*"; "="; "<>"; "!=";
+    "<"; "<="; ">"; ">="; "?"; ":"; ";"; "'"; "\""; "''"; "D"; "T"; "V";
+    "sys.runs"; "sys.metrics"; "nosuch"; "inmsg"; "dirst"; "n"; "x"; "ok";
+    "name"; "count"; "isrequest"; "nofn"; "0"; "-1"; "1.5"; "2."; ".5";
+    "4611686018427387903"; "99999999999999999999999"; "'readex'"; "'a''b'";
+    "\"MESI\""; "\000"; "\xc3\xa9"; "@" ]
+
+let mutate_tokens =
+  let open QCheck2.Gen in
+  let edit toks =
+    let n = List.length toks in
+    let* i = int_bound (max 0 (n - 1)) in
+    let* frag = oneofl fragments in
+    let* kind = int_bound 4 in
+    return
+      (List.concat
+         (List.mapi
+            (fun j t ->
+              if j <> i then [ t ]
+              else
+                match kind with
+                | 0 -> [] (* delete *)
+                | 1 -> [ t; t ] (* duplicate *)
+                | 2 -> [ frag ] (* replace *)
+                | 3 -> [ frag; t ] (* insert *)
+                | _ -> [ t ^ frag ] (* glue *))
+            toks))
+  in
+  let* src = oneofl corpus in
+  let* edits = int_range 1 4 in
+  let rec go k toks = if k = 0 then return toks else edit toks >>= go (k - 1) in
+  let* toks = go edits (String.split_on_char ' ' src) in
+  let* sep = oneofl [ " "; ""; "\n" ] in
+  return (String.concat sep toks)
+
+let gen_sql_text =
+  let open QCheck2.Gen in
+  let chars = "SELECTFROMWHEREDinmsg* ,()'\"=<>!?:;.0123456789-_\n\000" in
+  oneof
+    [
+      string_size ~gen:(oneofl (List.of_seq (String.to_seq chars))) (int_range 0 40);
+      map (String.concat " ") (list_size (int_range 1 12) (oneofl fragments));
+      mutate_tokens;
+      (* a truncated valid statement *)
+      (let* src = oneofl corpus in
+       let* k = int_bound (String.length src) in
+       return (String.sub src 0 k));
+    ]
+
+let typed_sql_error = function
+  | Sql_parser.Parse_error _ | Sql_exec.Exec_error _ | Sql_lexer.Lex_error _
+  | Database.Unknown_table _ | Schema.Unknown_column _
+  | Schema.Incompatible_schemas _ | Expr.Unknown_function _ ->
+      true
+  | _ -> false
+
+let prop_sql_total =
+  QCheck2.Test.make ~count:3000
+    ~name:"SQL text parses and runs, or raises a typed SQL error"
+    ~print:(Printf.sprintf "%S") gen_sql_text
+    (fun src ->
+      match Sql_exec.run_statement fuzz_db (Sql_parser.parse_statement src) with
+      | _ -> true
+      | exception e when typed_sql_error e -> true)
+
 let suite =
   [
     Alcotest.test_case "lexer" `Quick test_lexer;
@@ -316,4 +413,5 @@ let suite =
     Alcotest.test_case "sys. writes rejected" `Quick test_sys_writes_rejected;
     Alcotest.test_case "parse predicate" `Quick test_parse_predicate;
     Alcotest.test_case "print/reparse stability" `Quick test_reparse_stability;
+    Test_seed.to_alcotest prop_sql_total;
   ]
