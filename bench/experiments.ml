@@ -513,7 +513,7 @@ let e13 () =
 
 let e14 () =
   section "E14" "ED gating and the dfdback feedback path (paper Figure 5)";
-  let tables = Mcheck.Semantics.load_tables () in
+  let tables = Lazy.force Sim.Runner.tables in
   let initial =
     let st = Mcheck.Mstate.initial ~nodes:2 ~addrs:2 in
     let st =
@@ -527,30 +527,11 @@ let e14 () =
   in
   (* drive every delivery through the gated directory with the update
      engine stalled, then let it drain *)
-  let rec drive t =
-    match Mcheck.Mstate.queue_heads t.Sim.Impl_runner.base with
-    | [] -> t
-    | ((src, dst, cls), msg) :: _ ->
-        let base =
-          match Mcheck.Mstate.dequeue t.Sim.Impl_runner.base (src, dst, cls) with
-          | Some (_, b) -> b
-          | None -> assert false
-        in
-        drive (Sim.Impl_runner.deliver { t with Sim.Impl_runner.base } ~cls ~dst msg)
-  in
-  let rec settle n t =
-    if
-      Mcheck.Mstate.quiescent t.Sim.Impl_runner.base
-      && t.Sim.Impl_runner.feedback = []
-      || n > 100
-    then t
-    else
-      settle (n + 1)
-        (drive (Sim.Impl_runner.replay_feedback (Sim.Impl_runner.drain_update t)))
-  in
   List.iter
     (fun cap ->
-      let t = settle 0 (drive (Sim.Impl_runner.make ~upd_capacity:cap initial)) in
+      let t =
+        Sim.Impl_runner.(settle (drive (make ~upd_capacity:cap initial)))
+      in
       kv "update-queue capacity %d: %s -> %s\n" cap
         (Sim.Impl_runner.stats t)
         (if Mcheck.Mstate.quiescent t.Sim.Impl_runner.base then "quiescent"

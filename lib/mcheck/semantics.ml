@@ -419,12 +419,12 @@ let src_role ~cls msg =
   else if msg.src = mem then home
   else remote
 
-let dir_inputs config st ~cls msg b =
+let dir_inputs io_addrs st ~cls msg b =
   let a = addr_state st msg.addr in
   set b inmsg msg.m;
   pick b D.inmsgsrc (src_role ~cls msg);
   set b D.inmsgres cls;
-  pick b D.addrspace (Bool.to_int (List.mem msg.addr config.io_addrs));
+  pick b D.addrspace (Bool.to_int (List.mem msg.addr io_addrs));
   set b D.dirst a.dirst;
   pick b D.dirpv (pv_index a.sharers);
   pick b D.reqpv (Bool.to_int (a.sharers land bit msg.src <> 0));
@@ -433,15 +433,15 @@ let dir_inputs config st ~cls msg b =
   pick b D.dirlookup (Bool.to_int (a.dirst <> s_I));
   pick b D.bdirlookup (Bool.to_int (a.busy <> None))
 
-let dir_binding config st ~cls msg =
+let dir_binding ?(io_addrs = []) st ~cls msg =
   let strs = Array.copy D.l.named in
-  dir_inputs config st ~cls msg (Named (D.l, strs));
+  dir_inputs io_addrs st ~cls msg (Named (D.l, strs));
   pairs D.l strs
 
-let deliver_dir tables config st cls msg =
+let deliver_dir tables io_addrs st cls msg =
   let a = addr_state st msg.addr in
   let b = binding tables.d_rules in
-  dir_inputs config st ~cls msg b;
+  dir_inputs io_addrs st ~cls msg b;
   match eval tables.d_rules b with
   | None ->
       Broken
@@ -769,7 +769,7 @@ let rec deliveries tables config st labels acc = function
         | msg :: _ -> (
             let st' = without_head st k in
             let outcome =
-              if dst = dir then deliver_dir tables config st' cls msg
+              if dst = dir then deliver_dir tables config.io_addrs st' cls msg
               else if dst = mem then deliver_mem tables st' msg
               else if cls = snp then deliver_snoop tables st' dst msg
               else deliver_response tables st' dst msg
@@ -837,62 +837,79 @@ let successors ?(labels = true) tables config st =
   if config.lossy then acc := drops st labels !acc st.queues;
   List.rev !acc
 
-let deliver ?(config = { nodes = 0; addrs = 0; ops = []; capacity = 0; io_addrs = []; lossy = false })
-    tables st ~cls ~dst msg =
-  if dst = dir then deliver_dir tables config st cls msg
+let deliver ?(io_addrs = []) tables st ~cls ~dst msg =
+  if dst = dir then deliver_dir tables io_addrs st cls msg
   else if dst = mem then deliver_mem tables st msg
   else if cls = snp then deliver_snoop tables st dst msg
   else deliver_response tables st dst msg
 
 let issue_op tables st ~node ~addr ~op = issue tables st node addr op
 
-let state_violations config st =
-  List.concat
-    (List.mapi
-       (fun addr a ->
-         let caches =
-           List.init config.nodes (fun n -> n, cache st ~node:n ~addr)
-         in
-         let owners =
-           List.filter (fun (_, c) -> c = s_M || c = s_E) caches
-         in
-         let sharers = List.filter (fun (_, c) -> c = s_S) caches in
-         let multi_owner =
-           if List.length owners > 1 then
-             [ Printf.sprintf "addr %d: multiple owners" addr ]
-           else []
-         in
-         let owner_and_sharer =
-           if owners <> [] && sharers <> [] then
-             [ Printf.sprintf "addr %d: owner coexists with sharers" addr ]
-           else []
-         in
-         let orphaned =
-           (* a busy transaction with nothing in flight for its address
-              and no backed-off request that could regenerate traffic can
-              never complete: the protocol-level consequence of a lost
-              message *)
-           if
-             a.busy <> None
-             && (not (List.exists (fun (_, q) ->
-                     List.exists (fun m -> m.addr = addr) q) st.queues))
-             && not
-                  (List.exists
-                     (fun n ->
-                       backoff_of (pending st ~node:n ~addr) <> None)
-                     (List.init config.nodes Fun.id))
-           then [ Printf.sprintf "addr %d: orphaned busy transaction" addr ]
-           else []
-         in
-         let idle_invalid =
-           (* only meaningful when nothing is in flight for this address *)
-           if
-             a.dirst = s_I && a.busy = None
-             && (not (List.exists (fun (_, q) ->
-                     List.exists (fun m -> m.addr = addr) q) st.queues))
-             && List.exists (fun (_, c) -> c <> s_I) caches
-           then [ Printf.sprintf "addr %d: cached under invalid directory" addr ]
-           else []
-         in
-         multi_owner @ owner_and_sharer @ orphaned @ idle_invalid)
-       st.addrs)
+(* Whether any in-flight message concerns [addr]. *)
+let rec addr_in_queue addr = function
+  | [] -> false
+  | m :: q -> m.addr = addr || addr_in_queue addr q
+
+let rec addr_in_flight addr = function
+  | [] -> false
+  | (_, q) :: rest -> addr_in_queue addr q || addr_in_flight addr rest
+
+(* Whether some node holds a backed-off op for [addr] that could
+   regenerate traffic. *)
+let rec backed_off st ~addr node nodes =
+  node < nodes
+  && ((match pending st ~node ~addr with
+      | Some p -> lookup backoff_op p <> -1
+      | None -> false)
+     || backed_off st ~addr (node + 1) nodes)
+
+(* One pass over the addresses and, per address, over the nodes'
+   caches; a state without violations allocates nothing.  The messages
+   come in address order, each address's in the order multiple owners,
+   owner with sharers, orphaned, cached under invalid — the first
+   becomes the verdict detail. *)
+let rec violations config st addr acc = function
+  | [] -> List.rev acc
+  | a :: rest ->
+      let owners = ref 0 and sharers = ref 0 and cached = ref false in
+      for node = 0 to config.nodes - 1 do
+        let c = cache st ~node ~addr in
+        if c = s_M || c = s_E then incr owners
+        else if c = s_S then incr sharers;
+        if c <> s_I then cached := true
+      done;
+      let busy = Option.is_some a.busy in
+      let acc =
+        if !owners > 1 then
+          Printf.sprintf "addr %d: multiple owners" addr :: acc
+        else acc
+      in
+      let acc =
+        if !owners > 0 && !sharers > 0 then
+          Printf.sprintf "addr %d: owner coexists with sharers" addr :: acc
+        else acc
+      in
+      let acc =
+        (* a busy transaction with nothing in flight for its address
+           and no backed-off request that could regenerate traffic can
+           never complete: the protocol-level consequence of a lost
+           message *)
+        if
+          busy
+          && (not (addr_in_flight addr st.queues))
+          && not (backed_off st ~addr 0 config.nodes)
+        then Printf.sprintf "addr %d: orphaned busy transaction" addr :: acc
+        else acc
+      in
+      let acc =
+        (* only meaningful when nothing is in flight for this address *)
+        if
+          a.dirst = s_I && (not busy) && !cached
+          && not (addr_in_flight addr st.queues)
+        then
+          Printf.sprintf "addr %d: cached under invalid directory" addr :: acc
+        else acc
+      in
+      violations config st (addr + 1) acc rest
+
+let state_violations config st = violations config st 0 [] st.addrs

@@ -87,16 +87,15 @@ val state_violations : config -> Mstate.t -> string list
     exploring all interleavings. *)
 
 val deliver :
-  ?config:config ->
+  ?io_addrs:int list ->
   tables ->
   Mstate.t ->
   cls:Mstate.sym ->
   dst:int ->
   Mstate.msg ->
   outcome
-(** Process one already-dequeued message at its endpoint.  [config]
-    defaults to an all-memory address space (only [io_addrs] is
-    consulted here). *)
+(** Process one already-dequeued message at its endpoint.  [io_addrs]
+    (default none) are the addresses in the uncached I/O space. *)
 
 val issue_op :
   tables -> Mstate.t -> node:int -> addr:int -> op:Mstate.sym -> Mstate.t option
@@ -108,7 +107,11 @@ val reissue : Mstate.t -> node:int -> addr:int -> Mstate.t option
     fresh request; [None] if nothing is backed off at that line. *)
 
 val dir_binding :
-  config -> Mstate.t -> cls:Mstate.sym -> Mstate.msg -> (string * string) list
+  ?io_addrs:int list ->
+  Mstate.t ->
+  cls:Mstate.sym ->
+  Mstate.msg ->
+  (string * string) list
 (** The input binding the directory table sees for a message — also the
     first half of the ED binding used by the implementation-level
     simulator ({!Sim.Impl_runner}). *)

@@ -138,12 +138,16 @@ let write () =
         Filename.concat dir
           (Printf.sprintf "%s-%s.json" (timestamp_slug started_at) cmd)
       in
-      let oc = open_out path in
+      (* write aside and rename into place: an exit cut short mid-write
+         leaves a stray .json.tmp, never a truncated .json *)
+      let tmp = path ^ ".tmp" in
+      let oc = open_out tmp in
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () ->
           output_string oc (Json.to_string doc);
           output_char oc '\n');
+      Sys.rename tmp path;
       Some path
 
 (* Manifests embed the coverage summary, a metrics snapshot and the

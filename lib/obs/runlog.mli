@@ -44,7 +44,9 @@ val manifest : unit -> Json.t
 
 val write : unit -> string option
 (** Write the manifest file, creating the directory if needed; [None]
-    when not {!configured}, otherwise the path written. *)
+    when not {!configured}, otherwise the path written.  The document
+    goes to [<path>.tmp] first and is renamed into place, so an exit cut
+    short mid-write never leaves a truncated [.json]. *)
 
 (** {2 Heartbeat} *)
 

@@ -1,6 +1,5 @@
 type t = Vc of string | Dedicated of string
 
-let to_string = function Vc s -> s | Dedicated s -> "HW:" ^ s
 let is_blocking = function Vc _ -> true | Dedicated _ -> false
 
 let roles ~cls ~src ~dst =

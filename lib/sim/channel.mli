@@ -10,7 +10,6 @@
 
 type t = Vc of string | Dedicated of string
 
-val to_string : t -> string
 val is_blocking : t -> bool
 (** Dedicated resources are sized for the worst case and never block. *)
 

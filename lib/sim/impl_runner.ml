@@ -11,15 +11,10 @@ type gate = Proceed | Bounce | Defer
 
 let retry = Mcheck.Mstate.intern "retry"
 
-let tables = lazy (Mcheck.Semantics.load_tables ())
-
 let ed_rules =
   lazy
     (Mapping.Codegen.rules_of_table ~inputs:Mapping.Extend.input_columns
        ~outputs:Mapping.Extend.output_columns (Mapping.Extend.ed ()))
-
-let mem_only_config =
-  { Mcheck.Semantics.nodes = 0; addrs = 0; ops = []; capacity = 0; io_addrs = []; lossy = false }
 
 let make ?(upd_capacity = 1) base =
   { base; upd_capacity; upd_used = 0; feedback = []; deferred = 0; retried = 0 }
@@ -30,14 +25,10 @@ let statuses t =
      the output queues are never oversubscribed here *)
   [ "qstatus", "NotFull"; "dqstatus", dq ]
 
-let ed_outputs t ~cls msg =
-  let binding =
-    Mcheck.Semantics.dir_binding mem_only_config t.base ~cls msg @ statuses t
-  in
-  Mapping.Codegen.eval_rules (Lazy.force ed_rules) binding
-
+(* Classify a delivery by its ED row under the current queue statuses. *)
 let gate t ~cls msg =
-  match ed_outputs t ~cls msg with
+  let binding = Mcheck.Semantics.dir_binding t.base ~cls msg @ statuses t in
+  match Mapping.Codegen.eval_rules (Lazy.force ed_rules) binding with
   | None -> Proceed (* no gating row: fall through to the table semantics *)
   | Some outputs ->
       if List.assoc_opt "fdback" outputs = Some "dfdback" then Defer
@@ -52,22 +43,26 @@ let gate t ~cls msg =
 (* Whether the architectural row writes the directory (and therefore
    occupies an update-queue slot). *)
 let writes_directory t ~cls msg =
-  let binding = Mcheck.Semantics.dir_binding mem_only_config t.base ~cls msg in
   match
     Mapping.Codegen.eval_rules
-      (Mcheck.Semantics.directory_rules (Lazy.force tables))
-      binding
+      (Mcheck.Semantics.directory_rules (Lazy.force Runner.tables))
+      (Mcheck.Semantics.dir_binding t.base ~cls msg)
   with
   | Some outputs -> List.assoc_opt "dirwr" outputs = Some "yes"
   | None -> false
 
 let apply t ~cls ~dst msg =
   let slot = if dst = Mcheck.Mstate.dir then writes_directory t ~cls msg else false in
-  match Mcheck.Semantics.deliver (Lazy.force tables) t.base ~cls ~dst msg with
+  match
+    Mcheck.Semantics.deliver (Lazy.force Runner.tables) t.base ~cls ~dst msg
+  with
   | Mcheck.Semantics.Next base ->
       { t with base; upd_used = (t.upd_used + if slot then 1 else 0) }
   | Mcheck.Semantics.Broken reason -> failwith reason
 
+(* Pop-and-process one message through the gate: [Proceed] runs the
+   table semantics, [Defer] pushes the message onto the feedback path,
+   [Bounce] emits a retry. *)
 let deliver t ~cls ~dst msg =
   if dst <> Mcheck.Mstate.dir then apply t ~cls ~dst msg
   else
@@ -86,43 +81,31 @@ let deliver t ~cls ~dst msg =
     | Defer ->
         { t with feedback = t.feedback @ [ cls, msg ]; deferred = t.deferred + 1 }
 
+let rec drive t =
+  match Mcheck.Mstate.queue_heads t.base with
+  | [] -> t
+  | (((_, dst, cls) as key), _) :: _ -> (
+      match Mcheck.Mstate.dequeue t.base key with
+      | Some (msg, base) -> drive (deliver { t with base } ~cls ~dst msg)
+      | None -> assert false)
+
+(* The update engine retires one queued update. *)
 let drain_update t = { t with upd_used = max 0 (t.upd_used - 1) }
 
+(* Re-inject the oldest deferred response as its dfdback request; a
+   no-op while the update queue is still full.  The replay performs the
+   original response's behaviour on its original arrival class. *)
 let replay_feedback t =
   match t.feedback with
   | [] -> t
   | (cls, msg) :: rest ->
       if t.upd_used >= t.upd_capacity then t
-      else
-        let t = { t with feedback = rest } in
-        (* the replay performs the original response's behaviour on its
-           original arrival class *)
-        apply t ~cls ~dst:Mcheck.Mstate.dir msg
+      else apply { t with feedback = rest } ~cls ~dst:Mcheck.Mstate.dir msg
 
-let quiescent t =
-  Mcheck.Mstate.quiescent t.base && t.feedback = [] && t.upd_used = 0
-
-let run_to_completion ?(max_steps = 10_000) ?(drain_every = 1) t =
-  let rec go steps t =
-    if steps > max_steps then failwith "Impl_runner: step budget exhausted"
-    else if quiescent t then t
-    else
-      (* one scheduling round: a delivery if possible; the update engine
-         retires a queued update every [drain_every] rounds (a slower
-         engine forces more traffic through the feedback path) *)
-      let maybe_drain t =
-        if steps mod drain_every = 0 then replay_feedback (drain_update t)
-        else t
-      in
-      match Mcheck.Mstate.queue_heads t.base with
-      | ((src, dst, cls), msg) :: _ ->
-          let t' =
-            match Mcheck.Mstate.dequeue t.base (src, dst, cls) with
-            | Some (_, base) -> deliver { t with base } ~cls ~dst msg
-            | None -> assert false
-          in
-          go (steps + 1) (maybe_drain t')
-      | [] -> go (steps + 1) (replay_feedback (drain_update t))
+let settle t =
+  let rec go n t =
+    if (Mcheck.Mstate.quiescent t.base && t.feedback = []) || n > 100 then t
+    else go (n + 1) (drive (replay_feedback (drain_update t)))
   in
   go 0 t
 

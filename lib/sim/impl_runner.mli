@@ -26,35 +26,22 @@ type t = {
   retried : int;  (** statistics: requests bounced on full queues *)
 }
 
-type gate =
-  | Proceed  (** execute the architectural row *)
-  | Bounce  (** answered retry because qstatus = Full *)
-  | Defer  (** converted to dfdback because dqstatus = Full *)
-
 val make : ?upd_capacity:int -> Mcheck.Mstate.t -> t
 
-val gate : t -> cls:Mcheck.Mstate.sym -> Mcheck.Mstate.msg -> gate
-(** Classify a delivery by its ED row under the current queue statuses. *)
-
-val deliver : t -> cls:Mcheck.Mstate.sym -> dst:int -> Mcheck.Mstate.msg -> t
-(** Pop-and-process one message through the gate: [Proceed] runs the
-    table semantics (consuming an update slot if the row writes the
-    directory), [Defer] pushes the message onto the feedback path,
-    [Bounce] emits a retry.
+val drive : t -> t
+(** Deliver every in-flight message, the head of the first non-empty
+    FIFO each time, through the ED gate with the update engine stalled:
+    [Proceed] runs the table semantics (consuming an update slot if the
+    row writes the directory), [Defer] pushes the message onto the
+    feedback path, [Bounce] emits a retry.  Returns once no message is
+    in flight.
     @raise Failure if the architectural row is missing (protocol bug). *)
 
-val drain_update : t -> t
-(** The directory-update engine retires one queued update. *)
-
-val replay_feedback : t -> t
-(** Re-inject the oldest deferred response as its dfdback request; a
-    no-op while the update queue is still full. *)
-
-val run_to_completion : ?max_steps:int -> ?drain_every:int -> t -> t
-(** Alternate deliveries (round-robin over the base state's queues),
-    drains and replays until quiescent.  [drain_every] (default 1) slows
-    the update engine down to one retirement per that many rounds; a
-    slower engine forces more responses through the feedback path.
-    @raise Failure if the step budget is exhausted. *)
+val settle : t -> t
+(** Rounds of: the update engine retires one update, the oldest
+    deferral is replayed (once the update queue has room) and {!drive}
+    delivers what that enqueued; until nothing is in flight or deferred,
+    or after 101 rounds.  A state that is not quiescent on return never
+    drained. *)
 
 val stats : t -> string

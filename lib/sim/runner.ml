@@ -22,53 +22,59 @@ type result =
 
 exception Script_error of string
 
+let tables = lazy (Mcheck.Semantics.load_tables ())
+
+let collect () =
+  let log = ref [] in
+  (fun line -> log := line :: !log), fun () -> List.rev !log
+
+(* The one virtual-channel check: a step is enabled only if its outputs
+   fit their channels. *)
 let fits config st =
   Channel.over_capacity ~v:config.v ~capacity:config.capacity st = []
 
-let tables = lazy (Mcheck.Semantics.load_tables ())
+let name = Mcheck.Mstate.name
 
-let semantics_config config =
-  {
-    Mcheck.Semantics.nodes = config.nodes;
-    addrs = config.addrs;
-    ops = [];
-    capacity = max_int;
-    io_addrs = config.io_addrs;
-    lossy = false;
-  }
-
-(* Attempt to deliver the head of one FIFO; [None] when the queue is
-   empty or the outputs do not fit their channels. *)
-let try_deliver config st key =
-  let src, dst, cls = key in
-  let name = Mcheck.Mstate.name in
+let try_deliver config st ((src, dst, cls) as key) =
   match Mcheck.Mstate.dequeue st key with
   | None -> None
   | Some (msg, st') -> (
       match
-        Mcheck.Semantics.deliver ~config:(semantics_config config)
-          (Lazy.force tables) st' ~cls ~dst msg
+        Mcheck.Semantics.deliver ~io_addrs:config.io_addrs (Lazy.force tables)
+          st' ~cls ~dst msg
       with
       | Mcheck.Semantics.Broken reason -> raise (Script_error reason)
-      | Mcheck.Semantics.Next st'' ->
-          if fits config st'' then
-            Some
-              ( Printf.sprintf "deliver %s %d->%d (%s)" (name msg.m) src dst
-                  (name cls),
-                st'' )
-          else None)
+      | Mcheck.Semantics.Next st'' when fits config st'' ->
+          Some
+            ( Printf.sprintf "deliver %s %d->%d (%s)" (name msg.m) src dst
+                (name cls),
+              st'' )
+      | Mcheck.Semantics.Next _ -> None)
+
+let try_issue config st ~node ~addr ~op =
+  match Mcheck.Mstate.pending st ~node ~addr with
+  | Some _ -> None
+  | None -> (
+      match Mcheck.Semantics.issue_op (Lazy.force tables) st ~node ~addr ~op with
+      | Some st' when fits config st' ->
+          Some (Printf.sprintf "issue %s node%d addr%d" (name op) node addr, st')
+      | Some _ | None -> None)
+
+let try_reissue config st ~node ~addr =
+  match Mcheck.Semantics.reissue st ~node ~addr with
+  | Some st' when fits config st' ->
+      Some (Printf.sprintf "reissue node%d addr%d" node addr, st')
+  | Some _ | None -> None
 
 let apply_event config st = function
   | Issue { node; addr; op } -> (
-      match
-        Mcheck.Semantics.issue_op (Lazy.force tables) st ~node ~addr
-          ~op:(Mcheck.Mstate.intern op)
-      with
-      | Some st' when fits config st' ->
-          Printf.sprintf "issue %s node%d addr%d" op node addr, st'
-      | Some _ ->
-          raise (Script_error (Printf.sprintf "issue %s overflows a channel" op))
-      | None -> raise (Script_error (Printf.sprintf "issue %s not enabled" op)))
+      match try_issue config st ~node ~addr ~op:(Mcheck.Mstate.intern op) with
+      | Some r -> r
+      | None ->
+          raise
+            (Script_error
+               (Printf.sprintf "issue %s node%d addr%d not enabled" op node
+                  addr)))
   | Deliver { src; dst; cls } -> (
       match try_deliver config st (src, dst, Mcheck.Mstate.intern cls) with
       | Some r -> r
@@ -85,19 +91,10 @@ let blocked_heads config st =
       | None ->
           Some
             (Printf.sprintf "%s %d->%d (%s) blocked: outputs do not fit"
-               (Mcheck.Mstate.name m.m) src dst (Mcheck.Mstate.name cls)))
+               (name m.m) src dst (name cls)))
     (Mcheck.Mstate.queue_heads st)
 
 let obs_reg = lazy (Obs.Metrics.registry "sim")
-
-(* One Chrome counter sample per simulator step: Perfetto renders the
-   series as a stacked per-virtual-channel occupancy track. *)
-let sample_occupancy config st =
-  if Obs.Config.on () then
-    Obs.Trace.counter "sim.vc_occupancy"
-      (List.map
-         (fun (vc, n) -> vc, float_of_int n)
-         (Channel.occupancy ~v:config.v st))
 
 let record_wedge ~t0 ~steps result =
   match result with
@@ -120,27 +117,32 @@ let run ?(script = []) ?(trace = fun _ -> ()) ?(max_steps = 10_000) config st =
   let t0 = Obs.Clock.now_ns () in
   let steps = ref 0 in
   let st = ref st in
-  (* --progress heartbeat: one line per interval with the step count and
-     total channel occupancy; a single match when progress is off *)
-  let beat () =
+  (* Every step a run takes lands here: the step count, the trace line,
+     one Chrome counter sample (Perfetto renders the series as a stacked
+     per-virtual-channel occupancy track) and the --progress heartbeat
+     (a single match when progress is off). *)
+  let commit (label, st') =
+    incr steps;
+    trace label;
+    st := st';
+    if Obs.Config.on () then
+      Obs.Trace.counter "sim.vc_occupancy"
+        (List.map
+           (fun (vc, n) -> vc, float_of_int n)
+           (Channel.occupancy ~v:config.v st'));
     Obs.Runlog.tick (fun () ->
         let in_flight =
           List.fold_left
             (fun acc (_, n) -> acc + n)
             0
-            (Channel.occupancy ~v:config.v !st)
+            (Channel.occupancy ~v:config.v st')
         in
         Printf.sprintf "[sim] steps=%d in_flight=%d" !steps in_flight)
   in
-  List.iter
-    (fun ev ->
-      let label, st' = apply_event config !st ev in
-      incr steps;
-      trace label;
-      st := st';
-      sample_occupancy config !st;
-      beat ())
-    script;
+  let step = function Some s -> commit s; true | None -> false in
+  List.iter (fun ev -> commit (apply_event config !st ev)) script;
+  let nodes = List.init config.nodes Fun.id in
+  let addrs = List.init config.addrs Fun.id in
   let rec free_run () =
     if !steps >= max_steps then
       ( Deadlock
@@ -153,41 +155,16 @@ let run ?(script = []) ?(trace = fun _ -> ()) ?(max_steps = 10_000) config st =
     else if Mcheck.Mstate.quiescent !st then Quiescent { steps = !steps }, !st
     else
       let heads = Mcheck.Mstate.queue_heads !st in
-      let progressed =
-        List.exists
-          (fun (key, _) ->
-            match try_deliver config !st key with
-            | Some (label, st') ->
-                incr steps;
-                trace label;
-                st := st';
-                sample_occupancy config !st;
-                beat ();
-                true
-            | None -> false)
-          heads
-      in
-      let reissued =
-        if progressed then false
-        else
-          (* nothing deliverable: let a backed-off processor op re-enter,
-             if its request fits its channel *)
-          List.exists
-            (fun node ->
-              List.exists
-                (fun addr ->
-                  match Mcheck.Semantics.reissue !st ~node ~addr with
-                  | Some st' when fits config st' ->
-                      incr steps;
-                      trace (Printf.sprintf "reissue node%d addr%d" node addr);
-                      st := st';
-                      sample_occupancy config !st;
-                      true
-                  | Some _ | None -> false)
-                (List.init config.addrs Fun.id))
-            (List.init config.nodes Fun.id)
-      in
-      if progressed || reissued then free_run ()
+      if
+        List.exists (fun (key, _) -> step (try_deliver config !st key)) heads
+        (* nothing deliverable: let a backed-off processor op re-enter *)
+        || List.exists
+             (fun node ->
+               List.exists
+                 (fun addr -> step (try_reissue config !st ~node ~addr))
+                 addrs)
+             nodes
+      then free_run ()
       else if heads = [] then
         (* pending processor state but nothing in flight: wedged *)
         ( Deadlock

@@ -37,6 +37,43 @@ type result =
 exception Script_error of string
 (** A scripted event was not enabled (or a table had no row for it). *)
 
+val tables : Mcheck.Semantics.tables Lazy.t
+(** The controller tables every simulator in this library runs on,
+    loaded once. *)
+
+(** {1 The step}
+
+    Every schedule — scripted events, the free run, the blocked-head
+    report, {!Scenario.stress} — takes its steps through these two.  A
+    step is enabled only if its outputs fit their channels; that check
+    lives here and nowhere else.  Each returns the step's trace label
+    with the new state, or [None] when the step is not enabled.  Neither
+    raises for a disabled step; {!try_deliver} raises {!Script_error}
+    only when a table has no row for the message (a protocol error). *)
+
+val try_deliver :
+  config ->
+  Mcheck.Mstate.t ->
+  int * int * Mcheck.Mstate.sym ->
+  (string * Mcheck.Mstate.t) option
+(** Deliver the head of the FIFO [(src, dst, cls)]; [None] when the
+    queue is empty or the outputs do not fit. *)
+
+val try_issue :
+  config ->
+  Mcheck.Mstate.t ->
+  node:int ->
+  addr:int ->
+  op:Mcheck.Mstate.sym ->
+  (string * Mcheck.Mstate.t) option
+(** Issue a processor operation through the PIF table; [None] when an
+    operation is already pending at the line, the op is a cache hit or
+    undefined for the line state, or its request does not fit. *)
+
+val collect : unit -> (string -> unit) * (unit -> string list)
+(** A [~trace] sink that keeps the lines, and the lines so far in
+    order. *)
+
 val run :
   ?script:event list ->
   ?trace:(string -> unit) ->

@@ -1,5 +1,7 @@
 open Mcheck.Mstate
 
+(* [owners] maps address -> owning node: the directory is set to MESI
+   with that single sharer, the owner's cache to M, memory to stale. *)
 let make_initial ~nodes ~addrs ~owners =
   let st = initial ~nodes ~addrs in
   List.fold_left
@@ -23,10 +25,6 @@ let shared_line st ~addr ~sharers =
       { dirst = intern "SI"; sharers = mask; busy = None; mem_fresh = true }
   in
   List.fold_left (fun st n -> set_cache st ~node:n ~addr (intern "S")) st sharers
-
-let collect () =
-  let log = ref [] in
-  (fun line -> log := line :: !log), fun () -> List.rev !log
 
 let dir = Mcheck.Mstate.dir
 let mem = Mcheck.Mstate.mem
@@ -63,7 +61,7 @@ let figure4_wedged v =
       Runner.Deliver { src = 2; dst = dir; cls = "reqq" };
     ]
   in
-  let trace, log = collect () in
+  let trace, log = Runner.collect () in
   let result, final = Runner.run ~script ~trace config st in
   result, log (), final
 
@@ -81,7 +79,7 @@ let readex_walkthrough v =
   in
   let st = initial ~nodes:3 ~addrs:1 in
   let st = shared_line st ~addr:0 ~sharers:[ 1; 2 ] in
-  let trace, log = collect () in
+  let trace, log = Runner.collect () in
   let result, _ =
     Runner.run
       ~script:[ Runner.Issue { node = 0; addr = 0; op = "store" } ]
@@ -98,46 +96,32 @@ let stress ?(seed = 42) ?(rounds = 200) ?(nodes = 3) ?(addrs = 2) v =
     { Runner.v; capacity = Runner.uniform_capacity 2; nodes; addrs;
       io_addrs = [] }
   in
-  let tables = Mcheck.Semantics.load_tables () in
   let issued = ref 0 in
   let st = ref (initial ~nodes ~addrs) in
   let ops = Array.map intern [| "load"; "store"; "evictmod"; "evictsh" |] in
-  let try_deliver_random () =
-    match Mcheck.Mstate.queue_heads !st with
-    | [] -> ()
-    | heads ->
-        let key, msg = List.nth heads (Random.State.int rng (List.length heads)) in
-        let _, dst, cls = key in
-        (match Mcheck.Mstate.dequeue !st key with
-        | Some (_, st') -> (
-            match Mcheck.Semantics.deliver tables st' ~cls ~dst msg with
-            | Mcheck.Semantics.Next st'' ->
-                (* respect channel capacities: drop the step if it would
-                   overflow (the consumer would stall in hardware) *)
-                if
-                  Checker.Vcassign.channels v = []
-                  || Channel.over_capacity ~v ~capacity:config.Runner.capacity
-                       st''
-                     = []
-                then st := st''
-            | Mcheck.Semantics.Broken reason -> failwith reason)
-        | None -> ())
-  in
+  (* a step that is not enabled is dropped (the consumer would stall in
+     hardware) *)
   for _ = 1 to rounds do
     if Random.State.bool rng then begin
       let node = Random.State.int rng nodes in
       let addr = Random.State.int rng addrs in
       let op = ops.(Random.State.int rng (Array.length ops)) in
-      if Mcheck.Mstate.pending !st ~node ~addr = None then
-        match Mcheck.Semantics.issue_op tables !st ~node ~addr ~op with
-        | Some st'
-          when Channel.over_capacity ~v ~capacity:config.Runner.capacity st'
-               = [] ->
-            incr issued;
-            st := st'
-        | Some _ | None -> ()
+      match Runner.try_issue config !st ~node ~addr ~op with
+      | Some (_, st') ->
+          incr issued;
+          st := st'
+      | None -> ()
     end
-    else try_deliver_random ()
+    else
+      match Mcheck.Mstate.queue_heads !st with
+      | [] -> ()
+      | heads -> (
+          let key, _ =
+            List.nth heads (Random.State.int rng (List.length heads))
+          in
+          match Runner.try_deliver config !st key with
+          | Some (_, st') -> st := st'
+          | None -> ())
   done;
   (* workload over: the system must drain *)
   let result, _ = Runner.run ~max_steps:20_000 config !st in
@@ -151,7 +135,7 @@ let contention v =
       io_addrs = [] }
   in
   let st = initial ~nodes:2 ~addrs:1 in
-  let trace, log = collect () in
+  let trace, log = Runner.collect () in
   let result, _ =
     Runner.run
       ~script:

@@ -8,11 +8,6 @@
     VC4 mutually occupied; under the debugged assignment (dedicated
     [mread] path) the same schedule drains. *)
 
-val make_initial :
-  nodes:int -> addrs:int -> owners:(int * int) list -> Mcheck.Mstate.t
-(** [owners] maps address → owning node: the directory is set to MESI
-    with that single sharer, the owner's cache to M, memory to stale. *)
-
 val figure4 : Checker.Vcassign.t -> Runner.result * string list
 (** Run the Figure 4 interleaving under the given channel assignment;
     returns the outcome and the transition trace. *)

@@ -8,17 +8,13 @@ type t = {
          time in the current coverage session; None when coverage is off *)
 }
 
-let collect () =
-  let log = ref [] in
-  (fun line -> log := line :: !log), fun () -> List.rev !log
-
 (* Issue each operation and let the system drain before the next one, so
    walkthroughs document one transaction at a time, like Figure 2. *)
 let run_ops ?(nodes = 3) ?(addrs = 1) ?(io_addrs = []) ?(prepare = Fun.id) v ops =
   let config =
     { Runner.v; capacity = Runner.uniform_capacity 4; nodes; addrs; io_addrs }
   in
-  let trace, log = collect () in
+  let trace, log = Runner.collect () in
   let st =
     List.fold_left
       (fun st (node, addr, op) ->

@@ -240,6 +240,66 @@ let test_manifest_write_round_trip () =
         (Obs.Json.member "ASURA_PLAN_BUILD" recorded = Some (Obs.Json.Str "left")));
   Obs.Runlog.reset ()
 
+(* A run directory after interrupted exits: a good manifest, one cut
+   off mid-document (what a non-atomic write used to leave) and a
+   leftover [.json.tmp].  [Runlog.write] itself leaves no [.tmp]
+   behind; [asura sql --runs] answers from the good manifest with one
+   warning for the cut one and never reads the [.tmp]. *)
+let test_partial_manifests () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "asura-test-partial-%d" (Unix.getpid ()))
+  in
+  Obs.Runlog.configure ~dir ~cmd:"good" ~argv:[| "asura"; "good" |];
+  let good = Option.get (Obs.Runlog.write ()) in
+  Obs.Runlog.reset ();
+  Alcotest.(check (list string)) "write leaves only the manifest"
+    [ Filename.basename good ]
+    (Array.to_list (Sys.readdir dir));
+  let contents = In_channel.with_open_bin good In_channel.input_all in
+  let half = String.sub contents 0 (String.length contents / 2) in
+  let put name text =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+        output_string oc text)
+  in
+  put "2000-01-01T00-00-00-cut.json" half;
+  put "2000-01-01T00-00-01-left.json.tmp" half;
+  let out = Filename.concat dir "stdout.txt"
+  and err = Filename.concat dir "stderr.txt" in
+  let exe =
+    (* `dune runtest` runs the suite in test/, `dune exec` from the root *)
+    List.find Sys.file_exists
+      [ "../bin/asura.exe"; "_build/default/bin/asura.exe" ]
+  in
+  let code =
+    Sys.command
+      (Filename.quote_command exe ~stdout:out ~stderr:err
+         [ "sql"; "--runs"; dir; "SELECT file, cmd FROM sys.runs" ])
+  in
+  let lines f =
+    String.split_on_char '\n' (In_channel.with_open_bin f In_channel.input_all)
+  in
+  let stdout = lines out and stderr = lines err in
+  List.iter Sys.remove
+    (List.map (Filename.concat dir) (Array.to_list (Sys.readdir dir)));
+  Unix.rmdir dir;
+  check_int "exit code" 0 code;
+  let has needle l =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length l && (String.sub l i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  (match List.filter (has "warning: skipping") stderr with
+  | [ w ] -> check "the warning names the cut manifest" true (has "-cut.json:" w)
+  | ws -> Alcotest.failf "%d warning lines, expected one" (List.length ws));
+  check "answers from the good manifest" true
+    (List.exists (has (Filename.basename good)) stdout
+    && List.exists (has "good") stdout);
+  check "the .tmp is never read" false
+    (List.exists (has "left") (stdout @ stderr))
+
 let test_heartbeat_tick () =
   let path = Filename.temp_file "asura-beat" ".log" in
   let oc = open_out path in
@@ -562,6 +622,8 @@ let suite =
     Alcotest.test_case "walkthrough attribution off by default" `Quick
       (with_coverage test_walkthrough_off_is_none);
     Alcotest.test_case "empty-run manifest is well-formed" `Quick test_empty_manifest;
+    Alcotest.test_case "partial manifests under --runs" `Quick
+      test_partial_manifests;
     Alcotest.test_case "manifest write round trip" `Quick
       test_manifest_write_round_trip;
     Alcotest.test_case "heartbeat respects arming and sink" `Quick

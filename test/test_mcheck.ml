@@ -351,6 +351,43 @@ let test_layout_not_factorial () =
     (Printf.sprintf "9-node layout allocated %.0f words (< 1M)" allocated)
     true (allocated < 1e6)
 
+(* Every kind of violation at once, over two addresses: the messages
+   come in address order, each address's in the order multiple owners,
+   owner with sharers, orphaned, cached under invalid — the first one
+   is the verdict detail. *)
+let test_state_violations_order () =
+  let cfg = config ~nodes:3 ~addrs:2 [] in
+  let sym = Mstate.intern in
+  let st = Mstate.initial ~nodes:3 ~addrs:2 in
+  (* address 0: two owners and a sharer under an idle invalid directory *)
+  let st = Mstate.set_cache st ~node:0 ~addr:0 (sym "M") in
+  let st = Mstate.set_cache st ~node:1 ~addr:0 (sym "E") in
+  let st = Mstate.set_cache st ~node:2 ~addr:0 (sym "S") in
+  (* address 1: a busy transaction with nothing left to complete it *)
+  let busy =
+    { Mstate.bst = sym "I"; requester = 0; acks = 0; snapshot = 0;
+      data_fresh = true }
+  in
+  let st =
+    Mstate.set_addr st 1 { (Mstate.addr_state st 1) with busy = Some busy }
+  in
+  Alcotest.(check (list string)) "violations"
+    [ "addr 0: multiple owners"; "addr 0: owner coexists with sharers";
+      "addr 0: cached under invalid directory";
+      "addr 1: orphaned busy transaction" ]
+    (Semantics.state_violations cfg st);
+  (* a request in flight for address 1 keeps its transaction alive, and
+     a cached line with traffic in flight is not yet a violation *)
+  let st =
+    Mstate.enqueue st ~cls:Mstate.reqq
+      { Mstate.m = sym "readex"; src = 0; dst = Mstate.dir; addr = 1;
+        fresh = true }
+  in
+  Alcotest.(check (list string)) "in flight"
+    [ "addr 0: multiple owners"; "addr 0: owner coexists with sharers";
+      "addr 0: cached under invalid directory" ]
+    (Semantics.state_violations cfg st)
+
 (* Nodes 16 and up hold sharer-mask bits like any other: a store must
    snoop a sharer at node 16, and the state printer must list it. *)
 let test_snoops_reach_high_nodes () =
@@ -368,7 +405,7 @@ let test_snoops_reach_high_nodes () =
         match Mstate.dequeue st (src, dst, cls) with
         | None -> assert false
         | Some (_, st') -> (
-            match Semantics.deliver ~config:cfg tables st' ~cls ~dst msg with
+            match Semantics.deliver ~io_addrs:cfg.Semantics.io_addrs tables st' ~cls ~dst msg with
             | Semantics.Next st'' -> drain st''
             | Semantics.Broken r -> Alcotest.fail r))
   in
@@ -551,4 +588,6 @@ let suite =
     Alcotest.test_case "coded dispatch on every row's own binding" `Quick
       test_dispatch_own_rows;
     Test_seed.to_alcotest prop_dispatch_matches_scan;
+    Alcotest.test_case "state_violations: messages in order" `Quick
+      test_state_violations_order;
   ]

@@ -680,6 +680,43 @@ let test_expansion_allocation () =
       if per_state > 590. then
         Alcotest.failf "%.0f minor words per explored state (bound 590)" per_state)
 
+(* [Semantics.state_violations] runs on every explored state; on a
+   state without violations it allocates nothing.  Pinned over the
+   first 5,000 states a breadth-first walk of the 3-node, 2-address
+   all-ops system reaches (none of which violates anything). *)
+let test_state_violations_allocation () =
+  let tables = Semantics.load_tables () in
+  let cfg =
+    { Semantics.nodes = 3; addrs = 2;
+      ops = [ "load"; "store"; "evictmod"; "evictsh" ];
+      capacity = 3; io_addrs = []; lossy = false }
+  in
+  let seen = Hashtbl.create 8192 and states = ref [] in
+  let queue = Queue.create () in
+  let visit st =
+    let k = Mstate.key st in
+    if Hashtbl.length seen < 5_000 && not (Hashtbl.mem seen k) then begin
+      Hashtbl.add seen k ();
+      states := st :: !states;
+      Queue.add st queue
+    end
+  in
+  visit (Mstate.initial ~nodes:3 ~addrs:2);
+  while not (Queue.is_empty queue) do
+    List.iter
+      (function _, Semantics.Next st -> visit st | _, Semantics.Broken _ -> ())
+      (Semantics.successors ~labels:false tables cfg (Queue.pop queue))
+  done;
+  let states = !states in
+  Alcotest.(check int) "states walked" 5_000 (List.length states);
+  Alcotest.(check bool) "no violation" true
+    (List.for_all (fun st -> Semantics.state_violations cfg st = []) states);
+  Alcotest.(check (float 0.)) "minor words over 5,000 states" 0.
+    (minor_words_of (fun () ->
+         List.iter
+           (fun st -> ignore (Semantics.state_violations cfg st : string list))
+           states))
+
 let suite =
   [
     Test_seed.to_alcotest prop_roundtrip;
@@ -693,6 +730,8 @@ let suite =
     Test_seed.to_alcotest prop_signatures_equivariant;
     Test_seed.to_alcotest prop_canonical_least_candidate;
     Alcotest.test_case "canonical: all three nodes tie" `Quick test_all_nodes_tie;
+    Alcotest.test_case "state_violations allocates nothing without a violation"
+      `Quick test_state_violations_allocation;
     Alcotest.test_case "canonical: exactly two nodes tie" `Quick test_two_nodes_tie;
     Alcotest.test_case "canonical: a tie no permutation exchanges" `Quick
       test_tie_without_symmetry;

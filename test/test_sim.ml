@@ -122,75 +122,101 @@ let test_stress_many_seeds () =
           Alcotest.fail (Printf.sprintf "seed %d wedged" seed))
     [ 1; 7; 42; 1337; 99991 ]
 
+(* ------------------------- byte-exact goldens ------------------------ *)
+
+(* The CLI's `simulate` output (trace lines, then the result), the
+   Figure 4 sequence chart, the stress outcomes and E14's capacity lines,
+   against the texts in [golden/sim_*.txt]: every simulator schedule
+   must keep its exact steps. *)
+let simulate_text (result, trace) =
+  String.concat "" (List.map (fun l -> l ^ "\n") trace)
+  ^ Format.asprintf "%a@." Runner.pp_result result
+
+let check_golden name text =
+  Alcotest.(check string) name (Test_why.golden ("sim_" ^ name ^ ".txt")) text
+
+let test_scenario_goldens () =
+  let open Checker.Vcassign in
+  let ((result, trace) as wedge) = Scenario.figure4 with_vc4 in
+  check_golden "figure4_vc4" (simulate_text wedge);
+  check_golden "figure4_debugged" (simulate_text (Scenario.figure4 debugged));
+  check_golden "readex" (simulate_text (Scenario.readex_walkthrough debugged));
+  check_golden "contention" (simulate_text (Scenario.contention debugged));
+  check_golden "figure4_msc"
+    (Msc.render_run trace ^ Format.asprintf "%a@." Runner.pp_result result)
+
+let test_stress_golden () =
+  check_golden "stress"
+    (String.concat ""
+       (List.map
+          (fun seed ->
+            let result, issued =
+              Scenario.stress ~seed ~rounds:150 Checker.Vcassign.debugged
+            in
+            Format.asprintf "debugged seed %d: issued %d@.%a@." seed issued
+              Runner.pp_result result)
+          [ 1; 7; 42; 1337; 99991 ]))
+
 (* --------------- the implementation-level feedback path ------------- *)
 
-let drive_without_drains t =
-  (* push every in-flight message through the gated directory without
-     ever retiring updates: the second directory write must defer *)
-  let rec go t =
-    match Mcheck.Mstate.queue_heads t.Impl_runner.base with
-    | [] -> t
-    | ((src, dst, cls), msg) :: _ ->
-        let base =
-          match Mcheck.Mstate.dequeue t.Impl_runner.base (src, dst, cls) with
-          | Some (_, b) -> b
-          | None -> assert false
-        in
-        go (Impl_runner.deliver { t with Impl_runner.base } ~cls ~dst msg)
-  in
-  go t
+(* Channels too large to ever block: issues and deliveries are enabled
+   exactly when the tables define them. *)
+let unbounded =
+  { Runner.v = Checker.Vcassign.debugged;
+    capacity = Runner.uniform_capacity max_int; nodes = 2; addrs = 2;
+    io_addrs = [] }
+
+let issue_all ops =
+  List.fold_left
+    (fun st (node, addr, op) ->
+      snd
+        (Option.get
+           (Runner.try_issue unbounded st ~node ~addr
+              ~op:(Mcheck.Mstate.intern op))))
+    (Mcheck.Mstate.initial ~nodes:2 ~addrs:2)
+    ops
 
 let test_feedback_defers_and_replays () =
-  let tables = Mcheck.Semantics.load_tables () in
-  let st = Mcheck.Mstate.initial ~nodes:2 ~addrs:2 in
-  let issue st node addr =
-    Option.get (Mcheck.Semantics.issue_op tables st ~node ~addr ~op:(Mcheck.Mstate.intern "load"))
-  in
-  let st = issue (issue st 0 0) 1 1 in
-  let t = drive_without_drains (Impl_runner.make ~upd_capacity:1 st) in
+  let st = issue_all [ 0, 0, "load"; 1, 1, "load" ] in
+  (* push every in-flight message through the gated directory without
+     ever retiring updates: the second directory write must defer *)
+  let t = Impl_runner.drive (Impl_runner.make ~upd_capacity:1 st) in
   check "one completion deferred through dfdback" true
     (t.Impl_runner.deferred >= 1);
   check "feedback queue holds the deferral" true (t.Impl_runner.feedback <> []);
   (* retire updates and replay: the system must converge *)
-  let rec settle n t =
-    if n > 100 then Alcotest.fail "feedback never drained"
-    else if
-      Mcheck.Mstate.quiescent t.Impl_runner.base
-      && t.Impl_runner.feedback = []
-    then t
-    else
-      settle (n + 1)
-        (Impl_runner.replay_feedback (Impl_runner.drain_update t))
-  in
-  let t = settle 0 t in
+  let t = Impl_runner.settle t in
+  check "feedback drained" true
+    (Mcheck.Mstate.quiescent t.Impl_runner.base && t.Impl_runner.feedback = []);
   (* final architectural state must equal the unconstrained run *)
   let unconstrained =
-    let rec go st =
-      match Mcheck.Mstate.queue_heads st with
-      | [] -> st
-      | ((src, dst, cls), msg) :: _ -> (
-          match Mcheck.Mstate.dequeue st (src, dst, cls) with
-          | Some (_, st') -> (
-              match Mcheck.Semantics.deliver tables st' ~cls ~dst msg with
-              | Mcheck.Semantics.Next st'' -> go st''
-              | Broken r -> Alcotest.fail r)
-          | None -> assert false)
-    in
-    go (issue (issue (Mcheck.Mstate.initial ~nodes:2 ~addrs:2) 0 0) 1 1)
+    match Runner.run unbounded st with
+    | Runner.Quiescent _, final -> final
+    | Runner.Deadlock _, _ -> Alcotest.fail "unconstrained run wedged"
   in
   check "same final state as the unconstrained run" true
     (Mcheck.Mstate.key t.Impl_runner.base = Mcheck.Mstate.key unconstrained)
 
+(* E14's table: two stores under update-queue capacities 1, 2 and 4,
+   driven with the update engine stalled, then settled. *)
+let test_e14_golden () =
+  let initial = issue_all [ 0, 0, "store"; 1, 1, "store" ] in
+  check_golden "e14"
+    (String.concat ""
+       (List.map
+          (fun cap ->
+            let t =
+              Impl_runner.(settle (drive (make ~upd_capacity:cap initial)))
+            in
+            Printf.sprintf "update-queue capacity %d: %s -> %s\n" cap
+              (Impl_runner.stats t)
+              (if Mcheck.Mstate.quiescent t.Impl_runner.base then "quiescent"
+               else "STUCK"))
+          [ 1; 2; 4 ]))
+
 let test_feedback_run_to_completion () =
-  let tables = Mcheck.Semantics.load_tables () in
-  let st = Mcheck.Mstate.initial ~nodes:2 ~addrs:2 in
-  let st =
-    Option.get (Mcheck.Semantics.issue_op tables st ~node:0 ~addr:0 ~op:(Mcheck.Mstate.intern "store"))
-  in
-  let st =
-    Option.get (Mcheck.Semantics.issue_op tables st ~node:1 ~addr:1 ~op:(Mcheck.Mstate.intern "store"))
-  in
-  let t = Impl_runner.run_to_completion (Impl_runner.make ~upd_capacity:1 st) in
+  let st = issue_all [ 0, 0, "store"; 1, 1, "store" ] in
+  let t = Impl_runner.(settle (drive (make ~upd_capacity:1 st))) in
   check "quiescent" true (Mcheck.Mstate.quiescent t.Impl_runner.base);
   check "stats render" true (String.length (Impl_runner.stats t) > 0)
 
@@ -223,4 +249,7 @@ let suite =
     Alcotest.test_case "feedback path defers and replays" `Quick test_feedback_defers_and_replays;
     Alcotest.test_case "gated run to completion" `Quick test_feedback_run_to_completion;
     Alcotest.test_case "script errors" `Quick test_script_errors;
+    Alcotest.test_case "scenario goldens" `Quick test_scenario_goldens;
+    Alcotest.test_case "stress golden" `Quick test_stress_golden;
+    Alcotest.test_case "E14 golden" `Quick test_e14_golden;
   ]
