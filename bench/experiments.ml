@@ -534,8 +534,7 @@ let e14 () =
       in
       kv "update-queue capacity %d: %s -> %s\n" cap
         (Sim.Impl_runner.stats t)
-        (if Mcheck.Mstate.quiescent t.Sim.Impl_runner.base then "quiescent"
-         else "STUCK"))
+        (if Sim.Impl_runner.quiescent t then "quiescent" else "STUCK"))
     [ 1; 2; 4 ];
   kv "responses deferred through the feedback path replay once the update\n";
   kv "queue drains; the final architectural state matches the unconstrained\n";

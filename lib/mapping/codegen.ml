@@ -68,9 +68,6 @@ let eval_rule rules binding =
   in
   List.find_opt matches rules
 
-let eval_rules rules binding =
-  Option.map (fun r -> r.action) (eval_rule rules binding)
-
 let agrees_with_table ~inputs ~outputs t =
   let rules = rules_of_table ~inputs ~outputs t in
   let schema = Table.schema t in
@@ -78,9 +75,8 @@ let agrees_with_table ~inputs ~outputs t =
     (fun row ->
       let binding = cells_of inputs schema row in
       let expected = cells_of outputs schema row in
-      match eval_rules rules binding with
-      | Some action ->
-          List.sort compare action = List.sort compare expected
+      match eval_rule rules binding with
+      | Some r -> List.sort compare r.action = List.sort compare expected
       | None -> expected = [])
     (Table.rows t)
 

@@ -26,11 +26,8 @@ val rules_of_table :
 val eval_rule : rule list -> (string * string) list -> rule option
 (** First-match-wins evaluation over a concrete input binding (absent
     columns behave as NULL); the whole matched rule, so callers can see
-    which table row fired.  [None] if no rule fires. *)
-
-val eval_rules :
-  rule list -> (string * string) list -> (string * string) list option
-(** [eval_rule] projected to the action. *)
+    which table row fired.  [None] if no rule fires.  The reference
+    that [Mcheck.Dispatch] is tested against. *)
 
 val agrees_with_table :
   inputs:string list -> outputs:string list -> Relalg.Table.t -> bool

@@ -1,7 +1,7 @@
 (** Coded first-match dispatch over a controller table's rule list.
 
-    {!Mapping.Codegen.eval_rule} matches string guards against a string
-    binding, one [List.assoc] per guard pair.  A dispatch compiles the
+    The reference scan of {!Mapping.Codegen} matches string guards
+    against a string binding, one [List.assoc] per guard pair.  A dispatch compiles the
     same rule list once, against a fixed binding layout:
 
     - every binding column gets a slot; the caller's columns come first,
@@ -12,14 +12,14 @@
       symbol id; a symbol no guard names codes to one shared "other"
       code and an unset slot holds {!absent}, and neither matches any
       guard, exactly as a non-matching or missing string does under
-      [eval_rule];
+      the scan;
     - every rule becomes an int guard array and an output-slot array of
       symbols;
     - the rules are bucketed in a direct-address array on the code of
       slot 0 (the discriminator), each bucket in priority order and
       holding every rule that leaves slot 0 unconstrained.
 
-    So {!find} returns exactly the rule [eval_rule] returns for the
+    So {!find} returns exactly the rule the scan returns for the
     corresponding string binding. *)
 
 type column = { name : string; lits : string array }

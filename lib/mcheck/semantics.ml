@@ -128,7 +128,7 @@ end
    from, so every fired rule can be charged to its source row in the
    transition-coverage bitmaps.  [coded] is the compiled dispatch
    {!index_tables} adds; without it the ruleset dispatches through the
-   naive {!Mapping.Codegen.eval_rule} scan the reference engines keep. *)
+   naive string scan of {!Mapping.Codegen} the reference engine keeps. *)
 type ruleset = {
   rules : Mapping.Codegen.rule list;
   cov : int;
@@ -287,8 +287,6 @@ let dispatches t =
     (fun (name, rs) -> Option.map (fun d -> (name, rs.rules, d)) rs.coded)
     (named_rulesets t)
 
-let directory_rules t = t.d_rules.rules
-
 type config = {
   nodes : int;
   addrs : int;
@@ -300,8 +298,8 @@ type config = {
 type outcome = Next of Mstate.t | Broken of string
 
 (* A binding under construction, in the representation its ruleset
-   dispatches on: codes for a compiled ruleset, the strings
-   Codegen.eval_rule matches for a naive one.  Deliver functions write
+   dispatches on: codes for a compiled ruleset, the strings the naive
+   scan matches for a reference one.  Deliver functions write
    it slot by slot and never see which. *)
 type binding =
   | Coded of Dispatch.t * int array
@@ -433,10 +431,10 @@ let dir_inputs io_addrs st ~cls msg b =
   pick b D.dirlookup (Bool.to_int (a.dirst <> s_I));
   pick b D.bdirlookup (Bool.to_int (a.busy <> None))
 
-let dir_binding ?(io_addrs = []) st ~cls msg =
-  let strs = Array.copy D.l.named in
-  dir_inputs io_addrs st ~cls msg (Named (D.l, strs));
-  pairs D.l strs
+let dir_columns = D.l.inputs
+
+let code_dir_inputs d codes st ~cls msg =
+  dir_inputs [] st ~cls msg (Coded (d, codes))
 
 let deliver_dir tables io_addrs st cls msg =
   let a = addr_state st msg.addr in
@@ -760,6 +758,12 @@ let rec issues tables config st ~node ~addr ~is_io labels acc = function
       in
       issues tables config st ~node ~addr ~is_io labels acc ops
 
+let deliver ~io_addrs tables st ~cls ~dst msg =
+  if dst = dir then deliver_dir tables io_addrs st cls msg
+  else if dst = mem then deliver_mem tables st msg
+  else if cls = snp then deliver_snoop tables st dst msg
+  else deliver_response tables st dst msg
+
 let rec deliveries tables config st labels acc = function
   | [] -> acc
   | ((((_, dst, cls) as k), q) : _ * msg list) :: rest ->
@@ -768,13 +772,7 @@ let rec deliveries tables config st labels acc = function
         | [] -> acc
         | msg :: _ -> (
             let st' = without_head st k in
-            let outcome =
-              if dst = dir then deliver_dir tables config.io_addrs st' cls msg
-              else if dst = mem then deliver_mem tables st' msg
-              else if cls = snp then deliver_snoop tables st' dst msg
-              else deliver_response tables st' dst msg
-            in
-            match outcome with
+            match deliver ~io_addrs:config.io_addrs tables st' ~cls ~dst msg with
             | Next s when not (within_capacity config s) ->
                 acc (* backpressure: the consumer stalls on a full queue *)
             | outcome ->
@@ -836,12 +834,6 @@ let successors ?(labels = true) tables config st =
   acc := deliveries tables config st labels !acc st.queues;
   if config.lossy then acc := drops st labels !acc st.queues;
   List.rev !acc
-
-let deliver ?(io_addrs = []) tables st ~cls ~dst msg =
-  if dst = dir then deliver_dir tables io_addrs st cls msg
-  else if dst = mem then deliver_mem tables st msg
-  else if cls = snp then deliver_snoop tables st dst msg
-  else deliver_response tables st dst msg
 
 let issue_op tables st ~node ~addr ~op = issue tables st node addr op
 

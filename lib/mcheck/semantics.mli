@@ -14,9 +14,9 @@ type tables
     fires it through. *)
 
 val load_tables : unit -> tables
-(** Rule lists that dispatch through the naive first-match scan
-    ({!Mapping.Codegen.eval_rule}): the boxed reference engine and the
-    simulators run on these.  Loading interns every table cell as a
+(** Rule lists that dispatch through the naive string scan of
+    {!Mapping.Codegen}: the boxed reference engine runs on these, all
+    else on {!index_tables}.  Loading interns every table cell as a
     {!Mstate.sym}, including the [backoff:<op>] form of every [pendop]
     value, so it runs on the main domain. *)
 
@@ -31,8 +31,8 @@ val index_tables : tables -> tables
     symbols with a few array loads and compares small integers.
     First-match semantics — including the matched row recorded in the
     coverage bitmaps and the flight recorder — are exactly those of the
-    naive scan; the packed exploration engine runs on compiled tables
-    while the boxed reference engine keeps the naive scan the
+    naive scan; the packed engine and the simulators run on compiled
+    tables while the boxed reference engine keeps the naive scan the
     differential suite trusts. *)
 
 val dispatches :
@@ -87,7 +87,7 @@ val state_violations : config -> Mstate.t -> string list
     exploring all interleavings. *)
 
 val deliver :
-  ?io_addrs:int list ->
+  io_addrs:int list ->
   tables ->
   Mstate.t ->
   cls:Mstate.sym ->
@@ -95,7 +95,7 @@ val deliver :
   Mstate.msg ->
   outcome
 (** Process one already-dequeued message at its endpoint.  [io_addrs]
-    (default none) are the addresses in the uncached I/O space. *)
+    are the addresses in the uncached I/O space. *)
 
 val issue_op :
   tables -> Mstate.t -> node:int -> addr:int -> op:Mstate.sym -> Mstate.t option
@@ -106,18 +106,14 @@ val reissue : Mstate.t -> node:int -> addr:int -> Mstate.t option
 (** Re-enter a backed-off (retried) operation into the network as a
     fresh request; [None] if nothing is backed off at that line. *)
 
-val dir_binding :
-  ?io_addrs:int list ->
-  Mstate.t ->
-  cls:Mstate.sym ->
-  Mstate.msg ->
-  (string * string) list
-(** The input binding the directory table sees for a message — also the
-    first half of the ED binding used by the implementation-level
-    simulator ({!Sim.Impl_runner}). *)
+val dir_columns : Dispatch.column array
+(** The directory table's twelve binding columns, in slot order. *)
 
-val directory_rules : tables -> Mapping.Codegen.rule list
-(** The compiled directory rule list (for gating against ED variants). *)
+val code_dir_inputs :
+  Dispatch.t -> int array -> Mstate.t -> cls:Mstate.sym -> Mstate.msg -> unit
+(** Write the binding D sees for a message (no I/O addresses) into the
+    first slots of a binding of [d], whose inputs start with
+    {!dir_columns}: the ED gate of [Sim.Impl_runner]. *)
 
 val pack_vocab : tables -> (string * string list) list
 (** Every (column, value) string pair appearing in any guard or action

@@ -8,9 +8,9 @@
     the response into a [dfdback] request, re-injected through the
     feedback path once the queue drains).  This runner wraps the
     behavioural semantics with exactly that gate, evaluated on the
-    {e generated ED table}: every delivery is first classified by its ED
-    row, and only a [Proceed] verdict executes the architectural
-    behaviour.
+    {e generated ED table} ({!ed}): every delivery is first classified
+    by its ED row, and only a [Proceed] verdict executes the
+    architectural behaviour.
 
     The intended invariant, checked by the tests and experiment E14: a
     run with a tiny update queue defers some responses through dfdback
@@ -26,6 +26,11 @@ type t = {
   retried : int;  (** statistics: requests bounced on full queues *)
 }
 
+val ed : (string * Mapping.Codegen.rule list * Mcheck.Dispatch.t) Lazy.t
+(** ["ED"], its rules and their dispatch, compiled on first use (main
+    domain): inputs D's binding columns then the [qstatus] and
+    [dqstatus] literals, outputs [fdback], [locmsg], [bdirop], [dirwr]. *)
+
 val make : ?upd_capacity:int -> Mcheck.Mstate.t -> t
 
 val drive : t -> t
@@ -37,11 +42,14 @@ val drive : t -> t
     in flight.
     @raise Failure if the architectural row is missing (protocol bug). *)
 
+val quiescent : t -> bool
+(** Nothing in flight, busy or pending ({!Mcheck.Mstate.quiescent}),
+    nothing deferred on the feedback path and no update queued. *)
+
 val settle : t -> t
 (** Rounds of: the update engine retires one update, the oldest
     deferral is replayed (once the update queue has room) and {!drive}
-    delivers what that enqueued; until nothing is in flight or deferred,
-    or after 101 rounds.  A state that is not quiescent on return never
-    drained. *)
+    delivers what that enqueued; until {!quiescent}, or after 101
+    rounds.  A run that is not {!quiescent} on return never drained. *)
 
 val stats : t -> string

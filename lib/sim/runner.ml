@@ -1,6 +1,5 @@
 type config = {
-  v : Checker.Vcassign.t;
-  capacity : string -> int;
+  channels : Mcheck.Vcmap.t;
   nodes : int;
   addrs : int;
   io_addrs : int list;
@@ -22,7 +21,14 @@ type result =
 
 exception Script_error of string
 
-let tables = lazy (Mcheck.Semantics.load_tables ())
+let tables = lazy Mcheck.Semantics.(index_tables (load_tables ()))
+
+(* resolved after the tables load: every message they name is interned *)
+let config ?(io_addrs = []) ~nodes ~addrs ~capacity (v : Checker.Vcassign.t) =
+  ignore (Lazy.force tables);
+  let row (a : Checker.Vcassign.assignment) = (a.msg, a.src, a.dst, a.vc) in
+  let channels = Mcheck.Vcmap.resolve ~capacity (List.map row v.rows) in
+  { channels; nodes; addrs; io_addrs }
 
 let collect () =
   let log = ref [] in
@@ -30,8 +36,8 @@ let collect () =
 
 (* The one virtual-channel check: a step is enabled only if its outputs
    fit their channels. *)
-let fits config st =
-  Channel.over_capacity ~v:config.v ~capacity:config.capacity st = []
+let fits config st = Mcheck.Vcmap.fits config.channels st
+let occupancy config st = Mcheck.Vcmap.occupancy config.channels st
 
 let name = Mcheck.Mstate.name
 
@@ -127,31 +133,20 @@ let run ?(script = []) ?(trace = fun _ -> ()) ?(max_steps = 10_000) config st =
     st := st';
     if Obs.Config.on () then
       Obs.Trace.counter "sim.vc_occupancy"
-        (List.map
-           (fun (vc, n) -> vc, float_of_int n)
-           (Channel.occupancy ~v:config.v st'));
+        (List.map (fun (vc, n) -> (vc, float_of_int n)) (occupancy config st'));
     Obs.Runlog.tick (fun () ->
-        let in_flight =
-          List.fold_left
-            (fun acc (_, n) -> acc + n)
-            0
-            (Channel.occupancy ~v:config.v st')
-        in
-        Printf.sprintf "[sim] steps=%d in_flight=%d" !steps in_flight)
+        Printf.sprintf "[sim] steps=%d in_flight=%d" !steps
+          (List.fold_left (fun acc (_, n) -> acc + n) 0 (occupancy config st')))
   in
   let step = function Some s -> commit s; true | None -> false in
   List.iter (fun ev -> commit (apply_event config !st ev)) script;
   let nodes = List.init config.nodes Fun.id in
   let addrs = List.init config.addrs Fun.id in
+  let wedged blocked =
+    Deadlock { steps = !steps; occupancy = occupancy config !st; blocked }, !st
+  in
   let rec free_run () =
-    if !steps >= max_steps then
-      ( Deadlock
-          {
-            steps = !steps;
-            occupancy = Channel.occupancy ~v:config.v !st;
-            blocked = [ "step budget exhausted (livelock?)" ];
-          },
-        !st )
+    if !steps >= max_steps then wedged [ "step budget exhausted (livelock?)" ]
     else if Mcheck.Mstate.quiescent !st then Quiescent { steps = !steps }, !st
     else
       let heads = Mcheck.Mstate.queue_heads !st in
@@ -167,17 +162,8 @@ let run ?(script = []) ?(trace = fun _ -> ()) ?(max_steps = 10_000) config st =
       then free_run ()
       else if heads = [] then
         (* pending processor state but nothing in flight: wedged *)
-        ( Deadlock
-            { steps = !steps; occupancy = []; blocked = [ "no messages in flight" ] },
-          !st )
-      else
-        ( Deadlock
-            {
-              steps = !steps;
-              occupancy = Channel.occupancy ~v:config.v !st;
-              blocked = blocked_heads config !st;
-            },
-          !st )
+        wedged [ "no messages in flight" ]
+      else wedged (blocked_heads config !st)
   in
   let result, final = free_run () in
   record_wedge ~t0 ~steps:!steps result;

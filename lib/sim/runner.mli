@@ -12,12 +12,17 @@
     counterpart of the static VCG cycle. *)
 
 type config = {
-  v : Checker.Vcassign.t;  (** channel assignment under test *)
-  capacity : string -> int;  (** slots per virtual channel *)
+  channels : Mcheck.Vcmap.t;  (** the assignment under test, resolved *)
   nodes : int;
   addrs : int;
   io_addrs : int list;  (** addresses in the uncached I/O space *)
 }
+
+val config :
+  ?io_addrs:int list -> nodes:int -> addrs:int -> capacity:(string -> int) ->
+  Checker.Vcassign.t -> config
+(** A config running V with [capacity] slots per channel: V is resolved
+    once, after {!tables} load. *)
 
 val uniform_capacity : int -> string -> int
 
@@ -39,7 +44,7 @@ exception Script_error of string
 
 val tables : Mcheck.Semantics.tables Lazy.t
 (** The controller tables every simulator in this library runs on,
-    loaded once. *)
+    loaded and compiled ({!Mcheck.Semantics.index_tables}) once. *)
 
 (** {1 The step}
 

@@ -28,6 +28,7 @@ let shared_line st ~addr ~sharers =
 
 let dir = Mcheck.Mstate.dir
 let mem = Mcheck.Mstate.mem
+let uniform = Runner.uniform_capacity
 
 (* The Figure 4 interleaving.  Address 0 (the paper's A) is owned by node
    1, address 1 (the paper's B) by node 2.  Node 0 wants A exclusively
@@ -37,15 +38,8 @@ let mem = Mcheck.Mstate.mem
    A's ack.  Channel capacities: one slot everywhere, two on the request
    channel (both writebacks plus the readex are requests). *)
 let figure4_wedged v =
-  let config =
-    {
-      Runner.v;
-      capacity = (fun vc -> if vc = "VC0" then 2 else 1);
-      nodes = 3;
-      addrs = 2;
-      io_addrs = [];
-    }
-  in
+  let capacity vc = if vc = "VC0" then 2 else 1 in
+  let config = Runner.config ~nodes:3 ~addrs:2 ~capacity v in
   let st = make_initial ~nodes:3 ~addrs:2 ~owners:[ 0, 1; 1, 2 ] in
   let script =
     [
@@ -73,10 +67,7 @@ let figure4 v =
    nodes 1 and 2; both are invalidated, memory supplies data, the
    directory hands over ownership. *)
 let readex_walkthrough v =
-  let config =
-    { Runner.v; capacity = Runner.uniform_capacity 4; nodes = 3; addrs = 1;
-      io_addrs = [] }
-  in
+  let config = Runner.config ~nodes:3 ~addrs:1 ~capacity:(uniform 4) v in
   let st = initial ~nodes:3 ~addrs:1 in
   let st = shared_line st ~addr:0 ~sharers:[ 1; 2 ] in
   let trace, log = Runner.collect () in
@@ -92,10 +83,7 @@ let readex_walkthrough v =
    drain once the workload stops. *)
 let stress ?(seed = 42) ?(rounds = 200) ?(nodes = 3) ?(addrs = 2) v =
   let rng = Random.State.make [| seed |] in
-  let config =
-    { Runner.v; capacity = Runner.uniform_capacity 2; nodes; addrs;
-      io_addrs = [] }
-  in
+  let config = Runner.config ~nodes ~addrs ~capacity:(uniform 2) v in
   let issued = ref 0 in
   let st = ref (initial ~nodes ~addrs) in
   let ops = Array.map intern [| "load"; "store"; "evictmod"; "evictsh" |] in
@@ -130,10 +118,7 @@ let stress ?(seed = 42) ?(rounds = 200) ?(nodes = 3) ?(addrs = 2) v =
 (* Two stores racing to the same invalid line: one is served, the other
    retried until the first completes. *)
 let contention v =
-  let config =
-    { Runner.v; capacity = Runner.uniform_capacity 4; nodes = 2; addrs = 1;
-      io_addrs = [] }
-  in
+  let config = Runner.config ~nodes:2 ~addrs:1 ~capacity:(uniform 4) v in
   let st = initial ~nodes:2 ~addrs:1 in
   let trace, log = Runner.collect () in
   let result, _ =

@@ -11,9 +11,8 @@ type t = {
 (* Issue each operation and let the system drain before the next one, so
    walkthroughs document one transaction at a time, like Figure 2. *)
 let run_ops ?(nodes = 3) ?(addrs = 1) ?(io_addrs = []) ?(prepare = Fun.id) v ops =
-  let config =
-    { Runner.v; capacity = Runner.uniform_capacity 4; nodes; addrs; io_addrs }
-  in
+  let capacity = Runner.uniform_capacity 4 in
+  let config = Runner.config ~io_addrs ~nodes ~addrs ~capacity v in
   let trace, log = Runner.collect () in
   let st =
     List.fold_left

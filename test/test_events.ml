@@ -223,10 +223,11 @@ let test_with_disabled () =
 
 (* ------------------------------ signals ------------------------------- *)
 
-(* Actually delivering SIGINT would exit the test runner; what the test
-   can pin is that arming installs real handlers on both signals (so an
-   interrupt becomes an orderly exit whose at_exit manifest write drains
-   the rings) and that re-arming is idempotent. *)
+(* Delivering SIGINT here would exit the test runner, so this test pins
+   that arming installs real handlers on both signals (so an interrupt
+   becomes an orderly exit whose at_exit manifest write drains the
+   rings) and that re-arming is idempotent; the next one delivers real
+   signals to the built CLI. *)
 let test_signal_arming () =
   Obs.Flightrec.arm_signal_drain ();
   let check_installed name signo =
@@ -240,6 +241,97 @@ let test_signal_arming () =
   check_installed "SIGINT" Sys.sigint;
   check_installed "SIGTERM" Sys.sigterm;
   Obs.Flightrec.arm_signal_drain ()
+
+(* `asura mcheck --manifest DIR` on a search that runs for seconds (the
+   3-node, 2-address search with evictions), sent [signal] once its
+   first --progress heartbeat is out.  Returns the exit status, the
+   files left in DIR and the one manifest's text, if there is one. *)
+let interrupt signal =
+  let exe =
+    (* `dune runtest` runs the suite in test/, `dune exec` from the root *)
+    List.find Sys.file_exists
+      [ "../bin/asura.exe"; "_build/default/bin/asura.exe" ]
+  in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "asura-test-signal-%d-%d" (Unix.getpid ()) signal)
+  in
+  let env =
+    Array.of_list
+      ("ASURA_FLIGHTREC=on"
+      :: List.filter
+           (fun kv -> not (String.starts_with ~prefix:"ASURA_FLIGHTREC=" kv))
+           (Array.to_list (Unix.environment ())))
+  in
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process_env exe
+      [| exe; "mcheck"; "-n"; "3"; "--addrs"; "2"; "--evictions";
+         "--max-states"; "500000"; "--domains"; "1"; "--progress";
+         "--manifest"; dir |]
+      env Unix.stdin null err_w
+  in
+  Unix.close err_w;
+  Unix.close null;
+  let ic = Unix.in_channel_of_descr err_r in
+  let rec heartbeat () =
+    match In_channel.input_line ic with
+    | Some l -> String.starts_with ~prefix:"[mcheck]" l || heartbeat ()
+    | None -> false
+  in
+  let started = heartbeat () in
+  Unix.kill pid signal;
+  (* read until the child closes stderr, so it never blocks on the pipe *)
+  ignore (In_channel.input_all ic : string);
+  close_in ic;
+  let _, status = Unix.waitpid [] pid in
+  let files =
+    if Sys.file_exists dir then List.sort compare (Array.to_list (Sys.readdir dir))
+    else []
+  in
+  let manifest =
+    match files with
+    | [ f ] when Filename.check_suffix f ".json" ->
+        Some (In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+    | _ -> None
+  in
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+  if Sys.file_exists dir then Unix.rmdir dir;
+  Alcotest.(check bool) "the search started" true started;
+  status, files, manifest
+
+let test_signal_exits () =
+  List.iter
+    (fun (name, signal, code) ->
+      let status, files, manifest = interrupt signal in
+      (match status with
+      | Unix.WEXITED c -> Alcotest.(check int) (name ^ " exit code") code c
+      | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
+          Alcotest.failf "%s: killed by the signal, not an orderly exit" name);
+      Alcotest.(check bool)
+        (name ^ ": no .json.tmp left behind")
+        false
+        (List.exists (fun f -> Filename.check_suffix f ".tmp") files);
+      match Option.map Obs.Json.parse manifest with
+      | Some (Ok doc) ->
+          Alcotest.(check (option string))
+            (name ^ ": the manifest is asura-run/1")
+            (Some "asura-run/1")
+            (Option.bind (Obs.Json.member "schema" doc) Obs.Json.to_str);
+          let events =
+            Option.bind (Obs.Json.member "events" doc) (fun ev ->
+                Option.bind (Obs.Json.member "events" ev) Obs.Json.to_list)
+          in
+          Alcotest.(check bool)
+            (name ^ ": the flight recording is not empty")
+            true
+            (match events with Some (_ :: _) -> true | Some [] | None -> false)
+      | Some (Error e) -> Alcotest.failf "%s: manifest does not parse: %s" name e
+      | None ->
+          Alcotest.failf "%s: expected exactly one manifest, found [%s]" name
+            (String.concat "; " files))
+    [ "SIGINT", Sys.sigint, 130; "SIGTERM", Sys.sigterm, 143 ]
 
 (* --------------------------- sys.events ------------------------------- *)
 
@@ -282,4 +374,6 @@ let suite =
       test_fire_dedup_share_expand_stamp;
     Alcotest.test_case "sys.events decodes stop rows" `Quick
       test_sys_events_table;
+    Alcotest.test_case "SIGINT and SIGTERM exit 130 and 143 with one manifest"
+      `Quick test_signal_exits;
   ]

@@ -430,10 +430,13 @@ let test_snoops_reach_high_nodes () =
     (Mstate.name (Mstate.cache st ~node:0 ~addr:0))
 
 (* Coded dispatch against the naive first-match scan, with no search in
-   between: the compiled rulesets of all six tables, bindings drawn per
-   column from its guard vocabulary, a string outside it, or absent. *)
+   between: the compiled rulesets of the six tables and the simulator's
+   ED gate, bindings drawn per column from its guard vocabulary, a
+   string outside it, or absent. *)
 let dispatches =
-  lazy (Semantics.dispatches (Semantics.index_tables (Lazy.force tables)))
+  lazy
+    (Semantics.dispatches (Semantics.index_tables (Lazy.force tables))
+    @ [ Lazy.force Sim.Impl_runner.ed ])
 
 let vocabulary rules col =
   List.sort_uniq String.compare
@@ -495,7 +498,7 @@ let dispatch_case_gen =
   QCheck.Gen.(
     (* draw an index, so the tables load when the first case is drawn,
        not when the suite is built *)
-    let* k = int_bound 5 in
+    let* k = int_bound 6 in
     let name, table_rules, d = List.nth (Lazy.force dispatches) k in
     let* loosened = bool in
     let* rules, d =
@@ -533,14 +536,14 @@ let print_dispatch_case (label, rules, d, values) =
 let prop_dispatch_matches_scan =
   QCheck.Test.make ~count:2000
     ~name:
-      "coded dispatch fires the naive scan's row on all six tables and \
+      "coded dispatch fires the naive scan's row on all seven tables and \
        loosened samples"
     (QCheck.make dispatch_case_gen ~print:print_dispatch_case)
     (fun (_, rules, d, values) -> fst (same_row rules d values))
 
 let test_dispatch_own_rows () =
   let tables = Lazy.force dispatches in
-  check_int "six compiled tables" 6 (List.length tables);
+  check_int "seven compiled tables" 7 (List.length tables);
   List.iter
     (fun (name, rules, d) ->
       List.iter

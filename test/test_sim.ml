@@ -5,47 +5,120 @@ open Sim
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let check_str = Alcotest.(check string)
+
+(* V resolved with [cap] slots per channel *)
+let resolved ?(cap = 1) v =
+  (Runner.config ~nodes:2 ~addrs:1 ~capacity:(Runner.uniform_capacity cap) v)
+    .channels
+
+let channel_name vcs ~cls ~src msg =
+  let c = Mcheck.Vcmap.channel vcs ~cls ~src (Mcheck.Mstate.intern msg) in
+  if c = Mcheck.Vcmap.dedicated then "dedicated" else Mcheck.Vcmap.name vcs c
+
+let in_flight st cls msgs =
+  List.fold_left
+    (fun st (m, src, dst) ->
+      Mcheck.Mstate.enqueue st ~cls
+        { Mcheck.Mstate.m = Mcheck.Mstate.intern m; src; dst; addr = 0;
+          fresh = true })
+    st msgs
+
 let test_channel_mapping () =
-  let v = Checker.Vcassign.with_vc4 in
-  let ch cls src dst name = Channel.of_message ~v ~cls ~src ~dst name in
-  check "request on VC0" true
-    (ch "reqq" 0 Mcheck.Mstate.dir "readex" = Channel.Vc "VC0");
-  check "snoop on VC1" true
-    (ch "snp" Mcheck.Mstate.dir 1 "sinv" = Channel.Vc "VC1");
-  check "snoop response on VC2" true
-    (ch "respq" 1 Mcheck.Mstate.dir "idone" = Channel.Vc "VC2");
-  check "grant on VC3" true
-    (ch "resp" Mcheck.Mstate.dir 0 "datax" = Channel.Vc "VC3");
-  check "memory request on VC4" true
-    (ch "memq" Mcheck.Mstate.dir Mcheck.Mstate.mem "mread" = Channel.Vc "VC4");
-  check "memory response on VC2" true
-    (ch "respq" Mcheck.Mstate.mem Mcheck.Mstate.dir "mack" = Channel.Vc "VC2");
-  check "completion acks are dedicated" true
-    (ch "ackq" 0 Mcheck.Mstate.dir "compl" = Channel.Dedicated "ack");
-  check "mread dedicated after the fix" true
-    (Channel.of_message ~v:Checker.Vcassign.debugged ~cls:"memq"
-       ~src:Mcheck.Mstate.dir ~dst:Mcheck.Mstate.mem "mread"
-    = Channel.Dedicated "mread");
-  check "dedicated never blocks" false
-    (Channel.is_blocking (Channel.Dedicated "mread"))
+  let open Mcheck.Mstate in
+  let vc4 = resolved Checker.Vcassign.with_vc4 in
+  let ch = channel_name vc4 in
+  check_str "request on VC0" "VC0" (ch ~cls:reqq ~src:0 "readex");
+  check_str "snoop on VC1" "VC1" (ch ~cls:snp ~src:dir "sinv");
+  check_str "snoop response on VC2" "VC2" (ch ~cls:respq ~src:1 "idone");
+  check_str "grant on VC3" "VC3" (ch ~cls:resp ~src:dir "datax");
+  check_str "memory request on VC4" "VC4" (ch ~cls:memq ~src:dir "mread");
+  check_str "memory response on VC2" "VC2" (ch ~cls:respq ~src:mem "mack");
+  check_str "completion acks are dedicated" "dedicated"
+    (ch ~cls:ackq ~src:0 "compl");
+  check_str "mread dedicated after the fix" "dedicated"
+    (channel_name (resolved Checker.Vcassign.debugged) ~cls:memq ~src:dir
+       "mread");
+  (* two acks and two mreads on their dedicated paths, one slot per
+     channel: nothing is counted, so nothing blocks *)
+  let st =
+    in_flight
+      (in_flight (initial ~nodes:2 ~addrs:1) ackq
+         [ "compl", 0, dir; "compl", 1, dir ])
+      memq [ "mread", dir, mem; "mread", dir, mem ]
+  in
+  let debugged = resolved Checker.Vcassign.debugged in
+  Alcotest.(check (list (pair string int))) "dedicated never counts" []
+    (Mcheck.Vcmap.occupancy debugged st);
+  check "dedicated never blocks" true (Mcheck.Vcmap.fits debugged st)
 
 let test_occupancy () =
+  let open Mcheck.Mstate in
   let v = Checker.Vcassign.with_vc4 in
-  let st = Mcheck.Mstate.initial ~nodes:2 ~addrs:1 in
   let st =
-    Mcheck.Mstate.enqueue st ~cls:Mcheck.Mstate.reqq
-      { Mcheck.Mstate.m = Mcheck.Mstate.intern "readex"; src = 0; dst = Mcheck.Mstate.dir; addr = 0; fresh = true }
-  in
-  let st =
-    Mcheck.Mstate.enqueue st ~cls:Mcheck.Mstate.reqq
-      { Mcheck.Mstate.m = Mcheck.Mstate.intern "wb"; src = 1; dst = Mcheck.Mstate.dir; addr = 0; fresh = true }
+    in_flight (initial ~nodes:2 ~addrs:1) reqq
+      [ "readex", 0, dir; "wb", 1, dir ]
   in
   Alcotest.(check (list (pair string int))) "two requests on VC0"
-    [ "VC0", 2 ] (Channel.occupancy ~v st);
-  Alcotest.(check (list string)) "over capacity 1" [ "VC0" ]
-    (Channel.over_capacity ~v ~capacity:(fun _ -> 1) st);
-  Alcotest.(check (list string)) "within capacity 2" []
-    (Channel.over_capacity ~v ~capacity:(fun _ -> 2) st)
+    [ "VC0", 2 ] (Mcheck.Vcmap.occupancy (resolved v) st);
+  check "over capacity 1" false (Mcheck.Vcmap.fits (resolved ~cap:1 v) st);
+  check "within capacity 2" true (Mcheck.Vcmap.fits (resolved ~cap:2 v) st)
+
+(* The mapping the resolver replaced, kept here only as its oracle: a
+   FIFO class names a role pair, then V is looked up by strings. *)
+let lookup_channel v ~cls ~src msg =
+  let roles =
+    match cls with
+    | "ackq" -> None
+    | "reqq" -> Some ("local", "home")
+    | "snp" -> Some ("home", "remote")
+    | "resp" -> Some ("home", "local")
+    | "memq" -> Some ("home", "home")
+    | "respq" ->
+        Some (if src = Mcheck.Mstate.mem then "home", "home" else "remote", "home")
+    | _ -> Some ("local", "home")
+  in
+  match roles with
+  | None -> "dedicated"
+  | Some (s, d) ->
+      Option.value ~default:"dedicated"
+        (Checker.Vcassign.lookup v ~msg ~src:s ~dst:d)
+
+let test_resolver_matches_lookup () =
+  let path =
+    List.find Sys.file_exists [ "../examples/vc2_vc4"; "examples/vc2_vc4" ]
+  in
+  let file =
+    Checker.Vcassign.of_csv ~name:"vc2_vc4"
+      (In_channel.with_open_text path In_channel.input_all)
+  in
+  let vocab =
+    List.sort_uniq String.compare
+      (List.concat_map snd
+         (Mcheck.Semantics.pack_vocab (Lazy.force Runner.tables)))
+  in
+  let open Mcheck.Mstate in
+  let on_vc = ref 0 in
+  List.iter
+    (fun (v : Checker.Vcassign.t) ->
+      let vcs = resolved v in
+      List.iter
+        (fun cls ->
+          List.iter
+            (fun src ->
+              List.iter
+                (fun msg ->
+                  let want = lookup_channel v ~cls:(name cls) ~src msg in
+                  let got = channel_name vcs ~cls ~src msg in
+                  if got <> want then
+                    Alcotest.failf "%s: %s from %d on %s: resolved %s, V says %s"
+                      v.name msg src (name cls) got want;
+                  if got <> "dedicated" then incr on_vc)
+                vocab)
+            [ 0; 1; dir; mem ])
+        [ ackq; memq; reqq; resp; respq; snp ])
+    (Checker.Vcassign.standard @ [ file ]);
+  check "some messages ride virtual channels" true (!on_vc > 0)
 
 let test_readex_walkthrough () =
   let result, trace = Scenario.readex_walkthrough Checker.Vcassign.debugged in
@@ -162,16 +235,16 @@ let test_stress_golden () =
 (* Channels too large to ever block: issues and deliveries are enabled
    exactly when the tables define them. *)
 let unbounded =
-  { Runner.v = Checker.Vcassign.debugged;
-    capacity = Runner.uniform_capacity max_int; nodes = 2; addrs = 2;
-    io_addrs = [] }
+  lazy
+    (Runner.config ~nodes:2 ~addrs:2
+       ~capacity:(Runner.uniform_capacity max_int) Checker.Vcassign.debugged)
 
 let issue_all ops =
   List.fold_left
     (fun st (node, addr, op) ->
       snd
         (Option.get
-           (Runner.try_issue unbounded st ~node ~addr
+           (Runner.try_issue (Lazy.force unbounded) st ~node ~addr
               ~op:(Mcheck.Mstate.intern op))))
     (Mcheck.Mstate.initial ~nodes:2 ~addrs:2)
     ops
@@ -186,11 +259,10 @@ let test_feedback_defers_and_replays () =
   check "feedback queue holds the deferral" true (t.Impl_runner.feedback <> []);
   (* retire updates and replay: the system must converge *)
   let t = Impl_runner.settle t in
-  check "feedback drained" true
-    (Mcheck.Mstate.quiescent t.Impl_runner.base && t.Impl_runner.feedback = []);
+  check "feedback and update queue drained" true (Impl_runner.quiescent t);
   (* final architectural state must equal the unconstrained run *)
   let unconstrained =
-    match Runner.run unbounded st with
+    match Runner.run (Lazy.force unbounded) st with
     | Runner.Quiescent _, final -> final
     | Runner.Deadlock _, _ -> Alcotest.fail "unconstrained run wedged"
   in
@@ -210,21 +282,19 @@ let test_e14_golden () =
             in
             Printf.sprintf "update-queue capacity %d: %s -> %s\n" cap
               (Impl_runner.stats t)
-              (if Mcheck.Mstate.quiescent t.Impl_runner.base then "quiescent"
-               else "STUCK"))
+              (if Impl_runner.quiescent t then "quiescent" else "STUCK"))
           [ 1; 2; 4 ]))
 
 let test_feedback_run_to_completion () =
   let st = issue_all [ 0, 0, "store"; 1, 1, "store" ] in
   let t = Impl_runner.(settle (drive (make ~upd_capacity:1 st))) in
-  check "quiescent" true (Mcheck.Mstate.quiescent t.Impl_runner.base);
+  check "quiescent" true (Impl_runner.quiescent t);
   check "stats render" true (String.length (Impl_runner.stats t) > 0)
 
 let test_script_errors () =
   let config =
-    { Runner.v = Checker.Vcassign.debugged;
-      capacity = Runner.uniform_capacity 4; nodes = 1; addrs = 1;
-      io_addrs = [] }
+    Runner.config ~nodes:1 ~addrs:1 ~capacity:(Runner.uniform_capacity 4)
+      Checker.Vcassign.debugged
   in
   let st = Mcheck.Mstate.initial ~nodes:1 ~addrs:1 in
   check "delivering from an empty queue fails" true
@@ -252,4 +322,6 @@ let suite =
     Alcotest.test_case "scenario goldens" `Quick test_scenario_goldens;
     Alcotest.test_case "stress golden" `Quick test_stress_golden;
     Alcotest.test_case "E14 golden" `Quick test_e14_golden;
+    Alcotest.test_case "resolved V = the string lookup, exhaustively" `Quick
+      test_resolver_matches_lookup;
   ]
